@@ -8,7 +8,7 @@
 //! unit for a fixed per-command cost before it reaches the device model.
 //!
 //! With a zero fetch cost the stage is transparent — commands dispatch the
-//! moment they arrive, reproducing the synchronous runner exactly — and
+//! moment they arrive, reproducing a run without the stage exactly — and
 //! with a non-zero cost the stage saturates first under load, so the
 //! arbitration policy measurably divides dispatch bandwidth between
 //! tenants and inter-tenant interference emerges from the model rather

@@ -142,6 +142,7 @@ impl ConZone {
     /// location. The L2P ↔ flash bijection and the buffer-linkage /
     /// staged-run-shape equalities are quiescent-only; the SLC owner,
     /// SLC partition and write-pointer ordering checks always apply.
+    #[cfg(debug_assertions)]
     fn check_invariants_during_io(&self) -> Vec<InvariantViolation> {
         self.check_invariants_inner(false)
     }

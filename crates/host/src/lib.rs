@@ -5,8 +5,12 @@
 //! [`StorageDevice`](conzone_types::StorageDevice) model and collects
 //! bandwidth, IOPS, latency-percentile and write-amplification reports.
 //!
-//! * [`FioJob`] / [`run_job`] — fio-like synchronous jobs (sequential or
-//!   random, read or write, 1..n threads at queue depth 1);
+//! * [`FioJob`] / [`run_job`] — fio-like jobs (sequential or random, read
+//!   or write, 1..n threads at any queue depth, closed or open loop);
+//! * [`run_tenants`] — the same driver loop with an NVMe-like front end:
+//!   a [`QueuePair`] per tenant behind an arbitrated command-fetch stage.
+//!   `run_job(job)` ≡ `run_tenants([job], QdOptions::default())`: one
+//!   tenant behind a zero-cost fetch stage reports identical numbers;
 //! * [`JobReport`] — bandwidth / KIOPS / tail-latency / WAF summary;
 //! * [`payload_for`] — deterministic data generation for integrity
 //!   verification across the device's buffering and GC paths;
@@ -45,10 +49,7 @@ pub use crash::{power_cycle_and_verify, CrashVerdict};
 pub use f2fs::{F2fsLite, F2fsStats, Temperature};
 pub use fio_file::{parse_fio_jobs, NamedJob, ParseFioError};
 pub use job::{AccessPattern, FioJob};
-pub use qd::{
-    run_job_qd, run_job_qd_with, run_tenants, MultiReport, QdOptions, QueuePair, TenantReport,
-    TenantSpec,
-};
+pub use qd::{run_tenants, MultiReport, QdOptions, QueuePair, TenantReport, TenantSpec};
 pub use runner::{run_job, run_job_sampled, run_job_until, HostError, JobReport};
 pub use trace::{
     replay_budget, replay_counters, replay_trace, MobileTraceBuilder, ParseTraceError, Trace,

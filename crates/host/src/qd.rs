@@ -1,28 +1,28 @@
-//! NVMe-like queue-pair job driver: queue depth > 1, per-queue
-//! arbitration, and multi-tenant interference.
+//! NVMe-like queue pairs: per-queue arbitration and multi-tenant
+//! interference.
 //!
-//! The synchronous runner ([`crate::run_job`]) models each thread as a
-//! blocking fio job. This module models the host the way an NVMe driver
-//! sees it: every *tenant* (an independent workload sharing the device)
-//! owns a [`QueuePair`] — a submission queue, a completion queue, and a
-//! bounded pool of in-flight command slots — and a single controller-side
+//! [`crate::run_job`] hands every generated command straight to the
+//! device. This module models the host the way an NVMe driver sees it:
+//! every *tenant* (an independent workload sharing the device) owns a
+//! [`QueuePair`] — a submission queue, a completion queue, and a bounded
+//! pool of in-flight command slots — and a single controller-side
 //! command-fetch stage ([`conzone_core::QueueFrontEnd`]) arbitrates among
 //! the submission queues before commands reach the device model.
 //!
-//! Everything advances on the simulated clock of the existing
-//! discrete-event core — there is no OS async runtime. The driver keeps
-//! up to `queue_depth` commands outstanding per tenant thread, and the
-//! command-fetch [`Resource`](conzone_sim::Resource) serialises dispatch,
-//! so per-tenant throughput under contention is decided by the
+//! This is [`crate::run_job`]'s event loop (`crate::runner`) with that
+//! front end attached, on the simulated clock of the discrete-event core —
+//! there is no OS async runtime. The command-fetch
+//! [`Resource`](conzone_sim::Resource) serialises dispatch, so per-tenant
+//! throughput under contention is decided by the
 //! [`Arbiter`](conzone_core::Arbiter) policy rather than scripted.
 //!
-//! Two guarantees anchor the model to the synchronous runner:
+//! Two guarantees anchor the front end:
 //!
-//! * **Degenerate equivalence** — one tenant at queue depth 1 with a zero
-//!   fetch cost generates, dispatches and completes commands in exactly
-//!   the synchronous runner's order, so counters, histograms and the
-//!   device trace are bit-identical on the same seed (no queue events are
-//!   emitted in this configuration, by design).
+//! * **Transparency** — one tenant behind a zero-cost fetch stage
+//!   generates, dispatches and completes commands in exactly
+//!   [`crate::run_job`]'s order at any queue depth, so every reported
+//!   number is identical on the same seed; at queue depth 1 no queue
+//!   events are emitted either, by design, so the traces are too.
 //! * **Conservation** — per-tenant [`Counters`] are snapshot-diffed
 //!   around each dispatch, so they always sum to the device-wide delta
 //!   ([`MultiReport::tenants_sum_consistent`]).
@@ -33,22 +33,21 @@ use std::sync::Arc;
 use conzone_core::{ArbiterKind, QueueFrontEnd};
 use conzone_sim::{EventQueue, LatencyHistogram, LatencySummary};
 use conzone_types::{
-    Counters, DeviceEvent, IoRequest, Probe, SimDuration, SimTime, SpanKind, SpanRecord, SpanSink,
+    Counters, DeviceEvent, Probe, SimDuration, SimTime, SpanKind, SpanRecord, SpanSink,
     StorageDevice,
 };
 
 use crate::job::FioJob;
-use crate::runner::{next_offset, plan_job, HostError, JobPlan, JobReport};
-use crate::verify::payload_for;
+use crate::runner::{drive, rate_over, Ev, HostError, Tenant};
 
 /// One in-flight command slot of a [`QueuePair`].
-#[derive(Debug, Clone, Copy)]
-struct IoSlot {
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IoSlot {
     offset: u64,
-    is_read: bool,
-    thread: usize,
+    pub(crate) is_read: bool,
+    pub(crate) thread: usize,
     /// When the host pushed the command into the submission queue.
-    arrival: SimTime,
+    pub(crate) arrival: SimTime,
     /// When the fetch stage granted the command (reaches the device then).
     granted: SimTime,
 }
@@ -84,16 +83,7 @@ impl QueuePair {
             sq: VecDeque::with_capacity(n),
             cq: VecDeque::with_capacity(n),
             depth,
-            slots: vec![
-                IoSlot {
-                    offset: 0,
-                    is_read: false,
-                    thread: 0,
-                    arrival: SimTime::ZERO,
-                    granted: SimTime::ZERO,
-                };
-                n
-            ],
+            slots: vec![IoSlot::default(); n],
             free: (0..n32).rev().collect(),
             inflight: 0,
         }
@@ -278,16 +268,7 @@ pub struct TenantReport {
 impl TenantReport {
     /// The tenant's throughput in thousands of IOPS over `duration`.
     pub fn kiops_over(&self, duration: SimDuration) -> f64 {
-        let secs = duration.as_secs_f64();
-        if secs == 0.0 {
-            if self.ops > 0 {
-                f64::NAN
-            } else {
-                0.0
-            }
-        } else {
-            self.ops as f64 / 1000.0 / secs
-        }
+        rate_over(self.ops, 1000, self.ops, duration)
     }
 }
 
@@ -321,32 +302,14 @@ impl MultiReport {
     }
 
     /// Aggregate throughput in MiB/s (`NaN` for a zero-duration run with
-    /// completed operations, matching [`JobReport`]'s convention).
+    /// completed operations, matching [`crate::JobReport`]'s convention).
     pub fn bandwidth_mibs(&self) -> f64 {
-        let secs = self.duration().as_secs_f64();
-        if secs == 0.0 {
-            if self.ops > 0 {
-                f64::NAN
-            } else {
-                0.0
-            }
-        } else {
-            self.bytes as f64 / (1024.0 * 1024.0) / secs
-        }
+        rate_over(self.bytes, 1 << 20, self.ops, self.duration())
     }
 
     /// Aggregate throughput in thousands of IOPS.
     pub fn kiops(&self) -> f64 {
-        let secs = self.duration().as_secs_f64();
-        if secs == 0.0 {
-            if self.ops > 0 {
-                f64::NAN
-            } else {
-                0.0
-            }
-        } else {
-            self.ops as f64 / 1000.0 / secs
-        }
+        rate_over(self.ops, 1000, self.ops, self.duration())
     }
 
     /// Whether the per-tenant counter deltas sum exactly to the
@@ -361,50 +324,174 @@ impl MultiReport {
     }
 }
 
-/// Driver-internal state of one tenant.
-struct TenantState {
-    name: String,
-    weight: u32,
-    job: FioJob,
-    plan: JobPlan,
+/// Queue-side state of one tenant behind a [`FrontEnd`].
+#[derive(Debug)]
+struct Lane {
     qp: QueuePair,
-    hist: LatencyHistogram,
-    read_hist: LatencyHistogram,
-    write_hist: LatencyHistogram,
+    /// Submission-queue wait: doorbell to arbitration grant.
     wait_hist: LatencyHistogram,
-    thread_hists: Vec<LatencyHistogram>,
+    /// Device counter delta snapshot-diffed around the tenant's dispatches.
     counters: Counters,
-    bytes: u64,
-    ops: u64,
-    finished: SimTime,
-    writes_since_fsync: u64,
 }
 
-/// Discrete events of the queue-pair driver.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// A tenant thread's closed loop generates its next command.
-    Gen { tenant: usize, thread: usize },
-    /// The command-fetch stage is free: arbitrate and dispatch one
-    /// command.
-    Dispatch,
-    /// A dispatched command's device completion posts to the CQ.
-    Reap { tenant: usize, slot: u32 },
+/// The NVMe-like front end of a [`drive`] run: one [`QueuePair`] per
+/// tenant behind a shared arbitrated command-fetch stage. [`drive`] hands
+/// it every generated command and its `Dispatch` and `Reap` events.
+pub(crate) struct FrontEnd {
+    fe: QueueFrontEnd,
+    /// Where queue events and spans go.
+    probe: Probe,
+    spans: Option<Arc<dyn SpanSink + Send + Sync>>,
+    /// Commands completed so far: the span dump's IO id.
+    io_seq: u64,
+    lanes: Vec<Lane>,
+}
+
+impl FrontEnd {
+    fn new(specs: &[TenantSpec], opts: &QdOptions) -> FrontEnd {
+        // One tenant at depth 1 behind a free fetch stage is `run_job` in
+        // different clothes: emit no queue events or spans, so the
+        // observable output (trace included) is bit-identical to it.
+        let degenerate = specs.len() == 1
+            && specs[0].job.queue_depth == 1
+            && opts.fetch_cost == SimDuration::ZERO;
+        let weights: Vec<u32> = specs.iter().map(|s| s.weight).collect();
+        FrontEnd {
+            fe: QueueFrontEnd::new(specs.len(), opts.fetch_cost, opts.arbiter.build(&weights)),
+            probe: if degenerate {
+                Probe::disabled()
+            } else {
+                opts.probe.clone()
+            },
+            spans: opts.spans.clone().filter(|_| !degenerate),
+            io_seq: 0,
+            lanes: specs
+                .iter()
+                .map(|s| Lane {
+                    qp: QueuePair::new(s.job.threads, s.job.queue_depth),
+                    wait_hist: LatencyHistogram::new(),
+                    counters: Counters::default(),
+                })
+                .collect(),
+        }
+    }
+
+    /// A command `thread` generated at `t` enters the tenant's submission
+    /// queue and rings the doorbell.
+    pub(crate) fn submit(
+        &mut self,
+        queue: &mut EventQueue<Ev>,
+        t: SimTime,
+        tenant: usize,
+        thread: usize,
+        offset: u64,
+        is_read: bool,
+    ) {
+        // A thread only generates when one of its slots is free, so the
+        // submission queue always has room.
+        let qp = &mut self.lanes[tenant].qp;
+        if qp.submit(offset, is_read, thread, t).is_none() {
+            return;
+        }
+        // A `Dispatch` is pending exactly while some queue has a backlog.
+        let fetch_idle = !self.fe.has_backlog();
+        let backlog = self.fe.doorbell(tenant);
+        self.probe.emit(
+            t,
+            DeviceEvent::QueueSubmit {
+                queue: tenant as u64,
+                backlog: u64::from(backlog),
+            },
+        );
+        if fetch_idle {
+            queue.push(t.max(self.fe.fetch_free_at()), Ev::Dispatch);
+        }
+    }
+
+    /// The command-fetch stage is free at `t`: arbitrates, issues the
+    /// winner's head command to the device and schedules its `Reap`.
+    pub(crate) fn dispatch<D: StorageDevice + ?Sized>(
+        &mut self,
+        queue: &mut EventQueue<Ev>,
+        dev: &mut D,
+        tenants: &mut [Tenant<'_>],
+        t: SimTime,
+    ) -> Result<(), HostError> {
+        let Some((q, dispatch_at)) = self.fe.grant(t) else {
+            return Ok(());
+        };
+        let lane = &mut self.lanes[q];
+        if let Some(slot) = lane.qp.fetch_next() {
+            let s = lane.qp.slot(slot);
+            self.probe.emit(
+                dispatch_at,
+                DeviceEvent::QueueArbitrate {
+                    queue: q as u64,
+                    wait_ns: dispatch_at.saturating_since(s.arrival).as_nanos(),
+                },
+            );
+            let snap = dev.counters();
+            let done = tenants[q].issue(dev, dispatch_at, s.offset, s.is_read)?;
+            lane.counters.merge(&dev.counters().since(&snap));
+            lane.qp.mark_dispatched(slot, dispatch_at);
+            queue.push(done, Ev::Reap { tenant: q, slot });
+        }
+        if self.fe.has_backlog() {
+            queue.push(self.fe.fetch_free_at(), Ev::Dispatch);
+        }
+        Ok(())
+    }
+
+    /// A dispatched command's device completion posts to the tenant's CQ
+    /// at `t` and is reaped at once; returns the completed command.
+    pub(crate) fn reap(&mut self, t: SimTime, tenant: usize, slot: u32) -> Option<IoSlot> {
+        let lane = &mut self.lanes[tenant];
+        lane.qp.post_completion(slot);
+        let slot = lane.qp.reap()?;
+        let s = lane.qp.slot(slot);
+        lane.wait_hist.record(s.granted.saturating_since(s.arrival));
+        self.probe.emit(
+            t,
+            DeviceEvent::QueueComplete {
+                queue: tenant as u64,
+                inflight: u64::from(lane.qp.inflight()),
+            },
+        );
+        if let Some(sink) = &self.spans {
+            // The recorder stack cannot express overlapping commands, so
+            // build the records directly: one QueueCmd root per command
+            // with its QueueWait child, children first, parent id smaller.
+            self.io_seq += 1;
+            let cmd_id = 2 * self.io_seq - 1;
+            let span = |id, parent, kind, end| SpanRecord {
+                id,
+                parent,
+                io: self.io_seq,
+                kind,
+                start: s.arrival,
+                end,
+            };
+            sink.record(span(cmd_id + 1, cmd_id, SpanKind::QueueWait, s.granted));
+            sink.record(span(cmd_id, 0, SpanKind::QueueCmd, t));
+        }
+        lane.qp.release(slot);
+        Some(s)
+    }
 }
 
 /// Runs `specs` concurrently against one device and reports per-tenant
 /// and aggregate results.
 ///
 /// Each tenant's threads keep `queue_depth` commands outstanding
-/// (closed-loop); the shared [`QueueFrontEnd`] arbitrates dispatch.
-/// Tenants see interference through the device's chip/channel/buffer
-/// resources and through the serial fetch stage.
+/// (closed-loop); the shared [`conzone_core::QueueFrontEnd`] arbitrates
+/// dispatch. Tenants see interference through the device's
+/// chip/channel/buffer resources and through the serial fetch stage.
 ///
 /// # Errors
 ///
-/// [`HostError::BadJob`] for an empty tenant list, any job the
-/// synchronous runner would reject, or an open-loop (`arrival_iops`)
-/// job; [`HostError::Device`] / [`HostError::VerifyMismatch`] as in
+/// [`HostError::BadJob`] for an empty tenant list, any job
+/// [`crate::run_job`] would reject, or an open-loop (`arrival_iops`) job;
+/// [`HostError::Device`] / [`HostError::VerifyMismatch`] as in
 /// [`crate::run_job`].
 pub fn run_tenants<D: StorageDevice + ?Sized>(
     dev: &mut D,
@@ -414,281 +501,59 @@ pub fn run_tenants<D: StorageDevice + ?Sized>(
     if specs.is_empty() {
         return Err(HostError::BadJob("no tenants".to_string()));
     }
-    let capacity = dev.capacity_bytes();
-    let mut tenants: Vec<TenantState> = Vec::with_capacity(specs.len());
+    let mut tenants = Vec::with_capacity(specs.len());
     for spec in specs {
         if spec.job.arrival_iops.is_some() {
+            // A queue pair's slot slab is bounded; an open-loop backlog
+            // is not.
             return Err(HostError::BadJob(
                 "open-loop arrivals are not supported by the queue-pair driver".to_string(),
             ));
         }
-        let plan = plan_job(capacity, &spec.job)?;
-        let threads = spec.job.threads;
-        tenants.push(TenantState {
-            name: spec.name.clone(),
-            weight: spec.weight,
-            job: spec.job.clone(),
-            plan,
-            qp: QueuePair::new(threads, spec.job.queue_depth),
-            hist: LatencyHistogram::new(),
-            read_hist: LatencyHistogram::new(),
-            write_hist: LatencyHistogram::new(),
-            wait_hist: LatencyHistogram::new(),
-            thread_hists: (0..threads).map(|_| LatencyHistogram::new()).collect(),
-            counters: Counters::default(),
-            bytes: 0,
-            ops: 0,
-            finished: spec.job.start,
-            writes_since_fsync: 0,
-        });
+        tenants.push(Tenant::new(dev.capacity_bytes(), &spec.job)?);
     }
+    let mut front = FrontEnd::new(specs, opts);
 
-    // One tenant at depth 1 behind a free fetch stage is the synchronous
-    // runner in different clothes: suppress queue events and spans so the
-    // observable output (trace included) is bit-identical to `run_job`.
-    let degenerate = tenants.len() == 1
-        && tenants[0].job.queue_depth == 1
-        && opts.fetch_cost == SimDuration::ZERO;
-    let emit_queue = !degenerate;
-
-    let weights: Vec<u32> = specs.iter().map(|s| s.weight).collect();
-    let mut fe = QueueFrontEnd::new(specs.len(), opts.fetch_cost, opts.arbiter.build(&weights));
-    let arbiter_name = fe.arbiter_name();
-
-    let started = tenants
+    let started = specs
         .iter()
-        .map(|t| t.job.start)
+        .map(|s| s.job.start)
         .min()
         .unwrap_or(SimTime::ZERO);
     let before = dev.counters();
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    for (ti, t) in tenants.iter().enumerate() {
-        for th in 0..t.job.threads {
-            for _ in 0..t.job.queue_depth {
-                queue.push(
-                    t.job.start,
-                    Ev::Gen {
-                        tenant: ti,
-                        thread: th,
-                    },
-                );
-            }
-        }
-    }
-
-    let mut dispatch_scheduled = false;
-    let mut span_id = 0u64;
-    let mut io_seq = 0u64;
-    let mut finished = started;
-
-    while let Some((t, ev)) = queue.pop() {
-        match ev {
-            Ev::Gen { tenant, thread } => {
-                let ts = &mut tenants[tenant];
-                let th = &mut ts.plan.threads[thread];
-                if th.issued >= th.limit {
-                    continue;
-                }
-                let Some((offset, is_read)) = next_offset(
-                    &ts.job,
-                    th,
-                    ts.plan.zone_bytes,
-                    ts.plan.region_start,
-                    ts.plan.region_len,
-                ) else {
-                    continue; // thread ran out of zones
-                };
-                th.issued += 1;
-                if ts.qp.submit(offset, is_read, thread, t).is_none() {
-                    // Closed loop: a Gen only fires when its slot is free.
-                    continue;
-                }
-                let backlog = fe.doorbell(tenant);
-                if emit_queue {
-                    opts.probe.emit(
-                        t,
-                        DeviceEvent::QueueSubmit {
-                            queue: tenant as u64,
-                            backlog: u64::from(backlog),
-                        },
-                    );
-                }
-                if !dispatch_scheduled {
-                    queue.push(t.max(fe.fetch_free_at()), Ev::Dispatch);
-                    dispatch_scheduled = true;
-                }
-            }
-            Ev::Dispatch => match fe.grant(t) {
-                None => dispatch_scheduled = false,
-                Some((q, dispatch_at)) => {
-                    let ts = &mut tenants[q];
-                    if let Some(slot_idx) = ts.qp.fetch_next() {
-                        let s = ts.qp.slot(slot_idx);
-                        if emit_queue {
-                            opts.probe.emit(
-                                dispatch_at,
-                                DeviceEvent::QueueArbitrate {
-                                    queue: q as u64,
-                                    wait_ns: dispatch_at.saturating_since(s.arrival).as_nanos(),
-                                },
-                            );
-                        }
-                        let bs = ts.job.block_bytes;
-                        let req = if s.is_read {
-                            IoRequest::read(s.offset, bs)
-                        } else if ts.job.verify_data {
-                            IoRequest::write_data(s.offset, payload_for(ts.job.seed, s.offset, bs))
-                        } else {
-                            IoRequest::write(s.offset, bs)
-                        };
-                        let snap = dev.counters();
-                        let completion =
-                            dev.submit(dispatch_at, &req)
-                                .map_err(|source| HostError::Device {
-                                    offset: s.offset,
-                                    source,
-                                })?;
-                        if s.is_read && ts.job.verify_data {
-                            if let Some(data) = &completion.data {
-                                if data != &payload_for(ts.job.seed, s.offset, bs) {
-                                    return Err(HostError::VerifyMismatch { offset: s.offset });
-                                }
-                            }
-                        }
-                        let mut completed_at = completion.finished;
-                        // Synchronous I/O: the write is not done until the
-                        // flush is (same rule as the sync runner, per
-                        // tenant).
-                        if let Some(every) = ts.job.fsync_every {
-                            if !s.is_read {
-                                ts.writes_since_fsync += 1;
-                                if ts.writes_since_fsync >= every {
-                                    ts.writes_since_fsync = 0;
-                                    let fc = dev.flush(completed_at).map_err(|source| {
-                                        HostError::Device {
-                                            offset: s.offset,
-                                            source,
-                                        }
-                                    })?;
-                                    completed_at = fc.finished;
-                                }
-                            }
-                        }
-                        let delta = dev.counters().since(&snap);
-                        ts.counters.merge(&delta);
-                        ts.qp.mark_dispatched(slot_idx, dispatch_at);
-                        queue.push(
-                            completed_at,
-                            Ev::Reap {
-                                tenant: q,
-                                slot: slot_idx,
-                            },
-                        );
-                    }
-                    if fe.has_backlog() {
-                        queue.push(fe.fetch_free_at(), Ev::Dispatch);
-                    } else {
-                        dispatch_scheduled = false;
-                    }
-                }
-            },
-            Ev::Reap { tenant, slot } => {
-                let ts = &mut tenants[tenant];
-                ts.qp.post_completion(slot);
-                let Some(slot_idx) = ts.qp.reap() else {
-                    continue;
-                };
-                let s = ts.qp.slot(slot_idx);
-                let latency = t.saturating_since(s.arrival);
-                ts.hist.record(latency);
-                if s.is_read {
-                    ts.read_hist.record(latency);
-                } else {
-                    ts.write_hist.record(latency);
-                }
-                ts.thread_hists[s.thread].record(latency);
-                ts.wait_hist.record(s.granted.saturating_since(s.arrival));
-                if emit_queue {
-                    opts.probe.emit(
-                        t,
-                        DeviceEvent::QueueComplete {
-                            queue: tenant as u64,
-                            inflight: u64::from(ts.qp.inflight()),
-                        },
-                    );
-                    if let Some(sink) = &opts.spans {
-                        // The recorder stack cannot express overlapping
-                        // commands, so build the records directly: one
-                        // QueueCmd root per command with its QueueWait
-                        // child, children first, parent id smaller.
-                        io_seq += 1;
-                        let cmd_id = span_id + 1;
-                        let wait_id = span_id + 2;
-                        span_id += 2;
-                        sink.record(SpanRecord {
-                            id: wait_id,
-                            parent: cmd_id,
-                            io: io_seq,
-                            kind: SpanKind::QueueWait,
-                            start: s.arrival,
-                            end: s.granted,
-                        });
-                        sink.record(SpanRecord {
-                            id: cmd_id,
-                            parent: 0,
-                            io: io_seq,
-                            kind: SpanKind::QueueCmd,
-                            start: s.arrival,
-                            end: t,
-                        });
-                    }
-                }
-                ts.bytes += ts.job.block_bytes;
-                ts.ops += 1;
-                ts.finished = ts.finished.max(t);
-                finished = finished.max(t);
-                ts.qp.release(slot_idx);
-                queue.push(
-                    t,
-                    Ev::Gen {
-                        tenant,
-                        thread: s.thread,
-                    },
-                );
-            }
-        }
-    }
-
+    drive(dev, &mut tenants, Some(&mut front), None, None)?;
     let after = dev.counters();
+
     let mut all = LatencyHistogram::new();
     let mut bytes = 0u64;
     let mut ops = 0u64;
-    let mut reports = Vec::with_capacity(tenants.len());
-    for ts in &tenants {
-        all.merge(&ts.hist);
-        bytes += ts.bytes;
-        ops += ts.ops;
+    let mut finished = started;
+    let mut reports = Vec::with_capacity(specs.len());
+    for ((spec, ts), lane) in specs.iter().zip(&tenants).zip(&front.lanes) {
+        let tally = &ts.tally;
+        all.merge(&tally.hist);
+        bytes += tally.bytes;
+        ops += tally.ops;
+        // A tenant that completed nothing does not extend the run.
+        if tally.ops > 0 {
+            finished = finished.max(tally.finished);
+        }
         reports.push(TenantReport {
-            name: ts.name.clone(),
-            weight: ts.weight,
-            bytes: ts.bytes,
-            ops: ts.ops,
-            finished: ts.finished,
-            latency: ts.hist.summary(),
-            read_latency: ts.read_hist.summary(),
-            write_latency: ts.write_hist.summary(),
-            queue_wait: ts.wait_hist.summary(),
-            thread_latency: ts
-                .thread_hists
-                .iter()
-                .map(LatencyHistogram::summary)
-                .collect(),
-            counters: ts.counters,
+            name: spec.name.clone(),
+            weight: spec.weight,
+            bytes: tally.bytes,
+            ops: tally.ops,
+            finished: tally.finished,
+            latency: tally.hist.summary(),
+            read_latency: tally.read_hist.summary(),
+            write_latency: tally.write_hist.summary(),
+            queue_wait: lane.wait_hist.summary(),
+            thread_latency: ts.thread_latency(),
+            counters: lane.counters,
         });
     }
     Ok(MultiReport {
         model: dev.model_name(),
-        arbiter: arbiter_name,
+        arbiter: opts.arbiter.name(),
         started,
         finished,
         bytes,
@@ -699,62 +564,15 @@ pub fn run_tenants<D: StorageDevice + ?Sized>(
     })
 }
 
-/// Runs a single job through the queue-pair driver with default options
-/// (round-robin, zero fetch cost) and reports in [`JobReport`] form.
-///
-/// At `queue_depth == 1` this is bit-identical to [`crate::run_job`] on
-/// the same seed; at deeper queues each thread keeps `queue_depth`
-/// commands outstanding.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_tenants`].
-pub fn run_job_qd<D: StorageDevice + ?Sized>(
-    dev: &mut D,
-    job: &FioJob,
-) -> Result<JobReport, HostError> {
-    run_job_qd_with(dev, job, &QdOptions::default())
-}
-
-/// [`run_job_qd`] with explicit driver options (fetch cost, arbitration
-/// policy, queue-event probe, span sink).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_tenants`].
-pub fn run_job_qd_with<D: StorageDevice + ?Sized>(
-    dev: &mut D,
-    job: &FioJob,
-    opts: &QdOptions,
-) -> Result<JobReport, HostError> {
-    let spec = TenantSpec::new("t0", job.clone());
-    let m = run_tenants(dev, core::slice::from_ref(&spec), opts)?;
-    let Some(t) = m.tenants.into_iter().next() else {
-        return Err(HostError::BadJob("no tenant report".to_string()));
-    };
-    Ok(JobReport {
-        model: m.model,
-        started: m.started,
-        finished: m.finished,
-        bytes: t.bytes,
-        ops: t.ops,
-        latency: t.latency,
-        read_latency: t.read_latency,
-        write_latency: t.write_latency,
-        thread_latency: t.thread_latency,
-        metrics: Vec::new(),
-        counters: m.counters,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::AccessPattern;
     use crate::runner::run_job;
+    use crate::runner::JobReport;
     use conzone_core::ConZone;
     use conzone_sim::{RingBufferSink, SpanBuffer};
-    use conzone_types::{CountingSink, DeviceConfig};
+    use conzone_types::{CountingSink, DeviceConfig, DeviceEvent, SpanKind};
 
     const MIB: u64 = 1024 * 1024;
 
@@ -765,96 +583,124 @@ mod tests {
             .bytes_per_thread(4 * MIB)
     }
 
-    fn assert_reports_identical(a: &JobReport, b: &JobReport) {
-        assert_eq!(a.model, b.model);
-        assert_eq!(a.started, b.started);
-        assert_eq!(a.finished, b.finished);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.read_latency, b.read_latency);
-        assert_eq!(a.write_latency, b.write_latency);
-        assert_eq!(a.thread_latency, b.thread_latency);
-        assert_eq!(a.counters, b.counters);
+    /// `job` through the front end as the only tenant, zero fetch cost.
+    fn run_alone(dev: &mut dyn StorageDevice, job: &FioJob) -> MultiReport {
+        let spec = TenantSpec::new("t0", job.clone());
+        run_tenants(dev, &[spec], &QdOptions::default()).unwrap()
     }
 
-    /// The qd=1 single-tenant equivalence guard: the queue-pair driver is
-    /// the synchronous runner in different clothes, field for field.
+    fn assert_reports_identical(a: &JobReport, m: &MultiReport) {
+        let t = &m.tenants[0];
+        assert_eq!(a.model, m.model);
+        assert_eq!(a.started, m.started);
+        assert_eq!(a.finished, m.finished);
+        assert_eq!(a.finished, t.finished);
+        assert_eq!((a.bytes, a.ops), (m.bytes, m.ops));
+        assert_eq!((a.bytes, a.ops), (t.bytes, t.ops));
+        assert_eq!(a.latency, m.latency);
+        assert_eq!(a.latency, t.latency);
+        assert_eq!(a.read_latency, t.read_latency);
+        assert_eq!(a.write_latency, t.write_latency);
+        assert_eq!(a.thread_latency, t.thread_latency);
+        assert_eq!(a.counters, m.counters);
+        assert_eq!(a.counters, t.counters);
+    }
+
+    fn conzone() -> Box<dyn StorageDevice> {
+        Box::new(ConZone::new(DeviceConfig::tiny_for_tests()))
+    }
+
+    fn legacy() -> Box<dyn StorageDevice> {
+        Box::new(conzone_legacy::LegacyDevice::new(
+            DeviceConfig::tiny_for_tests(),
+        ))
+    }
+
+    /// Runs `fill` then `job` on two fresh devices — directly and through
+    /// the front end — and checks both pairs of reports field for field.
+    fn assert_front_end_transparent(
+        fresh: fn() -> Box<dyn StorageDevice>,
+        fill: &FioJob,
+        job: FioJob,
+    ) {
+        let (mut direct, mut queued) = (fresh(), fresh());
+        let f = run_job(direct.as_mut(), fill).unwrap();
+        assert_reports_identical(&f, &run_alone(queued.as_mut(), fill));
+        let job = job.start_at(f.finished);
+        let a = run_job(direct.as_mut(), &job).unwrap();
+        assert_reports_identical(&a, &run_alone(queued.as_mut(), &job));
+    }
+
+    /// The transparency law: `run_job(job)` ≡ `run_tenants([job],
+    /// QdOptions::default())`, field for field, at every queue depth and
+    /// thread count.
     #[test]
-    fn qd1_report_identical_to_sync_runner() {
-        // Zoned sequential writes on ConZone, single- and multi-thread
-        // (the two-thread job gets two 1 MiB zones per thread).
-        let zoned_jobs = [
+    fn one_tenant_zero_fetch_report_identical_to_run_job() {
+        // Zoned sequential writes on ConZone (queue depth 1 only: deeper
+        // zoned writes are rejected), single- and multi-thread — the
+        // two-thread job gets two 1 MiB zones per thread.
+        for job in [
             fill_job(),
             fill_job()
                 .threads(2)
                 .bytes_per_thread(2 * MIB)
                 .fsync_every(4),
-        ];
-        for job in zoned_jobs {
-            let mut sync_dev = ConZone::new(DeviceConfig::tiny_for_tests());
-            let mut qd_dev = ConZone::new(DeviceConfig::tiny_for_tests());
-            let a = run_job(&mut sync_dev, &job).unwrap();
-            let b = run_job_qd(&mut qd_dev, &job).unwrap();
-            assert_reports_identical(&a, &b);
+        ] {
+            let a = run_job(conzone().as_mut(), &job).unwrap();
+            assert_reports_identical(&a, &run_alone(conzone().as_mut(), &job));
         }
-        // Reads after a fill on ConZone.
-        let mut sync_dev = ConZone::new(DeviceConfig::tiny_for_tests());
-        let mut qd_dev = ConZone::new(DeviceConfig::tiny_for_tests());
-        let f1 = run_job(&mut sync_dev, &fill_job()).unwrap();
-        let f2 = run_job_qd(&mut qd_dev, &fill_job()).unwrap();
-        assert_reports_identical(&f1, &f2);
-        let reads = FioJob::new(AccessPattern::RandRead, 4096)
-            .region(0, 4 * MIB)
-            .ops_per_thread(300)
-            .bytes_per_thread(u64::MAX)
-            .threads(2)
-            .start_at(f1.finished);
-        let a = run_job(&mut sync_dev, &reads).unwrap();
-        let b = run_job_qd(&mut qd_dev, &reads).unwrap();
-        assert_reports_identical(&a, &b);
-        // Mixed read/write on the legacy model (random writes need a
-        // device without strict zone ordering).
-        let mut sync_dev = conzone_legacy::LegacyDevice::new(DeviceConfig::tiny_for_tests());
-        let mut qd_dev = conzone_legacy::LegacyDevice::new(DeviceConfig::tiny_for_tests());
-        let fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
+        let legacy_fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
             .region(0, 2 * MIB)
             .bytes_per_thread(2 * MIB);
-        let f1 = run_job(&mut sync_dev, &fill).unwrap();
-        let f2 = run_job_qd(&mut qd_dev, &fill).unwrap();
-        assert_reports_identical(&f1, &f2);
-        let mixed = FioJob::new(AccessPattern::Mixed { read_percent: 60 }, 4096)
-            .region(0, 2 * MIB)
-            .ops_per_thread(300)
-            .bytes_per_thread(u64::MAX)
-            .threads(2)
-            .start_at(f1.finished);
-        let a = run_job(&mut sync_dev, &mixed).unwrap();
-        let b = run_job_qd(&mut qd_dev, &mixed).unwrap();
-        assert_reports_identical(&a, &b);
+        for qd in [1, 2, 4, 8, 16] {
+            for threads in [1, 2, 3] {
+                for seed in [1, 7] {
+                    // Random reads after a fill on ConZone.
+                    let reads = FioJob::new(AccessPattern::RandRead, 4096)
+                        .region(0, 4 * MIB)
+                        .ops_per_thread(200)
+                        .bytes_per_thread(u64::MAX)
+                        .threads(threads)
+                        .queue_depth(qd)
+                        .seed(seed);
+                    assert_front_end_transparent(conzone, &fill_job(), reads);
+                    // Mixed read/write with an fsync cadence on the legacy
+                    // model (random writes need a device without strict
+                    // zone ordering).
+                    let mixed = FioJob::new(AccessPattern::Mixed { read_percent: 60 }, 4096)
+                        .region(0, 2 * MIB)
+                        .ops_per_thread(200)
+                        .bytes_per_thread(u64::MAX)
+                        .threads(threads)
+                        .queue_depth(qd)
+                        .fsync_every(3)
+                        .seed(seed);
+                    assert_front_end_transparent(legacy, &legacy_fill, mixed);
+                }
+            }
+        }
     }
 
-    /// Same guard at the trace level: with a ring sink attached to the
-    /// device, the two drivers produce byte-identical event streams (the
-    /// degenerate configuration emits no queue events).
+    /// Same law at the trace level: with a ring sink attached to the
+    /// device, both entry points produce byte-identical event streams at
+    /// queue depth 1 (the degenerate configuration emits no queue events).
     #[test]
-    fn qd1_trace_identical_to_sync_runner() {
+    fn one_tenant_zero_fetch_trace_identical_to_run_job() {
         let job = fill_job().threads(2);
-        let run = |qd: bool| {
+        let run = |queued: bool| {
             let sink = Arc::new(RingBufferSink::with_capacity(1 << 14));
             let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
             dev.set_probe(Probe::attached(sink.clone()));
-            if qd {
-                run_job_qd(&mut dev, &job).unwrap();
+            if queued {
+                run_alone(&mut dev, &job);
             } else {
                 run_job(&mut dev, &job).unwrap();
             }
             sink.drain()
         };
-        let sync_trace = run(false);
-        let qd_trace = run(true);
-        assert!(!sync_trace.is_empty());
-        assert_eq!(sync_trace, qd_trace);
+        let direct_trace = run(false);
+        assert!(!direct_trace.is_empty());
+        assert_eq!(direct_trace, run(true));
     }
 
     /// QD sweep: deeper queues expose device parallelism until the chips
@@ -870,7 +716,7 @@ mod tests {
                 .bytes_per_thread(u64::MAX)
                 .queue_depth(qd)
                 .start_at(f.finished);
-            run_job_qd(&mut dev, &job).unwrap().kiops()
+            run_alone(&mut dev, &job).kiops()
         };
         let qd1 = run_qd(1);
         let qd4 = run_qd(4);
@@ -1044,7 +890,7 @@ mod tests {
             spans: Some(spans.clone()),
             ..QdOptions::default()
         };
-        let r = run_job_qd_with(&mut dev, &job, &opts).unwrap();
+        let r = run_tenants(&mut dev, &[TenantSpec::new("t0", job)], &opts).unwrap();
         assert_eq!(r.ops, 200);
         let submit = DeviceEvent::QueueSubmit {
             queue: 0,
@@ -1085,7 +931,11 @@ mod tests {
             .region(0, 2 * MIB)
             .arrival_iops(1000.0);
         assert!(matches!(
-            run_job_qd(&mut dev, &open),
+            run_tenants(
+                &mut dev,
+                &[TenantSpec::new("open", open)],
+                &QdOptions::default()
+            ),
             Err(HostError::BadJob(_))
         ));
         assert!(matches!(
@@ -1098,7 +948,11 @@ mod tests {
             .zone_bytes(MIB)
             .queue_depth(4);
         assert!(matches!(
-            run_job_qd(&mut dev, &zoned),
+            run_tenants(
+                &mut dev,
+                &[TenantSpec::new("zoned", zoned)],
+                &QdOptions::default()
+            ),
             Err(HostError::BadJob(_))
         ));
     }
@@ -1195,58 +1049,69 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-        /// The equivalence guard, property form: any seed, pattern, block
-        /// size and thread count produces identical reports through both
-        /// drivers at queue depth 1.
+        /// The transparency law, property form: any seed, pattern, block
+        /// size, thread count and queue depth produces identical reports
+        /// from `run_job` and from `run_tenants` with that job as the only
+        /// tenant behind a zero-cost fetch stage.
         #[test]
-        fn qd1_matches_sync_runner(
+        fn one_tenant_zero_fetch_matches_run_job(
             shape in prop_oneof![
                 Just(Shape::SeqWriteZoned),
                 Just(Shape::RandRead),
                 Just(Shape::Mixed),
             ],
             seed in any::<u64>(),
-            threads in 1usize..3,
+            threads in 1usize..4,
             bs_kib in prop_oneof![Just(4u64), Just(16), Just(128)],
+            qd in prop_oneof![Just(1usize), Just(2), Just(4), Just(8), Just(16)],
         ) {
             let (job, needs_fill) = job_for(shape, seed, threads, bs_kib);
             // Mixed jobs issue random writes, which strict sequential
-            // zones reject — run those on the legacy model instead.
-            let mut sync_dev: Box<dyn StorageDevice> = match shape {
-                Shape::Mixed => {
-                    Box::new(conzone_legacy::LegacyDevice::new(DeviceConfig::tiny_for_tests()))
+            // zones reject — run those on the legacy model instead; deep
+            // queues of zoned sequential writes are rejected outright.
+            let fresh = || -> Box<dyn StorageDevice> {
+                match shape {
+                    Shape::Mixed => Box::new(conzone_legacy::LegacyDevice::new(
+                        DeviceConfig::tiny_for_tests(),
+                    )),
+                    _ => Box::new(ConZone::new(DeviceConfig::tiny_for_tests())),
                 }
-                _ => Box::new(ConZone::new(DeviceConfig::tiny_for_tests())),
             };
-            let mut qd_dev: Box<dyn StorageDevice> = match shape {
-                Shape::Mixed => {
-                    Box::new(conzone_legacy::LegacyDevice::new(DeviceConfig::tiny_for_tests()))
-                }
-                _ => Box::new(ConZone::new(DeviceConfig::tiny_for_tests())),
+            let queued = |dev: &mut dyn StorageDevice, job: &FioJob| {
+                let spec = TenantSpec::new("t0", job.clone());
+                run_tenants(dev, &[spec], &QdOptions::default()).unwrap()
             };
+            let (mut direct_dev, mut queued_dev) = (fresh(), fresh());
             let mut fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
                 .region(0, 4 * MIB)
                 .bytes_per_thread(4 * MIB);
-            if !matches!(shape, Shape::Mixed) {
-                fill = fill.zone_bytes(MIB);
-            }
             let mut job = job;
+            match shape {
+                Shape::Mixed => job = job.queue_depth(qd).fsync_every(5),
+                Shape::RandRead => {
+                    fill = fill.zone_bytes(MIB);
+                    job = job.queue_depth(qd);
+                }
+                Shape::SeqWriteZoned => {}
+            }
             if needs_fill {
-                let f1 = run_job(sync_dev.as_mut(), &fill).unwrap();
-                let f2 = run_job_qd(qd_dev.as_mut(), &fill).unwrap();
+                let f1 = run_job(direct_dev.as_mut(), &fill).unwrap();
+                let f2 = queued(queued_dev.as_mut(), &fill);
                 prop_assert_eq!(f1.finished, f2.finished);
                 job = job.start_at(f1.finished);
             }
-            let a = run_job(sync_dev.as_mut(), &job).unwrap();
-            let b = run_job_qd(qd_dev.as_mut(), &job).unwrap();
-            prop_assert_eq!(a.finished, b.finished);
-            prop_assert_eq!(a.bytes, b.bytes);
-            prop_assert_eq!(a.ops, b.ops);
-            prop_assert_eq!(a.latency, b.latency);
-            prop_assert_eq!(a.read_latency, b.read_latency);
-            prop_assert_eq!(a.write_latency, b.write_latency);
-            prop_assert_eq!(&a.thread_latency, &b.thread_latency);
-            prop_assert_eq!(a.counters, b.counters);
+            let a = run_job(direct_dev.as_mut(), &job).unwrap();
+            let m = queued(queued_dev.as_mut(), &job);
+            let t = &m.tenants[0];
+            prop_assert_eq!(a.finished, m.finished);
+            prop_assert_eq!(a.bytes, m.bytes);
+            prop_assert_eq!(a.ops, m.ops);
+            prop_assert_eq!(a.latency, m.latency);
+            prop_assert_eq!(a.read_latency, t.read_latency);
+            prop_assert_eq!(a.write_latency, t.write_latency);
+            prop_assert_eq!(&a.thread_latency, &t.thread_latency);
+            prop_assert_eq!(a.counters, m.counters);
+            prop_assert_eq!(a.counters, t.counters);
         }
 
         /// Conservation holds for arbitrary two-tenant mixes.

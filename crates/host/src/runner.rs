@@ -1,10 +1,22 @@
-//! The synchronous multi-thread job runner.
+//! The job driver: one discrete-event loop behind [`run_job`] and
+//! [`crate::run_tenants`].
 //!
-//! Threads are simulated fio sync jobs (queue depth 1): each issues its
-//! next request the moment the previous one completes. A time-ordered
-//! event queue interleaves threads, so device-side resource contention
-//! (chips, channels, buffers) is exercised exactly as a real multi-threaded
-//! host would.
+//! Threads are simulated fio jobs: each keeps `queue_depth` requests
+//! outstanding and issues the next one the moment one completes (or, open
+//! loop, follows a Poisson arrival schedule). A time-ordered event queue
+//! interleaves threads, so device-side resource contention (chips,
+//! channels, buffers) is exercised exactly as a real multi-threaded host
+//! would.
+//!
+//! [`drive`] is the only place in the crate that pops an [`EventQueue`],
+//! submits or flushes on behalf of a job, verifies payloads, counts the
+//! fsync cadence and books latency. What happens to a generated command
+//! depends on one piece of optional data. Without a
+//! [`FrontEnd`](crate::qd::FrontEnd) it is issued inside the `Gen` handler
+//! and the thread re-arms at its completion time: one queue event and no
+//! `counters()` call per operation. With one it crosses the tenant's queue
+//! pair and the arbitrated fetch stage (`Dispatch`) and completes in a
+//! `Reap`.
 
 use conzone_sim::{
     EventQueue, LatencyHistogram, LatencySummary, MetricsSample, MetricsSampler, SimRng,
@@ -14,6 +26,7 @@ use conzone_types::{
 };
 
 use crate::job::{AccessPattern, FioJob};
+use crate::qd::FrontEnd;
 use crate::verify::payload_for;
 
 /// Errors surfaced while running a job.
@@ -101,16 +114,7 @@ impl JobReport {
     /// operations completed in zero simulated time — reports `NaN` rather
     /// than a misleading zero, so table formatters can print `n/a`.
     pub fn bandwidth_mibs(&self) -> f64 {
-        let secs = self.duration().as_secs_f64();
-        if secs == 0.0 {
-            if self.ops > 0 {
-                f64::NAN
-            } else {
-                0.0
-            }
-        } else {
-            self.bytes as f64 / (1024.0 * 1024.0) / secs
-        }
+        rate_over(self.bytes, 1 << 20, self.ops, self.duration())
     }
 
     /// Throughput in thousands of I/O operations per second.
@@ -119,16 +123,7 @@ impl JobReport {
     /// [`bandwidth_mibs`](Self::bandwidth_mibs): `NaN` when operations
     /// completed in zero duration, `0.0` when nothing ran.
     pub fn kiops(&self) -> f64 {
-        let secs = self.duration().as_secs_f64();
-        if secs == 0.0 {
-            if self.ops > 0 {
-                f64::NAN
-            } else {
-                0.0
-            }
-        } else {
-            self.ops as f64 / 1000.0 / secs
-        }
+        rate_over(self.ops, 1000, self.ops, self.duration())
     }
 
     /// Write amplification over the job interval.
@@ -137,12 +132,94 @@ impl JobReport {
     }
 }
 
-/// Per-thread generator state, shared between the synchronous runner and
-/// the queue-pair driver (`crate::qd`).
+/// `amount / unit` per second of `duration`, for every report's rate:
+/// `NaN` when `ops` operations completed in zero simulated time, `0.0`
+/// when nothing ran.
+pub(crate) fn rate_over(amount: u64, unit: u64, ops: u64, duration: SimDuration) -> f64 {
+    let secs = duration.as_secs_f64();
+    if secs > 0.0 {
+        amount as f64 / unit as f64 / secs
+    } else if ops > 0 {
+        f64::NAN
+    } else {
+        0.0
+    }
+}
+
+/// Latency and volume books of one issuing stream — a tenant, a job, or a
+/// trace replay.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) hist: LatencyHistogram,
+    pub(crate) read_hist: LatencyHistogram,
+    pub(crate) write_hist: LatencyHistogram,
+    pub(crate) bytes: u64,
+    pub(crate) ops: u64,
+    pub(crate) finished: SimTime,
+}
+
+impl Tally {
+    pub(crate) fn new(start: SimTime) -> Tally {
+        Tally {
+            finished: start,
+            ..Tally::default()
+        }
+    }
+
+    /// Books an operation that moves no data (a zone reset).
+    pub(crate) fn record(&mut self, latency: SimDuration, done: SimTime) {
+        self.hist.record(latency);
+        self.ops += 1;
+        self.finished = self.finished.max(done);
+    }
+
+    /// Books a read or a write of `bytes`.
+    pub(crate) fn record_io(
+        &mut self,
+        is_read: bool,
+        bytes: u64,
+        latency: SimDuration,
+        done: SimTime,
+    ) {
+        self.record(latency, done);
+        if is_read {
+            self.read_hist.record(latency);
+        } else {
+            self.write_hist.record(latency);
+        }
+        self.bytes += bytes;
+    }
+
+    /// Shapes the books into a [`JobReport`].
+    pub(crate) fn job_report(
+        &self,
+        model: &'static str,
+        started: SimTime,
+        thread_latency: Vec<LatencySummary>,
+        metrics: Vec<MetricsSample>,
+        counters: Counters,
+    ) -> JobReport {
+        JobReport {
+            model,
+            started,
+            finished: self.finished,
+            bytes: self.bytes,
+            ops: self.ops,
+            latency: self.hist.summary(),
+            read_latency: self.read_hist.summary(),
+            write_latency: self.write_hist.summary(),
+            thread_latency,
+            metrics,
+            counters,
+        }
+    }
+}
+
+/// Per-thread generator state.
 #[derive(Debug)]
-pub(crate) struct ThreadState {
-    pub(crate) issued: u64,
-    pub(crate) limit: u64,
+struct ThreadState {
+    issued: u64,
+    limit: u64,
     /// Sequential cursor within the thread's stripe (byte offset).
     stripe_start: u64,
     stripe_len: u64,
@@ -155,96 +232,212 @@ pub(crate) struct ThreadState {
     rng: SimRng,
 }
 
-/// A validated job: the clamped region, the zoned-write geometry, and one
-/// generator state per thread. Building the plan is the validation step
-/// both job drivers share, so a job accepted by one is accepted — with
-/// identical generator state — by the other.
+/// Driver state of one tenant: a validated job — the clamped region, the
+/// zoned-write geometry, one generator state per thread — and its books.
+/// Building it is the validation step of every entry point, so a job
+/// accepted by one is accepted, with identical generator state, by the
+/// others.
 #[derive(Debug)]
-pub(crate) struct JobPlan {
-    pub(crate) region_start: u64,
-    pub(crate) region_len: u64,
-    pub(crate) zone_bytes: u64,
-    pub(crate) threads: Vec<ThreadState>,
+pub(crate) struct Tenant<'a> {
+    job: &'a FioJob,
+    region_start: u64,
+    region_len: u64,
+    zone_bytes: u64,
+    threads: Vec<ThreadState>,
+    pub(crate) tally: Tally,
+    thread_hists: Vec<LatencyHistogram>,
+    writes_since_fsync: u64,
 }
 
-pub(crate) fn plan_job(capacity: u64, job: &FioJob) -> Result<JobPlan, HostError> {
-    let region_start = job.region_offset;
-    let region_len = job.region_bytes.min(capacity.saturating_sub(region_start));
-    if region_len < job.block_bytes {
-        return Err(HostError::BadJob(format!(
-            "region of {region_len} bytes smaller than one {}-byte block",
-            job.block_bytes
-        )));
-    }
-    if job.block_bytes == 0 || !job.block_bytes.is_multiple_of(SLICE_BYTES) {
-        return Err(HostError::BadJob(format!(
-            "block size {} not a multiple of 4 KiB",
-            job.block_bytes
-        )));
-    }
-    if job.threads == 0 {
-        return Err(HostError::BadJob("zero threads".to_string()));
-    }
-    if job.queue_depth == 0 {
-        return Err(HostError::BadJob("zero queue depth".to_string()));
-    }
-    if job.queue_depth > 1 && job.pattern == AccessPattern::SeqWrite && job.zone_bytes.is_some() {
-        // Deep queues of zoned sequential writes would race the write
-        // pointer on a real device; keep the model honest.
-        return Err(HostError::BadJob(
-            "queue_depth > 1 is not supported for zoned sequential writes".to_string(),
-        ));
-    }
-    if job.arrival_iops.is_some() && !job.pattern.is_read() {
-        return Err(HostError::BadJob(
-            "open-loop arrivals require a read pattern (writes must stay ordered)".to_string(),
-        ));
-    }
-    if let Some(iops) = job.arrival_iops {
-        if iops.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(HostError::BadJob(format!("bad arrival rate {iops}")));
+impl<'a> Tenant<'a> {
+    /// Validates `job` against a device of `capacity` bytes.
+    pub(crate) fn new(capacity: u64, job: &'a FioJob) -> Result<Tenant<'a>, HostError> {
+        let region_start = job.region_offset;
+        let region_len = job.region_bytes.min(capacity.saturating_sub(region_start));
+        if region_len < job.block_bytes {
+            return Err(HostError::BadJob(format!(
+                "region of {region_len} bytes smaller than one {}-byte block",
+                job.block_bytes
+            )));
         }
-    }
-    let zone_bytes = job.zone_bytes.unwrap_or(0);
-
-    let limit = job.requests_per_thread();
-    let threads: Vec<ThreadState> = (0..job.threads)
-        .map(|i| {
-            let stripe_len =
-                (region_len / job.threads as u64 / job.block_bytes).max(1) * job.block_bytes;
-            let stripe_start = region_start + i as u64 * stripe_len;
-            let zones = match (&job.thread_zones, zone_bytes) {
-                (Some(z), _) => z.get(i).cloned().unwrap_or_default(),
-                (None, zb) if zb > 0 => {
-                    // Round-robin zones of the region across threads.
-                    let first_zone = region_start / zb;
-                    let nzones = region_len / zb;
-                    (0..nzones)
-                        .filter(|z| (*z as usize) % job.threads == i)
-                        .map(|z| first_zone + z)
-                        .collect()
-                }
-                _ => Vec::new(),
-            };
-            ThreadState {
-                issued: 0,
-                limit,
-                stripe_start,
-                stripe_len,
-                cursor: 0,
-                zones,
-                zone_idx: 0,
-                zone_off: 0,
-                rng: SimRng::new(job.seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1))),
+        if job.block_bytes == 0 || !job.block_bytes.is_multiple_of(SLICE_BYTES) {
+            return Err(HostError::BadJob(format!(
+                "block size {} not a multiple of 4 KiB",
+                job.block_bytes
+            )));
+        }
+        if job.threads == 0 {
+            return Err(HostError::BadJob("zero threads".to_string()));
+        }
+        if job.queue_depth == 0 {
+            return Err(HostError::BadJob("zero queue depth".to_string()));
+        }
+        if job.queue_depth > 1 && job.pattern == AccessPattern::SeqWrite && job.zone_bytes.is_some()
+        {
+            // Deep queues of zoned sequential writes would race the write
+            // pointer on a real device; keep the model honest.
+            return Err(HostError::BadJob(
+                "queue_depth > 1 is not supported for zoned sequential writes".to_string(),
+            ));
+        }
+        if job.arrival_iops.is_some() && !job.pattern.is_read() {
+            return Err(HostError::BadJob(
+                "open-loop arrivals require a read pattern (writes must stay ordered)".to_string(),
+            ));
+        }
+        if let Some(iops) = job.arrival_iops {
+            if iops.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+                return Err(HostError::BadJob(format!("bad arrival rate {iops}")));
             }
+        }
+        let zone_bytes = job.zone_bytes.unwrap_or(0);
+
+        let limit = job.requests_per_thread();
+        let threads: Vec<ThreadState> = (0..job.threads)
+            .map(|i| {
+                let stripe_len =
+                    (region_len / job.threads as u64 / job.block_bytes).max(1) * job.block_bytes;
+                let stripe_start = region_start + i as u64 * stripe_len;
+                let zones = match (&job.thread_zones, zone_bytes) {
+                    (Some(z), _) => z.get(i).cloned().unwrap_or_default(),
+                    (None, zb) if zb > 0 => {
+                        // Round-robin zones of the region across threads.
+                        let first_zone = region_start / zb;
+                        let nzones = region_len / zb;
+                        (0..nzones)
+                            .filter(|z| (*z as usize) % job.threads == i)
+                            .map(|z| first_zone + z)
+                            .collect()
+                    }
+                    _ => Vec::new(),
+                };
+                ThreadState {
+                    issued: 0,
+                    limit,
+                    stripe_start,
+                    stripe_len,
+                    cursor: 0,
+                    zones,
+                    zone_idx: 0,
+                    zone_off: 0,
+                    rng: SimRng::new(job.seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1))),
+                }
+            })
+            .collect();
+        Ok(Tenant {
+            job,
+            region_start,
+            region_len,
+            zone_bytes,
+            threads,
+            tally: Tally::new(job.start),
+            thread_hists: (0..job.threads).map(|_| LatencyHistogram::new()).collect(),
+            writes_since_fsync: 0,
         })
-        .collect();
-    Ok(JobPlan {
-        region_start,
-        region_len,
-        zone_bytes,
-        threads,
-    })
+    }
+
+    /// Produces a thread's next request as `(offset, is_read)`, or `None` when
+    /// the thread has issued its share or a zoned writer has exhausted its
+    /// zones.
+    fn next_request(&mut self, thread: usize) -> Option<(u64, bool)> {
+        let (job, region_start, region_len) = (self.job, self.region_start, self.region_len);
+        let zone_bytes = self.zone_bytes;
+        let state = &mut self.threads[thread];
+        if state.issued >= state.limit {
+            return None;
+        }
+        let bs = job.block_bytes;
+        let request = match job.pattern {
+            AccessPattern::SeqRead => {
+                let offset = state.stripe_start + state.cursor;
+                state.cursor = (state.cursor + bs) % state.stripe_len;
+                (offset, true)
+            }
+            AccessPattern::RandRead | AccessPattern::RandWrite => {
+                let blocks = region_len / bs;
+                let offset = region_start + state.rng.below(blocks) * bs;
+                (offset, job.pattern == AccessPattern::RandRead)
+            }
+            AccessPattern::Mixed { read_percent } => {
+                let blocks = region_len / bs;
+                let offset = region_start + state.rng.below(blocks) * bs;
+                let is_read = state.rng.chance(f64::from(read_percent) / 100.0);
+                (offset, is_read)
+            }
+            AccessPattern::SeqWrite if zone_bytes == 0 => {
+                // Plain sequential stream within the stripe.
+                let offset = state.stripe_start + state.cursor;
+                state.cursor = (state.cursor + bs) % state.stripe_len;
+                (offset, false)
+            }
+            AccessPattern::SeqWrite => loop {
+                let zone = *state.zones.get(state.zone_idx)?;
+                if state.zone_off + bs > zone_bytes {
+                    state.zone_idx += 1;
+                    state.zone_off = 0;
+                    continue;
+                }
+                let offset = zone * zone_bytes + state.zone_off;
+                state.zone_off += bs;
+                break (offset, false);
+            },
+        };
+        state.issued += 1;
+        Some(request)
+    }
+
+    /// Submits one command at `at`, verifies a read's payload, and returns
+    /// when the host sees the command complete.
+    pub(crate) fn issue<D: StorageDevice + ?Sized>(
+        &mut self,
+        dev: &mut D,
+        at: SimTime,
+        offset: u64,
+        is_read: bool,
+    ) -> Result<SimTime, HostError> {
+        let job = self.job;
+        let bs = job.block_bytes;
+        let req = if is_read {
+            IoRequest::read(offset, bs)
+        } else if job.verify_data {
+            IoRequest::write_data(offset, payload_for(job.seed, offset, bs))
+        } else {
+            IoRequest::write(offset, bs)
+        };
+        let completion = dev
+            .submit(at, &req)
+            .map_err(|source| HostError::Device { offset, source })?;
+        if is_read && job.verify_data {
+            if let Some(data) = &completion.data {
+                if data != &payload_for(job.seed, offset, bs) {
+                    return Err(HostError::VerifyMismatch { offset });
+                }
+            }
+        }
+        let mut done = completion.finished;
+        // Synchronous I/O: the write is not done until the flush is.
+        if let Some(every) = job.fsync_every {
+            if !is_read {
+                self.writes_since_fsync += 1;
+                if self.writes_since_fsync >= every {
+                    self.writes_since_fsync = 0;
+                    done = dev
+                        .flush(done)
+                        .map_err(|source| HostError::Device { offset, source })?
+                        .finished;
+                }
+            }
+        }
+        Ok(done)
+    }
+
+    /// Per-thread latency distributions, indexed by thread id.
+    pub(crate) fn thread_latency(&self) -> Vec<LatencySummary> {
+        self.thread_hists
+            .iter()
+            .map(LatencyHistogram::summary)
+            .collect()
+    }
 }
 
 /// Runs a job against any device model and collects a [`JobReport`].
@@ -258,7 +451,7 @@ pub fn run_job<D: StorageDevice + ?Sized>(
     dev: &mut D,
     job: &FioJob,
 ) -> Result<JobReport, HostError> {
-    run_job_inner(dev, job, None, None)
+    run_single(dev, job, None, None)
 }
 
 /// Runs a job like [`run_job`] but stops issuing new requests once the
@@ -275,7 +468,7 @@ pub fn run_job_until<D: StorageDevice + ?Sized>(
     job: &FioJob,
     stop_at: SimTime,
 ) -> Result<JobReport, HostError> {
-    run_job_inner(dev, job, None, Some(stop_at))
+    run_single(dev, job, None, Some(stop_at))
 }
 
 /// Runs a job like [`run_job`] while also collecting a [`Counters`] delta
@@ -290,195 +483,136 @@ pub fn run_job_sampled<D: StorageDevice + ?Sized>(
     job: &FioJob,
     interval: SimDuration,
 ) -> Result<JobReport, HostError> {
-    run_job_inner(dev, job, Some(interval), None)
+    run_single(dev, job, Some(interval), None)
 }
 
-fn run_job_inner<D: StorageDevice + ?Sized>(
+/// One tenant, no front end: every command is issued the instant it is
+/// generated.
+fn run_single<D: StorageDevice + ?Sized>(
     dev: &mut D,
     job: &FioJob,
     sample_interval: Option<SimDuration>,
     stop_at: Option<SimTime>,
 ) -> Result<JobReport, HostError> {
-    let plan = plan_job(dev.capacity_bytes(), job)?;
-    let JobPlan {
-        region_start,
-        region_len,
-        zone_bytes,
-        mut threads,
-    } = plan;
-    let limit = job.requests_per_thread();
-
+    let mut tenants = [Tenant::new(dev.capacity_bytes(), job)?];
     let before = dev.counters();
-    let mut queue: EventQueue<usize> = EventQueue::new();
-    match job.arrival_iops {
-        None => {
-            // Closed loop: each of the thread's queue slots re-arms on
-            // completion.
-            for i in 0..job.threads {
-                for _ in 0..job.queue_depth {
-                    queue.push(job.start, i);
-                }
-            }
-        }
-        Some(iops) => {
-            // Open loop: pre-draw every arrival from a Poisson process and
-            // spread them round-robin across the generator threads.
-            let mut arrival_rng = SimRng::new(job.seed ^ 0xa221_7a15);
-            let mut at = job.start;
-            let total = limit * job.threads as u64;
-            for i in 0..total {
-                // Exponential inter-arrival with mean 1/iops seconds.
-                let u = arrival_rng.f64().max(f64::MIN_POSITIVE);
-                let gap_ns = (-u.ln() / iops * 1e9) as u64;
-                at += SimDuration::from_nanos(gap_ns);
-                queue.push(at, (i % job.threads as u64) as usize);
-            }
-        }
-    }
-    let open_loop = job.arrival_iops.is_some();
-    let mut writes_since_fsync = 0u64;
-    let mut hist = LatencyHistogram::new();
-    let mut read_hist = LatencyHistogram::new();
-    let mut write_hist = LatencyHistogram::new();
-    let mut thread_hists: Vec<LatencyHistogram> =
-        (0..job.threads).map(|_| LatencyHistogram::new()).collect();
     let mut sampler = sample_interval.map(|iv| MetricsSampler::anchored(job.start, iv, &before));
-    let mut bytes = 0u64;
-    let mut ops = 0u64;
-    let mut finished = job.start;
-
-    while let Some((t, th)) = queue.pop() {
-        if let Some(stop) = stop_at {
-            // The queue pops in time order: once one slot passes the stop
-            // point, every remaining one would too.
-            if t >= stop {
-                break;
-            }
-        }
-        let state = &mut threads[th];
-        if state.issued >= state.limit {
-            continue;
-        }
-        let Some((offset, is_read)) = next_offset(job, state, zone_bytes, region_start, region_len)
-        else {
-            continue; // thread ran out of zones
-        };
-        let req = if is_read {
-            IoRequest::read(offset, job.block_bytes)
-        } else if job.verify_data {
-            IoRequest::write_data(offset, payload_for(job.seed, offset, job.block_bytes))
-        } else {
-            IoRequest::write(offset, job.block_bytes)
-        };
-        let completion = dev
-            .submit(t, &req)
-            .map_err(|source| HostError::Device { offset, source })?;
-        if is_read && job.verify_data {
-            if let Some(data) = &completion.data {
-                if data != &payload_for(job.seed, offset, job.block_bytes) {
-                    return Err(HostError::VerifyMismatch { offset });
-                }
-            }
-        }
-        let mut completed_at = completion.finished;
-        // Synchronous I/O: the write is not done until the flush is.
-        if let Some(every) = job.fsync_every {
-            if !is_read {
-                writes_since_fsync += 1;
-                if writes_since_fsync >= every {
-                    writes_since_fsync = 0;
-                    let fc = dev
-                        .flush(completed_at)
-                        .map_err(|source| HostError::Device { offset, source })?;
-                    completed_at = fc.finished;
-                }
-            }
-        }
-        let latency = completed_at - t;
-        hist.record(latency);
-        if is_read {
-            read_hist.record(latency);
-        } else {
-            write_hist.record(latency);
-        }
-        thread_hists[th].record(latency);
-        if let Some(s) = sampler.as_mut() {
-            s.observe(completed_at, &dev.counters());
-        }
-        bytes += job.block_bytes;
-        ops += 1;
-        finished = finished.max(completed_at);
-        state.issued += 1;
-        if !open_loop {
-            queue.push(completed_at, th);
-        }
-    }
-
+    drive(dev, &mut tenants, None, stop_at, sampler.as_mut())?;
+    let [tenant] = tenants;
     let after = dev.counters();
-    Ok(JobReport {
-        model: dev.model_name(),
-        started: job.start,
-        finished,
-        bytes,
-        ops,
-        latency: hist.summary(),
-        read_latency: read_hist.summary(),
-        write_latency: write_hist.summary(),
-        thread_latency: thread_hists.iter().map(LatencyHistogram::summary).collect(),
-        metrics: sampler
-            .map(|s| s.finish(finished, &after))
-            .unwrap_or_default(),
-        counters: after.since(&before),
-    })
+    let metrics = sampler.map(|s| s.finish(tenant.tally.finished, &after));
+    Ok(tenant.tally.job_report(
+        dev.model_name(),
+        job.start,
+        tenant.thread_latency(),
+        metrics.unwrap_or_default(),
+        after.since(&before),
+    ))
 }
 
-/// Produces the next request offset for a thread, or `None` when a zoned
-/// writer has exhausted its zones.
-pub(crate) fn next_offset(
-    job: &FioJob,
-    state: &mut ThreadState,
-    zone_bytes: u64,
-    region_start: u64,
-    region_len: u64,
-) -> Option<(u64, bool)> {
-    let bs = job.block_bytes;
-    match job.pattern {
-        AccessPattern::SeqRead => {
-            let offset = state.stripe_start + state.cursor;
-            state.cursor = (state.cursor + bs) % state.stripe_len;
-            Some((offset, true))
-        }
-        AccessPattern::RandRead | AccessPattern::RandWrite => {
-            let blocks = region_len / bs;
-            let offset = region_start + state.rng.below(blocks) * bs;
-            Some((offset, job.pattern == AccessPattern::RandRead))
-        }
-        AccessPattern::Mixed { read_percent } => {
-            let blocks = region_len / bs;
-            let offset = region_start + state.rng.below(blocks) * bs;
-            let is_read = state.rng.chance(f64::from(read_percent) / 100.0);
-            Some((offset, is_read))
-        }
-        AccessPattern::SeqWrite => {
-            if zone_bytes == 0 {
-                // Plain sequential stream within the stripe.
-                let offset = state.stripe_start + state.cursor;
-                state.cursor = (state.cursor + bs) % state.stripe_len;
-                return Some((offset, false));
-            }
-            loop {
-                let zone = *state.zones.get(state.zone_idx)?;
-                if state.zone_off + bs > zone_bytes {
-                    state.zone_idx += 1;
-                    state.zone_off = 0;
-                    continue;
+/// Discrete events of [`drive`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ev {
+    /// A tenant thread generates its next command.
+    Gen { tenant: usize, thread: usize },
+    /// The command-fetch stage is free: arbitrate and dispatch one
+    /// command.
+    Dispatch,
+    /// A dispatched command's device completion posts to the CQ.
+    Reap { tenant: usize, slot: u32 },
+}
+
+/// Runs every tenant's job to completion against `dev`.
+///
+/// Each generator thread keeps `queue_depth` commands outstanding, or —
+/// for an open-loop job — follows a pre-drawn Poisson arrival schedule.
+/// No thread generates a command at or after `stop_at`; commands already
+/// in flight complete normally. `sampler` observes the device counters at
+/// every completion. Results are left in `tenants` and `front`.
+pub(crate) fn drive<D: StorageDevice + ?Sized>(
+    dev: &mut D,
+    tenants: &mut [Tenant<'_>],
+    mut front: Option<&mut FrontEnd>,
+    stop_at: Option<SimTime>,
+    mut sampler: Option<&mut MetricsSampler>,
+) -> Result<(), HostError> {
+    let mut queue: EventQueue<Ev> = EventQueue::new();
+    for (tenant, ts) in tenants.iter().enumerate() {
+        let job = ts.job;
+        match job.arrival_iops {
+            None => {
+                for thread in 0..job.threads {
+                    for _ in 0..job.queue_depth {
+                        queue.push(job.start, Ev::Gen { tenant, thread });
+                    }
                 }
-                let offset = zone * zone_bytes + state.zone_off;
-                state.zone_off += bs;
-                return Some((offset, false));
+            }
+            Some(iops) => {
+                // Open loop: pre-draw every arrival from a Poisson process
+                // and spread them round-robin across the generator threads.
+                let mut arrival_rng = SimRng::new(job.seed ^ 0xa221_7a15);
+                let mut at = job.start;
+                for i in 0..job.requests_per_thread() * job.threads as u64 {
+                    // Exponential inter-arrival with mean 1/iops seconds.
+                    let u = arrival_rng.f64().max(f64::MIN_POSITIVE);
+                    let gap_ns = (-u.ln() / iops * 1e9) as u64;
+                    at += SimDuration::from_nanos(gap_ns);
+                    let thread = (i % job.threads as u64) as usize;
+                    queue.push(at, Ev::Gen { tenant, thread });
+                }
             }
         }
     }
+
+    while let Some((t, ev)) = queue.pop() {
+        // A handler either schedules further events and moves on, or yields
+        // a command `thread` generated at `arrival` and saw complete at
+        // `done`.
+        let (tenant, thread, is_read, arrival, done) = match ev {
+            Ev::Gen { tenant, thread } => {
+                if stop_at.is_some_and(|stop| t >= stop) {
+                    continue;
+                }
+                let ts = &mut tenants[tenant];
+                let Some((offset, is_read)) = ts.next_request(thread) else {
+                    continue;
+                };
+                if let Some(f) = front.as_deref_mut() {
+                    f.submit(&mut queue, t, tenant, thread, offset, is_read);
+                    continue;
+                }
+                // No front end: the command reaches the device now.
+                let done = ts.issue(dev, t, offset, is_read)?;
+                (tenant, thread, is_read, t, done)
+            }
+            // Only a front end schedules `Dispatch` and `Reap`.
+            Ev::Dispatch => {
+                if let Some(f) = front.as_deref_mut() {
+                    f.dispatch(&mut queue, dev, tenants, t)?;
+                }
+                continue;
+            }
+            Ev::Reap { tenant, slot } => {
+                let Some(s) = front.as_deref_mut().and_then(|f| f.reap(t, tenant, slot)) else {
+                    continue;
+                };
+                (tenant, s.thread, s.is_read, s.arrival, t)
+            }
+        };
+        let ts = &mut tenants[tenant];
+        let latency = done.saturating_since(arrival);
+        ts.tally
+            .record_io(is_read, ts.job.block_bytes, latency, done);
+        ts.thread_hists[thread].record(latency);
+        if let Some(s) = sampler.as_deref_mut() {
+            s.observe(done, &dev.counters());
+        }
+        // Closed loop: the queue slot re-arms at completion.
+        if ts.job.arrival_iops.is_none() {
+            queue.push(done, Ev::Gen { tenant, thread });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -486,6 +620,7 @@ mod tests {
     use super::*;
     use conzone_core::ConZone;
     use conzone_legacy::LegacyDevice;
+    use conzone_sim::LatencyHistogram;
     use conzone_types::DeviceConfig;
 
     fn zoned_job(pattern: AccessPattern, bs: u64) -> FioJob {

@@ -13,10 +13,10 @@
 //! operation no earlier than its timestamp (open-loop), or back to back
 //! (closed-loop) when `respect_timestamps` is off.
 
-use conzone_sim::{LatencyHistogram, SimRng};
+use conzone_sim::SimRng;
 use conzone_types::{Counters, IoRequest, SimDuration, SimTime, ZonedDevice, SLICE_BYTES};
 
-use crate::runner::{HostError, JobReport};
+use crate::runner::{HostError, JobReport, Tally};
 
 /// One trace operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -340,13 +340,8 @@ pub fn replay_trace<D: ZonedDevice + ?Sized>(
     open_loop: bool,
 ) -> Result<JobReport, HostError> {
     let before = dev.counters();
-    let mut hist = LatencyHistogram::new();
-    let mut read_hist = LatencyHistogram::new();
-    let mut write_hist = LatencyHistogram::new();
+    let mut tally = Tally::new(start);
     let mut t = start;
-    let mut bytes = 0u64;
-    let mut ops = 0u64;
-    let mut finished = start;
     for op in trace.ops() {
         let issue = if open_loop {
             t.max(start + (op.at - SimTime::ZERO))
@@ -365,34 +360,22 @@ pub fn replay_trace<D: ZonedDevice + ?Sized>(
             offset: op.offset,
             source,
         })?;
-        hist.record(completion.latency());
-        match op.kind {
-            TraceKind::Read => read_hist.record(completion.latency()),
-            TraceKind::Write => write_hist.record(completion.latency()),
-            TraceKind::Discard => {}
-        }
-        if op.kind != TraceKind::Discard {
-            bytes += op.len;
-        }
-        ops += 1;
-        finished = finished.max(completion.finished);
         t = completion.finished;
+        match op.kind {
+            TraceKind::Read => tally.record_io(true, op.len, completion.latency(), t),
+            TraceKind::Write => tally.record_io(false, op.len, completion.latency(), t),
+            TraceKind::Discard => tally.record(completion.latency(), t),
+        }
     }
     let after = dev.counters();
-    Ok(JobReport {
-        model: dev.model_name(),
-        started: start,
-        finished,
-        bytes,
-        ops,
-        read_latency: read_hist.summary(),
-        write_latency: write_hist.summary(),
+    Ok(tally.job_report(
+        dev.model_name(),
+        start,
         // Replay is a single issuing stream.
-        thread_latency: vec![hist.summary()],
-        metrics: Vec::new(),
-        latency: hist.summary(),
-        counters: after.since(&before),
-    })
+        vec![tally.hist.summary()],
+        Vec::new(),
+        after.since(&before),
+    ))
 }
 
 /// Convenience: the counter delta a replay produced.
