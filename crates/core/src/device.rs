@@ -156,7 +156,6 @@ impl ConZone {
         if threshold == 0 || self.l2p_log_pending < threshold {
             return now;
         }
-        let _p = conzone_sim::profile::scope("l2p_log_flush");
         let mut t = now;
         while self.l2p_log_pending >= threshold {
             self.l2p_log_pending -= threshold;

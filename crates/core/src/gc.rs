@@ -19,7 +19,6 @@ impl ConZone {
     /// fewest valid slices, migrates its live data within SLC, erases it
     /// and returns it to the free list. Returns when the pass completes.
     pub(crate) fn run_slc_gc(&mut self, now: SimTime) -> Result<SimTime, DeviceError> {
-        let _p = conzone_sim::profile::scope("run_slc_gc");
         // Greedy victim by valid count; erase-count tie-break spreads wear
         // across the SLC region (it absorbs every premature flush, so it
         // wears fastest — the paper's lifespan concern, §I).

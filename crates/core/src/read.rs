@@ -32,7 +32,6 @@ impl ConZone {
         now: SimTime,
         range: LpnRange,
     ) -> Result<(SimTime, Option<Vec<u8>>), DeviceError> {
-        let _p = conzone_sim::profile::scope("read_range");
         let zs = self.zone_slices();
         let mut t_map = now;
         // Reused scratch: error returns drop the buffers (re-allocated on

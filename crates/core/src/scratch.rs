@@ -3,7 +3,7 @@
 //! The read, write and GC paths need short-lived lists (gathered PPAs,
 //! LPN runs, chip placement orders). Allocating them per operation would
 //! break the steady-state zero-allocation contract checked by the
-//! `hot-path-effects` lint rule and the `counting-alloc` bench guard, so
+//! `hot-path-effects` lint rule and `tests/zero_alloc.rs`, so
 //! `ConZone` owns one set of buffers that the paths `mem::take`, clear,
 //! fill and put back. Capacity grows during warmup and then stabilises.
 //!

@@ -40,7 +40,6 @@ impl ConZone {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<SimTime, DeviceError> {
-        let _p = conzone_sim::profile::scope("write_range");
         let (zone_id, offset) = self.zone_and_offset(range)?;
         if offset + range.count > self.zone_slices() {
             return Err(DeviceError::ZoneBoundary { zone: zone_id });
@@ -204,7 +203,6 @@ impl ConZone {
         buf_idx: usize,
         drain: bool,
     ) -> Result<SimTime, DeviceError> {
-        let _p = conzone_sim::profile::scope("flush_buffer");
         if self.buffers[buf_idx].is_empty() {
             if drain {
                 self.buffers[buf_idx].release();
@@ -413,7 +411,6 @@ impl ConZone {
         canonical: bool,
         staged_zone: Option<usize>,
     ) -> Result<SimTime, DeviceError> {
-        let _p = conzone_sim::profile::scope("program_slc_batch");
         let nchips = self.cfg.geometry.nchips();
         let spb = self.cfg.geometry.slices_per_block() as usize;
         let spp = self.cfg.geometry.slices_per_page();

@@ -24,17 +24,12 @@
 // Unit tests assert freely; the `clippy::unwrap_used` deny (Cargo.toml
 // `[lints]`) is meant for library code reachable from the simulator.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-// `counting-alloc` needs one `unsafe impl GlobalAlloc` in `alloc_guard`;
-// everywhere else unsafe stays denied (and forbidden without the feature).
-#![cfg_attr(not(feature = "counting-alloc"), forbid(unsafe_code))]
-#![cfg_attr(feature = "counting-alloc", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod alloc_guard;
 pub mod export;
 pub mod json;
-pub mod profile;
 mod queue;
 mod resource;
 mod rng;

@@ -47,8 +47,7 @@
 //!   builtin std table to fixpoint; violations name the full call chain
 //!   and anchor at the leaf site. `#[cold]` / `// xtask-effect: cold —
 //!   <reason>` functions cut propagation (the slow-path escape hatch).
-//!   The steady-state allocation guard in `cargo xtask bench` is this
-//!   rule's runtime cross-check.
+//!   `tests/zero_alloc.rs` is this rule's runtime cross-check.
 //! * [`effect-annotation`] — the effect markers themselves must be
 //!   well-formed: attached to a function, a known kind (`hot_path` or
 //!   `cold`), `cold` carrying a reason, and never both on one function.

@@ -2,15 +2,11 @@
 //!
 //! The `.cargo/config.toml` alias makes `cargo xtask lint` run the
 //! determinism-hygiene pass described in the library crate (and in
-//! `docs/internals.md` §8), and `cargo xtask bench` regenerate and
-//! validate the committed `BENCH_<date>.json` performance snapshot
-//! (`docs/internals.md` §9). Exit status is nonzero when any lint rule
-//! fires or the snapshot fails validation, so CI can gate on both.
+//! `docs/internals.md` §8). Exit status is nonzero when any lint rule
+//! fires, so CI can gate on it.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-use conzone_sim::json::{self, Json};
 
 fn workspace_root() -> PathBuf {
     // crates/xtask/ → the workspace root two levels up.
@@ -22,8 +18,7 @@ fn workspace_root() -> PathBuf {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo xtask lint  [--root <path>] [--json] [--changed]");
-    eprintln!("       cargo xtask bench [--root <path>] [--smoke] [--out <path>]");
+    eprintln!("usage: cargo xtask lint [--root <path>] [--json] [--changed]");
     eprintln!();
     eprintln!("lint — runs the determinism-hygiene pass over the workspace:");
     for rule in xtask::RULES {
@@ -34,14 +29,6 @@ fn usage() -> ExitCode {
     eprintln!("untracked by git; workspace rules (coverage, effect analysis)");
     eprintln!("always see the whole tree. Unused-allow warnings are suppressed");
     eprintln!("on scoped runs.");
-    eprintln!();
-    eprintln!("bench — builds and runs the `bench_snapshot` binary (selfprof");
-    eprintln!("and counting-alloc enabled), writes BENCH_<date>.json (or --out),");
-    eprintln!("and validates the emitted JSON: schema tag, required fields, the");
-    eprintln!("observability overhead guard (attaching spans/probe must not");
-    eprintln!("change simulated results), and the steady-state allocation guard");
-    eprintln!("(hot paths must perform zero allocations per op after warmup).");
-    eprintln!("--smoke shrinks the workloads for CI.");
     ExitCode::FAILURE
 }
 
@@ -125,257 +112,27 @@ fn cmd_lint(root: &Path, json: bool, changed: bool) -> ExitCode {
     }
 }
 
-/// Today's date as `YYYY-MM-DD` (UTC), via days-since-epoch to civil
-/// conversion (Howard Hinnant's `civil_from_days` algorithm).
-fn today() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let days = (secs / 86_400) as i64;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Checks the snapshot JSON: parseable, right schema tag, required
-/// sections present, and both machine-independent guards green
-/// (instrumentation must not change simulated results; reruns must be
-/// sim-identical). Returns human-readable failures.
-fn validate_snapshot(text: &str) -> Vec<String> {
-    let mut errs = Vec::new();
-    let j = match json::parse(text) {
-        Ok(j) => j,
-        Err(e) => return vec![format!("snapshot is not valid JSON: {e}")],
-    };
-    match j.get("schema").and_then(Json::as_str) {
-        Some("conzone-bench/1") => {}
-        other => errs.push(format!(
-            "schema tag is {other:?}, expected \"conzone-bench/1\""
-        )),
-    }
-    match j.get("workloads").and_then(Json::as_array) {
-        Some(ws) if !ws.is_empty() => {
-            for w in ws {
-                for field in ["name", "sim_ops", "wall_seconds", "ops_per_wall_second"] {
-                    if w.get(field).is_none() {
-                        errs.push(format!("a workload entry is missing `{field}`"));
-                    }
-                }
-            }
-        }
-        _ => errs.push("`workloads` is missing or empty".to_string()),
-    }
-    match j
-        .get("overhead")
-        .and_then(|o| o.get("instrumented_identical"))
-    {
-        Some(Json::Bool(true)) => {}
-        Some(Json::Bool(false)) => errs.push(
-            "overhead guard FAILED: attaching spans/probe changed simulated results".to_string(),
-        ),
-        _ => errs.push("`overhead.instrumented_identical` is missing".to_string()),
-    }
-    match j.get("repro").and_then(|r| r.get("sim_identical")) {
-        Some(Json::Bool(true)) => {}
-        Some(Json::Bool(false)) => {
-            errs.push("repro guard FAILED: rerun changed simulated results".to_string());
-        }
-        _ => errs.push("`repro.sim_identical` is missing".to_string()),
-    }
-    // The steady-state allocation guard — the runtime cross-check of the
-    // static `hot-path-effects` rule. The committed snapshot must come
-    // from a counting build and must have measured zero allocations/op.
-    let guard = j.get("alloc_guard");
-    match guard.and_then(|g| g.get("enabled")) {
-        Some(Json::Bool(true)) => match guard.and_then(|g| g.get("steady_state_zero")) {
-            Some(Json::Bool(true)) => {}
-            Some(Json::Bool(false)) => errs.push(
-                "alloc guard FAILED: steady-state hot paths touched the global allocator"
-                    .to_string(),
-            ),
-            _ => errs.push("`alloc_guard.steady_state_zero` is missing".to_string()),
-        },
-        Some(Json::Bool(false)) => errs.push(
-            "alloc guard not compiled in: snapshot must be built with `counting-alloc`".to_string(),
-        ),
-        _ => errs.push("`alloc_guard.enabled` is missing".to_string()),
-    }
-    match guard
-        .and_then(|g| g.get("workloads"))
-        .and_then(Json::as_array)
-    {
-        Some(ws) if ws.len() >= 3 => {}
-        _ => errs.push(
-            "`alloc_guard.workloads` must cover all three reference workloads \
-             (seqwrite, randread, qd-arbitrate)"
-                .to_string(),
-        ),
-    }
-    for field in ["selfprof", "peak_rss_bytes"] {
-        if j.get(field).is_none() {
-            errs.push(format!("`{field}` is missing"));
-        }
-    }
-    errs
-}
-
-fn cmd_bench(root: &Path, smoke: bool, out: Option<PathBuf>) -> ExitCode {
-    let out = out.unwrap_or_else(|| root.join(format!("BENCH_{}.json", today())));
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut cmd = std::process::Command::new(cargo);
-    cmd.current_dir(root).args([
-        "run",
-        "--release",
-        "--quiet",
-        "-p",
-        "conzone-bench",
-        "--features",
-        "conzone-bench/selfprof,conzone-bench/counting-alloc",
-        "--bin",
-        "bench_snapshot",
-        "--",
-    ]);
-    if smoke {
-        cmd.arg("--smoke");
-    }
-    cmd.arg("--out").arg(&out);
-    match cmd.status() {
-        Ok(status) if status.success() => {}
-        Ok(status) => {
-            eprintln!("xtask bench: bench_snapshot exited with {status}");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("xtask bench: failed to launch cargo: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let text = match std::fs::read_to_string(&out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bench: cannot read {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let errs = validate_snapshot(&text);
-    if errs.is_empty() {
-        // Advisory only: wall-clock repro depends on machine load, so it
-        // never gates CI — the committed trajectory should stay within
-        // ±10 % when regenerated on a quiet machine.
-        if let Some(delta) = json::parse(&text)
-            .ok()
-            .and_then(|j| j.get("repro")?.get("delta_pct")?.as_f64())
-        {
-            if delta > 10.0 {
-                eprintln!(
-                    "xtask bench: warning — headline ops/wall-sec differed by \
-                     {delta:.1} % between reruns (target ±10 %)"
-                );
-            }
-        }
-        println!("xtask bench: snapshot valid at {}", out.display());
-        ExitCode::SUCCESS
-    } else {
-        for e in &errs {
-            println!("xtask bench: {e}");
-        }
-        println!("xtask bench: {} validation failure(s)", errs.len());
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root = workspace_root();
     let mut cmd = None;
-    let mut smoke = false;
     let mut json = false;
     let mut changed = false;
-    let mut out = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "lint" | "bench" if cmd.is_none() => cmd = Some(a.as_str()),
+            "lint" if cmd.is_none() => cmd = Some(a.as_str()),
             "--root" => match it.next() {
                 Some(p) => root = PathBuf::from(p),
                 None => return usage(),
             },
             "--json" if cmd == Some("lint") => json = true,
             "--changed" if cmd == Some("lint") => changed = true,
-            "--smoke" if cmd == Some("bench") => smoke = true,
-            "--out" if cmd == Some("bench") => match it.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
             _ => return usage(),
         }
     }
     match cmd {
         Some("lint") => cmd_lint(&root, json, changed),
-        Some("bench") => cmd_bench(&root, smoke, out),
         _ => usage(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn civil_date_format_is_sane() {
-        let d = today();
-        assert_eq!(d.len(), 10, "{d}");
-        assert_eq!(d.as_bytes()[4], b'-');
-        assert_eq!(d.as_bytes()[7], b'-');
-        let year: u32 = d[..4].parse().unwrap();
-        assert!((2024..2200).contains(&year), "{d}");
-    }
-
-    #[test]
-    fn snapshot_validation_catches_failures() {
-        assert!(!validate_snapshot("not json").is_empty());
-        let bad_schema = r#"{"schema":"other/9"}"#;
-        assert!(validate_snapshot(bad_schema)
-            .iter()
-            .any(|e| e.contains("schema tag")));
-        let guard_fail = r#"{
-            "schema": "conzone-bench/1",
-            "workloads": [{"name":"w","sim_ops":1,"wall_seconds":0.1,"ops_per_wall_second":10.0}],
-            "repro": {"sim_identical": true, "delta_pct": 1.0},
-            "overhead": {"instrumented_identical": false},
-            "alloc_guard": {"enabled": true, "steady_state_zero": true,
-                            "workloads": [{"name":"a"},{"name":"b"},{"name":"c"}]},
-            "selfprof": {"enabled": false},
-            "peak_rss_bytes": 1
-        }"#;
-        let errs = validate_snapshot(guard_fail);
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("overhead guard FAILED"), "{errs:?}");
-        let ok = guard_fail.replace(
-            r#""instrumented_identical": false"#,
-            r#""instrumented_identical": true"#,
-        );
-        assert!(validate_snapshot(&ok).is_empty());
-        let alloc_fail = ok.replace(
-            r#""steady_state_zero": true"#,
-            r#""steady_state_zero": false"#,
-        );
-        let errs = validate_snapshot(&alloc_fail);
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("alloc guard FAILED"), "{errs:?}");
-        let not_counting = ok.replace(r#""enabled": true"#, r#""enabled": false"#);
-        assert!(validate_snapshot(&not_counting)
-            .iter()
-            .any(|e| e.contains("counting-alloc")));
     }
 }

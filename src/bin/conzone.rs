@@ -66,6 +66,10 @@ fn parse_duration(s: &str) -> Result<SimDuration, String> {
     Ok(SimDuration::from_nanos(v * unit))
 }
 
+/// NVMe addresses queues and queue entries with 16-bit fields: at most
+/// 65 535 I/O queues of at most 65 535 entries each.
+const NVME_QUEUE_LIMIT: u64 = 65_535;
+
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
 #[derive(Debug, Default, Clone)]
 struct Args {
@@ -118,6 +122,19 @@ impl Args {
             Some(v) => v.parse().map_err(|e| format!("bad --{key}: {e}")),
             None => Ok(default),
         }
+    }
+
+    /// `--qd`, `--tenants` and `--threads` (a thread is one submitter):
+    /// bounded here, before anything is sized by them (the slot slab and
+    /// the per-tenant and per-thread tables are allocated up front).
+    fn queue_count(&self, key: &str, default: u64) -> Result<usize, String> {
+        let v = self.num(key, default)?;
+        if v > NVME_QUEUE_LIMIT {
+            return Err(format!(
+                "bad --{key}: {v} exceeds the NVMe limit of {NVME_QUEUE_LIMIT}"
+            ));
+        }
+        Ok(v as usize)
     }
 }
 
@@ -684,7 +701,7 @@ fn build_tenant_specs(
     let bs = args.size("bs", 512 * 1024)?;
     let size = args.size("size", 256 << 20)?;
     let region = args.size("region", size)?;
-    let threads = args.num("threads", 1)? as usize;
+    let threads = args.queue_count("threads", 1)?;
     let wl_seed = args.num("seed", 7)?;
     let weights = parse_tenant_weights(args, tenants_n)?;
     let per_tenant_bytes = size / tenants_n as u64 / threads.max(1) as u64;
@@ -883,8 +900,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         None => None,
     };
     // Any queue-pair flag routes to the NVMe-like asynchronous driver.
-    let qd = args.num("qd", 1)? as usize;
-    let tenants_n = args.num("tenants", 1)? as usize;
+    let qd = args.queue_count("qd", 1)?;
+    let tenants_n = args.queue_count("tenants", 1)?;
     let qd_path = qd > 1
         || tenants_n > 1
         || args.get("arbiter").is_some()
@@ -973,14 +990,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let bs = args.size("bs", 512 * 1024)?;
     let size = args.size("size", 256 << 20)?;
     let region = args.size("region", size)?;
-    let threads = args.num("threads", 1)? as usize;
+    let threads = args.queue_count("threads", 1)?;
     let zone_bytes = cfg.zone_size_bytes();
 
     let wl_seed = args.num("seed", 7)?;
     let mut job = FioJob::new(pattern, bs)
         .threads(threads)
         .region(0, region)
-        .bytes_per_thread(size / threads as u64)
+        .bytes_per_thread(size / threads.max(1) as u64)
         .seed(wl_seed);
     if power_cut.is_some() {
         job = job.verify(true);
@@ -1336,7 +1353,7 @@ fn scenario_qd_sweep(args: &Args) -> Result<(), String> {
 fn scenario_interference(args: &Args) -> Result<(), String> {
     let bs = args.size("bs", 4 * 1024)?;
     let region = args.size("region", 4 << 20)?;
-    let qd = args.num("qd", 8)? as usize;
+    let qd = args.queue_count("qd", 8)?;
     let ops = args.num("ops", 1024)?;
     let wl_seed = args.num("seed", 7)?;
     let weights = match args.get("tenant-weights") {
@@ -1379,7 +1396,7 @@ fn scenario_interference(args: &Args) -> Result<(), String> {
 /// for chips and channels, not for zones.
 fn scenario_mixed(args: &Args) -> Result<(), String> {
     let region = args.size("region", 8 << 20)?;
-    let qd = args.num("qd", 8)? as usize;
+    let qd = args.queue_count("qd", 8)?;
     let ops = args.num("ops", 1024)?;
     let wl_seed = args.num("seed", 7)?;
     let zone_bytes = build_config(args)?.zone_size_bytes();
@@ -1416,7 +1433,7 @@ fn scenario_mixed(args: &Args) -> Result<(), String> {
 /// a cache's metadata journal would.
 fn scenario_flash_cache(args: &Args) -> Result<(), String> {
     let region = args.size("region", 8 << 20)?;
-    let qd = args.num("qd", 16)? as usize;
+    let qd = args.queue_count("qd", 16)?;
     let ops = args.num("ops", 2048)?;
     let wl_seed = args.num("seed", 7)?;
     let zone_bytes = build_config(args)?.zone_size_bytes();

@@ -131,3 +131,49 @@ fn run_fio_job_file() {
     assert!(stderr.contains("unsupported key"), "{stderr}");
     std::fs::remove_file(&path).ok();
 }
+
+/// Hostile flag values end in a one-line `error:`, never in a panic or
+/// an allocation abort (ROADMAP: "nothing reachable from a CLI flag …
+/// panics").
+#[test]
+fn hostile_flag_values_are_rejected_cleanly() {
+    let run_flags = [
+        "--threads 0",
+        "--threads 99999999999",
+        "--pattern randread --region 4m --qd 99999999999",
+        "--qd 65536",
+        "--tenants 999999999999",
+        "--bs 0",
+        "--bs 3",
+        "--cache 0",
+        "--buffers 0",
+        "--metrics-interval 0",
+        "--power-cut-at 0",
+        "--fault-rates nan,0,0",
+        "--conventional 9999",
+    ];
+    let scenarios = [
+        "interference --qd 99999999999",
+        "mixed --qd 99999999999",
+        "flash-cache --qd 99999999999",
+        "mixed --region 0",
+    ];
+    let runs = run_flags
+        .iter()
+        .map(|f| format!("run --config tiny --region 1m --size 1m {f}"));
+    let scenarios = scenarios
+        .iter()
+        .map(|s| format!("scenario {s} --config tiny"));
+    for case in runs.chain(scenarios) {
+        let args: Vec<&str> = case.split(' ').collect();
+        let (ok, stdout, stderr) = conzone(&args);
+        assert!(!ok, "`{case}` succeeded: {stdout}");
+        assert!(stderr.starts_with("error:"), "`{case}`: {stderr}");
+        for bad in ["panicked", "memory allocation"] {
+            assert!(
+                !stdout.contains(bad) && !stderr.contains(bad),
+                "`{case}`: {stdout}{stderr}"
+            );
+        }
+    }
+}
