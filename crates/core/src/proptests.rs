@@ -126,3 +126,439 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Differential test of the run-granular read path against a per-slice
+// reference (the first "obviously-correct reference" of ROADMAP item 4c).
+
+mod read_reference {
+    use std::sync::Arc;
+
+    use bytes::Bytes;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    use conzone_ftl::{InsertOutcome, LookupResult};
+    use conzone_sim::{RingBufferSink, SpanBuffer};
+    use conzone_types::{
+        Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig, Geometry,
+        IoRequest, L2pOutcome, Lpn, LpnRange, MapGranularity, Probe, SearchStrategy, SimTime,
+        SpanKind, StorageDevice, ZoneId, SLICE_BYTES,
+    };
+
+    use crate::write::internal;
+    use crate::{ConZone, TimeBreakdown};
+
+    /// The read path before it walked runs: every 4 KiB slice is resolved
+    /// on its own — zone, write pointer, buffer window, a full L2P lookup,
+    /// a table read — and nothing is carried from one slice to the next.
+    /// Deliberately naive; `ConZone::read_range` must be indistinguishable
+    /// from it in every simulated result.
+    fn read_range_per_slice(
+        dev: &mut ConZone,
+        now: SimTime,
+        range: LpnRange,
+    ) -> Result<(SimTime, Option<Vec<u8>>), DeviceError> {
+        enum Slot {
+            Buffer(usize, u64),
+            Flash(usize),
+        }
+        let unmapped = |lpn: Lpn| {
+            DeviceError::Internal(format!("durable {lpn} below the write pointer is unmapped"))
+        };
+        let zs = dev.zone_slices();
+        let mut t_map = now;
+        let mut slots = Vec::new();
+        let mut ppas = Vec::new();
+
+        for lpn in range.iter() {
+            let zone_id = ZoneId(lpn.raw() / zs);
+            let offset = lpn.raw() % zs;
+            if dev.is_conventional(zone_id) {
+                if dev.table.get(lpn).is_none() {
+                    return Err(DeviceError::UnwrittenRead { lpn });
+                }
+            } else if offset >= dev.zones[zone_id.raw() as usize].wp_slices {
+                return Err(DeviceError::UnwrittenRead { lpn });
+            }
+
+            let buf_idx = zone_id.raw() as usize % dev.buffers.len();
+            let b = &dev.buffers[buf_idx];
+            if b.owner == Some(zone_id) && offset >= b.start_offset && offset < b.end_offset() {
+                slots.push(Slot::Buffer(buf_idx, offset));
+                continue;
+            }
+
+            match dev.cache.lookup(lpn) {
+                LookupResult::Hit(g) => {
+                    let outcome = match g {
+                        MapGranularity::Zone => {
+                            dev.counters.l2p_hits_zone += 1;
+                            L2pOutcome::HitZone
+                        }
+                        MapGranularity::Chunk => {
+                            dev.counters.l2p_hits_chunk += 1;
+                            L2pOutcome::HitChunk
+                        }
+                        MapGranularity::Page => {
+                            dev.counters.l2p_hits_page += 1;
+                            L2pOutcome::HitPage
+                        }
+                    };
+                    dev.probe.emit(t_map, DeviceEvent::L2pLookup { outcome });
+                }
+                LookupResult::Miss => {
+                    dev.counters.l2p_misses += 1;
+                    dev.probe.emit(
+                        t_map,
+                        DeviceEvent::L2pLookup {
+                            outcome: L2pOutcome::Miss,
+                        },
+                    );
+                    let actual = dev.table.granularity_of(lpn).ok_or_else(|| unmapped(lpn))?;
+                    let fetches = conzone_ftl::mapping_fetches(dev.cfg.search_strategy, actual);
+                    let page_bytes = dev.cfg.geometry.page_bytes as u64;
+                    let media = dev.cfg.mapping_media;
+                    for _ in 0..fetches {
+                        let chip = dev.mapping_chip();
+                        let r = dev.flash.timed_page_read(t_map, chip, media, page_bytes);
+                        t_map = r.end;
+                        dev.counters.flash_mapping_reads += 1;
+                    }
+                    let pinned = conzone_ftl::pins_aggregates(dev.cfg.search_strategy)
+                        && actual > MapGranularity::Page;
+                    if dev.cache.insert(lpn, actual, pinned) == InsertOutcome::Evicted {
+                        dev.probe.emit(t_map, DeviceEvent::L2pEviction { count: 1 });
+                    }
+                }
+            }
+            let entry = dev.table.get(lpn).ok_or_else(|| unmapped(lpn))?;
+            slots.push(Slot::Flash(ppas.len()));
+            ppas.push(entry.ppa);
+        }
+
+        dev.breakdown.mapping_fetch += t_map - now;
+        if t_map > now {
+            dev.spans.open(now, SpanKind::MapFetch);
+            dev.spans.close(t_map);
+        }
+        let mut finish = t_map;
+        let mut flash_data: Option<Vec<u8>> = None;
+        if !ppas.is_empty() {
+            let out = dev.flash.read_slices(t_map, &ppas).map_err(internal)?;
+            finish = out.finish;
+            flash_data = out.data;
+            dev.breakdown.data_read += finish.saturating_since(t_map);
+            if finish > t_map {
+                dev.spans.open(t_map, SpanKind::DataRead);
+                dev.spans.close(finish);
+            }
+        }
+
+        let data = dev.cfg.data_backing.then(|| {
+            let mut v = Vec::new();
+            for slot in &slots {
+                match *slot {
+                    Slot::Buffer(buf, offset) => match dev.buffers[buf].slice_data(offset) {
+                        Some(s) => v.extend_from_slice(s),
+                        None => v.resize(v.len() + SLICE_BYTES as usize, 0),
+                    },
+                    Slot::Flash(i) => {
+                        let d = flash_data.as_ref().expect("payload with data backing on");
+                        let at = i * SLICE_BYTES as usize;
+                        v.extend_from_slice(&d[at..at + SLICE_BYTES as usize]);
+                    }
+                }
+            }
+            v
+        });
+        Ok((finish + dev.cfg.host_overhead, data))
+    }
+
+    /// `ConZone::submit` for a read, with the per-slice walker in place of
+    /// `read_range`.
+    fn submit_read_per_slice(
+        dev: &mut ConZone,
+        now: SimTime,
+        request: &IoRequest,
+    ) -> Result<Completion, DeviceError> {
+        dev.ensure_powered()?;
+        request.validate()?;
+        let range = LpnRange::covering_bytes(request.offset, request.len).expect("non-empty read");
+        let depth = dev.spans.depth();
+        dev.counters.host_read_ops += 1;
+        dev.counters.host_read_bytes += request.len;
+        dev.spans.open(now, SpanKind::IoRead);
+        match read_range_per_slice(dev, now, range) {
+            Ok((finished, data)) => {
+                dev.spans.close(finished);
+                Ok(Completion {
+                    submitted: now,
+                    finished,
+                    data: data.map(Bytes::from),
+                    assigned_offset: None,
+                })
+            }
+            Err(e) => {
+                dev.spans.cancel_to(depth);
+                Err(e)
+            }
+        }
+    }
+
+    /// One generated scenario: a device shape, how its zones were written,
+    /// and the reads to compare.
+    #[derive(Debug, Clone)]
+    struct Case {
+        strategy: SearchStrategy,
+        max_aggregation: MapGranularity,
+        cache_entries: u64,
+        /// `(offset, slices)` writes into the conventional zone 0.
+        sparse: Vec<(u64, u64)>,
+        /// Slices left in zone 3's write buffer, never flushed.
+        buffered: u64,
+        /// `(first lpn, pages)` reads.
+        reads: Vec<(u64, u64)>,
+    }
+
+    /// Tiny geometry: zones of 256 slices in chunks of 64, one superpage
+    /// (64 slices) per write buffer, two buffers.
+    const ZS: u64 = 256;
+    const CHUNK: u64 = 64;
+    /// Zone 0 conventional and sparse; zones 1–2 full; zone 3 three whole
+    /// chunks on flash plus a buffered tail; zone 4 a few prematurely
+    /// flushed (SLC-staged, page-mapped) slices; the rest unwritten.
+    const WRITTEN_ZONES: u64 = 5;
+
+    fn payload(lpn: u64, slices: u64) -> Bytes {
+        let mut v = Vec::with_capacity((slices * SLICE_BYTES) as usize);
+        for l in lpn..lpn + slices {
+            v.resize(v.len() + SLICE_BYTES as usize, (l % 251) as u8);
+        }
+        Bytes::from(v)
+    }
+
+    fn write(dev: &mut ConZone, t: &mut SimTime, lpn: u64, slices: u64) {
+        let req = IoRequest::write_data(lpn * SLICE_BYTES, payload(lpn, slices));
+        *t = dev.submit(*t, &req).expect("set-up write").finished;
+    }
+
+    struct Rig {
+        dev: ConZone,
+        events: Arc<RingBufferSink>,
+        spans: Arc<SpanBuffer>,
+        t: SimTime,
+    }
+
+    fn rig(case: &Case) -> Rig {
+        let cfg = DeviceConfig::builder(Geometry::tiny())
+            .chunk_bytes(CHUNK * SLICE_BYTES)
+            .conventional_zones(1)
+            .data_backing(true)
+            .search_strategy(case.strategy)
+            .max_aggregation(case.max_aggregation)
+            .l2p_cache_bytes(case.cache_entries * 4)
+            // Reads draw retry steps per flash page, in group order.
+            .fault(FaultConfig::with_rates(0.0, 0.0, 0.3))
+            .build()
+            .expect("differential config");
+        assert_eq!((cfg.zone_size_slices(), cfg.chunk_slices()), (ZS, CHUNK));
+        let mut dev = ConZone::new(cfg);
+        let mut t = SimTime::ZERO;
+        for &(offset, slices) in &case.sparse {
+            write(&mut dev, &mut t, offset, slices.min(ZS - offset));
+        }
+        for zone in 1..=2 {
+            for piece in 0..ZS / 32 {
+                write(&mut dev, &mut t, zone * ZS + piece * 32, 32);
+            }
+        }
+        for piece in 0..5 {
+            write(&mut dev, &mut t, 4 * ZS + piece * 7, 7);
+            t = dev.flush(t).expect("set-up flush").finished;
+        }
+        write(&mut dev, &mut t, 3 * ZS, 3 * CHUNK);
+        t = dev.flush(t).expect("set-up flush").finished;
+        if case.buffered > 0 {
+            write(&mut dev, &mut t, 3 * ZS + 3 * CHUNK, case.buffered);
+        }
+        // Instruments go on after set-up: only the reads are compared.
+        let events = Arc::new(RingBufferSink::new());
+        let spans = Arc::new(SpanBuffer::with_capacity(1 << 12));
+        dev.set_probe(Probe::attached(events.clone()));
+        dev.set_span_sink(spans.clone());
+        Rig {
+            dev,
+            events,
+            spans,
+            t,
+        }
+    }
+
+    /// Which of the written zones' pages some cache entry covers.
+    fn coverage(dev: &ConZone) -> Vec<bool> {
+        (0..WRITTEN_ZONES * ZS)
+            .map(|lpn| dev.cache.covers(Lpn(lpn)))
+            .collect()
+    }
+
+    type Books = (Counters, TimeBreakdown, SimTime);
+
+    fn books(rig: &Rig) -> Books {
+        (
+            rig.dev.counters(),
+            rig.dev.time_breakdown(),
+            rig.dev.flash.all_idle_at(),
+        )
+    }
+
+    /// Runs the case through both walkers and returns the run-granular
+    /// device's counters for coverage checks.
+    fn compare(case: &Case) -> Result<Counters, TestCaseError> {
+        let mut runs = rig(case);
+        let mut slices = rig(case);
+        prop_assert_eq!(books(&runs), books(&slices), "identical set-up");
+        for &(lpn, pages) in &case.reads {
+            let req = IoRequest::read(lpn * SLICE_BYTES, pages * SLICE_BYTES);
+            let a = runs.dev.submit(runs.t, &req);
+            let b = submit_read_per_slice(&mut slices.dev, slices.t, &req);
+            match (&a, &b) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.finished, b.finished, "read {:?}", (lpn, pages));
+                    prop_assert_eq!(&a.data, &b.data, "payload of {:?}", (lpn, pages));
+                    prop_assert_eq!(
+                        a.data.as_ref().map(|d| d.len() as u64),
+                        Some(pages * SLICE_BYTES)
+                    );
+                    runs.t = a.finished;
+                    slices.t = b.finished;
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "read {:?}", (lpn, pages)),
+                _ => prop_assert!(false, "read {:?}: {:?} vs {:?}", (lpn, pages), a, b),
+            }
+            // Failed reads included: their prefix has the same side effects.
+            prop_assert_eq!(
+                books(&runs),
+                books(&slices),
+                "after read {:?}",
+                (lpn, pages)
+            );
+        }
+        prop_assert_eq!(runs.events.dropped() + runs.spans.dropped(), 0);
+        prop_assert_eq!(runs.events.drain(), slices.events.drain());
+        prop_assert_eq!(runs.spans.drain(), slices.spans.drain());
+        prop_assert!(runs.dev.check_invariants().is_empty());
+
+        // Same recency order: push fresh entries through both caches and
+        // watch the residents fall out one by one.
+        prop_assert_eq!(coverage(&runs.dev), coverage(&slices.dev));
+        for fresh in 0..case.cache_entries {
+            for dev in [&mut runs.dev, &mut slices.dev] {
+                dev.cache
+                    .insert(Lpn(8 * ZS + fresh), MapGranularity::Page, false);
+            }
+            prop_assert_eq!(
+                coverage(&runs.dev),
+                coverage(&slices.dev),
+                "eviction {}",
+                fresh
+            );
+        }
+        Ok(runs.dev.counters())
+    }
+
+    fn cases() -> impl Strategy<Value = Case> {
+        let strategy = prop_oneof![
+            Just(SearchStrategy::Bitmap),
+            Just(SearchStrategy::Multiple),
+            Just(SearchStrategy::Pinned),
+        ];
+        let max_aggregation = prop_oneof![
+            2 => Just(MapGranularity::Zone),
+            2 => Just(MapGranularity::Chunk),
+            1 => Just(MapGranularity::Page),
+        ];
+        let read = prop_oneof![
+            // Mostly inside the full zones and zone 3: straddles zone and
+            // chunk boundaries, runs into the buffered and unwritten tail.
+            4 => (ZS..4 * ZS, 1..300u64),
+            // The sparse conventional zone and the page-mapped zone 4.
+            1 => (0..ZS, 1..24u64),
+            1 => (4 * ZS..4 * ZS + 40, 1..12u64),
+            1 => (0..WRITTEN_ZONES * ZS + CHUNK, 1..300u64),
+        ];
+        (
+            strategy,
+            max_aggregation,
+            // From "a few pinned aggregates fill it" to "nothing is evicted".
+            prop_oneof![Just(2u64), Just(3), Just(6), Just(24)],
+            prop::collection::vec((0..ZS, 1..12u64), 0..12),
+            0..40u64,
+            prop::collection::vec(read, 1..24),
+        )
+            .prop_map(
+                |(strategy, max_aggregation, cache_entries, sparse, buffered, reads)| Case {
+                    strategy,
+                    max_aggregation,
+                    cache_entries,
+                    sparse,
+                    buffered,
+                    reads,
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// The run-granular walker and the per-slice reference agree on
+        /// completion times, payloads, errors, counters, time breakdown,
+        /// flash occupancy, the event and span streams and the LRU order.
+        #[test]
+        fn read_runs_match_the_per_slice_reference(case in cases()) {
+            compare(&case)?;
+        }
+    }
+
+    /// Hand-picked reads that provably reach every kind of run, so the
+    /// property above is not vacuously comparing error returns.
+    #[test]
+    fn reference_scenarios_reach_every_kind_of_run() {
+        let case = |strategy, max_aggregation, cache_entries| Case {
+            strategy,
+            max_aggregation,
+            cache_entries,
+            sparse: vec![(3, 5), (10, 2), (200, 8)],
+            buffered: 20,
+            reads: vec![
+                (ZS + 100, 300),     // zone 1 → zone 2
+                (2 * ZS + 200, 120), // zone 2 → zone 3, chunk hits
+                (3 * ZS + 150, 62),  // flash, then the buffer, exactly to the wp
+                (3 * ZS + 200, 4),   // buffer only
+                (3 * ZS + 150, 100), // … and on into the unwritten tail
+                (3, 5),              // sparse conventional, mapped
+                (3, 8),              // … and running off the mapped pages
+                (4 * ZS, 35),        // page-mapped, SLC-staged
+                (4 * ZS, 36),        // … and one page too far
+                (ZS, 128),
+                (4 * ZS + 10, 10),
+            ],
+        };
+        let zone = compare(&case(SearchStrategy::Bitmap, MapGranularity::Zone, 6)).unwrap();
+        assert!(zone.l2p_hits_zone > 0 && zone.l2p_hits_chunk > 0 && zone.l2p_hits_page > 0);
+        assert!(zone.l2p_misses > 0 && zone.l2p_evictions > 0 && zone.read_retries > 0);
+
+        let multiple = compare(&case(SearchStrategy::Multiple, MapGranularity::Chunk, 3)).unwrap();
+        assert_eq!(multiple.l2p_hits_zone, 0);
+        assert!(
+            multiple.flash_mapping_reads > multiple.l2p_misses,
+            "2 and 3 fetches per miss"
+        );
+
+        // Two entries, both pinned aggregates: page inserts are rejected,
+        // so every page-mapped slice misses again and nothing is evicted.
+        let pinned = compare(&case(SearchStrategy::Pinned, MapGranularity::Zone, 2)).unwrap();
+        assert_eq!((pinned.l2p_hits_page, pinned.l2p_evictions), (0, 0));
+        assert!(pinned.l2p_misses >= 35 + 10);
+    }
+}

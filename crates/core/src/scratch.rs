@@ -17,7 +17,7 @@ use conzone_types::{DeviceConfig, Lpn, Ppa};
 /// operations; only their capacity persists.
 #[derive(Debug, Default)]
 pub(crate) struct IoScratch {
-    /// Read path: per-slice source slots.
+    /// Read path: per-run source slots.
     pub read_slots: Vec<crate::read::Slot>,
     /// Read path: PPAs gathered for the flash data read.
     pub read_ppas: Vec<Ppa>,

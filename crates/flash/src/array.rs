@@ -466,29 +466,41 @@ impl FlashArray {
     // xtask-effect: hot_path
     pub fn read_slices(&mut self, now: SimTime, ppas: &[Ppa]) -> Result<ReadOutcome, FlashError> {
         // Group into flash pages preserving first-appearance order so
-        // resource reservation stays deterministic. The group list is a
-        // reused scratch buffer and dedup is a linear scan — one IO spans
-        // at most a handful of flash pages, and the hot read path must
-        // not allocate.
+        // resource reservation stays deterministic. The request is walked
+        // in runs of consecutive slices of one flash page: one address
+        // decode and one group search per run, not per slice. The group
+        // list is a reused scratch buffer and the search a linear scan
+        // from the newest group — the hot read path must not allocate, and
+        // one IO spans tens of flash pages (32 for a 512 KiB read of 16 KiB
+        // pages, 64 for fio `--bs 1m`), not thousands.
         let mut order = std::mem::take(&mut self.read_scratch);
         order.clear();
+        let spp = self.geometry.slices_per_page();
         let mut dead: Option<Ppa> = None;
-        for &ppa in ppas {
-            let parts = self.geometry.decode_ppa(ppa);
+        let mut rest = ppas;
+        'runs: while let Some(&first) = rest.first() {
+            let parts = self.geometry.decode_ppa(first);
             let blk = self.block(parts.chip, parts.block);
-            let in_block = parts.page * self.geometry.slices_per_page() + parts.slice;
-            if !blk.is_written(in_block) || !blk.is_valid(in_block) {
-                dead = Some(ppa);
-                break;
+            let in_block = parts.page * spp + parts.slice;
+            let mut n = 0;
+            while n < spp - parts.slice && rest.get(n) == Some(&first.offset(n as u64)) {
+                if !blk.is_written(in_block + n) || !blk.is_valid(in_block + n) {
+                    dead = Some(rest[n]);
+                    break 'runs;
+                }
+                n += 1;
             }
+            let bytes = n as u64 * SLICE_BYTES;
             let key = (parts.chip, parts.block, parts.page);
             match order
                 .iter_mut()
+                .rev()
                 .find(|g| (g.0, g.1, g.2) == (key.0, key.1, key.2))
             {
-                Some(g) => g.3 += SLICE_BYTES,
-                None => order.push((parts.chip, parts.block, parts.page, SLICE_BYTES)),
+                Some(g) => g.3 += bytes,
+                None => order.push((parts.chip, parts.block, parts.page, bytes)),
             }
+            rest = &rest[n..];
         }
         if let Some(ppa) = dead {
             self.read_scratch = order;
@@ -897,6 +909,129 @@ mod tests {
         let ppas: Vec<Ppa> = (0..4).map(|i| out.first.offset(i)).collect();
         a.read_slices(out.finish, &ppas).unwrap();
         assert_eq!(a.stats().page_reads, before + 1);
+    }
+
+    /// Attaches an event ring and returns it; `media_reads` then lists the
+    /// `(cell, bytes)` of every page sense in reservation order.
+    fn traced(a: &mut FlashArray) -> std::sync::Arc<conzone_sim::RingBufferSink> {
+        let sink = std::sync::Arc::new(conzone_sim::RingBufferSink::new());
+        a.set_probe(Probe::attached(sink.clone()));
+        sink
+    }
+
+    fn media_reads(sink: &conzone_sim::RingBufferSink) -> Vec<(CellType, u64)> {
+        sink.drain()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                DeviceEvent::Media {
+                    op: MediaOp::Read,
+                    cell,
+                    bytes,
+                } => Some((cell, bytes)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_pages_keep_first_appearance_order_and_byte_totals() {
+        let mut a = array();
+        let out = a.program_slc(SimTime::ZERO, ChipId(0), 2, 8, None).unwrap();
+        let sink = traced(&mut a);
+        // Page A (slices 0..4) twice around page B (slices 4..8): A, B, A.
+        let ppas: Vec<Ppa> = [0, 1, 4, 5, 2].map(|i| out.first.offset(i)).into();
+        let before = a.stats().page_reads;
+        a.read_slices(out.finish, &ppas).unwrap();
+        // One sense per page, A first, each with all of its slices' bytes.
+        assert_eq!(a.stats().page_reads, before + 2);
+        assert_eq!(
+            media_reads(&sink),
+            [
+                (CellType::Slc, 3 * SLICE_BYTES),
+                (CellType::Slc, 2 * SLICE_BYTES)
+            ]
+        );
+        let sink = traced(&mut a);
+        let ppas: Vec<Ppa> = [5, 0, 1, 4, 3].map(|i| out.first.offset(i)).into();
+        a.read_slices(out.finish, &ppas).unwrap();
+        assert_eq!(
+            media_reads(&sink),
+            [
+                (CellType::Slc, 2 * SLICE_BYTES),
+                (CellType::Slc, 3 * SLICE_BYTES)
+            ],
+            "B appeared first"
+        );
+    }
+
+    #[test]
+    fn dead_slice_mid_run_names_its_ppa_and_reserves_nothing() {
+        let mut a = array();
+        let out = a.program_slc(SimTime::ZERO, ChipId(0), 1, 8, None).unwrap();
+        let dead = out.first.offset(6);
+        a.invalidate(dead).unwrap();
+        let (idle, stats) = (a.all_idle_at(), a.stats());
+        let ppas: Vec<Ppa> = (0..8).map(|i| out.first.offset(i)).collect();
+        let later = out.finish + SimDuration::from_millis(1);
+        let err = a.read_slices(later, &ppas).unwrap_err();
+        assert!(
+            matches!(err, FlashError::ReadDead { ppa } if ppa == dead),
+            "{err:?}"
+        );
+        // The whole live first page came before it, and still nothing ran.
+        assert_eq!(a.all_idle_at(), idle, "no plane or channel time reserved");
+        assert_eq!(a.stats(), stats);
+    }
+
+    #[test]
+    fn runs_split_at_page_block_and_chip_boundaries() {
+        let mut a = array();
+        let g = *a.geometry();
+        let per_block = g.slices_per_block();
+        // Chip 0: SLC block 0 full, one slice of SLC block 1, the last
+        // normal block full; chip 1: one slice of SLC block 0.
+        let last_block = g.blocks_per_chip - 1;
+        a.program_slc(SimTime::ZERO, ChipId(0), 0, per_block as usize, None)
+            .unwrap();
+        a.program_slc(SimTime::ZERO, ChipId(0), 1, 1, None).unwrap();
+        for _ in 0..g.units_per_block() {
+            a.program_unit(SimTime::ZERO, ChipId(0), last_block, None)
+                .unwrap();
+        }
+        a.program_slc(SimTime::ZERO, ChipId(1), 0, 1, None).unwrap();
+        // Three numerically consecutive stretches, each crossing one kind
+        // of boundary.
+        let b0 = a.block_base(ChipId(0), 0);
+        let tail = a.block_base(ChipId(0), last_block).offset(per_block - 1);
+        let mut ppas: Vec<Ppa> = (0..8).map(|i| b0.offset(i)).collect(); // page 0 | page 1
+        ppas.extend([b0.offset(per_block - 1), b0.offset(per_block)]); // block 0 | block 1
+        ppas.extend([tail, tail.offset(1)]); // chip 0 | chip 1
+        assert_eq!(tail.offset(1), a.block_base(ChipId(1), 0));
+
+        // The obviously-correct grouping: decode every slice on its own.
+        let mut expect: Vec<(conzone_types::PpaParts, u64)> = Vec::new();
+        for &ppa in &ppas {
+            let parts = conzone_types::PpaParts {
+                slice: 0,
+                ..g.decode_ppa(ppa)
+            };
+            match expect.iter_mut().find(|e| e.0 == parts) {
+                Some(e) => e.1 += SLICE_BYTES,
+                None => expect.push((parts, SLICE_BYTES)),
+            }
+        }
+        assert_eq!(expect.len(), 6);
+        let expect: Vec<(CellType, u64)> = expect
+            .iter()
+            .map(|(parts, bytes)| (a.cell_of_block(parts.block), *bytes))
+            .collect();
+
+        let sink = traced(&mut a);
+        let t = SimTime::ZERO + SimDuration::from_millis(10);
+        a.read_slices(t, &ppas).unwrap();
+        assert_eq!(media_reads(&sink), expect);
+        assert_eq!(expect[4], (CellType::Tlc, SLICE_BYTES));
+        assert_eq!(expect[5], (CellType::Slc, SLICE_BYTES));
     }
 
     #[test]

@@ -10,13 +10,13 @@ use conzone_types::{Lpn, MapGranularity};
 
 use crate::lru::{InsertOutcome, LruCache};
 
-/// Cache key: the aggregation level plus the aligned index at that level
+/// Cache key: the aggregation level plus the aligned address at that level
 /// (LZA, LCA or LPA).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Aggregation level of the entry.
     pub granularity: MapGranularity,
-    /// Zone / chunk / page index at that level.
+    /// First logical page of the zone / chunk / page the entry covers.
     pub index: u64,
 }
 
@@ -98,12 +98,22 @@ impl L2pCache {
         }
     }
 
-    fn key_for(&self, lpn: Lpn, granularity: MapGranularity) -> CacheKey {
-        let index = match granularity {
-            MapGranularity::Page => lpn.raw(),
-            MapGranularity::Chunk => lpn.raw() / self.chunk_slices,
-            MapGranularity::Zone => lpn.raw() / self.zone_slices,
+    /// The logical pages `[lo, hi)` that one entry of `granularity`
+    /// covering `lpn` resolves: the page itself, its chunk or its zone. A
+    /// hit at `lpn` is a hit, on the same entry, for every page of the span.
+    #[inline]
+    pub fn span(&self, lpn: Lpn, granularity: MapGranularity) -> (Lpn, Lpn) {
+        let tile = match granularity {
+            MapGranularity::Page => 1,
+            MapGranularity::Chunk => self.chunk_slices,
+            MapGranularity::Zone => self.zone_slices,
         };
+        let lo = lpn.raw() / tile * tile;
+        (Lpn(lo), Lpn(lo + tile))
+    }
+
+    fn key_for(&self, lpn: Lpn, granularity: MapGranularity) -> CacheKey {
+        let index = self.span(lpn, granularity).0.raw();
         CacheKey { granularity, index }
     }
 
@@ -151,26 +161,9 @@ impl L2pCache {
     /// entry covers ("the covered L2P mapping entries are evicted",
     /// §IV-D).
     fn evict_covered(&mut self, lpn: Lpn, granularity: MapGranularity) {
-        let (lo, hi) = match granularity {
-            MapGranularity::Zone => {
-                let z = lpn.raw() / self.zone_slices;
-                (z * self.zone_slices, (z + 1) * self.zone_slices)
-            }
-            MapGranularity::Chunk => {
-                let c = lpn.raw() / self.chunk_slices;
-                (c * self.chunk_slices, (c + 1) * self.chunk_slices)
-            }
-            MapGranularity::Page => return,
-        };
-        let chunk_slices = self.chunk_slices;
-        self.lru.retain_not(|k| match k.granularity {
-            MapGranularity::Page => k.index >= lo && k.index < hi,
-            MapGranularity::Chunk if granularity == MapGranularity::Zone => {
-                let start = k.index * chunk_slices;
-                start >= lo && start < hi
-            }
-            _ => false,
-        });
+        let (lo, hi) = self.span(lpn, granularity);
+        self.lru
+            .retain_not(|k| k.granularity < granularity && (lo.raw()..hi.raw()).contains(&k.index));
     }
 
     /// Invalidates any entry covering `lpn` (mapping changed: overwrite, GC
@@ -188,19 +181,9 @@ impl L2pCache {
 
     /// Invalidates every entry of the zone containing `lpn`.
     pub fn invalidate_zone(&mut self, zone_start: Lpn) {
-        let z = zone_start.raw() / self.zone_slices;
-        let lo = z * self.zone_slices;
-        let hi = lo + self.zone_slices;
-        let chunk_slices = self.chunk_slices;
-        let zone_slices = self.zone_slices;
-        self.lru.retain_not(|k| match k.granularity {
-            MapGranularity::Page => k.index >= lo && k.index < hi,
-            MapGranularity::Chunk => {
-                let start = k.index * chunk_slices;
-                start >= lo && start < hi
-            }
-            MapGranularity::Zone => k.index * zone_slices == lo,
-        });
+        let (lo, hi) = self.span(zone_start, MapGranularity::Zone);
+        self.lru
+            .retain_not(|k| (lo.raw()..hi.raw()).contains(&k.index));
     }
 
     /// Drops everything.
@@ -293,6 +276,40 @@ mod tests {
         c.invalidate_zone(Lpn(16));
         assert_eq!(c.lookup(Lpn(20)), LookupResult::Miss);
         assert_eq!(c.lookup(Lpn(0)), LookupResult::Hit(MapGranularity::Page));
+    }
+
+    #[test]
+    fn span_is_the_tile_containing_the_page() {
+        let c = cache(); // chunks of 4, zones of 16
+        assert_eq!(c.span(Lpn(21), MapGranularity::Page), (Lpn(21), Lpn(22)));
+        assert_eq!(c.span(Lpn(21), MapGranularity::Chunk), (Lpn(20), Lpn(24)));
+        assert_eq!(c.span(Lpn(21), MapGranularity::Zone), (Lpn(16), Lpn(32)));
+    }
+
+    #[test]
+    fn one_lookup_stands_for_every_page_of_the_hit_span() {
+        // What the run-granular read path relies on: after a hit, looking
+        // up the other pages of its span changes nothing, so the later
+        // eviction order is the same whether they are looked up or not.
+        let eviction_order = |lookups: &[u64]| {
+            let mut c = L2pCache::new(3, 4, 16);
+            c.insert(Lpn(4), MapGranularity::Chunk, false);
+            c.insert(Lpn(16), MapGranularity::Page, false);
+            c.insert(Lpn(17), MapGranularity::Page, false);
+            for &lpn in lookups {
+                assert_eq!(c.lookup(Lpn(lpn)), LookupResult::Hit(MapGranularity::Chunk));
+            }
+            let mut order = Vec::new();
+            for fresh in 100..103 {
+                c.insert(Lpn(fresh), MapGranularity::Page, false);
+                order.push([4, 16, 17].map(|lpn| c.covers(Lpn(lpn))));
+            }
+            order
+        };
+        let (lo, hi) = cache().span(Lpn(5), MapGranularity::Chunk);
+        let whole: Vec<u64> = (lo.raw()..hi.raw()).collect();
+        assert_eq!(eviction_order(&[5]), eviction_order(&whole));
+        assert_eq!(eviction_order(&[5])[0], [true, false, true]);
     }
 
     #[test]

@@ -158,11 +158,19 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         }
     }
 
+    /// Makes `idx` the most-recently-used node; a no-op when it already is,
+    /// which is every repeated hit on one entry.
+    fn promote(&mut self, idx: usize) {
+        if self.head != idx {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
+    }
+
     /// Looks up `key`, promoting it to most-recently-used on hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         let idx = *self.map.get(key)?;
-        self.unlink(idx);
-        self.push_front(idx);
+        self.promote(idx);
         Some(&self.node(idx).value)
     }
 
@@ -206,8 +214,7 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
                 n.value = value;
                 n.pinned |= pinned;
             }
-            self.unlink(idx);
-            self.push_front(idx);
+            self.promote(idx);
             return InsertOutcome::Updated;
         }
         let mut outcome = InsertOutcome::Stored;
@@ -290,6 +297,30 @@ mod tests {
         assert!(!c.contains(&'b'));
         assert!(c.contains(&'a') && c.contains(&'c') && c.contains(&'d'));
         assert_eq!(c.evictions(), 1);
+    }
+
+    #[test]
+    fn touching_the_head_keeps_the_order() {
+        let mut c = LruCache::new(3);
+        for k in ['a', 'b', 'c'] {
+            c.insert(k, 0, false);
+        }
+        // 'c' is already most recent: neither a get nor an update moves it.
+        assert_eq!(c.get(&'c'), Some(&0));
+        assert_eq!(c.insert('c', 1, false), InsertOutcome::Updated);
+        assert_eq!(c.get(&'c'), Some(&1));
+        c.insert('d', 0, false);
+        assert!(!c.contains(&'a'), "oldest goes first");
+        c.insert('e', 0, false);
+        assert!(!c.contains(&'b'));
+        c.insert('f', 0, false);
+        assert!(!c.contains(&'c'), "and the old head last");
+        // A single resident is head and tail at once.
+        let mut one = LruCache::new(1);
+        one.insert('x', 0, false);
+        one.get(&'x');
+        assert_eq!(one.insert('y', 0, false), InsertOutcome::Evicted);
+        assert!(one.contains(&'y') && !one.contains(&'x'));
     }
 
     #[test]

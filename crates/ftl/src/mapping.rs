@@ -8,7 +8,7 @@
 //! patch pages of §III-E); data staged in ordinary SLC buffer blocks can
 //! never aggregate because its physical contiguity is not guaranteed.
 
-use conzone_types::{ChunkId, Lpn, MapGranularity, Ppa, ZoneId};
+use conzone_types::{ChunkId, Lpn, LpnRange, MapGranularity, Ppa, ZoneId};
 
 /// One decoded mapping-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +104,16 @@ impl MappingTable {
                 .expect("table never stores the reserved bit pattern"),
             canonical: flags & CANONICAL_FLAG != 0,
         })
+    }
+
+    /// Physical addresses of the pages of `range`, in logical order, `None`
+    /// for an unmapped page; empty when `range` reaches past the table.
+    /// Lets a caller that already knows one cache entry covers the range
+    /// resolve it with a single bounds check.
+    // xtask-effect: hot_path
+    pub fn ppas(&self, range: LpnRange) -> &[Option<Ppa>] {
+        let (lo, hi) = (range.start.raw() as usize, range.end().raw() as usize);
+        self.ppas.get(lo..hi).unwrap_or_default()
     }
 
     /// Installs or updates one entry at page granularity. `canonical`
@@ -359,6 +369,21 @@ mod tests {
         assert_eq!(t.mapped_count(), 16);
         assert!(t.get(Lpn(16)).is_none());
         assert!(t.get(Lpn(15)).is_some());
+    }
+
+    #[test]
+    fn ppas_is_the_range_view_of_get() {
+        let mut t = table();
+        for i in [3, 4, 6] {
+            t.set(Lpn(i), Ppa(70 + i), true);
+        }
+        let run = t.ppas(LpnRange::new(Lpn(3), 4));
+        let each: Vec<Option<Ppa>> = (3..7).map(|i| t.get(Lpn(i)).map(|e| e.ppa)).collect();
+        assert_eq!(run, each);
+        assert_eq!(run[2], None);
+        // Past the table there is nothing to resolve.
+        assert!(t.ppas(LpnRange::new(Lpn(30), 3)).is_empty());
+        assert_eq!(t.ppas(LpnRange::new(Lpn(30), 2)).len(), 2);
     }
 
     #[test]

@@ -107,6 +107,54 @@ fn gen_trace_replay_roundtrip() {
     assert!(stderr.contains("error"), "{stderr}");
 }
 
+/// A seeded 512 KiB sequential read of the tiny device reproduces the
+/// committed stats, event trace and span dump byte for byte — 128 L2P
+/// lookup events per read included, however the host walks the range. The
+/// golden files were written by the last commit whose read path resolved
+/// every 4 KiB slice on its own; `tests/golden/README.md` has the command.
+#[test]
+fn seqread_512k_matches_the_golden_outputs() {
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/seqread-512k-tiny");
+    let dir = std::env::temp_dir().join("conzone-cli-golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (ok, stdout, stderr) = conzone(&[
+        "run",
+        "--config",
+        "tiny",
+        "--pattern",
+        "seqread",
+        "--bs",
+        "512k",
+        "--size",
+        "2m",
+        "--region",
+        "2m",
+        "--seed",
+        "7",
+        "--trace-out",
+        &out("trace.json"),
+        "--span-out",
+        &out("spans.jsonl"),
+        "--stats-json",
+    ]);
+    assert!(ok, "{stderr}");
+    let expect = |name: &str| std::fs::read_to_string(golden.join(name)).unwrap();
+    assert_eq!(stdout, expect("stats.json"), "stats JSON moved");
+    for name in ["trace.json", "spans.jsonl"] {
+        let got = std::fs::read_to_string(out(name)).unwrap();
+        // Not assert_eq: a 60 KB one-line diff helps nobody.
+        assert!(
+            got == expect(name),
+            "{name} differs from tests/golden/seqread-512k-tiny/{name}"
+        );
+        std::fs::remove_file(out(name)).ok();
+    }
+    // The golden itself is per-slice: 4 × 128 lookups, two of them misses.
+    assert_eq!(expect("trace.json").matches("hit_zone").count(), 510);
+}
+
 #[test]
 fn run_fio_job_file() {
     let dir = std::env::temp_dir().join("conzone-cli-e2e");

@@ -177,6 +177,40 @@ fn random_reads_do_not_allocate() {
     assert_eq!(allocations, 0, "{MEASURED_OPS} 4 KiB random reads");
 }
 
+/// 512 KiB sequential reads, started half a request into the fill so that
+/// one read in 32 straddles two 16 MiB zones: the run walk (one L2P lookup
+/// per covering entry, one decode per flash page) must not allocate, and
+/// neither may the step from one zone's entry to the next.
+#[test]
+fn sequential_512k_reads_across_zones_do_not_allocate() {
+    const BLOCK: u64 = 512 * 1024;
+    const PASS_OPS: u64 = READ_FILL_BYTES / BLOCK - 1;
+    const WARMUP_OPS: u64 = PASS_OPS + 100;
+    const MEASURED_OPS: u64 = 2_000;
+    let (mut dev, mut now) = filled_device();
+    let zone = dev.config().zone_size_bytes();
+    let mut op = 0;
+    // Returns whether the read crossed a zone boundary.
+    let mut read = |dev: &mut ConZone| {
+        let offset = BLOCK / 2 + op % PASS_OPS * BLOCK;
+        let c = dev.submit(now, &IoRequest::read(offset, BLOCK));
+        now = c.expect("read").finished;
+        op += 1;
+        offset / zone != (offset + BLOCK - 1) / zone
+    };
+    for _ in 0..WARMUP_OPS {
+        read(&mut dev);
+    }
+    let mut straddles = 0;
+    let allocations = allocations_during(|| {
+        for _ in 0..MEASURED_OPS {
+            straddles += u64::from(read(&mut dev));
+        }
+    });
+    assert!(straddles > 0, "no measured read crossed a zone boundary");
+    assert_eq!(allocations, 0, "{MEASURED_OPS} 512 KiB sequential reads");
+}
+
 /// The queue-pair entry points — doorbell, arbiter pick, fetch-stage
 /// acquire, then the device submit — across two queues. After warm-up
 /// (which grows the fetch resource's history and the L2P/scratch slabs)
