@@ -40,11 +40,11 @@ fn main() {
     let sizes = [1u64, 4, 12, 64, 256, 1024];
     // Each sweep point builds an independent 1.5 GB device; run them on
     // real threads to cut wall-clock time.
-    let rows: Vec<Vec<String>> = crossbeam::thread::scope(|s| {
+    let rows: Vec<Vec<String>> = std::thread::scope(|s| {
         let handles: Vec<_> = sizes
             .iter()
             .map(|&cache_kib| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let (pk, pm) = run(cache_kib * 1024, MapGranularity::Page);
                     let (hk, hm) = run(cache_kib * 1024, MapGranularity::Zone);
                     vec![
@@ -61,8 +61,7 @@ fn main() {
             .into_iter()
             .map(|h| h.join().expect("sweep thread"))
             .collect()
-    })
-    .expect("crossbeam scope");
+    });
     print_table(
         "Ablation: L2P cache size, 4 KiB random reads over 256 MiB",
         &[

@@ -6,13 +6,12 @@
 //! provide (§I: "understand and efficiently improve the hardware design").
 
 use conzone_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Cumulative host-visible time by internal activity.
 ///
 /// All categories measure *request-blocking* simulated time, so overlapped
 /// background work (tPROG behind `buffer_free`) does not appear here.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TimeBreakdown {
     /// Mapping-table fetches on L2P cache misses (read path Ⅱ).
     pub mapping_fetch: SimDuration,

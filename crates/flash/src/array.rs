@@ -795,13 +795,17 @@ impl FlashArray {
 
     /// When the chip's earliest-free plane becomes available (used by
     /// placement policies that prefer idle dies).
+    #[allow(
+        clippy::expect_used,
+        reason = "Geometry::validate rejects planes_per_chip == 0, so the range is never empty"
+    )]
     pub fn chip_free_at(&self, chip: ChipId) -> SimTime {
         let planes = self.geometry.planes_per_chip;
         let base = chip.raw() as usize * planes;
         (base..base + planes)
             .map(|p| self.planes.free_at(p))
             .min()
-            // xtask-lint: allow(unwrap-expect, hot-path-effects) — Geometry::validate
+            // xtask-lint: allow(hot-path-effects) — Geometry::validate
             // rejects planes_per_chip == 0, so the range is never empty.
             .expect("chip has at least one plane")
     }

@@ -7,9 +7,10 @@
 //! return them, letting integration and property tests assert data
 //! integrity through buffering, SLC staging, combines and GC migration.
 
-// xtask-lint: allow(hash-collections) — keyed per-slice payload accesses on
-// the data-backed hot path; the store is never iterated, so hash order
-// cannot reach simulated behaviour.
+#[allow(
+    clippy::disallowed_types,
+    reason = "keyed per-slice payload accesses on the data-backed hot path; the store is never iterated, so hash order cannot reach simulated behaviour"
+)]
 use std::collections::HashMap;
 
 use conzone_types::{Ppa, SLICE_BYTES};
@@ -18,7 +19,10 @@ use conzone_types::{Ppa, SLICE_BYTES};
 #[derive(Debug, Default)]
 pub struct DataStore {
     enabled: bool,
-    // xtask-lint: allow(hash-collections) — keyed lookups only, never iterated
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed lookups only, never iterated"
+    )]
     slices: HashMap<u64, Box<[u8]>>,
 }
 
@@ -27,7 +31,7 @@ impl DataStore {
     pub fn new(enabled: bool) -> DataStore {
         DataStore {
             enabled,
-            // xtask-lint: allow(hash-collections) — keyed lookups only
+            #[allow(clippy::disallowed_types, reason = "keyed lookups only")]
             slices: HashMap::new(),
         }
     }

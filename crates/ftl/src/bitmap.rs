@@ -57,13 +57,17 @@ impl MapBitmap {
     /// # Panics
     ///
     /// Panics if `lpn` is out of range.
+    #[allow(
+        clippy::expect_used,
+        reason = "set_range rejects the reserved bit pattern, so a stored pair always decodes"
+    )]
     pub fn get(&self, lpn: Lpn) -> MapGranularity {
         // xtask-lint: allow(hot-path-effects) — bounds invariant: an out-of-range lpn is a harness bug and aborting is the correct response
         assert!(lpn.raw() < self.capacity, "lpn {lpn} out of range");
         let idx = (lpn.raw() / 4) as usize;
         let shift = (lpn.raw() % 4) * 2;
         MapGranularity::from_bits((self.bits[idx] >> shift) & 0b11)
-            // xtask-lint: allow(unwrap-expect, hot-path-effects) — set_range
+            // xtask-lint: allow(hot-path-effects) — set_range
             // rejects the reserved bit pattern, so a stored pair always decodes.
             .expect("bitmap never stores the reserved pattern")
     }

@@ -27,9 +27,10 @@
 //! assert_eq!(cache.lookup(Lpn(3)), LookupResult::Hit(MapGranularity::Chunk));
 //! ```
 
-// Unit tests assert freely; the `clippy::unwrap_used` deny (Cargo.toml
-// `[lints]`) is meant for library code reachable from the simulator.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Unit tests assert freely; the `clippy::unwrap_used`/`expect_used` denies
+// (Cargo.toml `[lints]`) are meant for library code reachable from the
+// simulator.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

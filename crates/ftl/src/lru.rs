@@ -5,9 +5,10 @@
 //! cache implements both: pinned entries are never chosen as eviction
 //! victims.
 
-// xtask-lint: allow(hash-collections) — keyed O(1) index lookups only; the
-// recency order lives in the explicit linked list and is never taken from
-// map iteration, so hashing cannot leak into sim-visible behaviour.
+#[allow(
+    clippy::disallowed_types,
+    reason = "keyed O(1) index lookups only; the recency order lives in the explicit linked list and is never taken from map iteration, so hashing cannot leak into sim-visible behaviour"
+)]
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -52,7 +53,10 @@ pub enum InsertOutcome {
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    // xtask-lint: allow(hash-collections) — keyed lookups only, never iterated
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed lookups only, never iterated"
+    )]
     map: HashMap<K, usize>,
     nodes: Vec<Option<Node<K, V>>>,
     free: Vec<usize>,
@@ -73,7 +77,7 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> LruCache<K, V> {
         assert!(capacity > 0, "cache capacity must be non-zero");
         LruCache {
-            // xtask-lint: allow(hash-collections) — keyed lookups only
+            #[allow(clippy::disallowed_types, reason = "keyed lookups only")]
             map: HashMap::with_capacity(capacity),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
@@ -114,14 +118,22 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         self.map.contains_key(key)
     }
 
+    #[allow(
+        clippy::expect_used,
+        reason = "linked-list integrity: every index reachable from the list or the map points at a live node by construction"
+    )]
     fn node(&self, idx: usize) -> &Node<K, V> {
-        // xtask-lint: allow(unwrap-expect, hot-path-effects) — linked-list integrity: every index
+        // xtask-lint: allow(hot-path-effects) — linked-list integrity: every index
         // reachable from the list or the map points at a live node by construction.
         self.nodes[idx].as_ref().expect("linked node must be live")
     }
 
+    #[allow(
+        clippy::expect_used,
+        reason = "same linked-list integrity invariant as node()"
+    )]
     fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
-        // xtask-lint: allow(unwrap-expect, hot-path-effects) — same linked-list integrity invariant
+        // xtask-lint: allow(hot-path-effects) — same linked-list integrity invariant
         self.nodes[idx].as_mut().expect("linked node must be live")
     }
 
@@ -183,7 +195,8 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.map.remove(key)?;
         self.unlink(idx);
-        // xtask-lint: allow(unwrap-expect, hot-path-effects) — the map only holds live indices
+        #[allow(clippy::expect_used, reason = "the map only holds live indices")]
+        // xtask-lint: allow(hot-path-effects) — the map only holds live indices
         let node = self.nodes[idx].take().expect("mapped node must be live");
         self.free.push(idx);
         Some(node.value)

@@ -91,6 +91,10 @@ impl MappingTable {
 
     /// Looks up one logical page.
     // xtask-effect: hot_path
+    #[allow(
+        clippy::expect_used,
+        reason = "set/unmap only write the three valid granularities, so the stored bits always decode"
+    )]
     pub fn get(&self, lpn: Lpn) -> Option<MapEntry> {
         let idx = lpn.raw() as usize;
         let ppa = (*self.ppas.get(idx)?)?;
@@ -98,7 +102,7 @@ impl MappingTable {
         Some(MapEntry {
             ppa,
             granularity: MapGranularity::from_bits(flags & 0b11)
-                // xtask-lint: allow(unwrap-expect, hot-path-effects) — set/unmap
+                // xtask-lint: allow(hot-path-effects) — set/unmap
                 // only write the three valid granularities, so the stored bits
                 // always decode.
                 .expect("table never stores the reserved bit pattern"),

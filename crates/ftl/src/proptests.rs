@@ -1,7 +1,7 @@
 //! Property-based tests: the pinned-LRU cache against a reference model,
 //! and mapping-table aggregation invariants.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -132,7 +132,7 @@ proptest! {
         let mut table = MappingTable::new(64, 8, 32);
         let mut cache = L2pCache::new(128, 8, 32);
         let mut bitmap = MapBitmap::new(64);
-        let mut shadow: HashMap<u64, bool> = HashMap::new(); // lpn -> mapped
+        let mut shadow: BTreeMap<u64, bool> = BTreeMap::new(); // lpn -> mapped
 
         for (lpn, write) in ops {
             if write {

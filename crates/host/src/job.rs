@@ -1,10 +1,9 @@
 //! FIO-like job descriptions (paper §IV-A uses FIO micro-benchmarks).
 
 use conzone_types::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Access pattern of a job, mirroring fio's `rw=` parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Sequential reads.
     SeqRead,
@@ -45,7 +44,7 @@ impl AccessPattern {
 ///     .bytes_per_thread(16 * 1024 * 1024);
 /// assert_eq!(job.threads, 4);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FioJob {
     /// Access pattern.
     pub pattern: AccessPattern,

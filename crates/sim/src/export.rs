@@ -43,7 +43,9 @@ fn outcome_name(o: L2pOutcome) -> &'static str {
     }
 }
 
-/// The event's payload fields as JSON object entries.
+/// The event's payload fields as JSON object entries. No `_` arm: a new
+/// `DeviceEvent` variant must fail the build here, not export empty args.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn event_args(event: &DeviceEvent) -> Vec<(&'static str, Json)> {
     match *event {
         DeviceEvent::BufferFlush { zone, slices, .. } => vec![
@@ -131,7 +133,7 @@ pub fn chrome_trace(records: &[TraceRecord]) -> Json {
         let (ph, name) = match r.event {
             DeviceEvent::GcBegin { .. } => ("B", "gc"),
             DeviceEvent::GcEnd { .. } => ("E", "gc"),
-            // xtask-lint: allow(wildcard-match) — fallback delegates to kind_name, which event-coverage keeps total
+            // The fallback delegates to kind_name, which is total.
             _ => ("i", r.event.kind_name()),
         };
         let mut fields = vec![

@@ -1,8 +1,7 @@
 //! Minimal JSON tree, writer and parser.
 //!
-//! The workspace has no serialization dependency (the vendored serde is a
-//! marker stub), so the observability exporters build JSON through this
-//! small value type. The parser exists so integration tests can round-trip
+//! The workspace has no serialization dependency, so the observability
+//! exporters build JSON through this small value type. The parser exists so integration tests can round-trip
 //! exported traces; it accepts standard JSON (no comments, no trailing
 //! commas).
 

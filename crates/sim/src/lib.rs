@@ -21,9 +21,10 @@
 //! assert_eq!(lat.max(), SimDuration::from_micros(320));
 //! ```
 
-// Unit tests assert freely; the `clippy::unwrap_used` deny (Cargo.toml
-// `[lints]`) is meant for library code reachable from the simulator.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Unit tests assert freely; the `clippy::unwrap_used`/`expect_used` denies
+// (Cargo.toml `[lints]`) are meant for library code reachable from the
+// simulator.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -2,7 +2,6 @@
 //! summary used in benchmark reports.
 
 use conzone_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Number of linear sub-buckets per power-of-two magnitude. 32 gives a
 /// worst-case quantile error of ~3 %.
@@ -24,7 +23,7 @@ const SUBBUCKET_BITS: u32 = 5;
 /// assert_eq!(h.count(), 5);
 /// assert!(h.quantile(0.99) >= SimDuration::from_micros(900));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -186,7 +185,7 @@ impl Default for LatencyHistogram {
 }
 
 /// Percentile summary of a latency distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Samples recorded.
     pub count: u64,

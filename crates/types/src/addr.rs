@@ -13,8 +13,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes in one slice: the logical sector, mapping granule and SLC
 /// programming unit (4 KiB).
 pub const SLICE_BYTES: u64 = 4096;
@@ -22,10 +20,7 @@ pub const SLICE_BYTES: u64 = 4096;
 macro_rules! index_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -136,7 +131,7 @@ impl Ppa {
 /// assert!(r.contains(Lpn(6)));
 /// assert_eq!(r.iter().count(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LpnRange {
     /// First logical page in the run.
     pub start: Lpn,

@@ -1,15 +1,13 @@
 //! Device configuration: media timings, buffer and cache sizing, mapping
 //! policy, and the builder that validates a complete [`DeviceConfig`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::SLICE_BYTES;
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
 use crate::time::SimDuration;
 
 /// Flash cell technology of a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellType {
     /// Single-level cell: 4 KiB partial programming, lowest latency.
     Slc,
@@ -40,7 +38,7 @@ impl core::fmt::Display for CellType {
 }
 
 /// Access latency of one media type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MediaLatency {
     /// Latency to read one flash page.
     pub read: SimDuration,
@@ -51,7 +49,7 @@ pub struct MediaLatency {
 }
 
 /// Per-media timing table (paper Table II defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MediaTimings {
     /// SLC latencies: 75 µs program \[ISSCC'20], 20 µs read (vendor
     /// discussion, paper §III-B).
@@ -104,7 +102,7 @@ impl Default for MediaTimings {
 
 /// Granularity of an L2P mapping entry (the paper's two reserved *map bits*,
 /// §III-C): one logical page, one chunk, or one whole zone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MapGranularity {
     /// 4 KiB page mapping.
     Page,
@@ -147,7 +145,7 @@ impl core::fmt::Display for MapGranularity {
 
 /// How an L2P cache miss discovers the aggregation level of an address
 /// before fetching mapping entries from flash (paper §III-C / §IV-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchStrategy {
     /// Performance-optimised: an in-SRAM bitmap records the map bits of all
     /// logical addresses, so one flash fetch suffices. Costs ~0.006 % of
@@ -174,7 +172,7 @@ impl core::fmt::Display for SearchStrategy {
 
 /// How zones with non-power-of-two backing superblocks are exposed
 /// (paper §III-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ZonePadding {
     /// Zone size equals the superblock capacity even when that is not a
     /// power of two (relies on the pending NVMe relaxation).
@@ -195,7 +193,7 @@ pub enum ZonePadding {
 /// The fault RNG is seeded from [`FaultConfig::seed`] alone — independent
 /// of the workload and jitter seeds — so two runs with the same seed and
 /// the same operation sequence produce byte-identical fault schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the dedicated fault RNG.
     pub seed: u64,
@@ -274,7 +272,7 @@ impl FaultConfig {
 /// assert_eq!(cfg.write_buffers, 2);
 /// # Ok::<(), conzone_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Flash array geometry.
     pub geometry: Geometry,
@@ -334,9 +332,7 @@ pub struct DeviceConfig {
     /// Seed for all stochastic elements (jitter models).
     pub seed: u64,
     /// Fault-injection plane configuration (all-zero rates by default, i.e.
-    /// no faults). `#[serde(default)]` keeps older serialized configs
-    /// loadable.
-    #[serde(default)]
+    /// no faults).
     pub fault: FaultConfig,
 }
 
@@ -785,8 +781,8 @@ mod tests {
         assert!(json.contains("geometry"));
     }
 
-    // serde_json is not in the dependency set; smoke-test Serialize via the
-    // debug formatter of the serialized struct instead.
+    // No serialization dependency exists; the debug formatter is the
+    // only structural dump of a config.
     fn serde_json_like(cfg: &DeviceConfig) -> String {
         format!("{cfg:?}")
     }

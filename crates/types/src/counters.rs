@@ -4,8 +4,6 @@
 //! device models; the host harness derives write amplification and cache
 //! hit rates from it.
 
-use serde::{Deserialize, Serialize};
-
 /// Cumulative event counters of a device model.
 ///
 /// All byte counts are raw bytes; all op counts are events. The struct is a
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// c.flash_program_bytes_tlc = 8192;
 /// assert_eq!(c.write_amplification(), 2.0);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Counters {
     /// Bytes the host read.
     pub host_read_bytes: u64,
@@ -95,6 +93,49 @@ pub struct Counters {
     pub lost_slices: u64,
 }
 
+/// The one list of [`Counters`] fields, in declaration order, handed to
+/// the macro named by `$with`. Every user expands it into a struct
+/// pattern or literal without a `..` rest, so a field missing here is a
+/// compile error (E0027 / E0063) and a name that is not a field is E0026
+/// / E0560: a new counter cannot miss the exporters, `merge` or `since`.
+macro_rules! each_counter {
+    ($with:ident) => {
+        $with!(
+            host_read_bytes,
+            host_write_bytes,
+            host_read_ops,
+            host_write_ops,
+            flash_program_bytes_slc,
+            flash_program_bytes_tlc,
+            flash_program_bytes_qlc,
+            flash_data_reads,
+            flash_mapping_reads,
+            erases_slc,
+            erases_normal,
+            l2p_hits_zone,
+            l2p_hits_chunk,
+            l2p_hits_page,
+            l2p_misses,
+            l2p_evictions,
+            premature_flushes,
+            full_flushes,
+            buffer_conflicts,
+            slc_combines,
+            patch_slices,
+            l2p_log_flushes,
+            conventional_updates,
+            gc_runs,
+            gc_migrated_slices,
+            zone_resets,
+            read_retries,
+            program_failures,
+            blocks_retired,
+            recovered_slices,
+            lost_slices
+        )
+    };
+}
+
 impl Counters {
     /// Creates an all-zero counter set (same as `Default`).
     pub fn new() -> Counters {
@@ -145,88 +186,24 @@ impl Counters {
     /// stats exporters, so names stay stable across output formats.
     pub fn named_fields(&self) -> Vec<(&'static str, u64)> {
         macro_rules! fields {
-            ($($f:ident),* $(,)?) => {
-                vec![$((stringify!($f), self.$f)),*]
-            };
+            ($($f:ident),*) => {{
+                let Counters { $($f),* } = *self;
+                vec![$((stringify!($f), $f)),*]
+            }};
         }
-        fields!(
-            host_read_bytes,
-            host_write_bytes,
-            host_read_ops,
-            host_write_ops,
-            flash_program_bytes_slc,
-            flash_program_bytes_tlc,
-            flash_program_bytes_qlc,
-            flash_data_reads,
-            flash_mapping_reads,
-            erases_slc,
-            erases_normal,
-            l2p_hits_zone,
-            l2p_hits_chunk,
-            l2p_hits_page,
-            l2p_misses,
-            l2p_evictions,
-            premature_flushes,
-            full_flushes,
-            buffer_conflicts,
-            slc_combines,
-            patch_slices,
-            l2p_log_flushes,
-            conventional_updates,
-            gc_runs,
-            gc_migrated_slices,
-            zone_resets,
-            read_retries,
-            program_failures,
-            blocks_retired,
-            recovered_slices,
-            lost_slices,
-        )
+        each_counter!(fields)
     }
 
     /// Adds `delta` into `self`, field by field — the accumulation dual of
     /// [`since`](Self::since), used by the queue-pair host model to fold
-    /// per-command device deltas into per-tenant totals. The exhaustive
-    /// struct literal (no `..` rest) makes a missed field a compile error.
+    /// per-command device deltas into per-tenant totals.
     pub fn merge(&mut self, delta: &Counters) {
         macro_rules! acc {
-            ($($f:ident),* $(,)?) => {
-                *self = Counters { $($f: self.$f + delta.$f),* };
+            ($($f:ident),*) => {
+                Counters { $($f: self.$f + delta.$f),* }
             };
         }
-        acc!(
-            host_read_bytes,
-            host_write_bytes,
-            host_read_ops,
-            host_write_ops,
-            flash_program_bytes_slc,
-            flash_program_bytes_tlc,
-            flash_program_bytes_qlc,
-            flash_data_reads,
-            flash_mapping_reads,
-            erases_slc,
-            erases_normal,
-            l2p_hits_zone,
-            l2p_hits_chunk,
-            l2p_hits_page,
-            l2p_misses,
-            l2p_evictions,
-            premature_flushes,
-            full_flushes,
-            buffer_conflicts,
-            slc_combines,
-            patch_slices,
-            l2p_log_flushes,
-            conventional_updates,
-            gc_runs,
-            gc_migrated_slices,
-            zone_resets,
-            read_retries,
-            program_failures,
-            blocks_retired,
-            recovered_slices,
-            lost_slices,
-        );
+        *self = each_counter!(acc);
     }
 
     /// Difference `self - earlier`, for interval statistics.
@@ -236,43 +213,11 @@ impl Counters {
     /// Panics in debug builds if any counter of `earlier` exceeds `self`.
     pub fn since(&self, earlier: &Counters) -> Counters {
         macro_rules! diff {
-            ($($f:ident),* $(,)?) => {
+            ($($f:ident),*) => {
                 Counters { $($f: self.$f - earlier.$f),* }
             };
         }
-        diff!(
-            host_read_bytes,
-            host_write_bytes,
-            host_read_ops,
-            host_write_ops,
-            flash_program_bytes_slc,
-            flash_program_bytes_tlc,
-            flash_program_bytes_qlc,
-            flash_data_reads,
-            flash_mapping_reads,
-            erases_slc,
-            erases_normal,
-            l2p_hits_zone,
-            l2p_hits_chunk,
-            l2p_hits_page,
-            l2p_misses,
-            l2p_evictions,
-            premature_flushes,
-            full_flushes,
-            buffer_conflicts,
-            slc_combines,
-            patch_slices,
-            l2p_log_flushes,
-            conventional_updates,
-            gc_runs,
-            gc_migrated_slices,
-            zone_resets,
-            read_retries,
-            program_failures,
-            blocks_retired,
-            recovered_slices,
-            lost_slices,
-        )
+        each_counter!(diff)
     }
 }
 
@@ -372,7 +317,7 @@ mod tests {
         c.zone_resets = 3;
         let fields = c.named_fields();
         // One entry per field, no duplicates, values match.
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for (name, _) in &fields {
             assert!(names.insert(*name), "duplicate field name {name}");
         }

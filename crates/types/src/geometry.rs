@@ -7,8 +7,6 @@
 //! programming units at the same offset across all chips form a *superpage*.
 //! SLC blocks program partially at 4 KiB granularity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{ChannelId, ChipId, Lpn, Ppa, SuperblockId, ZoneId, SLICE_BYTES};
 use crate::error::ConfigError;
 
@@ -27,7 +25,7 @@ use crate::error::ConfigError;
 /// assert_eq!(g.superpage_bytes(), 384 * 1024); // matches paper §II-B
 /// # Ok::<(), conzone_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     /// Number of independent flash channels.
     pub channels: usize,
@@ -421,7 +419,7 @@ mod tests {
     fn superblock_slices_are_unique_and_stripe_chips() {
         let g = Geometry::tiny();
         let sb = SuperblockId(4);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for offset in 0..g.slices_per_superblock() {
             let ppa = g.superblock_slice(sb, offset);
             assert!(seen.insert(ppa), "duplicate ppa for offset {offset}");

@@ -65,6 +65,9 @@ pub enum SpanKind {
     QueueWait,
 }
 
+// A `_` arm in these mappings would absorb a newly added kind instead of
+// failing the build (E0004), and an exporter would silently miss it.
+#[deny(clippy::wildcard_enum_match_arm)]
 impl SpanKind {
     /// Number of distinct span kinds (indexable via [`SpanKind::index`]).
     pub const KIND_COUNT: usize = 14;
@@ -332,8 +335,8 @@ mod tests {
 
     #[test]
     fn kind_names_and_indices_are_distinct() {
-        let mut idx = std::collections::HashSet::new();
-        let mut names = std::collections::HashSet::new();
+        let mut idx = std::collections::BTreeSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for k in ALL_KINDS {
             assert!(k.index() < SpanKind::KIND_COUNT);
             idx.insert(k.index());

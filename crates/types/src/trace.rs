@@ -203,6 +203,9 @@ pub enum DeviceEvent {
     },
 }
 
+// A `_` arm in these mappings would absorb a newly added variant instead
+// of failing the build (E0004), and an exporter would silently miss it.
+#[deny(clippy::wildcard_enum_match_arm)]
 impl DeviceEvent {
     /// Stable short name of the event kind (used by exporters and the
     /// counting sink).
@@ -515,8 +518,8 @@ mod tests {
                 inflight: 3,
             },
         ];
-        let mut seen_idx = std::collections::HashSet::new();
-        let mut seen_name = std::collections::HashSet::new();
+        let mut seen_idx = std::collections::BTreeSet::new();
+        let mut seen_name = std::collections::BTreeSet::new();
         for e in events {
             assert!(e.kind_index() < DeviceEvent::KIND_COUNT);
             seen_idx.insert(e.kind_index());

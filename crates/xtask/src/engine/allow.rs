@@ -5,8 +5,8 @@
 //! closing parenthesis; a directive without a reason is rejected and
 //! the violation it would have suppressed is annotated instead of
 //! silenced. Directives are recognised on the violating line itself or
-//! in the contiguous comment-only block immediately above it, and —
-//! new in engine v2 — on the first line of any enclosing item, so one
+//! in the contiguous comment-only block immediately above it, and on
+//! the first line of any enclosing item, so one
 //! directive above a function or module can vouch for its whole body.
 
 /// One parsed directive occurrence on a comment line.
@@ -59,43 +59,45 @@ mod tests {
 
     #[test]
     fn single_rule_with_reason_parses() {
-        let d = directives("// xtask-lint: allow(hash-collections) — test-only scratch map");
+        let d = directives("// xtask-lint: allow(truncating-cast) — lane index, masked above");
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rules, ["hash-collections"]);
+        assert_eq!(d[0].rules, ["truncating-cast"]);
         assert!(d[0].has_reason);
     }
 
     #[test]
     fn multiple_rules_share_one_directive() {
-        let d = directives("// xtask-lint: allow(fleet-readiness, wall-clock) — profiler scratch");
+        let d = directives(
+            "// xtask-lint: allow(float-determinism, truncating-cast) — export-side scaling",
+        );
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rules, ["fleet-readiness", "wall-clock"]);
+        assert_eq!(d[0].rules, ["float-determinism", "truncating-cast"]);
         assert!(d[0].has_reason);
     }
 
     #[test]
     fn missing_reason_is_detected() {
-        let d = directives("// xtask-lint: allow(wall-clock)");
+        let d = directives("// xtask-lint: allow(truncating-cast)");
         assert_eq!(d.len(), 1);
         assert!(!d[0].has_reason);
         // Dash-only "reasons" do not count either.
-        let d = directives("// xtask-lint: allow(wall-clock) — ");
+        let d = directives("// xtask-lint: allow(truncating-cast) — ");
         assert!(!d[0].has_reason);
     }
 
     #[test]
     fn two_directives_on_one_line_are_both_seen() {
         let d = directives(
-            "// xtask-lint: allow(wall-clock) — bench loop; xtask-lint: allow(unwrap-expect) — ditto",
+            "// xtask-lint: allow(truncating-cast) — masked above; xtask-lint: allow(float-determinism) — ditto",
         );
         assert_eq!(d.len(), 2);
-        assert_eq!(d[0].rules, ["wall-clock"]);
-        assert_eq!(d[1].rules, ["unwrap-expect"]);
+        assert_eq!(d[0].rules, ["truncating-cast"]);
+        assert_eq!(d[1].rules, ["float-determinism"]);
     }
 
     #[test]
     fn unclosed_directive_is_ignored() {
-        assert!(directives("// xtask-lint: allow(wall-clock").is_empty());
+        assert!(directives("// xtask-lint: allow(truncating-cast").is_empty());
         assert!(directives("// no directive here").is_empty());
     }
 }

@@ -4,17 +4,14 @@
 //! small powerset lattice joined over the call graph until fixpoint
 //! (`graph` module). The *intrinsic* effects of a function are the ones
 //! its own tokens exhibit — constructing an owned container, calling
-//! `.unwrap()`, indexing a slice — recognised by the token patterns in
+//! `.unwrap()`, taking a lock — recognised by the token patterns in
 //! this module. Everything else a function does to earn an effect is
 //! *transitive*: it calls something that has one.
 //!
-//! The hot-path contract (`hot-path-effects` rule) forbids `allocates`,
-//! `panics`, `locks` and `wall_clock` on functions marked
-//! `// xtask-effect: hot_path`. `bounds` (slice indexing, non-literal
-//! divisors) and `rng` are inferred and reported in the JSON report but
-//! not enforced: bounds checks are deterministic aborts already covered
-//! by the debug invariant checker, and the emulator's only RNG is the
-//! explicitly seeded generator the `wall-clock` rule polices.
+//! The hot-path contract (`hot-path-effects` rule) forbids every effect
+//! in the lattice — `allocates`, `panics`, `locks` — on functions
+//! marked `// xtask-effect: hot_path`. Wall-clock reads are banned
+//! crate-wide by `clippy::disallowed_methods`, so they need no bit here.
 
 use crate::engine::tokens::FlatTok;
 use proc_macro2::Delimiter;
@@ -31,27 +28,15 @@ impl EffectSet {
     /// Explicit panic family: `unwrap`, `expect`, `panic!`, `assert!*`,
     /// `unreachable!`, `todo!`, `unimplemented!`.
     pub(crate) const PANIC: EffectSet = EffectSet(1 << 1);
-    /// Implicit abort family: slice indexing and non-literal divisors.
-    pub(crate) const BOUNDS: EffectSet = EffectSet(1 << 2);
-    /// Takes a lock (`Mutex`, `RwLock`, `Condvar`, `.lock()`).
-    pub(crate) const LOCK: EffectSet = EffectSet(1 << 3);
-    /// Reads ambient time (`Instant::now`, `SystemTime`, `.elapsed()`).
-    pub(crate) const WALL_CLOCK: EffectSet = EffectSet(1 << 4);
-    /// Ambient randomness (`thread_rng`, `rand::random`).
-    pub(crate) const RNG: EffectSet = EffectSet(1 << 5);
-
-    /// The effects the hot-path contract forbids.
-    pub(crate) const FORBIDDEN_ON_HOT: EffectSet =
-        EffectSet(Self::ALLOC.0 | Self::PANIC.0 | Self::LOCK.0 | Self::WALL_CLOCK.0);
+    /// Takes a lock (`Mutex`, `RwLock`, `.lock()`).
+    pub(crate) const LOCK: EffectSet = EffectSet(1 << 2);
 
     /// All single-effect bits with their report names, in display order.
-    pub(crate) const BITS: [(EffectSet, &'static str); 6] = [
+    /// The hot-path contract forbids every one of them.
+    pub(crate) const BITS: [(EffectSet, &'static str); 3] = [
         (Self::ALLOC, "allocates"),
         (Self::PANIC, "panics"),
-        (Self::BOUNDS, "bounds"),
         (Self::LOCK, "locks"),
-        (Self::WALL_CLOCK, "wall_clock"),
-        (Self::RNG, "rng"),
     ];
 
     pub(crate) fn union(self, other: EffectSet) -> EffectSet {
@@ -60,10 +45,6 @@ impl EffectSet {
 
     pub(crate) fn contains(self, other: EffectSet) -> bool {
         self.0 & other.0 == other.0
-    }
-
-    pub(crate) fn intersect(self, other: EffectSet) -> EffectSet {
-        EffectSet(self.0 & other.0)
     }
 
     pub(crate) fn is_empty(self) -> bool {
@@ -96,13 +77,13 @@ pub(crate) struct EffectSite {
     pub effect: EffectSet,
     /// 0-based line of the offending token.
     pub line: usize,
-    /// What the token pattern was (`Vec::new`, `.unwrap()`, `a[i]`, …).
+    /// What the token pattern was (`Vec::new`, `unwrap`, `panic`, …).
     pub what: &'static str,
 }
 
 /// Identifier-path patterns (`A::b` or bare idents) and the effect they
 /// exhibit. The seeded builtin table: how raw std calls earn effects.
-const PATH_EFFECTS: [(&str, &[&str], EffectSet); 16] = [
+const PATH_EFFECTS: [(&str, &[&str], EffectSet); 12] = [
     ("Vec::new", &["Vec", ":", ":", "new"], EffectSet::ALLOC),
     (
         "Vec::with_capacity",
@@ -137,18 +118,6 @@ const PATH_EFFECTS: [(&str, &[&str], EffectSet); 16] = [
     ),
     ("Rc::new", &["Rc", ":", ":", "new"], EffectSet::ALLOC),
     ("Arc::new", &["Arc", ":", ":", "new"], EffectSet::ALLOC),
-    (
-        "Instant::now",
-        &["Instant", ":", ":", "now"],
-        EffectSet::WALL_CLOCK,
-    ),
-    ("SystemTime", &["SystemTime"], EffectSet::WALL_CLOCK),
-    ("thread_rng", &["thread_rng"], EffectSet::RNG),
-    (
-        "rand::random",
-        &["rand", ":", ":", "random"],
-        EffectSet::RNG,
-    ),
     ("Mutex::new", &["Mutex", ":", ":", "new"], EffectSet::LOCK),
     ("RwLock::new", &["RwLock", ":", ":", "new"], EffectSet::LOCK),
 ];
@@ -157,7 +126,7 @@ const PATH_EFFECTS: [(&str, &[&str], EffectSet); 16] = [
 /// `.clone()` is deliberately absent: the token view cannot tell a
 /// `Copy` clone from an owned duplication, and the owned-duplication
 /// idioms (`to_vec`, `to_owned`, `to_string`) are all listed.
-const METHOD_EFFECTS: [(&str, EffectSet); 8] = [
+const METHOD_EFFECTS: [(&str, EffectSet); 7] = [
     ("collect", EffectSet::ALLOC),
     ("to_vec", EffectSet::ALLOC),
     ("to_owned", EffectSet::ALLOC),
@@ -165,7 +134,6 @@ const METHOD_EFFECTS: [(&str, EffectSet); 8] = [
     ("unwrap", EffectSet::PANIC),
     ("expect", EffectSet::PANIC),
     ("lock", EffectSet::LOCK),
-    ("elapsed", EffectSet::WALL_CLOCK),
 ];
 
 /// Macro invocations (`name!`) and their effect. `debug_assert!*` is
@@ -184,7 +152,7 @@ const MACRO_EFFECTS: [(&str, EffectSet); 10] = [
     ("matches", EffectSet::EMPTY), // common, listed to document the decision
 ];
 
-/// Keyword identifiers that look like call/index receivers but are not.
+/// Keyword identifiers that look like call receivers but are not.
 pub(crate) fn is_keyword(ident: &str) -> bool {
     matches!(
         ident,
@@ -245,7 +213,7 @@ pub(crate) fn scan_intrinsics(
             i += 1;
             continue;
         }
-        // Path patterns (`Vec::new`, `SystemTime`, …).
+        // Path patterns (`Vec::new`, `Mutex::new`, …).
         for (what, pattern, effect) in PATH_EFFECTS {
             if crate::engine::tokens::matches_pattern(flat, i, pattern) {
                 // A path pattern must not be the tail of a longer path
@@ -287,54 +255,6 @@ pub(crate) fn scan_intrinsics(
                         what,
                     });
                 }
-            }
-        }
-        // Indexing: a bracket group right after a value (ident or a
-        // closed group), which is `xs[i]` / `foo()[i]` — a bounds
-        // check. Attributes (`#[...]`), types (`: [u8; 4]`) and array
-        // literals (`= [0; n]`) all have a non-value token before the
-        // bracket.
-        if let FlatTok::Open {
-            delim: Delimiter::Bracket,
-            empty: false,
-            ..
-        } = &flat[i]
-        {
-            let prev_is_value = i > lo
-                && match &flat[i - 1] {
-                    FlatTok::Tok(t) => t.as_ident().is_some_and(|id| !is_keyword(id)),
-                    FlatTok::Close { .. } => true,
-                    FlatTok::Open { .. } => false,
-                };
-            if prev_is_value {
-                out.push(EffectSite {
-                    effect: EffectSet::BOUNDS,
-                    line: flat[i].line_idx(),
-                    what: "slice indexing",
-                });
-            }
-        }
-        // Division/remainder by a non-literal divisor.
-        if matches!(flat[i].punct(), Some('/') | Some('%')) {
-            let prev_is_value = i > lo
-                && match &flat[i - 1] {
-                    FlatTok::Tok(t) => {
-                        t.as_ident().is_some_and(|id| !is_keyword(id)) || t.as_literal().is_some()
-                    }
-                    FlatTok::Close { .. } => true,
-                    FlatTok::Open { .. } => false,
-                };
-            let next_not_literal = match flat.get(i + 1) {
-                Some(FlatTok::Tok(t)) => t.as_literal().is_none(),
-                Some(FlatTok::Open { .. }) => true,
-                _ => false,
-            };
-            if prev_is_value && next_not_literal {
-                out.push(EffectSite {
-                    effect: EffectSet::BOUNDS,
-                    line: flat[i].line_idx(),
-                    what: "division by a non-literal divisor",
-                });
             }
         }
         i += 1;
@@ -392,8 +312,6 @@ mod tests {
         assert!(e.contains(EffectSet::ALLOC));
         assert!(!e.contains(EffectSet::PANIC));
         assert_eq!(e.names(), ["allocates", "locks"]);
-        assert!(EffectSet::FORBIDDEN_ON_HOT.contains(EffectSet::WALL_CLOCK));
-        assert!(!EffectSet::FORBIDDEN_ON_HOT.contains(EffectSet::BOUNDS));
     }
 
     #[test]
@@ -406,32 +324,6 @@ mod tests {
         assert_eq!(sites("m.lock()"), [("locks", "lock")]);
         assert_eq!(sites("x.unwrap()"), [("panics", "unwrap")]);
         assert_eq!(sites("panic!(\"boom\")"), [("panics", "panic")]);
-        assert_eq!(
-            sites("let t = Instant::now();"),
-            [("wall_clock", "Instant::now")]
-        );
-    }
-
-    #[test]
-    fn indexing_is_bounds_but_types_and_attrs_are_not() {
-        assert_eq!(sites("let x = xs[i];"), [("bounds", "slice indexing")]);
-        assert_eq!(sites("foo()[0]"), [("bounds", "slice indexing")]);
-        assert!(sites("let x: [u8; 4] = make();").is_empty());
-        assert!(sites("#[inline] fn f() {}").is_empty());
-        assert!(sites("let a = [0u8; 8];").is_empty());
-    }
-
-    #[test]
-    fn division_by_literal_is_exempt() {
-        assert!(sites("let x = a / 2;").is_empty());
-        assert_eq!(
-            sites("let x = a % n;"),
-            [("bounds", "division by a non-literal divisor")]
-        );
-        assert_eq!(
-            sites("let x = a / b.len();"),
-            [("bounds", "division by a non-literal divisor")]
-        );
     }
 
     #[test]

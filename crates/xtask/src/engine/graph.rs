@@ -21,11 +21,11 @@
 //! charged nothing — the reasoned escape hatch for slow paths.
 //!
 //! The `hot-path-effects` rule queries the fixpoint: every function
-//! marked `hot_path` must be transitively free of `allocates`,
-//! `panics`, `locks` and `wall_clock`. A violation names the shortest
-//! call chain from the hot function to the *leaf* — the function whose
-//! own tokens exhibit the effect — and anchors the diagnostic at the
-//! leaf site, where a reasoned allow can discharge it.
+//! marked `hot_path` must be transitively free of every effect in the
+//! lattice (`allocates`, `panics`, `locks`). A violation names the
+//! shortest call chain from the hot function to the *leaf* — the
+//! function whose own tokens exhibit the effect — and anchors the
+//! diagnostic at the leaf site, where a reasoned allow can discharge it.
 
 use crate::engine::effects::EffectSet;
 use crate::engine::symbols::{CallKind, FnSym};
@@ -138,9 +138,8 @@ impl Graph {
             if !f.hot {
                 continue;
             }
-            let bad = f.effects.intersect(EffectSet::FORBIDDEN_ON_HOT);
             for (bit, name) in EffectSet::BITS {
-                if !bad.contains(bit) {
+                if !f.effects.contains(bit) {
                     continue;
                 }
                 let Some((path, site_idx)) = self.shortest_chain(i, bit) else {
@@ -313,18 +312,6 @@ fn leaf() { m.lock(); }
         assert_eq!(v.line, 4, "anchored at the leaf lock() site");
         assert!(v.message.contains("core::hot → core::mid → core::leaf"));
         assert!(v.message.contains("locks"));
-    }
-
-    #[test]
-    fn bounds_and_rng_are_inferred_but_not_enforced() {
-        let g = graph(
-            "// xtask-effect: hot_path\n\
-             fn hot(xs: &[u64], i: usize) -> u64 { xs[i] }\n",
-        );
-        let mut out = Vec::new();
-        g.check_hot_paths(&mut out);
-        assert!(out.is_empty(), "{out:?}");
-        assert_eq!(effects_of(&g, "hot"), ["bounds"]);
     }
 
     #[test]

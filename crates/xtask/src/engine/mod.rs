@@ -1,13 +1,12 @@
 //! The AST analysis engine behind `cargo xtask lint`.
 //!
-//! Engine v2 parses every library source with the vendored `syn`
+//! The engine parses every library source with the vendored `syn`
 //! stand-in and hands each rule a [`FileCtx`]: the parsed [`syn::File`],
 //! a flattened token view ([`tokens::FlatTok`]), per-line
 //! `#[cfg(test)]` classification derived from AST item extents, and the
 //! comment/code split the allowlist machinery matches directives
-//! against. Rules are per-file passes (`rules::run`) plus workspace
-//! cross-checks (`rules::coverage`) that compare enum variants and
-//! struct fields against their exporter mappings.
+//! against. Two rules are per-file passes (`rules::run`); the other two
+//! come out of the workspace effect analysis (`symbols` + `graph`).
 
 pub(crate) mod allow;
 pub(crate) mod effects;
@@ -17,96 +16,18 @@ pub(crate) mod symbols;
 pub(crate) mod tokens;
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use crate::{FnEffects, Report, Violation, Warning};
 use syn::visit::{self, Visit};
 use tokens::FlatTok;
 
-/// Per-crate rule applicability.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Policy {
-    pub hash_collections: bool,
-    pub wall_clock: bool,
-    pub unwrap_expect: bool,
-    pub fleet_readiness: bool,
-    pub float_determinism: bool,
-    pub truncating_cast: bool,
-    pub wildcard_match: bool,
-    /// Whether the crate participates in the workspace effect analysis
-    /// (`hot-path-effects` + `effect-annotation`).
-    pub effects: bool,
-}
-
-impl Policy {
-    fn any(&self) -> bool {
-        self.hash_collections
-            || self.wall_clock
-            || self.unwrap_expect
-            || self.fleet_readiness
-            || self.float_determinism
-            || self.truncating_cast
-            || self.wildcard_match
-            || self.effects
-    }
-
-    /// Whether a (suppressible) rule applies to this crate. Coverage
-    /// rules return false: they ignore the allowlist by design, so an
-    /// allow naming them can never be "used".
-    fn enables(&self, rule: &str) -> bool {
-        match rule {
-            "hash-collections" => self.hash_collections,
-            "wall-clock" => self.wall_clock,
-            "unwrap-expect" => self.unwrap_expect,
-            "fleet-readiness" => self.fleet_readiness,
-            "float-determinism" => self.float_determinism,
-            "truncating-cast" => self.truncating_cast,
-            "wildcard-match" => self.wildcard_match,
-            "hot-path-effects" | "effect-annotation" => self.effects,
-            _ => false,
-        }
-    }
-}
-
-/// Which rules apply to a crate. `bench` is exempt from everything (it
-/// measures the wall clock on purpose); `xtask` lints itself out of scope
-/// (its rule tables mention the banned identifiers).
-pub(crate) fn policy_for(crate_name: &str) -> Policy {
-    match crate_name {
-        "bench" | "xtask" => Policy {
-            hash_collections: false,
-            wall_clock: false,
-            unwrap_expect: false,
-            fleet_readiness: false,
-            float_determinism: false,
-            truncating_cast: false,
-            wildcard_match: false,
-            effects: false,
-        },
-        "core" | "ftl" | "flash" | "sim" => Policy {
-            hash_collections: true,
-            wall_clock: true,
-            unwrap_expect: true,
-            fleet_readiness: true,
-            float_determinism: true,
-            truncating_cast: true,
-            wildcard_match: true,
-            effects: true,
-        },
-        // types, legacy, femu, host and the root `conzone` package hold
-        // sim-visible state but surface errors as panics at the CLI edge.
-        _ => Policy {
-            hash_collections: true,
-            wall_clock: true,
-            unwrap_expect: false,
-            fleet_readiness: true,
-            float_determinism: true,
-            truncating_cast: true,
-            wildcard_match: true,
-            effects: true,
-        },
-    }
+/// Whether a crate is linted at all; every rule applies to every linted
+/// crate. `bench` measures the wall clock and reports floats on purpose;
+/// `xtask` is a developer tool, not simulator code.
+pub(crate) fn is_linted(crate_name: &str) -> bool {
+    !matches!(crate_name, "bench" | "xtask")
 }
 
 /// Splits a source file into two same-length views: `code` (comments,
@@ -263,6 +184,10 @@ struct ItemScope {
     hi: usize,
     /// Byte offset of the `#[cfg(test)]` attribute, when present.
     cfg_test_lo: Option<usize>,
+    /// What the parser made of the item, for the parse-coverage figure.
+    /// Verbatim items carry their leading keyword; `unknown` is the
+    /// parser's fallback for a form it does not model.
+    kind: &'static str,
 }
 
 /// Collects every item's scope, recursing into modules, impls, traits
@@ -287,6 +212,19 @@ impl<'ast> Visit<'ast> for ScopeCollector {
             lo,
             hi: item.end_byte(),
             cfg_test_lo: attrs.iter().find(|a| a.is_cfg_test()).map(|a| a.span.lo),
+            kind: match item {
+                syn::Item::Fn(_) => "fn",
+                syn::Item::Mod(_) => "mod",
+                syn::Item::Struct(_) => "struct",
+                syn::Item::Enum(_) => "enum",
+                syn::Item::Impl(_) => "impl",
+                syn::Item::Trait(_) => "trait",
+                syn::Item::Static(_) => "static",
+                syn::Item::Const(_) => "const",
+                syn::Item::Macro(_) => "macro",
+                syn::Item::MacroRules(_) => "macro_rules",
+                syn::Item::Verbatim(v) => v.kind,
+            },
         });
         visit::walk_item(self, item);
     }
@@ -445,10 +383,10 @@ impl<'a> FileCtx<'a> {
     }
 
     /// Appends a warning for every reasoned allow directive that never
-    /// suppressed anything, plus directives naming unknown or
-    /// non-suppressible rules. Test lines are skipped (every rule
-    /// already exempts them, so directives there are decoration).
-    pub(crate) fn unused_allow_warnings(&self, policy: Policy, out: &mut Vec<Warning>) {
+    /// suppressed anything, plus directives naming unknown rules. Test
+    /// lines are skipped (every rule already exempts them, so
+    /// directives there are decoration).
+    pub(crate) fn unused_allow_warnings(&self, out: &mut Vec<Warning>) {
         let used = self.used_allows.borrow();
         for (idx, line) in self.comment_lines.iter().enumerate() {
             if self.in_test(idx) {
@@ -458,13 +396,6 @@ impl<'a> FileCtx<'a> {
                 for r in &d.rules {
                     let message = if !crate::RULES.contains(&r.as_str()) {
                         format!("allow({r}) names an unknown rule")
-                    } else if matches!(
-                        r.as_str(),
-                        "counter-coverage" | "event-coverage" | "span-coverage"
-                    ) {
-                        format!("allow({r}) has no effect: coverage rules cannot be suppressed")
-                    } else if !policy.enables(r) {
-                        format!("allow({r}) has no effect: the rule does not apply to this crate")
                     } else if !used.contains(&(idx, r.clone())) {
                         format!("unused allow({r}): nothing on this anchor trips the rule")
                     } else {
@@ -505,15 +436,11 @@ impl<'a> FileCtx<'a> {
 /// Scans one library source file with the per-file rules (rule unit
 /// tests; production runs go through [`lint_workspace_report`]).
 #[cfg(test)]
-pub(crate) fn lint_file(
-    rel: &Path,
-    src: &str,
-    policy: Policy,
-    out: &mut Vec<Violation>,
-) -> Result<(), String> {
-    let ctx = FileCtx::build(rel, src)?;
-    rules::run(&ctx, policy, out);
-    Ok(())
+pub(crate) fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
+    let ctx = FileCtx::build(Path::new(rel), src).expect("parses");
+    let mut out = Vec::new();
+    rules::run(&ctx, &mut out);
+    out
 }
 
 /// Collects the library `.rs` files to lint under `root`, with their crate
@@ -569,57 +496,42 @@ pub(crate) fn collect_sources(root: &Path) -> std::io::Result<Vec<(PathBuf, Stri
     Ok(out)
 }
 
-/// Runs every rule over the workspace at `root`, returning the sorted
-/// violations.
-pub(crate) fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    Ok(lint_workspace_report(root, None)?.violations)
-}
-
 /// The full two-phase pass.
 ///
-/// Phase 1 parses every file once and runs the per-file rules; with
-/// `changed` set (the `--changed` flag), per-file rules only run on the
-/// listed files. Phase 2 keeps every parsed file alive and runs the
-/// workspace analyses over all of them regardless of scoping — the
-/// effect analysis and the coverage cross-checks are properties of the
-/// whole tree, so a scoped run cannot skip them without losing their
-/// guarantees. Unused-allow warnings are only computed on unscoped runs
-/// (a scoped run leaves most allows legitimately unexercised).
-pub(crate) fn lint_workspace_report(
-    root: &Path,
-    changed: Option<&[PathBuf]>,
-) -> std::io::Result<Report> {
+/// Phase 1 parses every file once and runs the per-file rules. Phase 2
+/// keeps every parsed file alive and runs the effect analysis over all
+/// of them — a call-graph property cannot be judged from a partial
+/// view.
+pub(crate) fn lint_workspace_report(root: &Path) -> std::io::Result<Report> {
     let mut loaded: Vec<(PathBuf, String, String)> = Vec::new();
     for (path, crate_name) in collect_sources(root)? {
-        if !policy_for(&crate_name).any() {
+        if !is_linted(&crate_name) {
             continue;
         }
         let src = std::fs::read_to_string(&path)?;
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         loaded.push((rel, src, crate_name));
     }
-    let mut ctxs: Vec<(FileCtx<'_>, Policy, &str)> = Vec::with_capacity(loaded.len());
+    let mut ctxs: Vec<(FileCtx<'_>, &str)> = Vec::with_capacity(loaded.len());
     for (rel, src, crate_name) in &loaded {
         let ctx = FileCtx::build(rel, src)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        ctxs.push((ctx, policy_for(crate_name), crate_name));
+        ctxs.push((ctx, crate_name));
     }
-    let in_scope = |rel: &Path| changed.is_none_or(|c| c.iter().any(|p| p == rel));
 
     // Phase 1: per-file rules.
     let mut out = Vec::new();
-    for (ctx, policy, _) in &ctxs {
-        if in_scope(ctx.rel) {
-            rules::run(ctx, *policy, &mut out);
+    let mut items_parsed = BTreeMap::new();
+    for (ctx, _) in &ctxs {
+        rules::run(ctx, &mut out);
+        for scope in &ctx.scopes {
+            *items_parsed.entry(scope.kind).or_default() += 1;
         }
     }
 
-    // Phase 2: workspace analyses over every parsed file.
+    // Phase 2: the effect analysis over every parsed file.
     let mut syms = Vec::new();
-    for (ctx, policy, crate_name) in &ctxs {
-        if !policy.effects {
-            continue;
-        }
+    for (ctx, crate_name) in &ctxs {
         let mut issues = Vec::new();
         symbols::collect(ctx, crate_name, &mut syms, &mut issues);
         for issue in issues {
@@ -628,16 +540,11 @@ pub(crate) fn lint_workspace_report(
     }
     let graph = graph::build(syms);
     graph.check_hot_paths(&mut out);
-    rules::coverage::check_counter_coverage(root, &mut out);
-    rules::coverage::check_event_coverage(root, &mut out);
-    rules::coverage::check_span_coverage(root, &mut out);
     out.sort();
 
     let mut warnings = Vec::new();
-    if changed.is_none() {
-        for (ctx, policy, _) in &ctxs {
-            ctx.unused_allow_warnings(*policy, &mut warnings);
-        }
+    for (ctx, _) in &ctxs {
+        ctx.unused_allow_warnings(&mut warnings);
     }
     warnings.sort();
 
@@ -658,6 +565,9 @@ pub(crate) fn lint_workspace_report(
         violations: out,
         warnings,
         functions,
+        files_parsed: ctxs.len(),
+        fallback_items: items_parsed.get("unknown").copied().unwrap_or(0),
+        items_parsed,
     })
 }
 
@@ -694,60 +604,29 @@ mod tests {
         assert!(!ctx.in_test(5), "fn tail");
     }
 
-    #[test]
-    fn self_expect_is_not_flagged() {
-        let mut out = Vec::new();
-        let src = "fn f(&mut self) { self.expect(b'x'); data.expect(\"boom\"); }\n";
-        lint_file(
-            Path::new("crates/sim/src/json.rs"),
-            src,
-            policy_for("sim"),
-            &mut out,
-        )
-        .expect("parses");
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains(".expect"));
+    fn lint(src: &str) -> Vec<Violation> {
+        lint_file("crates/core/src/x.rs", src)
     }
 
     #[test]
     fn allow_directive_requires_reason() {
         let with_reason =
-            "// xtask-lint: allow(hash-collections) — keyed only\nuse std::collections::HashMap;\n";
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/core/src/x.rs"),
-            with_reason,
-            policy_for("core"),
-            &mut out,
-        )
-        .expect("parses");
+            "// xtask-lint: allow(truncating-cast) — masked to 8 bits above\nfn f(x: u64) -> u8 { x as u8 }\n";
+        let out = lint(with_reason);
         assert!(out.is_empty(), "{out:?}");
 
-        let bare = "// xtask-lint: allow(hash-collections)\nuse std::collections::HashMap;\n";
-        out.clear();
-        lint_file(
-            Path::new("crates/core/src/x.rs"),
-            bare,
-            policy_for("core"),
-            &mut out,
-        )
-        .expect("parses");
+        let bare = "// xtask-lint: allow(truncating-cast)\nfn f(x: u64) -> u8 { x as u8 }\n";
+        let out = lint(bare);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("missing its reason"), "{out:?}");
     }
 
     #[test]
     fn multi_rule_directive_suppresses_each_listed_rule() {
-        let src = "// xtask-lint: allow(hash-collections, wall-clock) — scratch profiler state\n\
-                   fn f() { let m: HashMap<u32, u32> = make(); let t = Instant::now(); }\n";
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/core/src/x.rs"),
-            src,
-            policy_for("core"),
-            &mut out,
-        )
-        .expect("parses");
+        let src =
+            "// xtask-lint: allow(truncating-cast, float-determinism) — export-side scaling\n\
+                   fn f(x: u64, scale: f64) -> u32 { x as u32 }\n";
+        let out = lint(src);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -755,21 +634,14 @@ mod tests {
     fn item_anchored_directive_covers_the_whole_body() {
         // The directive sits above the fn, the violation is three lines
         // into its body: line-scope would miss it, item-scope finds it.
-        let src = "// xtask-lint: allow(wall-clock) — startup banner only\n\
-                   fn banner() {\n\
+        let src = "// xtask-lint: allow(truncating-cast) — lane index, < 256 by construction\n\
+                   fn lane(x: u64) -> u8 {\n\
                        let a = 1;\n\
                        let b = 2;\n\
-                       let t = Instant::now();\n\
+                       x as u8\n\
                    }\n\
-                   fn other() { let t = Instant::now(); }\n";
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/core/src/x.rs"),
-            src,
-            policy_for("core"),
-            &mut out,
-        )
-        .expect("parses");
+                   fn other(x: u64) -> u8 { x as u8 }\n";
+        let out = lint(src);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].line, 7, "only the undirected fn is flagged");
     }
@@ -777,17 +649,10 @@ mod tests {
     #[test]
     fn directive_above_same_line_and_block_above_all_work() {
         for src in [
-            "use std::collections::HashMap; // xtask-lint: allow(hash-collections) — keyed only\n",
-            "// a longer explanation\n// xtask-lint: allow(hash-collections) — keyed only\nuse std::collections::HashMap;\n",
+            "fn f(x: u64) -> u8 { x as u8 } // xtask-lint: allow(truncating-cast) — masked above\n",
+            "// a longer explanation\n// xtask-lint: allow(truncating-cast) — masked above\nfn f(x: u64) -> u8 { x as u8 }\n",
         ] {
-            let mut out = Vec::new();
-            lint_file(
-                Path::new("crates/core/src/x.rs"),
-                src,
-                policy_for("core"),
-                &mut out,
-            )
-            .expect("parses");
+            let out = lint(src);
             assert!(out.is_empty(), "{src:?} -> {out:?}");
         }
     }

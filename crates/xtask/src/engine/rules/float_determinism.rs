@@ -44,7 +44,6 @@ impl FloatTypes {
 impl<'ast> Visit<'ast> for FloatTypes {
     fn visit_field(&mut self, field: &'ast syn::Field) {
         self.scan(&field.ty, "field");
-        visit::walk_field(self, field);
     }
 
     fn visit_item_const(&mut self, item: &'ast syn::ItemConst) {
@@ -92,22 +91,14 @@ pub(crate) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{lint_file, policy_for};
-    use std::path::Path;
+    use crate::engine::lint_file;
 
     #[test]
     fn float_fields_consts_and_params_are_flagged() {
         let src = "struct Wear { factor: f64 }\n\
                    const RATE: f32 = 0.5;\n\
                    fn apply(scale: f64) {}\n";
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/flash/src/x.rs"),
-            src,
-            policy_for("flash"),
-            &mut out,
-        )
-        .expect("parses");
+        let out = lint_file("crates/flash/src/x.rs", src);
         assert_eq!(out.len(), 3, "{out:?}");
         assert!(out[0].message.starts_with("f64 field"));
         assert!(out[1].message.starts_with("f32 const"));
@@ -118,24 +109,11 @@ mod tests {
     fn float_locals_return_types_and_exempt_files_pass() {
         // Locals and return types are conversions, not stored state.
         let src = "fn ratio(n: u64, d: u64) -> f64 { n as f64 / d as f64 }\n";
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/sim/src/x.rs"),
-            src,
-            policy_for("sim"),
-            &mut out,
-        )
-        .expect("parses");
+        let out = lint_file("crates/sim/src/x.rs", src);
         assert!(out.is_empty(), "{out:?}");
 
         let src = "struct Summary { mean: f64 }\n";
-        lint_file(
-            Path::new("crates/sim/src/stats.rs"),
-            src,
-            policy_for("sim"),
-            &mut out,
-        )
-        .expect("parses");
+        let out = lint_file("crates/sim/src/stats.rs", src);
         assert!(out.is_empty(), "exempt boundary file: {out:?}");
     }
 }

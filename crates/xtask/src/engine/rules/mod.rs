@@ -1,45 +1,18 @@
-//! The per-file rule passes and workspace cross-checks.
+//! The per-file rule passes.
 //!
-//! Each per-file rule is a function from a [`FileCtx`] to findings; the
-//! findings are routed through the allowlist by `FileCtx::push`. Rules
-//! skip `#[cfg(test)]` lines themselves (test code is exempt from every
-//! per-file rule). The coverage cross-checks in [`coverage`] run once
-//! per workspace and bypass the allowlist on purpose: an exporter gap
-//! is never acceptable, only fixable.
+//! Each rule is a function from a [`FileCtx`] to findings; the findings
+//! are routed through the allowlist by `FileCtx::push`. Rules skip
+//! `#[cfg(test)]` lines themselves (test code is exempt from every
+//! per-file rule).
 
-pub(crate) mod coverage;
-mod fleet_readiness;
 mod float_determinism;
-mod hash_collections;
 mod truncating_cast;
-mod unwrap_expect;
-mod wall_clock;
-mod wildcard_match;
 
-use super::{FileCtx, Policy};
+use super::FileCtx;
 use crate::Violation;
 
-/// Runs every applicable per-file rule over one file.
-pub(crate) fn run(ctx: &FileCtx<'_>, policy: Policy, out: &mut Vec<Violation>) {
-    if policy.hash_collections {
-        hash_collections::check(ctx, out);
-    }
-    if policy.wall_clock {
-        wall_clock::check(ctx, out);
-    }
-    if policy.unwrap_expect {
-        unwrap_expect::check(ctx, out);
-    }
-    if policy.fleet_readiness {
-        fleet_readiness::check(ctx, out);
-    }
-    if policy.float_determinism {
-        float_determinism::check(ctx, out);
-    }
-    if policy.truncating_cast {
-        truncating_cast::check(ctx, out);
-    }
-    if policy.wildcard_match {
-        wildcard_match::check(ctx, out);
-    }
+/// Runs every per-file rule over one file.
+pub(crate) fn run(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
+    float_determinism::check(ctx, out);
+    truncating_cast::check(ctx, out);
 }

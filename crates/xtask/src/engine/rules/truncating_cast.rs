@@ -54,20 +54,12 @@ pub(crate) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{lint_file, policy_for};
-    use std::path::Path;
+    use crate::engine::lint_file;
 
     #[test]
     fn narrowing_casts_are_flagged_and_widening_is_not() {
         let src = "fn f(x: u64) { let a = x as u32; let b = x as u128; let c = x as u64; }\n";
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/sim/src/x.rs"),
-            src,
-            policy_for("sim"),
-            &mut out,
-        )
-        .expect("parses");
+        let out = lint_file("crates/sim/src/x.rs", src);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("`as u32`"));
     }
@@ -75,14 +67,7 @@ mod tests {
     #[test]
     fn literal_casts_and_imports_are_exempt() {
         let src = "use std::io::Read as u8reader;\nfn f() { let m = 0xff as u8; }\n";
-        let mut out = Vec::new();
-        lint_file(
-            Path::new("crates/sim/src/x.rs"),
-            src,
-            policy_for("sim"),
-            &mut out,
-        )
-        .expect("parses");
+        let out = lint_file("crates/sim/src/x.rs", src);
         assert!(out.is_empty(), "{out:?}");
     }
 }

@@ -1,35 +1,12 @@
 //! The determinism-hygiene lint pass behind `cargo xtask lint`.
 //!
 //! ConZone's value as an emulator rests on bit-identical seeded reruns
-//! and (for fleet mode) on device state that can shard across worker
-//! threads, so this pass makes both *statically enforced* properties
-//! instead of test-observed ones. Twelve rules:
+//! and on IO paths whose host cost is flat, so this pass makes both
+//! *statically enforced* properties instead of test-observed ones. It
+//! keeps only the rules nothing cheaper can enforce — the compiler, a
+//! clippy lint or a `Send` assertion own the rest (the ledger is
+//! `docs/internals.md` §8). Four rules:
 //!
-//! * [`hash-collections`] — no `std::collections::HashMap`/`HashSet` in
-//!   crates that hold sim-visible state. Their iteration order is
-//!   randomized per process (SipHash with random keys), so any iteration
-//!   that feeds simulator behaviour breaks seeded reruns. Use `BTreeMap`/
-//!   `BTreeSet` or an insertion-ordered structure, or annotate a keyed-only
-//!   use with `// xtask-lint: allow(hash-collections) — <reason>`.
-//! * [`wall-clock`] — no `Instant::now`, `SystemTime`, `thread_rng` or
-//!   `rand::random` outside `crates/bench` and test code. Simulated time
-//!   comes from `SimTime`; randomness from explicitly seeded generators.
-//! * [`unwrap-expect`] — no `.unwrap()` / `.expect(…)` in non-test library
-//!   code of `core`/`ftl`/`flash`/`sim`; return typed errors instead, or
-//!   annotate a genuine data-structure invariant with an allow comment.
-//! * [`counter-coverage`] — every public field of `Counters` must appear
-//!   in the `named_fields!`/`since` exporter lists, so a newly added
-//!   counter can never silently vanish from the JSON/metrics exports.
-//! * [`event-coverage`] — every `DeviceEvent` variant must be handled by
-//!   `kind_name`, `kind_index` and the `event_args` exporter mapping.
-//! * [`span-coverage`] — every `SpanKind` variant must be handled by
-//!   `name`, `index` and `breakdown_category`, so a newly added span kind
-//!   can never silently miss the exporters or the breakdown
-//!   reconciliation.
-//! * [`fleet-readiness`] — no `Rc`/`RefCell`/`Cell`/`UnsafeCell`,
-//!   `thread_local!` or `static mut` in sim-visible crates: device state
-//!   must be `Send` so the fleet runner can shard devices across worker
-//!   threads without silent per-thread divergence.
 //! * [`float-determinism`] — no `f32`/`f64` in sim-visible type positions
 //!   (struct/enum fields, const/static types, fn parameters); float
 //!   rounding varies with platform and optimization level. The stats/
@@ -37,30 +14,29 @@
 //! * [`truncating-cast`] — no narrowing `as` casts (`u8`/`u16`/`u32`/
 //!   `i8`/`i16`/`i32` targets) on runtime values: sim times, counters and
 //!   addresses are `u64` and silent wraps skew results without failing.
-//! * [`wildcard-match`] — no `_ =>` arms on matches over `DeviceEvent`,
-//!   `SpanKind`, `InvariantKind` or `FaultKind`; a wildcard defeats the
-//!   coverage rules by silently absorbing newly added variants.
 //! * [`hot-path-effects`] — functions marked `// xtask-effect: hot_path`
-//!   must be *transitively* free of allocation, explicit panics, locks
-//!   and wall-clock reads. A workspace call graph propagates an effect
-//!   lattice (allocates, panics, bounds, locks, wall_clock, rng) from a
-//!   builtin std table to fixpoint; violations name the full call chain
-//!   and anchor at the leaf site. `#[cold]` / `// xtask-effect: cold —
-//!   <reason>` functions cut propagation (the slow-path escape hatch).
-//!   `tests/zero_alloc.rs` is this rule's runtime cross-check.
+//!   must be *transitively* free of allocation, explicit panics and
+//!   locks. A workspace call graph propagates an effect lattice
+//!   (allocates, panics, locks) from a builtin std table to fixpoint;
+//!   violations name the full call chain and anchor at the leaf site.
+//!   `#[cold]` / `// xtask-effect: cold — <reason>` functions cut
+//!   propagation (the slow-path escape hatch). `tests/zero_alloc.rs` is
+//!   this rule's runtime cross-check.
 //! * [`effect-annotation`] — the effect markers themselves must be
 //!   well-formed: attached to a function, a known kind (`hot_path` or
 //!   `cold`), `cold` carrying a reason, and never both on one function.
 //!
 //! # Engine
 //!
-//! Since engine v2 the pass parses every file with the vendored `syn`
-//! stand-in (the build is fully offline; `vendor/` is the only
-//! dependency source) and runs the rules as AST/token passes over a
-//! per-file context: parsed items, a flattened token view with exact
-//! spans, and `#[cfg(test)]` extents derived from item attributes. A
-//! `"HashMap"` inside a string or doc comment can never trip a rule —
-//! the lexer never produces a token for it.
+//! The pass parses every file with the vendored `syn` stand-in (the
+//! build is fully offline; `vendor/` is the only dependency source) and
+//! runs the rules as AST/token passes over a per-file context: parsed
+//! items, a flattened token view with exact spans, and `#[cfg(test)]`
+//! extents derived from item attributes. A `"f64"` inside a string or
+//! doc comment can never trip a rule — the lexer never produces a token
+//! for it. The report carries a parse-coverage figure (files, items by
+//! kind, items the parser fell back on) so a construct the hand-rolled
+//! parser does not model cannot silently hide a violation.
 //!
 //! # Allowlist syntax
 //!
@@ -69,32 +45,24 @@
 //! enclosing item (fn, mod, impl, …), of the form:
 //!
 //! ```text
-//! // xtask-lint: allow(hash-collections) — keyed lookups only, never iterated
-//! // xtask-lint: allow(fleet-readiness, wall-clock) — profiler scratch state
+//! // xtask-lint: allow(truncating-cast) — lane index, masked to 8 bits above
+//! // xtask-lint: allow(float-determinism, truncating-cast) — export-side scaling
 //! ```
 //!
 //! The reason after the dash is mandatory; a bare `allow(...)` does not
-//! suppress anything (the diagnostic says so). The coverage rules
-//! ignore the allowlist entirely: an exporter gap is only fixable.
+//! suppress anything (the diagnostic says so).
 
 mod engine;
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Rule identifiers, as used in diagnostics and allow directives.
-pub const RULES: [&str; 12] = [
-    "hash-collections",
-    "wall-clock",
-    "unwrap-expect",
-    "counter-coverage",
-    "event-coverage",
-    "span-coverage",
-    "fleet-readiness",
+pub const RULES: [&str; 4] = [
     "float-determinism",
     "truncating-cast",
-    "wildcard-match",
     "hot-path-effects",
     "effect-annotation",
 ];
@@ -172,25 +140,31 @@ pub struct FnEffects {
 pub struct Report {
     /// Rule violations (failures), sorted.
     pub violations: Vec<Violation>,
-    /// Non-fatal warnings, sorted. Empty on `--changed` runs: a scoped
-    /// run exercises too few rules to judge whether an allow is unused.
+    /// Non-fatal warnings, sorted.
     pub warnings: Vec<Warning>,
     /// Per-function inferred effects for every annotated function.
     pub functions: Vec<FnEffects>,
+    /// Parse coverage: how many files the rules saw.
+    pub files_parsed: usize,
+    /// Parse coverage: every item the parser produced (nested ones
+    /// included), counted by kind. Items kept as raw tokens count under
+    /// their leading keyword (`use`, `type`, `extern`) or, for a form
+    /// the parser does not model, under `unknown`.
+    pub items_parsed: BTreeMap<&'static str, usize>,
+    /// Parse coverage: the `unknown` count — items where a rule that
+    /// reads item structure would see nothing.
+    pub fallback_items: usize,
 }
 
 /// Runs every rule over the workspace at `root`, returning the sorted
 /// violations.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    engine::lint_workspace(root)
+    Ok(engine::lint_workspace_report(root)?.violations)
 }
 
-/// Runs the lint and returns the full report. When `changed` is given,
-/// per-file rules run only over those root-relative paths; workspace
-/// rules (coverage, effect analysis) always see the whole tree — a
-/// call-graph property cannot be judged from a partial view.
-pub fn lint_workspace_report(root: &Path, changed: Option<&[PathBuf]>) -> std::io::Result<Report> {
-    engine::lint_workspace_report(root, changed)
+/// Runs the lint and returns the full report.
+pub fn lint_workspace_report(root: &Path) -> std::io::Result<Report> {
+    engine::lint_workspace_report(root)
 }
 
 /// Renders violations as a JSON report with a stable field order
@@ -228,9 +202,10 @@ pub fn violations_to_json(violations: &[Violation]) -> String {
 }
 
 /// Renders the full report as JSON with a stable field order (`rules`,
-/// `violation_count`, `violations`, `warning_count`, `warnings`, then
-/// `functions` with per-function inferred effects), so snapshots and CI
-/// consumers can diff the output textually.
+/// `violation_count`, `violations`, `warning_count`, `warnings`,
+/// `functions` with per-function inferred effects, then the `parse`
+/// coverage block), so snapshots and CI consumers can diff the output
+/// textually.
 pub fn report_to_json(report: &Report) -> String {
     let mut out = String::from("{\n  \"rules\": [");
     for (i, r) in RULES.iter().enumerate() {
@@ -294,11 +269,21 @@ pub fn report_to_json(report: &Report) -> String {
             f.cold,
         );
     }
-    if report.functions.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
+    if !report.functions.is_empty() {
+        out.push_str("\n  ");
     }
+    let _ = write!(
+        out,
+        "],\n  \"parse\": {{\"files\": {}, \"items\": {}, \"fallback\": {}, \"by_kind\": {{",
+        report.files_parsed,
+        report.items_parsed.values().sum::<usize>(),
+        report.fallback_items,
+    );
+    for (i, (kind, n)) in report.items_parsed.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}{}: {n}", json_string(kind));
+    }
+    out.push_str("}}\n}\n");
     out
 }
 
@@ -332,7 +317,7 @@ mod tests {
         let v = vec![Violation {
             file: PathBuf::from("crates/sim/src/x.rs"),
             line: 3,
-            rule: "hash-collections",
+            rule: "truncating-cast",
             message: "a \"quoted\" message".to_string(),
         }];
         let json = violations_to_json(&v);
@@ -367,8 +352,11 @@ mod tests {
                 line: 35,
                 hot: true,
                 cold: false,
-                effects: vec!["bounds"],
+                effects: vec!["panics"],
             }],
+            files_parsed: 2,
+            items_parsed: BTreeMap::from([("fn", 5), ("use", 3)]),
+            fallback_items: 0,
         };
         let json = report_to_json(&report);
         let warn_at = json.find("\"warnings\"").expect("warnings key");
@@ -376,7 +364,11 @@ mod tests {
         assert!(warn_at < fns_at);
         assert!(json.contains("\"warning_count\": 1"));
         assert!(json.contains("\"hot\": true"));
-        assert!(json.contains("\"effects\": [\"bounds\"]"));
+        assert!(json.contains("\"effects\": [\"panics\"]"));
+        assert!(json.contains(
+            "\"parse\": {\"files\": 2, \"items\": 8, \"fallback\": 0, \
+             \"by_kind\": {\"fn\": 5, \"use\": 3}}"
+        ));
         assert!(json.contains("core::ConZone::write_range"));
     }
 }

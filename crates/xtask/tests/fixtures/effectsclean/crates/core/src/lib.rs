@@ -1,6 +1,6 @@
 //! Clean fixture: a hot path whose forbidden effects are all discharged —
-//! a reasoned cold marker, a `#[cold]` attribute, a leaf allow, and a
-//! bounds-only indexing effect (inferred but deliberately unenforced).
+//! a reasoned cold marker, a `#[cold]` attribute and a leaf allow. Slice
+//! indexing is not an effect.
 
 // xtask-effect: hot_path
 pub fn submit(xs: &[u64], i: usize) -> u64 {

@@ -11,7 +11,7 @@
 //! cargo run --release --example kv_store
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use conzone::host::{F2fsLite, Temperature};
 use conzone::sim::{LatencyHistogram, SimRng};
@@ -21,7 +21,7 @@ use conzone::ConZone;
 /// Values are stored in per-key file blocks: key → (file, block index).
 struct KvStore {
     fs: F2fsLite,
-    index: HashMap<u64, (u64, u64)>,
+    index: BTreeMap<u64, (u64, u64)>,
     /// Blocks per value.
     value_blocks: u64,
     next_file: u64,
@@ -34,7 +34,7 @@ impl KvStore {
     fn new(dev: &ConZone) -> KvStore {
         KvStore {
             fs: F2fsLite::with_conventional_metadata(dev, 2),
-            index: HashMap::new(),
+            index: BTreeMap::new(),
             value_blocks: 4, // 16 KiB values
             next_file: 0,
             blocks_in_file: 0,

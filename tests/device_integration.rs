@@ -9,6 +9,18 @@ fn cfg() -> DeviceConfig {
     DeviceConfig::tiny_for_tests()
 }
 
+/// Device state must be `Send`, so a parallel sweep (or a future fleet
+/// runner) can move each device to its own worker thread. Checked at
+/// compile time: an `Rc`/`RefCell` field in any model breaks this test's
+/// build, not a run.
+#[test]
+fn device_models_are_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<ConZone>();
+    assert_send::<LegacyDevice>();
+    assert_send::<FemuZns>();
+}
+
 /// Every model serves a write→read roundtrip through the trait object
 /// interface.
 #[test]

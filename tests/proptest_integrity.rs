@@ -160,7 +160,7 @@ proptest! {
     ) {
         let mut dev = LegacyDevice::new(small_cfg());
         let total_slices = dev.capacity_bytes() / SLICE_BYTES;
-        let mut model: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut model: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         let mut t = SimTime::ZERO;
         let mut tag = 1000u64;
 
@@ -241,7 +241,7 @@ proptest! {
         let zs = dev.zone_size() / SLICE_BYTES;
         let nzones = dev.zone_count() as u64;
         let mut t = SimTime::ZERO;
-        let mut model: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut model: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         let mut wp = vec![0u64; nzones as usize];
         let mut tag = 0u64;
 

@@ -59,7 +59,7 @@ fn everything_at_once() {
     // slice -> tag maps for both regions.
     let mut wp = vec![0u64; nzones as usize];
     let mut full = vec![false; nzones as usize];
-    let mut shadow: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut shadow: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
 
     for step in 0..4000u64 {
         match rng.below(100) {
