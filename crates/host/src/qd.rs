@@ -38,7 +38,7 @@ use conzone_types::{
 };
 
 use crate::job::FioJob;
-use crate::runner::{drive, rate_over, Ev, HostError, Tenant};
+use crate::runner::{drive, rate_over, Ev, HostError, Tenant, MAX_OUTSTANDING};
 
 /// One in-flight command slot of a [`QueuePair`].
 #[derive(Debug, Default, Clone, Copy)]
@@ -490,7 +490,8 @@ impl FrontEnd {
 /// # Errors
 ///
 /// [`HostError::BadJob`] for an empty tenant list, any job
-/// [`crate::run_job`] would reject, or an open-loop (`arrival_iops`) job;
+/// [`crate::run_job`] would reject, an open-loop (`arrival_iops`) job, or
+/// tenants that together keep more than 2^20 commands outstanding;
 /// [`HostError::Device`] / [`HostError::VerifyMismatch`] as in
 /// [`crate::run_job`].
 pub fn run_tenants<D: StorageDevice + ?Sized>(
@@ -502,6 +503,7 @@ pub fn run_tenants<D: StorageDevice + ?Sized>(
         return Err(HostError::BadJob("no tenants".to_string()));
     }
     let mut tenants = Vec::with_capacity(specs.len());
+    let mut outstanding = 0u64;
     for spec in specs {
         if spec.job.arrival_iops.is_some() {
             // A queue pair's slot slab is bounded; an open-loop backlog
@@ -510,7 +512,14 @@ pub fn run_tenants<D: StorageDevice + ?Sized>(
                 "open-loop arrivals are not supported by the queue-pair driver".to_string(),
             ));
         }
-        tenants.push(Tenant::new(dev.capacity_bytes(), &spec.job)?);
+        let tenant = Tenant::new(dev.capacity_bytes(), &spec.job)?;
+        outstanding += tenant.outstanding();
+        if outstanding > MAX_OUTSTANDING {
+            return Err(HostError::BadJob(format!(
+                "tenants together exceed {MAX_OUTSTANDING} outstanding commands"
+            )));
+        }
+        tenants.push(tenant);
     }
     let mut front = FrontEnd::new(specs, opts);
 
@@ -954,6 +963,18 @@ mod tests {
                 &QdOptions::default()
             ),
             Err(HostError::BadJob(_))
+        ));
+        // Each tenant fits the outstanding-command bound, their sum does not.
+        let deep = |name: &str| {
+            let job = FioJob::new(AccessPattern::RandRead, 4096)
+                .region(0, 2 * MIB)
+                .queue_depth(65_535);
+            TenantSpec::new(name, job)
+        };
+        let specs: Vec<TenantSpec> = (0..17).map(|i| deep(&format!("t{i}"))).collect();
+        assert!(matches!(
+            run_tenants(&mut dev, &specs, &QdOptions::default()),
+            Err(HostError::BadJob(why)) if why.contains("outstanding")
         ));
     }
 

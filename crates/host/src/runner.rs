@@ -232,6 +232,11 @@ struct ThreadState {
     rng: SimRng,
 }
 
+/// Most commands one run may keep outstanding (threads × queue depth,
+/// summed over tenants): the slot slab and the per-thread state are
+/// allocated up front, so the product must be bounded before either is.
+pub(crate) const MAX_OUTSTANDING: u64 = 1 << 20;
+
 /// Driver state of one tenant: a validated job — the clamped region, the
 /// zoned-write geometry, one generator state per thread — and its books.
 /// Building it is the validation step of every entry point, so a job
@@ -271,6 +276,15 @@ impl<'a> Tenant<'a> {
         }
         if job.queue_depth == 0 {
             return Err(HostError::BadJob("zero queue depth".to_string()));
+        }
+        if (job.threads as u64)
+            .checked_mul(job.queue_depth as u64)
+            .is_none_or(|n| n > MAX_OUTSTANDING)
+        {
+            return Err(HostError::BadJob(format!(
+                "{} threads at queue depth {} exceed {MAX_OUTSTANDING} outstanding commands",
+                job.threads, job.queue_depth
+            )));
         }
         if job.queue_depth > 1 && job.pattern == AccessPattern::SeqWrite && job.zone_bytes.is_some()
         {
@@ -334,6 +348,11 @@ impl<'a> Tenant<'a> {
             thread_hists: (0..job.threads).map(|_| LatencyHistogram::new()).collect(),
             writes_since_fsync: 0,
         })
+    }
+
+    /// Commands the tenant keeps outstanding (at most [`MAX_OUTSTANDING`]).
+    pub(crate) fn outstanding(&self) -> u64 {
+        self.job.threads as u64 * self.job.queue_depth as u64
     }
 
     /// Produces a thread's next request as `(offset, is_read)`, or `None` when
@@ -800,6 +819,35 @@ mod tests {
         assert!(matches!(run_job(&mut dev, &job), Err(HostError::BadJob(_))));
         let job = FioJob::new(AccessPattern::RandRead, 4096).threads(0);
         assert!(matches!(run_job(&mut dev, &job), Err(HostError::BadJob(_))));
+    }
+
+    #[test]
+    fn outstanding_commands_are_bounded_before_anything_is_sized_by_them() {
+        let cap = 16 << 20;
+        let job = |threads, qd| {
+            FioJob::new(AccessPattern::RandRead, 4096)
+                .threads(threads)
+                .queue_depth(qd)
+        };
+        // At the bound is fine; one thread more is not.
+        assert_eq!(
+            Tenant::new(cap, &job(1 << 10, 1 << 10))
+                .unwrap()
+                .outstanding(),
+            MAX_OUTSTANDING
+        );
+        for (threads, qd) in [
+            ((1 << 10) + 1, 1 << 10),
+            (65_535, 65_535),
+            (99_999_999_999, 1),
+            (usize::MAX, usize::MAX),
+        ] {
+            let err = Tenant::new(cap, &job(threads, qd)).unwrap_err();
+            assert!(
+                matches!(&err, HostError::BadJob(why) if why.contains("outstanding")),
+                "{threads} x {qd}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,12 @@
 use std::process::Command;
 
 fn conzone(args: &[&str]) -> (bool, String, String) {
+    conzone_in(std::path::Path::new("."), args)
+}
+
+fn conzone_in(dir: &std::path::Path, args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_conzone"))
+        .current_dir(dir)
         .args(args)
         .output()
         .expect("spawn conzone");
@@ -107,52 +112,64 @@ fn gen_trace_replay_roundtrip() {
     assert!(stderr.contains("error"), "{stderr}");
 }
 
-/// A seeded 512 KiB sequential read of the tiny device reproduces the
-/// committed stats, event trace and span dump byte for byte — 128 L2P
-/// lookup events per read included, however the host walks the range. The
-/// golden files were written by the last commit whose read path resolved
-/// every 4 KiB slice on its own; `tests/golden/README.md` has the command.
+/// Seeded runs of the tiny device reproduce the committed stats and span
+/// dumps byte for byte, one row per path through `conzone run`: the plain
+/// job (with its event trace — 128 L2P lookup events per 512 KiB read,
+/// however the host walks the range), queue pairs (host and device spans
+/// merged into one id space), FEMU (the superblock-rounded prefill) and a
+/// job file (`job` key first, cumulative `trace` counts, no `spans`
+/// member). `tests/golden/README.md` has the command behind each directory
+/// and the commit whose binary wrote it.
 #[test]
-fn seqread_512k_matches_the_golden_outputs() {
-    let golden =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/seqread-512k-tiny");
-    let dir = std::env::temp_dir().join("conzone-cli-golden");
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let (ok, stdout, stderr) = conzone(&[
-        "run",
-        "--config",
-        "tiny",
-        "--pattern",
-        "seqread",
-        "--bs",
-        "512k",
-        "--size",
-        "2m",
-        "--region",
-        "2m",
-        "--seed",
-        "7",
-        "--trace-out",
-        &out("trace.json"),
-        "--span-out",
-        &out("spans.jsonl"),
-        "--stats-json",
-    ]);
-    assert!(ok, "{stderr}");
-    let expect = |name: &str| std::fs::read_to_string(golden.join(name)).unwrap();
-    assert_eq!(stdout, expect("stats.json"), "stats JSON moved");
-    for name in ["trace.json", "spans.jsonl"] {
-        let got = std::fs::read_to_string(out(name)).unwrap();
-        // Not assert_eq: a 60 KB one-line diff helps nobody.
-        assert!(
-            got == expect(name),
-            "{name} differs from tests/golden/seqread-512k-tiny/{name}"
-        );
-        std::fs::remove_file(out(name)).ok();
+fn runs_match_the_golden_outputs() {
+    let cases: [(&str, &str, &[&str]); 4] = [
+        (
+            "seqread-512k-tiny",
+            "--pattern seqread --bs 512k --size 2m --region 2m \
+             --trace-out trace.json --span-out spans.jsonl",
+            &["trace.json", "spans.jsonl"],
+        ),
+        (
+            "qd-randread-tiny",
+            "--pattern randread --bs 4k --size 64k --region 2m --qd 8 --tenants 2 \
+             --aggregation page --span-out spans.jsonl",
+            &["spans.jsonl"],
+        ),
+        (
+            "femu-seqread-tiny",
+            "--device femu --pattern seqread --bs 512k --size 3m --region 2560k",
+            &[],
+        ),
+        ("jobfile-tiny", "--job job.fio --trace-out trace.json", &[]),
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (name, flags, exports) in cases {
+        let golden = root.join(name);
+        let dir = std::env::temp_dir().join("conzone-cli-golden").join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        if golden.join("job.fio").exists() {
+            std::fs::copy(golden.join("job.fio"), dir.join("job.fio")).unwrap();
+        }
+        let line = format!("run --config tiny --seed 7 --stats-json {flags}");
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let (ok, stdout, stderr) = conzone_in(&dir, &args);
+        assert!(ok, "{name}: {stderr}");
+        let expect = |file: &str| std::fs::read_to_string(golden.join(file)).unwrap();
+        assert_eq!(stdout, expect("stats.json"), "{name}: stats JSON moved");
+        for file in exports {
+            let got = std::fs::read_to_string(dir.join(file)).unwrap();
+            // Not assert_eq: a 60 KB one-line diff helps nobody.
+            assert!(
+                got == expect(file),
+                "{file} differs from tests/golden/{name}/{file}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
-    // The golden itself is per-slice: 4 × 128 lookups, two of them misses.
-    assert_eq!(expect("trace.json").matches("hit_zone").count(), 510);
+    // The seqread golden itself is per-slice: 4 × 128 lookups, two of them
+    // misses.
+    let trace = std::fs::read_to_string(root.join("seqread-512k-tiny/trace.json")).unwrap();
+    assert_eq!(trace.matches("hit_zone").count(), 510);
 }
 
 #[test]
@@ -171,6 +188,30 @@ fn run_fio_job_file() {
     assert!(stdout.contains("[fill]"), "{stdout}");
     assert!(stdout.contains("[reads]"), "{stdout}");
     assert!(stdout.contains("time     :"), "{stdout}");
+    // The file runs on the device `--device` names, like every other run.
+    let (ok, stdout, stderr) = conzone(&[
+        "run",
+        "--config",
+        "tiny",
+        "--job",
+        path.to_str().unwrap(),
+        "--device",
+        "legacy",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("[reads]\nlegacy:"), "{stdout}");
+    assert!(!stdout.contains("time     :"), "{stdout}");
+    let (ok, _, stderr) = conzone(&[
+        "run",
+        "--config",
+        "tiny",
+        "--job",
+        path.to_str().unwrap(),
+        "--device",
+        "bogus",
+    ]);
+    assert!(!ok);
+    assert_eq!(stderr, "error: unknown --device 'bogus'\n");
     std::fs::remove_file(&path).ok();
     // Unsupported keys fail loudly.
     std::fs::write(&path, "[j]\nioengine=libaio\n").unwrap();
@@ -185,6 +226,10 @@ fn run_fio_job_file() {
 /// panics").
 #[test]
 fn hostile_flag_values_are_rejected_cleanly() {
+    let dir = std::env::temp_dir().join("conzone-cli-hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let hostile_job = dir.join("numjobs.fio");
+    std::fs::write(&hostile_job, "[j]\nrw=randread\nnumjobs=99999999999\n").unwrap();
     let run_flags = [
         "--threads 0",
         "--threads 99999999999",
@@ -199,12 +244,17 @@ fn hostile_flag_values_are_rejected_cleanly() {
         "--power-cut-at 0",
         "--fault-rates nan,0,0",
         "--conventional 9999",
+        "--pattern randread --qd 65535 --threads 65535",
+        "--pattern randread --qd 65535 --tenants 65535",
+        &format!("--job {}", hostile_job.display()),
     ];
     let scenarios = [
         "interference --qd 99999999999",
         "mixed --qd 99999999999",
         "flash-cache --qd 99999999999",
         "mixed --region 0",
+        "mixed --device bogus",
+        "mixed --device femu",
     ];
     let runs = run_flags
         .iter()
@@ -224,4 +274,61 @@ fn hostile_flag_values_are_rejected_cleanly() {
             );
         }
     }
+}
+
+/// The usage text is the flag vocabulary: a flag outside it is an error,
+/// and every command line the docs, CI and the benchmark spell out stays
+/// inside it.
+#[test]
+fn unknown_flags_are_rejected_and_documented_ones_are_known() {
+    for (flag, line) in [
+        ("--patern", "run --config tiny --patern randread"),
+        ("--q", "run --config tiny --q 4"),
+        ("--verbose", "info --verbose"),
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let (ok, stdout, stderr) = conzone(&args);
+        assert!(!ok, "`{line}` succeeded: {stdout}");
+        assert_eq!(stderr, format!("error: unknown flag '{flag}'\n"));
+    }
+
+    let (_, usage, _) = conzone(&["help"]);
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '-';
+    let known = |flag: &str| usage.split(|c| !is_word(c)).any(|token| token == flag);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).unwrap();
+    let mut checked = 0;
+    let mut check = |file: &str, flags: &str| {
+        for flag in flags.split(|c| !is_word(c)).filter(|t| t.starts_with("--")) {
+            assert!(known(flag), "{file}: `{flag}` is not in `conzone help`");
+            checked += 1;
+        }
+    };
+    // Shell command lines: everything after `conzone <subcommand>` up to a
+    // pipe, redirect, comment or closing backtick, continuation lines joined.
+    let commands = ["run", "scenario", "info", "zones", "replay", "gen-trace"];
+    for file in [
+        ".github/workflows/ci.yml",
+        "README.md",
+        "EXPERIMENTS.md",
+        "docs/internals.md",
+        "tests/golden/README.md",
+    ] {
+        let text = read(file).replace("\\\n", " ");
+        for line in text.lines() {
+            for cmd in commands {
+                for lead in ["conzone ", "conzone -- "] {
+                    if let Some((_, rest)) = line.split_once(&format!("{lead}{cmd} ")) {
+                        let end = rest.find(['|', '>', '#', '`']).unwrap_or(rest.len());
+                        check(file, &rest[..end]);
+                    }
+                }
+            }
+        }
+    }
+    // The benchmark's invocations are string literals in `fn suite`.
+    let bench = read("benchmark/benches/cli_figures.rs");
+    let suite = bench.split("\nfn suite(").nth(1).expect("fn suite");
+    check("cli_figures.rs", suite.split("\n}\n").next().unwrap());
+    assert!(checked > 100, "only {checked} documented flags found");
 }
