@@ -414,6 +414,7 @@ impl ZonedDevice for ConZone {
         })
     }
 
+    // xtask-effect: hot_path
     fn reset_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
         self.ensure_powered()?;
         let depth = self.spans.depth();

@@ -7,8 +7,7 @@
 //! data still lingering in SLC.
 
 use conzone_types::{
-    ChipId, DeviceError, DeviceEvent, Lpn, Ppa, SimTime, SpanKind, SuperblockId, ZoneId,
-    SLICE_BYTES,
+    ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, Ppa, SimTime, SpanKind, SuperblockId, ZoneId,
 };
 
 use crate::device::ConZone;
@@ -31,7 +30,7 @@ impl ConZone {
                 let wear: u64 = (0..self.cfg.geometry.nchips())
                     .map(|c| {
                         self.flash
-                            .block(conzone_types::ChipId(c as u64), sb.raw() as usize)
+                            .block(ChipId(c as u64), sb.raw() as usize)
                             .erase_count()
                     })
                     .sum();
@@ -114,11 +113,7 @@ impl ConZone {
 
         // Program into the SLC stream without recursive GC: the free-list
         // threshold guarantees a destination superblock is available.
-        let nchips = self.cfg.geometry.nchips();
-        let spb = self.cfg.geometry.slices_per_block() as usize;
-        let spp = self.cfg.geometry.slices_per_page();
-        let mut t = now;
-        let mut finish = t;
+        let mut finish = now;
         let mut idx = 0usize;
         let mut order = std::mem::take(&mut self.scratch.gc_chip_order);
         while idx < lpns.len() {
@@ -130,70 +125,87 @@ impl ConZone {
                         self.scratch.gc_lpns = lpns;
                         self.scratch.gc_chip_order = order;
                         return Err(DeviceError::NoFreeSpace {
-                            at: t,
+                            at: now,
                             // xtask-lint: allow(hot-path-effects) — device-full error path, not steady state
                             what: "no free SLC superblock for GC destination".to_string(),
                         });
                     }
                 },
             };
-            order.clear();
-            order.extend(0..nchips);
-            order.sort_by_key(|&c| self.flash.chip_free_at(ChipId(c as u64)));
-            let mut any = false;
-            for &c in &order {
-                if idx >= lpns.len() {
-                    break;
-                }
-                let chip = ChipId(c as u64);
-                let avail = spb - self.flash.block(chip, sb.raw() as usize).cursor();
-                let n = spp.min(avail).min(lpns.len() - idx);
-                if n == 0 {
-                    continue;
-                }
-                let pay =
-                    data.map(|p| &p[idx * SLICE_BYTES as usize..(idx + n) * SLICE_BYTES as usize]);
-                let out = match self.flash.program_slc(t, chip, sb.raw() as usize, n, pay) {
-                    Ok(out) => out,
-                    Err(conzone_flash::FlashError::ProgramFailed { .. }) => {
-                        // Burned slices count as progress; retry the same
-                        // live data on the next placement round.
-                        self.counters.program_failures += 1;
-                        any = true;
-                        continue;
+            let pending = idx..lpns.len();
+            idx =
+                self.slc_placement_round(now, sb, pending, &mut order, data, |dev, at, out| {
+                    // GC completes when the data is in the cells, not when the
+                    // transfer ends: the victim is erased next.
+                    finish = finish.max(out.finish);
+                    // The batch landed as one physical run; its sources split
+                    // into runs that were consecutive both logically and
+                    // physically (a staged or patch fragment moves as one).
+                    let n = out.slices as usize;
+                    let (moved_lpns, moved_from) = (&lpns[at..at + n], &old_ppas[at..at + n]);
+                    let mut k = 0;
+                    while k < n {
+                        let (lpn, old) = (moved_lpns[k], moved_from[k]);
+                        let len = 1
+                            + (1..n - k)
+                                .take_while(|&d| {
+                                    moved_lpns[k + d] == lpn.offset(d as u64)
+                                        && moved_from[k + d] == old.offset(d as u64)
+                                })
+                                .count();
+                        let new = out.first.offset(k as u64);
+                        dev.table.relocate_extent(lpn, new, len as u64);
+                        dev.slc.owner.remove_run(old, len);
+                        dev.slc.owner.insert_run(new, lpn, len);
+                        dev.fix_staged_references(lpn, new, len as u64);
+                        k += len;
                     }
-                    Err(conzone_flash::FlashError::BlockRetired { .. }) => continue,
-                    Err(e) => return Err(internal(e)),
-                };
-                any = true;
-                finish = finish.max(out.finish);
-                for i in 0..n {
-                    let lpn = lpns[idx + i];
-                    let old = old_ppas[idx + i];
-                    let new = out.first.offset(i as u64);
-                    self.table.relocate(lpn, new);
-                    self.slc.owner.remove(&old);
-                    self.slc.owner.insert(new, lpn);
-                    self.fix_staged_reference(lpn, new);
-                }
-                idx += n;
-            }
-            if !any {
-                self.slc.retire_active();
-            }
+                })?;
         }
         self.scratch.gc_lpns = lpns;
         self.scratch.gc_chip_order = order;
-        t = finish;
-        Ok(t)
+        Ok(finish)
     }
 
-    /// Updates a zone's staged-slice record after GC moved the slice.
-    fn fix_staged_reference(&mut self, lpn: Lpn, new_ppa: Ppa) {
-        let zidx = (lpn.raw() / self.zone_slices()) as usize;
-        if let Some(s) = self.zones[zidx].staged.iter_mut().find(|s| s.lpn == lpn) {
-            s.ppa = new_ppa;
+    /// Updates the zones' staged-slice records after GC moved the logical
+    /// run `[lpn, lpn + len)` to the physical run starting at `new_ppa`.
+    fn fix_staged_references(&mut self, lpn: Lpn, new_ppa: Ppa, len: u64) {
+        let zs = self.zone_slices();
+        let (first, last) = (lpn.raw() / zs, (lpn.raw() + len - 1) / zs);
+        for zone in &mut self.zones[first as usize..=last as usize] {
+            for s in &mut zone.staged {
+                let d = s.lpn.raw().wrapping_sub(lpn.raw());
+                if d < len {
+                    s.ppa = new_ppa.offset(d);
+                }
+            }
         }
+    }
+
+    /// Invalidates the SLC-resident slices gathered in `scratch.ppas` and
+    /// forgets their owners: one flash and one owner-map operation per run
+    /// of physically consecutive slices of one block (staged and patch
+    /// data sits in page-sized runs), not per slice.
+    pub(crate) fn drop_gathered_slc_slices(&mut self) -> Result<(), DeviceError> {
+        let spb = self.cfg.geometry.slices_per_block();
+        let ppas = std::mem::take(&mut self.scratch.ppas);
+        let mut rest = &ppas[..];
+        let mut outcome = Ok(());
+        while let Some(&first) = rest.first() {
+            let in_block = (spb - first.raw() % spb) as usize;
+            let n = 1
+                + (1..rest.len().min(in_block))
+                    .take_while(|&i| rest[i] == first.offset(i as u64))
+                    .count();
+            if let Err(e) = self.flash.invalidate_run(first, n) {
+                outcome = Err(internal(e));
+                break;
+            }
+            self.slc.owner.remove_run(first, n);
+            rest = &rest[n..];
+        }
+        self.scratch.ppas = ppas;
+        outcome
     }
 
     /// Handles a zone reset (paper §III-D, E.2): releases the zone's
@@ -221,18 +233,25 @@ impl ConZone {
             self.buffers[buf_idx].release();
         }
 
-        // Invalidate SLC-resident slices belonging to this zone.
-        let doomed: Vec<Ppa> = self
-            .slc
-            .owner
-            .iter()
-            .filter(|(_, lpn)| lpn.raw() / zs == zone_id.raw())
-            .map(|(ppa, _)| ppa)
-            .collect();
-        for ppa in doomed {
-            self.flash.invalidate(ppa).map_err(internal)?;
-            self.slc.owner.remove(&ppa);
-        }
+        // Invalidate SLC-resident slices belonging to this zone, found from
+        // the zone's own mapping entries (the owner map and the table
+        // agree, invariant 3; no scan of the SLC region). Path ① is the
+        // only writer of canonical entries below the backing boundary and
+        // places them in the reserved superblock; every other mapped page
+        // — staged, redone after a program failure, conventional, tail
+        // patch — lives in SLC, where GC keeps it, flags unchanged.
+        let backing = self.backing_slices().min(zs);
+        let doomed = &mut self.scratch.ppas;
+        doomed.clear();
+        doomed.extend(
+            self.table
+                .non_canonical_ppas(LpnRange::new(zone_base, backing)),
+        );
+        let tail = LpnRange::new(zone_base.offset(backing), zs - backing);
+        doomed.extend(self.table.ppas(tail).iter().flatten());
+        #[cfg(any(test, debug_assertions))]
+        self.debug_assert_reset_walk(zone_id);
+        self.drop_gathered_slc_slices()?;
         self.zones[zidx].staged.clear();
 
         // Directly erase the reserved normal blocks.
@@ -255,6 +274,35 @@ impl ConZone {
         self.probe.emit(t, DeviceEvent::ZoneReset { zone: zone_id });
         self.debug_assert_invariants("after zone reset");
         Ok(t + self.cfg.host_overhead)
+    }
+
+    /// The scan the reset walk replaced, kept as its reference: every
+    /// owner-map entry of the whole SLC region whose page lies in `zone`,
+    /// in ascending physical order.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn reset_reference(&self, zone: ZoneId) -> Vec<Ppa> {
+        let zs = self.zone_slices();
+        self.slc
+            .owner
+            .iter()
+            .filter(|(_, lpn)| lpn.raw() / zs == zone.raw())
+            .map(|(ppa, _)| ppa)
+            .collect()
+    }
+
+    /// Every debug-profile reset cross-checks the walk against
+    /// [`ConZone::reset_reference`].
+    // xtask-effect: cold — debug-build cross-check: the assertion compiles
+    // out of release, where the sort and the reference scan never run
+    #[cfg(any(test, debug_assertions))]
+    fn debug_assert_reset_walk(&self, zone: ZoneId) {
+        let mut walked = self.scratch.ppas.clone();
+        walked.sort_unstable();
+        debug_assert_eq!(
+            walked,
+            self.reset_reference(zone),
+            "reset walk of zone {zone} disagrees with the SLC owner scan"
+        );
     }
 
     /// Superblocks currently on the SLC used (GC-eligible) list, for tests.

@@ -160,6 +160,9 @@ impl ConZone {
 
     /// Panics with the violation list if any invariant is broken.
     /// Compiled out entirely in release builds.
+    // xtask-effect: cold — debug-build invariant checker: compiles out of
+    // release (cfg(debug_assertions)), so its walker allocations never run in
+    // the steady state the hot-path contract covers
     #[cfg(debug_assertions)]
     #[track_caller]
     pub(crate) fn debug_assert_invariants(&self, context: &str) {

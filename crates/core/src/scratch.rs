@@ -8,8 +8,10 @@
 //! fill and put back. Capacity grows during warmup and then stabilises.
 //!
 //! Fields taken concurrently must be distinct: the write path holds
-//! `lpns`/`chip_order` while GC (reachable from `program_slc_batch`)
-//! holds the `gc_*` buffers, so the two never alias.
+//! `chip_order` while GC (reachable from `program_slc_batch`) holds the
+//! `gc_*` buffers, so the two never alias. `ppas` is held by whichever of
+//! an SLC combine, a conventional overwrite or a zone reset is gathering
+//! slices to drop; each puts it back before anything else can run.
 
 use conzone_types::{DeviceConfig, Lpn, Ppa};
 
@@ -21,9 +23,8 @@ pub(crate) struct IoScratch {
     pub read_slots: Vec<crate::read::Slot>,
     /// Read path: PPAs gathered for the flash data read.
     pub read_ppas: Vec<Ppa>,
-    /// Write path: LPN runs handed to `program_slc_batch`.
-    pub lpns: Vec<Lpn>,
-    /// Write path: staged-slice PPAs read back for an SLC combine.
+    /// SLC slices about to be dropped: a combine's staged run, the old
+    /// versions under a conventional overwrite, a reset zone's leftovers.
     pub ppas: Vec<Ppa>,
     /// Write path: idle-first chip placement order.
     pub chip_order: Vec<usize>,
@@ -38,7 +39,7 @@ pub(crate) struct IoScratch {
 impl IoScratch {
     /// Pre-sizes the buffers whose peak demand is fixed by the geometry,
     /// so their first large use (typically the first GC pass, or the first
-    /// zone-tail patch) does not allocate mid-workload. The read-path
+    /// reset of a zone with a tail patch) does not allocate mid-workload. The read-path
     /// buffers scale with host request size instead and are left to grow
     /// on first use.
     pub(crate) fn for_config(cfg: &DeviceConfig) -> IoScratch {
@@ -49,8 +50,9 @@ impl IoScratch {
         IoScratch {
             read_slots: Vec::new(),
             read_ppas: Vec::new(),
-            lpns: Vec::with_capacity(superpage.max(patch)),
-            ppas: Vec::with_capacity(g.slices_per_unit() + superpage),
+            // A reset zone's SLC leftovers: its patch slices plus one
+            // staged run (program-failure redos come on top, and grow it).
+            ppas: Vec::with_capacity(patch + g.slices_per_unit() + superpage),
             chip_order: Vec::with_capacity(g.nchips()),
             gc_ppas: Vec::with_capacity(superblock),
             gc_lpns: Vec::with_capacity(superblock),

@@ -109,6 +109,54 @@ impl SlcOwnerMap {
         }
     }
 
+    /// The slots of the `count` physically consecutive slices from
+    /// `first`, when the whole run lies inside one SLC block — where
+    /// consecutive addresses are consecutive slots, found with a single
+    /// index computation. `None` for a run that leaves the block or the
+    /// region; the callers then go slice by slice.
+    fn run_slots(&mut self, first: Ppa, count: usize) -> Option<&mut [Option<Lpn>]> {
+        let i = self.dense_index(first)?;
+        let in_block = i % self.block_span as usize;
+        (in_block + count <= self.block_span as usize).then(|| &mut self.slots[i..i + count])
+    }
+
+    /// [`SlcOwnerMap::insert`] for a run: slice `first + i` is owned by
+    /// page `start + i`.
+    pub(crate) fn insert_run(&mut self, first: Ppa, start: Lpn, count: usize) {
+        match self.run_slots(first, count) {
+            Some(slots) => {
+                let mut fresh = 0;
+                for (slot, lpn) in slots.iter_mut().zip(start.raw()..) {
+                    fresh += usize::from(slot.replace(Lpn(lpn)).is_none());
+                }
+                self.dense_len += fresh;
+            }
+            None => {
+                for i in 0..count as u64 {
+                    self.insert(first.offset(i), start.offset(i));
+                }
+            }
+        }
+    }
+
+    /// [`SlcOwnerMap::remove`] for a run of physically consecutive slices.
+    pub(crate) fn remove_run(&mut self, first: Ppa, count: usize) {
+        match self.run_slots(first, count) {
+            Some(slots) => {
+                let mut live = 0;
+                for slot in slots {
+                    live += usize::from(slot.take().is_some());
+                }
+                self.dense_len -= live;
+            }
+            None => {
+                for i in 0..count as u64 {
+                    self.remove(&first.offset(i));
+                }
+            }
+        }
+    }
+
     pub(crate) fn get(&self, ppa: &Ppa) -> Option<&Lpn> {
         match self.dense_index(*ppa) {
             Some(i) => self.slots[i].as_ref(),
@@ -302,5 +350,50 @@ mod tests {
         reference.remove(&Ppa(spb));
         assert_eq!(dense.len(), reference.len());
         assert_eq!(dense.get(&Ppa(spb)), None);
+    }
+
+    /// The run forms against the per-slice calls they replace: inside a
+    /// block, over slots already taken, across a block boundary and out
+    /// of the region (both of which fall back to per-slice).
+    #[test]
+    fn owner_run_ops_equal_per_slice_calls() {
+        let g = Geometry::tiny();
+        let spb = g.slices_per_block();
+        let outside = g.slc_blocks_per_chip as u64 * spb;
+        let runs = [
+            (Ppa(3), 4usize),
+            (Ppa(5), 6),           // overlaps the first run
+            (Ppa(spb - 2), 5),     // crosses into block 1
+            (Ppa(outside - 1), 3), // leaves the SLC region
+            (Ppa(7), 0),
+        ];
+        let mut bulk = SlcOwnerMap::new(&g);
+        let mut looped = SlcOwnerMap::new(&g);
+        let same = |bulk: &SlcOwnerMap, looped: &SlcOwnerMap| {
+            assert_eq!(bulk.len(), looped.len());
+            assert_eq!(
+                bulk.iter().collect::<Vec<_>>(),
+                looped.iter().collect::<Vec<_>>()
+            );
+        };
+        for (k, &(first, count)) in runs.iter().enumerate() {
+            let start = Lpn(100 * k as u64);
+            bulk.insert_run(first, start, count);
+            for i in 0..count as u64 {
+                looped.insert(first.offset(i), start.offset(i));
+            }
+            same(&bulk, &looped);
+        }
+        assert_eq!(bulk.get(&Ppa(5)), Some(&Lpn(100)), "later run won");
+        for &(first, count) in &[(Ppa(4), 3usize), (Ppa(spb - 1), 2), (Ppa(outside), 2)] {
+            bulk.remove_run(first, count);
+            for i in 0..count as u64 {
+                looped.remove(&first.offset(i));
+            }
+            same(&bulk, &looped);
+        }
+        // Removing what is already gone changes nothing.
+        bulk.remove_run(Ppa(4), 3);
+        same(&bulk, &looped);
     }
 }

@@ -395,6 +395,25 @@ fn non_pow2_zone_uses_slc_patch() {
     assert_eq!(back, data);
 }
 
+/// A host flush inside the zone-tail patch leaves the durable prefix in
+/// the middle of a programming unit; the next write continues the patch
+/// from there. (The debug profile used to trip over "staged run starts
+/// unit-aligned" here, which only holds below the backing boundary.)
+#[test]
+fn flush_inside_the_tail_patch_then_finish_the_zone() {
+    let mut d = ConZone::new(non_pow2_config());
+    let zone_size = d.zone_size();
+    let data = pattern(zone_size as usize, 23);
+    let cut = (96 + 27) * SLICE_BYTES as usize; // backing is 96 slices
+    let t = write_at(&mut d, SimTime::ZERO, 0, Bytes::from(data[..cut].to_vec()));
+    let t = d.flush(t).expect("flush mid-patch").finished;
+    let t = write_at(&mut d, t, cut as u64, Bytes::from(data[cut..].to_vec()));
+    assert_eq!(d.counters().patch_slices, 32);
+    assert_eq!(d.check_invariants(), vec![]);
+    let (_, back) = read_at(&mut d, t, 0, zone_size);
+    assert_eq!(back, data);
+}
+
 #[test]
 fn determinism_same_seed_same_times() {
     let run = || -> (SimTime, Counters) {

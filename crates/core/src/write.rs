@@ -15,9 +15,9 @@
 //! patch) are partial-programmed into *reserved* SLC slices that still
 //! count as canonical for aggregation.
 
-use conzone_flash::FlashError;
+use conzone_flash::{FlashError, ProgramOutcome};
 use conzone_types::{
-    ChipId, DeviceError, DeviceEvent, FlushKind, Lpn, LpnRange, MapGranularity, SimTime, SpanKind,
+    ChipId, DeviceError, DeviceEvent, FlushKind, LpnRange, MapGranularity, SimTime, SpanKind,
     SuperblockId, ZoneId, ZoneState, SLICE_BYTES,
 };
 
@@ -141,20 +141,18 @@ impl ConZone {
     ) -> Result<SimTime, DeviceError> {
         let zidx = zone_id.raw() as usize;
         self.zones[zidx].state = ZoneState::Open;
-        // Supersede previous versions.
-        for lpn in range.iter() {
-            if let Some(entry) = self.table.get(lpn) {
-                self.flash.invalidate(entry.ppa).map_err(internal)?;
-                self.slc.owner.remove(&entry.ppa);
+        // Supersede previous versions: gather the mapped pages' slices,
+        // then drop them a physical run at a time. (The cache is keyed per
+        // page, so its invalidation has no run form.)
+        self.scratch.ppas.clear();
+        for (lpn, slot) in range.iter().zip(self.table.ppas(range)) {
+            if let Some(ppa) = *slot {
+                self.scratch.ppas.push(ppa);
                 self.cache.invalidate_page(lpn);
             }
         }
-        let mut lpns = std::mem::take(&mut self.scratch.lpns);
-        lpns.clear();
-        lpns.extend(range.iter());
-        let programmed = self.program_slc_batch(now, &lpns, payload, false, None);
-        self.scratch.lpns = lpns;
-        let mut t = programmed?;
+        self.drop_gathered_slc_slices()?;
+        let mut t = self.program_slc_batch(now, range, payload, false, None)?;
         self.counters.conventional_updates += range.count;
         self.note_l2p_updates(range.count);
         t = self.maybe_flush_l2p_log(t);
@@ -226,7 +224,12 @@ impl ConZone {
         let staged_len = self.zones[zidx].staged.len() as u64;
         let run_start = self.zones[zidx].staged_start();
         let run_end = self.buffers[buf_idx].end_offset();
-        debug_assert_eq!(run_start % unit, 0, "staged run starts unit-aligned");
+        // (A host flush inside the tail patch leaves the durable prefix
+        // mid-unit; nothing is ever staged there.)
+        debug_assert!(
+            run_start >= backing || run_start.is_multiple_of(unit),
+            "staged run starts unit-aligned"
+        );
 
         let mut t = now;
 
@@ -242,11 +245,15 @@ impl ConZone {
             if staged_len > 0 {
                 // Path ③: read the staged fragments out of SLC and
                 // invalidate them (striped blocks of Fig. 3).
-                let mut ppas = std::mem::take(&mut self.scratch.ppas);
-                ppas.clear();
-                ppas.extend(self.zones[zidx].staged.iter().map(|s| s.ppa));
+                self.scratch.ppas.clear();
+                self.scratch
+                    .ppas
+                    .extend(self.zones[zidx].staged.iter().map(|s| s.ppa));
                 let read_start = t;
-                let out = self.flash.read_slices(t, &ppas).map_err(internal)?;
+                let out = self
+                    .flash
+                    .read_slices(t, &self.scratch.ppas)
+                    .map_err(internal)?;
                 t = out.finish;
                 self.breakdown.combine_read += t.saturating_since(read_start);
                 if t > read_start {
@@ -254,11 +261,7 @@ impl ConZone {
                     self.spans.close(t);
                 }
                 staged_data = out.data;
-                for &ppa in &ppas {
-                    self.flash.invalidate(ppa).map_err(internal)?;
-                    self.slc.owner.remove(&ppa);
-                }
-                self.scratch.ppas = ppas;
+                self.drop_gathered_slc_slices()?;
                 self.zones[zidx].staged.clear();
                 self.counters.slc_combines += 1;
                 self.probe.emit(
@@ -310,10 +313,8 @@ impl ConZone {
                         // lands in the chip register; tPROG continues in
                         // the background.
                         finish = finish.max(out.buffer_free);
-                        for i in 0..unit {
-                            self.table
-                                .set(zone_base.offset(off + i), first_ppa.offset(i), true);
-                        }
+                        self.table
+                            .set_extent(zone_base.offset(off), first_ppa, unit, true);
                         self.note_bits(zone_base.offset(off), unit, MapGranularity::Page);
                         self.note_l2p_updates(unit);
                     }
@@ -328,12 +329,9 @@ impl ConZone {
                         if matches!(e, FlashError::ProgramFailed { .. }) {
                             self.counters.program_failures += 1;
                         }
-                        let mut lpns = std::mem::take(&mut self.scratch.lpns);
-                        lpns.clear();
-                        lpns.extend((0..unit).map(|i| zone_base.offset(off + i)));
-                        let redo = self.program_slc_batch(t, &lpns, data_slice, false, None);
-                        self.scratch.lpns = lpns;
-                        finish = finish.max(redo?);
+                        let lpns = LpnRange::new(zone_base.offset(off), unit);
+                        let redo = self.program_slc_batch(t, lpns, data_slice, false, None)?;
+                        finish = finish.max(redo);
                     }
                     Err(e) => return Err(internal(e)),
                 }
@@ -353,9 +351,7 @@ impl ConZone {
             );
             let count = run_end - patch_start;
             let pay = self.buffers[buf_idx].drain_front(count);
-            let mut lpns = std::mem::take(&mut self.scratch.lpns);
-            lpns.clear();
-            lpns.extend((patch_start..run_end).map(|o| zone_base.offset(o)));
+            let lpns = LpnRange::new(zone_base.offset(patch_start), count);
             self.probe.emit(
                 t,
                 DeviceEvent::PatchSlice {
@@ -363,9 +359,7 @@ impl ConZone {
                     slices: count,
                 },
             );
-            let programmed = self.program_slc_batch(t, &lpns, pay.as_deref(), true, None);
-            self.scratch.lpns = lpns;
-            t = programmed?;
+            t = self.program_slc_batch(t, lpns, pay.as_deref(), true, None)?;
             self.counters.patch_slices += count;
             self.zones[zidx].flushed_slices = run_end;
             self.maybe_aggregate(zone_id, patch_start, run_end);
@@ -376,9 +370,7 @@ impl ConZone {
             let start = self.buffers[buf_idx].start_offset;
             let count = self.buffers[buf_idx].slices;
             let pay = self.buffers[buf_idx].drain_front(count);
-            let mut lpns = std::mem::take(&mut self.scratch.lpns);
-            lpns.clear();
-            lpns.extend((start..start + count).map(|o| zone_base.offset(o)));
+            let lpns = LpnRange::new(zone_base.offset(start), count);
             self.counters.premature_flushes += 1;
             self.probe.emit(
                 t,
@@ -388,9 +380,7 @@ impl ConZone {
                     slices: count,
                 },
             );
-            let programmed = self.program_slc_batch(t, &lpns, pay.as_deref(), false, Some(zidx));
-            self.scratch.lpns = lpns;
-            t = programmed?;
+            t = self.program_slc_batch(t, lpns, pay.as_deref(), false, Some(zidx))?;
             self.zones[zidx].flushed_slices = start + count;
         }
 
@@ -400,27 +390,27 @@ impl ConZone {
         Ok(t)
     }
 
-    /// Partial-programs `lpns` into the SLC write stream, striping across
-    /// chips. Updates the mapping table (`canonical` flag as given), the
-    /// SLC owner map, and — for premature flushes — the zone's staged list.
+    /// Partial-programs the logical run `lpns` into the SLC write stream,
+    /// striping across chips. Each partial program lands a physical run;
+    /// the mapping table (`canonical` flag as given), the SLC owner map
+    /// and — for premature flushes — the zone's staged list are updated
+    /// once per such run.
     pub(crate) fn program_slc_batch(
         &mut self,
         now: SimTime,
-        lpns: &[Lpn],
+        lpns: LpnRange,
         payload: Option<&[u8]>,
         canonical: bool,
         staged_zone: Option<usize>,
     ) -> Result<SimTime, DeviceError> {
-        let nchips = self.cfg.geometry.nchips();
-        let spb = self.cfg.geometry.slices_per_block() as usize;
-        let spp = self.cfg.geometry.slices_per_page();
         let mut t = now;
         let mut finish = t;
+        let total = lpns.count as usize;
         let mut idx = 0usize;
         // Reused chip-order scratch; GC (reachable below) uses the
         // separate `gc_chip_order` buffer, so the two never alias.
         let mut order = std::mem::take(&mut self.scratch.chip_order);
-        while idx < lpns.len() {
+        while idx < total {
             let sb = match self.slc.active {
                 Some(sb) => sb,
                 None => {
@@ -445,65 +435,98 @@ impl ConZone {
                     }
                 }
             };
-            // Place one page's worth per chip per round, preferring idle
-            // chips so premature flushes never stall behind a long tPROG
-            // on a die that happens to be programming TLC. Stable sort:
-            // equally idle chips keep ascending order across reruns.
-            order.clear();
-            order.extend(0..nchips);
-            order.sort_by_key(|&c| self.flash.chip_free_at(ChipId(c as u64)));
-            let mut any = false;
-            for &c in &order {
-                if idx >= lpns.len() {
-                    break;
-                }
-                let chip = ChipId(c as u64);
-                let avail = spb - self.flash.block(chip, sb.raw() as usize).cursor();
-                let n = spp.min(avail).min(lpns.len() - idx);
-                if n == 0 {
-                    continue;
-                }
-                let pay = payload
-                    .map(|p| &p[idx * SLICE_BYTES as usize..(idx + n) * SLICE_BYTES as usize]);
-                let out = match self.flash.program_slc(t, chip, sb.raw() as usize, n, pay) {
-                    Ok(out) => out,
-                    Err(FlashError::ProgramFailed { .. }) => {
-                        // The claimed slices are burned; count the failure
-                        // as progress (the block filled a little) and
-                        // re-place the same slices on the next round.
-                        self.counters.program_failures += 1;
-                        any = true;
-                        continue;
-                    }
-                    Err(FlashError::BlockRetired { .. }) => {
-                        // This chip's block left the usable set: skip it.
-                        continue;
-                    }
-                    Err(e) => return Err(internal(e)),
-                };
-                any = true;
-                finish = finish.max(out.buffer_free);
-                for i in 0..n {
-                    let lpn = lpns[idx + i];
-                    let ppa = out.first.offset(i as u64);
-                    self.table.set(lpn, ppa, canonical);
-                    self.slc.owner.insert(ppa, lpn);
+            let pending = idx..total;
+            idx =
+                self.slc_placement_round(t, sb, pending, &mut order, payload, |dev, at, out| {
+                    // Host-visible: the buffer frees at the end of the transfer.
+                    finish = finish.max(out.buffer_free);
+                    let lpn = lpns.start.offset(at as u64);
+                    dev.table.set_extent(lpn, out.first, out.slices, canonical);
+                    dev.slc
+                        .owner
+                        .insert_run(out.first, lpn, out.slices as usize);
                     if let Some(z) = staged_zone {
-                        self.zones[z].staged.push(StagedSlice { lpn, ppa });
+                        dev.zones[z]
+                            .staged
+                            .extend((0..out.slices).map(|i| StagedSlice {
+                                lpn: lpn.offset(i),
+                                ppa: out.first.offset(i),
+                            }));
                     }
-                }
-                self.note_bits(lpns[idx], n as u64, MapGranularity::Page);
-                self.note_l2p_updates(n as u64);
-                idx += n;
-            }
-            if !any {
-                // Active superblock exhausted on every chip.
-                self.slc.retire_active();
-            }
+                    dev.note_bits(lpn, out.slices, MapGranularity::Page);
+                    dev.note_l2p_updates(out.slices);
+                })?;
         }
         self.scratch.chip_order = order;
         let finish = self.maybe_flush_l2p_log(finish);
         Ok(finish)
+    }
+
+    /// One placement round of the SLC write stream, shared by host
+    /// flushes and GC migration: offers every chip's block of superblock
+    /// `sb`, least busy chip first, up to a flash page of the slices
+    /// `pending` (indices into the caller's batch, and into `payload`),
+    /// and calls `placed(self, index of the first slice, outcome)` for
+    /// every partial program that lands — a physical run. Retires `sb`
+    /// when it is exhausted on every chip. Returns the index of the
+    /// first slice still unplaced.
+    pub(crate) fn slc_placement_round(
+        &mut self,
+        t: SimTime,
+        sb: SuperblockId,
+        pending: std::ops::Range<usize>,
+        order: &mut Vec<usize>,
+        payload: Option<&[u8]>,
+        mut placed: impl FnMut(&mut ConZone, usize, &ProgramOutcome),
+    ) -> Result<usize, DeviceError> {
+        let spb = self.cfg.geometry.slices_per_block() as usize;
+        let spp = self.cfg.geometry.slices_per_page();
+        // Preferring idle chips keeps premature flushes from stalling
+        // behind a long tPROG on a die that happens to be programming
+        // TLC. Stable sort: equally idle chips keep ascending order
+        // across reruns.
+        order.clear();
+        order.extend(0..self.cfg.geometry.nchips());
+        order.sort_by_key(|&c| self.flash.chip_free_at(ChipId(c as u64)));
+        let mut idx = pending.start;
+        let mut any = false;
+        for &c in order.iter() {
+            if idx >= pending.end {
+                break;
+            }
+            let chip = ChipId(c as u64);
+            let avail = spb - self.flash.block(chip, sb.raw() as usize).cursor();
+            let n = spp.min(avail).min(pending.end - idx);
+            if n == 0 {
+                continue;
+            }
+            let pay =
+                payload.map(|p| &p[idx * SLICE_BYTES as usize..(idx + n) * SLICE_BYTES as usize]);
+            let out = match self.flash.program_slc(t, chip, sb.raw() as usize, n, pay) {
+                Ok(out) => out,
+                Err(FlashError::ProgramFailed { .. }) => {
+                    // The claimed slices are burned; count the failure
+                    // as progress (the block filled a little) and
+                    // re-place the same slices on the next round.
+                    self.counters.program_failures += 1;
+                    any = true;
+                    continue;
+                }
+                Err(FlashError::BlockRetired { .. }) => {
+                    // This chip's block left the usable set: skip it.
+                    continue;
+                }
+                Err(e) => return Err(internal(e)),
+            };
+            any = true;
+            placed(self, idx, &out);
+            idx += n;
+        }
+        if !any {
+            // Active superblock exhausted on every chip.
+            self.slc.retire_active();
+        }
+        Ok(idx)
     }
 
     /// Attempts chunk aggregation for every chunk completed in

@@ -347,9 +347,7 @@ impl FlashArray {
         if self.fault.program_fails() {
             // Burn the just-claimed slices; the chip still pays the
             // transfer + tPROG of the failed attempt.
-            for i in start_slice..start_slice + count {
-                self.blocks[idx].invalidate(i)?;
-            }
+            self.blocks[idx].invalidate_run(start_slice, count)?;
             let plane = self.geometry.plane_of(chip, block);
             self.schedule_program(now, chip, plane, bytes, CellType::Slc, ops);
             self.note_program_failure(now, chip, block, idx);
@@ -381,10 +379,7 @@ impl FlashArray {
     /// physical addresses.
     fn burn_slices(&mut self, idx: usize, count: usize) -> Result<(), FlashError> {
         let start = self.blocks[idx].program(count)?;
-        for i in start..start + count {
-            self.blocks[idx].invalidate(i)?;
-        }
-        Ok(())
+        self.blocks[idx].invalidate_run(start, count)
     }
 
     /// Bookkeeping for one injected program failure: trace event plus
@@ -609,11 +604,23 @@ impl FlashArray {
     ///
     /// [`FlashError::InvalidSlice`] if the slice was never programmed.
     pub fn invalidate(&mut self, ppa: Ppa) -> Result<(), FlashError> {
-        let parts = self.geometry.decode_ppa(ppa);
+        self.invalidate_run(ppa, 1)
+    }
+
+    /// Marks `count` physically consecutive slices of one block dead with
+    /// a single address decode.
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::InvalidSlice`] if the run reaches a slice that was
+    /// never programmed — which includes running past the end of `first`'s
+    /// block; nothing is changed then.
+    pub fn invalidate_run(&mut self, first: Ppa, count: usize) -> Result<(), FlashError> {
+        let parts = self.geometry.decode_ppa(first);
         let in_block = parts.page * self.geometry.slices_per_page() + parts.slice;
         let idx = self.block_index(parts.chip, parts.block);
-        self.blocks[idx].invalidate(in_block)?;
-        self.store.remove(ppa);
+        self.blocks[idx].invalidate_run(in_block, count)?;
+        self.store.remove_range(first, count as u64);
         Ok(())
     }
 
@@ -638,16 +645,14 @@ impl FlashArray {
         let cell = self.cell_of_block(block);
         let idx = self.block_index(chip, block);
         let plane = self.geometry.plane_of(chip, block);
-        let base = self.block_base(chip, block);
+        self.blocks[idx].erase();
+        self.store.remove_range(
+            self.block_base(chip, block),
+            self.geometry.slices_per_block(),
+        );
         if self.fault.is_retired(idx) {
-            self.blocks[idx].erase();
-            self.store
-                .remove_range(base, self.geometry.slices_per_block());
             return self.planes.acquire(plane, now, SimDuration::ZERO);
         }
-        self.blocks[idx].erase();
-        self.store
-            .remove_range(base, self.geometry.slices_per_block());
         if self.fault.erase_fails() {
             self.fault.retire(idx);
             self.stats.blocks_retired += 1;
@@ -890,6 +895,63 @@ mod tests {
         let read = a.read_slices(out.finish, &ppas).unwrap();
         assert_eq!(read.data.as_deref(), Some(&payload[..]));
         assert!(read.finish > out.finish);
+    }
+
+    /// Data-backed erase: the block's payloads go with it (and only
+    /// those), and a re-programmed slice reads back the new bytes.
+    #[test]
+    fn erase_drops_the_blocks_payloads_and_reprogram_reads_new_bytes() {
+        let mut a = array();
+        assert!(a.stores_data());
+        let old = vec![0xAAu8; 64 * 1024];
+        let new = vec![0x55u8; 64 * 1024];
+        let kept = a
+            .program_unit(SimTime::ZERO, ChipId(2), 7, Some(&old))
+            .unwrap();
+        let first = a
+            .program_unit(SimTime::ZERO, ChipId(2), 6, Some(&old))
+            .unwrap();
+        let erased = a.erase_block(first.finish, ChipId(2), 6).end;
+        assert!(a.data_of(first.first).is_none(), "payload outlived erase");
+        assert_eq!(a.data_of(kept.first).map(|d| d[0]), Some(0xAA));
+        let again = a.program_unit(erased, ChipId(2), 6, Some(&new)).unwrap();
+        assert_eq!(again.first, first.first, "same physical slices");
+        let ppas: Vec<Ppa> = (0..again.slices).map(|i| again.first.offset(i)).collect();
+        let read = a.read_slices(again.finish, &ppas).unwrap();
+        assert_eq!(read.data.as_deref(), Some(&new[..]));
+    }
+
+    /// `invalidate_run` is `count` × `invalidate`: same validity, same
+    /// payloads dropped; a run leaving its block is refused whole.
+    #[test]
+    fn invalidate_run_equals_per_slice_invalidate() {
+        let payload = vec![7u8; 4 * SLICE_BYTES as usize];
+        let (mut bulk, mut looped) = (array(), array());
+        let mut first = Ppa(0);
+        for a in [&mut bulk, &mut looped] {
+            first = a
+                .program_slc(SimTime::ZERO, ChipId(1), 2, 4, Some(&payload))
+                .unwrap()
+                .first;
+        }
+        bulk.invalidate_run(first.offset(1), 2).unwrap();
+        for i in 1..3 {
+            looped.invalidate(first.offset(i)).unwrap();
+        }
+        for i in 0..4 {
+            let ppa = first.offset(i);
+            assert_eq!(bulk.data_of(ppa).is_some(), looped.data_of(ppa).is_some());
+            assert_eq!(bulk.data_of(ppa).is_some(), i == 0 || i == 3);
+        }
+        assert_eq!(
+            bulk.superblock_valid_ppas(SuperblockId(2)),
+            looped.superblock_valid_ppas(SuperblockId(2))
+        );
+        assert!(matches!(
+            bulk.invalidate_run(first, 5),
+            Err(FlashError::InvalidSlice { index: 4 })
+        ));
+        assert_eq!(bulk.superblock_valid_slices(SuperblockId(2)), 2);
     }
 
     #[test]

@@ -58,6 +58,35 @@ impl BitVec {
         }
     }
 
+    /// Sets the `count` bits starting at `start` to `value`, a word at a
+    /// time: one masked store per `u64` the run touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run reaches past `len`.
+    pub fn fill_range(&mut self, start: usize, count: usize, value: bool) {
+        let end = start + count;
+        // xtask-lint: allow(hot-path-effects) — bounds invariant: an out-of-range run is a harness bug and aborting is the correct response
+        assert!(
+            end <= self.len,
+            "bit run {start}..{end} out of range {}",
+            self.len
+        );
+        let mut idx = start;
+        while idx < end {
+            let bit = idx % 64;
+            let n = (64 - bit).min(end - idx);
+            let mask = (u64::MAX >> (64 - n)) << bit;
+            let word = &mut self.words[idx / 64];
+            if value {
+                *word |= mask;
+            } else {
+                *word &= !mask;
+            }
+            idx += n;
+        }
+    }
+
     /// Clears every bit.
     pub fn clear_all(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -120,6 +149,38 @@ mod tests {
         v.set(69, true);
         v.clear_all();
         assert_eq!(v.count_ones(), 0);
+    }
+
+    /// `fill_range` against the per-bit `set` loop it replaced, at every
+    /// word-boundary shape.
+    #[test]
+    fn fill_range_equals_the_set_loop() {
+        const LEN: usize = 200;
+        let edges = [0usize, 1, 63, 64, 65, 127, 128, 129, LEN];
+        for &start in &edges {
+            for &end in edges.iter().filter(|&&e| e >= start) {
+                for value in [true, false] {
+                    // Start from the opposite polarity plus a pattern, so
+                    // bits outside the run must survive untouched.
+                    let mut bulk = BitVec::new(LEN);
+                    for i in (0..LEN).filter(|i| i % 3 == 0 || !value) {
+                        bulk.set(i, true);
+                    }
+                    let mut looped = bulk.clone();
+                    bulk.fill_range(start, end - start, value);
+                    for i in start..end {
+                        looped.set(i, value);
+                    }
+                    assert_eq!(bulk, looped, "{start}..{end} = {value}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn fill_range_past_len_panics() {
+        BitVec::new(70).fill_range(64, 7, true);
     }
 
     #[test]

@@ -15,9 +15,9 @@ use crate::error::FlashError;
 pub struct Block {
     cell: CellType,
     /// Next programmable slice index (NAND sequential-program cursor).
+    /// Programming is strictly sequential, so the slices programmed since
+    /// the last erase are exactly `0..cursor`.
     cursor: usize,
-    /// Slices that have been programmed since the last erase.
-    written: BitVec,
     /// Programmed slices that still hold live data.
     valid: BitVec,
     erase_count: u64,
@@ -30,7 +30,6 @@ impl Block {
         Block {
             cell,
             cursor: 0,
-            written: BitVec::new(slices),
             valid: BitVec::new(slices),
             erase_count: 0,
             slices,
@@ -93,7 +92,7 @@ impl Block {
     /// Whether slice `idx` has been programmed since the last erase.
     #[inline]
     pub fn is_written(&self, idx: usize) -> bool {
-        self.written.get(idx)
+        idx < self.cursor
     }
 
     /// Programs `count` slices at the cursor, marking them valid, and
@@ -111,31 +110,31 @@ impl Block {
             });
         }
         let start = self.cursor;
-        for i in start..start + count {
-            self.written.set(i, true);
-            self.valid.set(i, true);
-        }
+        self.valid.fill_range(start, count, true);
         self.cursor += count;
         Ok(start)
     }
 
-    /// Marks a programmed slice dead (superseded or host-invalidated).
+    /// Marks the `count` programmed slices starting at `start` dead
+    /// (superseded, host-invalidated or burned by a failed program).
     ///
     /// # Errors
     ///
-    /// [`FlashError::InvalidSlice`] if the slice was never programmed.
-    pub fn invalidate(&mut self, idx: usize) -> Result<(), FlashError> {
-        if !self.written.get(idx) {
-            return Err(FlashError::InvalidSlice { index: idx });
+    /// [`FlashError::InvalidSlice`], naming the first offender, if the run
+    /// reaches a slice that was never programmed; nothing is changed then.
+    pub fn invalidate_run(&mut self, start: usize, count: usize) -> Result<(), FlashError> {
+        if start + count > self.cursor {
+            return Err(FlashError::InvalidSlice {
+                index: start.max(self.cursor),
+            });
         }
-        self.valid.set(idx, false);
+        self.valid.fill_range(start, count, false);
         Ok(())
     }
 
     /// Erases the block, clearing all state and bumping the wear counter.
     pub fn erase(&mut self) {
         self.cursor = 0;
-        self.written.clear_all();
         self.valid.clear_all();
         self.erase_count += 1;
     }
@@ -169,18 +168,72 @@ mod tests {
     fn invalidate_and_iter_valid() {
         let mut b = Block::new(CellType::Slc, 6);
         b.program(5).unwrap();
-        b.invalidate(1).unwrap();
-        b.invalidate(3).unwrap();
+        b.invalidate_run(1, 1).unwrap();
+        b.invalidate_run(3, 1).unwrap();
         assert_eq!(b.valid_count(), 3);
         assert_eq!(b.iter_valid().collect::<Vec<_>>(), vec![0, 2, 4]);
         // Idempotent on already-dead slices.
-        b.invalidate(1).unwrap();
+        b.invalidate_run(1, 1).unwrap();
         assert_eq!(b.valid_count(), 3);
         // But never-written slices are an error.
         assert!(matches!(
-            b.invalidate(5),
-            Err(FlashError::InvalidSlice { .. })
+            b.invalidate_run(5, 1),
+            Err(FlashError::InvalidSlice { index: 5 })
         ));
+    }
+
+    /// A run is the per-slice loop: same validity afterwards, and a run
+    /// reaching an unprogrammed slice names it and changes nothing.
+    #[test]
+    fn invalidate_run_equals_the_per_slice_loop() {
+        for (start, count) in [(0, 0), (0, 70), (3, 64), (63, 2), (69, 1)] {
+            let mut bulk = Block::new(CellType::Slc, 100);
+            bulk.program(70).unwrap();
+            let mut looped = bulk.clone();
+            bulk.invalidate_run(start, count).unwrap();
+            for i in start..start + count {
+                looped.invalidate_run(i, 1).unwrap();
+            }
+            assert_eq!(
+                bulk.iter_valid().collect::<Vec<_>>(),
+                looped.iter_valid().collect::<Vec<_>>(),
+                "{start}+{count}"
+            );
+        }
+        let mut b = Block::new(CellType::Slc, 100);
+        b.program(70).unwrap();
+        assert!(matches!(
+            b.invalidate_run(68, 4),
+            Err(FlashError::InvalidSlice { index: 70 })
+        ));
+        assert_eq!(b.valid_count(), 70, "a rejected run invalidates nothing");
+    }
+
+    /// `program` against the per-slice definition it replaced: the claimed
+    /// slices, and only those, become written and valid, across word
+    /// boundaries of the validity bitmap; `BlockFull` changes nothing.
+    #[test]
+    fn program_marks_exactly_the_claimed_run() {
+        let mut b = Block::new(CellType::Tlc, 200);
+        let mut cursor = 0;
+        for count in [1, 62, 1, 1, 96, 0, 39] {
+            assert_eq!(b.program(count).unwrap(), cursor);
+            cursor += count;
+            for i in 0..200 {
+                assert_eq!(b.is_written(i), i < cursor, "written {i} at {cursor}");
+                assert_eq!(b.is_valid(i), i < cursor, "valid {i} at {cursor}");
+            }
+        }
+        assert!(b.is_full());
+        assert!(matches!(
+            b.program(1),
+            Err(FlashError::BlockFull {
+                cursor: 200,
+                requested: 1,
+                slices: 200
+            })
+        ));
+        assert_eq!((b.cursor(), b.valid_count()), (200, 200));
     }
 
     #[test]

@@ -67,6 +67,9 @@ impl DataStore {
 
     /// Moves a slice's payload to a new physical address (GC migration).
     pub fn relocate(&mut self, from: Ppa, to: Ppa) {
+        if self.slices.is_empty() {
+            return;
+        }
         if let Some(data) = self.slices.remove(&from.raw()) {
             self.slices.insert(to.raw(), data);
         }
@@ -74,12 +77,16 @@ impl DataStore {
 
     /// Drops the payload of one slice.
     pub fn remove(&mut self, ppa: Ppa) {
-        self.slices.remove(&ppa.raw());
+        self.remove_range(ppa, 1);
     }
 
     /// Drops all payloads in `[first, first + count)` linear slice
-    /// addresses (used on block erase).
+    /// addresses (used on block erase). A store that holds nothing — every
+    /// timing-only device — returns before hashing a single key.
     pub fn remove_range(&mut self, first: Ppa, count: u64) {
+        if self.slices.is_empty() {
+            return;
+        }
         for i in 0..count {
             self.slices.remove(&(first.raw() + i));
         }
@@ -111,6 +118,36 @@ mod tests {
         assert!(s.get(Ppa(1)).is_none());
         assert!(s.is_empty());
         assert!(!s.is_enabled());
+    }
+
+    /// Timing-only devices erase whole blocks through a disabled store:
+    /// every mutation must be a no-op that leaves it empty.
+    #[test]
+    fn disabled_store_mutations_are_noops() {
+        let mut s = DataStore::new(false);
+        s.put(Ppa(1), &slice_of(7));
+        s.remove(Ppa(1));
+        s.remove_range(Ppa(0), 960);
+        s.relocate(Ppa(1), Ppa(2));
+        assert_eq!(s.len(), 0);
+        assert!(s.get(Ppa(1)).is_none() && s.get(Ppa(2)).is_none());
+    }
+
+    /// The same calls on an enabled store that happens to be empty, then
+    /// holding one slice outside the removed range.
+    #[test]
+    fn enabled_store_early_out_only_when_empty() {
+        let mut s = DataStore::new(true);
+        s.remove_range(Ppa(0), 8);
+        s.relocate(Ppa(1), Ppa(2));
+        assert!(s.is_empty());
+        s.put(Ppa(20), &slice_of(3));
+        s.remove_range(Ppa(0), 8);
+        s.relocate(Ppa(1), Ppa(2));
+        assert_eq!(s.len(), 1, "a slice outside the range survives");
+        s.relocate(Ppa(20), Ppa(4));
+        s.remove_range(Ppa(0), 8);
+        assert!(s.is_empty());
     }
 
     #[test]

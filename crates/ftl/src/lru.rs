@@ -271,17 +271,21 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
     }
 
     /// Removes every key for which `pred` returns true; returns how many
-    /// were removed.
-    // xtask-effect: cold — aggregation-eviction slow path: runs when a covering
-    // entry is promoted, not per IO, and the doomed-key list must be collected
-    // before mutating the map
+    /// were removed. Walks the recency list, unlinking as it goes, so it
+    /// allocates nothing (zone reset calls it on every reset).
     pub fn retain_not<F: FnMut(&K) -> bool>(&mut self, mut pred: F) -> usize {
-        let doomed: Vec<K> = self.map.keys().filter(|k| pred(k)).copied().collect();
-        let n = doomed.len();
-        for k in doomed {
-            self.remove(&k);
+        let mut removed = 0;
+        let mut idx = self.head;
+        while idx != NIL {
+            let node = self.node(idx);
+            let (key, next) = (node.key, node.next);
+            if pred(&key) {
+                self.remove(&key);
+                removed += 1;
+            }
+            idx = next;
         }
-        n
+        removed
     }
 
     /// Drops every entry.
@@ -389,6 +393,20 @@ mod tests {
         assert_eq!(removed, 5);
         assert_eq!(c.len(), 5);
         assert!(c.contains(&1) && !c.contains(&2));
+        // The tail (0), the head's neighbour (8) and middles were unlinked
+        // mid-walk; the survivors keep their recency order, 1 now oldest.
+        for k in 10..15 {
+            assert_eq!(c.insert(k, k, false), InsertOutcome::Stored);
+        }
+        assert_eq!(c.insert(15, 15, false), InsertOutcome::Evicted);
+        assert!(!c.contains(&1) && c.contains(&3));
+        assert_eq!(c.insert(16, 16, false), InsertOutcome::Evicted);
+        assert!(!c.contains(&3) && c.contains(&5));
+        // Removing everything, head included, leaves a usable cache.
+        assert_eq!(c.retain_not(|_| true), 10);
+        assert!(c.is_empty());
+        c.insert(4, 4, false);
+        assert_eq!(c.get(&4), Some(&4));
     }
 
     #[test]

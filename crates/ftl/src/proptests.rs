@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use crate::{L2pCache, LookupResult, LruCache, MapBitmap, MappingTable};
-use conzone_types::{Lpn, MapGranularity, Ppa};
+use conzone_types::{Lpn, LpnRange, MapGranularity, Ppa, ZoneId};
 
 #[derive(Debug, Clone)]
 enum LruOp {
@@ -54,8 +54,104 @@ impl RefLru {
     }
 }
 
+/// One step of the run-form ≡ per-page-loop property. Two zones of 32
+/// pages in chunks of 8, plus a third zone clipped to 6 pages.
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// Map `n` pages from `lpn` to consecutive slices.
+    Set(u64, u64, bool),
+    /// Try chunk, then zone aggregation around `lpn`.
+    Aggregate(u64),
+    /// Move `n` pages from `lpn` to consecutive slices (if all mapped).
+    Relocate(u64, u64),
+    Unmap(u64),
+    UnmapZone(u64),
+}
+
+const TABLE_PAGES: u64 = 70;
+
+fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+    let run = || (0..TABLE_PAGES, 0u64..40);
+    prop::collection::vec(
+        prop_oneof![
+            // Mostly canonical, so chunks and zones do aggregate and later
+            // runs punch into them.
+            4 => (run(), 0u8..8).prop_map(|((l, n), c)| TableOp::Set(l, n, c != 0)),
+            3 => (0..TABLE_PAGES).prop_map(TableOp::Aggregate),
+            2 => run().prop_map(|(l, n)| TableOp::Relocate(l, n)),
+            1 => (0..TABLE_PAGES).prop_map(TableOp::Unmap),
+            1 => (0u64..3).prop_map(TableOp::UnmapZone),
+        ],
+        1..60,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The run forms of the mapping table against the per-page loops they
+    /// replaced, kept here as the reference: `set_extent` ≡ n × `set`
+    /// (a run punching into an aggregated chunk or zone demotes exactly
+    /// what the loop demoted), `relocate_extent` ≡ n × `relocate`,
+    /// `unmap_zone` ≡ the `unmap` loop — on aggregated zones and on the
+    /// clipped last zone — and `non_canonical_ppas` ≡ a filter over `get`.
+    #[test]
+    fn run_forms_equal_the_per_page_loops(ops in table_ops()) {
+        let mut bulk = MappingTable::new(TABLE_PAGES, 8, 32);
+        let mut looped = MappingTable::new(TABLE_PAGES, 8, 32);
+        let mut next_ppa = 1000;
+        for op in ops {
+            match op {
+                TableOp::Set(lpn, n, canonical) => {
+                    let n = n.min(TABLE_PAGES - lpn);
+                    bulk.set_extent(Lpn(lpn), Ppa(next_ppa), n, canonical);
+                    for i in 0..n {
+                        looped.set(Lpn(lpn + i), Ppa(next_ppa + i), canonical);
+                    }
+                    next_ppa += n;
+                }
+                TableOp::Aggregate(lpn) => {
+                    for t in [&mut bulk, &mut looped] {
+                        t.try_aggregate_chunk(Lpn(lpn));
+                        t.try_aggregate_zone(Lpn(lpn));
+                    }
+                }
+                TableOp::Relocate(lpn, n) => {
+                    let n = n.min(TABLE_PAGES - lpn);
+                    if (lpn..lpn + n).all(|l| looped.get(Lpn(l)).is_some()) {
+                        bulk.relocate_extent(Lpn(lpn), Ppa(next_ppa), n);
+                        for i in 0..n {
+                            looped.relocate(Lpn(lpn + i), Ppa(next_ppa + i));
+                        }
+                        next_ppa += n;
+                    }
+                }
+                TableOp::Unmap(lpn) => {
+                    bulk.unmap(Lpn(lpn));
+                    looped.unmap(Lpn(lpn));
+                }
+                TableOp::UnmapZone(zone) => {
+                    bulk.unmap_zone(ZoneId(zone));
+                    for lpn in (zone * 32..zone * 32 + 32).filter(|&l| l < TABLE_PAGES) {
+                        looped.unmap(Lpn(lpn));
+                    }
+                }
+            }
+            for lpn in (0..TABLE_PAGES).map(Lpn) {
+                prop_assert_eq!(bulk.get(lpn), looped.get(lpn), "{} after {:?}", lpn, op);
+            }
+        }
+        for (start, count) in [(0, TABLE_PAGES), (5, 30), (64, 20), (80, 4)] {
+            let range = LpnRange::new(Lpn(start), count);
+            let filtered: Vec<Ppa> = range
+                .iter()
+                .filter_map(|lpn| looped.get(lpn))
+                .filter(|e| !e.canonical)
+                .map(|e| e.ppa)
+                .collect();
+            prop_assert_eq!(bulk.non_canonical_ppas(range).collect::<Vec<_>>(), filtered);
+        }
+    }
 
     /// Without pinning, `LruCache` behaves exactly like a textbook LRU.
     #[test]

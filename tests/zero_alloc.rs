@@ -154,6 +154,57 @@ fn seqwrite_flush_and_slc_gc_do_not_allocate() {
     );
 }
 
+/// Fill → reset → refill over four zones written round-robin in 512 KiB
+/// requests (zones 0/2 and 1/3 share a write buffer, so every switch
+/// conflicts): besides the write path with its tail patches, each cycle
+/// makes four zone resets — the walk over the zone's mapping entries that
+/// gathers its SLC leftovers into scratch, the L2P cache sweep, the direct
+/// erase, the bulk unmap. None of it may allocate once two warm-up cycles
+/// have sized the scratch buffers.
+///
+/// Release only, for the reason given on the write case: the debug
+/// profile sweeps the invariants after every reset.
+#[cfg(not(debug_assertions))]
+#[test]
+fn fill_reset_refill_cycles_do_not_allocate() {
+    use conzone::types::{ZoneId, ZonedDevice};
+    const ZONES: u64 = 4;
+    const WARMUP_CYCLES: u64 = 2;
+    const MEASURED_CYCLES: u64 = 8;
+    const BLOCK: u64 = 512 * 1024;
+    let mut dev = device();
+    let zone_bytes = dev.config().zone_size_bytes();
+    let mut now = SimTime::ZERO;
+    let mut cycle = |dev: &mut ConZone| {
+        for offset in (0..zone_bytes).step_by(BLOCK as usize) {
+            for zone in 0..ZONES {
+                let c = dev.submit(now, &IoRequest::write(zone * zone_bytes + offset, BLOCK));
+                now = c.expect("write").finished;
+            }
+        }
+        for zone in 0..ZONES {
+            now = dev.reset_zone(now, ZoneId(zone)).expect("reset").finished;
+        }
+    };
+    for _ in 0..WARMUP_CYCLES {
+        cycle(&mut dev);
+    }
+    let before = dev.counters();
+    let allocations = allocations_during(|| {
+        for _ in 0..MEASURED_CYCLES {
+            cycle(&mut dev);
+        }
+    });
+    let during = dev.counters().since(&before);
+    assert_eq!(during.zone_resets, ZONES * MEASURED_CYCLES);
+    assert!(during.patch_slices > 0, "no tail patch inside the window");
+    assert!(during.premature_flushes > 0, "no staged data to reset");
+    assert_eq!(
+        allocations, 0,
+        "{MEASURED_CYCLES} fill/reset cycles over {ZONES} zones"
+    );
+}
+
 /// 4 KiB random reads after a fill: L2P lookups, mapping fetches and
 /// flash data reads must not allocate.
 #[test]
