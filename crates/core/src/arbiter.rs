@@ -48,7 +48,6 @@ impl RoundRobinArbiter {
 }
 
 impl Arbiter for RoundRobinArbiter {
-    // xtask-effect: hot_path
     fn pick(&mut self, backlog: &[u32]) -> Option<usize> {
         let n = backlog.len();
         for step in 0..n {
@@ -104,7 +103,6 @@ impl WeightedArbiter {
 }
 
 impl Arbiter for WeightedArbiter {
-    // xtask-effect: hot_path
     fn pick(&mut self, backlog: &[u32]) -> Option<usize> {
         let n = backlog.len().min(self.weights.len());
         if backlog.iter().take(n).all(|&b| b == 0) {
@@ -221,7 +219,6 @@ impl QueueFrontEnd {
 
     /// Records a command entering queue `q`; returns the queue's backlog
     /// including the new command.
-    // xtask-effect: hot_path
     pub fn doorbell(&mut self, q: usize) -> u32 {
         self.backlog[q] += 1;
         self.backlog[q]
@@ -235,7 +232,6 @@ impl QueueFrontEnd {
     /// Callers must not call this before the previous grant's dispatch
     /// time (the fetch unit is serial); the queue-pair driver schedules
     /// one grant per fetch-free instant.
-    // xtask-effect: hot_path
     pub fn grant(&mut self, now: SimTime) -> Option<(usize, SimTime)> {
         let q = self.arbiter.pick(&self.backlog)?;
         self.backlog[q] -= 1;

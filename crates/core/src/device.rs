@@ -272,7 +272,6 @@ impl StorageDevice for ConZone {
         &self.cfg
     }
 
-    // xtask-effect: hot_path
     fn submit(&mut self, now: SimTime, request: &IoRequest) -> Result<Completion, DeviceError> {
         self.ensure_powered()?;
         request.validate()?;
@@ -284,7 +283,6 @@ impl StorageDevice for ConZone {
             });
         }
         let range = LpnRange::covering_bytes(request.offset, request.len).ok_or_else(|| {
-            // xtask-lint: allow(hot-path-effects) — error construction inside ok_or_else; never runs on the success path
             DeviceError::Internal("validated request covers no logical pages".to_string())
         })?;
         // The root span covers submit to completion; error paths roll the
@@ -414,7 +412,6 @@ impl ZonedDevice for ConZone {
         })
     }
 
-    // xtask-effect: hot_path
     fn reset_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
         self.ensure_powered()?;
         let depth = self.spans.depth();

@@ -38,7 +38,6 @@ impl ConZone {
             })
             .ok_or_else(|| DeviceError::NoFreeSpace {
                 at: now,
-                // xtask-lint: allow(hot-path-effects) — device-full error path, not steady state
                 what: "no SLC superblock eligible for garbage collection".to_string(),
             })?;
         self.counters.gc_runs += 1;
@@ -103,7 +102,6 @@ impl ConZone {
                 Some(&lpn) => lpns.push(lpn),
                 None => {
                     self.scratch.gc_lpns = lpns;
-                    // xtask-lint: allow(hot-path-effects) — error construction on the ownerless-slice path; never runs on the success path
                     return Err(DeviceError::Internal(format!(
                         "live SLC slice {ppa} has no owner"
                     )));
@@ -126,7 +124,6 @@ impl ConZone {
                         self.scratch.gc_chip_order = order;
                         return Err(DeviceError::NoFreeSpace {
                             at: now,
-                            // xtask-lint: allow(hot-path-effects) — device-full error path, not steady state
                             what: "no free SLC superblock for GC destination".to_string(),
                         });
                     }
@@ -292,8 +289,6 @@ impl ConZone {
 
     /// Every debug-profile reset cross-checks the walk against
     /// [`ConZone::reset_reference`].
-    // xtask-effect: cold — debug-build cross-check: the assertion compiles
-    // out of release, where the sort and the reference scan never run
     #[cfg(any(test, debug_assertions))]
     fn debug_assert_reset_walk(&self, zone: ZoneId) {
         let mut walked = self.scratch.ppas.clone();

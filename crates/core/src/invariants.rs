@@ -110,10 +110,12 @@ fn violation(out: &mut Vec<InvariantViolation>, kind: InvariantKind, detail: Str
     out.push(InvariantViolation { kind, detail });
 }
 
-// xtask-effect: cold — debug-build invariant checker: compiles out of release
-// (cfg(debug_assertions)), and a violated device invariant must abort loudly
 #[cfg(debug_assertions)]
 #[track_caller]
+#[allow(
+    clippy::panic,
+    reason = "debug-build checker, compiled out of release: a violated device invariant must abort loudly"
+)]
 fn panic_on_violations(violations: Vec<InvariantViolation>, context: &str) {
     if !violations.is_empty() {
         let list: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
@@ -160,9 +162,6 @@ impl ConZone {
 
     /// Panics with the violation list if any invariant is broken.
     /// Compiled out entirely in release builds.
-    // xtask-effect: cold — debug-build invariant checker: compiles out of
-    // release (cfg(debug_assertions)), so its walker allocations never run in
-    // the steady state the hot-path contract covers
     #[cfg(debug_assertions)]
     #[track_caller]
     pub(crate) fn debug_assert_invariants(&self, context: &str) {
@@ -175,9 +174,6 @@ impl ConZone {
 
     /// Mid-IO variant of [`ConZone::debug_assert_invariants`] for hooks
     /// that fire nested inside a host request (the GC step).
-    // xtask-effect: cold — debug-build invariant checker: compiles out of
-    // release (cfg(debug_assertions)), so its walker allocations never run in
-    // the steady state the hot-path contract covers
     #[cfg(debug_assertions)]
     #[track_caller]
     pub(crate) fn debug_assert_invariants_during_io(&self, context: &str) {

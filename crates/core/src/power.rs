@@ -52,7 +52,6 @@ impl ConZone {
     pub(crate) fn ensure_powered(&self) -> Result<(), DeviceError> {
         if self.cut_state.is_some() {
             return Err(DeviceError::Unsupported(
-                // xtask-lint: allow(hot-path-effects) — rejected-command error path, not steady state
                 "power is cut; remount the device first".to_string(),
             ));
         }

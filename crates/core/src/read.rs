@@ -35,7 +35,6 @@ pub(crate) enum Slot {
 impl ConZone {
     /// Services one host read: returns the completion time and, when data
     /// backing is enabled, the payload.
-    // xtask-effect: hot_path
     pub(crate) fn read_range(
         &mut self,
         now: SimTime,
@@ -153,7 +152,6 @@ impl ConZone {
                 }
             };
             if n == 0 {
-                // xtask-lint: allow(hot-path-effects) — error construction on a broken-invariant path; never runs on the success path
                 return Err(DeviceError::Internal(format!(
                     "durable {lpn} below the write pointer is unmapped"
                 )));
@@ -184,7 +182,9 @@ impl ConZone {
         }
 
         let data = if self.cfg.data_backing {
-            // xtask-lint: allow(hot-path-effects) — returned payload buffer, only built with data backing enabled; the reference workloads run timing-only and the steady-state guard holds there
+            // Allocates on a hot path: the returned payload buffer, which is
+            // built only with data backing on (`tests/zero_alloc.rs` and the
+            // reference workloads run timing-only).
             let mut v = Vec::with_capacity((range.count * SLICE_BYTES) as usize);
             let mut from_flash = flash_data.as_deref().unwrap_or_default();
             for slot in &slots {
@@ -201,7 +201,6 @@ impl ConZone {
                         let bytes = (n * SLICE_BYTES) as usize;
                         let (run, rest) = from_flash.split_at_checked(bytes).ok_or_else(|| {
                             DeviceError::Internal(
-                                // xtask-lint: allow(hot-path-effects) — error construction inside ok_or_else; never runs on the success path
                                 "flash read returned no payload with data backing on".to_string(),
                             )
                         })?;

@@ -2,9 +2,8 @@
 //!
 //! The read, write and GC paths need short-lived lists (gathered PPAs,
 //! LPN runs, chip placement orders). Allocating them per operation would
-//! break the steady-state zero-allocation contract checked by the
-//! `hot-path-effects` lint rule and `tests/zero_alloc.rs`, so
-//! `ConZone` owns one set of buffers that the paths `mem::take`, clear,
+//! break the steady-state zero-allocation contract checked by
+//! `tests/zero_alloc.rs`, so `ConZone` owns one set of buffers that the paths `mem::take`, clear,
 //! fill and put back. Capacity grows during warmup and then stabilises.
 //!
 //! Fields taken concurrently must be distinct: the write path holds

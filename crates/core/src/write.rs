@@ -25,7 +25,6 @@ use crate::device::ConZone;
 use crate::zone::StagedSlice;
 
 /// Wraps a flash-layer failure (an FTL logic violation) into a device error.
-// xtask-effect: cold — error conversion: only reached when a flash op already failed
 pub(crate) fn internal(e: FlashError) -> DeviceError {
     DeviceError::Unsupported(format!("internal flash error: {e}"))
 }
@@ -33,7 +32,6 @@ pub(crate) fn internal(e: FlashError) -> DeviceError {
 impl ConZone {
     /// Services one host write. Returns the completion time (before host
     /// overhead is added by the caller's caller — overhead is added here).
-    // xtask-effect: hot_path
     pub(crate) fn write_range(
         &mut self,
         now: SimTime,
@@ -168,7 +166,6 @@ impl ConZone {
     /// the zone's current write pointer and returns `(finish, assigned
     /// byte offset)`. Conventional zones reject appends (they have no
     /// write pointer).
-    // xtask-effect: hot_path
     pub(crate) fn append_range(
         &mut self,
         now: SimTime,
@@ -178,7 +175,6 @@ impl ConZone {
         let (zone_id, _) = self.zone_and_offset(range)?;
         if self.is_conventional(zone_id) {
             return Err(DeviceError::Unsupported(
-                // xtask-lint: allow(hot-path-effects) — rejected-command error path, not steady state
                 "zone append targets a conventional zone".to_string(),
             ));
         }
@@ -208,7 +204,6 @@ impl ConZone {
             return Ok(now);
         }
         let zone_id = self.buffers[buf_idx].owner.ok_or_else(|| {
-            // xtask-lint: allow(hot-path-effects) — error construction inside ok_or_else; never runs on the success path
             DeviceError::Internal(format!("non-empty write buffer {buf_idx} has no owner"))
         })?;
         let zidx = zone_id.raw() as usize;
@@ -428,7 +423,6 @@ impl ConZone {
                                 .activate_next()
                                 .ok_or_else(|| DeviceError::NoFreeSpace {
                                     at: t,
-                                    // xtask-lint: allow(hot-path-effects) — device-full error path, not steady state
                                     what: "slc secondary buffer superblocks".to_string(),
                                 })?
                         }

@@ -223,7 +223,6 @@ impl FlashArray {
     /// * [`FlashError::BlockFull`] when the block has no room,
     /// * [`FlashError::DataLength`] when a payload of the wrong size is
     ///   given.
-    // xtask-effect: hot_path
     pub fn program_unit(
         &mut self,
         now: SimTime,
@@ -304,7 +303,6 @@ impl FlashArray {
     /// * [`FlashError::PartialProgramOnMlc`] if the block is not SLC,
     /// * [`FlashError::BlockFull`] when fewer than `count` slices remain,
     /// * [`FlashError::DataLength`] for a mis-sized payload.
-    // xtask-effect: hot_path
     pub fn program_slc(
         &mut self,
         now: SimTime,
@@ -458,7 +456,6 @@ impl FlashArray {
     /// # Errors
     ///
     /// [`FlashError::ReadDead`] if any slice is erased or invalidated.
-    // xtask-effect: hot_path
     pub fn read_slices(&mut self, now: SimTime, ppas: &[Ppa]) -> Result<ReadOutcome, FlashError> {
         // Group into flash pages preserving first-appearance order so
         // resource reservation stays deterministic. The request is walked
@@ -532,7 +529,9 @@ impl FlashArray {
         }
         self.read_scratch = order;
         let data = if self.store.is_enabled() {
-            // xtask-lint: allow(hot-path-effects) — returned payload buffer, only built with data backing enabled; the reference workloads run timing-only and the steady-state guard holds there
+            // Allocates on a hot path: the returned payload buffer, which is
+            // built only with data backing on (`tests/zero_alloc.rs` and the
+            // reference workloads run timing-only).
             let mut buf = Vec::with_capacity(ppas.len() * SLICE_BYTES as usize);
             for &ppa in ppas {
                 match self.store.get(ppa) {
@@ -565,7 +564,6 @@ impl FlashArray {
         bytes: u64,
         ops: u64,
     ) -> (SimTime, SimTime) {
-        // xtask-lint: allow(hot-path-effects) — documented precondition: a zero-op program is a caller bug and aborting is the correct response
         assert!(ops > 0, "at least one program operation");
         self.count_program(now, cell, bytes);
         let plane = self.geometry.plane_of(chip, 0);
@@ -810,8 +808,6 @@ impl FlashArray {
         (base..base + planes)
             .map(|p| self.planes.free_at(p))
             .min()
-            // xtask-lint: allow(hot-path-effects) — Geometry::validate
-            // rejects planes_per_chip == 0, so the range is never empty.
             .expect("chip has at least one plane")
     }
 }

@@ -35,7 +35,6 @@ impl BitVec {
     /// Panics if `idx >= len`.
     #[inline]
     pub fn get(&self, idx: usize) -> bool {
-        // xtask-lint: allow(hot-path-effects) — bounds invariant: an out-of-range index is a harness bug and aborting is the correct response
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         (self.words[idx / 64] >> (idx % 64)) & 1 == 1
     }
@@ -47,7 +46,6 @@ impl BitVec {
     /// Panics if `idx >= len`.
     #[inline]
     pub fn set(&mut self, idx: usize, value: bool) {
-        // xtask-lint: allow(hot-path-effects) — bounds invariant: an out-of-range index is a harness bug and aborting is the correct response
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         let word = &mut self.words[idx / 64];
         let mask = 1u64 << (idx % 64);
@@ -66,7 +64,6 @@ impl BitVec {
     /// Panics if the run reaches past `len`.
     pub fn fill_range(&mut self, start: usize, count: usize, value: bool) {
         let end = start + count;
-        // xtask-lint: allow(hot-path-effects) — bounds invariant: an out-of-range run is a harness bug and aborting is the correct response
         assert!(
             end <= self.len,
             "bit run {start}..{end} out of range {}",

@@ -51,7 +51,6 @@ impl DataStore {
         if !self.enabled {
             return;
         }
-        // xtask-lint: allow(hot-path-effects) — 4 KiB slice invariant: a mis-sized payload is a harness bug and aborting is the correct response
         assert_eq!(
             data.len() as u64,
             SLICE_BYTES,

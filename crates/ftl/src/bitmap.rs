@@ -38,7 +38,6 @@ impl MapBitmap {
     ///
     /// Panics if `lpn` is out of range.
     pub fn set(&mut self, lpn: Lpn, granularity: MapGranularity) {
-        // xtask-lint: allow(hot-path-effects) — bounds invariant: an out-of-range lpn is a harness bug and aborting is the correct response
         assert!(lpn.raw() < self.capacity, "lpn {lpn} out of range");
         let idx = (lpn.raw() / 4) as usize;
         let shift = (lpn.raw() % 4) * 2;
@@ -57,7 +56,6 @@ impl MapBitmap {
             return;
         }
         let (lo, hi) = (start.raw(), start.raw() + count);
-        // xtask-lint: allow(hot-path-effects) — bounds invariant: an out-of-range lpn is a harness bug and aborting is the correct response
         assert!(hi <= self.capacity, "lpn {} out of range", Lpn(hi - 1));
         let first_whole = lo.next_multiple_of(4).min(hi);
         let end_whole = (hi / 4 * 4).max(first_whole);
@@ -78,13 +76,10 @@ impl MapBitmap {
         reason = "set_range rejects the reserved bit pattern, so a stored pair always decodes"
     )]
     pub fn get(&self, lpn: Lpn) -> MapGranularity {
-        // xtask-lint: allow(hot-path-effects) — bounds invariant: an out-of-range lpn is a harness bug and aborting is the correct response
         assert!(lpn.raw() < self.capacity, "lpn {lpn} out of range");
         let idx = (lpn.raw() / 4) as usize;
         let shift = (lpn.raw() % 4) * 2;
         MapGranularity::from_bits((self.bits[idx] >> shift) & 0b11)
-            // xtask-lint: allow(hot-path-effects) — set_range
-            // rejects the reserved bit pattern, so a stored pair always decodes.
             .expect("bitmap never stores the reserved pattern")
     }
 

@@ -119,7 +119,6 @@ impl L2pCache {
 
     /// Looks up a logical page, trying LZA, then LCA, then LPA (paper
     /// Fig. 4 Ⅰ). A hit promotes the entry to most-recently-used.
-    // xtask-effect: hot_path
     pub fn lookup(&mut self, lpn: Lpn) -> LookupResult {
         for granularity in [
             MapGranularity::Zone,
@@ -148,7 +147,6 @@ impl L2pCache {
     /// Inserts the entry covering `lpn` at `granularity`. When `pinned` is
     /// set (the §IV-D design), aggregated entries stay resident and the
     /// entries they cover are removed.
-    // xtask-effect: hot_path
     pub fn insert(&mut self, lpn: Lpn, granularity: MapGranularity, pinned: bool) -> InsertOutcome {
         if granularity > MapGranularity::Page {
             self.evict_covered(lpn, granularity);

@@ -123,8 +123,6 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         reason = "linked-list integrity: every index reachable from the list or the map points at a live node by construction"
     )]
     fn node(&self, idx: usize) -> &Node<K, V> {
-        // xtask-lint: allow(hot-path-effects) — linked-list integrity: every index
-        // reachable from the list or the map points at a live node by construction.
         self.nodes[idx].as_ref().expect("linked node must be live")
     }
 
@@ -133,7 +131,6 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         reason = "same linked-list integrity invariant as node()"
     )]
     fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
-        // xtask-lint: allow(hot-path-effects) — same linked-list integrity invariant
         self.nodes[idx].as_mut().expect("linked node must be live")
     }
 
@@ -196,7 +193,6 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         let idx = self.map.remove(key)?;
         self.unlink(idx);
         #[allow(clippy::expect_used, reason = "the map only holds live indices")]
-        // xtask-lint: allow(hot-path-effects) — the map only holds live indices
         let node = self.nodes[idx].take().expect("mapped node must be live");
         self.free.push(idx);
         Some(node.value)

@@ -95,7 +95,6 @@ impl MappingTable {
     }
 
     /// Looks up one logical page.
-    // xtask-effect: hot_path
     #[allow(
         clippy::expect_used,
         reason = "set/unmap only write the three valid granularities, so the stored bits always decode"
@@ -107,9 +106,6 @@ impl MappingTable {
         Some(MapEntry {
             ppa,
             granularity: MapGranularity::from_bits(flags & 0b11)
-                // xtask-lint: allow(hot-path-effects) — set/unmap
-                // only write the three valid granularities, so the stored bits
-                // always decode.
                 .expect("table never stores the reserved bit pattern"),
             canonical: flags & CANONICAL_FLAG != 0,
         })
@@ -119,7 +115,6 @@ impl MappingTable {
     /// for an unmapped page; empty when `range` reaches past the table.
     /// Lets a caller that already knows one cache entry covers the range
     /// resolve it with a single bounds check.
-    // xtask-effect: hot_path
     pub fn ppas(&self, range: LpnRange) -> &[Option<Ppa>] {
         let (lo, hi) = (range.start.raw() as usize, range.end().raw() as usize);
         self.ppas.get(lo..hi).unwrap_or_default()
@@ -137,13 +132,11 @@ impl MappingTable {
     /// # Panics
     ///
     /// Panics if `lpn` is beyond the table capacity.
-    // xtask-effect: hot_path
     pub fn set(&mut self, lpn: Lpn, ppa: Ppa, canonical: bool) {
         // Not `set_extent(.., 1, ..)`: the per-page devices (Legacy) call
         // this per 4 KiB write, and the slice plumbing of a one-page run
         // costs three times the two stores (3 ns vs 11 ns, measured).
         let idx = lpn.raw() as usize;
-        // xtask-lint: allow(hot-path-effects) — documented precondition: a beyond-capacity lpn is a harness bug and aborting is the correct response
         assert!(idx < self.ppas.len(), "lpn {lpn} beyond capacity");
         self.demote_covering(idx);
         self.ppas[idx] = Some(ppa);
@@ -159,10 +152,8 @@ impl MappingTable {
     /// # Panics
     ///
     /// Panics if the run reaches beyond the table capacity.
-    // xtask-effect: hot_path
     pub fn set_extent(&mut self, start: Lpn, first: Ppa, count: u64, canonical: bool) {
         let (lo, hi) = (start.raw() as usize, (start.raw() + count) as usize);
-        // xtask-lint: allow(hot-path-effects) — documented precondition: a beyond-capacity lpn is a harness bug and aborting is the correct response
         assert!(
             hi <= self.ppas.len(),
             "lpn run {start}+{count} beyond capacity"
@@ -211,7 +202,6 @@ impl MappingTable {
     pub fn relocate_extent(&mut self, start: Lpn, first: Ppa, count: u64) {
         let (lo, hi) = (start.raw() as usize, (start.raw() + count) as usize);
         let run = self.ppas.get_mut(lo..hi).unwrap_or_default();
-        // xtask-lint: allow(hot-path-effects) — documented precondition: relocating an unmapped lpn is a GC bug and aborting is the correct response
         assert!(
             run.len() == hi - lo && run.iter().all(Option::is_some),
             "relocating unmapped lpn in {start}+{count}"

@@ -27,6 +27,21 @@
 //!   around each dispatch, so they always sum to the device-wide delta
 //!   ([`MultiReport::tenants_sum_consistent`]).
 
+// The queue-pair hot path is panic-free; `conzone-host` as a whole (CLI
+// parsers, F2FS-lite) does not make that promise, so the ban sits here
+// rather than in the crate's `[lints]` table. Unit tests assert freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -106,7 +121,6 @@ impl QueuePair {
 
     /// Allocates a slot for a new command and appends it to the
     /// submission queue; `None` when all slots are in use.
-    // xtask-effect: hot_path
     fn submit(
         &mut self,
         offset: u64,
@@ -128,26 +142,22 @@ impl QueuePair {
 
     /// Pops the submission queue's head — the command the fetch stage
     /// granted.
-    // xtask-effect: hot_path
     fn fetch_next(&mut self) -> Option<u32> {
         self.sq.pop_front()
     }
 
     /// Marks a fetched command dispatched at `granted`.
-    // xtask-effect: hot_path
     fn mark_dispatched(&mut self, slot: u32, granted: SimTime) {
         self.slots[slot as usize].granted = granted;
         self.inflight += 1;
     }
 
     /// Posts a completed command to the completion queue.
-    // xtask-effect: hot_path
     fn post_completion(&mut self, slot: u32) {
         self.cq.push_back(slot);
     }
 
     /// Reaps the completion queue's head.
-    // xtask-effect: hot_path
     fn reap(&mut self) -> Option<u32> {
         let idx = self.cq.pop_front()?;
         self.inflight -= 1;
@@ -155,7 +165,6 @@ impl QueuePair {
     }
 
     /// Returns a reaped slot to the free list for reuse.
-    // xtask-effect: hot_path
     fn release(&mut self, slot: u32) {
         self.free.push(slot);
     }

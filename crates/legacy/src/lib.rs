@@ -41,7 +41,6 @@ use conzone_types::{
 /// Fraction of normal superblocks held back as GC over-provisioning.
 const OVERPROVISION_DIVISOR: usize = 16; // ~6 %
 
-// xtask-effect: cold — error conversion: only reached when a flash op already failed
 fn internal(e: FlashError) -> DeviceError {
     DeviceError::Unsupported(format!("internal flash error: {e}"))
 }

@@ -230,9 +230,6 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    // xtask-effect: cold — JSON parser error construction; the parser serves
-    // config/report boundaries and never runs on the IO path (this also stops
-    // the name-union resolver charging every `.expect(…)` call to it)
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;

@@ -21,10 +21,9 @@
 //! assert_eq!(lat.max(), SimDuration::from_micros(320));
 //! ```
 
-// Unit tests assert freely; the `clippy::unwrap_used`/`expect_used` denies
-// (Cargo.toml `[lints]`) are meant for library code reachable from the
-// simulator.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Unit tests assert freely; the panic-family denies (Cargo.toml `[lints]`)
+// are meant for library code reachable from the simulator.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

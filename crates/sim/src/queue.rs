@@ -59,7 +59,6 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedules `payload` at `time`.
-    // xtask-effect: hot_path
     pub fn push(&mut self, time: SimTime, payload: T) {
         let seq = self.seq;
         self.seq += 1;
@@ -67,7 +66,6 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes and returns the earliest event.
-    // xtask-effect: hot_path
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.payload))
     }

@@ -63,7 +63,6 @@ impl SimRng {
     ///
     /// Panics if `bound` is zero.
     pub fn below(&mut self, bound: u64) -> u64 {
-        // xtask-lint: allow(hot-path-effects) — documented precondition: a zero bound is a caller bug and aborting is the correct response
         assert!(bound > 0, "bound must be non-zero");
         // Unbiased multiply-shift rejection sampling.
         loop {

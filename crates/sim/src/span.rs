@@ -13,6 +13,10 @@
 //! inclusive time — sums back to the breakdown totals.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+#[allow(
+    clippy::disallowed_types,
+    reason = "observability sink: only reached with a probe attached, and attaching one never changes simulated results; the mutex orders concurrent recorders, not device state"
+)]
 use std::sync::Mutex;
 
 use conzone_types::{SimDuration, SpanKind, SpanRecord, SpanSink};
@@ -24,6 +28,7 @@ use conzone_types::{SimDuration, SpanKind, SpanRecord, SpanSink};
 /// unbounded memory growth.
 #[derive(Debug)]
 pub struct SpanBuffer {
+    #[allow(clippy::disallowed_types, reason = "see the import")]
     spans: Mutex<Vec<SpanRecord>>,
     capacity: usize,
     recorded: AtomicU64,
@@ -33,6 +38,7 @@ impl SpanBuffer {
     /// A buffer keeping at most `capacity` spans.
     pub fn with_capacity(capacity: usize) -> SpanBuffer {
         SpanBuffer {
+            #[allow(clippy::disallowed_types, reason = "see the import")]
             spans: Mutex::new(Vec::new()),
             capacity,
             recorded: AtomicU64::new(0),
@@ -61,9 +67,6 @@ impl SpanBuffer {
 }
 
 impl SpanSink for SpanBuffer {
-    // xtask-effect: cold — observability sink: only runs with a probe attached,
-    // and the overhead guard proves attaching one never changes simulated
-    // results; the mutex orders concurrent recorders, not device state
     fn record(&self, span: SpanRecord) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut guard = match self.spans.lock() {

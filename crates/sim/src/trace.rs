@@ -1,288 +1,97 @@
-//! Trace collection: a bounded lock-free ring-buffer sink and the
+//! Trace collection: a bounded overwrite-oldest event sink and the
 //! periodic interval-metrics sampler.
 //!
-//! [`RingBufferSink`] stores events entirely in pre-allocated atomic
-//! slots: recording is one `fetch_add` to claim an index plus plain
-//! atomic stores (no locks, no allocation on the hot path). Events are
-//! packed into three `u64` words — see the `encode`/`decode` pair — and
-//! the ring overwrites its oldest entries when full, tracking how many
-//! were dropped.
-//!
-//! Each slot is guarded by a per-slot sequence word acting as a
-//! seqlock: a writer parks the sentinel value in it while rewriting the
-//! payload (so concurrent drains skip the slot and a lapped writer
-//! waits instead of interleaving its stores), and a drain re-checks the
-//! word after reading the payload so a record replaced mid-read is
-//! discarded rather than returned torn. The protocol is model-checked
-//! under the vendored loom stand-in — build with `--features loom` and
-//! run `tests/loom_trace.rs` — which explores writer/writer and
-//! writer/drain interleavings exhaustively up to the preemption bound.
+//! [`RingBufferSink`] keeps the last `capacity` [`TraceRecord`]s in a
+//! vector preallocated at construction, so recording never allocates;
+//! once full it overwrites its oldest entries and counts how many were
+//! dropped. The simulator is single-threaded, but a sink is shared
+//! through `Probe` clones behind `Arc<dyn TraceSink + Send + Sync>`, so
+//! the storage sits under a mutex — the same choice as the sibling
+//! [`SpanBuffer`](crate::SpanBuffer), which keeps the *first* N.
 //!
 //! [`MetricsSampler`] turns the cumulative [`Counters`] record into an
 //! interval time series: feed it `(now, counters)` observations and it
 //! emits one [`MetricsSample`] delta per elapsed sampling interval.
 
-// The sync layer the ring is built on: real std atomics normally, the
-// loom stand-in's checked versions when model-testing.
-#[cfg(feature = "loom")]
-use loom::sync::atomic::{fence, AtomicU64, Ordering};
-#[cfg(feature = "loom")]
-use loom::thread::yield_now;
-#[cfg(not(feature = "loom"))]
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-#[cfg(not(feature = "loom"))]
-use std::thread::yield_now;
+#[allow(
+    clippy::disallowed_types,
+    reason = "observability sink: only reached with a probe attached, and attaching one never changes simulated results; the mutex orders concurrent recorders, not device state"
+)]
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use conzone_types::{
-    CellType, Counters, DeviceEvent, FaultKind, FlushKind, L2pOutcome, MediaOp, SimDuration,
-    SimTime, TraceRecord, TraceSink, ZoneId,
-};
+use conzone_types::{Counters, DeviceEvent, SimDuration, SimTime, TraceRecord, TraceSink};
 
-fn cell_to_bits(c: CellType) -> u64 {
-    match c {
-        CellType::Slc => 0,
-        CellType::Tlc => 1,
-        CellType::Qlc => 2,
-    }
+/// The storage behind [`RingBufferSink`].
+#[derive(Debug)]
+struct Ring {
+    /// Grows to the sink's capacity (reserved up front), then slot
+    /// `head % capacity` is overwritten in place.
+    records: Vec<TraceRecord>,
+    /// Events recorded so far, overwritten ones included.
+    head: u64,
 }
 
-fn cell_from_bits(b: u64) -> CellType {
-    match b {
-        0 => CellType::Slc,
-        1 => CellType::Tlc,
-        _ => CellType::Qlc,
-    }
-}
-
-/// Packs an event into `(tag_word, a, b)`; the tag word keeps the kind
-/// index in the low byte and variant discriminants in the next byte.
-fn encode(event: DeviceEvent) -> (u64, u64, u64) {
-    let tag = event.kind_index() as u64;
-    match event {
-        DeviceEvent::BufferFlush { zone, slices, .. } => (tag, zone.raw(), slices),
-        DeviceEvent::BufferConflict { zone } => (tag, zone.raw(), 0),
-        DeviceEvent::SlcCombine {
-            zone,
-            staged_slices,
-        } => (tag, zone.raw(), staged_slices),
-        DeviceEvent::PatchSlice { zone, slices } => (tag, zone.raw(), slices),
-        DeviceEvent::GcBegin { valid_slices } => (tag, valid_slices, 0),
-        DeviceEvent::GcEnd { migrated_slices } => (tag, migrated_slices, 0),
-        DeviceEvent::L2pLookup { outcome } => {
-            let extra = match outcome {
-                L2pOutcome::HitZone => 0u64,
-                L2pOutcome::HitChunk => 1,
-                L2pOutcome::HitPage => 2,
-                L2pOutcome::Miss => 3,
-            };
-            (tag | (extra << 8), 0, 0)
-        }
-        DeviceEvent::L2pEviction { count } => (tag, count, 0),
-        DeviceEvent::L2pLogFlush => (tag, 0, 0),
-        DeviceEvent::Media { op: _, cell, bytes } => (tag | (cell_to_bits(cell) << 8), bytes, 0),
-        DeviceEvent::ZoneReset { zone } => (tag, zone.raw(), 0),
-        DeviceEvent::FaultInjected { kind, chip, block } => {
-            let extra = match kind {
-                FaultKind::Program => 0u64,
-                FaultKind::Erase => 1,
-            };
-            (tag | (extra << 8), chip, block)
-        }
-        DeviceEvent::BlockRetired { chip, block } => (tag, chip, block),
-        DeviceEvent::ReadRetry { steps } => (tag, u64::from(steps), 0),
-        DeviceEvent::PowerCut { lost_slices } => (tag, lost_slices, 0),
-        DeviceEvent::RecoveryReplay {
-            recovered_slices,
-            lost_slices,
-        } => (tag, recovered_slices, lost_slices),
-        DeviceEvent::QueueSubmit { queue, backlog } => (tag, queue, backlog),
-        DeviceEvent::QueueArbitrate { queue, wait_ns } => (tag, queue, wait_ns),
-        DeviceEvent::QueueComplete { queue, inflight } => (tag, queue, inflight),
-    }
-}
-
-/// Inverse of [`encode`]; total over well-formed tag words.
-fn decode(tag_word: u64, a: u64, b: u64) -> Option<DeviceEvent> {
-    let extra = (tag_word >> 8) & 0xff;
-    Some(match tag_word & 0xff {
-        0 => DeviceEvent::BufferFlush {
-            zone: ZoneId(a),
-            kind: FlushKind::Full,
-            slices: b,
-        },
-        1 => DeviceEvent::BufferFlush {
-            zone: ZoneId(a),
-            kind: FlushKind::Premature,
-            slices: b,
-        },
-        2 => DeviceEvent::BufferConflict { zone: ZoneId(a) },
-        3 => DeviceEvent::SlcCombine {
-            zone: ZoneId(a),
-            staged_slices: b,
-        },
-        4 => DeviceEvent::PatchSlice {
-            zone: ZoneId(a),
-            slices: b,
-        },
-        5 => DeviceEvent::GcBegin { valid_slices: a },
-        6 => DeviceEvent::GcEnd { migrated_slices: a },
-        7 => DeviceEvent::L2pLookup {
-            outcome: L2pOutcome::Miss,
-        },
-        8 => DeviceEvent::L2pLookup {
-            outcome: match extra {
-                0 => L2pOutcome::HitZone,
-                1 => L2pOutcome::HitChunk,
-                _ => L2pOutcome::HitPage,
-            },
-        },
-        9 => DeviceEvent::L2pEviction { count: a },
-        10 => DeviceEvent::L2pLogFlush,
-        11 => DeviceEvent::Media {
-            op: MediaOp::Program,
-            cell: cell_from_bits(extra),
-            bytes: a,
-        },
-        12 => DeviceEvent::Media {
-            op: MediaOp::Read,
-            cell: cell_from_bits(extra),
-            bytes: a,
-        },
-        13 => DeviceEvent::Media {
-            op: MediaOp::Erase,
-            cell: cell_from_bits(extra),
-            bytes: a,
-        },
-        14 => DeviceEvent::ZoneReset { zone: ZoneId(a) },
-        15 => DeviceEvent::FaultInjected {
-            kind: if extra == 0 {
-                FaultKind::Program
-            } else {
-                FaultKind::Erase
-            },
-            chip: a,
-            block: b,
-        },
-        16 => DeviceEvent::BlockRetired { chip: a, block: b },
-        // xtask-lint: allow(truncating-cast) — round-trips a u32 packed into the record word
-        17 => DeviceEvent::ReadRetry { steps: a as u32 },
-        18 => DeviceEvent::PowerCut { lost_slices: a },
-        19 => DeviceEvent::RecoveryReplay {
-            recovered_slices: a,
-            lost_slices: b,
-        },
-        20 => DeviceEvent::QueueSubmit {
-            queue: a,
-            backlog: b,
-        },
-        21 => DeviceEvent::QueueArbitrate {
-            queue: a,
-            wait_ns: b,
-        },
-        22 => DeviceEvent::QueueComplete {
-            queue: a,
-            inflight: b,
-        },
-        _ => return None,
-    })
-}
-
-const WORDS_PER_SLOT: usize = 5; // seq, time, tag, a, b
-
-/// Sequence-word sentinel a writer parks in a slot while rewriting its
-/// payload. Real sequence values are `index + 1`, which would need
-/// 2^64 − 1 recorded events to collide with the sentinel.
-const WRITING: u64 = u64::MAX;
-
-/// A bounded, lock-free, overwrite-oldest event sink.
+/// A bounded, overwrite-oldest event sink.
 ///
-/// Writers claim an index with one `fetch_add`, claim the slot by
-/// swapping [`WRITING`] into its sequence word, fill the payload with
-/// atomic stores and publish by storing `index + 1` back. The sequence
-/// word lets [`RingBufferSink::drain`] detect slots that are mid-write
-/// or were replaced while being read (only possible while another
-/// thread is still emitting). No allocation happens after construction.
+/// Keeps the last `capacity` events and counts the rest as dropped. No
+/// allocation happens after construction.
 #[derive(Debug)]
 pub struct RingBufferSink {
-    /// Flat `[seq, time, tag, a, b]` per slot.
-    slots: Vec<AtomicU64>,
-    capacity: u64,
-    head: AtomicU64,
+    #[allow(clippy::disallowed_types, reason = "see the import")]
+    ring: Mutex<Ring>,
+    capacity: usize,
 }
 
 impl RingBufferSink {
-    /// Default capacity: 64 Ki events (~2.5 MiB).
+    /// Default capacity: 64 Ki events (2 MiB).
     pub fn new() -> RingBufferSink {
         RingBufferSink::with_capacity(64 * 1024)
     }
 
     /// Creates a sink holding the last `capacity` events (min 16).
     pub fn with_capacity(capacity: usize) -> RingBufferSink {
-        RingBufferSink::with_capacity_exact(capacity.max(16))
+        let capacity = capacity.max(16);
+        RingBufferSink {
+            #[allow(clippy::disallowed_types, reason = "see the import")]
+            ring: Mutex::new(Ring {
+                records: Vec::with_capacity(capacity),
+                head: 0,
+            }),
+            capacity,
+        }
     }
 
-    /// Like [`RingBufferSink::with_capacity`] but without the floor of
-    /// 16. Tiny rings make wraparound races reachable in a handful of
-    /// steps, which is what the loom model tests need; production users
-    /// should go through `with_capacity`. `capacity` must be ≥ 1.
-    pub fn with_capacity_exact(capacity: usize) -> RingBufferSink {
-        assert!(capacity >= 1, "ring capacity must be at least 1");
-        let mut slots = Vec::with_capacity(capacity * WORDS_PER_SLOT);
-        for _ in 0..capacity * WORDS_PER_SLOT {
-            slots.push(AtomicU64::new(0));
-        }
-        RingBufferSink {
-            slots,
-            capacity: capacity as u64,
-            head: AtomicU64::new(0),
-        }
+    /// A recorder that panicked cannot have left the ring half-updated
+    /// (`record` writes the slot, then bumps `head`, and neither step
+    /// can fail), so a poisoned lock is still safe to read and write.
+    #[allow(clippy::disallowed_types, reason = "see the import")]
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Events recorded so far (including any overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.ring().head
     }
 
     /// Events lost to overwriting (recorded minus capacity, if positive).
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.capacity)
+        self.recorded().saturating_sub(self.capacity as u64)
     }
 
-    /// Copies out the retained events in recording order. Intended to be
-    /// called after the simulation quiesces; concurrent in-flight writes
-    /// only cause those specific slots to be skipped.
+    /// Copies out the retained events in recording order; the sink keeps
+    /// them, so draining twice returns the same records.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let retained = head.min(self.capacity);
-        let first = head - retained;
-        let mut out = Vec::with_capacity(retained as usize);
-        for idx in first..head {
-            let base = (idx % self.capacity) as usize * WORDS_PER_SLOT;
-            // Seqlock read: check the sequence word on *both* sides of
-            // the payload loads and keep the record only if it never
-            // moved — a writer that replaced the record mid-read leaves
-            // either the WRITING sentinel or a different sequence in s2.
-            let s1 = self.slots[base].load(Ordering::Acquire);
-            if s1 != idx + 1 {
-                continue; // stale, mid-write, or already overwritten
-            }
-            let time = self.slots[base + 1].load(Ordering::Relaxed);
-            let tag = self.slots[base + 2].load(Ordering::Relaxed);
-            let a = self.slots[base + 3].load(Ordering::Relaxed);
-            let b = self.slots[base + 4].load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            let s2 = self.slots[base].load(Ordering::Relaxed);
-            if s2 != s1 {
-                continue; // replaced while being read
-            }
-            if let Some(event) = decode(tag, a, b) {
-                out.push(TraceRecord {
-                    time: SimTime::from_nanos(time),
-                    event,
-                });
-            }
-        }
-        out
+        let ring = self.ring();
+        // Until the first overwrite the oldest record is slot 0; after
+        // it, the slot the next record would land in.
+        let oldest = if ring.records.len() < self.capacity {
+            0
+        } else {
+            (ring.head % self.capacity as u64) as usize
+        };
+        let (newer, older) = ring.records.split_at(oldest);
+        [older, newer].concat()
     }
 }
 
@@ -294,37 +103,15 @@ impl Default for RingBufferSink {
 
 impl TraceSink for RingBufferSink {
     fn record(&self, time: SimTime, event: DeviceEvent) {
-        let idx = self.head.fetch_add(1, Ordering::AcqRel);
-        let base = (idx % self.capacity) as usize * WORDS_PER_SLOT;
-        let (tag, a, b) = encode(event);
-        // Claim the slot before touching the payload: the sentinel
-        // keeps drain() from trusting the words mid-write, and keeps a
-        // writer a full lap away from interleaving its stores with
-        // ours (two live writers land on one slot only when the ring
-        // wraps while a write is still in flight).
-        loop {
-            let prev = self.slots[base].swap(WRITING, Ordering::Acquire);
-            if prev == WRITING {
-                yield_now();
-                continue;
-            }
-            if prev > idx + 1 {
-                // The slot already carries a *newer* record: this
-                // writer was lapped between claiming `idx` and getting
-                // here. Indices sharing a slot are a multiple of
-                // `capacity` apart, so `idx` sits below the retained
-                // window and is already counted by dropped(); put the
-                // newer record back untouched.
-                self.slots[base].store(prev, Ordering::Release);
-                return;
-            }
-            break;
+        let record = TraceRecord { time, event };
+        let mut ring = self.ring();
+        if ring.records.len() < self.capacity {
+            ring.records.push(record);
+        } else {
+            let slot = (ring.head % self.capacity as u64) as usize;
+            ring.records[slot] = record;
         }
-        self.slots[base + 1].store(time.as_nanos(), Ordering::Relaxed);
-        self.slots[base + 2].store(tag, Ordering::Relaxed);
-        self.slots[base + 3].store(a, Ordering::Relaxed);
-        self.slots[base + 4].store(b, Ordering::Relaxed);
-        self.slots[base].store(idx + 1, Ordering::Release);
+        ring.head += 1;
     }
 }
 
@@ -429,7 +216,13 @@ impl MetricsSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conzone_types::{CellType, FaultKind, FlushKind, L2pOutcome, MediaOp, ZoneId};
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
+    /// One event per [`DeviceEvent::kind_index`] bucket, plus the payload
+    /// variations (`L2pOutcome` hit levels, both `FaultKind`s) a bucket
+    /// does not distinguish.
     fn all_events() -> Vec<DeviceEvent> {
         vec![
             DeviceEvent::BufferFlush {
@@ -502,29 +295,82 @@ mod tests {
                 recovered_slices: 9,
                 lost_slices: 14,
             },
+            DeviceEvent::QueueSubmit {
+                queue: 1,
+                backlog: 5,
+            },
+            DeviceEvent::QueueArbitrate {
+                queue: 0,
+                wait_ns: 350,
+            },
+            DeviceEvent::QueueComplete {
+                queue: 1,
+                inflight: 7,
+            },
         ]
     }
 
-    #[test]
-    fn encode_decode_is_bijective() {
-        for e in all_events() {
-            let (tag, a, b) = encode(e);
-            assert_eq!(decode(tag, a, b), Some(e), "{e:?}");
-        }
-    }
-
+    /// Every `DeviceEvent` kind comes back out of the sink exactly as it
+    /// went in, in order, with its timestamp.
     #[test]
     fn ring_keeps_order_and_contents() {
+        let events = all_events();
+        let kinds: std::collections::BTreeSet<usize> =
+            events.iter().map(DeviceEvent::kind_index).collect();
+        assert_eq!(kinds.len(), DeviceEvent::KIND_COUNT, "a kind is missing");
         let sink = RingBufferSink::with_capacity(64);
-        for (i, e) in all_events().into_iter().enumerate() {
-            sink.record(SimTime::from_nanos(i as u64 * 10), e);
+        for (i, e) in events.iter().enumerate() {
+            sink.record(SimTime::from_nanos(i as u64 * 10), *e);
         }
-        let records = sink.drain();
-        assert_eq!(records.len(), all_events().len());
+        let expected: Vec<TraceRecord> = events
+            .iter()
+            .enumerate()
+            .map(|(i, &event)| TraceRecord {
+                time: SimTime::from_nanos(i as u64 * 10),
+                event,
+            })
+            .collect();
+        assert_eq!(sink.drain(), expected);
         assert_eq!(sink.dropped(), 0);
-        for (i, (r, e)) in records.iter().zip(all_events()).enumerate() {
-            assert_eq!(r.time, SimTime::from_nanos(i as u64 * 10));
-            assert_eq!(r.event, e);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The ring against a `VecDeque` that drops its front when over
+        /// capacity: at every drain point the retained records are the
+        /// model's, in order; `recorded`/`dropped` count exactly; and
+        /// `drain` takes nothing away.
+        #[test]
+        fn ring_matches_a_bounded_deque_model(
+            capacity in 16usize..65,
+            fill_percent in 0usize..401,
+            drain_every in 1usize..40,
+        ) {
+            let n = capacity * fill_percent / 100;
+            let sink = RingBufferSink::with_capacity(capacity);
+            let mut model: VecDeque<TraceRecord> = VecDeque::new();
+            let events = all_events();
+            for i in 0..n {
+                let record = TraceRecord {
+                    time: SimTime::from_nanos(i as u64),
+                    event: events[i % events.len()],
+                };
+                sink.record(record.time, record.event);
+                model.push_back(record);
+                if model.len() > capacity {
+                    model.pop_front();
+                }
+                if (i + 1) % drain_every == 0 || i + 1 == n {
+                    let drained = sink.drain();
+                    prop_assert_eq!(&drained, &Vec::from(model.clone()));
+                    prop_assert_eq!(sink.drain(), drained, "drain is not idempotent");
+                    prop_assert_eq!(sink.recorded(), i as u64 + 1);
+                    prop_assert_eq!(sink.dropped(), (i + 1).saturating_sub(capacity) as u64);
+                }
+            }
+            prop_assert_eq!(sink.drain().len(), n.min(capacity));
+            prop_assert_eq!(sink.recorded(), n as u64);
         }
     }
 
@@ -551,10 +397,9 @@ mod tests {
 
     #[test]
     fn ring_survives_concurrent_writers_with_exact_accounting() {
-        // Real-thread smoke test of the slot-claim protocol (the
-        // exhaustive version lives in tests/loom_trace.rs): hammer a
-        // small ring from several threads, then check that nothing is
-        // torn and the drop accounting balances to the record.
+        // A sink is shared through `Probe` clones as `Send + Sync`:
+        // hammer a small ring from several threads, then check that
+        // nothing is torn and the drop accounting balances to the record.
         let sink = std::sync::Arc::new(RingBufferSink::with_capacity(16));
         let mut handles = Vec::new();
         for t in 0..4u64 {

@@ -93,9 +93,6 @@ impl Geometry {
     /// whole number of programming units, when the page size is not a whole
     /// number of 4 KiB slices, or when no normal blocks remain after the SLC
     /// region.
-    // xtask-effect: cold — config-time validation: runs once at device
-    // construction, never per IO (and stops the name-union resolver charging
-    // `request.validate()` on the submit path to it)
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn nonzero(v: usize, what: &str) -> Result<(), ConfigError> {
             if v == 0 {
@@ -297,13 +294,11 @@ impl Geometry {
     /// Panics if `offset` is outside the superblock or `sb` outside the
     /// array.
     pub fn superblock_slice(&self, sb: SuperblockId, offset: u64) -> Ppa {
-        // xtask-lint: allow(hot-path-effects) — documented precondition: an out-of-superblock offset is a harness bug and aborting is the correct response
         assert!(
             offset < self.slices_per_superblock(),
             "slice offset {offset} outside superblock ({} slices)",
             self.slices_per_superblock()
         );
-        // xtask-lint: allow(hot-path-effects) — documented precondition: an out-of-array superblock is a harness bug and aborting is the correct response
         assert!(
             (sb.raw() as usize) < self.blocks_per_chip,
             "superblock {sb} outside array"

@@ -303,6 +303,10 @@ impl fmt::Debug for SpanRecorder {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test-only collecting sink; the real one (SpanBuffer) lives downstream in conzone-sim"
+)]
 mod tests {
     use super::*;
     use std::sync::Mutex;

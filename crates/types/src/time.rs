@@ -121,7 +121,6 @@ impl SimDuration {
     ///
     /// Panics if `bytes_per_sec` is zero.
     pub fn for_transfer(bytes: u64, bytes_per_sec: u64) -> SimDuration {
-        // xtask-lint: allow(hot-path-effects) — config invariant: a zero transfer rate is rejected at validation, so hitting this is a harness bug
         assert!(bytes_per_sec > 0, "transfer rate must be non-zero");
         // ns = bytes * 1e9 / rate, using u128 to avoid overflow.
         let ns = (u128::from(bytes) * 1_000_000_000u128).div_ceil(u128::from(bytes_per_sec));

@@ -308,7 +308,8 @@ pub struct TraceRecord {
 ///
 /// `record` takes `&self` so a sink can be shared between a device and the
 /// harness that later drains it; implementations use interior mutability
-/// (atomics in the in-tree sinks).
+/// (atomics in [`CountingSink`], a mutex in `conzone_sim`'s collecting
+/// sinks).
 pub trait TraceSink {
     /// Called once per event, in non-decreasing simulation-time order per
     /// device.

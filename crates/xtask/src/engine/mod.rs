@@ -5,21 +5,17 @@
 //! a flattened token view ([`tokens::FlatTok`]), per-line
 //! `#[cfg(test)]` classification derived from AST item extents, and the
 //! comment/code split the allowlist machinery matches directives
-//! against. Two rules are per-file passes (`rules::run`); the other two
-//! come out of the workspace effect analysis (`symbols` + `graph`).
+//! against. Both rules are per-file passes (`rules::run`).
 
 pub(crate) mod allow;
-pub(crate) mod effects;
-pub(crate) mod graph;
 pub(crate) mod rules;
-pub(crate) mod symbols;
 pub(crate) mod tokens;
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use crate::{FnEffects, Report, Violation, Warning};
+use crate::{Report, Violation, Warning};
 use syn::visit::{self, Visit};
 use tokens::FlatTok;
 
@@ -339,7 +335,7 @@ impl<'a> FileCtx<'a> {
 
     /// The anchor lines a directive for line `at` may live on: the line
     /// itself, then the contiguous comment-only block above it.
-    pub(crate) fn anchor_candidates(&self, at: usize) -> Vec<usize> {
+    fn anchor_candidates(&self, at: usize) -> Vec<usize> {
         let mut candidates = vec![at];
         let mut l = at;
         while l > 0 {
@@ -373,13 +369,6 @@ impl<'a> FileCtx<'a> {
             }
         }
         Ok(false)
-    }
-
-    /// Allow check for analyses that pre-filter findings (the effect
-    /// scan): true when a reasoned directive covers the line, marking
-    /// it used.
-    pub(crate) fn consume_allow(&self, idx: usize, rule: &str) -> bool {
-        matches!(self.allowed(idx, rule), Ok(true))
     }
 
     /// Appends a warning for every reasoned allow directive that never
@@ -496,79 +485,29 @@ pub(crate) fn collect_sources(root: &Path) -> std::io::Result<Vec<(PathBuf, Stri
     Ok(out)
 }
 
-/// The full two-phase pass.
-///
-/// Phase 1 parses every file once and runs the per-file rules. Phase 2
-/// keeps every parsed file alive and runs the effect analysis over all
-/// of them — a call-graph property cannot be judged from a partial
-/// view.
+/// Parses every linted file once, runs the per-file rules over it and
+/// collects the allow-hygiene warnings and the parse-coverage figures.
 pub(crate) fn lint_workspace_report(root: &Path) -> std::io::Result<Report> {
-    let mut loaded: Vec<(PathBuf, String, String)> = Vec::new();
+    let mut report = Report::default();
     for (path, crate_name) in collect_sources(root)? {
         if !is_linted(&crate_name) {
             continue;
         }
         let src = std::fs::read_to_string(&path)?;
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        loaded.push((rel, src, crate_name));
-    }
-    let mut ctxs: Vec<(FileCtx<'_>, &str)> = Vec::with_capacity(loaded.len());
-    for (rel, src, crate_name) in &loaded {
-        let ctx = FileCtx::build(rel, src)
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        let ctx = FileCtx::build(rel, &src)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        ctxs.push((ctx, crate_name));
-    }
-
-    // Phase 1: per-file rules.
-    let mut out = Vec::new();
-    let mut items_parsed = BTreeMap::new();
-    for (ctx, _) in &ctxs {
-        rules::run(ctx, &mut out);
+        rules::run(&ctx, &mut report.violations);
+        ctx.unused_allow_warnings(&mut report.warnings);
+        report.files_parsed += 1;
         for scope in &ctx.scopes {
-            *items_parsed.entry(scope.kind).or_default() += 1;
+            *report.items_parsed.entry(scope.kind).or_default() += 1;
         }
     }
-
-    // Phase 2: the effect analysis over every parsed file.
-    let mut syms = Vec::new();
-    for (ctx, crate_name) in &ctxs {
-        let mut issues = Vec::new();
-        symbols::collect(ctx, crate_name, &mut syms, &mut issues);
-        for issue in issues {
-            ctx.push(&mut out, issue.line, "effect-annotation", issue.message);
-        }
-    }
-    let graph = graph::build(syms);
-    graph.check_hot_paths(&mut out);
-    out.sort();
-
-    let mut warnings = Vec::new();
-    for (ctx, _) in &ctxs {
-        ctx.unused_allow_warnings(&mut warnings);
-    }
-    warnings.sort();
-
-    let functions = graph
-        .annotated_effects()
-        .into_iter()
-        .map(|f| FnEffects {
-            function: f.qualified(),
-            file: f.file.clone(),
-            line: f.line,
-            hot: f.hot,
-            cold: f.cold,
-            effects: f.effects.names(),
-        })
-        .collect();
-
-    Ok(Report {
-        violations: out,
-        warnings,
-        functions,
-        files_parsed: ctxs.len(),
-        fallback_items: items_parsed.get("unknown").copied().unwrap_or(0),
-        items_parsed,
-    })
+    report.violations.sort();
+    report.warnings.sort();
+    report.fallback_items = report.items_parsed.get("unknown").copied().unwrap_or(0);
+    Ok(report)
 }
 
 #[cfg(test)]

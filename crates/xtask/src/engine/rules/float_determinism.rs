@@ -2,10 +2,12 @@
 //! signatures. Float rounding depends on evaluation order, platform and
 //! optimization level, so a float that feeds simulator state breaks
 //! bit-identical seeded reruns. The rule looks at *type positions* —
-//! struct/enum fields, const/static types, and function parameters —
-//! because that is where floats become part of the model's state or
-//! contract; stats/export/json boundaries in `crates/sim` are exempt
-//! (floats are fine once results leave the deterministic core).
+//! struct/enum fields, const/static types, function parameters and the
+//! right-hand side of `type` aliases (which would otherwise carry a
+//! float into any of the others under another name) — because that is
+//! where floats become part of the model's state or contract;
+//! stats/export/json boundaries in `crates/sim` are exempt (floats are
+//! fine once results leave the deterministic core).
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -42,6 +44,20 @@ impl FloatTypes {
 }
 
 impl<'ast> Visit<'ast> for FloatTypes {
+    fn visit_item(&mut self, item: &'ast syn::Item) {
+        // `type` items are kept as raw tokens: the aliased type is
+        // whatever follows the `=`.
+        match item {
+            syn::Item::Verbatim(v) if v.kind == "type" => {
+                let rhs = v.tokens.iter().skip_while(|t| t.as_punct() != Some('='));
+                let tokens = rhs.skip(1).cloned().collect();
+                self.scan(&TypeTokens { tokens }, "type alias");
+            }
+            _ => {}
+        }
+        visit::walk_item(self, item);
+    }
+
     fn visit_field(&mut self, field: &'ast syn::Field) {
         self.scan(&field.ty, "field");
     }
@@ -103,6 +119,18 @@ mod tests {
         assert!(out[0].message.starts_with("f64 field"));
         assert!(out[1].message.starts_with("f32 const"));
         assert!(out[2].message.starts_with("f64 fn parameter"));
+    }
+
+    #[test]
+    fn float_aliases_are_flagged_where_they_are_defined() {
+        // The field using the alias shows no float token; the alias does.
+        let src = "type Ratio = f64;\n\
+                   struct S { r: Ratio, t: Ticks }\n\
+                   type Ticks = u64;\n";
+        let out = lint_file("crates/flash/src/x.rs", src);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.starts_with("f64 type alias"));
+        assert_eq!(out[0].line, 1);
     }
 
     #[test]

@@ -18,8 +18,9 @@ const NARROW: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 pub(crate) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     let flat = &ctx.flat;
     let mut seen: BTreeSet<(usize, &str)> = BTreeSet::new();
-    for i in 0..flat.len() {
-        if flat[i].ident() != Some("as") {
+    for (i, tok) in flat.iter().enumerate() {
+        let FlatTok::Tok(kw) = tok else { continue };
+        if kw.as_ident() != Some("as") {
             continue;
         }
         let Some(target) = flat
@@ -34,7 +35,7 @@ pub(crate) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
         if i > 0 && matches!(&flat[i - 1], FlatTok::Tok(t) if t.as_literal().is_some()) {
             continue;
         }
-        let idx = flat[i].line_idx();
+        let idx = kw.span().line.saturating_sub(1);
         if ctx.in_test(idx) || !seen.insert((idx, target)) {
             continue;
         }

@@ -1,30 +1,20 @@
 //! The determinism-hygiene lint pass behind `cargo xtask lint`.
 //!
-//! ConZone's value as an emulator rests on bit-identical seeded reruns
-//! and on IO paths whose host cost is flat, so this pass makes both
-//! *statically enforced* properties instead of test-observed ones. It
-//! keeps only the rules nothing cheaper can enforce — the compiler, a
-//! clippy lint or a `Send` assertion own the rest (the ledger is
-//! `docs/internals.md` §8). Four rules:
+//! ConZone's value as an emulator rests on bit-identical seeded reruns,
+//! so this pass makes the two parts of that property nothing cheaper can
+//! enforce *statically* checked instead of test-observed. The compiler,
+//! a clippy lint, a `Send` assertion or the counting allocator of
+//! `tests/zero_alloc.rs` own everything else (the ledger is
+//! `docs/internals.md` §8). Two rules:
 //!
 //! * [`float-determinism`] — no `f32`/`f64` in sim-visible type positions
-//!   (struct/enum fields, const/static types, fn parameters); float
-//!   rounding varies with platform and optimization level. The stats/
-//!   export/json boundary files in `crates/sim` are exempt.
+//!   (struct/enum fields, const/static types, fn parameters, `type`
+//!   aliases); float rounding varies with platform and optimization
+//!   level. The stats/export/json boundary files in `crates/sim` are
+//!   exempt.
 //! * [`truncating-cast`] — no narrowing `as` casts (`u8`/`u16`/`u32`/
 //!   `i8`/`i16`/`i32` targets) on runtime values: sim times, counters and
 //!   addresses are `u64` and silent wraps skew results without failing.
-//! * [`hot-path-effects`] — functions marked `// xtask-effect: hot_path`
-//!   must be *transitively* free of allocation, explicit panics and
-//!   locks. A workspace call graph propagates an effect lattice
-//!   (allocates, panics, locks) from a builtin std table to fixpoint;
-//!   violations name the full call chain and anchor at the leaf site.
-//!   `#[cold]` / `// xtask-effect: cold — <reason>` functions cut
-//!   propagation (the slow-path escape hatch). `tests/zero_alloc.rs` is
-//!   this rule's runtime cross-check.
-//! * [`effect-annotation`] — the effect markers themselves must be
-//!   well-formed: attached to a function, a known kind (`hot_path` or
-//!   `cold`), `cold` carrying a reason, and never both on one function.
 //!
 //! # Engine
 //!
@@ -60,12 +50,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Rule identifiers, as used in diagnostics and allow directives.
-pub const RULES: [&str; 4] = [
-    "float-determinism",
-    "truncating-cast",
-    "hot-path-effects",
-    "effect-annotation",
-];
+pub const RULES: [&str; 2] = ["float-determinism", "truncating-cast"];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -117,24 +102,6 @@ impl fmt::Display for Warning {
     }
 }
 
-/// Inferred transitive effects of one effect-annotated function, for
-/// the JSON report.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FnEffects {
-    /// `crate::Type::name` (or `crate::name` for free functions).
-    pub function: String,
-    /// Path relative to the linted root.
-    pub file: PathBuf,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// Marked `// xtask-effect: hot_path`.
-    pub hot: bool,
-    /// Marked cold (`#[cold]` or `// xtask-effect: cold — <reason>`).
-    pub cold: bool,
-    /// Transitive effect names, in lattice-bit order.
-    pub effects: Vec<&'static str>,
-}
-
 /// The full result of one lint run.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -142,8 +109,6 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Non-fatal warnings, sorted.
     pub warnings: Vec<Warning>,
-    /// Per-function inferred effects for every annotated function.
-    pub functions: Vec<FnEffects>,
     /// Parse coverage: how many files the rules saw.
     pub files_parsed: usize,
     /// Parse coverage: every item the parser produced (nested ones
@@ -202,10 +167,9 @@ pub fn violations_to_json(violations: &[Violation]) -> String {
 }
 
 /// Renders the full report as JSON with a stable field order (`rules`,
-/// `violation_count`, `violations`, `warning_count`, `warnings`,
-/// `functions` with per-function inferred effects, then the `parse`
-/// coverage block), so snapshots and CI consumers can diff the output
-/// textually.
+/// `violation_count`, `violations`, `warning_count`, `warnings`, then
+/// the `parse` coverage block), so snapshots and CI consumers can diff
+/// the output textually.
 pub fn report_to_json(report: &Report) -> String {
     let mut out = String::from("{\n  \"rules\": [");
     for (i, r) in RULES.iter().enumerate() {
@@ -247,29 +211,6 @@ pub fn report_to_json(report: &Report) -> String {
         );
     }
     if !report.warnings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"functions\": [");
-    for (i, f) in report.functions.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let mut effects = String::from("[");
-        for (j, e) in f.effects.iter().enumerate() {
-            let esep = if j == 0 { "" } else { ", " };
-            let _ = write!(effects, "{esep}{}", json_string(e));
-        }
-        effects.push(']');
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"function\": {}, \"file\": {}, \"line\": {}, \
-             \"hot\": {}, \"cold\": {}, \"effects\": {effects}}}",
-            json_string(&f.function),
-            json_string(&f.file.display().to_string()),
-            f.line,
-            f.hot,
-            f.cold,
-        );
-    }
-    if !report.functions.is_empty() {
         out.push_str("\n  ");
     }
     let _ = write!(
@@ -338,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn full_report_json_includes_warnings_and_functions() {
+    fn full_report_json_includes_warnings_and_parse_coverage() {
         let report = Report {
             violations: vec![],
             warnings: vec![Warning {
@@ -346,29 +287,18 @@ mod tests {
                 line: 7,
                 message: "unused allow".to_string(),
             }],
-            functions: vec![FnEffects {
-                function: "core::ConZone::write_range".to_string(),
-                file: PathBuf::from("crates/core/src/write.rs"),
-                line: 35,
-                hot: true,
-                cold: false,
-                effects: vec!["panics"],
-            }],
             files_parsed: 2,
             items_parsed: BTreeMap::from([("fn", 5), ("use", 3)]),
             fallback_items: 0,
         };
         let json = report_to_json(&report);
         let warn_at = json.find("\"warnings\"").expect("warnings key");
-        let fns_at = json.find("\"functions\"").expect("functions key");
-        assert!(warn_at < fns_at);
+        let parse_at = json.find("\"parse\"").expect("parse key");
+        assert!(warn_at < parse_at);
         assert!(json.contains("\"warning_count\": 1"));
-        assert!(json.contains("\"hot\": true"));
-        assert!(json.contains("\"effects\": [\"panics\"]"));
         assert!(json.contains(
             "\"parse\": {\"files\": 2, \"items\": 8, \"fallback\": 0, \
              \"by_kind\": {\"fn\": 5, \"use\": 3}}"
         ));
-        assert!(json.contains("core::ConZone::write_range"));
     }
 }

@@ -1,20 +1,43 @@
-//! Steady-state allocation guard — the runtime cross-check of the static
-//! `hot-path-effects` lint rule (`docs/internals.md` §8): after warm-up
-//! has grown the scratch buffers and cache slabs, the device's IO paths
-//! must not touch the global allocator at all.
+//! Steady-state allocation guard, and the owner of the promise that the
+//! IO paths are allocation-free (`docs/internals.md` §8): after warm-up
+//! has grown the scratch buffers and cache slabs, they must not touch the
+//! global allocator at all. A path is covered when a case here executes
+//! it — nothing static stands behind this file.
+//!
+//! Entry points executed, by case:
+//!
+//! * write + flush + GC (release): `ConZone::submit` → `write_range`,
+//!   `flush`, SLC GC, `FlashArray::{program_unit, program_slc}`,
+//!   `MappingTable::set_extent`;
+//! * fill / reset / refill (release): the same through writes *and* zone
+//!   appends (`append_range`), plus `ConZone::reset_zone`;
+//! * random reads (zone-mapped: all hits; page-mapped: ~90 % misses) and
+//!   sequential reads: `ConZone::submit` → `read_range`,
+//!   `L2pCache::{lookup, insert}`, `MappingTable::{get, ppas}`,
+//!   `FlashArray::read_slices`;
+//! * single-page mapping stores: `MappingTable::set`, which only the
+//!   per-page baseline calls;
+//! * doorbell → grant → submit: `QueueFrontEnd::{doorbell, grant}` and the
+//!   round-robin `pick`;
+//! * queue-pair runs: `EventQueue::{push, pop}`, `QueuePair::{submit,
+//!   fetch_next, mark_dispatched, post_completion, reap, release}` and
+//!   both arbiters' `pick`, through the public `run_tenants`.
 //!
 //! The test binary installs its own counting `#[global_allocator]`, so no
 //! library crate carries a feature or `unsafe` for it. Counts are kept per
 //! thread: libtest runs every `#[test]` on a thread of its own and
 //! allocates between them, which would pollute a process-wide counter.
-//! The cases drive the device directly (`submit`/`flush`), not through
-//! `run_job`, whose per-run set-up allocates.
+//! The device cases drive the device directly (`submit`/`flush`), not
+//! through `run_job`, whose per-run set-up allocates; the queue-pair case
+//! cannot (its entry points are private) and compares runs instead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use conzone::host::{run_job, AccessPattern, FioJob};
-use conzone::types::{DeviceConfig, IoRequest, SimDuration, SimTime, StorageDevice};
+use conzone::host::{run_job, run_tenants, AccessPattern, FioJob, QdOptions, TenantSpec};
+use conzone::types::{
+    DeviceConfig, Geometry, IoRequest, MapGranularity, SimDuration, SimTime, StorageDevice,
+};
 use conzone::{ArbiterKind, ConZone, QueueFrontEnd};
 
 // Const-initialised so reading it never allocates (a lazy initialiser
@@ -81,7 +104,21 @@ fn device() -> ConZone {
 /// A device whose first `READ_FILL_BYTES` are written; the fill may
 /// allocate freely. Returns the simulated time the fill finished.
 fn filled_device() -> (ConZone, SimTime) {
-    let mut dev = device();
+    filled(device())
+}
+
+/// The same device with page-only mapping: the fill leaves 65 536 page
+/// entries where the 12 KiB L2P cache holds a fraction, so random reads
+/// mostly miss.
+fn filled_page_mapped_device() -> (ConZone, SimTime) {
+    let cfg = DeviceConfig::builder(Geometry::consumer_1p5gb())
+        .max_aggregation(MapGranularity::Page)
+        .build()
+        .expect("paper configuration with page-only mapping");
+    filled(ConZone::new(cfg))
+}
+
+fn filled(mut dev: ConZone) -> (ConZone, SimTime) {
     let job = FioJob::new(AccessPattern::SeqWrite, 512 * 1024)
         .zone_bytes(dev.config().zone_size_bytes())
         .region(0, READ_FILL_BYTES)
@@ -154,9 +191,10 @@ fn seqwrite_flush_and_slc_gc_do_not_allocate() {
     );
 }
 
-/// Fill → reset → refill over four zones written round-robin in 512 KiB
-/// requests (zones 0/2 and 1/3 share a write buffer, so every switch
-/// conflicts): besides the write path with its tail patches, each cycle
+/// Fill → reset → refill over four zones filled round-robin in 512 KiB
+/// requests — writes to zones 0 and 2, zone appends to zones 1 and 3
+/// (zones 0/2 and 1/3 share a write buffer, so every switch conflicts):
+/// besides the write and append paths with their tail patches, each cycle
 /// makes four zone resets — the walk over the zone's mapping entries that
 /// gathers its SLC leftovers into scratch, the L2P cache sweep, the direct
 /// erase, the bulk unmap. None of it may allocate once two warm-up cycles
@@ -178,8 +216,17 @@ fn fill_reset_refill_cycles_do_not_allocate() {
     let mut cycle = |dev: &mut ConZone| {
         for offset in (0..zone_bytes).step_by(BLOCK as usize) {
             for zone in 0..ZONES {
-                let c = dev.submit(now, &IoRequest::write(zone * zone_bytes + offset, BLOCK));
-                now = c.expect("write").finished;
+                // An append lands where the write would have.
+                let start = zone * zone_bytes;
+                let append = zone % 2 == 1;
+                let request = if append {
+                    IoRequest::append(start, BLOCK)
+                } else {
+                    IoRequest::write(start + offset, BLOCK)
+                };
+                let c = dev.submit(now, &request).expect("write or append");
+                assert_eq!(c.assigned_offset, append.then_some(start + offset));
+                now = c.finished;
             }
         }
         for zone in 0..ZONES {
@@ -205,27 +252,40 @@ fn fill_reset_refill_cycles_do_not_allocate() {
     );
 }
 
-/// 4 KiB random reads after a fill: L2P lookups, mapping fetches and
-/// flash data reads must not allocate.
+/// 4 KiB random reads after a fill must not allocate — neither when every
+/// lookup hits a zone entry (L2P lookup, flash data read) nor, with
+/// page-only mapping, when most miss (mapping fetch from flash, cache
+/// insert, LRU eviction).
 #[test]
 fn random_reads_do_not_allocate() {
     const WARMUP_OPS: u64 = 20_000;
     const MEASURED_OPS: u64 = 50_000;
-    let (mut dev, mut now) = filled_device();
-    let mut next_offset = read_offsets(7);
-    let mut read = |dev: &mut ConZone| {
-        let c = dev.submit(now, &IoRequest::read(next_offset(), 4096));
-        now = c.expect("read").finished;
-    };
-    for _ in 0..WARMUP_OPS {
-        read(&mut dev);
-    }
-    let allocations = allocations_during(|| {
-        for _ in 0..MEASURED_OPS {
+    for (page_mapped, (mut dev, mut now)) in [
+        (false, filled_device()),
+        (true, filled_page_mapped_device()),
+    ] {
+        let mut next_offset = read_offsets(7);
+        let mut read = |dev: &mut ConZone| {
+            let c = dev.submit(now, &IoRequest::read(next_offset(), 4096));
+            now = c.expect("read").finished;
+        };
+        for _ in 0..WARMUP_OPS {
             read(&mut dev);
         }
-    });
-    assert_eq!(allocations, 0, "{MEASURED_OPS} 4 KiB random reads");
+        let before = dev.counters();
+        let allocations = allocations_during(|| {
+            for _ in 0..MEASURED_OPS {
+                read(&mut dev);
+            }
+        });
+        let during = dev.counters().since(&before);
+        assert_eq!(during.l2p_misses > 0, page_mapped, "{during:?}");
+        assert_eq!(during.l2p_evictions > 0, page_mapped, "{during:?}");
+        assert_eq!(
+            allocations, 0,
+            "{MEASURED_OPS} 4 KiB random reads, page-only mapping: {page_mapped}"
+        );
+    }
 }
 
 /// 512 KiB sequential reads, started half a request into the fill so that
@@ -292,4 +352,81 @@ fn doorbell_grant_submit_does_not_allocate() {
         }
     });
     assert_eq!(allocations, 0, "{MEASURED_OPS} doorbell→grant→submit ops");
+}
+
+/// `MappingTable::set`, the single-page store. ConZone maps whole runs
+/// (`set_extent`), so only the per-page baseline calls it — once per
+/// 4 KiB write, on a write path that makes no allocation promise of its
+/// own. Driven directly: every store lands in an aggregated chunk and
+/// demotes the covering run first.
+#[test]
+fn single_page_mapping_stores_do_not_allocate() {
+    use conzone::ftl::MappingTable;
+    use conzone::types::{Lpn, Ppa};
+    const CHUNK: u64 = 64;
+    const PAGES: u64 = 16 * CHUNK;
+    let mut table = MappingTable::new(PAGES, CHUNK, 4 * CHUNK);
+    table.set_extent(Lpn(0), Ppa(0), PAGES, true);
+    for chunk in 0..PAGES / CHUNK {
+        assert!(table.try_aggregate_chunk(Lpn(chunk * CHUNK)));
+    }
+    let allocations = allocations_during(|| {
+        for page in (0..PAGES).step_by(7) {
+            table.set(Lpn(page), Ppa(PAGES + page), false);
+        }
+    });
+    assert_eq!(table.granularity_of(Lpn(1)), Some(MapGranularity::Page));
+    assert_eq!(allocations, 0, "single-page stores into aggregated chunks");
+}
+
+/// The queue-pair host — `drive()`'s event queue, the per-tenant
+/// `QueuePair` slot slab and both arbiters — is private to the host
+/// crate, so it is measured through `run_tenants`: two tenants of 4 KiB
+/// random reads at queue depth 8 on a warm device, once for `ops`
+/// commands per tenant and once for four times as many. A run's set-up
+/// and report allocate, but equally in both; anything that allocates per
+/// command shows as a difference.
+#[test]
+fn queue_pair_runs_allocate_the_same_for_any_op_count() {
+    const OPS: u64 = 4_000;
+    let (mut dev, fill_done) = filled_device();
+    let mut start = fill_done;
+    let mut run = |dev: &mut ConZone, arbiter: ArbiterKind, ops: u64| {
+        let tenant = |name: &str, seed: u64, weight: u32| {
+            let job = FioJob::new(AccessPattern::RandRead, 4096)
+                .region(0, READ_RANGE_SLOTS * 4096)
+                .queue_depth(8)
+                .bytes_per_thread(ops * 4096)
+                .seed(seed)
+                .start_at(start);
+            TenantSpec::new(name, job).weight(weight)
+        };
+        let specs = [tenant("a", 7, 3), tenant("b", 11, 1)];
+        let opts = QdOptions {
+            fetch_cost: SimDuration::from_nanos(500),
+            arbiter,
+            ..QdOptions::default()
+        };
+        let mut ops_done = 0;
+        let allocations = allocations_during(|| {
+            let report = run_tenants(dev, &specs, &opts).expect("tenants run");
+            ops_done = report.ops;
+            start = report.finished;
+        });
+        assert_eq!(ops_done, 2 * ops);
+        allocations
+    };
+    // Warm-up: the L2P cache slab and the device's scratch buffers.
+    run(&mut dev, ArbiterKind::RoundRobin, 5 * OPS);
+    for arbiter in [ArbiterKind::RoundRobin, ArbiterKind::Weighted] {
+        let short = run(&mut dev, arbiter, OPS);
+        let long = run(&mut dev, arbiter, 4 * OPS);
+        assert_eq!(
+            short,
+            long,
+            "{} commands more under {} changed the allocation count",
+            2 * 3 * OPS,
+            arbiter.name()
+        );
+    }
 }
