@@ -9,6 +9,7 @@ use conzone_bench::{fill_zoned, print_table, randread_job};
 use conzone_core::ConZone;
 use conzone_host::run_job;
 use conzone_types::{DeviceConfig, Geometry, MapGranularity, SimTime};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn run(cache_bytes: u64, max_aggregation: MapGranularity) -> (f64, f64) {
     let cfg = DeviceConfig::builder(Geometry::consumer_1p5gb())
@@ -38,29 +39,47 @@ fn run(cache_bytes: u64, max_aggregation: MapGranularity) -> (f64, f64) {
 
 fn main() {
     let sizes = [1u64, 4, 12, 64, 256, 1024];
-    // Each sweep point builds an independent 1.5 GB device; run them on
-    // real threads to cut wall-clock time.
-    let rows: Vec<Vec<String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = sizes
-            .iter()
-            .map(|&cache_kib| {
-                s.spawn(move || {
-                    let (pk, pm) = run(cache_kib * 1024, MapGranularity::Page);
-                    let (hk, hm) = run(cache_kib * 1024, MapGranularity::Zone);
-                    vec![
-                        format!("{cache_kib} KiB"),
-                        format!("{pk:.1}"),
-                        format!("{:.1}%", pm * 100.0),
-                        format!("{hk:.1}"),
-                        format!("{:.1}%", hm * 100.0),
-                    ]
+    // Each sweep point builds an independent 1.5 GB device. As many
+    // workers as there are cores pull points off a shared index, so no
+    // more devices are alive at once than can make progress (one thread
+    // per point held six, the largest resident set of any figure binary);
+    // every row lands in its own slot, so the table keeps `sizes` order.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(sizes.len()));
+    let next = AtomicUsize::new(0);
+    let mut rows: Vec<Vec<String>> = vec![Vec::new(); sizes.len()];
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter hands out indices and
+                        // publishes nothing else.
+                        let slot = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&cache_kib) = sizes.get(slot) else {
+                            break done;
+                        };
+                        let (pk, pm) = run(cache_kib * 1024, MapGranularity::Page);
+                        let (hk, hm) = run(cache_kib * 1024, MapGranularity::Zone);
+                        done.push((
+                            slot,
+                            vec![
+                                format!("{cache_kib} KiB"),
+                                format!("{pk:.1}"),
+                                format!("{:.1}%", pm * 100.0),
+                                format!("{hk:.1}"),
+                                format!("{:.1}%", hm * 100.0),
+                            ],
+                        ));
+                    }
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep thread"))
-            .collect()
+        for handle in handles {
+            for (slot, row) in handle.join().expect("sweep thread") {
+                rows[slot] = row;
+            }
+        }
     });
     print_table(
         "Ablation: L2P cache size, 4 KiB random reads over 256 MiB",

@@ -121,7 +121,10 @@ fn main() {
     );
 
     if let Some(path) = trace_out_path() {
-        write_chrome_trace(&path, &hybrid.last_trace).expect("write trace");
+        if let Err(e) = write_chrome_trace(&path, &hybrid.last_trace) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
         println!(
             "wrote Chrome trace of the hybrid 1 GiB measured phase \
              ({} events) to {path}",

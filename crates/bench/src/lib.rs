@@ -277,9 +277,9 @@ pub fn trace_out_path() -> Option<String> {
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
-pub fn write_chrome_trace(path: &str, records: &[TraceRecord]) -> std::io::Result<()> {
-    std::fs::write(path, export::chrome_trace(records).to_string())
+/// A filesystem error, as `<path>: <reason>`.
+pub fn write_chrome_trace(path: &str, records: &[TraceRecord]) -> Result<(), String> {
+    export::write_file(path, export::chrome_trace(records))
 }
 
 /// A paper-stated relationship between two measured values, checked and

@@ -11,7 +11,10 @@
 //! * [`mapping_fetches`] — the per-miss flash-fetch cost of each
 //!   [`SearchStrategy`](conzone_types::SearchStrategy);
 //! * [`LruCache`] — the generic pinned-LRU underlying the L2P cache (also
-//!   used by the Legacy baseline's prefetching cache).
+//!   used by the Legacy baseline's prefetching cache);
+//! * [`OwnerMap`] — the dense reverse map (physical slice → logical page)
+//!   garbage collection reads, over ConZone's SLC blocks and over the
+//!   Legacy baseline's normal blocks.
 //!
 //! ```
 //! use conzone_ftl::{L2pCache, LookupResult, MappingTable};
@@ -38,12 +41,14 @@ mod bitmap;
 mod cache;
 mod lru;
 mod mapping;
+mod owner;
 mod strategy;
 
 pub use bitmap::MapBitmap;
 pub use cache::{CacheKey, L2pCache, LookupResult};
 pub use lru::{InsertOutcome, LruCache};
 pub use mapping::{MapEntry, MappingTable};
+pub use owner::{OwnerIter, OwnerMap};
 pub use strategy::{mapping_fetches, pins_aggregates, sram_overhead_bytes};
 
 #[cfg(test)]

@@ -1,0 +1,363 @@
+//! Dense reverse map (physical slice → logical page) over a block range.
+
+use std::collections::BTreeMap;
+use std::ops::Range;
+
+use conzone_types::{Geometry, Lpn, Ppa};
+
+/// Reverse map of every live slice of a block range to its logical page.
+///
+/// Two users: ConZone's SLC region (blocks `0..slc_blocks_per_chip`; zone
+/// reset and remount *iterate* it, so its order is sim-visible and must be
+/// identical across seeded reruns) and the Legacy baseline's normal blocks
+/// (`slc_blocks_per_chip..blocks_per_chip`; GC asks it who owns each live
+/// slice of a victim). Both used to be a `BTreeMap` keyed by address,
+/// whose node allocations made every program path allocate and, for
+/// Legacy, cost more than the rest of the device put together; this is a
+/// direct-mapped slot array over the region.
+///
+/// Dense index: with `raw = ((chip * blocks_per_chip + block) *
+/// pages_per_block + page) * slices_per_page + slice` lexicographic in
+/// `(chip, block, page, slice)`, a slice of the region (`first_block <=
+/// block < first_block + region_blocks`) maps to `(chip * region_blocks +
+/// block - first_block) * slices_per_block + in_block` — also
+/// lexicographic in the same tuple, so ascending dense order is exactly
+/// ascending `Ppa` order and iteration is bit-identical to the `BTreeMap`
+/// it replaced.
+///
+/// Addresses outside the region (invariant-corruption tests insert them
+/// on purpose) go to a `BTreeMap` overflow that is empty in normal
+/// operation; iteration merges the two streams in `Ppa` order.
+#[derive(Debug)]
+pub struct OwnerMap {
+    /// Owner slots for the region, indexed by dense slice index.
+    slots: Vec<Option<Lpn>>,
+    /// Live entries in `slots` (kept incrementally; `len()` is O(1)).
+    dense_len: usize,
+    /// Raw-address span of one chip: `blocks_per_chip * slices_per_block`.
+    chip_span: u64,
+    /// Slices per block (`in_block` span).
+    block_span: u64,
+    /// First block of the region on every chip.
+    first_block: u64,
+    /// Blocks of the region per chip.
+    region_blocks: u64,
+    /// Entries outside the region; normally empty.
+    overflow: BTreeMap<Ppa, Lpn>,
+}
+
+impl OwnerMap {
+    /// An empty map, dense over `blocks` of every chip of `geometry`.
+    pub fn new(geometry: &Geometry, blocks: Range<usize>) -> OwnerMap {
+        let block_span = geometry.slices_per_block();
+        let region_blocks = blocks.len();
+        let slots = geometry.nchips() * region_blocks * block_span as usize;
+        OwnerMap {
+            slots: vec![None; slots],
+            dense_len: 0,
+            chip_span: geometry.blocks_per_chip as u64 * block_span,
+            block_span,
+            first_block: blocks.start as u64,
+            region_blocks: region_blocks as u64,
+            overflow: BTreeMap::new(),
+        }
+    }
+
+    /// Dense slot index for an in-region address, `None` outside.
+    #[inline]
+    fn dense_index(&self, ppa: Ppa) -> Option<usize> {
+        let raw = ppa.raw();
+        let chip = raw / self.chip_span;
+        let rem = raw % self.chip_span;
+        // Wraps to a huge value below the region, failing the bound check.
+        let block = (rem / self.block_span).wrapping_sub(self.first_block);
+        let in_block = rem % self.block_span;
+        if block < self.region_blocks {
+            Some(((chip * self.region_blocks + block) * self.block_span + in_block) as usize)
+        } else {
+            None
+        }
+    }
+
+    /// Inverse of [`OwnerMap::dense_index`].
+    #[inline]
+    fn dense_ppa(&self, idx: usize) -> Ppa {
+        let idx = idx as u64;
+        let per_chip = self.region_blocks * self.block_span;
+        let chip = idx / per_chip;
+        let rem = idx % per_chip;
+        let block = self.first_block + rem / self.block_span;
+        let in_block = rem % self.block_span;
+        Ppa(chip * self.chip_span + block * self.block_span + in_block)
+    }
+
+    /// Records `lpn` as the owner of `ppa`; returns the previous owner.
+    pub fn insert(&mut self, ppa: Ppa, lpn: Lpn) -> Option<Lpn> {
+        match self.dense_index(ppa) {
+            Some(i) => {
+                let prev = self.slots[i].replace(lpn);
+                if prev.is_none() {
+                    self.dense_len += 1;
+                }
+                prev
+            }
+            None => self.overflow.insert(ppa, lpn),
+        }
+    }
+
+    /// Forgets the owner of `ppa`, returning it.
+    pub fn remove(&mut self, ppa: &Ppa) -> Option<Lpn> {
+        match self.dense_index(*ppa) {
+            Some(i) => {
+                let prev = self.slots[i].take();
+                if prev.is_some() {
+                    self.dense_len -= 1;
+                }
+                prev
+            }
+            None => self.overflow.remove(ppa),
+        }
+    }
+
+    /// The slots of the `count` physically consecutive slices from
+    /// `first`, when the whole run lies inside one block of the region —
+    /// where consecutive addresses are consecutive slots, found with a
+    /// single index computation. `None` for a run that leaves the block or
+    /// the region; the callers then go slice by slice.
+    fn run_slots(&mut self, first: Ppa, count: usize) -> Option<&mut [Option<Lpn>]> {
+        let i = self.dense_index(first)?;
+        let in_block = i % self.block_span as usize;
+        (in_block + count <= self.block_span as usize).then(|| &mut self.slots[i..i + count])
+    }
+
+    /// [`OwnerMap::insert`] for a run: slice `first + i` is owned by page
+    /// `start + i`.
+    pub fn insert_run(&mut self, first: Ppa, start: Lpn, count: usize) {
+        match self.run_slots(first, count) {
+            Some(slots) => {
+                let mut fresh = 0;
+                for (slot, lpn) in slots.iter_mut().zip(start.raw()..) {
+                    fresh += usize::from(slot.replace(Lpn(lpn)).is_none());
+                }
+                self.dense_len += fresh;
+            }
+            None => {
+                for i in 0..count as u64 {
+                    self.insert(first.offset(i), start.offset(i));
+                }
+            }
+        }
+    }
+
+    /// [`OwnerMap::remove`] for a run of physically consecutive slices.
+    pub fn remove_run(&mut self, first: Ppa, count: usize) {
+        match self.run_slots(first, count) {
+            Some(slots) => {
+                let mut live = 0;
+                for slot in slots {
+                    live += usize::from(slot.take().is_some());
+                }
+                self.dense_len -= live;
+            }
+            None => {
+                for i in 0..count as u64 {
+                    self.remove(&first.offset(i));
+                }
+            }
+        }
+    }
+
+    /// The owner of `ppa`, if recorded.
+    pub fn get(&self, ppa: &Ppa) -> Option<&Lpn> {
+        match self.dense_index(*ppa) {
+            Some(i) => self.slots[i].as_ref(),
+            None => self.overflow.get(ppa),
+        }
+    }
+
+    /// Whether `ppa` has a recorded owner.
+    pub fn contains_key(&self, ppa: &Ppa) -> bool {
+        self.get(ppa).is_some()
+    }
+
+    /// Number of recorded owners.
+    pub fn len(&self) -> usize {
+        self.dense_len + self.overflow.len()
+    }
+
+    /// Whether no owner is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Live entries in ascending `Ppa` order (the `BTreeMap` order the
+    /// map replaced): the dense stream and the overflow stream merged.
+    pub fn iter(&self) -> OwnerIter<'_> {
+        OwnerIter {
+            map: self,
+            next_dense: 0,
+            overflow: self.overflow.iter().peekable(),
+        }
+    }
+}
+
+/// Merged in-order iterator over [`OwnerMap`]; yields pairs by value.
+#[derive(Debug)]
+pub struct OwnerIter<'a> {
+    map: &'a OwnerMap,
+    next_dense: usize,
+    overflow: std::iter::Peekable<std::collections::btree_map::Iter<'a, Ppa, Lpn>>,
+}
+
+impl Iterator for OwnerIter<'_> {
+    type Item = (Ppa, Lpn);
+
+    fn next(&mut self) -> Option<(Ppa, Lpn)> {
+        while self.next_dense < self.map.slots.len() && self.map.slots[self.next_dense].is_none() {
+            self.next_dense += 1;
+        }
+        let dense =
+            (self.next_dense < self.map.slots.len()).then(|| self.map.dense_ppa(self.next_dense));
+        match (dense, self.overflow.peek()) {
+            (Some(dp), Some((&op, _))) if op < dp => {
+                let (ppa, lpn) = self.overflow.next()?;
+                Some((*ppa, *lpn))
+            }
+            (Some(dp), _) => {
+                let lpn = self.map.slots[self.next_dense]?;
+                self.next_dense += 1;
+                Some((dp, lpn))
+            }
+            (None, Some(_)) => {
+                let (ppa, lpn) = self.overflow.next()?;
+                Some((*ppa, *lpn))
+            }
+            (None, None) => None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The two regions the workspace uses: ConZone's SLC blocks and
+    /// Legacy's normal blocks.
+    fn regions(g: &Geometry) -> [Range<usize>; 2] {
+        [
+            0..g.slc_blocks_per_chip,
+            g.slc_blocks_per_chip..g.blocks_per_chip,
+        ]
+    }
+
+    #[test]
+    fn owner_map_matches_btreemap_semantics() {
+        let g = Geometry::tiny();
+        let spb = g.slices_per_block();
+        let chip_span = g.blocks_per_chip as u64 * spb;
+        for region in regions(&g) {
+            let mut dense = OwnerMap::new(&g, region.clone());
+            let mut reference: BTreeMap<Ppa, Lpn> = BTreeMap::new();
+            let base = region.start as u64 * spb;
+
+            // In-region slices across chips and blocks, one out-of-region
+            // address (the corruption-test case), interleaved with removals.
+            let in_region = [
+                Ppa(base),
+                Ppa(base + 1),
+                Ppa(base + spb),                 // chip 0, second block
+                Ppa(chip_span + base),           // chip 1, first block
+                Ppa(chip_span + base + spb + 3), // chip 1, second block
+            ];
+            for (i, &ppa) in in_region.iter().enumerate() {
+                assert_eq!(dense.insert(ppa, Lpn(i as u64)), None);
+                reference.insert(ppa, Lpn(i as u64));
+            }
+            // One block past the region, or — when the region reaches the
+            // end of the chip — one block before it.
+            let outside = if region.end < g.blocks_per_chip {
+                Ppa(region.end as u64 * spb)
+            } else {
+                Ppa(base - spb)
+            };
+            dense.insert(outside, Lpn(99));
+            reference.insert(outside, Lpn(99));
+
+            assert_eq!(dense.len(), reference.len());
+            assert!(!dense.is_empty());
+            assert!(dense.contains_key(&outside));
+            assert_eq!(dense.get(&Ppa(base + spb)), Some(&Lpn(2)));
+
+            // Update in place keeps the length.
+            assert_eq!(dense.insert(Ppa(base), Lpn(7)), Some(Lpn(0)));
+            reference.insert(Ppa(base), Lpn(7));
+            assert_eq!(dense.len(), reference.len());
+
+            // Iteration is ascending-Ppa, identical to the BTreeMap, with
+            // the out-of-region entry merged at the right position.
+            let got: Vec<(Ppa, Lpn)> = dense.iter().collect();
+            let want: Vec<(Ppa, Lpn)> = reference.iter().map(|(p, l)| (*p, *l)).collect();
+            assert_eq!(got, want);
+
+            assert_eq!(dense.remove(&Ppa(base + spb)), Some(Lpn(2)));
+            assert_eq!(dense.remove(&Ppa(base + spb)), None);
+            reference.remove(&Ppa(base + spb));
+            assert_eq!(dense.len(), reference.len());
+            assert_eq!(dense.get(&Ppa(base + spb)), None);
+        }
+    }
+
+    /// The run forms against the per-slice calls they replace: inside a
+    /// block, over slots already taken, across a block boundary and out
+    /// of the region (both of which fall back to per-slice).
+    #[test]
+    fn owner_run_ops_equal_per_slice_calls() {
+        let g = Geometry::tiny();
+        let spb = g.slices_per_block();
+        for region in regions(&g) {
+            let base = region.start as u64 * spb;
+            // One past the region's last slice on chip 0: outside it, whether
+            // that is the next block or the next chip's block 0.
+            let end = region.end as u64 * spb;
+            let runs = [
+                (Ppa(base + 3), 4usize),
+                (Ppa(base + 5), 6),       // overlaps the first run
+                (Ppa(base + spb - 2), 5), // crosses into the next block
+                (Ppa(end - 1), 3),        // leaves the region
+                (Ppa(base + 7), 0),
+            ];
+            let mut bulk = OwnerMap::new(&g, region.clone());
+            let mut looped = OwnerMap::new(&g, region.clone());
+            let same = |bulk: &OwnerMap, looped: &OwnerMap| {
+                assert_eq!(bulk.len(), looped.len());
+                assert_eq!(
+                    bulk.iter().collect::<Vec<_>>(),
+                    looped.iter().collect::<Vec<_>>()
+                );
+            };
+            for (k, &(first, count)) in runs.iter().enumerate() {
+                let start = Lpn(100 * k as u64);
+                bulk.insert_run(first, start, count);
+                for i in 0..count as u64 {
+                    looped.insert(first.offset(i), start.offset(i));
+                }
+                same(&bulk, &looped);
+            }
+            assert_eq!(bulk.get(&Ppa(base + 5)), Some(&Lpn(100)), "later run won");
+            for &(first, count) in &[
+                (Ppa(base + 4), 3usize),
+                (Ppa(base + spb - 1), 2),
+                (Ppa(end), 2),
+            ] {
+                bulk.remove_run(first, count);
+                for i in 0..count as u64 {
+                    looped.remove(&first.offset(i));
+                }
+                same(&bulk, &looped);
+            }
+            // Removing what is already gone changes nothing.
+            bulk.remove_run(Ppa(base + 4), 3);
+            same(&bulk, &looped);
+        }
+    }
+}

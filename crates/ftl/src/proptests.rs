@@ -65,6 +65,8 @@ enum TableOp {
     /// Move `n` pages from `lpn` to consecutive slices (if all mapped).
     Relocate(u64, u64),
     Unmap(u64),
+    /// Unmap `n` pages from `lpn` (may reach past the table).
+    UnmapRun(u64, u64),
     UnmapZone(u64),
 }
 
@@ -80,6 +82,7 @@ fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
             3 => (0..TABLE_PAGES).prop_map(TableOp::Aggregate),
             2 => run().prop_map(|(l, n)| TableOp::Relocate(l, n)),
             1 => (0..TABLE_PAGES).prop_map(TableOp::Unmap),
+            1 => run().prop_map(|(l, n)| TableOp::UnmapRun(l, n)),
             1 => (0u64..3).prop_map(TableOp::UnmapZone),
         ],
         1..60,
@@ -93,8 +96,9 @@ proptest! {
     /// replaced, kept here as the reference: `set_extent` ≡ n × `set`
     /// (a run punching into an aggregated chunk or zone demotes exactly
     /// what the loop demoted), `relocate_extent` ≡ n × `relocate`,
-    /// `unmap_zone` ≡ the `unmap` loop — on aggregated zones and on the
-    /// clipped last zone — and `non_canonical_ppas` ≡ a filter over `get`.
+    /// `unmap_extent` and `unmap_zone` ≡ the `unmap` loop — on aggregated
+    /// zones, past the table and on the clipped last zone — and
+    /// `non_canonical_ppas` ≡ a filter over `get`.
     #[test]
     fn run_forms_equal_the_per_page_loops(ops in table_ops()) {
         let mut bulk = MappingTable::new(TABLE_PAGES, 8, 32);
@@ -129,6 +133,12 @@ proptest! {
                 TableOp::Unmap(lpn) => {
                     bulk.unmap(Lpn(lpn));
                     looped.unmap(Lpn(lpn));
+                }
+                TableOp::UnmapRun(lpn, n) => {
+                    bulk.unmap_extent(Lpn(lpn), n);
+                    for i in 0..n {
+                        looped.unmap(Lpn(lpn + i));
+                    }
                 }
                 TableOp::UnmapZone(zone) => {
                     bulk.unmap_zone(ZoneId(zone));

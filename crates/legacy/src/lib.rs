@@ -31,25 +31,59 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use conzone_flash::{FlashArray, FlashError};
-use conzone_ftl::{LruCache, MappingTable};
+use conzone_ftl::{LruCache, MappingTable, OwnerMap};
 use conzone_types::{
     ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig, FlushKind,
     IoKind, IoRequest, L2pOutcome, Lpn, LpnRange, PowerCycle, Ppa, Probe, RecoveryReport, SimTime,
     StorageDevice, SuperblockId, ZoneId, SLICE_BYTES,
 };
 
+#[cfg(test)]
+mod proptests;
+#[cfg(test)]
+mod reference;
+
 /// Fraction of normal superblocks held back as GC over-provisioning.
 const OVERPROVISION_DIVISOR: usize = 16; // ~6 %
+
+const SLICE: usize = SLICE_BYTES as usize;
 
 fn internal(e: FlashError) -> DeviceError {
     DeviceError::Unsupported(format!("internal flash error: {e}"))
 }
 
-/// A buffered, not-yet-flushed host write of one slice.
-#[derive(Debug, Clone)]
-struct PendingSlice {
-    lpn: Lpn,
+/// A buffered, not-yet-flushed run of slices: one host write (clipped at
+/// the programming-unit boundary it crossed), one run of GC-migrated
+/// slices that were consecutive both physically and logically, or the
+/// padding of a premature flush.
+#[derive(Debug)]
+struct PendingRun {
+    /// First logical page not yet programmed; `None` marks flush padding.
+    lpn: Option<Lpn>,
+    /// Slices not yet programmed.
+    count: usize,
+    /// Payload of the run as it was queued (`None`: timing-only, reads
+    /// back as zeroes).
     data: Option<Vec<u8>>,
+    /// Slices already programmed off the front, i.e. where the remaining
+    /// `count` start in `data`.
+    done: usize,
+}
+
+impl PendingRun {
+    /// Payload of `n` slices starting `skip` slices into what is left.
+    fn payload(&self, skip: usize, n: usize) -> Option<&[u8]> {
+        let from = (self.done + skip) * SLICE;
+        self.data.as_deref().map(|d| &d[from..from + n * SLICE])
+    }
+}
+
+/// Appends `n` slices of `data`, or of zeroes, to `out`.
+fn extend_or_zero(out: &mut Vec<u8>, data: Option<&[u8]>, n: usize) {
+    match data {
+        Some(d) => out.extend_from_slice(d),
+        None => out.resize(out.len() + n * SLICE, 0),
+    }
 }
 
 /// The Legacy page-mapping device.
@@ -64,21 +98,30 @@ pub struct LegacyDevice {
     /// L2P miss. 1024 = the paper's 1023-entry prefetch window plus the
     /// missed entry, covering one 4 MiB chunk.
     prefetch_window: u64,
-    /// Aggregation buffer for incoming writes (one superpage).
-    pending: VecDeque<PendingSlice>,
+    /// Aggregation buffer for incoming writes (one superpage), in runs.
+    pending: VecDeque<PendingRun>,
+    /// Slices queued in `pending`, over all runs.
+    pending_slices: usize,
     /// Append point: the open superblock and its next programming unit.
     open_sb: Option<SuperblockId>,
     next_unit: usize,
     free: VecDeque<SuperblockId>,
     used: Vec<SuperblockId>,
-    /// Reverse map ppa → lpn for GC migration (dense vector over slices).
-    owner: std::collections::BTreeMap<u64, Lpn>,
+    /// Reverse map ppa → lpn for GC migration, dense over the normal
+    /// blocks.
+    owner: OwnerMap,
     counters: Counters,
     next_mapping_chip: u64,
     logical_slices: u64,
     /// Guards against recursive GC while GC's own flushes allocate space.
     in_gc: bool,
     probe: Probe,
+    /// Reused buffers, so the steady-state write and GC path allocates
+    /// nothing with data backing off: the pieces and payload of the unit
+    /// being programmed, and the live slices of the GC victim.
+    unit_pieces: Vec<(Option<Lpn>, usize)>,
+    unit_payload: Vec<u8>,
+    gc_ppas: Vec<Ppa>,
 }
 
 impl LegacyDevice {
@@ -91,8 +134,10 @@ impl LegacyDevice {
         // The Legacy baseline does not reproduce the fault plane.
         cfg.fault = FaultConfig::default();
         let g = cfg.geometry;
-        let normal: Vec<SuperblockId> = (g.slc_blocks_per_chip as u64..g.blocks_per_chip as u64)
-            .map(SuperblockId)
+        let normal_blocks = g.slc_blocks_per_chip..g.blocks_per_chip;
+        let normal: VecDeque<SuperblockId> = normal_blocks
+            .clone()
+            .map(|b| SuperblockId(b as u64))
             .collect();
         // At least three spare superblocks: one GC destination, one in
         // flight as the open block, one slack — so the append stream never
@@ -107,16 +152,20 @@ impl LegacyDevice {
             cache: LruCache::new(cfg.l2p_cache_entries()),
             prefetch_window,
             pending: VecDeque::new(),
+            pending_slices: 0,
             open_sb: None,
             next_unit: 0,
-            free: normal.into_iter().collect(),
-            used: Vec::new(),
-            owner: std::collections::BTreeMap::new(),
+            used: Vec::with_capacity(normal.len()),
+            free: normal,
+            owner: OwnerMap::new(&g, normal_blocks),
             counters: Counters::new(),
             next_mapping_chip: 0,
             logical_slices,
             in_gc: false,
             probe: Probe::disabled(),
+            unit_pieces: Vec::new(),
+            unit_payload: Vec::new(),
+            gc_ppas: Vec::new(),
             cfg,
         }
     }
@@ -154,17 +203,12 @@ impl LegacyDevice {
             });
         }
         let range = LpnRange::covering_bytes(offset, len).expect("non-empty");
-        for lpn in range.iter() {
-            // Pending (still-buffered) copies stay queued; they will map
-            // and then be superseded only if rewritten — acceptable for a
-            // trim model. Mapped copies die right away.
-            if let Some(entry) = self.table.get(lpn) {
-                self.flash.invalidate(entry.ppa).map_err(internal)?;
-                self.owner.remove(&entry.ppa.raw());
-                self.table.unmap(lpn);
-                self.cache.remove(&lpn.raw());
-            }
-        }
+        // Pending (still-buffered) copies stay queued; they will map and
+        // then be superseded only if rewritten — acceptable for a trim
+        // model. Mapped copies die right away.
+        self.kill_mapped(range)?;
+        self.table.unmap_extent(range.start, range.count);
+        self.drop_cached(range);
         Ok(Completion {
             submitted: now,
             finished: now + self.cfg.host_overhead,
@@ -193,6 +237,54 @@ impl LegacyDevice {
         let chip = self.next_mapping_chip % self.cfg.geometry.nchips() as u64;
         self.next_mapping_chip += 1;
         ChipId(chip)
+    }
+
+    fn queue(&mut self, lpn: Option<Lpn>, count: usize, data: Option<Vec<u8>>) {
+        self.pending.push_back(PendingRun {
+            lpn,
+            count,
+            data,
+            done: 0,
+        });
+        self.pending_slices += count;
+    }
+
+    /// Drops the cache entries of `range`. The cache fills only on read
+    /// misses, so a device that is not being read holds nothing and the
+    /// per-page hash probes are skipped.
+    fn drop_cached(&mut self, range: LpnRange) {
+        if !self.cache.is_empty() {
+            for lpn in range.iter() {
+                self.cache.remove(&lpn.raw());
+            }
+        }
+    }
+
+    /// Kills the flash copy of every mapped page of `range` and forgets its
+    /// owner: one flash and one owner-map operation per run of old
+    /// locations that are consecutive inside one block (pages written
+    /// together sit together). The mapping entries themselves are left to
+    /// the caller, who overwrites or unmaps them.
+    fn kill_mapped(&mut self, range: LpnRange) -> Result<(), DeviceError> {
+        let spb = self.cfg.geometry.slices_per_block();
+        let mut old = self.table.ppas(range);
+        while let Some((&head, tail)) = old.split_first() {
+            old = tail;
+            let Some(first) = head else { continue };
+            let in_block = (spb - first.raw() % spb) as usize;
+            let more = tail
+                .iter()
+                .take(in_block - 1)
+                .zip(first.raw() + 1..)
+                .take_while(|&(p, next)| *p == Some(Ppa(next)))
+                .count();
+            self.flash
+                .invalidate_run(first, 1 + more)
+                .map_err(internal)?;
+            self.owner.remove_run(first, 1 + more);
+            old = &tail[more..];
+        }
+        Ok(())
     }
 
     /// Ensures an open superblock with a free unit, running GC if the free
@@ -235,38 +327,56 @@ impl LegacyDevice {
         }
     }
 
-    /// Programs one full unit of pending slices at the append point.
+    /// Programs one full unit off the front of the pending queue at the
+    /// append point.
     fn flush_unit(&mut self, now: SimTime) -> Result<SimTime, DeviceError> {
         let unit = self.unit_slices();
-        debug_assert!(self.pending.len() >= unit);
+        debug_assert!(self.pending_slices >= unit);
         let (mut t, sb) = self.ensure_append_point(now)?;
         // ensure_append_point may have run GC, whose own flushes drain the
         // shared pending queue — including the slices this call was about
         // to program. Nothing left to do in that case.
-        if self.pending.len() < unit {
+        if self.pending_slices < unit {
             return Ok(t);
         }
         let g = self.cfg.geometry;
         let chip = ChipId((self.next_unit % g.nchips()) as u64);
         self.next_unit += 1;
 
-        let slices: Vec<PendingSlice> = self.pending.drain(..unit).collect();
-        let payload: Option<Vec<u8>> = if self.cfg.data_backing {
-            let mut v = Vec::with_capacity(unit * SLICE_BYTES as usize);
-            for s in &slices {
-                match &s.data {
-                    Some(d) => v.extend_from_slice(d),
-                    None => v.resize(v.len() + SLICE_BYTES as usize, 0),
-                }
+        // Take the unit off the queue as (owner, length) pieces, splitting
+        // the run the unit boundary falls into.
+        let mut pieces = std::mem::take(&mut self.unit_pieces);
+        let mut payload = std::mem::take(&mut self.unit_payload);
+        pieces.clear();
+        payload.clear();
+        let mut need = unit;
+        while need > 0 {
+            let run = self
+                .pending
+                .front_mut()
+                .expect("pending_slices counts the queued slices");
+            let n = run.count.min(need);
+            if self.cfg.data_backing {
+                extend_or_zero(&mut payload, run.payload(0, n), n);
             }
-            Some(v)
-        } else {
-            None
-        };
+            pieces.push((run.lpn, n));
+            need -= n;
+            if n == run.count {
+                self.pending.pop_front();
+            } else {
+                run.lpn = run.lpn.map(|lpn| lpn.offset(n as u64));
+                run.count -= n;
+                run.done += n;
+            }
+        }
+        self.pending_slices -= unit;
+
+        let data = self.cfg.data_backing.then_some(&payload[..]);
         let out = self
             .flash
-            .program_unit(t, chip, sb.raw() as usize, payload.as_deref())
+            .program_unit(t, chip, sb.raw() as usize, data)
             .map_err(internal)?;
+        self.unit_payload = payload;
         // Buffer frees after the transfer; tPROG runs in the background.
         t = out.buffer_free;
         self.counters.full_flushes += 1;
@@ -278,27 +388,28 @@ impl LegacyDevice {
                 slices: unit as u64,
             },
         );
-        for (i, s) in slices.iter().enumerate() {
-            let ppa = out.first.offset(i as u64);
-            if s.lpn == Lpn(u64::MAX) {
+        // In queue order: a page queued twice inside one unit leaves its
+        // first copy dead and its second one mapped.
+        let mut ppa = out.first;
+        for &(lpn, n) in &pieces {
+            match lpn {
+                Some(lpn) => self.remap_run(lpn, ppa, n)?,
                 // Flush padding: dead on arrival, or GC would later try to
                 // migrate an ownerless slice.
-                self.flash.invalidate(ppa).map_err(internal)?;
-                continue;
+                None => self.flash.invalidate_run(ppa, n).map_err(internal)?,
             }
-            self.remap(s.lpn, ppa)?;
+            ppa = ppa.offset(n as u64);
         }
+        self.unit_pieces = pieces;
         Ok(t)
     }
 
-    /// Points `lpn` at `ppa`, invalidating any previous location.
-    fn remap(&mut self, lpn: Lpn, ppa: Ppa) -> Result<(), DeviceError> {
-        if let Some(old) = self.table.get(lpn) {
-            self.flash.invalidate(old.ppa).map_err(internal)?;
-            self.owner.remove(&old.ppa.raw());
-        }
-        self.table.set(lpn, ppa, false);
-        self.owner.insert(ppa.raw(), lpn);
+    /// Points the `count` pages from `start` at the `count` consecutive
+    /// slices from `first`, invalidating any previous locations.
+    fn remap_run(&mut self, start: Lpn, first: Ppa, count: usize) -> Result<(), DeviceError> {
+        self.kill_mapped(LpnRange::new(start, count as u64))?;
+        self.table.set_extent(start, first, count as u64, false);
+        self.owner.insert_run(first, start, count);
         Ok(())
     }
 
@@ -316,43 +427,19 @@ impl LegacyDevice {
             })?;
         self.counters.gc_runs += 1;
         self.in_gc = true;
-        let ppas = self.flash.superblock_valid_ppas(victim);
+        let mut ppas = std::mem::take(&mut self.gc_ppas);
+        ppas.clear();
+        self.flash.superblock_valid_ppas_into(victim, &mut ppas);
         self.probe.emit(
             now,
             DeviceEvent::GcBegin {
                 valid_slices: ppas.len() as u64,
             },
         );
-        let mut t = now;
-        if !ppas.is_empty() {
-            let out = self.flash.read_slices(t, &ppas).map_err(internal)?;
-            t = out.finish;
-            // Re-queue valid slices through the pending buffer and flush
-            // them in units; they land on the (different) open superblock.
-            // Their old mappings are dropped immediately — the victim is
-            // about to be erased, and until the flush remaps them the
-            // pending queue is the authoritative copy.
-            for (i, &ppa) in ppas.iter().enumerate() {
-                let lpn = *self
-                    .owner
-                    .get(&ppa.raw())
-                    .expect("valid legacy slice has an owner");
-                let data = out
-                    .data
-                    .as_ref()
-                    .map(|d| d[i * SLICE_BYTES as usize..(i + 1) * SLICE_BYTES as usize].to_vec());
-                self.pending.push_back(PendingSlice { lpn, data });
-                self.table.unmap(lpn);
-                self.owner.remove(&ppa.raw());
-                self.cache.remove(&lpn.raw());
-            }
-            self.counters.gc_migrated_slices += ppas.len() as u64;
-            while self.pending.len() >= self.unit_slices() {
-                t = self.flush_unit(t)?;
-            }
-            // A sub-unit GC tail is padded out (programmed as a short unit
-            // worth of real slices on the next host flush); keep it pending.
-        }
+        let migrated = self.migrate(now, &ppas);
+        let moved = ppas.len() as u64;
+        self.gc_ppas = ppas;
+        let mut t = migrated?;
         t = self.flash.erase_superblock(t, victim);
         self.used.retain(|&s| s != victim);
         self.free.push_back(victim);
@@ -360,9 +447,56 @@ impl LegacyDevice {
         self.probe.emit(
             t,
             DeviceEvent::GcEnd {
-                migrated_slices: ppas.len() as u64,
+                migrated_slices: moved,
             },
         );
+        Ok(t)
+    }
+
+    /// Reads a GC victim's live slices and re-queues them through the
+    /// pending buffer, flushing in units; they land on the (different)
+    /// open superblock. Their old mappings are dropped immediately — the
+    /// victim is about to be erased, and until the flush remaps them the
+    /// pending queue is the authoritative copy. Slices move in runs that
+    /// are consecutive on flash and in their owners (what one host write
+    /// left in one unit), one queue entry and one map operation per run.
+    fn migrate(&mut self, now: SimTime, ppas: &[Ppa]) -> Result<SimTime, DeviceError> {
+        if ppas.is_empty() {
+            return Ok(now);
+        }
+        let out = self.flash.read_slices(now, ppas).map_err(internal)?;
+        let mut t = out.finish;
+        let mut at = 0;
+        while at < ppas.len() {
+            let first = ppas[at];
+            let lpn = *self
+                .owner
+                .get(&first)
+                .expect("valid legacy slice has an owner");
+            let n = 1 + ppas[at + 1..]
+                .iter()
+                .zip(1..)
+                .take_while(|&(p, d)| {
+                    *p == first.offset(d) && self.owner.get(p) == Some(&lpn.offset(d))
+                })
+                .count();
+            let data = out
+                .data
+                .as_ref()
+                .map(|d| d[at * SLICE..(at + n) * SLICE].to_vec());
+            self.queue(Some(lpn), n, data);
+            let owners = LpnRange::new(lpn, n as u64);
+            self.table.unmap_extent(owners.start, owners.count);
+            self.owner.remove_run(first, n);
+            self.drop_cached(owners);
+            at += n;
+        }
+        self.counters.gc_migrated_slices += ppas.len() as u64;
+        while self.pending_slices >= self.unit_slices() {
+            t = self.flush_unit(t)?;
+        }
+        // A sub-unit GC tail is padded out (programmed as a short unit
+        // worth of real slices on the next host flush); keep it pending.
         Ok(t)
     }
 
@@ -372,19 +506,37 @@ impl LegacyDevice {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<SimTime, DeviceError> {
+        let unit = self.unit_slices();
         let mut t = now;
-        for (i, lpn) in range.iter().enumerate() {
-            let data = payload
-                .map(|p| p[i * SLICE_BYTES as usize..(i + 1) * SLICE_BYTES as usize].to_vec());
-            self.pending.push_back(PendingSlice { lpn, data });
-            // Invalidate the cache entry of an in-place update; the fresh
+        let mut at = 0;
+        while at < range.count as usize {
+            // Queue up to the next unit boundary, where the buffer
+            // flushes. (A queue already holding a unit — a flush that
+            // failed with `NoFreeSpace` left it — retries after every
+            // slice.)
+            let room = unit.saturating_sub(self.pending_slices).max(1);
+            let n = room.min(range.count as usize - at);
+            let run = LpnRange::new(range.start.offset(at as u64), n as u64);
+            let data = payload.map(|p| p[at * SLICE..(at + n) * SLICE].to_vec());
+            self.queue(Some(run.start), n, data);
+            // Invalidate the cache entries of an in-place update; the fresh
             // mapping is installed at flush time.
-            self.cache.remove(&lpn.raw());
-            if self.pending.len() >= self.unit_slices() {
+            self.drop_cached(run);
+            at += n;
+            if self.pending_slices >= unit {
                 t = self.flush_unit(t)?;
             }
         }
         Ok(t + self.cfg.host_overhead)
+    }
+
+    /// The newest pending run holding `lpn`, and the page's position in
+    /// what is left of it.
+    fn pending_copy(&self, lpn: Lpn) -> Option<(usize, usize)> {
+        self.pending.iter().enumerate().rev().find_map(|(i, run)| {
+            let skip = lpn.raw().checked_sub(run.lpn?.raw())?;
+            (skip < run.count as u64).then_some((i, skip as usize))
+        })
     }
 
     fn read_range(
@@ -394,7 +546,7 @@ impl LegacyDevice {
     ) -> Result<(SimTime, Option<Vec<u8>>), DeviceError> {
         #[derive(Clone, Copy)]
         enum Slot {
-            Pending(usize),
+            Pending(usize, usize),
             Flash(usize),
         }
         let mut t_map = now;
@@ -402,8 +554,8 @@ impl LegacyDevice {
         let mut slots: Vec<Slot> = Vec::with_capacity(range.count as usize);
         for lpn in range.iter() {
             // Data still aggregating in the buffer is served from RAM.
-            if let Some(pos) = self.pending.iter().rposition(|p| p.lpn == lpn) {
-                slots.push(Slot::Pending(pos));
+            if let Some((run, skip)) = self.pending_copy(lpn) {
+                slots.push(Slot::Pending(run, skip));
                 continue;
             }
             let entry = self
@@ -460,15 +612,12 @@ impl LegacyDevice {
             let mut v = Vec::with_capacity((range.count * SLICE_BYTES) as usize);
             for slot in &slots {
                 match *slot {
-                    Slot::Pending(pos) => match &self.pending[pos].data {
-                        Some(d) => v.extend_from_slice(d),
-                        None => v.resize(v.len() + SLICE_BYTES as usize, 0),
-                    },
+                    Slot::Pending(run, skip) => {
+                        extend_or_zero(&mut v, self.pending[run].payload(skip, 1), 1);
+                    }
                     Slot::Flash(i) => {
                         let d = flash_data.as_ref().expect("backed flash read");
-                        v.extend_from_slice(
-                            &d[i * SLICE_BYTES as usize..(i + 1) * SLICE_BYTES as usize],
-                        );
+                        v.extend_from_slice(&d[i * SLICE..(i + 1) * SLICE]);
                     }
                 }
             }
@@ -529,27 +678,23 @@ impl StorageDevice for LegacyDevice {
     }
 
     fn flush(&mut self, now: SimTime) -> Result<Completion, DeviceError> {
+        let unit = self.unit_slices();
         let mut t = now;
-        while self.pending.len() >= self.unit_slices() {
+        while self.pending_slices >= unit {
             t = self.flush_unit(t)?;
         }
-        if !self.pending.is_empty() {
-            let real = self.pending.len() as u64;
+        if self.pending_slices > 0 {
+            let real = self.pending_slices;
             // No SLC secondary buffer: pad the remainder out to a whole
             // programming unit (the §II-A cost Legacy pays for sync I/O).
-            while self.pending.len() < self.unit_slices() {
-                self.pending.push_back(PendingSlice {
-                    lpn: Lpn(u64::MAX),
-                    data: None,
-                });
-            }
+            self.queue(None, unit - real, None);
             self.counters.premature_flushes += 1;
             self.probe.emit(
                 t,
                 DeviceEvent::BufferFlush {
                     zone: ZoneId(0),
                     kind: FlushKind::Premature,
-                    slices: real,
+                    slices: real as u64,
                 },
             );
             t = self.flush_unit(t)?;

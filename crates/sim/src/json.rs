@@ -1,9 +1,12 @@
 //! Minimal JSON tree, writer and parser.
 //!
-//! The workspace has no serialization dependency, so the observability
-//! exporters build JSON through this small value type. The parser exists so integration tests can round-trip
-//! exported traces; it accepts standard JSON (no comments, no trailing
-//! commas).
+//! The workspace has no serialization dependency. Small documents (the
+//! stats report, a scenario summary, the benchmark's result line) are built
+//! as a [`Json`] value and printed; the per-record exporters, whose output
+//! runs to megabytes, stream through [`ObjectWriter`] instead and never
+//! hold a tree. Both print strings and numbers through [`write_string`],
+//! [`write_u64`] and [`write_f64`]. The parser exists so tests can round-trip what was
+//! written; it accepts standard JSON (no comments, no trailing commas).
 
 use std::fmt;
 
@@ -102,49 +105,129 @@ impl From<String> for Json {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            // xtask-lint: allow(truncating-cast) — char → u32 is lossless by definition
-            c if (c as u32) < 0x20 => {
-                // xtask-lint: allow(truncating-cast) — char → u32 is lossless by definition
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal — quoted, with quotes, backslashes
+/// and control characters escaped — straight into `out`. The one escaper:
+/// [`Json`]'s `Display` and the streaming exporters both print strings
+/// (and object keys) through it.
+pub fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Everything escaped is ASCII, so the stretches between escapes are
+    // whole characters and go out as they are.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[plain..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
+        }
+        plain = i + 1;
+    }
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
+}
+
+/// Writes an exact integer in decimal, digit by digit: the exporters print
+/// half a dozen integers per record, `write!("{n}")` sets up a formatter
+/// for each, and a push per digit beats a block copy at these lengths.
+pub fn write_u64<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    // u64::MAX has 20 digits.
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        // xtask-lint: allow(truncating-cast) — a remainder of ten fits a byte
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push('"');
+    digits[at..]
+        .iter()
+        .try_for_each(|&d| out.write_char(char::from(d)))
+}
+
+/// Writes a number the way [`Json::F64`] prints: integral values keep one
+/// decimal (`3.0`) so they stay floats on the way back in, everything else
+/// takes Rust's shortest round-trip form, and non-finite values are `null`.
+pub fn write_f64<W: fmt::Write>(out: &mut W, x: f64) -> fmt::Result {
+    if !x.is_finite() {
+        out.write_str("null")
+    } else if x.fract() == 0.0 && x.abs() < 1e15 {
+        write!(out, "{x:.1}")
+    } else {
+        write!(out, "{x}")
+    }
+}
+
+/// Streams one JSON object into a [`fmt::Write`], member by member, with
+/// no tree behind it — what the per-record exporters use, and what
+/// [`Json`]'s own `Display` prints objects through, so the two cannot
+/// drift.
+#[derive(Debug)]
+pub struct ObjectWriter<'a, W: fmt::Write> {
+    out: &'a mut W,
+    any: bool,
+}
+
+impl<'a, W: fmt::Write> ObjectWriter<'a, W> {
+    /// Opens the object.
+    pub fn begin(out: &'a mut W) -> Result<ObjectWriter<'a, W>, fmt::Error> {
+        out.write_char('{')?;
+        Ok(ObjectWriter { out, any: false })
+    }
+
+    /// Writes `"key":` (after a comma, from the second member on) and
+    /// hands back the sink for the value.
+    pub fn key(&mut self, key: &str) -> Result<&mut W, fmt::Error> {
+        if self.any {
+            self.out.write_char(',')?;
+        }
+        self.any = true;
+        write_string(self.out, key)?;
+        self.out.write_char(':')?;
+        Ok(self.out)
+    }
+
+    /// An exact integer member.
+    pub fn u64(&mut self, key: &str, value: u64) -> fmt::Result {
+        write_u64(self.key(key)?, value)
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) -> fmt::Result {
+        write_string(self.key(key)?, value)
+    }
+
+    /// Opens a nested object member; close it before writing on.
+    pub fn object(&mut self, key: &str) -> Result<ObjectWriter<'_, W>, fmt::Error> {
+        ObjectWriter::begin(self.key(key)?)
+    }
+
+    /// Closes the object.
+    pub fn end(self) -> fmt::Result {
+        self.out.write_char('}')
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Json::Null => write!(f, "null"),
+            Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::U64(n) => write!(f, "{n}"),
-            Json::F64(x) => {
-                if x.is_finite() {
-                    // Keep integral floats unambiguous and stable.
-                    if x.fract() == 0.0 && x.abs() < 1e15 {
-                        write!(f, "{:.1}", x)
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
-                    write!(f, "null")
-                }
-            }
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                escape_into(&mut buf, s);
-                f.write_str(&buf)
-            }
+            Json::U64(n) => write_u64(f, *n),
+            Json::F64(x) => write_f64(f, *x),
+            Json::Str(s) => write_string(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -156,16 +239,11 @@ impl fmt::Display for Json {
                 f.write_str("]")
             }
             Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    escape_into(&mut key, k);
-                    write!(f, "{key}:{v}")?;
+                let mut object = ObjectWriter::begin(f)?;
+                for (k, v) in pairs {
+                    write!(object.key(k)?, "{v}")?;
                 }
-                f.write_str("}")
+                object.end()
             }
         }
     }
@@ -422,6 +500,32 @@ mod tests {
         let text = doc.to_string();
         let back = parse(&text).expect("round trip");
         assert_eq!(back, doc);
+    }
+
+    /// The printed bytes themselves, spelled out: `Display` and the
+    /// streaming exporters share `write_string` / `write_f64`, so a test
+    /// that compares one with the other cannot see both move.
+    #[test]
+    fn strings_and_numbers_print_the_documented_bytes() {
+        let hostile = Json::from("a\"b\\c\n\r\t\u{1}\u{1f} é/");
+        assert_eq!(hostile.to_string(), r#""a\"b\\c\n\r\t\u0001\u001f é/""#);
+        for (x, text) in [
+            (0.0, "0.0"),
+            (1.0, "1.0"),
+            (-3.0, "-3.0"),
+            (0.5, "0.5"),
+            (6750.788, "6750.788"),
+            (999_999_999_999_999.0, "999999999999999.0"),
+            (1e15, "1000000000000000"),
+            (1e21, "1000000000000000000000"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+        ] {
+            assert_eq!(Json::F64(x).to_string(), text, "{x:e}");
+        }
+        let doc = Json::obj([("k\"", Json::Arr(vec![Json::U64(u64::MAX), Json::Null]))]);
+        assert_eq!(doc.to_string(), r#"{"k\"":[18446744073709551615,null]}"#);
+        assert_eq!(Json::obj([]).to_string(), "{}");
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub struct KindAttribution {
     pub self_time: SimDuration,
 }
 
-const ALL_KINDS: [SpanKind; SpanKind::KIND_COUNT] = [
+pub(crate) const ALL_KINDS: [SpanKind; SpanKind::KIND_COUNT] = [
     SpanKind::IoRead,
     SpanKind::IoWrite,
     SpanKind::IoAppend,

@@ -213,102 +213,103 @@ impl MetricsSampler {
     }
 }
 
+/// One event per [`DeviceEvent::kind_index`] bucket, plus the payload
+/// variations (`L2pOutcome` hit levels, both `FaultKind`s) a bucket
+/// does not distinguish. Shared with the exporters' tests.
+#[cfg(test)]
+pub(crate) fn all_events() -> Vec<DeviceEvent> {
+    use conzone_types::{CellType, FaultKind, FlushKind, L2pOutcome, MediaOp, ZoneId};
+    vec![
+        DeviceEvent::BufferFlush {
+            zone: ZoneId(4),
+            kind: FlushKind::Full,
+            slices: 16,
+        },
+        DeviceEvent::BufferFlush {
+            zone: ZoneId(9),
+            kind: FlushKind::Premature,
+            slices: 3,
+        },
+        DeviceEvent::BufferConflict { zone: ZoneId(2) },
+        DeviceEvent::SlcCombine {
+            zone: ZoneId(1),
+            staged_slices: 7,
+        },
+        DeviceEvent::PatchSlice {
+            zone: ZoneId(5),
+            slices: 2,
+        },
+        DeviceEvent::GcBegin { valid_slices: 100 },
+        DeviceEvent::GcEnd {
+            migrated_slices: 100,
+        },
+        DeviceEvent::L2pLookup {
+            outcome: L2pOutcome::HitZone,
+        },
+        DeviceEvent::L2pLookup {
+            outcome: L2pOutcome::HitChunk,
+        },
+        DeviceEvent::L2pLookup {
+            outcome: L2pOutcome::HitPage,
+        },
+        DeviceEvent::L2pLookup {
+            outcome: L2pOutcome::Miss,
+        },
+        DeviceEvent::L2pEviction { count: 12 },
+        DeviceEvent::L2pLogFlush,
+        DeviceEvent::Media {
+            op: MediaOp::Program,
+            cell: CellType::Tlc,
+            bytes: 65536,
+        },
+        DeviceEvent::Media {
+            op: MediaOp::Read,
+            cell: CellType::Slc,
+            bytes: 16384,
+        },
+        DeviceEvent::Media {
+            op: MediaOp::Erase,
+            cell: CellType::Qlc,
+            bytes: 0,
+        },
+        DeviceEvent::ZoneReset { zone: ZoneId(11) },
+        DeviceEvent::FaultInjected {
+            kind: FaultKind::Program,
+            chip: 2,
+            block: 17,
+        },
+        DeviceEvent::FaultInjected {
+            kind: FaultKind::Erase,
+            chip: 0,
+            block: 6,
+        },
+        DeviceEvent::BlockRetired { chip: 3, block: 8 },
+        DeviceEvent::ReadRetry { steps: 2 },
+        DeviceEvent::PowerCut { lost_slices: 14 },
+        DeviceEvent::RecoveryReplay {
+            recovered_slices: 9,
+            lost_slices: 14,
+        },
+        DeviceEvent::QueueSubmit {
+            queue: 1,
+            backlog: 5,
+        },
+        DeviceEvent::QueueArbitrate {
+            queue: 0,
+            wait_ns: 350,
+        },
+        DeviceEvent::QueueComplete {
+            queue: 1,
+            inflight: 7,
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conzone_types::{CellType, FaultKind, FlushKind, L2pOutcome, MediaOp, ZoneId};
     use proptest::prelude::*;
     use std::collections::VecDeque;
-
-    /// One event per [`DeviceEvent::kind_index`] bucket, plus the payload
-    /// variations (`L2pOutcome` hit levels, both `FaultKind`s) a bucket
-    /// does not distinguish.
-    fn all_events() -> Vec<DeviceEvent> {
-        vec![
-            DeviceEvent::BufferFlush {
-                zone: ZoneId(4),
-                kind: FlushKind::Full,
-                slices: 16,
-            },
-            DeviceEvent::BufferFlush {
-                zone: ZoneId(9),
-                kind: FlushKind::Premature,
-                slices: 3,
-            },
-            DeviceEvent::BufferConflict { zone: ZoneId(2) },
-            DeviceEvent::SlcCombine {
-                zone: ZoneId(1),
-                staged_slices: 7,
-            },
-            DeviceEvent::PatchSlice {
-                zone: ZoneId(5),
-                slices: 2,
-            },
-            DeviceEvent::GcBegin { valid_slices: 100 },
-            DeviceEvent::GcEnd {
-                migrated_slices: 100,
-            },
-            DeviceEvent::L2pLookup {
-                outcome: L2pOutcome::HitZone,
-            },
-            DeviceEvent::L2pLookup {
-                outcome: L2pOutcome::HitChunk,
-            },
-            DeviceEvent::L2pLookup {
-                outcome: L2pOutcome::HitPage,
-            },
-            DeviceEvent::L2pLookup {
-                outcome: L2pOutcome::Miss,
-            },
-            DeviceEvent::L2pEviction { count: 12 },
-            DeviceEvent::L2pLogFlush,
-            DeviceEvent::Media {
-                op: MediaOp::Program,
-                cell: CellType::Tlc,
-                bytes: 65536,
-            },
-            DeviceEvent::Media {
-                op: MediaOp::Read,
-                cell: CellType::Slc,
-                bytes: 16384,
-            },
-            DeviceEvent::Media {
-                op: MediaOp::Erase,
-                cell: CellType::Qlc,
-                bytes: 0,
-            },
-            DeviceEvent::ZoneReset { zone: ZoneId(11) },
-            DeviceEvent::FaultInjected {
-                kind: FaultKind::Program,
-                chip: 2,
-                block: 17,
-            },
-            DeviceEvent::FaultInjected {
-                kind: FaultKind::Erase,
-                chip: 0,
-                block: 6,
-            },
-            DeviceEvent::BlockRetired { chip: 3, block: 8 },
-            DeviceEvent::ReadRetry { steps: 2 },
-            DeviceEvent::PowerCut { lost_slices: 14 },
-            DeviceEvent::RecoveryReplay {
-                recovered_slices: 9,
-                lost_slices: 14,
-            },
-            DeviceEvent::QueueSubmit {
-                queue: 1,
-                backlog: 5,
-            },
-            DeviceEvent::QueueArbitrate {
-                queue: 0,
-                wait_ns: 350,
-            },
-            DeviceEvent::QueueComplete {
-                queue: 1,
-                inflight: 7,
-            },
-        ]
-    }
 
     /// Every `DeviceEvent` kind comes back out of the sink exactly as it
     /// went in, in order, with its timestamp.

@@ -8,7 +8,8 @@ use conzone::host::{
     parse_fio_jobs, power_cycle_and_verify, run_job, run_job_sampled, run_job_until, run_tenants,
     AccessPattern, FioJob, JobReport, NamedJob, TenantSpec,
 };
-use conzone::sim::{export, MetricsSample, RingBufferSink, SpanBuffer};
+use conzone::sim::export::{self, Document};
+use conzone::sim::{MetricsSample, RingBufferSink, SpanBuffer};
 use conzone::types::{
     DeviceConfig, Probe, SimDuration, SimTime, SpanSink, StorageDevice, ZonedDevice,
 };
@@ -189,18 +190,17 @@ impl Obs {
     }
 
     /// Writes the Chrome trace-event file (loadable in Perfetto /
-    /// about:tracing), the span dump and the metrics JSONL, as requested.
-    /// Span files ending in `.jsonl` get one span per line; any other
-    /// extension gets a nested Chrome trace. Drops in either ring are
-    /// surfaced loudly: a truncated dump that looks complete is worse than
-    /// no dump.
+    /// about:tracing), the span dump and the metrics JSONL, as requested,
+    /// and reports each with the wall time its export took. Span files
+    /// ending in `.jsonl` get one span per line; any other extension gets a
+    /// nested Chrome trace. Drops in either ring are surfaced loudly: a
+    /// truncated dump that looks complete is worse than no dump.
     fn write(&self, spans: Option<&SpanDump>, samples: &[MetricsSample]) -> Result<(), String> {
         if let Some((path, sink)) = &self.trace {
             let records = sink.drain();
-            std::fs::write(path, export::chrome_trace(&records).to_string())
-                .map_err(|e| format!("{path}: {e}"))?;
+            let ms = timed_export(path, Document::ChromeTrace(&records))?;
             let (n, dropped) = (records.len(), sink.dropped());
-            eprintln!("trace    : {n} events to {path} ({dropped} dropped)");
+            eprintln!("trace    : {n} events to {path} ({dropped} dropped) in {ms:.1} ms");
             if dropped > 0 {
                 eprintln!(
                     "warning  : the event ring dropped {dropped} records — the trace is \
@@ -209,14 +209,14 @@ impl Obs {
             }
         }
         if let (Some((path, _)), Some(dump)) = (&self.spans, spans) {
-            let text = if path.ends_with(".jsonl") {
-                export::span_jsonl(&dump.records)
+            let document = if path.ends_with(".jsonl") {
+                Document::SpanJsonl(&dump.records)
             } else {
-                export::span_chrome_trace(&dump.records).to_string()
+                Document::SpanChromeTrace(&dump.records)
             };
-            std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
+            let ms = timed_export(path, document)?;
             let (n, dropped) = (dump.records.len(), dump.dropped);
-            eprintln!("spans    : {n} spans to {path} ({dropped} dropped)");
+            eprintln!("spans    : {n} spans to {path} ({dropped} dropped) in {ms:.1} ms");
             if dropped > 0 {
                 eprintln!(
                     "warning  : the span buffer dropped {dropped} spans — attribution \
@@ -225,12 +225,26 @@ impl Obs {
             }
         }
         if let Some((path, _)) = &self.metrics {
-            std::fs::write(path, export::metrics_jsonl(samples))
-                .map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("metrics  : {} intervals to {path}", samples.len());
+            let ms = timed_export(path, Document::MetricsJsonl(samples))?;
+            eprintln!(
+                "metrics  : {} intervals to {path} in {ms:.1} ms",
+                samples.len()
+            );
         }
         Ok(())
     }
+}
+
+/// Streams `document` to `path`; returns the wall milliseconds it took, for
+/// the status line.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "host-side cost of an export, printed to stderr only; no simulated result reads it"
+)]
+fn timed_export(path: &str, document: Document<'_>) -> Result<f64, String> {
+    let start = std::time::Instant::now();
+    export::write_file(path, document)?;
+    Ok(start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// The workload the shared `run` flags describe.

@@ -122,18 +122,27 @@ fn gen_trace_replay_roundtrip() {
 /// and the commit whose binary wrote it.
 #[test]
 fn runs_match_the_golden_outputs() {
-    let cases: [(&str, &str, &[&str]); 4] = [
+    let cases: [(&str, &str, &[&str]); 5] = [
         (
             "seqread-512k-tiny",
             "--pattern seqread --bs 512k --size 2m --region 2m \
-             --trace-out trace.json --span-out spans.jsonl",
-            &["trace.json", "spans.jsonl"],
+             --trace-out trace.json --span-out spans.jsonl \
+             --metrics-out metrics.jsonl --metrics-interval 1ms",
+            &["trace.json", "spans.jsonl", "metrics.jsonl"],
         ),
         (
             "qd-randread-tiny",
             "--pattern randread --bs 4k --size 64k --region 2m --qd 8 --tenants 2 \
              --aggregation page --span-out spans.jsonl",
             &["spans.jsonl"],
+        ),
+        // The same run again with the span dump as a Chrome trace (any
+        // extension but `.jsonl`): the one export format no other case pins.
+        (
+            "qd-randread-tiny",
+            "--pattern randread --bs 4k --size 64k --region 2m --qd 8 --tenants 2 \
+             --aggregation page --span-out spans.json",
+            &["spans.json"],
         ),
         (
             "femu-seqread-tiny",
@@ -219,6 +228,27 @@ fn run_fio_job_file() {
     assert!(!ok);
     assert!(stderr.contains("unsupported key"), "{stderr}");
     std::fs::remove_file(&path).ok();
+}
+
+/// An export that cannot be written ends the run with `error: <path>: …`
+/// and a failing status — for each of the three export flags, after the
+/// simulation has run — not with a panic.
+#[test]
+fn unwritable_export_paths_exit_with_the_path() {
+    let missing = std::env::temp_dir().join("conzone-cli-no-such-dir/out.json");
+    let path = missing.to_str().unwrap();
+    for flag in ["--trace-out", "--span-out", "--metrics-out"] {
+        let (ok, _, stderr) = conzone(&[
+            "run", "--config", "tiny", "--bs", "128k", "--size", "1m", "--region", "1m", flag, path,
+        ]);
+        assert!(!ok, "{flag}");
+        let last = stderr.lines().last().unwrap_or_default();
+        assert!(
+            last.starts_with(&format!("error: {path}: ")),
+            "{flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
 }
 
 /// Hostile flag values end in a one-line `error:`, never in a panic or

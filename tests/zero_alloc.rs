@@ -15,8 +15,11 @@
 //!   sequential reads: `ConZone::submit` → `read_range`,
 //!   `L2pCache::{lookup, insert}`, `MappingTable::{get, ppas}`,
 //!   `FlashArray::read_slices`;
-//! * single-page mapping stores: `MappingTable::set`, which only the
-//!   per-page baseline calls;
+//! * single-page mapping stores: `MappingTable::set`, which no device
+//!   calls any more (ConZone and the Legacy baseline both map whole runs);
+//! * Legacy overwrites with GC: `LegacyDevice::submit` → `write_range`,
+//!   `flush_unit`, `run_gc`, `OwnerMap::{insert_run, remove_run}`,
+//!   `MappingTable::unmap_extent`, `FlashArray::invalidate_run`;
 //! * doorbell → grant → submit: `QueueFrontEnd::{doorbell, grant}` and the
 //!   round-robin `pick`;
 //! * queue-pair runs: `EventQueue::{push, pop}`, `QueuePair::{submit,
@@ -354,10 +357,9 @@ fn doorbell_grant_submit_does_not_allocate() {
     assert_eq!(allocations, 0, "{MEASURED_OPS} doorbell→grant→submit ops");
 }
 
-/// `MappingTable::set`, the single-page store. ConZone maps whole runs
-/// (`set_extent`), so only the per-page baseline calls it — once per
-/// 4 KiB write, on a write path that makes no allocation promise of its
-/// own. Driven directly: every store lands in an aggregated chunk and
+/// `MappingTable::set`, the single-page store. The devices map whole runs
+/// (`set_extent`), so nothing but tests and the benchmark's micro calls
+/// it. Driven directly: every store lands in an aggregated chunk and
 /// demotes the covering run first.
 #[test]
 fn single_page_mapping_stores_do_not_allocate() {
@@ -377,6 +379,50 @@ fn single_page_mapping_stores_do_not_allocate() {
     });
     assert_eq!(table.granularity_of(Lpn(1)), Some(MapGranularity::Page));
     assert_eq!(allocations, 0, "single-page stores into aggregated chunks");
+}
+
+/// The Legacy baseline's write path: random 4 KiB overwrites of a device
+/// whose whole logical space is written, timing-only, so every few hundred
+/// writes the append stream runs dry and GC migrates a nearly full victim.
+/// Once the pending queue, the unit scratch and the victim buffer have
+/// grown, N writes and 4 N writes make the same number of allocator calls.
+#[test]
+fn legacy_overwrites_with_gc_allocate_the_same_for_any_op_count() {
+    use conzone::LegacyDevice;
+    const OPS: u64 = 20_000;
+    let cfg = DeviceConfig::builder(Geometry::tiny())
+        .chunk_bytes(256 * 1024)
+        .build()
+        .expect("tiny timing-only config");
+    let mut dev = LegacyDevice::new(cfg);
+    let pages = dev.capacity_bytes() / 4096;
+    let mut now = SimTime::ZERO;
+    for offset in (0..dev.capacity_bytes()).step_by(256 * 1024) {
+        let c = dev.submit(now, &IoRequest::write(offset, 256 * 1024));
+        now = c.expect("fill").finished;
+    }
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut overwrite = |dev: &mut LegacyDevice, ops: u64| {
+        let gc_before = dev.counters().gc_runs;
+        let allocations = allocations_during(|| {
+            for _ in 0..ops {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let c = dev.submit(now, &IoRequest::write(state % pages * 4096, 4096));
+                now = c.expect("overwrite").finished;
+            }
+        });
+        assert!(
+            dev.counters().gc_runs > gc_before + 10,
+            "GC ran in the window"
+        );
+        allocations
+    };
+    overwrite(&mut dev, OPS); // warm-up
+    let short = overwrite(&mut dev, OPS);
+    let long = overwrite(&mut dev, 4 * OPS);
+    assert_eq!(short, long, "{} writes more allocated", 3 * OPS);
 }
 
 /// The queue-pair host — `drive()`'s event queue, the per-tenant
