@@ -301,7 +301,7 @@ mod read_reference {
                     }
                     let pinned = conzone_ftl::pins_aggregates(dev.cfg.search_strategy)
                         && actual > MapGranularity::Page;
-                    if dev.cache.insert(lpn, actual, pinned) == InsertOutcome::Evicted {
+                    if let InsertOutcome::Evicted(_) = dev.cache.insert(lpn, actual, pinned) {
                         dev.probe.emit(t_map, DeviceEvent::L2pEviction { count: 1 });
                     }
                 }

@@ -140,7 +140,7 @@ impl ConZone {
                         }
                         let pinned = conzone_ftl::pins_aggregates(self.cfg.search_strategy)
                             && actual > MapGranularity::Page;
-                        if self.cache.insert(lpn, actual, pinned) == InsertOutcome::Evicted {
+                        if let InsertOutcome::Evicted(_) = self.cache.insert(lpn, actual, pinned) {
                             self.probe
                                 .emit(t_map, DeviceEvent::L2pEviction { count: 1 });
                         }

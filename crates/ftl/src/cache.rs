@@ -10,15 +10,12 @@ use conzone_types::{Lpn, MapGranularity};
 
 use crate::lru::{InsertOutcome, LruCache};
 
-/// Cache key: the aggregation level plus the aligned address at that level
-/// (LZA, LCA or LPA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Aggregation level of the entry.
-    pub granularity: MapGranularity,
-    /// First logical page of the zone / chunk / page the entry covers.
-    pub index: u64,
-}
+/// Lookup order: LZA, then LCA, then LPA (paper Fig. 4 Ⅰ).
+const LEVELS: [MapGranularity; 3] = [
+    MapGranularity::Zone,
+    MapGranularity::Chunk,
+    MapGranularity::Page,
+];
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,9 +40,25 @@ pub enum LookupResult {
 /// ```
 #[derive(Debug)]
 pub struct L2pCache {
-    lru: LruCache<CacheKey, ()>,
+    /// Keyed by tile *number* and granularity ([`L2pCache::key_for`]).
+    lru: LruCache,
+    /// Resident entries per granularity, indexed by [`level`]: a
+    /// granularity with none is not probed.
+    residents: [usize; 3],
     chunk_slices: u64,
     zone_slices: u64,
+}
+
+/// Index of a granularity in [`L2pCache::residents`]: its two map bits.
+#[inline]
+fn level(granularity: MapGranularity) -> usize {
+    usize::from(granularity.to_bits())
+}
+
+/// The level and tile number a packed key ([`L2pCache::key_for`]) holds.
+#[inline]
+fn unpack(key: u64) -> (usize, u64) {
+    ((key & 0b11) as usize, key >> 2)
 }
 
 impl L2pCache {
@@ -59,6 +72,7 @@ impl L2pCache {
         assert!(chunk_slices > 0 && zone_slices > 0);
         L2pCache {
             lru: LruCache::new(capacity),
+            residents: [0; 3],
             chunk_slices,
             zone_slices,
         }
@@ -98,35 +112,43 @@ impl L2pCache {
         }
     }
 
+    /// Logical pages per entry of `granularity`.
+    #[inline]
+    fn tile(&self, granularity: MapGranularity) -> u64 {
+        match granularity {
+            MapGranularity::Page => 1,
+            MapGranularity::Chunk => self.chunk_slices,
+            MapGranularity::Zone => self.zone_slices,
+        }
+    }
+
     /// The logical pages `[lo, hi)` that one entry of `granularity`
     /// covering `lpn` resolves: the page itself, its chunk or its zone. A
     /// hit at `lpn` is a hit, on the same entry, for every page of the span.
     #[inline]
     pub fn span(&self, lpn: Lpn, granularity: MapGranularity) -> (Lpn, Lpn) {
-        let tile = match granularity {
-            MapGranularity::Page => 1,
-            MapGranularity::Chunk => self.chunk_slices,
-            MapGranularity::Zone => self.zone_slices,
-        };
+        let tile = self.tile(granularity);
         let lo = lpn.raw() / tile * tile;
         (Lpn(lo), Lpn(lo + tile))
     }
 
-    fn key_for(&self, lpn: Lpn, granularity: MapGranularity) -> CacheKey {
-        let index = self.span(lpn, granularity).0.raw();
-        CacheKey { granularity, index }
+    /// The packed key of the entry covering `lpn` at `granularity`: the
+    /// tile's number above the two map bits. The number, not the tile's
+    /// first LPN, so that chunk and zone keys are consecutive integers and
+    /// spread over the index's buckets like page keys do.
+    #[inline]
+    fn key_for(&self, lpn: Lpn, granularity: MapGranularity) -> u64 {
+        (lpn.raw() / self.tile(granularity)) << 2 | u64::from(granularity.to_bits())
     }
 
     /// Looks up a logical page, trying LZA, then LCA, then LPA (paper
-    /// Fig. 4 Ⅰ). A hit promotes the entry to most-recently-used.
+    /// Fig. 4 Ⅰ) — of which only the granularities that have residents
+    /// are probed. A hit promotes the entry to most-recently-used.
     pub fn lookup(&mut self, lpn: Lpn) -> LookupResult {
-        for granularity in [
-            MapGranularity::Zone,
-            MapGranularity::Chunk,
-            MapGranularity::Page,
-        ] {
-            let key = self.key_for(lpn, granularity);
-            if self.lru.get(&key).is_some() {
+        for granularity in LEVELS {
+            if self.residents[level(granularity)] == 0 {
+                debug_assert!(!self.lru.contains(self.key_for(lpn, granularity)));
+            } else if self.lru.touch(self.key_for(lpn, granularity)) {
                 return LookupResult::Hit(granularity);
             }
         }
@@ -135,58 +157,109 @@ impl L2pCache {
 
     /// Whether any entry covers `lpn`, without touching recency.
     pub fn covers(&self, lpn: Lpn) -> bool {
-        [
-            MapGranularity::Zone,
-            MapGranularity::Chunk,
-            MapGranularity::Page,
-        ]
-        .into_iter()
-        .any(|g| self.lru.contains(&self.key_for(lpn, g)))
+        LEVELS
+            .into_iter()
+            .any(|g| self.residents[level(g)] > 0 && self.lru.contains(self.key_for(lpn, g)))
     }
 
     /// Inserts the entry covering `lpn` at `granularity`. When `pinned` is
     /// set (the §IV-D design), aggregated entries stay resident and the
-    /// entries they cover are removed.
+    /// entries they cover are removed. The key an
+    /// [`InsertOutcome::Evicted`] carries is this cache's packed one,
+    /// opaque to callers.
     pub fn insert(&mut self, lpn: Lpn, granularity: MapGranularity, pinned: bool) -> InsertOutcome {
         if granularity > MapGranularity::Page {
             self.evict_covered(lpn, granularity);
         }
-        let key = self.key_for(lpn, granularity);
-        self.lru.insert(key, (), pinned)
+        let outcome = self.lru.insert(self.key_for(lpn, granularity), pinned);
+        match outcome {
+            InsertOutcome::Stored | InsertOutcome::OverCapacity => {
+                self.residents[level(granularity)] += 1;
+            }
+            InsertOutcome::Evicted(victim) => {
+                self.residents[level(granularity)] += 1;
+                self.residents[unpack(victim).0] -= 1;
+            }
+            InsertOutcome::Updated | InsertOutcome::Rejected => {}
+        }
+        outcome
+    }
+
+    /// Removes every entry of a level under `below` whose tile starts in
+    /// `[lo, hi)`.
+    fn remove_starting_in(&mut self, (lo, hi): (Lpn, Lpn), below: usize) {
+        // Per level, the numbers `[first, end)` of the tiles whose first
+        // page is in the span.
+        let mut numbers = [(0, 0); 3];
+        for granularity in LEVELS {
+            let tile = self.tile(granularity);
+            numbers[level(granularity)] = (lo.raw().div_ceil(tile), hi.raw().div_ceil(tile));
+        }
+        let residents = &mut self.residents;
+        self.lru.retain_not(|key| {
+            let (level, number) = unpack(key);
+            let (first, end) = numbers[level];
+            let matched = level < below && (first..end).contains(&number);
+            if matched {
+                residents[level] -= 1;
+            }
+            matched
+        });
     }
 
     /// Removes entries strictly below `granularity` that the new aggregated
     /// entry covers ("the covered L2P mapping entries are evicted",
     /// §IV-D).
     fn evict_covered(&mut self, lpn: Lpn, granularity: MapGranularity) {
-        let (lo, hi) = self.span(lpn, granularity);
-        self.lru
-            .retain_not(|k| k.granularity < granularity && (lo.raw()..hi.raw()).contains(&k.index));
+        let below = level(granularity);
+        if self.residents[..below].iter().all(|&n| n == 0) {
+            return;
+        }
+        self.remove_starting_in(self.span(lpn, granularity), below);
     }
 
     /// Invalidates any entry covering `lpn` (mapping changed: overwrite, GC
     /// migration or zone reset).
     pub fn invalidate_page(&mut self, lpn: Lpn) {
-        for granularity in [
-            MapGranularity::Zone,
-            MapGranularity::Chunk,
-            MapGranularity::Page,
-        ] {
-            let key = self.key_for(lpn, granularity);
-            self.lru.remove(&key);
+        for granularity in LEVELS {
+            let level = level(granularity);
+            if self.residents[level] > 0 && self.lru.remove(self.key_for(lpn, granularity)) {
+                self.residents[level] -= 1;
+            }
         }
     }
 
     /// Invalidates every entry of the zone containing `lpn`.
     pub fn invalidate_zone(&mut self, zone_start: Lpn) {
-        let (lo, hi) = self.span(zone_start, MapGranularity::Zone);
-        self.lru
-            .retain_not(|k| (lo.raw()..hi.raw()).contains(&k.index));
+        let zone = self.span(zone_start, MapGranularity::Zone);
+        self.remove_starting_in(zone, LEVELS.len());
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
         self.lru.clear();
+        self.residents = [0; 3];
+    }
+
+    /// The lookup answer without the resident counts: probe zone, chunk and
+    /// page key, touching nothing.
+    #[cfg(test)]
+    pub(crate) fn lookup_naive(&self, lpn: Lpn) -> LookupResult {
+        LEVELS
+            .into_iter()
+            .find(|&g| self.lru.contains(self.key_for(lpn, g)))
+            .map_or(LookupResult::Miss, LookupResult::Hit)
+    }
+
+    /// The per-granularity resident counts as maintained and as recounted
+    /// from the entries themselves.
+    #[cfg(test)]
+    pub(crate) fn residents_and_recount(&self) -> ([usize; 3], [usize; 3]) {
+        let mut recount = [0; 3];
+        for (key, _) in self.lru.recency() {
+            recount[unpack(key).0] += 1;
+        }
+        (self.residents, recount)
     }
 }
 
@@ -308,6 +381,41 @@ mod tests {
         let whole: Vec<u64> = (lo.raw()..hi.raw()).collect();
         assert_eq!(eviction_order(&[5]), eviction_order(&whole));
         assert_eq!(eviction_order(&[5])[0], [true, false, true]);
+    }
+
+    #[test]
+    fn aligned_keys_spread_over_the_index() {
+        use std::collections::BTreeSet;
+
+        let cfg = conzone_types::DeviceConfig::paper_evaluation();
+        let (chunk, zone) = (cfg.chunk_slices(), cfg.zone_size_slices());
+        let zones = cfg.zone_count() as u64;
+        assert_eq!((zones, zones * zone / chunk), (96, 384));
+        let c = L2pCache::new(cfg.l2p_cache_entries(), chunk, zone);
+        let keys = |n: u64, stride: u64, g| -> Vec<u64> {
+            (0..n).map(|i| c.key_for(Lpn(i * stride), g)).collect()
+        };
+        // hashbrown picks the bucket from the low bits (12 of them for a
+        // 3072-entry map) and its control tag from the top seven.
+        let distinct = |keys: &[u64], bits: fn(u64) -> u64| {
+            keys.iter().map(|&k| bits(k)).collect::<BTreeSet<_>>().len()
+        };
+        let bucket = |k| crate::lru::hash_of(k) & 0xfff;
+        let pages = keys(3072, 2, MapGranularity::Page);
+        for keys in [
+            keys(96, zone, MapGranularity::Zone),
+            keys(384, chunk, MapGranularity::Chunk),
+            pages.clone(),
+        ] {
+            // 3072 random draws from 4096 buckets take about 70 %.
+            assert!(distinct(&keys, bucket) * 10 >= keys.len() * 6);
+        }
+        assert!(distinct(&pages, |k| crate::lru::hash_of(k) >> 57) >= 100);
+        // Why the key holds the tile number and `finish` folds: a bare
+        // product of the aligned first LPNs puts every zone in one bucket.
+        let first_lpns: Vec<u64> = (0..zones).map(|z| z * zone).collect();
+        let product = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) & 0xfff;
+        assert_eq!(distinct(&first_lpns, product), 1);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`MapBitmap`] — the in-SRAM map-bit mirror of the Bitmap strategy;
 //! * [`mapping_fetches`] — the per-miss flash-fetch cost of each
 //!   [`SearchStrategy`](conzone_types::SearchStrategy);
-//! * [`LruCache`] — the generic pinned-LRU underlying the L2P cache (also
-//!   used by the Legacy baseline's prefetching cache);
+//! * [`LruCache`] — the pinned-LRU set of packed `u64` keys underlying the
+//!   L2P cache (also the Legacy baseline's prefetching cache);
 //! * [`OwnerMap`] — the dense reverse map (physical slice → logical page)
 //!   garbage collection reads, over ConZone's SLC blocks and over the
 //!   Legacy baseline's normal blocks.
@@ -45,7 +45,7 @@ mod owner;
 mod strategy;
 
 pub use bitmap::MapBitmap;
-pub use cache::{CacheKey, L2pCache, LookupResult};
+pub use cache::{L2pCache, LookupResult};
 pub use lru::{InsertOutcome, LruCache};
 pub use mapping::{MapEntry, MappingTable};
 pub use owner::{OwnerIter, OwnerMap};

@@ -1,23 +1,51 @@
-//! An intrusive-list LRU cache with entry pinning.
+//! An intrusive-list LRU set with entry pinning.
 //!
 //! The L2P cache evicts by LRU (paper §III-C); the pinned-aggregate design
-//! of §IV-D additionally keeps chunk/zone entries resident. This generic
-//! cache implements both: pinned entries are never chosen as eviction
-//! victims.
+//! of §IV-D additionally keeps chunk/zone entries resident. This set
+//! implements both: pinned entries are never chosen as eviction victims.
+//! Keys are one packed `u64` (the L2P cache's tile number and granularity,
+//! the Legacy baseline's raw LPN); residency is all an entry records.
 
 #[allow(
     clippy::disallowed_types,
-    reason = "keyed O(1) index lookups only; the recency order lives in the explicit linked list and is never taken from map iteration, so hashing cannot leak into sim-visible behaviour"
+    reason = "keyed O(1) index lookups under a fixed hasher with no per-process seed, and never iterated: the recency order lives in the explicit linked list, so hashing cannot leak into sim-visible behaviour"
 )]
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const NIL: usize = usize::MAX;
 
-#[derive(Debug)]
-struct Node<K, V> {
-    key: K,
-    value: V,
+/// Multiplicative hash of one `u64` key. hashbrown picks the bucket from
+/// the low bits of `finish` and its control tag from the top seven, and the
+/// low bits of a product depend only on the low bits of the key, so
+/// `finish` folds the well-mixed high half into the low half — otherwise
+/// keys aligned to a power of two would share one bucket. Keys come from
+/// the simulator's own address arithmetic, not from outside the program,
+/// so SipHash's resistance to crafted collisions buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: u64,
     pinned: bool,
     prev: usize,
     next: usize,
@@ -28,9 +56,9 @@ struct Node<K, V> {
 pub enum InsertOutcome {
     /// Entry stored without displacing anything.
     Stored,
-    /// Entry stored after evicting one LRU victim.
-    Evicted,
-    /// Entry replaced an existing entry with the same key.
+    /// Entry stored after evicting one LRU victim, whose key this carries.
+    Evicted(u64),
+    /// The key was already resident; it was promoted.
     Updated,
     /// Cache full of pinned entries; a non-pinned insert was dropped.
     Rejected,
@@ -39,26 +67,27 @@ pub enum InsertOutcome {
     OverCapacity,
 }
 
-/// LRU cache with per-entry pinning.
+/// LRU set of `u64` keys with per-entry pinning.
 ///
 /// ```
-/// use conzone_ftl::LruCache;
+/// use conzone_ftl::{InsertOutcome, LruCache};
 ///
 /// let mut c = LruCache::new(2);
-/// c.insert('a', 1, false);
-/// c.insert('b', 2, false);
-/// c.get(&'a'); // 'a' becomes most recent
-/// c.insert('c', 3, false); // evicts 'b'
-/// assert!(c.contains(&'a') && c.contains(&'c') && !c.contains(&'b'));
+/// c.insert(1, false);
+/// c.insert(2, false);
+/// c.touch(1); // 1 becomes most recent
+/// assert_eq!(c.insert(3, false), InsertOutcome::Evicted(2));
+/// assert!(c.contains(1) && c.contains(3) && !c.contains(2));
 /// ```
 #[derive(Debug)]
-pub struct LruCache<K, V> {
+pub struct LruCache {
     #[allow(
         clippy::disallowed_types,
-        reason = "keyed lookups only, never iterated"
+        reason = "fixed hasher, keyed lookups only, never iterated"
     )]
-    map: HashMap<K, usize>,
-    nodes: Vec<Option<Node<K, V>>>,
+    map: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
+    /// Node slots; the ones on `free` hold stale contents.
+    nodes: Vec<Node>,
     free: Vec<usize>,
     /// Most recently used.
     head: usize,
@@ -68,17 +97,17 @@ pub struct LruCache<K, V> {
     evictions: u64,
 }
 
-impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
+impl LruCache {
     /// Creates a cache holding at most `capacity` entries.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> LruCache<K, V> {
+    pub fn new(capacity: usize) -> LruCache {
         assert!(capacity > 0, "cache capacity must be non-zero");
         LruCache {
-            #[allow(clippy::disallowed_types, reason = "keyed lookups only")]
-            map: HashMap::with_capacity(capacity),
+            #[allow(clippy::disallowed_types, reason = "fixed hasher, keyed lookups only")]
+            map: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -114,38 +143,19 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
 
     /// Whether `key` is resident (does not touch recency).
     #[inline]
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    #[allow(
-        clippy::expect_used,
-        reason = "linked-list integrity: every index reachable from the list or the map points at a live node by construction"
-    )]
-    fn node(&self, idx: usize) -> &Node<K, V> {
-        self.nodes[idx].as_ref().expect("linked node must be live")
-    }
-
-    #[allow(
-        clippy::expect_used,
-        reason = "same linked-list integrity invariant as node()"
-    )]
-    fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
-        self.nodes[idx].as_mut().expect("linked node must be live")
+    pub fn contains(&self, key: u64) -> bool {
+        self.map.contains_key(&key)
     }
 
     fn unlink(&mut self, idx: usize) {
-        let (prev, next) = {
-            let n = self.node(idx);
-            (n.prev, n.next)
-        };
+        let Node { prev, next, .. } = self.nodes[idx];
         if prev != NIL {
-            self.node_mut(prev).next = next;
+            self.nodes[prev].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.node_mut(next).prev = prev;
+            self.nodes[next].prev = prev;
         } else {
             self.tail = prev;
         }
@@ -153,13 +163,10 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
 
     fn push_front(&mut self, idx: usize) {
         let old_head = self.head;
-        {
-            let n = self.node_mut(idx);
-            n.prev = NIL;
-            n.next = old_head;
-        }
+        self.nodes[idx].prev = NIL;
+        self.nodes[idx].next = old_head;
         if old_head != NIL {
-            self.node_mut(old_head).prev = idx;
+            self.nodes[old_head].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -176,33 +183,32 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         }
     }
 
-    /// Looks up `key`, promoting it to most-recently-used on hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        let idx = *self.map.get(key)?;
-        self.promote(idx);
-        Some(&self.node(idx).value)
+    /// Whether `key` is resident, promoting it to most-recently-used if so.
+    pub fn touch(&mut self, key: u64) -> bool {
+        match self.map.get(&key) {
+            Some(&idx) => {
+                self.promote(idx);
+                true
+            }
+            None => false,
+        }
     }
 
-    /// Looks up `key` without touching recency.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&idx| &self.node(idx).value)
-    }
-
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.map.remove(key)?;
+    /// Removes `key`; returns whether it was resident.
+    pub fn remove(&mut self, key: u64) -> bool {
+        let Some(idx) = self.map.remove(&key) else {
+            return false;
+        };
         self.unlink(idx);
-        #[allow(clippy::expect_used, reason = "the map only holds live indices")]
-        let node = self.nodes[idx].take().expect("mapped node must be live");
         self.free.push(idx);
-        Some(node.value)
+        true
     }
 
     /// Finds the least-recently-used non-pinned entry, if any.
     fn eviction_victim(&self) -> Option<usize> {
         let mut idx = self.tail;
         while idx != NIL {
-            let n = self.node(idx);
+            let n = &self.nodes[idx];
             if !n.pinned {
                 return Some(idx);
             }
@@ -211,49 +217,51 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         None
     }
 
-    /// Inserts `key → value`. An existing entry is updated in place
-    /// (retaining the stronger of the two pin flags). When the cache is
-    /// full, the LRU non-pinned entry is evicted; if every resident is
-    /// pinned, a non-pinned insert is rejected while a pinned insert is
-    /// stored over capacity.
-    pub fn insert(&mut self, key: K, value: V, pinned: bool) -> InsertOutcome {
-        if let Some(&idx) = self.map.get(&key) {
-            {
-                let n = self.node_mut(idx);
-                n.value = value;
-                n.pinned |= pinned;
+    /// Puts `node` in a free slot, or a new one.
+    fn alloc(&mut self, node: Node) -> usize {
+        match self.free.pop() {
+            Some(idx) => {
+                self.nodes[idx] = node;
+                idx
             }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        }
+    }
+
+    /// Inserts `key` as most-recently-used. A resident key is promoted
+    /// (retaining the stronger of the two pin flags). When the cache is
+    /// full, the LRU non-pinned entry is evicted and its node slot reused
+    /// in place; if every resident is pinned, a non-pinned insert is
+    /// rejected while a pinned insert is stored over capacity.
+    pub fn insert(&mut self, key: u64, pinned: bool) -> InsertOutcome {
+        if let Some(&idx) = self.map.get(&key) {
+            self.nodes[idx].pinned |= pinned;
             self.promote(idx);
             return InsertOutcome::Updated;
         }
-        let mut outcome = InsertOutcome::Stored;
-        if self.map.len() >= self.capacity {
-            match self.eviction_victim() {
-                Some(victim) => {
-                    let vkey = self.node(victim).key;
-                    self.remove(&vkey);
-                    self.evictions += 1;
-                    outcome = InsertOutcome::Evicted;
-                }
-                None if pinned => outcome = InsertOutcome::OverCapacity,
-                None => return InsertOutcome::Rejected,
-            }
-        }
         let node = Node {
             key,
-            value,
             pinned,
             prev: NIL,
             next: NIL,
         };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Some(node);
-                i
-            }
-            None => {
-                self.nodes.push(Some(node));
-                self.nodes.len() - 1
+        let (idx, outcome) = if self.map.len() < self.capacity {
+            (self.alloc(node), InsertOutcome::Stored)
+        } else {
+            match self.eviction_victim() {
+                Some(victim) => {
+                    let victim_key = self.nodes[victim].key;
+                    self.map.remove(&victim_key);
+                    self.unlink(victim);
+                    self.nodes[victim] = node;
+                    self.evictions += 1;
+                    (victim, InsertOutcome::Evicted(victim_key))
+                }
+                None if pinned => (self.alloc(node), InsertOutcome::OverCapacity),
+                None => return InsertOutcome::Rejected,
             }
         };
         self.map.insert(key, idx);
@@ -261,22 +269,16 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         outcome
     }
 
-    /// Iterates over resident keys in unspecified order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.map.keys()
-    }
-
     /// Removes every key for which `pred` returns true; returns how many
     /// were removed. Walks the recency list, unlinking as it goes, so it
     /// allocates nothing (zone reset calls it on every reset).
-    pub fn retain_not<F: FnMut(&K) -> bool>(&mut self, mut pred: F) -> usize {
+    pub fn retain_not<F: FnMut(u64) -> bool>(&mut self, mut pred: F) -> usize {
         let mut removed = 0;
         let mut idx = self.head;
         while idx != NIL {
-            let node = self.node(idx);
-            let (key, next) = (node.key, node.next);
-            if pred(&key) {
-                self.remove(&key);
+            let Node { key, next, .. } = self.nodes[idx];
+            if pred(key) {
+                self.remove(key);
                 removed += 1;
             }
             idx = next;
@@ -292,137 +294,162 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
         self.head = NIL;
         self.tail = NIL;
     }
+
+    /// Resident `(key, pinned)` pairs, most recently used first.
+    #[cfg(test)]
+    pub(crate) fn recency(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        let live = |idx: usize| (idx != NIL).then_some(idx);
+        std::iter::successors(live(self.head), move |&idx| live(self.nodes[idx].next))
+            .map(|idx| (self.nodes[idx].key, self.nodes[idx].pinned))
+    }
+}
+
+/// What the index hashes `key` to: the bucket comes from the low bits, the
+/// control tag from the top seven.
+#[cfg(test)]
+pub(crate) fn hash_of(key: u64) -> u64 {
+    use std::hash::BuildHasher;
+    BuildHasherDefault::<KeyHasher>::default().hash_one(key)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn order(c: &LruCache) -> Vec<u64> {
+        c.recency().map(|(k, _)| k).collect()
+    }
+
     #[test]
     fn lru_order_eviction() {
         let mut c = LruCache::new(3);
-        for (k, v) in [('a', 1), ('b', 2), ('c', 3)] {
-            assert_eq!(c.insert(k, v, false), InsertOutcome::Stored);
+        for k in [1, 2, 3] {
+            assert_eq!(c.insert(k, false), InsertOutcome::Stored);
         }
-        c.get(&'a');
-        assert_eq!(c.insert('d', 4, false), InsertOutcome::Evicted);
-        // 'b' was LRU after 'a' was touched.
-        assert!(!c.contains(&'b'));
-        assert!(c.contains(&'a') && c.contains(&'c') && c.contains(&'d'));
+        assert!(c.touch(1));
+        // 2 was LRU after 1 was touched.
+        assert_eq!(c.insert(4, false), InsertOutcome::Evicted(2));
+        assert!(!c.contains(2));
+        assert_eq!(order(&c), [4, 1, 3]);
         assert_eq!(c.evictions(), 1);
     }
 
     #[test]
     fn touching_the_head_keeps_the_order() {
         let mut c = LruCache::new(3);
-        for k in ['a', 'b', 'c'] {
-            c.insert(k, 0, false);
+        for k in [1, 2, 3] {
+            c.insert(k, false);
         }
-        // 'c' is already most recent: neither a get nor an update moves it.
-        assert_eq!(c.get(&'c'), Some(&0));
-        assert_eq!(c.insert('c', 1, false), InsertOutcome::Updated);
-        assert_eq!(c.get(&'c'), Some(&1));
-        c.insert('d', 0, false);
-        assert!(!c.contains(&'a'), "oldest goes first");
-        c.insert('e', 0, false);
-        assert!(!c.contains(&'b'));
-        c.insert('f', 0, false);
-        assert!(!c.contains(&'c'), "and the old head last");
+        // 3 is already most recent: neither a touch nor an update moves it.
+        assert!(c.touch(3));
+        assert_eq!(c.insert(3, false), InsertOutcome::Updated);
+        assert_eq!(order(&c), [3, 2, 1]);
+        assert_eq!(
+            c.insert(4, false),
+            InsertOutcome::Evicted(1),
+            "oldest first"
+        );
+        assert_eq!(c.insert(5, false), InsertOutcome::Evicted(2));
+        assert_eq!(
+            c.insert(6, false),
+            InsertOutcome::Evicted(3),
+            "old head last"
+        );
         // A single resident is head and tail at once.
         let mut one = LruCache::new(1);
-        one.insert('x', 0, false);
-        one.get(&'x');
-        assert_eq!(one.insert('y', 0, false), InsertOutcome::Evicted);
-        assert!(one.contains(&'y') && !one.contains(&'x'));
+        one.insert(7, false);
+        assert!(one.touch(7) && !one.touch(8));
+        assert_eq!(one.insert(8, false), InsertOutcome::Evicted(7));
+        assert_eq!(order(&one), [8]);
     }
 
     #[test]
     fn update_in_place_keeps_len() {
         let mut c = LruCache::new(2);
-        c.insert('a', 1, false);
-        assert_eq!(c.insert('a', 9, false), InsertOutcome::Updated);
+        c.insert(1, false);
+        assert_eq!(c.insert(1, false), InsertOutcome::Updated);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.peek(&'a'), Some(&9));
     }
 
     #[test]
     fn pinned_entries_survive_eviction() {
         let mut c = LruCache::new(2);
-        c.insert('p', 0, true);
-        c.insert('a', 1, false);
-        c.insert('b', 2, false); // evicts 'a', never 'p'
-        assert!(c.contains(&'p'));
-        assert!(!c.contains(&'a'));
-        assert!(c.contains(&'b'));
+        c.insert(9, true);
+        c.insert(1, false);
+        // Evicts 1, never the pinned 9 at the tail.
+        assert_eq!(c.insert(2, false), InsertOutcome::Evicted(1));
+        assert_eq!(order(&c), [2, 9]);
+        // An update keeps the stronger pin flag.
+        assert_eq!(c.insert(9, false), InsertOutcome::Updated);
+        assert_eq!(c.recency().next(), Some((9, true)));
     }
 
     #[test]
     fn all_pinned_rejects_unpinned_but_accepts_pinned() {
         let mut c = LruCache::new(2);
-        c.insert(1, (), true);
-        c.insert(2, (), true);
-        assert_eq!(c.insert(3, (), false), InsertOutcome::Rejected);
-        assert!(!c.contains(&3));
-        assert_eq!(c.insert(4, (), true), InsertOutcome::OverCapacity);
-        assert!(c.contains(&4));
+        c.insert(1, true);
+        c.insert(2, true);
+        assert_eq!(c.insert(3, false), InsertOutcome::Rejected);
+        assert!(!c.contains(3));
+        assert_eq!(c.insert(4, true), InsertOutcome::OverCapacity);
+        assert!(c.contains(4));
         assert_eq!(c.len(), 3); // over budget by one, visible to callers
     }
 
     #[test]
     fn remove_and_reuse_slots() {
         let mut c = LruCache::new(2);
-        c.insert('a', 1, false);
-        assert_eq!(c.remove(&'a'), Some(1));
-        assert_eq!(c.remove(&'a'), None);
-        c.insert('b', 2, false);
-        c.insert('c', 3, false);
+        c.insert(1, false);
+        assert!(c.remove(1));
+        assert!(!c.remove(1));
+        c.insert(2, false);
+        c.insert(3, false);
         assert_eq!(c.len(), 2);
+        assert_eq!(order(&c), [3, 2]);
     }
 
     #[test]
     fn retain_not_removes_matching() {
         let mut c = LruCache::new(10);
-        for i in 0..10 {
-            c.insert(i, i, false);
+        for k in 0..10 {
+            c.insert(k, false);
         }
-        let removed = c.retain_not(|k| *k % 2 == 0);
+        let removed = c.retain_not(|k| k % 2 == 0);
         assert_eq!(removed, 5);
-        assert_eq!(c.len(), 5);
-        assert!(c.contains(&1) && !c.contains(&2));
         // The tail (0), the head's neighbour (8) and middles were unlinked
         // mid-walk; the survivors keep their recency order, 1 now oldest.
+        assert_eq!(order(&c), [9, 7, 5, 3, 1]);
         for k in 10..15 {
-            assert_eq!(c.insert(k, k, false), InsertOutcome::Stored);
+            assert_eq!(c.insert(k, false), InsertOutcome::Stored);
         }
-        assert_eq!(c.insert(15, 15, false), InsertOutcome::Evicted);
-        assert!(!c.contains(&1) && c.contains(&3));
-        assert_eq!(c.insert(16, 16, false), InsertOutcome::Evicted);
-        assert!(!c.contains(&3) && c.contains(&5));
+        assert_eq!(c.insert(15, false), InsertOutcome::Evicted(1));
+        assert_eq!(c.insert(16, false), InsertOutcome::Evicted(3));
         // Removing everything, head included, leaves a usable cache.
         assert_eq!(c.retain_not(|_| true), 10);
         assert!(c.is_empty());
-        c.insert(4, 4, false);
-        assert_eq!(c.get(&4), Some(&4));
+        c.insert(4, false);
+        assert!(c.touch(4));
     }
 
     #[test]
     fn clear_empties() {
         let mut c = LruCache::new(4);
-        c.insert(1, 1, true);
+        c.insert(1, true);
         c.clear();
         assert!(c.is_empty());
-        c.insert(2, 2, false);
-        assert_eq!(c.len(), 1);
+        c.insert(2, false);
+        assert_eq!(order(&c), [2]);
     }
 
     #[test]
     fn heavy_churn_consistency() {
         let mut c = LruCache::new(64);
         for i in 0..10_000u64 {
-            c.insert(i % 257, i, false);
+            c.insert(i % 257, false);
             assert!(c.len() <= 64);
         }
-        // The most recent keys must be resident.
-        assert!(c.contains(&(9_999u64 % 257)));
+        // The most recent keys must be resident, in order.
+        let newest: Vec<u64> = (0..64).map(|back| (9_999 - back) % 257).collect();
+        assert_eq!(order(&c), newest);
     }
 }

@@ -5,53 +5,114 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use crate::{L2pCache, LookupResult, LruCache, MapBitmap, MappingTable};
+use crate::{InsertOutcome, L2pCache, LookupResult, LruCache, MapBitmap, MappingTable};
 use conzone_types::{Lpn, LpnRange, MapGranularity, Ppa, ZoneId};
 
 #[derive(Debug, Clone)]
 enum LruOp {
-    Insert(u16, u16),
-    Get(u16),
-    Remove(u16),
+    /// Insert a key, pinned or not.
+    Insert(u64, bool),
+    Touch(u64),
+    Remove(u64),
+    /// `retain_not` of the keys congruent to the first modulo the second.
+    RemoveClass(u64, u64),
+    Clear,
 }
 
 fn lru_ops() -> impl Strategy<Value = Vec<LruOp>> {
+    let key = || 0u64..64;
     prop::collection::vec(
         prop_oneof![
-            3 => (any::<u16>(), any::<u16>()).prop_map(|(k, v)| LruOp::Insert(k % 64, v)),
-            2 => any::<u16>().prop_map(|k| LruOp::Get(k % 64)),
-            1 => any::<u16>().prop_map(|k| LruOp::Remove(k % 64)),
+            // One insert in eight is pinned: enough to fill a small cache
+            // with pins (Rejected, OverCapacity), not so many that it
+            // always is.
+            24 => (key(), 0u8..8).prop_map(|(k, p)| LruOp::Insert(k, p == 0)),
+            16 => key().prop_map(LruOp::Touch),
+            8 => key().prop_map(LruOp::Remove),
+            3 => (key(), 2u64..6).prop_map(|(k, m)| LruOp::RemoveClass(k % m, m)),
+            1 => Just(LruOp::Clear),
         ],
         1..200,
     )
 }
 
-/// A straightforward reference LRU: Vec ordered most-recent-first.
+/// A straightforward reference pinned LRU: `(key, pinned)` in a Vec
+/// ordered most-recent-first.
 #[derive(Default)]
 struct RefLru {
-    entries: Vec<(u16, u16)>, // MRU at index 0
+    entries: Vec<(u64, bool)>,
     capacity: usize,
 }
 
 impl RefLru {
-    fn insert(&mut self, k: u16, v: u16) {
-        if let Some(pos) = self.entries.iter().position(|(ek, _)| *ek == k) {
-            self.entries.remove(pos);
-        } else if self.entries.len() == self.capacity {
-            self.entries.pop();
-        }
-        self.entries.insert(0, (k, v));
+    fn position(&self, k: u64) -> Option<usize> {
+        self.entries.iter().position(|&(ek, _)| ek == k)
     }
-    fn get(&mut self, k: u16) -> Option<u16> {
-        let pos = self.entries.iter().position(|(ek, _)| *ek == k)?;
+    fn insert(&mut self, k: u64, mut pinned: bool) -> InsertOutcome {
+        let mut outcome = InsertOutcome::Stored;
+        if let Some(pos) = self.position(k) {
+            pinned |= self.entries.remove(pos).1;
+            outcome = InsertOutcome::Updated;
+        } else if self.entries.len() >= self.capacity {
+            // The last unpinned entry is the victim.
+            match self.entries.iter().rposition(|&(_, p)| !p) {
+                Some(pos) => outcome = InsertOutcome::Evicted(self.entries.remove(pos).0),
+                None if pinned => outcome = InsertOutcome::OverCapacity,
+                None => return InsertOutcome::Rejected,
+            }
+        }
+        self.entries.insert(0, (k, pinned));
+        outcome
+    }
+    fn touch(&mut self, k: u64) -> bool {
+        let Some(pos) = self.position(k) else {
+            return false;
+        };
         let e = self.entries.remove(pos);
         self.entries.insert(0, e);
-        Some(e.1)
+        true
     }
-    fn remove(&mut self, k: u16) -> Option<u16> {
-        let pos = self.entries.iter().position(|(ek, _)| *ek == k)?;
-        Some(self.entries.remove(pos).1)
+    fn remove(&mut self, k: u64) -> bool {
+        self.position(k)
+            .map(|pos| self.entries.remove(pos))
+            .is_some()
     }
+}
+
+/// One step of the resident-count property, over 4 zones of 16 pages in
+/// chunks of 4.
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Insert(u64, MapGranularity, bool),
+    Lookup(u64),
+    InvalidatePage(u64),
+    InvalidateZone(u64),
+    Clear,
+}
+
+fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    let lpn = || 0u64..64;
+    // Mostly pages, so aggregated inserts find entries to evict; one
+    // aggregated insert in four is pinned.
+    let granularity = || {
+        prop_oneof![
+            5 => Just(MapGranularity::Page),
+            2 => Just(MapGranularity::Chunk),
+            1 => Just(MapGranularity::Zone),
+        ]
+    };
+    prop::collection::vec(
+        prop_oneof![
+            12 => (lpn(), granularity(), 0u8..4).prop_map(|(l, g, p)| {
+                CacheOp::Insert(l, g, p == 0 && g > MapGranularity::Page)
+            }),
+            12 => lpn().prop_map(CacheOp::Lookup),
+            4 => lpn().prop_map(CacheOp::InvalidatePage),
+            2 => lpn().prop_map(CacheOp::InvalidateZone),
+            1 => Just(CacheOp::Clear),
+        ],
+        1..150,
+    )
 }
 
 /// One step of the run-form ≡ per-page-loop property. Two zones of 32
@@ -163,30 +224,77 @@ proptest! {
         }
     }
 
-    /// Without pinning, `LruCache` behaves exactly like a textbook LRU.
+    /// `LruCache` behaves exactly like a textbook pinned LRU: the same
+    /// outcome and evicted key from every operation, and the same recency
+    /// order and pin flags after it.
     #[test]
     fn lru_matches_reference(ops in lru_ops(), cap in 1usize..16) {
         let mut real = LruCache::new(cap);
         let mut reference = RefLru { capacity: cap, ..Default::default() };
+        let mut evictions = 0;
         for op in ops {
             match op {
-                LruOp::Insert(k, v) => {
-                    real.insert(k, v, false);
-                    reference.insert(k, v);
+                LruOp::Insert(k, pinned) => {
+                    let outcome = reference.insert(k, pinned);
+                    prop_assert_eq!(real.insert(k, pinned), outcome, "{:?}", op);
+                    evictions += u64::from(matches!(outcome, InsertOutcome::Evicted(_)));
                 }
-                LruOp::Get(k) => {
-                    prop_assert_eq!(real.get(&k).copied(), reference.get(k), "get {}", k);
+                LruOp::Touch(k) => prop_assert_eq!(real.touch(k), reference.touch(k), "{:?}", op),
+                LruOp::Remove(k) => prop_assert_eq!(real.remove(k), reference.remove(k), "{:?}", op),
+                LruOp::RemoveClass(r, m) => {
+                    let before = reference.entries.len();
+                    reference.entries.retain(|&(k, _)| k % m != r);
+                    let removed = before - reference.entries.len();
+                    prop_assert_eq!(real.retain_not(|k| k % m == r), removed, "{:?}", op);
                 }
-                LruOp::Remove(k) => {
-                    prop_assert_eq!(real.remove(&k), reference.remove(k), "remove {}", k);
+                LruOp::Clear => {
+                    real.clear();
+                    reference.entries.clear();
                 }
             }
+            prop_assert_eq!(real.recency().collect::<Vec<_>>(), &reference.entries[..], "{:?}", op);
             prop_assert_eq!(real.len(), reference.entries.len());
-            prop_assert!(real.len() <= cap);
+            prop_assert_eq!(real.evictions(), evictions);
+            for k in 0..64 {
+                prop_assert_eq!(real.contains(k), reference.position(k).is_some());
+            }
         }
-        // Final residency agrees exactly.
-        for (k, v) in &reference.entries {
-            prop_assert_eq!(real.peek(k), Some(v));
+    }
+
+    /// `L2pCache::lookup` probes only granularities with residents; its
+    /// answer is the one all three probes give, and the counts it decides
+    /// by equal a recount of the entries — after evictions, covered-entry
+    /// removal, rejected and over-capacity inserts, invalidations and
+    /// `clear`. (Debug builds also assert inside `lookup` that a skipped
+    /// granularity holds no covering key.)
+    #[test]
+    fn lookup_skips_only_empty_granularities(ops in cache_ops(), cap in 1usize..12) {
+        let mut cache = L2pCache::new(cap, 4, 16);
+        for op in ops {
+            match op {
+                CacheOp::Insert(lpn, g, pinned) => {
+                    cache.insert(Lpn(lpn), g, pinned);
+                }
+                CacheOp::Lookup(lpn) => {
+                    let naive = cache.lookup_naive(Lpn(lpn));
+                    prop_assert_eq!(cache.covers(Lpn(lpn)), naive != LookupResult::Miss);
+                    prop_assert_eq!(cache.lookup(Lpn(lpn)), naive, "{:?}", op);
+                }
+                CacheOp::InvalidatePage(lpn) => {
+                    cache.invalidate_page(Lpn(lpn));
+                    prop_assert_eq!(cache.lookup_naive(Lpn(lpn)), LookupResult::Miss);
+                }
+                CacheOp::InvalidateZone(lpn) => {
+                    cache.invalidate_zone(Lpn(lpn));
+                    for l in lpn / 16 * 16..lpn / 16 * 16 + 16 {
+                        prop_assert_eq!(cache.lookup_naive(Lpn(l)), LookupResult::Miss);
+                    }
+                }
+                CacheOp::Clear => cache.clear(),
+            }
+            let (residents, recount) = cache.residents_and_recount();
+            prop_assert_eq!(residents, recount, "{:?}", op);
+            prop_assert_eq!(residents.iter().sum::<usize>(), cache.len());
         }
     }
 
@@ -194,10 +302,10 @@ proptest! {
     #[test]
     fn pinned_entries_survive(churn in prop::collection::vec(any::<u16>(), 1..300), cap in 2usize..16) {
         let mut cache = LruCache::new(cap);
-        cache.insert(u16::MAX, 1, true);
+        cache.insert(u64::MAX, true);
         for k in churn {
-            cache.insert(k % 1000, 0, false);
-            prop_assert!(cache.contains(&u16::MAX));
+            cache.insert(u64::from(k % 1000), false);
+            prop_assert!(cache.contains(u64::MAX));
         }
     }
 

@@ -93,7 +93,7 @@ pub struct LegacyDevice {
     flash: FlashArray,
     table: MappingTable,
     /// Page-granularity L2P cache (key = lpn).
-    cache: LruCache<u64, ()>,
+    cache: LruCache,
     /// Entries (the missed one plus the rest of its window) fetched per
     /// L2P miss. 1024 = the paper's 1023-entry prefetch window plus the
     /// missed entry, covering one 4 MiB chunk.
@@ -255,7 +255,7 @@ impl LegacyDevice {
     fn drop_cached(&mut self, range: LpnRange) {
         if !self.cache.is_empty() {
             for lpn in range.iter() {
-                self.cache.remove(&lpn.raw());
+                self.cache.remove(lpn.raw());
             }
         }
     }
@@ -562,7 +562,7 @@ impl LegacyDevice {
                 .table
                 .get(lpn)
                 .ok_or(DeviceError::UnwrittenRead { lpn })?;
-            if self.cache.get(&lpn.raw()).is_some() {
+            if self.cache.touch(lpn.raw()) {
                 self.counters.l2p_hits_page += 1;
                 self.probe.emit(
                     t_map,
@@ -594,7 +594,7 @@ impl LegacyDevice {
                     window_start..(window_start + self.prefetch_window).min(self.logical_slices)
                 {
                     if self.table.get(Lpn(w)).is_some() {
-                        self.cache.insert(w, (), false);
+                        self.cache.insert(w, false);
                     }
                 }
             }

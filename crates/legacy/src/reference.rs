@@ -29,7 +29,7 @@ pub(crate) struct ReferenceLegacy {
     cfg: DeviceConfig,
     flash: FlashArray,
     table: MappingTable,
-    cache: LruCache<u64, ()>,
+    cache: LruCache,
     prefetch_window: u64,
     pending: VecDeque<PendingSlice>,
     open_sb: Option<SuperblockId>,
@@ -96,7 +96,7 @@ impl ReferenceLegacy {
                 self.flash.invalidate(entry.ppa).map_err(internal)?;
                 self.owner.remove(&entry.ppa.raw());
                 self.table.unmap(lpn);
-                self.cache.remove(&lpn.raw());
+                self.cache.remove(lpn.raw());
             }
         }
         Ok(Completion {
@@ -240,7 +240,7 @@ impl ReferenceLegacy {
                 self.pending.push_back(PendingSlice { lpn, data });
                 self.table.unmap(lpn);
                 self.owner.remove(&ppa.raw());
-                self.cache.remove(&lpn.raw());
+                self.cache.remove(lpn.raw());
             }
             self.counters.gc_migrated_slices += ppas.len() as u64;
             while self.pending.len() >= self.unit_slices() {
@@ -265,7 +265,7 @@ impl ReferenceLegacy {
             let data = payload
                 .map(|p| p[i * SLICE_BYTES as usize..(i + 1) * SLICE_BYTES as usize].to_vec());
             self.pending.push_back(PendingSlice { lpn, data });
-            self.cache.remove(&lpn.raw());
+            self.cache.remove(lpn.raw());
             if self.pending.len() >= self.unit_slices() {
                 t = self.flush_unit(t)?;
             }
@@ -295,7 +295,7 @@ impl ReferenceLegacy {
                 .table
                 .get(lpn)
                 .ok_or(DeviceError::UnwrittenRead { lpn })?;
-            if self.cache.get(&lpn.raw()).is_some() {
+            if self.cache.touch(lpn.raw()) {
                 self.counters.l2p_hits_page += 1;
             } else {
                 self.counters.l2p_misses += 1;
@@ -313,7 +313,7 @@ impl ReferenceLegacy {
                     window_start..(window_start + self.prefetch_window).min(self.logical_slices)
                 {
                     if self.table.get(Lpn(w)).is_some() {
-                        self.cache.insert(w, (), false);
+                        self.cache.insert(w, false);
                     }
                 }
             }
