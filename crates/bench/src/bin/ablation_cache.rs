@@ -39,11 +39,15 @@ fn run(cache_bytes: u64, max_aggregation: MapGranularity) -> (f64, f64) {
 
 fn main() {
     let sizes = [1u64, 4, 12, 64, 256, 1024];
-    // Each sweep point builds an independent 1.5 GB device. As many
-    // workers as there are cores pull points off a shared index, so no
-    // more devices are alive at once than can make progress (one thread
-    // per point held six, the largest resident set of any figure binary);
-    // every row lands in its own slot, so the table keeps `sizes` order.
+    // Each sweep point builds two independent 1.5 GB devices, one after
+    // the other. As many workers as there are cores pull points off a
+    // shared index, so no more devices are alive at once than can make
+    // progress (one thread per point held six). A device's tables cost
+    // what it has written — 256 MiB here, a sixth of its logical space —
+    // and the larger points add L2P caches of up to 262 144 entries;
+    // with two workers this is still the largest resident set of the
+    // figure binaries, 23 MiB. Every row lands in its own slot, so the
+    // table keeps `sizes` order.
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(sizes.len()));
     let next = AtomicUsize::new(0);
     let mut rows: Vec<Vec<String>> = vec![Vec::new(); sizes.len()];

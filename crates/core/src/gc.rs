@@ -6,6 +6,7 @@
 //! entirely: a zone reset erases them directly and invalidates any zone
 //! data still lingering in SLC.
 
+use conzone_ftl::block_runs;
 use conzone_types::{
     ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, Ppa, SimTime, SpanKind, SuperblockId, ZoneId,
 };
@@ -98,8 +99,8 @@ impl ConZone {
         let mut lpns = std::mem::take(&mut self.scratch.gc_lpns);
         lpns.clear();
         for ppa in old_ppas {
-            match self.slc.owner.get(ppa) {
-                Some(&lpn) => lpns.push(lpn),
+            match self.slc.owner.get(*ppa) {
+                Some(lpn) => lpns.push(lpn),
                 None => {
                     self.scratch.gc_lpns = lpns;
                     return Err(DeviceError::Internal(format!(
@@ -186,20 +187,13 @@ impl ConZone {
     pub(crate) fn drop_gathered_slc_slices(&mut self) -> Result<(), DeviceError> {
         let spb = self.cfg.geometry.slices_per_block();
         let ppas = std::mem::take(&mut self.scratch.ppas);
-        let mut rest = &ppas[..];
         let mut outcome = Ok(());
-        while let Some(&first) = rest.first() {
-            let in_block = (spb - first.raw() % spb) as usize;
-            let n = 1
-                + (1..rest.len().min(in_block))
-                    .take_while(|&i| rest[i] == first.offset(i as u64))
-                    .count();
+        for (first, n) in block_runs(ppas.iter().copied().map(Some), spb) {
             if let Err(e) = self.flash.invalidate_run(first, n) {
                 outcome = Err(internal(e));
                 break;
             }
             self.slc.owner.remove_run(first, n);
-            rest = &rest[n..];
         }
         self.scratch.ppas = ppas;
         outcome
@@ -245,7 +239,7 @@ impl ConZone {
                 .non_canonical_ppas(LpnRange::new(zone_base, backing)),
         );
         let tail = LpnRange::new(zone_base.offset(backing), zs - backing);
-        doomed.extend(self.table.ppas(tail).iter().flatten());
+        doomed.extend(self.table.ppas(tail).flatten());
         #[cfg(any(test, debug_assertions))]
         self.debug_assert_reset_walk(zone_id);
         self.drop_gathered_slc_slices()?;

@@ -315,7 +315,7 @@ impl ConZone {
                         format!("zone {zidx}: staged {} at {} is unmapped", s.lpn, s.ppa),
                     ),
                 }
-                if self.slc.owner.get(&s.ppa) != Some(&s.lpn) {
+                if self.slc.owner.get(s.ppa) != Some(s.lpn) {
                     violation(
                         out,
                         InvariantKind::StagedRun,
@@ -389,7 +389,7 @@ impl ConZone {
                 let base = self.flash.block_base(chip, block);
                 for idx in self.flash.block(chip, block).iter_valid() {
                     let ppa = base.offset(idx as u64);
-                    if !self.slc.owner.contains_key(&ppa) {
+                    if !self.slc.owner.contains_key(ppa) {
                         violation(
                             out,
                             InvariantKind::OwnerMissing,
@@ -535,7 +535,7 @@ mod tests {
     fn valid_slice_without_owner_is_detected() {
         let mut dev = seeded();
         let (ppa, _) = dev.slc.owner.iter().next().expect("slc-resident slice");
-        dev.slc.owner.remove(&ppa);
+        dev.slc.owner.remove(ppa);
         let v = dev.check_invariants();
         assert!(
             kinds(&v).contains(&InvariantKind::OwnerMissing),
@@ -619,7 +619,7 @@ mod tests {
     fn debug_hook_panics_on_corruption() {
         let mut dev = seeded();
         let (ppa, _) = dev.slc.owner.iter().next().expect("slc-resident slice");
-        dev.slc.owner.remove(&ppa);
+        dev.slc.owner.remove(ppa);
         dev.debug_assert_invariants("in a corruption test");
     }
 }

@@ -92,7 +92,7 @@ impl ConZone {
                     let stop = stop.min(self.cache.span(lpn, g).1.raw());
                     let gathered = ppas.len();
                     let run = self.table.ppas(LpnRange::new(lpn, stop - at));
-                    ppas.extend(run.iter().map_while(|p| *p));
+                    ppas.extend(run.map_while(|ppa| ppa));
                     let n = (ppas.len() - gathered) as u64;
                     // An unmapped page is found only after its lookup.
                     let lookups = n.max(1);

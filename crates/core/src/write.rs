@@ -144,7 +144,7 @@ impl ConZone {
         // page, so its invalidation has no run form.)
         self.scratch.ppas.clear();
         for (lpn, slot) in range.iter().zip(self.table.ppas(range)) {
-            if let Some(ppa) = *slot {
+            if let Some(ppa) = slot {
                 self.scratch.ppas.push(ppa);
                 self.cache.invalidate_page(lpn);
             }

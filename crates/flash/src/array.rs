@@ -84,6 +84,10 @@ pub struct FlashArray {
     normal_cell: CellType,
     channel_bytes_per_sec: u64,
     model_channel_bandwidth: bool,
+    /// `slice_transfer[n]`: channel time of `n` slices, for every count a
+    /// flash page can hold — what each page read and SLC program moves —
+    /// so the 128-bit division of `for_transfer` is paid here, once.
+    slice_transfer: Vec<SimDuration>,
     /// Blocks in chip-major order: `blocks[chip * blocks_per_chip + block]`.
     blocks: Vec<Block>,
     /// One resource per plane (`chip * planes + block % planes`):
@@ -123,6 +127,9 @@ impl FlashArray {
             normal_cell: cfg.normal_cell,
             channel_bytes_per_sec: cfg.channel_bytes_per_sec,
             model_channel_bandwidth: cfg.model_channel_bandwidth,
+            slice_transfer: (0..=g.slices_per_page() as u64)
+                .map(|n| SimDuration::for_transfer(n * SLICE_BYTES, cfg.channel_bytes_per_sec))
+                .collect(),
             blocks,
             planes: ResourceBank::new(g.nplanes()),
             channels: ResourceBank::new(g.channels),
@@ -189,10 +196,13 @@ impl FlashArray {
     }
 
     fn transfer_time(&self, bytes: u64) -> SimDuration {
-        if self.model_channel_bandwidth {
-            SimDuration::for_transfer(bytes, self.channel_bytes_per_sec)
-        } else {
-            SimDuration::ZERO
+        if !self.model_channel_bandwidth {
+            return SimDuration::ZERO;
+        }
+        let slices = (bytes / SLICE_BYTES) as usize;
+        match self.slice_transfer.get(slices) {
+            Some(&time) if bytes.is_multiple_of(SLICE_BYTES) => time,
+            _ => SimDuration::for_transfer(bytes, self.channel_bytes_per_sec),
         }
     }
 
@@ -855,6 +865,32 @@ mod tests {
         assert_eq!(out.finish, expect);
         assert_eq!(out.slices, 16);
         assert_eq!(a.stats().program_bytes_tlc, 64 * 1024);
+    }
+
+    /// The precomputed slice transfer times are `for_transfer`'s, for both
+    /// presets' page sizes and a rate that does not divide evenly; any
+    /// other size still goes through `for_transfer`.
+    #[test]
+    fn transfer_time_equals_for_transfer() {
+        let odd_rate = DeviceConfig::builder(conzone_types::Geometry::tiny())
+            .chunk_bytes(256 * 1024)
+            .channel_bytes_per_sec(999_999_937)
+            .build()
+            .unwrap();
+        for cfg in [DeviceConfig::paper_evaluation(), odd_rate] {
+            let a = FlashArray::new(&cfg);
+            let page = cfg.geometry.page_bytes as u64;
+            let sizes = (0..=page + SLICE_BYTES)
+                .step_by(SLICE_BYTES as usize)
+                .chain([1, SLICE_BYTES - 1, SLICE_BYTES + 1, 96 * 1024, u64::MAX / 2]);
+            for bytes in sizes {
+                assert_eq!(
+                    a.transfer_time(bytes),
+                    SimDuration::for_transfer(bytes, cfg.channel_bytes_per_sec),
+                    "{bytes} bytes"
+                );
+            }
+        }
     }
 
     #[test]

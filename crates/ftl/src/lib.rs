@@ -48,7 +48,7 @@ pub use bitmap::MapBitmap;
 pub use cache::{L2pCache, LookupResult};
 pub use lru::{InsertOutcome, LruCache};
 pub use mapping::{MapEntry, MappingTable};
-pub use owner::{OwnerIter, OwnerMap};
+pub use owner::{block_runs, OwnerIter, OwnerMap};
 pub use strategy::{mapping_fetches, pins_aggregates, sram_overhead_bytes};
 
 #[cfg(test)]

@@ -27,8 +27,9 @@ pub struct MapEntry {
 /// the timed mapping fetches the device performs on L2P cache misses.
 #[derive(Debug)]
 pub struct MappingTable {
-    /// `ppas[lpn]` — physical address, or `None` while unmapped.
-    ppas: Vec<Option<Ppa>>,
+    /// `ppas[lpn]` — [`pack`]ed physical address, 0 while unmapped: the
+    /// paper's 4-byte entry, and a fresh table is untouched zero pages.
+    ppas: Vec<u32>,
     /// Two map bits + canonical flag per entry, packed into a byte.
     flags: Vec<u8>,
     chunk_slices: u64,
@@ -36,6 +37,34 @@ pub struct MappingTable {
 }
 
 const CANONICAL_FLAG: u8 = 0b100;
+
+/// Slot value of a mapped page: the address plus one, leaving 0 — what a
+/// lazily-zeroed allocation reads as — for "unmapped".
+#[inline]
+#[allow(
+    clippy::expect_used,
+    reason = "Geometry::validate bounds physical slices at MAX_SLICES, so every address of a built device fits"
+)]
+fn pack(ppa: Ppa) -> u32 {
+    let raw = u32::try_from(ppa.raw()).ok();
+    raw.and_then(|raw| raw.checked_add(1))
+        .expect("physical address beyond the 32-bit table entry")
+}
+
+/// Inverse of [`pack`]: `None` for the empty slot.
+#[inline]
+fn unpack(slot: u32) -> Option<Ppa> {
+    slot.checked_sub(1).map(|raw| Ppa(u64::from(raw)))
+}
+
+/// Points the slots of `run` at the physically consecutive slices from
+/// `first`.
+fn store_run(run: &mut [u32], first: Ppa) {
+    let packed = pack(first)..pack(first.offset(run.len() as u64));
+    for (slot, packed) in run.iter_mut().zip(packed) {
+        *slot = packed;
+    }
+}
 
 /// Flag byte of a freshly written page-granularity entry.
 fn page_flags(canonical: bool) -> u8 {
@@ -57,7 +86,7 @@ impl MappingTable {
             "chunks must tile zones exactly"
         );
         MappingTable {
-            ppas: vec![None; capacity_slices as usize],
+            ppas: vec![0; capacity_slices as usize],
             flags: vec![0; capacity_slices as usize],
             chunk_slices,
             zone_slices,
@@ -101,7 +130,7 @@ impl MappingTable {
     )]
     pub fn get(&self, lpn: Lpn) -> Option<MapEntry> {
         let idx = lpn.raw() as usize;
-        let ppa = (*self.ppas.get(idx)?)?;
+        let ppa = unpack(*self.ppas.get(idx)?)?;
         let flags = self.flags[idx];
         Some(MapEntry {
             ppa,
@@ -115,9 +144,10 @@ impl MappingTable {
     /// for an unmapped page; empty when `range` reaches past the table.
     /// Lets a caller that already knows one cache entry covers the range
     /// resolve it with a single bounds check.
-    pub fn ppas(&self, range: LpnRange) -> &[Option<Ppa>] {
+    pub fn ppas(&self, range: LpnRange) -> impl ExactSizeIterator<Item = Option<Ppa>> + '_ {
         let (lo, hi) = (range.start.raw() as usize, range.end().raw() as usize);
-        self.ppas.get(lo..hi).unwrap_or_default()
+        let run = self.ppas.get(lo..hi).unwrap_or_default();
+        run.iter().map(|slot| unpack(*slot))
     }
 
     /// Installs or updates one entry at page granularity. `canonical`
@@ -138,7 +168,7 @@ impl MappingTable {
         let idx = lpn.raw() as usize;
         assert!(idx < self.ppas.len(), "lpn {lpn} beyond capacity");
         self.demote_covering(idx);
-        self.ppas[idx] = Some(ppa);
+        self.ppas[idx] = pack(ppa);
         self.flags[idx] = page_flags(canonical);
     }
 
@@ -162,9 +192,7 @@ impl MappingTable {
                 self.demote_covering(idx);
             }
         }
-        for (slot, ppa) in self.ppas[lo..hi].iter_mut().zip(first.raw()..) {
-            *slot = Some(Ppa(ppa));
-        }
+        store_run(&mut self.ppas[lo..hi], first);
         self.flags[lo..hi].fill(page_flags(canonical));
     }
 
@@ -202,12 +230,10 @@ impl MappingTable {
         let (lo, hi) = (start.raw() as usize, (start.raw() + count) as usize);
         let run = self.ppas.get_mut(lo..hi).unwrap_or_default();
         assert!(
-            run.len() == hi - lo && run.iter().all(Option::is_some),
+            run.len() == hi - lo && !run.contains(&0),
             "relocating unmapped lpn in {start}+{count}"
         );
-        for (slot, ppa) in run.iter_mut().zip(first.raw()..) {
-            *slot = Some(Ppa(ppa));
-        }
+        store_run(run, first);
     }
 
     /// Physical addresses of the mapped pages of `range` whose data is
@@ -220,7 +246,7 @@ impl MappingTable {
             .iter()
             .zip(&self.flags[lo..hi])
             .filter(|(_, flags)| **flags & CANONICAL_FLAG == 0)
-            .filter_map(|(ppa, _)| *ppa)
+            .filter_map(|(slot, _)| unpack(*slot))
     }
 
     /// Unmaps one entry (host overwrote or the zone was reset). Like
@@ -230,7 +256,7 @@ impl MappingTable {
         let idx = lpn.raw() as usize;
         if idx < self.ppas.len() {
             self.demote_covering(idx);
-            self.ppas[idx] = None;
+            self.ppas[idx] = 0;
             self.flags[idx] = 0;
         }
     }
@@ -247,7 +273,7 @@ impl MappingTable {
                 self.demote_covering(idx);
             }
         }
-        self.ppas[lo..hi].fill(None);
+        self.ppas[lo..hi].fill(0);
         self.flags[lo..hi].fill(0);
     }
 
@@ -257,7 +283,7 @@ impl MappingTable {
     pub fn unmap_zone(&mut self, zone: ZoneId) {
         let lo = (zone.raw() * self.zone_slices).min(self.capacity()) as usize;
         let hi = (lo as u64 + self.zone_slices).min(self.capacity()) as usize;
-        self.ppas[lo..hi].fill(None);
+        self.ppas[lo..hi].fill(0);
         self.flags[lo..hi].fill(0);
     }
 
@@ -270,7 +296,7 @@ impl MappingTable {
             .flags
             .get(lo..hi)
             .is_some_and(|flags| flags.iter().all(|f| f & CANONICAL_FLAG != 0));
-        debug_assert!(!canonical || self.ppas[lo..hi].iter().all(Option::is_some));
+        debug_assert!(!canonical || !self.ppas[lo..hi].contains(&0));
         canonical
     }
 
@@ -328,7 +354,7 @@ impl MappingTable {
 
     /// Number of mapped entries (for tests and reports).
     pub fn mapped_count(&self) -> u64 {
-        self.ppas.iter().filter(|p| p.is_some()).count() as u64
+        self.ppas.iter().filter(|slot| **slot != 0).count() as u64
     }
 
     /// Mapped slices inside one zone — the utilization column of the
@@ -338,7 +364,7 @@ impl MappingTable {
         let end = (start + self.zone_slices).min(self.ppas.len() as u64);
         self.ppas[start as usize..end as usize]
             .iter()
-            .filter(|p| p.is_some())
+            .filter(|slot| **slot != 0)
             .count() as u64
     }
 
@@ -445,12 +471,12 @@ mod tests {
         for i in [3, 4, 6] {
             t.set(Lpn(i), Ppa(70 + i), true);
         }
-        let run = t.ppas(LpnRange::new(Lpn(3), 4));
+        let run: Vec<Option<Ppa>> = t.ppas(LpnRange::new(Lpn(3), 4)).collect();
         let each: Vec<Option<Ppa>> = (3..7).map(|i| t.get(Lpn(i)).map(|e| e.ppa)).collect();
         assert_eq!(run, each);
         assert_eq!(run[2], None);
         // Past the table there is nothing to resolve.
-        assert!(t.ppas(LpnRange::new(Lpn(30), 3)).is_empty());
+        assert_eq!(t.ppas(LpnRange::new(Lpn(30), 3)).len(), 0);
         assert_eq!(t.ppas(LpnRange::new(Lpn(30), 2)).len(), 2);
     }
 

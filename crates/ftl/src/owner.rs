@@ -30,8 +30,10 @@ use conzone_types::{Geometry, Lpn, Ppa};
 /// operation; iteration merges the two streams in `Ppa` order.
 #[derive(Debug)]
 pub struct OwnerMap {
-    /// Owner slots for the region, indexed by dense slice index.
-    slots: Vec<Option<Lpn>>,
+    /// Owner slots for the region, indexed by dense slice index: the
+    /// [`pack`]ed logical page, 0 while free — four bytes a slice, and a
+    /// fresh map is untouched zero pages.
+    slots: Vec<u32>,
     /// Live entries in `slots` (kept incrementally; `len()` is O(1)).
     dense_len: usize,
     /// Raw-address span of one chip: `blocks_per_chip * slices_per_block`.
@@ -46,6 +48,25 @@ pub struct OwnerMap {
     overflow: BTreeMap<Ppa, Lpn>,
 }
 
+/// Slot value of an owned slice: the page number plus one, leaving 0 —
+/// what a lazily-zeroed allocation reads as — for "free".
+#[inline]
+#[allow(
+    clippy::expect_used,
+    reason = "DeviceConfig::build bounds padded logical slices at MAX_SLICES, so every page of a built device fits"
+)]
+fn pack(lpn: Lpn) -> u32 {
+    let raw = u32::try_from(lpn.raw()).ok();
+    raw.and_then(|raw| raw.checked_add(1))
+        .expect("logical page beyond the 32-bit owner slot")
+}
+
+/// Inverse of [`pack`]: `None` for the free slot.
+#[inline]
+fn unpack(slot: u32) -> Option<Lpn> {
+    slot.checked_sub(1).map(|raw| Lpn(u64::from(raw)))
+}
+
 impl OwnerMap {
     /// An empty map, dense over `blocks` of every chip of `geometry`.
     pub fn new(geometry: &Geometry, blocks: Range<usize>) -> OwnerMap {
@@ -53,7 +74,7 @@ impl OwnerMap {
         let region_blocks = blocks.len();
         let slots = geometry.nchips() * region_blocks * block_span as usize;
         OwnerMap {
-            slots: vec![None; slots],
+            slots: vec![0; slots],
             dense_len: 0,
             chip_span: geometry.blocks_per_chip as u64 * block_span,
             block_span,
@@ -95,10 +116,8 @@ impl OwnerMap {
     pub fn insert(&mut self, ppa: Ppa, lpn: Lpn) -> Option<Lpn> {
         match self.dense_index(ppa) {
             Some(i) => {
-                let prev = self.slots[i].replace(lpn);
-                if prev.is_none() {
-                    self.dense_len += 1;
-                }
+                let prev = unpack(std::mem::replace(&mut self.slots[i], pack(lpn)));
+                self.dense_len += usize::from(prev.is_none());
                 prev
             }
             None => self.overflow.insert(ppa, lpn),
@@ -106,16 +125,14 @@ impl OwnerMap {
     }
 
     /// Forgets the owner of `ppa`, returning it.
-    pub fn remove(&mut self, ppa: &Ppa) -> Option<Lpn> {
-        match self.dense_index(*ppa) {
+    pub fn remove(&mut self, ppa: Ppa) -> Option<Lpn> {
+        match self.dense_index(ppa) {
             Some(i) => {
-                let prev = self.slots[i].take();
-                if prev.is_some() {
-                    self.dense_len -= 1;
-                }
+                let prev = unpack(std::mem::take(&mut self.slots[i]));
+                self.dense_len -= usize::from(prev.is_some());
                 prev
             }
-            None => self.overflow.remove(ppa),
+            None => self.overflow.remove(&ppa),
         }
     }
 
@@ -124,7 +141,7 @@ impl OwnerMap {
     /// where consecutive addresses are consecutive slots, found with a
     /// single index computation. `None` for a run that leaves the block or
     /// the region; the callers then go slice by slice.
-    fn run_slots(&mut self, first: Ppa, count: usize) -> Option<&mut [Option<Lpn>]> {
+    fn run_slots(&mut self, first: Ppa, count: usize) -> Option<&mut [u32]> {
         let i = self.dense_index(first)?;
         let in_block = i % self.block_span as usize;
         (in_block + count <= self.block_span as usize).then(|| &mut self.slots[i..i + count])
@@ -136,8 +153,10 @@ impl OwnerMap {
         match self.run_slots(first, count) {
             Some(slots) => {
                 let mut fresh = 0;
-                for (slot, lpn) in slots.iter_mut().zip(start.raw()..) {
-                    fresh += usize::from(slot.replace(Lpn(lpn)).is_none());
+                let owners = pack(start)..pack(start.offset(count as u64));
+                for (slot, owner) in slots.iter_mut().zip(owners) {
+                    fresh += usize::from(*slot == 0);
+                    *slot = owner;
                 }
                 self.dense_len += fresh;
             }
@@ -153,30 +172,28 @@ impl OwnerMap {
     pub fn remove_run(&mut self, first: Ppa, count: usize) {
         match self.run_slots(first, count) {
             Some(slots) => {
-                let mut live = 0;
-                for slot in slots {
-                    live += usize::from(slot.take().is_some());
-                }
+                let live = slots.iter().filter(|slot| **slot != 0).count();
+                slots.fill(0);
                 self.dense_len -= live;
             }
             None => {
                 for i in 0..count as u64 {
-                    self.remove(&first.offset(i));
+                    self.remove(first.offset(i));
                 }
             }
         }
     }
 
     /// The owner of `ppa`, if recorded.
-    pub fn get(&self, ppa: &Ppa) -> Option<&Lpn> {
-        match self.dense_index(*ppa) {
-            Some(i) => self.slots[i].as_ref(),
-            None => self.overflow.get(ppa),
+    pub fn get(&self, ppa: Ppa) -> Option<Lpn> {
+        match self.dense_index(ppa) {
+            Some(i) => unpack(self.slots[i]),
+            None => self.overflow.get(&ppa).copied(),
         }
     }
 
     /// Whether `ppa` has a recorded owner.
-    pub fn contains_key(&self, ppa: &Ppa) -> bool {
+    pub fn contains_key(&self, ppa: Ppa) -> bool {
         self.get(ppa).is_some()
     }
 
@@ -201,6 +218,26 @@ impl OwnerMap {
     }
 }
 
+/// Splits a stream of physical addresses (`None`: a gap, such as an
+/// unmapped page) into `(first, len)` runs of consecutive slices that
+/// stay inside one block — what [`OwnerMap::remove_run`] and the flash
+/// array's `invalidate_run` take — in stream order. A gap ends a run.
+pub fn block_runs(
+    ppas: impl IntoIterator<Item = Option<Ppa>>,
+    slices_per_block: u64,
+) -> impl Iterator<Item = (Ppa, usize)> {
+    let mut ppas = ppas.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let first = ppas.find_map(|ppa| ppa)?;
+        let in_block = slices_per_block - first.raw() % slices_per_block;
+        let mut len = 1;
+        while len < in_block && ppas.next_if_eq(&Some(first.offset(len))).is_some() {
+            len += 1;
+        }
+        Some((first, len as usize))
+    })
+}
+
 /// Merged in-order iterator over [`OwnerMap`]; yields pairs by value.
 #[derive(Debug)]
 pub struct OwnerIter<'a> {
@@ -213,7 +250,7 @@ impl Iterator for OwnerIter<'_> {
     type Item = (Ppa, Lpn);
 
     fn next(&mut self) -> Option<(Ppa, Lpn)> {
-        while self.next_dense < self.map.slots.len() && self.map.slots[self.next_dense].is_none() {
+        while self.next_dense < self.map.slots.len() && self.map.slots[self.next_dense] == 0 {
             self.next_dense += 1;
         }
         let dense =
@@ -224,7 +261,7 @@ impl Iterator for OwnerIter<'_> {
                 Some((*ppa, *lpn))
             }
             (Some(dp), _) => {
-                let lpn = self.map.slots[self.next_dense]?;
+                let lpn = unpack(self.map.slots[self.next_dense])?;
                 self.next_dense += 1;
                 Some((dp, lpn))
             }
@@ -285,8 +322,8 @@ mod tests {
 
             assert_eq!(dense.len(), reference.len());
             assert!(!dense.is_empty());
-            assert!(dense.contains_key(&outside));
-            assert_eq!(dense.get(&Ppa(base + spb)), Some(&Lpn(2)));
+            assert!(dense.contains_key(outside));
+            assert_eq!(dense.get(Ppa(base + spb)), Some(Lpn(2)));
 
             // Update in place keeps the length.
             assert_eq!(dense.insert(Ppa(base), Lpn(7)), Some(Lpn(0)));
@@ -299,12 +336,121 @@ mod tests {
             let want: Vec<(Ppa, Lpn)> = reference.iter().map(|(p, l)| (*p, *l)).collect();
             assert_eq!(got, want);
 
-            assert_eq!(dense.remove(&Ppa(base + spb)), Some(Lpn(2)));
-            assert_eq!(dense.remove(&Ppa(base + spb)), None);
+            assert_eq!(dense.remove(Ppa(base + spb)), Some(Lpn(2)));
+            assert_eq!(dense.remove(Ppa(base + spb)), None);
             reference.remove(&Ppa(base + spb));
             assert_eq!(dense.len(), reference.len());
-            assert_eq!(dense.get(&Ppa(base + spb)), None);
+            assert_eq!(dense.get(Ppa(base + spb)), None);
         }
+    }
+
+    /// Runs stop at a gap, at a jump, at a step backwards and at the end
+    /// of the block they started in (8 slices a block here).
+    #[test]
+    fn block_runs_clip_at_block_boundaries_and_gaps() {
+        let gap = u64::MAX;
+        let runs = |raws: &[u64]| {
+            let ppas = raws.iter().map(|&r| (r != gap).then_some(Ppa(r)));
+            block_runs(ppas, 8).collect::<Vec<_>>()
+        };
+        assert_eq!(runs(&[]), []);
+        assert_eq!(runs(&[gap, gap]), []);
+        assert_eq!(runs(&[3, 4, 5]), [(Ppa(3), 3)]);
+        // 6..=9 crosses from block 0 into block 1.
+        assert_eq!(runs(&[6, 7, 8, 9]), [(Ppa(6), 2), (Ppa(8), 2)]);
+        // A whole block, and not a slice of the next.
+        let two_blocks: Vec<u64> = (8..24).collect();
+        assert_eq!(runs(&two_blocks), [(Ppa(8), 8), (Ppa(16), 8)]);
+        // A gap splits slices that are consecutive on flash.
+        assert_eq!(runs(&[gap, 1, gap, 2, 3]), [(Ppa(1), 1), (Ppa(2), 2)]);
+        assert_eq!(
+            runs(&[1, 2, 4, 3, 3, 12, 13]),
+            [
+                (Ppa(1), 2),
+                (Ppa(4), 1),
+                (Ppa(3), 1),
+                (Ppa(3), 1),
+                (Ppa(12), 2)
+            ]
+        );
+    }
+
+    /// Both packed tables at the ends of their encoding: address 0 is not
+    /// the empty entry, the largest address `build()` lets through
+    /// round-trips (alone and as the end of a run), and a geometry or a
+    /// padded logical space one slice larger is a `ConfigError`.
+    #[test]
+    fn packed_entries_cover_exactly_the_validated_address_space() {
+        use crate::MappingTable;
+        use conzone_types::{DeviceConfig, LpnRange, MAX_SLICES};
+
+        let last = MAX_SLICES - 1;
+        let mut table = MappingTable::new(8, 4, 8);
+        table.set(Lpn(0), Ppa(0), true);
+        assert_eq!(table.get(Lpn(0)).map(|e| e.ppa), Some(Ppa(0)));
+        assert_eq!(table.get(Lpn(1)), None);
+        table.set(Lpn(1), Ppa(last), true);
+        table.set_extent(Lpn(2), Ppa(last - 1), 2, false);
+        table.relocate_extent(Lpn(0), Ppa(last), 1);
+        let ppas: Vec<_> = table.ppas(LpnRange::new(Lpn(0), 5)).collect();
+        let (hi, lo) = (Some(Ppa(last)), Some(Ppa(last - 1)));
+        assert_eq!(ppas, [hi, hi, lo, hi, None]);
+        assert_eq!(table.mapped_count(), 4);
+
+        let g = Geometry::tiny();
+        let mut owners = OwnerMap::new(&g, 0..g.slc_blocks_per_chip);
+        assert_eq!(owners.insert(Ppa(0), Lpn(0)), None);
+        assert_eq!(owners.get(Ppa(0)), Some(Lpn(0)));
+        assert_eq!(owners.get(Ppa(1)), None);
+        assert_eq!(owners.insert(Ppa(0), Lpn(last)), Some(Lpn(0)));
+        owners.insert_run(Ppa(1), Lpn(last - 1), 2);
+        assert_eq!(
+            owners.iter().collect::<Vec<_>>(),
+            [
+                (Ppa(0), Lpn(last)),
+                (Ppa(1), Lpn(last - 1)),
+                (Ppa(2), Lpn(last))
+            ]
+        );
+        assert_eq!(owners.remove(Ppa(2)), Some(Lpn(last)));
+        assert_eq!(owners.len(), 2);
+
+        // 2 chips x (2^31 - 1) one-slice blocks: MAX_SLICES exactly.
+        let largest = Geometry {
+            channels: 2,
+            chips_per_channel: 1,
+            blocks_per_chip: (1 << 31) - 1,
+            slc_blocks_per_chip: 1,
+            pages_per_block: 1,
+            page_bytes: 4096,
+            program_unit_bytes: 4096,
+            planes_per_chip: 1,
+        };
+        assert_eq!(largest.total_slices(), MAX_SLICES);
+        let build = |g: Geometry| DeviceConfig::builder(g).chunk_bytes(4096).build();
+        assert!(build(largest).is_ok());
+        // 3 x 5 x 286 331 153 = 2^32 - 1 slices: one too many.
+        let physical = build(Geometry {
+            channels: 3,
+            chips_per_channel: 5,
+            blocks_per_chip: 286_331_153,
+            ..largest
+        });
+        assert!(physical.unwrap_err().to_string().contains("physical"));
+        // Factors whose product does not fit in 64 bits.
+        let huge = build(Geometry {
+            channels: usize::MAX,
+            blocks_per_chip: usize::MAX,
+            ..largest
+        });
+        assert!(huge.unwrap_err().to_string().contains("physical"));
+        // 3.6 G physical slices, but zones of 3 padded to 4: 4.8 G logical.
+        let logical = build(Geometry {
+            channels: 3,
+            blocks_per_chip: 1_200_000_000,
+            ..largest
+        });
+        assert!(logical.unwrap_err().to_string().contains("logical"));
     }
 
     /// The run forms against the per-slice calls they replace: inside a
@@ -343,7 +489,7 @@ mod tests {
                 }
                 same(&bulk, &looped);
             }
-            assert_eq!(bulk.get(&Ppa(base + 5)), Some(&Lpn(100)), "later run won");
+            assert_eq!(bulk.get(Ppa(base + 5)), Some(Lpn(100)), "later run won");
             for &(first, count) in &[
                 (Ppa(base + 4), 3usize),
                 (Ppa(base + spb - 1), 2),
@@ -351,7 +497,7 @@ mod tests {
             ] {
                 bulk.remove_run(first, count);
                 for i in 0..count as u64 {
-                    looped.remove(&first.offset(i));
+                    looped.remove(first.offset(i));
                 }
                 same(&bulk, &looped);
             }

@@ -1,12 +1,13 @@
 //! Property-based tests: the pinned-LRU cache against a reference model,
-//! and mapping-table aggregation invariants.
+//! the packed mapping table and owner map against plain `Option` / map
+//! models, and mapping-table aggregation invariants.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use crate::{InsertOutcome, L2pCache, LookupResult, LruCache, MapBitmap, MappingTable};
-use conzone_types::{Lpn, LpnRange, MapGranularity, Ppa, ZoneId};
+use crate::{InsertOutcome, L2pCache, LookupResult, LruCache, MapBitmap, MappingTable, OwnerMap};
+use conzone_types::{Geometry, Lpn, LpnRange, MapGranularity, Ppa, ZoneId, MAX_SLICES};
 
 #[derive(Debug, Clone)]
 enum LruOp {
@@ -150,6 +151,44 @@ fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
     )
 }
 
+/// One step of the owner-map ≡ `BTreeMap` property.
+#[derive(Debug, Clone)]
+enum OwnerOp {
+    Insert(Ppa, Lpn),
+    Remove(Ppa),
+    /// `n` slices from the address, owned by the pages from the `Lpn`.
+    InsertRun(Ppa, Lpn, usize),
+    RemoveRun(Ppa, usize),
+}
+
+/// Over `Geometry::tiny()`'s SLC region (blocks 0..4 of 4 chips, 64 slices
+/// a block): addresses in the first six blocks of every chip, so some lie
+/// outside the region, and runs long enough to leave a block, the region
+/// and the chip. One page in eight sits at the top of the encoding.
+fn owner_ops() -> impl Strategy<Value = Vec<OwnerOp>> {
+    let g = Geometry::tiny();
+    let (spb, chip_span) = (
+        g.slices_per_block(),
+        g.blocks_per_chip as u64 * g.slices_per_block(),
+    );
+    let ppa = move || (0u64..4, 0..6 * spb).prop_map(move |(chip, at)| Ppa(chip * chip_span + at));
+    let lpn = || {
+        prop_oneof![
+            7 => (0u64..500).prop_map(Lpn),
+            1 => (0u64..100).prop_map(|below| Lpn(MAX_SLICES - 100 - below)),
+        ]
+    };
+    prop::collection::vec(
+        prop_oneof![
+            3 => (ppa(), lpn()).prop_map(|(p, l)| OwnerOp::Insert(p, l)),
+            2 => ppa().prop_map(OwnerOp::Remove),
+            4 => (ppa(), lpn(), 0usize..100).prop_map(|(p, l, n)| OwnerOp::InsertRun(p, l, n)),
+            3 => (ppa(), 0usize..100).prop_map(|(p, n)| OwnerOp::RemoveRun(p, n)),
+        ],
+        1..60,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
@@ -159,12 +198,18 @@ proptest! {
     /// what the loop demoted), `relocate_extent` ≡ n × `relocate`,
     /// `unmap_extent` and `unmap_zone` ≡ the `unmap` loop — on aggregated
     /// zones, past the table and on the clipped last zone — and
-    /// `non_canonical_ppas` ≡ a filter over `get`.
+    /// `non_canonical_ppas` ≡ a filter over `get`. Both are the packed
+    /// table; `plain` is the `Vec<Option<Ppa>>` it replaced, and after
+    /// every step `ppas(range)`, per-page `get` and `mapped_count` must
+    /// read the same from it (physical addresses start at 0, the one the
+    /// packing has to tell from "unmapped").
     #[test]
     fn run_forms_equal_the_per_page_loops(ops in table_ops()) {
         let mut bulk = MappingTable::new(TABLE_PAGES, 8, 32);
         let mut looped = MappingTable::new(TABLE_PAGES, 8, 32);
-        let mut next_ppa = 1000;
+        let mut plain: Vec<Option<Ppa>> = vec![None; TABLE_PAGES as usize];
+        let plain_run = |lpn: u64, n: u64| lpn as usize..((lpn + n).min(TABLE_PAGES)) as usize;
+        let mut next_ppa = 0;
         for op in ops {
             match op {
                 TableOp::Set(lpn, n, canonical) => {
@@ -172,6 +217,7 @@ proptest! {
                     bulk.set_extent(Lpn(lpn), Ppa(next_ppa), n, canonical);
                     for i in 0..n {
                         looped.set(Lpn(lpn + i), Ppa(next_ppa + i), canonical);
+                        plain[(lpn + i) as usize] = Some(Ppa(next_ppa + i));
                     }
                     next_ppa += n;
                 }
@@ -187,6 +233,7 @@ proptest! {
                         bulk.relocate_extent(Lpn(lpn), Ppa(next_ppa), n);
                         for i in 0..n {
                             looped.relocate(Lpn(lpn + i), Ppa(next_ppa + i));
+                            plain[(lpn + i) as usize] = Some(Ppa(next_ppa + i));
                         }
                         next_ppa += n;
                     }
@@ -194,23 +241,38 @@ proptest! {
                 TableOp::Unmap(lpn) => {
                     bulk.unmap(Lpn(lpn));
                     looped.unmap(Lpn(lpn));
+                    plain[lpn as usize] = None;
                 }
                 TableOp::UnmapRun(lpn, n) => {
                     bulk.unmap_extent(Lpn(lpn), n);
                     for i in 0..n {
                         looped.unmap(Lpn(lpn + i));
                     }
+                    plain[plain_run(lpn, n)].fill(None);
                 }
                 TableOp::UnmapZone(zone) => {
                     bulk.unmap_zone(ZoneId(zone));
                     for lpn in (zone * 32..zone * 32 + 32).filter(|&l| l < TABLE_PAGES) {
                         looped.unmap(Lpn(lpn));
                     }
+                    plain[plain_run(zone * 32, 32)].fill(None);
                 }
             }
             for lpn in (0..TABLE_PAGES).map(Lpn) {
                 prop_assert_eq!(bulk.get(lpn), looped.get(lpn), "{} after {:?}", lpn, op);
+                prop_assert_eq!(bulk.get(lpn).map(|e| e.ppa), plain[lpn.raw() as usize]);
             }
+            let mapped = plain.iter().flatten().count() as u64;
+            prop_assert_eq!(bulk.mapped_count(), mapped, "after {:?}", op);
+            prop_assert_eq!(
+                (0..3).map(|z| bulk.zone_mapped_slices(ZoneId(z))).sum::<u64>(),
+                mapped
+            );
+            for (start, count) in [(0, TABLE_PAGES), (5, 30), (64, 6)] {
+                let view: Vec<_> = bulk.ppas(LpnRange::new(Lpn(start), count)).collect();
+                prop_assert_eq!(&view[..], &plain[plain_run(start, count)], "after {:?}", op);
+            }
+            prop_assert_eq!(bulk.ppas(LpnRange::new(Lpn(64), 20)).len(), 0);
         }
         for (start, count) in [(0, TABLE_PAGES), (5, 30), (64, 20), (80, 4)] {
             let range = LpnRange::new(Lpn(start), count);
@@ -221,6 +283,49 @@ proptest! {
                 .map(|e| e.ppa)
                 .collect();
             prop_assert_eq!(bulk.non_canonical_ppas(range).collect::<Vec<_>>(), filtered);
+        }
+    }
+
+    /// The packed `OwnerMap` against the `BTreeMap<Ppa, Lpn>` it replaced:
+    /// every call returns what the map returns, the run forms are its
+    /// per-slice loops, and after every step `len` and the ascending-`Ppa`
+    /// iteration — dense region and overflow merged — are the map's.
+    #[test]
+    fn owner_map_matches_a_btreemap(ops in owner_ops()) {
+        let g = Geometry::tiny();
+        let mut packed = OwnerMap::new(&g, 0..g.slc_blocks_per_chip);
+        let mut plain: BTreeMap<Ppa, Lpn> = BTreeMap::new();
+        for op in ops {
+            match op {
+                OwnerOp::Insert(ppa, lpn) => {
+                    prop_assert_eq!(packed.insert(ppa, lpn), plain.insert(ppa, lpn), "{:?}", op);
+                }
+                OwnerOp::Remove(ppa) => {
+                    prop_assert_eq!(packed.remove(ppa), plain.remove(&ppa), "{:?}", op);
+                }
+                OwnerOp::InsertRun(first, start, n) => {
+                    packed.insert_run(first, start, n);
+                    for i in 0..n as u64 {
+                        plain.insert(first.offset(i), start.offset(i));
+                    }
+                    for i in 0..n as u64 {
+                        let ppa = first.offset(i);
+                        prop_assert_eq!(packed.get(ppa), Some(start.offset(i)), "{:?}", op);
+                        prop_assert!(packed.contains_key(ppa));
+                    }
+                }
+                OwnerOp::RemoveRun(first, n) => {
+                    packed.remove_run(first, n);
+                    for i in 0..n as u64 {
+                        plain.remove(&first.offset(i));
+                        prop_assert_eq!(packed.get(first.offset(i)), None, "{:?}", op);
+                    }
+                }
+            }
+            prop_assert_eq!(packed.len(), plain.len(), "{:?}", op);
+            prop_assert_eq!(packed.is_empty(), plain.is_empty());
+            let entries: Vec<(Ppa, Lpn)> = plain.iter().map(|(p, l)| (*p, *l)).collect();
+            prop_assert_eq!(packed.iter().collect::<Vec<_>>(), entries, "{:?}", op);
         }
     }
 

@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use conzone_flash::{FlashArray, FlashError};
-use conzone_ftl::{LruCache, MappingTable, OwnerMap};
+use conzone_ftl::{block_runs, LruCache, MappingTable, OwnerMap};
 use conzone_types::{
     ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig, FlushKind,
     IoKind, IoRequest, L2pOutcome, Lpn, LpnRange, PowerCycle, Ppa, Probe, RecoveryReport, SimTime,
@@ -267,22 +267,9 @@ impl LegacyDevice {
     /// the caller, who overwrites or unmaps them.
     fn kill_mapped(&mut self, range: LpnRange) -> Result<(), DeviceError> {
         let spb = self.cfg.geometry.slices_per_block();
-        let mut old = self.table.ppas(range);
-        while let Some((&head, tail)) = old.split_first() {
-            old = tail;
-            let Some(first) = head else { continue };
-            let in_block = (spb - first.raw() % spb) as usize;
-            let more = tail
-                .iter()
-                .take(in_block - 1)
-                .zip(first.raw() + 1..)
-                .take_while(|&(p, next)| *p == Some(Ppa(next)))
-                .count();
-            self.flash
-                .invalidate_run(first, 1 + more)
-                .map_err(internal)?;
-            self.owner.remove_run(first, 1 + more);
-            old = &tail[more..];
+        for (first, n) in block_runs(self.table.ppas(range), spb) {
+            self.flash.invalidate_run(first, n).map_err(internal)?;
+            self.owner.remove_run(first, n);
         }
         Ok(())
     }
@@ -469,15 +456,15 @@ impl LegacyDevice {
         let mut at = 0;
         while at < ppas.len() {
             let first = ppas[at];
-            let lpn = *self
+            let lpn = self
                 .owner
-                .get(&first)
+                .get(first)
                 .expect("valid legacy slice has an owner");
             let n = 1 + ppas[at + 1..]
                 .iter()
                 .zip(1..)
                 .take_while(|&(p, d)| {
-                    *p == first.offset(d) && self.owner.get(p) == Some(&lpn.offset(d))
+                    *p == first.offset(d) && self.owner.get(*p) == Some(lpn.offset(d))
                 })
                 .count();
             let data = out

@@ -17,6 +17,12 @@ use core::fmt;
 /// programming unit (4 KiB).
 pub const SLICE_BYTES: u64 = 4096;
 
+/// Most slices an address space may hold, physical ([`Ppa`]) or padded
+/// logical ([`Lpn`]): the FTL's per-slice tables keep an address plus one
+/// in four bytes (0 is the empty entry), and the exclusive end of a
+/// stored run has to fit as well. 16 TiB less 8 KiB.
+pub const MAX_SLICES: u64 = u32::MAX as u64 - 1;
+
 macro_rules! index_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*

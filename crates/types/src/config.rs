@@ -1,7 +1,7 @@
 //! Device configuration: media timings, buffer and cache sizing, mapping
 //! policy, and the builder that validates a complete [`DeviceConfig`].
 
-use crate::addr::SLICE_BYTES;
+use crate::addr::{MAX_SLICES, SLICE_BYTES};
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
 use crate::time::SimDuration;
@@ -555,7 +555,8 @@ impl DeviceConfigBuilder {
     ///
     /// Returns [`ConfigError`] when the geometry is inconsistent, when any
     /// sizing field is zero, when the chunk size does not divide the zone
-    /// size, or when the SLC region cannot hold even one superpage.
+    /// size, when the SLC region cannot hold even one superpage, or when
+    /// the padded logical space holds more than [`MAX_SLICES`] slices.
     pub fn build(self) -> Result<DeviceConfig, ConfigError> {
         let cfg = self.cfg;
         cfg.geometry.validate()?;
@@ -581,6 +582,15 @@ impl DeviceConfigBuilder {
             return Err(ConfigError::new(format!(
                 "chunk_bytes {} does not divide the zone size {}",
                 cfg.chunk_bytes, zone_size
+            )));
+        }
+        // The geometry bounds the physical slices; padding can double the
+        // logical ones.
+        if cfg.capacity_slices() > MAX_SLICES {
+            return Err(ConfigError::new(format!(
+                "{} zones of {zone_size} bytes hold more than {MAX_SLICES} logical 4 KiB slices \
+                 (32-bit owner entries)",
+                cfg.zone_count()
             )));
         }
         if cfg.max_open_zones == 0 {

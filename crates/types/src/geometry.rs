@@ -7,7 +7,7 @@
 //! programming units at the same offset across all chips form a *superpage*.
 //! SLC blocks program partially at 4 KiB granularity.
 
-use crate::addr::{ChannelId, ChipId, Lpn, Ppa, SuperblockId, ZoneId, SLICE_BYTES};
+use crate::addr::{ChannelId, ChipId, Lpn, Ppa, SuperblockId, ZoneId, MAX_SLICES, SLICE_BYTES};
 use crate::error::ConfigError;
 
 /// Static geometry of the flash array.
@@ -91,8 +91,8 @@ impl Geometry {
     /// Returns [`ConfigError`] when any field is zero, when the programming
     /// unit is not a whole number of pages, when pages-per-block is not a
     /// whole number of programming units, when the page size is not a whole
-    /// number of 4 KiB slices, or when no normal blocks remain after the SLC
-    /// region.
+    /// number of 4 KiB slices, when no normal blocks remain after the SLC
+    /// region, or when the array holds more than [`MAX_SLICES`] slices.
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn nonzero(v: usize, what: &str) -> Result<(), ConfigError> {
             if v == 0 {
@@ -133,6 +133,23 @@ impl Geometry {
             return Err(ConfigError::new(format!(
                 "slc_blocks_per_chip {} leaves no normal blocks (blocks_per_chip {})",
                 self.slc_blocks_per_chip, self.blocks_per_chip
+            )));
+        }
+        // Checked: the factors come from outside, and `total_slices` may
+        // not be computable at all.
+        let total = [
+            self.channels,
+            self.chips_per_channel,
+            self.blocks_per_chip,
+            self.pages_per_block,
+            self.slices_per_page(),
+        ]
+        .iter()
+        .try_fold(1u64, |total, &n| total.checked_mul(n as u64));
+        if total.is_none_or(|t| t > MAX_SLICES) {
+            return Err(ConfigError::new(format!(
+                "the array holds more than {MAX_SLICES} physical 4 KiB slices \
+                 (32-bit mapping entries)"
             )));
         }
         Ok(())

@@ -39,7 +39,9 @@ mod span;
 mod time;
 mod trace;
 
-pub use addr::{ChannelId, ChipId, ChunkId, Lpn, LpnRange, Ppa, SuperblockId, ZoneId, SLICE_BYTES};
+pub use addr::{
+    ChannelId, ChipId, ChunkId, Lpn, LpnRange, Ppa, SuperblockId, ZoneId, MAX_SLICES, SLICE_BYTES,
+};
 pub use config::{
     CellType, DeviceConfig, DeviceConfigBuilder, FaultConfig, MapGranularity, MediaLatency,
     MediaTimings, SearchStrategy, ZonePadding,

@@ -4,6 +4,11 @@
 //! global allocator at all. A path is covered when a case here executes
 //! it — nothing static stands behind this file.
 //!
+//! It owns a second promise too: building a device costs no memory the
+//! device has not written. The per-slice tables are asked for through
+//! `alloc_zeroed`, which the OS answers with untouched zero pages; the
+//! construction case bounds what `new()` requests any other way.
+//!
 //! Entry points executed, by case:
 //!
 //! * write + flush + GC (release): `ConZone::submit` → `write_range`,
@@ -24,7 +29,8 @@
 //!   round-robin `pick`;
 //! * queue-pair runs: `EventQueue::{push, pop}`, `QueuePair::{submit,
 //!   fetch_next, mark_dispatched, post_completion, reap, release}` and
-//!   both arbiters' `pick`, through the public `run_tenants`.
+//!   both arbiters' `pick`, through the public `run_tenants`;
+//! * construction: `ConZone::new`, `LegacyDevice::new`, `FemuZns::new`.
 //!
 //! The test binary installs its own counting `#[global_allocator]`, so no
 //! library crate carries a feature or `unsafe` for it. Counts are kept per
@@ -47,6 +53,9 @@ use conzone::{ArbiterKind, ConZone, QueueFrontEnd};
 // inside the allocator would recurse).
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes asked for through `alloc` and `realloc` — memory the caller
+    /// is about to fill itself — and not through `alloc_zeroed`.
+    static UNZEROED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -57,12 +66,17 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
 }
 
+fn count_unzeroed(bytes: usize) {
+    let _ = UNZEROED_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
 // SAFETY: defers every request to `System`, which upholds the
-// `GlobalAlloc` contract; the wrapper only bumps a thread-local counter
+// `GlobalAlloc` contract; the wrapper only bumps thread-local counters
 // (`alloc`, `alloc_zeroed` and `realloc` count, `dealloc` is free).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        count_unzeroed(layout.size());
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -75,6 +89,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        count_unzeroed(new_size);
         // SAFETY: `ptr` came from `System` with this `layout` (every
         // allocation of this process goes through this wrapper).
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -94,6 +109,13 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Bytes this thread requests unzeroed while `f` runs.
+fn unzeroed_bytes_during(f: impl FnOnce()) -> u64 {
+    let before = UNZEROED_BYTES.with(Cell::get);
+    f();
+    UNZEROED_BYTES.with(Cell::get) - before
 }
 
 const READ_FILL_BYTES: u64 = 256 << 20;
@@ -147,6 +169,31 @@ fn read_offsets(seed: u64) -> impl FnMut() -> u64 {
 fn counter_sees_this_threads_allocations() {
     let n = allocations_during(|| drop(std::hint::black_box(Vec::<u64>::with_capacity(32))));
     assert!(n > 0, "the counting allocator is not installed");
+}
+
+/// A device costs what it touches: on the paper configuration each model's
+/// `new()` asks for under 1 MiB of memory it fills itself. The per-slice
+/// tables — 384 Ki logical pages and 30 to 360 Ki owned physical slices
+/// here, 2 to 3 MiB a device — come from `vec![0; n]`, that is
+/// `alloc_zeroed`: address space the OS backs page by page as the device
+/// writes. A table built by a fill (`vec![None; n]`, `(0..n).map(..)
+/// .collect()`) goes through `alloc`, is written end to end before the
+/// first IO, and fails this.
+#[test]
+fn device_construction_requests_under_1_mib_of_unzeroed_memory() {
+    use conzone::{FemuZns, LegacyDevice};
+    use std::hint::black_box;
+    const LIMIT: u64 = 1 << 20;
+    let cfg = DeviceConfig::paper_evaluation;
+    let conzone = unzeroed_bytes_during(|| drop(black_box(device())));
+    let legacy = unzeroed_bytes_during(|| drop(black_box(LegacyDevice::new(cfg()))));
+    let femu = unzeroed_bytes_during(|| drop(black_box(FemuZns::new(cfg()))));
+    for (model, bytes) in [("ConZone", conzone), ("Legacy", legacy), ("FEMU", femu)] {
+        assert!(
+            bytes < LIMIT,
+            "{model}::new requested {bytes} unzeroed bytes (limit {LIMIT})"
+        );
+    }
 }
 
 /// 512 KiB writes, each followed by a flush — the paper's synchronous
