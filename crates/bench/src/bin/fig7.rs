@@ -12,7 +12,8 @@ use conzone_bench::{
 };
 use conzone_host::run_job;
 use conzone_types::{
-    DeviceEvent, L2pOutcome, MapGranularity, Probe, SearchStrategy, SimTime, TraceRecord,
+    DeviceEvent, L2pOutcome, MapGranularity, Probe, SearchStrategy, SimTime, StorageDevice,
+    TraceRecord,
 };
 
 const RANGES: [(u64, &str); 3] = [(1 << 20, "1MiB"), (16 << 20, "16MiB"), (1 << 30, "1GiB")];

@@ -19,7 +19,7 @@ use conzone_core::ConZone;
 use conzone_legacy::LegacyDevice;
 use conzone_sim::SimRng;
 use conzone_types::{
-    DeviceConfig, Geometry, IoRequest, SimTime, StorageDevice, ZoneId, ZonedDevice,
+    to_index, DeviceConfig, Geometry, IoRequest, SimTime, StorageDevice, ZoneId, ZonedDevice,
 };
 use std::collections::VecDeque;
 
@@ -66,7 +66,7 @@ fn run_legacy(use_trim: bool) -> Outcome {
         user_extents += 1;
     }
     for _ in 0..STEPS {
-        let victim = rng.below(live.len() as u64) as usize;
+        let victim = to_index(rng.below(live.len() as u64));
         let dead = live.swap_remove(victim);
         if use_trim {
             t = dev.trim(t, dead * EXTENT, EXTENT).expect("trim").finished;
@@ -174,7 +174,7 @@ fn run_conzone() -> Outcome {
 
     for _ in 0..STEPS {
         // Random delete: the host knows instantly.
-        let victim = rng.below(live.len() as u64) as usize;
+        let victim = to_index(rng.below(live.len() as u64));
         let (z, s) = live.swap_remove(victim);
         zone_live[z][s] = false;
 

@@ -4,7 +4,7 @@
 //! index is congruent to the buffer index modulo the buffer count. Buffered
 //! data is always the contiguous tail of its owner zone's accepted writes.
 
-use conzone_types::{ZoneId, SLICE_BYTES};
+use conzone_types::{to_index, ZoneId, SLICE_BYTES, SLICE_LEN};
 
 /// One volatile write buffer.
 #[derive(Debug, Clone)]
@@ -76,7 +76,7 @@ impl WriteBuffer {
                 // Timing-only writes buffer zeroes.
                 None => self
                     .data
-                    .resize(self.data.len() + (count * SLICE_BYTES) as usize, 0),
+                    .resize(self.data.len() + to_index(count * SLICE_BYTES), 0),
             }
         }
         self.slices += count;
@@ -89,7 +89,7 @@ impl WriteBuffer {
         self.start_offset += count;
         self.slices -= count;
         if self.backed {
-            let bytes = (count * SLICE_BYTES) as usize;
+            let bytes = to_index(count * SLICE_BYTES);
             let tail = self.data.split_off(bytes);
             let head = std::mem::replace(&mut self.data, tail);
             Some(head)
@@ -117,8 +117,8 @@ impl WriteBuffer {
         if !self.backed || offset < self.start_offset || offset >= self.end_offset() {
             return None;
         }
-        let idx = ((offset - self.start_offset) * SLICE_BYTES) as usize;
-        Some(&self.data[idx..idx + SLICE_BYTES as usize])
+        let idx = to_index((offset - self.start_offset) * SLICE_BYTES);
+        Some(&self.data[idx..idx + SLICE_LEN])
     }
 }
 

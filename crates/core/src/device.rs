@@ -6,7 +6,7 @@ use bytes::Bytes;
 use conzone_flash::FlashArray;
 use conzone_ftl::{L2pCache, MapBitmap, MappingTable};
 use conzone_types::{
-    Completion, Counters, DeviceConfig, DeviceError, IoKind, IoRequest, Lpn, LpnRange,
+    to_index, Completion, Counters, DeviceConfig, DeviceError, IoKind, IoRequest, Lpn, LpnRange,
     MapGranularity, Probe, SearchStrategy, SimTime, SpanKind, SpanRecorder, SpanSink,
     StorageDevice, ZoneId, ZoneInfo, ZoneState, ZonedDevice,
 };
@@ -84,7 +84,7 @@ impl ConZone {
             .map(|_| WriteBuffer::new(cfg.geometry.slices_per_superpage(), cfg.data_backing))
             .collect();
         let staged_cap =
-            cfg.geometry.slices_per_unit() + cfg.geometry.slices_per_superpage() as usize;
+            cfg.geometry.slices_per_unit() + to_index(cfg.geometry.slices_per_superpage());
         ConZone {
             flash: FlashArray::new(&cfg),
             table: MappingTable::new(capacity, chunk, zone),
@@ -105,14 +105,6 @@ impl ConZone {
             scratch: IoScratch::for_config(&cfg),
             cfg,
         }
-    }
-
-    /// Attaches a trace probe; every internal event — FTL decisions here,
-    /// media operations in the flash layer — is emitted to it from now on.
-    /// Pass [`Probe::disabled`] to detach.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.flash.set_probe(probe.clone());
-        self.probe = probe;
     }
 
     /// Attaches a span sink: every host command from now on opens a root
@@ -136,7 +128,7 @@ impl ConZone {
     /// Whether a zone is exposed as a conventional (in-place) zone.
     #[inline]
     pub(crate) fn is_conventional(&self, zone: ZoneId) -> bool {
-        (zone.raw() as usize) < self.cfg.conventional_zones
+        zone.index() < self.cfg.conventional_zones
     }
 
     /// Records `n` L2P mapping-table updates in the persistence log.
@@ -194,6 +186,19 @@ impl ConZone {
         self.cfg.geometry.slices_per_unit() as u64
     }
 
+    /// The table index of a zone id taken from a zone command, or the
+    /// `OutOfRange` every zone command answers a zone the device does not
+    /// have.
+    pub(crate) fn checked_zone(&self, zone: ZoneId) -> Result<usize, DeviceError> {
+        if zone.raw() >= self.zones.len() as u64 {
+            return Err(DeviceError::OutOfRange {
+                offset: zone.raw().saturating_mul(self.cfg.zone_size_bytes()),
+                capacity: self.cfg.capacity_bytes(),
+            });
+        }
+        Ok(zone.index())
+    }
+
     /// First logical page of a zone.
     #[inline]
     pub(crate) fn zone_start(&self, zone: ZoneId) -> Lpn {
@@ -205,7 +210,7 @@ impl ConZone {
     pub(crate) fn zone_and_offset(&self, range: LpnRange) -> Result<(ZoneId, u64), DeviceError> {
         let zs = self.zone_slices();
         let zone = ZoneId(range.start.raw() / zs);
-        if (zone.raw() as usize) >= self.zones.len() {
+        if zone.raw() >= self.zones.len() as u64 {
             return Err(DeviceError::OutOfRange {
                 offset: range.start.byte_offset(),
                 capacity: self.cfg.capacity_bytes(),
@@ -270,6 +275,13 @@ impl ConZone {
 impl StorageDevice for ConZone {
     fn config(&self) -> &DeviceConfig {
         &self.cfg
+    }
+
+    /// Every internal event — FTL decisions here, media operations in the
+    /// flash layer — goes to `probe`.
+    fn set_probe(&mut self, probe: Probe) {
+        self.flash.set_probe(probe.clone());
+        self.probe = probe;
     }
 
     fn submit(&mut self, now: SimTime, request: &IoRequest) -> Result<Completion, DeviceError> {
@@ -395,13 +407,7 @@ impl ZonedDevice for ConZone {
     }
 
     fn zone_info(&self, zone: ZoneId) -> Result<ZoneInfo, DeviceError> {
-        let z = self
-            .zones
-            .get(zone.raw() as usize)
-            .ok_or(DeviceError::OutOfRange {
-                offset: zone.raw() * self.zone_size(),
-                capacity: self.cfg.capacity_bytes(),
-            })?;
+        let z = &self.zones[self.checked_zone(zone)?];
         Ok(ZoneInfo {
             id: zone,
             state: z.state,

@@ -8,7 +8,8 @@
 
 use conzone_ftl::block_runs;
 use conzone_types::{
-    ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, Ppa, SimTime, SpanKind, SuperblockId, ZoneId,
+    to_index, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, Ppa, SimTime, SpanKind,
+    SuperblockId, ZoneId,
 };
 
 use crate::device::ConZone;
@@ -29,11 +30,7 @@ impl ConZone {
             .copied()
             .min_by_key(|&sb| {
                 let wear: u64 = (0..self.cfg.geometry.nchips())
-                    .map(|c| {
-                        self.flash
-                            .block(ChipId(c as u64), sb.raw() as usize)
-                            .erase_count()
-                    })
+                    .map(|c| self.flash.block(ChipId(c as u64), sb.index()).erase_count())
                     .sum();
                 (self.flash.superblock_valid_slices(sb), wear, sb.raw())
             })
@@ -139,7 +136,7 @@ impl ConZone {
                     // The batch landed as one physical run; its sources split
                     // into runs that were consecutive both logically and
                     // physically (a staged or patch fragment moves as one).
-                    let n = out.slices as usize;
+                    let n = to_index(out.slices);
                     let (moved_lpns, moved_from) = (&lpns[at..at + n], &old_ppas[at..at + n]);
                     let mut k = 0;
                     while k < n {
@@ -170,7 +167,7 @@ impl ConZone {
     fn fix_staged_references(&mut self, lpn: Lpn, new_ppa: Ppa, len: u64) {
         let zs = self.zone_slices();
         let (first, last) = (lpn.raw() / zs, (lpn.raw() + len - 1) / zs);
-        for zone in &mut self.zones[first as usize..=last as usize] {
+        for zone in &mut self.zones[to_index(first)..=to_index(last)] {
             for s in &mut zone.staged {
                 let d = s.lpn.raw().wrapping_sub(lpn.raw());
                 if d < len {
@@ -208,18 +205,12 @@ impl ConZone {
         now: SimTime,
         zone_id: ZoneId,
     ) -> Result<SimTime, DeviceError> {
-        let zidx = zone_id.raw() as usize;
-        if zidx >= self.zones.len() {
-            return Err(DeviceError::OutOfRange {
-                offset: zone_id.raw() * self.cfg.zone_size_bytes(),
-                capacity: self.cfg.capacity_bytes(),
-            });
-        }
+        let zidx = self.checked_zone(zone_id)?;
         let zone_base = self.zone_start(zone_id);
         let zs = self.zone_slices();
 
         // Drop buffered data (host discards the zone's contents).
-        let buf_idx = zone_id.raw() as usize % self.buffers.len();
+        let buf_idx = zidx % self.buffers.len();
         if self.buffers[buf_idx].owner == Some(zone_id) {
             self.buffers[buf_idx].release();
         }

@@ -30,7 +30,6 @@ pub struct ZoneHeat {
     /// Slices with a live mapping entry.
     pub mapped_slices: u64,
     /// `mapped_slices` over the zone size, in `[0, 1]`.
-    // xtask-lint: allow(float-determinism) — derived report ratio; never read back by the sim
     pub utilization: f64,
 }
 
@@ -62,7 +61,6 @@ pub struct HeatmapSnapshot {
     /// One row per physical block, chip-major.
     pub blocks: Vec<BlockHeat>,
     /// L2P cache pressure, in `[0, 1]`.
-    // xtask-lint: allow(float-determinism) — derived report ratio; never read back by the sim
     pub l2p_occupancy: f64,
     /// Free superblocks remaining in the SLC region.
     pub slc_free_superblocks: u64,

@@ -30,9 +30,11 @@
 //! # Ok::<(), conzone_types::DeviceError>(())
 //! ```
 
-// Unit tests assert freely; the panic-family denies (Cargo.toml `[lints]`)
-// are meant for library code reachable from the simulator.
+// Unit tests assert and cast freely; the panic-family denies and the
+// truncating-cast ban (Cargo.toml `[lints]`) are meant for library code
+// reachable from the simulator.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -12,17 +12,6 @@ use conzone_types::{DeviceError, SimTime, ZoneId, ZoneState};
 use crate::device::ConZone;
 
 impl ConZone {
-    fn checked_zone(&self, zone: ZoneId) -> Result<usize, DeviceError> {
-        let idx = zone.raw() as usize;
-        if idx >= self.zones.len() {
-            return Err(DeviceError::OutOfRange {
-                offset: zone.raw() * self.cfg.zone_size_bytes(),
-                capacity: self.cfg.capacity_bytes(),
-            });
-        }
-        Ok(idx)
-    }
-
     /// Explicitly opens a zone (see [`ZonedDevice::open_zone`]).
     ///
     /// [`ZonedDevice::open_zone`]: conzone_types::ZonedDevice::open_zone
@@ -64,7 +53,7 @@ impl ConZone {
             return Err(DeviceError::ZoneNotWritable { zone });
         }
         // Release the zone's buffer: drain it (prematurely if sub-unit).
-        let buf_idx = zone.raw() as usize % self.buffers.len();
+        let buf_idx = idx % self.buffers.len();
         let mut t = now;
         if self.buffers[buf_idx].owner == Some(zone) {
             t = self.flush_buffer(t, buf_idx, true)?;
@@ -87,7 +76,7 @@ impl ConZone {
         }
         let mut t = now;
         if self.zones[idx].state != ZoneState::Full {
-            let buf_idx = zone.raw() as usize % self.buffers.len();
+            let buf_idx = idx % self.buffers.len();
             if self.buffers[buf_idx].owner == Some(zone) {
                 t = self.flush_buffer(t, buf_idx, true)?;
             }

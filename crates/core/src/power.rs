@@ -116,11 +116,7 @@ impl PowerCycle for ConZone {
         for sb in scan {
             for c in 0..self.cfg.geometry.nchips() {
                 let chip = ChipId(c as u64);
-                let pages = self
-                    .flash
-                    .block(chip, sb.raw() as usize)
-                    .cursor()
-                    .div_ceil(spp);
+                let pages = self.flash.block(chip, sb.index()).cursor().div_ceil(spp);
                 for _ in 0..pages {
                     let r = self
                         .flash

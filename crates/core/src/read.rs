@@ -16,8 +16,8 @@
 
 use conzone_ftl::{InsertOutcome, LookupResult};
 use conzone_types::{
-    DeviceError, DeviceEvent, L2pOutcome, Lpn, LpnRange, MapGranularity, SimTime, SpanKind, ZoneId,
-    SLICE_BYTES,
+    to_index, DeviceError, DeviceEvent, L2pOutcome, Lpn, LpnRange, MapGranularity, SimTime,
+    SpanKind, ZoneId, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::device::ConZone;
@@ -63,7 +63,7 @@ impl ConZone {
             let readable = if conventional {
                 zs
             } else {
-                self.zones[zone_id.raw() as usize].wp_slices
+                self.zones[zone_id.index()].wp_slices
             };
             if offset >= readable || (conventional && self.table.get(lpn).is_none()) {
                 return Err(DeviceError::UnwrittenRead { lpn });
@@ -72,7 +72,7 @@ impl ConZone {
 
             // Data still in the volatile buffer never touches flash
             // (conventional zones never own a buffer).
-            let buf = zone_id.raw() as usize % self.buffers.len();
+            let buf = zone_id.index() % self.buffers.len();
             let b = &self.buffers[buf];
             if b.owner == Some(zone_id) {
                 if offset >= b.start_offset && offset < b.end_offset() {
@@ -185,7 +185,7 @@ impl ConZone {
             // Allocates on a hot path: the returned payload buffer, which is
             // built only with data backing on (`tests/zero_alloc.rs` and the
             // reference workloads run timing-only).
-            let mut v = Vec::with_capacity((range.count * SLICE_BYTES) as usize);
+            let mut v = Vec::with_capacity(to_index(range.count * SLICE_BYTES));
             let mut from_flash = flash_data.as_deref().unwrap_or_default();
             for slot in &slots {
                 match *slot {
@@ -193,12 +193,12 @@ impl ConZone {
                         for o in offset..offset + n {
                             match self.buffers[buf].slice_data(o) {
                                 Some(s) => v.extend_from_slice(s),
-                                None => v.resize(v.len() + SLICE_BYTES as usize, 0),
+                                None => v.resize(v.len() + SLICE_LEN, 0),
                             }
                         }
                     }
                     Slot::Flash { n } => {
-                        let bytes = (n * SLICE_BYTES) as usize;
+                        let bytes = to_index(n * SLICE_BYTES);
                         let (run, rest) = from_flash.split_at_checked(bytes).ok_or_else(|| {
                             DeviceError::Internal(
                                 "flash read returned no payload with data backing on".to_string(),

@@ -12,7 +12,7 @@
 //! an SLC combine, a conventional overwrite or a zone reset is gathering
 //! slices to drop; each puts it back before anything else can run.
 
-use conzone_types::{DeviceConfig, Lpn, Ppa};
+use conzone_types::{to_index, DeviceConfig, Lpn, Ppa};
 
 /// The per-device scratch pool. All buffers are logically empty between
 /// operations; only their capacity persists.
@@ -43,9 +43,9 @@ impl IoScratch {
     /// on first use.
     pub(crate) fn for_config(cfg: &DeviceConfig) -> IoScratch {
         let g = &cfg.geometry;
-        let superpage = g.slices_per_superpage() as usize;
-        let superblock = g.slices_per_block() as usize * g.nchips();
-        let patch = cfg.zone_patch_slices() as usize;
+        let superpage = to_index(g.slices_per_superpage());
+        let superblock = to_index(g.slices_per_block()) * g.nchips();
+        let patch = to_index(cfg.zone_patch_slices());
         IoScratch {
             read_slots: Vec::new(),
             read_ppas: Vec::new(),

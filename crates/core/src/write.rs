@@ -17,8 +17,8 @@
 
 use conzone_flash::{FlashError, ProgramOutcome};
 use conzone_types::{
-    ChipId, DeviceError, DeviceEvent, FlushKind, LpnRange, MapGranularity, SimTime, SpanKind,
-    SuperblockId, ZoneId, ZoneState, SLICE_BYTES,
+    to_index, ChipId, DeviceError, DeviceEvent, FlushKind, LpnRange, MapGranularity, SimTime,
+    SpanKind, SuperblockId, ZoneId, ZoneState, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::device::ConZone;
@@ -45,7 +45,7 @@ impl ConZone {
         if self.is_conventional(zone_id) {
             return self.conventional_write(now, zone_id, offset, range, payload);
         }
-        let zidx = zone_id.raw() as usize;
+        let zidx = zone_id.index();
         match self.zones[zidx].state {
             ZoneState::Full => return Err(DeviceError::ZoneFull { zone: zone_id }),
             // Closed zones reopen implicitly, like empty ones.
@@ -76,7 +76,7 @@ impl ConZone {
         let sub_before = self.breakdown.combine_read + self.breakdown.gc + self.breakdown.l2p_log;
         self.spans.open(now, SpanKind::WritePath);
 
-        let buf_idx = zone_id.raw() as usize % self.buffers.len();
+        let buf_idx = zidx % self.buffers.len();
         let mut t = now;
 
         // Conflicting zone-write-buffer mapping: evict the other zone's
@@ -101,10 +101,10 @@ impl ConZone {
         let mut pay_off = 0usize;
         while remaining > 0 {
             let take = remaining.min(self.buffers[buf_idx].room());
-            let chunk = payload.map(|p| &p[pay_off..pay_off + (take * SLICE_BYTES) as usize]);
+            let chunk = payload.map(|p| &p[pay_off..pay_off + to_index(take * SLICE_BYTES)]);
             self.buffers[buf_idx].append(take, chunk);
             self.zones[zidx].wp_slices += take;
-            pay_off += (take * SLICE_BYTES) as usize;
+            pay_off += to_index(take * SLICE_BYTES);
             remaining -= take;
             if self.buffers[buf_idx].is_full() {
                 t = self.flush_buffer(t, buf_idx, false)?;
@@ -137,7 +137,7 @@ impl ConZone {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<SimTime, DeviceError> {
-        let zidx = zone_id.raw() as usize;
+        let zidx = zone_id.index();
         self.zones[zidx].state = ZoneState::Open;
         // Supersede previous versions: gather the mapped pages' slices,
         // then drop them a physical run at a time. (The cache is keyed per
@@ -178,7 +178,7 @@ impl ConZone {
                 "zone append targets a conventional zone".to_string(),
             ));
         }
-        let wp = self.zones[zone_id.raw() as usize].wp_slices;
+        let wp = self.zones[zone_id.index()].wp_slices;
         let assigned = (zone_id.raw() * self.zone_slices() + wp) * SLICE_BYTES;
         let landed = LpnRange::new(self.zone_start(zone_id).offset(wp), range.count);
         if wp + range.count > self.zone_slices() {
@@ -206,7 +206,7 @@ impl ConZone {
         let zone_id = self.buffers[buf_idx].owner.ok_or_else(|| {
             DeviceError::Internal(format!("non-empty write buffer {buf_idx} has no owner"))
         })?;
-        let zidx = zone_id.raw() as usize;
+        let zidx = zone_id.index();
         let zone_base = self.zone_start(zone_id);
         let unit = self.unit_slices();
         let backing = self.backing_slices();
@@ -293,7 +293,7 @@ impl ConZone {
                 let first_ppa = self.cfg.geometry.superblock_slice(sb, off);
                 let parts = self.cfg.geometry.decode_ppa(first_ppa);
                 let data_slice = payload.as_ref().map(|p| {
-                    &p[(u * unit * SLICE_BYTES) as usize..((u + 1) * unit * SLICE_BYTES) as usize]
+                    &p[to_index(u * unit * SLICE_BYTES)..to_index((u + 1) * unit * SLICE_BYTES)]
                 });
                 match self
                     .flash
@@ -400,7 +400,7 @@ impl ConZone {
     ) -> Result<SimTime, DeviceError> {
         let mut t = now;
         let mut finish = t;
-        let total = lpns.count as usize;
+        let total = to_index(lpns.count);
         let mut idx = 0usize;
         // Reused chip-order scratch; GC (reachable below) uses the
         // separate `gc_chip_order` buffer, so the two never alias.
@@ -438,7 +438,7 @@ impl ConZone {
                     dev.table.set_extent(lpn, out.first, out.slices, canonical);
                     dev.slc
                         .owner
-                        .insert_run(out.first, lpn, out.slices as usize);
+                        .insert_run(out.first, lpn, to_index(out.slices));
                     if let Some(z) = staged_zone {
                         dev.zones[z]
                             .staged
@@ -473,7 +473,7 @@ impl ConZone {
         payload: Option<&[u8]>,
         mut placed: impl FnMut(&mut ConZone, usize, &ProgramOutcome),
     ) -> Result<usize, DeviceError> {
-        let spb = self.cfg.geometry.slices_per_block() as usize;
+        let spb = to_index(self.cfg.geometry.slices_per_block());
         let spp = self.cfg.geometry.slices_per_page();
         // Preferring idle chips keeps premature flushes from stalling
         // behind a long tPROG on a die that happens to be programming
@@ -489,14 +489,13 @@ impl ConZone {
                 break;
             }
             let chip = ChipId(c as u64);
-            let avail = spb - self.flash.block(chip, sb.raw() as usize).cursor();
+            let avail = spb - self.flash.block(chip, sb.index()).cursor();
             let n = spp.min(avail).min(pending.end - idx);
             if n == 0 {
                 continue;
             }
-            let pay =
-                payload.map(|p| &p[idx * SLICE_BYTES as usize..(idx + n) * SLICE_BYTES as usize]);
-            let out = match self.flash.program_slc(t, chip, sb.raw() as usize, n, pay) {
+            let pay = payload.map(|p| &p[idx * SLICE_LEN..(idx + n) * SLICE_LEN]);
+            let out = match self.flash.program_slc(t, chip, sb.index(), n, pay) {
                 Ok(out) => out,
                 Err(FlashError::ProgramFailed { .. }) => {
                     // The claimed slices are burned; count the failure
@@ -532,7 +531,7 @@ impl ConZone {
         }
         let zone_base = self.zone_start(zone_id);
         let chunk = self.cfg.chunk_slices();
-        let flushed = self.zones[zone_id.raw() as usize].flushed_slices;
+        let flushed = self.zones[zone_id.index()].flushed_slices;
         let pinned = conzone_ftl::pins_aggregates(self.cfg.search_strategy);
         let first = from / chunk;
         let last = (to - 1) / chunk;

@@ -30,6 +30,9 @@
 //! # Ok::<(), conzone_types::DeviceError>(())
 //! ```
 
+// Unit tests cast freely; the truncating-cast ban (`[workspace.lints]`) is
+// meant for library code reachable from the simulator.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,18 +41,16 @@ use bytes::Bytes;
 use conzone_flash::FlashArray;
 use conzone_sim::SimRng;
 use conzone_types::{
-    Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FlushKind, IoKind, IoRequest,
-    LpnRange, Ppa, Probe, SimDuration, SimTime, StorageDevice, ZoneId, ZoneInfo, ZoneState,
-    ZonedDevice, SLICE_BYTES,
+    to_index, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FlushKind, IoKind,
+    IoRequest, LpnRange, Ppa, Probe, SimDuration, SimTime, StorageDevice, ZoneId, ZoneInfo,
+    ZoneState, ZonedDevice, SLICE_BYTES, SLICE_LEN,
 };
 
 /// Median host/guest switch latency per I/O (µ of the log-normal), ns.
 /// "Tens of microseconds" per the paper's §IV-B discussion of KVM exits.
-// xtask-lint: allow(float-determinism) — jitter model parameter, sampled through the seeded rng
 const VM_JITTER_MEDIAN_NS: f64 = 25_000.0;
 /// Log-normal sigma: large fluctuations that "are difficult to simulate
 /// the read latency of flash, which is in the tens of microseconds".
-// xtask-lint: allow(float-determinism) — jitter model parameter, sampled through the seeded rng
 const VM_JITTER_SIGMA: f64 = 0.6;
 
 #[derive(Debug, Clone)]
@@ -124,18 +125,32 @@ impl FemuZns {
         }
     }
 
-    /// Attaches a trace probe; buffer flushes, conflicts, zone resets and
-    /// media operations are emitted to it from now on.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.flash.set_probe(probe.clone());
-        self.probe = probe;
-    }
-
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "jitter model parameter, sampled through the seeded rng and quantised to integer \
+                  ns; a last-bit libm difference across platforms is accepted"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int `as` saturates; dropping the sub-ns fraction is the quantisation"
+    )]
     fn jitter(&mut self) -> SimDuration {
         let ns = self
             .rng
             .lognormal(VM_JITTER_MEDIAN_NS.ln(), VM_JITTER_SIGMA);
         SimDuration::from_nanos(ns as u64)
+    }
+
+    /// The table index of a zone id taken from a zone command, or the
+    /// `OutOfRange` all five commands answer a zone the device does not have.
+    fn checked_zone(&self, zone: ZoneId) -> Result<usize, DeviceError> {
+        if zone.raw() >= self.zones.len() as u64 {
+            return Err(DeviceError::OutOfRange {
+                offset: zone.raw().saturating_mul(self.zone_size()),
+                capacity: self.capacity_bytes(),
+            });
+        }
+        Ok(zone.index())
     }
 
     fn unit_slices(&self) -> u64 {
@@ -190,7 +205,7 @@ impl FemuZns {
                 let cell = dev.cfg.normal_cell;
                 let (_buffer_free, fin) = dev.flash.timed_program(t, parts.chip, cell, bytes, 1);
                 if let Some(d) = data {
-                    for (i, chunk) in d.chunks_exact(SLICE_BYTES as usize).enumerate() {
+                    for (i, chunk) in d.chunks_exact(SLICE_LEN).enumerate() {
                         let lpn = zone.raw() * zs + off + i as u64;
                         dev.store.insert(lpn, chunk.into());
                     }
@@ -207,10 +222,10 @@ impl FemuZns {
                 let span_start = (u * unit).max(start);
                 let span_end = ((u + 1) * unit).min(flush_end);
                 let data = if backed {
-                    let at = ((span_start - start) * SLICE_BYTES) as usize;
-                    let len_b = ((span_end - span_start) * SLICE_BYTES) as usize;
+                    let at = to_index((span_start - start) * SLICE_BYTES);
+                    let len_b = to_index((span_end - span_start) * SLICE_BYTES);
                     let mut v = self.buffers[buf].data[at..at + len_b].to_vec();
-                    v.resize((unit * SLICE_BYTES) as usize, 0);
+                    v.resize(to_index(unit * SLICE_BYTES), 0);
                     Some(v)
                 } else {
                     None
@@ -241,7 +256,7 @@ impl FemuZns {
         self.buffers[buf].start_offset += consumed;
         self.buffers[buf].slices -= consumed;
         if backed {
-            let bytes = (consumed * SLICE_BYTES) as usize;
+            let bytes = to_index(consumed * SLICE_BYTES);
             let cut = bytes.min(self.buffers[buf].data.len());
             let tail = self.buffers[buf].data.split_off(cut);
             self.buffers[buf].data = tail;
@@ -263,7 +278,7 @@ impl FemuZns {
         let zs = self.zone_size_slices;
         let zone = ZoneId(range.start.raw() / zs);
         let offset = range.start.raw() % zs;
-        if (zone.raw() as usize) >= self.zones.len() {
+        if zone.raw() >= self.zones.len() as u64 {
             return Err(DeviceError::OutOfRange {
                 offset: range.start.byte_offset(),
                 capacity: self.capacity_bytes(),
@@ -272,7 +287,7 @@ impl FemuZns {
         if offset + range.count > zs {
             return Err(DeviceError::ZoneBoundary { zone });
         }
-        let zidx = zone.raw() as usize;
+        let zidx = zone.index();
         if self.zones[zidx].state == ZoneState::Full {
             return Err(DeviceError::ZoneFull { zone });
         }
@@ -286,7 +301,7 @@ impl FemuZns {
         }
         self.zones[zidx].state = ZoneState::Open;
 
-        let buf = zone.raw() as usize % self.buffers.len();
+        let buf = zidx % self.buffers.len();
         let mut t = now;
         let conflicting = match self.buffers[buf].owner {
             Some(o) => o != zone && self.buffers[buf].slices > 0,
@@ -314,16 +329,16 @@ impl FemuZns {
                 match payload {
                     Some(p) => self.buffers[buf]
                         .data
-                        .extend_from_slice(&p[pay_off..pay_off + (take * SLICE_BYTES) as usize]),
+                        .extend_from_slice(&p[pay_off..pay_off + to_index(take * SLICE_BYTES)]),
                     None => {
-                        let new_len = self.buffers[buf].data.len() + (take * SLICE_BYTES) as usize;
+                        let new_len = self.buffers[buf].data.len() + to_index(take * SLICE_BYTES);
                         self.buffers[buf].data.resize(new_len, 0);
                     }
                 }
             }
             self.buffers[buf].slices += take;
             self.zones[zidx].wp_slices += take;
-            pay_off += (take * SLICE_BYTES) as usize;
+            pay_off += to_index(take * SLICE_BYTES);
             remaining -= take;
             if self.buffers[buf].slices == capacity {
                 t = self.flush_buffer(t, buf, false)?;
@@ -345,15 +360,15 @@ impl FemuZns {
         let zs = self.zone_size_slices;
         let mut ppas = Vec::new();
         let mut buffered: Vec<(usize, u64)> = Vec::new(); // (slot index, byte at)
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(range.count as usize);
+        let mut slots: Vec<Option<usize>> = Vec::with_capacity(to_index(range.count));
         for lpn in range.iter() {
             let zone = ZoneId(lpn.raw() / zs);
             let offset = lpn.raw() % zs;
-            let zidx = zone.raw() as usize;
+            let zidx = zone.index();
             if zidx >= self.zones.len() || offset >= self.zones[zidx].wp_slices {
                 return Err(DeviceError::UnwrittenRead { lpn });
             }
-            let buf = zone.raw() as usize % self.buffers.len();
+            let buf = zidx % self.buffers.len();
             let b = &self.buffers[buf];
             if b.owner == Some(zone)
                 && offset >= b.start_offset
@@ -398,14 +413,14 @@ impl FemuZns {
             finish += exit_cost;
         }
         let data = if self.cfg.data_backing {
-            let mut v = Vec::with_capacity((range.count * SLICE_BYTES) as usize);
+            let mut v = Vec::with_capacity(to_index(range.count * SLICE_BYTES));
             for (i, slot) in slots.iter().enumerate() {
                 match slot {
                     Some(_) => {
                         let lpn = range.start.raw() + i as u64;
                         match self.store.get(&lpn) {
                             Some(d) => v.extend_from_slice(d),
-                            None => v.resize(v.len() + SLICE_BYTES as usize, 0),
+                            None => v.resize(v.len() + SLICE_LEN, 0),
                         }
                     }
                     None => {
@@ -416,13 +431,13 @@ impl FemuZns {
                         // Identify the buffer again via the lpn's zone.
                         let lpn = range.start.raw() + i as u64;
                         let zone = lpn / zs;
-                        let buf = zone as usize % self.buffers.len();
+                        let buf = to_index(zone) % self.buffers.len();
                         let b = &self.buffers[buf];
-                        let at = *at as usize;
-                        if b.data.len() >= at + SLICE_BYTES as usize {
-                            v.extend_from_slice(&b.data[at..at + SLICE_BYTES as usize]);
+                        let at = to_index(*at);
+                        if b.data.len() >= at + SLICE_LEN {
+                            v.extend_from_slice(&b.data[at..at + SLICE_LEN]);
                         } else {
-                            v.resize(v.len() + SLICE_BYTES as usize, 0);
+                            v.resize(v.len() + SLICE_LEN, 0);
                         }
                     }
                 }
@@ -447,6 +462,13 @@ const FEMU_SEED_MIX: u64 = 0xFE50_1D5E_ED00_0001;
 impl StorageDevice for FemuZns {
     fn config(&self) -> &DeviceConfig {
         &self.cfg
+    }
+
+    /// Buffer flushes, conflicts, zone resets and media operations go to
+    /// `probe`.
+    fn set_probe(&mut self, probe: Probe) {
+        self.flash.set_probe(probe.clone());
+        self.probe = probe;
     }
 
     fn capacity_bytes(&self) -> u64 {
@@ -482,7 +504,7 @@ impl StorageDevice for FemuZns {
                 let zone = range.start.raw() / zs;
                 let wp = self
                     .zones
-                    .get(zone as usize)
+                    .get(to_index(zone))
                     .ok_or(DeviceError::OutOfRange {
                         offset: request.offset,
                         capacity: self.capacity_bytes(),
@@ -558,13 +580,7 @@ impl ZonedDevice for FemuZns {
     }
 
     fn zone_info(&self, zone: ZoneId) -> Result<ZoneInfo, DeviceError> {
-        let z = self
-            .zones
-            .get(zone.raw() as usize)
-            .ok_or(DeviceError::OutOfRange {
-                offset: zone.raw() * self.zone_size(),
-                capacity: self.capacity_bytes(),
-            })?;
+        let z = &self.zones[self.checked_zone(zone)?];
         Ok(ZoneInfo {
             id: zone,
             state: z.state,
@@ -576,14 +592,8 @@ impl ZonedDevice for FemuZns {
     }
 
     fn reset_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
-        let zidx = zone.raw() as usize;
-        if zidx >= self.zones.len() {
-            return Err(DeviceError::OutOfRange {
-                offset: zone.raw() * self.zone_size(),
-                capacity: self.capacity_bytes(),
-            });
-        }
-        let buf = zone.raw() as usize % self.buffers.len();
+        let zidx = self.checked_zone(zone)?;
+        let buf = zidx % self.buffers.len();
         if self.buffers[buf].owner == Some(zone) {
             self.buffers[buf].owner = None;
             self.buffers[buf].slices = 0;
@@ -612,12 +622,8 @@ impl ZonedDevice for FemuZns {
     }
 
     fn open_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
-        let zidx = zone.raw() as usize;
-        let capacity = self.zone_size_slices * SLICE_BYTES * self.zones.len() as u64;
-        let z = self.zones.get_mut(zidx).ok_or(DeviceError::OutOfRange {
-            offset: zone.raw() * capacity,
-            capacity,
-        })?;
+        let zidx = self.checked_zone(zone)?;
+        let z = &mut self.zones[zidx];
         match z.state {
             ZoneState::Full => return Err(DeviceError::ZoneFull { zone }),
             _ => z.state = ZoneState::Open,
@@ -632,11 +638,11 @@ impl ZonedDevice for FemuZns {
     }
 
     fn close_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
-        let zidx = zone.raw() as usize;
-        if zidx >= self.zones.len() || self.zones[zidx].state != ZoneState::Open {
+        let zidx = self.checked_zone(zone)?;
+        if self.zones[zidx].state != ZoneState::Open {
             return Err(DeviceError::ZoneNotWritable { zone });
         }
-        let buf = zone.raw() as usize % self.buffers.len();
+        let buf = zidx % self.buffers.len();
         let mut t = now;
         if self.buffers[buf].owner == Some(zone) {
             t = self.flush_buffer(t, buf, true)?;
@@ -652,17 +658,10 @@ impl ZonedDevice for FemuZns {
     }
 
     fn finish_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
-        let zidx = zone.raw() as usize;
-        let capacity = self.zone_size_slices * SLICE_BYTES * self.zones.len() as u64;
-        if zidx >= self.zones.len() {
-            return Err(DeviceError::OutOfRange {
-                offset: zone.raw() * capacity,
-                capacity,
-            });
-        }
+        let zidx = self.checked_zone(zone)?;
         let mut t = now;
         if self.zones[zidx].state != ZoneState::Full {
-            let buf = zone.raw() as usize % self.buffers.len();
+            let buf = zidx % self.buffers.len();
             if self.buffers[buf].owner == Some(zone) {
                 t = self.flush_buffer(t, buf, true)?;
             }

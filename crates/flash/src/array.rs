@@ -16,8 +16,8 @@
 
 use conzone_sim::{Reservation, Resource, ResourceBank};
 use conzone_types::{
-    CellType, ChipId, DeviceConfig, DeviceEvent, FaultKind, Geometry, MediaOp, MediaTimings, Ppa,
-    Probe, SimDuration, SimTime, SuperblockId, SLICE_BYTES,
+    to_index, CellType, ChipId, DeviceConfig, DeviceEvent, FaultKind, Geometry, MediaOp,
+    MediaTimings, Ppa, Probe, SimDuration, SimTime, SuperblockId, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::block::Block;
@@ -109,7 +109,7 @@ impl FlashArray {
     /// Builds an erased array from a validated configuration.
     pub fn new(cfg: &DeviceConfig) -> FlashArray {
         let g = cfg.geometry;
-        let slices = g.slices_per_block() as usize;
+        let slices = to_index(g.slices_per_block());
         let mut blocks = Vec::with_capacity(g.nchips() * g.blocks_per_chip);
         for _chip in 0..g.nchips() {
             for block in 0..g.blocks_per_chip {
@@ -179,9 +179,9 @@ impl FlashArray {
     }
 
     fn block_index(&self, chip: ChipId, block: usize) -> usize {
-        debug_assert!((chip.raw() as usize) < self.geometry.nchips());
+        debug_assert!(chip.index() < self.geometry.nchips());
         debug_assert!(block < self.geometry.blocks_per_chip);
-        chip.raw() as usize * self.geometry.blocks_per_chip + block
+        chip.index() * self.geometry.blocks_per_chip + block
     }
 
     /// Immutable view of one block's state.
@@ -286,7 +286,7 @@ impl FlashArray {
         let start_slice = self.blocks[idx].program(unit_slices)?;
         let first = self.block_base(chip, block).offset(start_slice as u64);
         if let Some(d) = data {
-            for (i, chunk) in d.chunks_exact(SLICE_BYTES as usize).enumerate() {
+            for (i, chunk) in d.chunks_exact(SLICE_LEN).enumerate() {
                 self.store.put(first.offset(i as u64), chunk);
             }
         }
@@ -331,7 +331,7 @@ impl FlashArray {
         if let Some(d) = data {
             if d.len() as u64 != bytes {
                 return Err(FlashError::DataLength {
-                    expected: bytes as usize,
+                    expected: count * SLICE_LEN,
                     got: d.len(),
                 });
             }
@@ -365,7 +365,7 @@ impl FlashArray {
             });
         }
         if let Some(d) = data {
-            for (i, chunk) in d.chunks_exact(SLICE_BYTES as usize).enumerate() {
+            for (i, chunk) in d.chunks_exact(SLICE_LEN).enumerate() {
                 self.store.put(first.offset(i as u64), chunk);
             }
         }
@@ -440,7 +440,7 @@ impl FlashArray {
         cell: CellType,
         ops: u64,
     ) -> (SimTime, SimTime) {
-        let channel = self.geometry.channel_of(chip).raw() as usize;
+        let channel = self.geometry.channel_of(chip).index();
         let per_op = self.transfer_time(bytes / ops);
         let prog = self.timings.latency(cell).program;
         let mut cursor = now;
@@ -534,7 +534,7 @@ impl FlashArray {
                 self.probe.emit(now, DeviceEvent::ReadRetry { steps });
             }
             let sense = self.planes.acquire(plane, now, sense_lat);
-            let channel = self.geometry.channel_of(chip).raw() as usize;
+            let channel = self.geometry.channel_of(chip).index();
             let xfer = self
                 .channels
                 .acquire(channel, sense.end, self.transfer_time(bytes));
@@ -554,13 +554,13 @@ impl FlashArray {
             // Allocates on a hot path: the returned payload buffer, which is
             // built only with data backing on (`tests/zero_alloc.rs` and the
             // reference workloads run timing-only).
-            let mut buf = Vec::with_capacity(ppas.len() * SLICE_BYTES as usize);
+            let mut buf = Vec::with_capacity(ppas.len() * SLICE_LEN);
             for &ppa in ppas {
                 match self.store.get(ppa) {
                     Some(slice) => buf.extend_from_slice(slice),
                     // Programmed without a payload (timing-only write):
                     // reads back as zeroes.
-                    None => buf.resize(buf.len() + SLICE_BYTES as usize, 0),
+                    None => buf.resize(buf.len() + SLICE_LEN, 0),
                 }
             }
             Some(buf)
@@ -613,7 +613,7 @@ impl FlashArray {
         let sense = self
             .planes
             .acquire(plane, now, self.timings.latency(cell).read);
-        let channel = self.geometry.channel_of(chip).raw() as usize;
+        let channel = self.geometry.channel_of(chip).index();
         self.channels
             .acquire(channel, sense.end, self.transfer_time(bytes))
     }
@@ -714,7 +714,7 @@ impl FlashArray {
     pub fn erase_superblock(&mut self, now: SimTime, sb: SuperblockId) -> SimTime {
         let mut finish = now;
         for chip in 0..self.geometry.nchips() {
-            let r = self.erase_block(now, ChipId(chip as u64), sb.raw() as usize);
+            let r = self.erase_block(now, ChipId(chip as u64), sb.index());
             finish = finish.max(r.end);
         }
         finish
@@ -723,23 +723,18 @@ impl FlashArray {
     /// Live slices in a superblock, summed over all chips.
     pub fn superblock_valid_slices(&self, sb: SuperblockId) -> usize {
         (0..self.geometry.nchips())
-            .map(|c| {
-                self.block(ChipId(c as u64), sb.raw() as usize)
-                    .valid_count()
-            })
+            .map(|c| self.block(ChipId(c as u64), sb.index()).valid_count())
             .sum()
     }
 
     /// Whether every chip's block of this superblock is fully programmed.
     pub fn superblock_full(&self, sb: SuperblockId) -> bool {
-        (0..self.geometry.nchips())
-            .all(|c| self.block(ChipId(c as u64), sb.raw() as usize).is_full())
+        (0..self.geometry.nchips()).all(|c| self.block(ChipId(c as u64), sb.index()).is_full())
     }
 
     /// Whether every chip's block of this superblock is erased.
     pub fn superblock_erased(&self, sb: SuperblockId) -> bool {
-        (0..self.geometry.nchips())
-            .all(|c| self.block(ChipId(c as u64), sb.raw() as usize).is_erased())
+        (0..self.geometry.nchips()).all(|c| self.block(ChipId(c as u64), sb.index()).is_erased())
     }
 
     /// Physical addresses of all live slices in a superblock, chip-major.
@@ -755,8 +750,8 @@ impl FlashArray {
     pub fn superblock_valid_ppas_into(&self, sb: SuperblockId, out: &mut Vec<Ppa>) {
         for c in 0..self.geometry.nchips() {
             let chip = ChipId(c as u64);
-            let base = self.block_base(chip, sb.raw() as usize);
-            for idx in self.block(chip, sb.raw() as usize).iter_valid() {
+            let base = self.block_base(chip, sb.index());
+            for idx in self.block(chip, sb.index()).iter_valid() {
                 out.push(base.offset(idx as u64));
             }
         }
@@ -826,7 +821,7 @@ impl FlashArray {
     )]
     pub fn chip_free_at(&self, chip: ChipId) -> SimTime {
         let planes = self.geometry.planes_per_chip;
-        let base = chip.raw() as usize * planes;
+        let base = chip.index() * planes;
         (base..base + planes)
             .map(|p| self.planes.free_at(p))
             .min()

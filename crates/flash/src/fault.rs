@@ -91,8 +91,12 @@ impl FaultPlane {
         if self.cfg.read_retry_rate <= 0.0 || !self.rng.chance(self.cfg.read_retry_rate) {
             return 0;
         }
-        // xtask-lint: allow(truncating-cast) — bounded by max_read_retries, a u32 config knob
-        1 + self.rng.below(u64::from(self.cfg.max_read_retries)) as u32
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "below(bound) < bound, and the bound is max_read_retries, a u32 config knob"
+        )]
+        let step = self.rng.below(u64::from(self.cfg.max_read_retries)) as u32;
+        1 + step
     }
 
     /// Extra sense latency of a read-retry event of `steps` steps.

@@ -28,7 +28,6 @@ pub struct RegionWear {
     /// Highest per-block erase count.
     pub max_erases: u64,
     /// Mean per-block erase count.
-    // xtask-lint: allow(float-determinism) — derived report ratio; never read back by the sim
     pub mean_erases: f64,
     /// Erase budget per block for this media.
     pub budget: u64,

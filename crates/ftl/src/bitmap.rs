@@ -7,7 +7,7 @@
 //! deems unacceptable for consumer devices but uses as the BITMAP baseline
 //! of §IV-D).
 
-use conzone_types::{Lpn, MapGranularity};
+use conzone_types::{to_index, Lpn, MapGranularity};
 
 /// Two map bits per logical page, packed 4-per-byte.
 #[derive(Debug, Clone)]
@@ -21,7 +21,7 @@ impl MapBitmap {
     /// granularity.
     pub fn new(capacity_slices: u64) -> MapBitmap {
         MapBitmap {
-            bits: vec![0; capacity_slices.div_ceil(4) as usize],
+            bits: vec![0; to_index(capacity_slices.div_ceil(4))],
             capacity: capacity_slices,
         }
     }

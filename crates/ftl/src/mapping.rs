@@ -8,7 +8,7 @@
 //! patch pages of §III-E); data staged in ordinary SLC buffer blocks can
 //! never aggregate because its physical contiguity is not guaranteed.
 
-use conzone_types::{ChunkId, Lpn, LpnRange, MapGranularity, Ppa, ZoneId};
+use conzone_types::{to_index, ChunkId, Lpn, LpnRange, MapGranularity, Ppa, ZoneId};
 
 /// One decoded mapping-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +86,8 @@ impl MappingTable {
             "chunks must tile zones exactly"
         );
         MappingTable {
-            ppas: vec![0; capacity_slices as usize],
-            flags: vec![0; capacity_slices as usize],
+            ppas: vec![0; to_index(capacity_slices)],
+            flags: vec![0; to_index(capacity_slices)],
             chunk_slices,
             zone_slices,
         }
@@ -129,7 +129,7 @@ impl MappingTable {
         reason = "set/unmap only write the three valid granularities, so the stored bits always decode"
     )]
     pub fn get(&self, lpn: Lpn) -> Option<MapEntry> {
-        let idx = lpn.raw() as usize;
+        let idx = lpn.index();
         let ppa = unpack(*self.ppas.get(idx)?)?;
         let flags = self.flags[idx];
         Some(MapEntry {
@@ -145,7 +145,7 @@ impl MappingTable {
     /// Lets a caller that already knows one cache entry covers the range
     /// resolve it with a single bounds check.
     pub fn ppas(&self, range: LpnRange) -> impl ExactSizeIterator<Item = Option<Ppa>> + '_ {
-        let (lo, hi) = (range.start.raw() as usize, range.end().raw() as usize);
+        let (lo, hi) = (range.start.index(), range.end().index());
         let run = self.ppas.get(lo..hi).unwrap_or_default();
         run.iter().map(|slot| unpack(*slot))
     }
@@ -165,7 +165,7 @@ impl MappingTable {
     pub fn set(&mut self, lpn: Lpn, ppa: Ppa, canonical: bool) {
         // Not `set_extent(.., 1, ..)`: the slice plumbing of a one-page
         // run costs three times the two stores (3 ns vs 11 ns, measured).
-        let idx = lpn.raw() as usize;
+        let idx = lpn.index();
         assert!(idx < self.ppas.len(), "lpn {lpn} beyond capacity");
         self.demote_covering(idx);
         self.ppas[idx] = pack(ppa);
@@ -182,7 +182,7 @@ impl MappingTable {
     ///
     /// Panics if the run reaches beyond the table capacity.
     pub fn set_extent(&mut self, start: Lpn, first: Ppa, count: u64, canonical: bool) {
-        let (lo, hi) = (start.raw() as usize, (start.raw() + count) as usize);
+        let (lo, hi) = (start.index(), to_index(start.raw() + count));
         assert!(
             hi <= self.ppas.len(),
             "lpn run {start}+{count} beyond capacity"
@@ -227,7 +227,7 @@ impl MappingTable {
     ///
     /// Panics if any page of the run is unmapped or beyond capacity.
     pub fn relocate_extent(&mut self, start: Lpn, first: Ppa, count: u64) {
-        let (lo, hi) = (start.raw() as usize, (start.raw() + count) as usize);
+        let (lo, hi) = (start.index(), to_index(start.raw() + count));
         let run = self.ppas.get_mut(lo..hi).unwrap_or_default();
         assert!(
             run.len() == hi - lo && !run.contains(&0),
@@ -240,8 +240,8 @@ impl MappingTable {
     /// *not* at its canonical reserved location, in logical order (pages
     /// past the table are skipped like unmapped ones).
     pub fn non_canonical_ppas(&self, range: LpnRange) -> impl Iterator<Item = Ppa> + '_ {
-        let hi = (range.end().raw() as usize).min(self.ppas.len());
-        let lo = (range.start.raw() as usize).min(hi);
+        let hi = range.end().index().min(self.ppas.len());
+        let lo = range.start.index().min(hi);
         self.ppas[lo..hi]
             .iter()
             .zip(&self.flags[lo..hi])
@@ -253,7 +253,7 @@ impl MappingTable {
     /// [`MappingTable::set`], punching a hole into an aggregated range
     /// demotes the covering run back to page bits.
     pub fn unmap(&mut self, lpn: Lpn) {
-        let idx = lpn.raw() as usize;
+        let idx = lpn.index();
         if idx < self.ppas.len() {
             self.demote_covering(idx);
             self.ppas[idx] = 0;
@@ -266,8 +266,8 @@ impl MappingTable {
     /// per-page demotion only where an aggregated entry is found. Pages
     /// past the table are skipped, as `unmap` skips them.
     pub fn unmap_extent(&mut self, start: Lpn, count: u64) {
-        let hi = (start.raw() + count).min(self.capacity()) as usize;
-        let lo = (start.raw() as usize).min(hi);
+        let hi = to_index((start.raw() + count).min(self.capacity()));
+        let lo = start.index().min(hi);
         if self.flags[lo..hi].iter().any(|f| f & 0b11 != 0) {
             for idx in lo..hi {
                 self.demote_covering(idx);
@@ -281,8 +281,8 @@ impl MappingTable {
     /// aggregation covering one of its pages lies inside the zone and is
     /// cleared with it: two fills, no per-entry demotion.
     pub fn unmap_zone(&mut self, zone: ZoneId) {
-        let lo = (zone.raw() * self.zone_slices).min(self.capacity()) as usize;
-        let hi = (lo as u64 + self.zone_slices).min(self.capacity()) as usize;
+        let lo = to_index((zone.raw() * self.zone_slices).min(self.capacity()));
+        let hi = to_index((lo as u64 + self.zone_slices).min(self.capacity()));
         self.ppas[lo..hi].fill(0);
         self.flags[lo..hi].fill(0);
     }
@@ -291,7 +291,7 @@ impl MappingTable {
     /// of it is mapped canonically. Only mapped entries carry the
     /// canonical flag (`unmap` clears it), so the flag bytes alone decide.
     fn range_aggregatable(&self, start: u64, len: u64) -> bool {
-        let (lo, hi) = (start as usize, (start + len) as usize);
+        let (lo, hi) = (to_index(start), to_index(start + len));
         let canonical = self
             .flags
             .get(lo..hi)
@@ -302,7 +302,7 @@ impl MappingTable {
 
     fn set_range_bits(&mut self, start: u64, len: u64, granularity: MapGranularity) {
         let bits = granularity.to_bits();
-        for f in &mut self.flags[start as usize..(start + len) as usize] {
+        for f in &mut self.flags[to_index(start)..to_index(start + len)] {
             *f = (*f & !0b11) | bits;
         }
     }
@@ -362,7 +362,7 @@ impl MappingTable {
     pub fn zone_mapped_slices(&self, zone: ZoneId) -> u64 {
         let start = (zone.raw() * self.zone_slices).min(self.ppas.len() as u64);
         let end = (start + self.zone_slices).min(self.ppas.len() as u64);
-        self.ppas[start as usize..end as usize]
+        self.ppas[to_index(start)..to_index(end)]
             .iter()
             .filter(|slot| **slot != 0)
             .count() as u64

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use conzone_types::{Geometry, Lpn, Ppa};
+use conzone_types::{to_index, Geometry, Lpn, Ppa};
 
 /// Reverse map of every live slice of a block range to its logical page.
 ///
@@ -72,7 +72,7 @@ impl OwnerMap {
     pub fn new(geometry: &Geometry, blocks: Range<usize>) -> OwnerMap {
         let block_span = geometry.slices_per_block();
         let region_blocks = blocks.len();
-        let slots = geometry.nchips() * region_blocks * block_span as usize;
+        let slots = geometry.nchips() * region_blocks * to_index(block_span);
         OwnerMap {
             slots: vec![0; slots],
             dense_len: 0,
@@ -94,7 +94,9 @@ impl OwnerMap {
         let block = (rem / self.block_span).wrapping_sub(self.first_block);
         let in_block = rem % self.block_span;
         if block < self.region_blocks {
-            Some(((chip * self.region_blocks + block) * self.block_span + in_block) as usize)
+            Some(to_index(
+                (chip * self.region_blocks + block) * self.block_span + in_block,
+            ))
         } else {
             None
         }
@@ -143,8 +145,8 @@ impl OwnerMap {
     /// the region; the callers then go slice by slice.
     fn run_slots(&mut self, first: Ppa, count: usize) -> Option<&mut [u32]> {
         let i = self.dense_index(first)?;
-        let in_block = i % self.block_span as usize;
-        (in_block + count <= self.block_span as usize).then(|| &mut self.slots[i..i + count])
+        let in_block = i % to_index(self.block_span);
+        (in_block + count <= to_index(self.block_span)).then(|| &mut self.slots[i..i + count])
     }
 
     /// [`OwnerMap::insert`] for a run: slice `first + i` is owned by page
@@ -234,7 +236,7 @@ pub fn block_runs(
         while len < in_block && ppas.next_if_eq(&Some(first.offset(len))).is_some() {
             len += 1;
         }
-        Some((first, len as usize))
+        Some((first, to_index(len)))
     })
 }
 

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use conzone_types::{DeviceError, IoRequest, SimTime, ZoneId, ZonedDevice, SLICE_BYTES};
+use conzone_types::{to_index, DeviceError, IoRequest, SimTime, ZoneId, ZonedDevice, SLICE_BYTES};
 
 /// Data temperature, following F2FS's hot/warm/cold separation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,8 +120,8 @@ impl F2fsLite {
             files: BTreeMap::new(),
             nodes: BTreeMap::new(),
             owners: BTreeMap::new(),
-            zone_live: vec![0; nzones as usize],
-            zone_written: vec![0; nzones as usize],
+            zone_live: vec![0; to_index(nzones)],
+            zone_written: vec![0; to_index(nzones)],
             node_interval: 64,
             pending_node: [0; 6],
             cleaning: false,
@@ -220,13 +220,13 @@ impl F2fsLite {
 
     fn stale_slice(&mut self, lpn: u64) {
         if self.owners.remove(&lpn).is_some() {
-            let zone = (lpn / self.zone_slices) as usize;
+            let zone = to_index(lpn / self.zone_slices);
             self.zone_live[zone] -= 1;
         }
     }
 
     fn record_slice(&mut self, lpn: u64, file: u64, block: u64) {
-        let zone = (lpn / self.zone_slices) as usize;
+        let zone = to_index(lpn / self.zone_slices);
         self.owners.insert(lpn, (file, block));
         self.zone_live[zone] += 1;
         self.zone_written[zone] = self.zone_written[zone].max(lpn % self.zone_slices + 1);
@@ -383,11 +383,11 @@ impl F2fsLite {
         // slices. A victim with no stale space would free nothing.
         let victim = (0..self.nzones)
             .filter(|&z| {
-                self.zone_written[z as usize] > self.zone_live[z as usize]
+                self.zone_written[to_index(z)] > self.zone_live[to_index(z)]
                     && !self.zone_is_log_active(z)
                     && !self.free_zones.contains(&z)
             })
-            .max_by_key(|&z| self.zone_written[z as usize] - self.zone_live[z as usize])
+            .max_by_key(|&z| self.zone_written[to_index(z)] - self.zone_live[to_index(z)])
             .ok_or_else(|| DeviceError::NoFreeSpace {
                 at: now,
                 what: "f2fs-lite found no cleanable zone".to_string(),
@@ -449,8 +449,8 @@ impl F2fsLite {
         // Reset and free the victim.
         let c = dev.reset_zone(t, ZoneId(victim))?;
         t = c.finished;
-        self.zone_written[victim as usize] = 0;
-        debug_assert_eq!(self.zone_live[victim as usize], 0);
+        self.zone_written[to_index(victim)] = 0;
+        debug_assert_eq!(self.zone_live[to_index(victim)], 0);
         self.free_zones.push_back(victim);
         self.stats.zone_resets += 1;
         Ok(t)

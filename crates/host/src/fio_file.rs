@@ -80,7 +80,6 @@ struct Section {
     offset: u64,
     numjobs: usize,
     iodepth: usize,
-    // xtask-lint: allow(float-determinism) — workload knob parsed from fio syntax; arrivals are quantized to integer ns
     rate_iops: Option<f64>,
     randseed: u64,
     fsync: Option<u64>,

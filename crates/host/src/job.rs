@@ -77,7 +77,6 @@ pub struct FioJob {
     /// Open-loop arrivals: submit requests at a Poisson process of this
     /// many IOPS instead of waiting for completions (read patterns only).
     /// `None` keeps the default closed-loop sync behaviour.
-    // xtask-lint: allow(float-determinism) — workload arrival-rate knob; arrivals are quantized to integer ns
     pub arrival_iops: Option<f64>,
     /// Outstanding requests per thread in closed-loop mode (fio
     /// `iodepth=`); each completion immediately re-arms its slot.
@@ -124,7 +123,6 @@ impl FioJob {
 
     /// Switches to open-loop Poisson arrivals at `iops` requests/second
     /// (read patterns only; latency then includes queueing delay).
-    // xtask-lint: allow(float-determinism) — workload arrival-rate knob; arrivals are quantized to integer ns
     pub fn arrival_iops(mut self, iops: f64) -> FioJob {
         self.arrival_iops = Some(iops);
         self

@@ -31,6 +31,9 @@
 //! # Ok::<(), conzone_host::HostError>(())
 //! ```
 
+// Unit tests cast freely; the truncating-cast ban (`[workspace.lints]`) is
+// meant for library code reachable from the simulator.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

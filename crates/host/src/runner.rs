@@ -22,7 +22,7 @@ use conzone_sim::{
     EventQueue, LatencyHistogram, LatencySummary, MetricsSample, MetricsSampler, SimRng,
 };
 use conzone_types::{
-    Counters, DeviceError, IoRequest, SimDuration, SimTime, StorageDevice, SLICE_BYTES,
+    to_index, Counters, DeviceError, IoRequest, SimDuration, SimTime, StorageDevice, SLICE_BYTES,
 };
 
 use crate::job::{AccessPattern, FioJob};
@@ -319,7 +319,7 @@ impl<'a> Tenant<'a> {
                         let first_zone = region_start / zb;
                         let nzones = region_len / zb;
                         (0..nzones)
-                            .filter(|z| (*z as usize) % job.threads == i)
+                            .filter(|z| to_index(*z) % job.threads == i)
                             .map(|z| first_zone + z)
                             .collect()
                     }
@@ -574,9 +574,16 @@ pub(crate) fn drive<D: StorageDevice + ?Sized>(
                 for i in 0..job.requests_per_thread() * job.threads as u64 {
                     // Exponential inter-arrival with mean 1/iops seconds.
                     let u = arrival_rng.f64().max(f64::MIN_POSITIVE);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        clippy::cast_possible_truncation,
+                        reason = "workload arrival-rate knob: arrivals are seeded and quantised \
+                                  to integer ns (the saturating `as`); a last-bit libm \
+                                  difference across platforms is accepted"
+                    )]
                     let gap_ns = (-u.ln() / iops * 1e9) as u64;
                     at += SimDuration::from_nanos(gap_ns);
-                    let thread = (i % job.threads as u64) as usize;
+                    let thread = to_index(i % job.threads as u64);
                     queue.push(at, Ev::Gen { tenant, thread });
                 }
             }

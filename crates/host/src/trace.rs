@@ -186,7 +186,6 @@ pub struct MobileTraceBuilder {
     burst_bytes: u64,
     metadata_every: u64,
     reads: u64,
-    // xtask-lint: allow(float-determinism) — Zipf skew knob; sampling is seeded and quantized
     read_skew: f64,
 }
 
@@ -230,7 +229,6 @@ impl MobileTraceBuilder {
     }
 
     /// Zipf skew of the reads (0.0 = uniform, ~1.0 = typical hot/cold).
-    // xtask-lint: allow(float-determinism) — Zipf skew knob; sampling is seeded and quantized
     pub fn read_skew(mut self, skew: f64) -> Self {
         self.read_skew = skew;
         self
@@ -299,6 +297,11 @@ impl MobileTraceBuilder {
         // Zipf-ish skewed reads over written media extents: rank sampled
         // with probability ∝ rank^-skew via inversion on a harmonic CDF.
         let n = written_media.len().max(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Zipf skew knob: sampling is seeded and quantised to a rank; a last-bit \
+                      libm difference across platforms is accepted"
+        )]
         let weights: Vec<f64> = (1..=n)
             .map(|r| 1.0 / (r as f64).powf(self.read_skew))
             .collect();

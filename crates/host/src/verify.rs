@@ -6,14 +6,14 @@
 
 use bytes::Bytes;
 use conzone_sim::SimRng;
-use conzone_types::SLICE_BYTES;
+use conzone_types::{to_index, SLICE_BYTES, SLICE_LEN};
 
 /// Deterministic payload for the block at `offset`.
 ///
 /// Every 4 KiB slice is generated independently from `(seed, slice
 /// offset)`, so partially overlapping requests still verify.
 pub fn payload_for(seed: u64, offset: u64, len: u64) -> Bytes {
-    let mut v = Vec::with_capacity(len as usize);
+    let mut v = Vec::with_capacity(to_index(len));
     let slices = len / SLICE_BYTES;
     for s in 0..slices {
         let slice_off = offset + s * SLICE_BYTES;
@@ -24,7 +24,7 @@ pub fn payload_for(seed: u64, offset: u64, len: u64) -> Bytes {
         for w in 0..8 {
             stamp[w * 8..(w + 1) * 8].copy_from_slice(&rng.next_u64().to_le_bytes());
         }
-        let reps = SLICE_BYTES as usize / stamp.len();
+        let reps = SLICE_LEN / stamp.len();
         for _ in 0..reps {
             v.extend_from_slice(&stamp);
         }

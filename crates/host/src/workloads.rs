@@ -7,7 +7,7 @@
 //! one command (`conzone gen-trace --preset ...`).
 
 use conzone_sim::SimRng;
-use conzone_types::{SimTime, SLICE_BYTES};
+use conzone_types::{to_index, SimTime, SLICE_BYTES};
 
 use crate::trace::{Trace, TraceKind, TraceOp};
 
@@ -130,7 +130,7 @@ impl PresetBuilder {
             zone_bytes,
             zones,
             t: 0,
-            wp: vec![0; zones as usize],
+            wp: vec![0; to_index(zones)],
             readable: Vec::new(),
         }
     }
@@ -165,20 +165,20 @@ impl PresetBuilder {
     ) {
         let mut streamed = 0;
         while streamed < len {
-            if self.wp[zone as usize] + chunk > self.zone_bytes {
+            if self.wp[to_index(zone)] + chunk > self.zone_bytes {
                 // Move to the next zone of the same parity.
                 zone = (zone + 2) % self.zones;
-                if self.wp[zone as usize] + chunk > self.zone_bytes {
+                if self.wp[to_index(zone)] + chunk > self.zone_bytes {
                     self.push(TraceKind::Discard, zone * self.zone_bytes, self.zone_bytes);
                     let zb = self.zone_bytes;
                     self.readable.retain(|(off, _)| off / zb != zone);
-                    self.wp[zone as usize] = 0;
+                    self.wp[to_index(zone)] = 0;
                 }
             }
-            let offset = zone * self.zone_bytes + self.wp[zone as usize];
+            let offset = zone * self.zone_bytes + self.wp[to_index(zone)];
             self.push(TraceKind::Write, offset, chunk);
             self.readable.push((offset, chunk));
-            self.wp[zone as usize] += chunk;
+            self.wp[to_index(zone)] += chunk;
             streamed += chunk;
             self.t += 150_000;
             if meta_every != u64::MAX && streamed % meta_every == 0 {
@@ -189,7 +189,7 @@ impl PresetBuilder {
 
     /// Fills a whole zone (pre-existing data for read-heavy presets).
     fn fill_zone(&mut self, zone: u64) {
-        let len = self.zone_bytes - self.wp[zone as usize];
+        let len = self.zone_bytes - self.wp[to_index(zone)];
         self.stream_write_at_zone(zone, len);
     }
 
@@ -197,10 +197,10 @@ impl PresetBuilder {
         let mut streamed = 0;
         while streamed < len {
             let chunk = (512 * 1024).min(len - streamed);
-            let offset = zone * self.zone_bytes + self.wp[zone as usize];
+            let offset = zone * self.zone_bytes + self.wp[to_index(zone)];
             self.push(TraceKind::Write, offset, chunk);
             self.readable.push((offset, chunk));
-            self.wp[zone as usize] += chunk;
+            self.wp[to_index(zone)] += chunk;
             streamed += chunk;
             self.t += 150_000;
         }
@@ -208,15 +208,15 @@ impl PresetBuilder {
 
     /// Appends a small write to a dedicated log zone.
     fn log_write(&mut self, zone: u64, len: u64) {
-        if self.wp[zone as usize] + len > self.zone_bytes {
+        if self.wp[to_index(zone)] + len > self.zone_bytes {
             self.push(TraceKind::Discard, zone * self.zone_bytes, self.zone_bytes);
             let zb = self.zone_bytes;
             self.readable.retain(|(off, _)| off / zb != zone);
-            self.wp[zone as usize] = 0;
+            self.wp[to_index(zone)] = 0;
         }
-        let offset = zone * self.zone_bytes + self.wp[zone as usize];
+        let offset = zone * self.zone_bytes + self.wp[to_index(zone)];
         self.push(TraceKind::Write, offset, len);
-        self.wp[zone as usize] += len;
+        self.wp[to_index(zone)] += len;
         self.t += 80_000;
     }
 
@@ -225,7 +225,7 @@ impl PresetBuilder {
         if self.readable.is_empty() {
             return;
         }
-        let (base, len) = self.readable[self.rng.below(self.readable.len() as u64) as usize];
+        let (base, len) = self.readable[to_index(self.rng.below(self.readable.len() as u64))];
         let max_slices = (len / SLICE_BYTES).max(1);
         let n = slices.min(max_slices);
         let start = self.rng.below(max_slices - n + 1);
@@ -238,6 +238,10 @@ impl PresetBuilder {
             return;
         }
         let u = self.rng.f64();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a float-to-int `as` saturates, and the index is clamped to the list below"
+        )]
         let idx = ((u * u * u) * self.readable.len() as f64) as usize;
         let (base, len) = self.readable[idx.min(self.readable.len() - 1)];
         let slice = self.rng.below((len / SLICE_BYTES).max(1));

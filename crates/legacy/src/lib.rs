@@ -23,6 +23,9 @@
 //! # Ok::<(), conzone_types::DeviceError>(())
 //! ```
 
+// Unit tests cast freely; the truncating-cast ban (`[workspace.lints]`) is
+// meant for library code reachable from the simulator.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,9 +36,9 @@ use bytes::Bytes;
 use conzone_flash::{FlashArray, FlashError};
 use conzone_ftl::{block_runs, LruCache, MappingTable, OwnerMap};
 use conzone_types::{
-    ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig, FlushKind,
-    IoKind, IoRequest, L2pOutcome, Lpn, LpnRange, PowerCycle, Ppa, Probe, RecoveryReport, SimTime,
-    StorageDevice, SuperblockId, ZoneId, SLICE_BYTES,
+    to_index, ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig,
+    FlushKind, IoKind, IoRequest, L2pOutcome, Lpn, LpnRange, PowerCycle, Ppa, Probe,
+    RecoveryReport, SimTime, StorageDevice, SuperblockId, ZoneId, SLICE_BYTES, SLICE_LEN,
 };
 
 #[cfg(test)]
@@ -45,8 +48,6 @@ mod reference;
 
 /// Fraction of normal superblocks held back as GC over-provisioning.
 const OVERPROVISION_DIVISOR: usize = 16; // ~6 %
-
-const SLICE: usize = SLICE_BYTES as usize;
 
 fn internal(e: FlashError) -> DeviceError {
     DeviceError::Unsupported(format!("internal flash error: {e}"))
@@ -73,8 +74,8 @@ struct PendingRun {
 impl PendingRun {
     /// Payload of `n` slices starting `skip` slices into what is left.
     fn payload(&self, skip: usize, n: usize) -> Option<&[u8]> {
-        let from = (self.done + skip) * SLICE;
-        self.data.as_deref().map(|d| &d[from..from + n * SLICE])
+        let from = (self.done + skip) * SLICE_LEN;
+        self.data.as_deref().map(|d| &d[from..from + n * SLICE_LEN])
     }
 }
 
@@ -82,7 +83,7 @@ impl PendingRun {
 fn extend_or_zero(out: &mut Vec<u8>, data: Option<&[u8]>, n: usize) {
     match data {
         Some(d) => out.extend_from_slice(d),
-        None => out.resize(out.len() + n * SLICE, 0),
+        None => out.resize(out.len() + n * SLICE_LEN, 0),
     }
 }
 
@@ -168,14 +169,6 @@ impl LegacyDevice {
             gc_ppas: Vec::new(),
             cfg,
         }
-    }
-
-    /// Attaches a trace probe; flushes, GC passes, L2P lookups and media
-    /// operations are emitted to it from now on. Legacy has no zones, so
-    /// zone-tagged events use zone 0.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.flash.set_probe(probe.clone());
-        self.probe = probe;
     }
 
     /// Logical capacity in slices (physical minus over-provisioning).
@@ -361,7 +354,7 @@ impl LegacyDevice {
         let data = self.cfg.data_backing.then_some(&payload[..]);
         let out = self
             .flash
-            .program_unit(t, chip, sb.raw() as usize, data)
+            .program_unit(t, chip, sb.index(), data)
             .map_err(internal)?;
         self.unit_payload = payload;
         // Buffer frees after the transfer; tPROG runs in the background.
@@ -470,7 +463,7 @@ impl LegacyDevice {
             let data = out
                 .data
                 .as_ref()
-                .map(|d| d[at * SLICE..(at + n) * SLICE].to_vec());
+                .map(|d| d[at * SLICE_LEN..(at + n) * SLICE_LEN].to_vec());
             self.queue(Some(lpn), n, data);
             let owners = LpnRange::new(lpn, n as u64);
             self.table.unmap_extent(owners.start, owners.count);
@@ -496,15 +489,15 @@ impl LegacyDevice {
         let unit = self.unit_slices();
         let mut t = now;
         let mut at = 0;
-        while at < range.count as usize {
+        while at < to_index(range.count) {
             // Queue up to the next unit boundary, where the buffer
             // flushes. (A queue already holding a unit — a flush that
             // failed with `NoFreeSpace` left it — retries after every
             // slice.)
             let room = unit.saturating_sub(self.pending_slices).max(1);
-            let n = room.min(range.count as usize - at);
+            let n = room.min(to_index(range.count) - at);
             let run = LpnRange::new(range.start.offset(at as u64), n as u64);
-            let data = payload.map(|p| p[at * SLICE..(at + n) * SLICE].to_vec());
+            let data = payload.map(|p| p[at * SLICE_LEN..(at + n) * SLICE_LEN].to_vec());
             self.queue(Some(run.start), n, data);
             // Invalidate the cache entries of an in-place update; the fresh
             // mapping is installed at flush time.
@@ -522,7 +515,7 @@ impl LegacyDevice {
     fn pending_copy(&self, lpn: Lpn) -> Option<(usize, usize)> {
         self.pending.iter().enumerate().rev().find_map(|(i, run)| {
             let skip = lpn.raw().checked_sub(run.lpn?.raw())?;
-            (skip < run.count as u64).then_some((i, skip as usize))
+            (skip < run.count as u64).then_some((i, to_index(skip)))
         })
     }
 
@@ -538,7 +531,7 @@ impl LegacyDevice {
         }
         let mut t_map = now;
         let mut ppas: Vec<Ppa> = Vec::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(range.count as usize);
+        let mut slots: Vec<Slot> = Vec::with_capacity(to_index(range.count));
         for lpn in range.iter() {
             // Data still aggregating in the buffer is served from RAM.
             if let Some((run, skip)) = self.pending_copy(lpn) {
@@ -596,7 +589,7 @@ impl LegacyDevice {
             flash_data = out.data;
         }
         let data = if self.cfg.data_backing {
-            let mut v = Vec::with_capacity((range.count * SLICE_BYTES) as usize);
+            let mut v = Vec::with_capacity(to_index(range.count * SLICE_BYTES));
             for slot in &slots {
                 match *slot {
                     Slot::Pending(run, skip) => {
@@ -604,7 +597,7 @@ impl LegacyDevice {
                     }
                     Slot::Flash(i) => {
                         let d = flash_data.as_ref().expect("backed flash read");
-                        v.extend_from_slice(&d[i * SLICE..(i + 1) * SLICE]);
+                        v.extend_from_slice(&d[i * SLICE_LEN..(i + 1) * SLICE_LEN]);
                     }
                 }
             }
@@ -619,6 +612,13 @@ impl LegacyDevice {
 impl StorageDevice for LegacyDevice {
     fn config(&self) -> &DeviceConfig {
         &self.cfg
+    }
+
+    /// Flushes, GC passes, L2P lookups and media operations go to `probe`.
+    /// Legacy has no zones, so zone-tagged events use zone 0.
+    fn set_probe(&mut self, probe: Probe) {
+        self.flash.set_probe(probe.clone());
+        self.probe = probe;
     }
 
     fn capacity_bytes(&self) -> u64 {

@@ -48,6 +48,10 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::U64(n) => Some(*n),
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the guard admits only whole values inside u64's range"
+            )]
             Json::F64(f) if f.fract() == 0.0 && *f >= 0.0 && *f <= u64::MAX as f64 => {
                 Some(*f as u64)
             }
@@ -145,7 +149,6 @@ pub fn write_u64<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
     let mut at = digits.len();
     loop {
         at -= 1;
-        // xtask-lint: allow(truncating-cast) — a remainder of ten fits a byte
         digits[at] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 )]
 use std::sync::Mutex;
 
-use conzone_types::{SimDuration, SpanKind, SpanRecord, SpanSink};
+use conzone_types::{to_index, SimDuration, SpanKind, SpanRecord, SpanSink};
 
 /// A bounded in-memory span sink.
 ///
@@ -117,16 +117,16 @@ pub(crate) const ALL_KINDS: [SpanKind; SpanKind::KIND_COUNT] = [
 /// hand-built record set could produce) subtracts no further.
 pub fn attribute_spans(spans: &[SpanRecord]) -> Vec<KindAttribution> {
     // Ids are assigned in open order, so they are dense enough to index.
-    let max_id = spans.iter().map(|s| s.id).max().unwrap_or(0) as usize;
+    let max_id = to_index(spans.iter().map(|s| s.id).max().unwrap_or(0));
     let mut self_ns: Vec<u64> = vec![0; max_id + 1];
     let mut kind_of: Vec<Option<SpanKind>> = vec![None; max_id + 1];
     for s in spans {
-        self_ns[s.id as usize] = s.duration_nanos();
-        kind_of[s.id as usize] = Some(s.kind);
+        self_ns[to_index(s.id)] = s.duration_nanos();
+        kind_of[to_index(s.id)] = Some(s.kind);
     }
     for s in spans {
         if s.parent != 0 {
-            let p = s.parent as usize;
+            let p = to_index(s.parent);
             if p < self_ns.len() {
                 self_ns[p] = self_ns[p].saturating_sub(s.duration_nanos());
             }
@@ -146,7 +146,7 @@ pub fn attribute_spans(spans: &[SpanRecord]) -> Vec<KindAttribution> {
         let slot = &mut out[s.kind.index()];
         slot.count += 1;
         slot.total += SimDuration::from_nanos(s.duration_nanos());
-        slot.self_time += SimDuration::from_nanos(self_ns[s.id as usize]);
+        slot.self_time += SimDuration::from_nanos(self_ns[to_index(s.id)]);
     }
     out
 }

@@ -1,7 +1,7 @@
 //! Latency statistics: an HDR-style log-bucketed histogram and a compact
 //! summary used in benchmark reports.
 
-use conzone_types::SimDuration;
+use conzone_types::{to_index, SimDuration};
 
 /// Number of linear sub-buckets per power-of-two magnitude. 32 gives a
 /// worst-case quantile error of ~3 %.
@@ -36,11 +36,11 @@ fn bucket_index(value: u64) -> usize {
     // Values below SUBBUCKETS go to their own linear bucket; above that,
     // each power of two is split into SUBBUCKETS linear sub-buckets.
     if value < SUBBUCKETS as u64 {
-        value as usize
+        to_index(value)
     } else {
         let magnitude = 63 - value.leading_zeros();
         let shift = magnitude - SUBBUCKET_BITS;
-        let sub = ((value >> shift) - SUBBUCKETS as u64) as usize;
+        let sub = to_index((value >> shift) - SUBBUCKETS as u64);
         ((magnitude - SUBBUCKET_BITS + 1) as usize) * SUBBUCKETS + sub
     }
 }
@@ -62,8 +62,7 @@ fn bucket_mid(index: usize) -> u64 {
     if index < SUBBUCKETS {
         index as u64
     } else {
-        // xtask-lint: allow(truncating-cast) — tier index is < 64 by bucket construction
-        let tier = (index / SUBBUCKETS - 1) as u32;
+        let tier = index / SUBBUCKETS - 1;
         // The bucket spans 2^tier values starting at its lower bound.
         bucket_low(index) + ((1u64 << tier) >> 1)
     }
@@ -120,7 +119,9 @@ impl LatencyHistogram {
         if self.count == 0 {
             SimDuration::ZERO
         } else {
-            SimDuration::from_nanos((self.sum_ns / u128::from(self.count)) as u64)
+            // A mean of u64 samples fits a u64.
+            let mean = self.sum_ns / u128::from(self.count);
+            SimDuration::from_nanos(u64::try_from(mean).unwrap_or(u64::MAX))
         }
     }
 
@@ -149,6 +150,10 @@ impl LatencyHistogram {
         if self.count == 0 {
             return SimDuration::ZERO;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a float-to-int `as` saturates, and the rank is clamped to the sample count"
+        )]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (idx, &n) in self.buckets.iter().enumerate() {

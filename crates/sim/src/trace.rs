@@ -19,7 +19,9 @@
 )]
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use conzone_types::{Counters, DeviceEvent, SimDuration, SimTime, TraceRecord, TraceSink};
+use conzone_types::{
+    to_index, Counters, DeviceEvent, SimDuration, SimTime, TraceRecord, TraceSink,
+};
 
 /// The storage behind [`RingBufferSink`].
 #[derive(Debug)]
@@ -88,7 +90,7 @@ impl RingBufferSink {
         let oldest = if ring.records.len() < self.capacity {
             0
         } else {
-            (ring.head % self.capacity as u64) as usize
+            to_index(ring.head % self.capacity as u64)
         };
         let (newer, older) = ring.records.split_at(oldest);
         [older, newer].concat()
@@ -108,7 +110,7 @@ impl TraceSink for RingBufferSink {
         if ring.records.len() < self.capacity {
             ring.records.push(record);
         } else {
-            let slot = (ring.head % self.capacity as u64) as usize;
+            let slot = to_index(ring.head % self.capacity as u64);
             ring.records[slot] = record;
         }
         ring.head += 1;

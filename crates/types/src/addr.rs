@@ -17,6 +17,18 @@ use core::fmt;
 /// programming unit (4 KiB).
 pub const SLICE_BYTES: u64 = 4096;
 
+/// [`SLICE_BYTES`] as a buffer length.
+pub const SLICE_LEN: usize = 4096;
+
+/// A device-side quantity (an id, a slice count, a byte length) as an index
+/// or length in host memory. The one place the workspace narrows `u64` to
+/// `usize`: free on a 64-bit host, and a 32-bit host stops here instead of
+/// indexing with a wrapped value.
+#[inline]
+pub fn to_index(v: u64) -> usize {
+    usize::try_from(v).expect("a table index or buffer length exceeds the host's address space")
+}
+
 /// Most slices an address space may hold, physical ([`Ppa`]) or padded
 /// logical ([`Lpn`]): the FTL's per-slice tables keep an address plus one
 /// in four bytes (0 is the empty entry), and the exclusive end of a
@@ -34,6 +46,13 @@ macro_rules! index_newtype {
             #[inline]
             pub const fn raw(self) -> u64 {
                 self.0
+            }
+
+            /// The raw value as an index into a per-id table (see
+            /// [`to_index`]).
+            #[inline]
+            pub fn index(self) -> usize {
+                to_index(self.0)
             }
         }
 
@@ -208,6 +227,26 @@ mod tests {
         assert_eq!(Lpn(3).byte_offset(), 3 * 4096);
         assert_eq!(Lpn::containing(4095), Lpn(0));
         assert_eq!(Lpn::containing(4096), Lpn(1));
+    }
+
+    #[test]
+    fn indices_round_trip() {
+        // MAX_SLICES fits a 32-bit usize too: every table the FTL sizes can
+        // be indexed on any supported host.
+        for v in [0, 1, MAX_SLICES] {
+            assert_eq!(to_index(v) as u64, v);
+            assert_eq!(Lpn(v).index() as u64, v);
+            assert_eq!(Ppa(v).index(), to_index(v));
+            assert_eq!(ZoneId(v).index(), to_index(v));
+        }
+        assert_eq!(SLICE_LEN as u64, SLICE_BYTES);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_64_bit_host_indexes_the_whole_u64_range() {
+        assert_eq!(to_index(u64::MAX) as u64, u64::MAX);
+        assert_eq!(ZoneId(u64::MAX).index(), usize::MAX);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Device configuration: media timings, buffer and cache sizing, mapping
 //! policy, and the builder that validates a complete [`DeviceConfig`].
 
-use crate::addr::{MAX_SLICES, SLICE_BYTES};
+use crate::addr::{to_index, MAX_SLICES, SLICE_BYTES};
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
 use crate::time::SimDuration;
@@ -199,16 +199,13 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Probability that one program operation (unit or SLC batch) fails.
     /// The failed slices are burned; the core re-issues the data elsewhere.
-    // xtask-lint: allow(float-determinism) — fault probability knob, compared against the seeded rng
     pub program_fail_rate: f64,
     /// Probability that one block erase fails, permanently retiring the
     /// block (it drops out of its superblock's usable set).
-    // xtask-lint: allow(float-determinism) — fault probability knob, compared against the seeded rng
     pub erase_fail_rate: f64,
     /// Probability that one data page read needs read-retry: the sense is
     /// repeated with stepped reference voltages, each step costing
     /// [`FaultConfig::read_retry_step`] extra latency.
-    // xtask-lint: allow(float-determinism) — fault probability knob, compared against the seeded rng
     pub read_retry_rate: f64,
     /// Program failures on one block before it is retired as a *grown bad
     /// block*. Zero means program failures never retire a block.
@@ -238,7 +235,6 @@ impl FaultConfig {
     /// A fault config with the given per-operation rates and sensible
     /// defaults for the remaining knobs (grown-bad after 2 program
     /// failures, up to 3 read-retry steps of 25 µs each).
-    // xtask-lint: allow(float-determinism) — fault probability knobs, compared against the seeded rng
     pub fn with_rates(program_fail: f64, erase_fail: f64, read_retry: f64) -> FaultConfig {
         FaultConfig {
             program_fail_rate: program_fail,
@@ -435,7 +431,7 @@ impl DeviceConfig {
     /// Number of entries the L2P cache can hold.
     #[inline]
     pub fn l2p_cache_entries(&self) -> usize {
-        (self.l2p_cache_bytes / self.l2p_entry_bytes) as usize
+        to_index(self.l2p_cache_bytes / self.l2p_entry_bytes)
     }
 
     /// Chunk size in 4 KiB slices.

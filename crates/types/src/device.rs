@@ -15,6 +15,7 @@ use crate::config::DeviceConfig;
 use crate::counters::Counters;
 use crate::error::DeviceError;
 use crate::time::{SimDuration, SimTime};
+use crate::trace::Probe;
 
 /// Direction of an I/O request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -226,6 +227,11 @@ pub trait StorageDevice {
 
     /// Short model name for reports (e.g. `"conzone"`).
     fn model_name(&self) -> &'static str;
+
+    /// Attaches a trace probe: the model's internal events are emitted to
+    /// it from now on; pass [`Probe::disabled`] to detach. The default is
+    /// for a device with no events to emit (a wrapper, a test double).
+    fn set_probe(&mut self, _probe: Probe) {}
 }
 
 /// A device exposing the zoned-namespace interface.

@@ -7,7 +7,9 @@
 //! programming units at the same offset across all chips form a *superpage*.
 //! SLC blocks program partially at 4 KiB granularity.
 
-use crate::addr::{ChannelId, ChipId, Lpn, Ppa, SuperblockId, ZoneId, MAX_SLICES, SLICE_BYTES};
+use crate::addr::{
+    to_index, ChannelId, ChipId, Lpn, Ppa, SuperblockId, ZoneId, MAX_SLICES, SLICE_BYTES, SLICE_LEN,
+};
 use crate::error::ConfigError;
 
 /// Static geometry of the flash array.
@@ -107,7 +109,7 @@ impl Geometry {
         nonzero(self.pages_per_block, "pages_per_block")?;
         nonzero(self.page_bytes, "page_bytes")?;
         nonzero(self.program_unit_bytes, "program_unit_bytes")?;
-        if !self.page_bytes.is_multiple_of(SLICE_BYTES as usize) {
+        if !self.page_bytes.is_multiple_of(SLICE_LEN) {
             return Err(ConfigError::new(format!(
                 "page_bytes {} is not a multiple of the 4 KiB slice",
                 self.page_bytes
@@ -170,7 +172,7 @@ impl Geometry {
     /// 4 KiB slices per flash page.
     #[inline]
     pub fn slices_per_page(&self) -> usize {
-        self.page_bytes / SLICE_BYTES as usize
+        self.page_bytes / SLICE_LEN
     }
 
     /// Flash pages per programming unit of the normal area.
@@ -182,7 +184,7 @@ impl Geometry {
     /// 4 KiB slices per programming unit of the normal area.
     #[inline]
     pub fn slices_per_unit(&self) -> usize {
-        self.program_unit_bytes / SLICE_BYTES as usize
+        self.program_unit_bytes / SLICE_LEN
     }
 
     /// Programming units per flash block.
@@ -253,7 +255,7 @@ impl Geometry {
     /// Debug-asserts that every component is within the geometry.
     #[inline]
     pub fn encode_ppa(&self, chip: ChipId, block: usize, page: usize, slice: usize) -> Ppa {
-        debug_assert!((chip.raw() as usize) < self.nchips());
+        debug_assert!(chip.index() < self.nchips());
         debug_assert!(block < self.blocks_per_chip);
         debug_assert!(page < self.pages_per_block);
         debug_assert!(slice < self.slices_per_page());
@@ -269,11 +271,11 @@ impl Geometry {
     #[inline]
     pub fn decode_ppa(&self, ppa: Ppa) -> PpaParts {
         let spp = self.slices_per_page() as u64;
-        let slice = (ppa.raw() % spp) as usize;
+        let slice = to_index(ppa.raw() % spp);
         let page_linear = ppa.raw() / spp;
-        let page = (page_linear % self.pages_per_block as u64) as usize;
+        let page = to_index(page_linear % self.pages_per_block as u64);
         let block_linear = page_linear / self.pages_per_block as u64;
-        let block = (block_linear % self.blocks_per_chip as u64) as usize;
+        let block = to_index(block_linear % self.blocks_per_chip as u64);
         let chip = ChipId(block_linear / self.blocks_per_chip as u64);
         PpaParts {
             chip,
@@ -292,7 +294,7 @@ impl Geometry {
     /// The plane resource index of a block on a chip.
     #[inline]
     pub fn plane_of(&self, chip: ChipId, block: usize) -> usize {
-        chip.raw() as usize * self.planes_per_chip + block % self.planes_per_chip
+        chip.index() * self.planes_per_chip + block % self.planes_per_chip
     }
 
     /// Whether a physical address lies in the SLC region.
@@ -317,18 +319,18 @@ impl Geometry {
             self.slices_per_superblock()
         );
         assert!(
-            (sb.raw() as usize) < self.blocks_per_chip,
+            sb.index() < self.blocks_per_chip,
             "superblock {sb} outside array"
         );
         let spu = self.slices_per_unit() as u64;
         let unit = offset / spu;
         let within = offset % spu;
         let chip = ChipId(unit % self.nchips() as u64);
-        let unit_in_block = (unit / self.nchips() as u64) as usize;
+        let unit_in_block = to_index(unit / self.nchips() as u64);
         let page = unit_in_block * self.pages_per_unit()
-            + (within / self.slices_per_page() as u64) as usize;
-        let slice = (within % self.slices_per_page() as u64) as usize;
-        self.encode_ppa(chip, sb.raw() as usize, page, slice)
+            + to_index(within / self.slices_per_page() as u64);
+        let slice = to_index(within % self.slices_per_page() as u64);
+        self.encode_ppa(chip, sb.index(), page, slice)
     }
 
     /// Inverse of [`Geometry::superblock_slice`]: the (superblock,

@@ -25,6 +25,9 @@
 //! # Ok::<(), conzone_types::ConfigError>(())
 //! ```
 
+// Unit tests cast freely; the truncating-cast ban (`[workspace.lints]`) is
+// meant for library code reachable from the simulator.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -40,7 +43,8 @@ mod time;
 mod trace;
 
 pub use addr::{
-    ChannelId, ChipId, ChunkId, Lpn, LpnRange, Ppa, SuperblockId, ZoneId, MAX_SLICES, SLICE_BYTES,
+    to_index, ChannelId, ChipId, ChunkId, Lpn, LpnRange, Ppa, SuperblockId, ZoneId, MAX_SLICES,
+    SLICE_BYTES, SLICE_LEN,
 };
 pub use config::{
     CellType, DeviceConfig, DeviceConfigBuilder, FaultConfig, MapGranularity, MediaLatency,

@@ -124,7 +124,8 @@ impl SimDuration {
         assert!(bytes_per_sec > 0, "transfer rate must be non-zero");
         // ns = bytes * 1e9 / rate, using u128 to avoid overflow.
         let ns = (u128::from(bytes) * 1_000_000_000u128).div_ceil(u128::from(bytes_per_sec));
-        SimDuration(ns as u64)
+        // 584 years of transfer saturate rather than wrap.
+        SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 }
 

@@ -3,7 +3,7 @@
 
 use conzone::host::{AccessPattern, QdOptions};
 use conzone::types::{
-    DeviceConfig, FaultConfig, Geometry, MapGranularity, SearchStrategy, SimDuration,
+    to_index, DeviceConfig, FaultConfig, Geometry, MapGranularity, SearchStrategy, SimDuration,
 };
 use conzone::ArbiterKind;
 
@@ -158,7 +158,7 @@ impl Args {
                 "bad --{key}: {v} exceeds the NVMe limit of {NVME_QUEUE_LIMIT}"
             ));
         }
-        Ok(v as usize)
+        Ok(to_index(v))
     }
 }
 
@@ -184,7 +184,9 @@ pub fn build_config(args: &Args) -> Result<DeviceConfig, String> {
         .search_strategy(strategy)
         .max_aggregation(aggregation)
         .l2p_cache_bytes(args.size("cache", 12 * 1024)?)
-        .write_buffers(args.num("buffers", 2)? as usize)
+        .write_buffers(
+            usize::try_from(args.num("buffers", 2)?).map_err(|e| format!("bad --buffers: {e}"))?,
+        )
         .seed(args.num("seed", 0x5eed_c0de)?);
     if args.get("config") == Some("tiny") {
         builder = builder.chunk_bytes(256 * 1024);

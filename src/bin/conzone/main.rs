@@ -7,6 +7,9 @@
 //! * `report` owns every stats-JSON and text format;
 //! * `scenario` composes tenant sets on top of `run`'s device handling.
 
+// The truncating-cast ban of the member crates (see `src/lib.rs`).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 mod args;
 mod report;
 mod run;
@@ -123,7 +126,7 @@ fn cmd_zones(args: &Args) -> Result<(), String> {
     println!("zone  type          state   wp (KiB)  size (MiB)");
     for z in 0..dev.zone_count() as u64 {
         let info = dev.zone_info(ZoneId(z)).map_err(|e| e.to_string())?;
-        let kind = if (z as usize) < conventional {
+        let kind = if z < conventional as u64 {
             "conventional"
         } else {
             "sequential"

@@ -98,12 +98,7 @@ impl Dut {
     /// sinks.
     fn attach(&mut self, obs: &Obs) {
         if let Some((_, sink)) = &obs.trace {
-            let probe = Probe::attached(sink.clone());
-            match self {
-                Dut::ConZone(d) => d.set_probe(probe),
-                Dut::Legacy(d) => d.set_probe(probe),
-                Dut::Femu(d) => d.set_probe(probe),
-            }
+            self.dev().set_probe(Probe::attached(sink.clone()));
         }
         if let (Some((_, sink)), Some(dev)) = (&obs.spans, self.conzone()) {
             dev.set_span_sink(sink.clone());

@@ -36,6 +36,9 @@
 //! See `DESIGN.md` for the architecture and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every table and figure.
 
+// The facade has no `[lints]` table (its tests/ and examples/ would inherit
+// it); the truncating-cast ban of the member crates is repeated here.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

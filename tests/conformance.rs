@@ -3,7 +3,9 @@
 //! pointers, states) even though their timing models differ entirely.
 
 use conzone::sim::SimRng;
-use conzone::types::{IoRequest, SimTime, StorageDevice, ZoneId, ZoneState, ZonedDevice};
+use conzone::types::{
+    DeviceError, IoRequest, SimTime, StorageDevice, ZoneId, ZoneState, ZonedDevice,
+};
 use conzone::{ConZone, FemuZns};
 
 /// FEMU zones are superblock-sized (1 MiB in the tiny geometry, same as
@@ -147,5 +149,35 @@ fn zoned_models_agree_on_accept_reject() {
             "step {step}: zone {zone} states {:?} vs {:?}",
             zi_c.state, zi_f.state
         );
+    }
+}
+
+/// Every zone command of both models answers a zone the device does not
+/// have — the first id past the end, and one whose byte offset overflows —
+/// with the same `OutOfRange`, and panics on neither.
+#[test]
+fn zone_commands_reject_out_of_range_ids_alike() {
+    let (mut cz, mut fm) = devices();
+    let models: [&mut dyn ZonedDevice; 2] = [&mut cz, &mut fm];
+    for dev in models {
+        let name = dev.model_name();
+        let capacity = dev.capacity_bytes();
+        for zone in [ZoneId(dev.zone_count() as u64), ZoneId(u64::MAX)] {
+            let expected = DeviceError::OutOfRange {
+                offset: zone.raw().saturating_mul(dev.zone_size()),
+                capacity,
+            };
+            let t = SimTime::ZERO;
+            let answers = [
+                ("zone_info", dev.zone_info(zone).err()),
+                ("reset_zone", dev.reset_zone(t, zone).err()),
+                ("open_zone", dev.open_zone(t, zone).err()),
+                ("close_zone", dev.close_zone(t, zone).err()),
+                ("finish_zone", dev.finish_zone(t, zone).err()),
+            ];
+            for (command, answer) in answers {
+                assert_eq!(answer, Some(expected.clone()), "{name} {command}({zone})");
+            }
+        }
     }
 }
