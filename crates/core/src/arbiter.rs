@@ -212,11 +212,6 @@ impl QueueFrontEnd {
         self.fetch.free_at()
     }
 
-    /// The arbitration policy's name.
-    pub fn arbiter_name(&self) -> &'static str {
-        self.arbiter.name()
-    }
-
     /// Records a command entering queue `q`; returns the queue's backlog
     /// including the new command.
     pub fn doorbell(&mut self, q: usize) -> u32 {

@@ -4,15 +4,14 @@
 
 use bytes::Bytes;
 use conzone_flash::FlashArray;
-use conzone_ftl::{L2pCache, MapBitmap, MappingTable};
+use conzone_ftl::{L2pCache, MapBitmap, MappingTable, WriteBuffer};
 use conzone_types::{
-    to_index, Completion, Counters, DeviceConfig, DeviceError, IoKind, IoRequest, Lpn, LpnRange,
+    to_index, Completion, Counters, DeviceConfig, DeviceError, IoKind, IoRequest, Lpn,
     MapGranularity, Probe, SearchStrategy, SimTime, SpanKind, SpanRecorder, SpanSink,
-    StorageDevice, ZoneId, ZoneInfo, ZoneState, ZonedDevice,
+    StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice,
 };
 
 use crate::breakdown::TimeBreakdown;
-use crate::buffer::WriteBuffer;
 use crate::scratch::IoScratch;
 use crate::slc::SlcRegion;
 use crate::zone::Zone;
@@ -51,7 +50,10 @@ pub struct ConZone {
     pub(crate) table: MappingTable,
     pub(crate) cache: L2pCache,
     pub(crate) bitmap: Option<MapBitmap>,
-    pub(crate) zones: Vec<Zone>,
+    /// Zone states and write pointers: the zoned interface's front door.
+    pub(crate) zones: ZoneTable,
+    /// What each zone has on the media, by zone index.
+    pub(crate) media: Vec<Zone>,
     pub(crate) buffers: Vec<WriteBuffer>,
     pub(crate) slc: SlcRegion,
     pub(crate) counters: Counters,
@@ -90,7 +92,13 @@ impl ConZone {
             table: MappingTable::new(capacity, chunk, zone),
             cache: L2pCache::new(cfg.l2p_cache_entries(), chunk, zone),
             bitmap,
-            zones: (0..cfg.zone_count())
+            zones: ZoneTable::new(
+                cfg.zone_count(),
+                zone,
+                Some(cfg.max_open_zones),
+                cfg.conventional_zones,
+            ),
+            media: (0..cfg.zone_count())
                 .map(|_| Zone::new(staged_cap))
                 .collect(),
             buffers,
@@ -109,15 +117,9 @@ impl ConZone {
 
     /// Attaches a span sink: every host command from now on opens a root
     /// span child-scoped into the phases it blocked on (see
-    /// [`conzone_types::SpanKind`]). Use [`ConZone::clear_span_sink`] to
-    /// detach.
+    /// [`conzone_types::SpanKind`]).
     pub fn set_span_sink(&mut self, sink: std::sync::Arc<dyn SpanSink + Send + Sync>) {
         self.spans = SpanRecorder::attached(sink);
-    }
-
-    /// Detaches the span sink; phase brackets become single branches again.
-    pub fn clear_span_sink(&mut self) {
-        self.spans = SpanRecorder::disabled();
     }
 
     /// Where host-visible device time has gone so far.
@@ -125,10 +127,32 @@ impl ConZone {
         self.breakdown
     }
 
-    /// Whether a zone is exposed as a conventional (in-place) zone.
+    /// Books the request-blocking window from `start` to `end` once: in
+    /// the breakdown category of the phase `kind` and, unless it is empty,
+    /// as a span. Emitted retroactively, when the window is known, so a
+    /// command that fails inside it leaves no phase dangling.
     #[inline]
-    pub(crate) fn is_conventional(&self, zone: ZoneId) -> bool {
-        zone.index() < self.cfg.conventional_zones
+    pub(crate) fn charge(&mut self, kind: SpanKind, start: SimTime, end: SimTime) {
+        let b = &mut self.breakdown;
+        let category = match kind {
+            SpanKind::MapFetch => &mut b.mapping_fetch,
+            SpanKind::DataRead => &mut b.data_read,
+            SpanKind::CombineRead => &mut b.combine_read,
+            SpanKind::GcStall => &mut b.gc,
+            SpanKind::L2pLog => &mut b.l2p_log,
+            SpanKind::Erase => &mut b.erase,
+            // The write path charges its exclusive time itself; roots and
+            // queue spans have no breakdown category.
+            _ => {
+                debug_assert!(false, "{kind:?} is not a phase the device charges");
+                return;
+            }
+        };
+        *category += end.saturating_since(start);
+        if end > start {
+            self.spans.open(start, kind);
+            self.spans.close(end);
+        }
     }
 
     /// Records `n` L2P mapping-table updates in the persistence log.
@@ -159,18 +183,8 @@ impl ConZone {
             let (_buffer_free, finish) = self.flash.timed_program(t, chip, media, bytes, 1);
             t = finish;
         }
-        self.breakdown.l2p_log += t - now;
-        if t > now {
-            self.spans.open(now, SpanKind::L2pLog);
-            self.spans.close(t);
-        }
+        self.charge(SpanKind::L2pLog, now, t);
         t
-    }
-
-    /// Zone size in slices.
-    #[inline]
-    pub(crate) fn zone_slices(&self) -> u64 {
-        self.cfg.zone_size_slices()
     }
 
     /// Slices of a zone backed by the reserved superblock (the rest is the
@@ -186,49 +200,6 @@ impl ConZone {
         self.cfg.geometry.slices_per_unit() as u64
     }
 
-    /// The table index of a zone id taken from a zone command, or the
-    /// `OutOfRange` every zone command answers a zone the device does not
-    /// have.
-    pub(crate) fn checked_zone(&self, zone: ZoneId) -> Result<usize, DeviceError> {
-        if zone.raw() >= self.zones.len() as u64 {
-            return Err(DeviceError::OutOfRange {
-                offset: zone.raw().saturating_mul(self.cfg.zone_size_bytes()),
-                capacity: self.cfg.capacity_bytes(),
-            });
-        }
-        Ok(zone.index())
-    }
-
-    /// First logical page of a zone.
-    #[inline]
-    pub(crate) fn zone_start(&self, zone: ZoneId) -> Lpn {
-        Lpn(zone.raw() * self.zone_slices())
-    }
-
-    /// Splits a request into its (single) target zone and zone-relative
-    /// slice offset, validating the boundary rule.
-    pub(crate) fn zone_and_offset(&self, range: LpnRange) -> Result<(ZoneId, u64), DeviceError> {
-        let zs = self.zone_slices();
-        let zone = ZoneId(range.start.raw() / zs);
-        if zone.raw() >= self.zones.len() as u64 {
-            return Err(DeviceError::OutOfRange {
-                offset: range.start.byte_offset(),
-                capacity: self.cfg.capacity_bytes(),
-            });
-        }
-        Ok((zone, range.start.raw() % zs))
-    }
-
-    /// Number of sequential zones currently open (conventional zones have
-    /// no open/close lifecycle and never count against the limit).
-    pub(crate) fn open_zone_count(&self) -> usize {
-        self.zones
-            .iter()
-            .enumerate()
-            .filter(|(i, z)| *i >= self.cfg.conventional_zones && z.state == ZoneState::Open)
-            .count()
-    }
-
     /// Round-robin chip for the next mapping-table fetch.
     pub(crate) fn mapping_chip(&mut self) -> conzone_types::ChipId {
         let chip = self.next_mapping_chip % self.cfg.geometry.nchips() as u64;
@@ -242,11 +213,6 @@ impl ConZone {
         if let Some(bitmap) = &mut self.bitmap {
             bitmap.set_range(lpn, count, granularity);
         }
-    }
-
-    /// Read-only view of the internal L2P cache (for tests and reports).
-    pub fn l2p_cache(&self) -> &L2pCache {
-        &self.cache
     }
 
     /// Read-only view of the mapping table (for tests and reports).
@@ -286,17 +252,7 @@ impl StorageDevice for ConZone {
 
     fn submit(&mut self, now: SimTime, request: &IoRequest) -> Result<Completion, DeviceError> {
         self.ensure_powered()?;
-        request.validate()?;
-        let end = request.offset + request.len;
-        if end > self.cfg.capacity_bytes() {
-            return Err(DeviceError::OutOfRange {
-                offset: request.offset,
-                capacity: self.cfg.capacity_bytes(),
-            });
-        }
-        let range = LpnRange::covering_bytes(request.offset, request.len).ok_or_else(|| {
-            DeviceError::Internal("validated request covers no logical pages".to_string())
-        })?;
+        let range = request.admit(self.zones.capacity_bytes())?;
         // The root span covers submit to completion; error paths roll the
         // stack back so an aborted command never leaves phases dangling.
         let depth = self.spans.depth();
@@ -306,12 +262,7 @@ impl StorageDevice for ConZone {
                 self.counters.host_write_bytes += request.len;
                 self.spans.open(now, SpanKind::IoWrite);
                 self.write_range(now, range, request.data.as_deref())
-                    .map(|finished| Completion {
-                        submitted: now,
-                        finished,
-                        data: None,
-                        assigned_offset: None,
-                    })
+                    .map(|finished| Completion::at(now, finished))
             }
             IoKind::Append => {
                 self.counters.host_write_ops += 1;
@@ -319,10 +270,8 @@ impl StorageDevice for ConZone {
                 self.spans.open(now, SpanKind::IoAppend);
                 self.append_range(now, range, request.data.as_deref()).map(
                     |(finished, assigned)| Completion {
-                        submitted: now,
-                        finished,
-                        data: None,
                         assigned_offset: Some(assigned),
+                        ..Completion::at(now, finished)
                     },
                 )
             }
@@ -332,10 +281,8 @@ impl StorageDevice for ConZone {
                 self.spans.open(now, SpanKind::IoRead);
                 self.read_range(now, range)
                     .map(|(finished, data)| Completion {
-                        submitted: now,
-                        finished,
                         data: data.map(Bytes::from),
-                        assigned_offset: None,
+                        ..Completion::at(now, finished)
                     })
             }
         };
@@ -369,25 +316,12 @@ impl StorageDevice for ConZone {
         self.debug_assert_invariants("after host flush");
         let finished = t + self.cfg.host_overhead;
         self.spans.close(finished);
-        Ok(Completion {
-            submitted: now,
-            finished,
-            data: None,
-            assigned_offset: None,
-        })
+        Ok(Completion::at(now, finished))
     }
 
     fn counters(&self) -> Counters {
         let mut c = self.counters;
-        let stats = self.flash.stats();
-        c.flash_program_bytes_slc = stats.program_bytes_slc;
-        c.flash_program_bytes_tlc = stats.program_bytes_tlc;
-        c.flash_program_bytes_qlc = stats.program_bytes_qlc;
-        c.flash_data_reads = stats.page_reads;
-        c.erases_slc = stats.erases_slc;
-        c.erases_normal = stats.erases_normal;
-        c.read_retries = stats.read_retries;
-        c.blocks_retired = stats.blocks_retired;
+        self.flash.stats().fold_into(&mut c);
         c.l2p_evictions = self.cache.evictions();
         c
     }
@@ -403,19 +337,11 @@ impl ZonedDevice for ConZone {
     }
 
     fn zone_size(&self) -> u64 {
-        self.cfg.zone_size_bytes()
+        self.zones.zone_bytes()
     }
 
     fn zone_info(&self, zone: ZoneId) -> Result<ZoneInfo, DeviceError> {
-        let z = &self.zones[self.checked_zone(zone)?];
-        Ok(ZoneInfo {
-            id: zone,
-            state: z.state,
-            write_pointer: z.wp_slices * conzone_types::SLICE_BYTES,
-            capacity: self.zone_size(),
-            size: self.zone_size(),
-            start: zone.raw() * self.zone_size(),
-        })
+        self.zones.info(zone)
     }
 
     fn reset_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
@@ -425,12 +351,7 @@ impl ZonedDevice for ConZone {
         match self.reset_zone_inner(now, zone) {
             Ok(finished) => {
                 self.spans.close(finished);
-                Ok(Completion {
-                    submitted: now,
-                    finished,
-                    data: None,
-                    assigned_offset: None,
-                })
+                Ok(Completion::at(now, finished))
             }
             Err(e) => {
                 self.spans.cancel_to(depth);
@@ -441,31 +362,16 @@ impl ZonedDevice for ConZone {
 
     fn open_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
         let finished = self.open_zone_inner(now, zone)?;
-        Ok(Completion {
-            submitted: now,
-            finished,
-            data: None,
-            assigned_offset: None,
-        })
+        Ok(Completion::at(now, finished))
     }
 
     fn close_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
         let finished = self.close_zone_inner(now, zone)?;
-        Ok(Completion {
-            submitted: now,
-            finished,
-            data: None,
-            assigned_offset: None,
-        })
+        Ok(Completion::at(now, finished))
     }
 
     fn finish_zone(&mut self, now: SimTime, zone: ZoneId) -> Result<Completion, DeviceError> {
         let finished = self.finish_zone_inner(now, zone)?;
-        Ok(Completion {
-            submitted: now,
-            finished,
-            data: None,
-            assigned_offset: None,
-        })
+        Ok(Completion::at(now, finished))
     }
 }

@@ -67,13 +67,7 @@ impl ConZone {
         outcome?;
         let t_erase = self.flash.erase_superblock(t, victim);
         self.slc.reclaim(victim);
-        self.breakdown.gc += t_erase.saturating_since(now);
-        // Retroactive emission: the stall window is only known here, and
-        // the early error returns above must not leave an open span.
-        if t_erase > now {
-            self.spans.open(now, SpanKind::GcStall);
-            self.spans.close(t_erase);
-        }
+        self.charge(SpanKind::GcStall, now, t_erase);
         self.probe.emit(
             t_erase,
             DeviceEvent::GcEnd {
@@ -165,9 +159,9 @@ impl ConZone {
     /// Updates the zones' staged-slice records after GC moved the logical
     /// run `[lpn, lpn + len)` to the physical run starting at `new_ppa`.
     fn fix_staged_references(&mut self, lpn: Lpn, new_ppa: Ppa, len: u64) {
-        let zs = self.zone_slices();
+        let zs = self.zones.zone_slices();
         let (first, last) = (lpn.raw() / zs, (lpn.raw() + len - 1) / zs);
-        for zone in &mut self.zones[to_index(first)..=to_index(last)] {
+        for zone in &mut self.media[to_index(first)..=to_index(last)] {
             for s in &mut zone.staged {
                 let d = s.lpn.raw().wrapping_sub(lpn.raw());
                 if d < len {
@@ -205,13 +199,13 @@ impl ConZone {
         now: SimTime,
         zone_id: ZoneId,
     ) -> Result<SimTime, DeviceError> {
-        let zidx = self.checked_zone(zone_id)?;
-        let zone_base = self.zone_start(zone_id);
-        let zs = self.zone_slices();
+        let zidx = self.zones.checked(zone_id)?;
+        let zone_base = self.zones.start_lpn(zone_id);
+        let zs = self.zones.zone_slices();
 
         // Drop buffered data (host discards the zone's contents).
         let buf_idx = zidx % self.buffers.len();
-        if self.buffers[buf_idx].owner == Some(zone_id) {
+        if self.buffers[buf_idx].owner() == Some(zone_id) {
             self.buffers[buf_idx].release();
         }
 
@@ -234,24 +228,21 @@ impl ConZone {
         #[cfg(any(test, debug_assertions))]
         self.debug_assert_reset_walk(zone_id);
         self.drop_gathered_slc_slices()?;
-        self.zones[zidx].staged.clear();
+        self.media[zidx].staged.clear();
 
         // Directly erase the reserved normal blocks.
         let sb = self.cfg.geometry.zone_superblock(zone_id);
         let mut t = now;
         if !self.flash.superblock_erased(sb) {
             t = self.flash.erase_superblock(now, sb);
-            self.breakdown.erase += t.saturating_since(now);
-            if t > now {
-                self.spans.open(now, SpanKind::Erase);
-                self.spans.close(t);
-            }
+            self.charge(SpanKind::Erase, now, t);
         }
 
         self.table.unmap_zone(zone_id);
         self.cache.invalidate_zone(zone_base);
         self.note_bits(zone_base, zs, conzone_types::MapGranularity::Page);
-        self.zones[zidx].reset();
+        self.zones.reset(zone_id);
+        self.media[zidx].reset();
         self.counters.zone_resets += 1;
         self.probe.emit(t, DeviceEvent::ZoneReset { zone: zone_id });
         self.debug_assert_invariants("after zone reset");
@@ -263,7 +254,7 @@ impl ConZone {
     /// in ascending physical order.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn reset_reference(&self, zone: ZoneId) -> Vec<Ppa> {
-        let zs = self.zone_slices();
+        let zs = self.zones.zone_slices();
         self.slc
             .owner
             .iter()

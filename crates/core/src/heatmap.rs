@@ -88,9 +88,9 @@ fn cell_name(c: conzone_types::CellType) -> &'static str {
 impl ConZone {
     /// Captures the current per-zone / per-block state heatmap.
     pub fn heatmap_snapshot(&self) -> HeatmapSnapshot {
-        let zs = self.zone_slices();
+        let zs = self.zones.zone_slices();
         let zones = self
-            .zones
+            .media
             .iter()
             .enumerate()
             .map(|(i, z)| {
@@ -98,9 +98,9 @@ impl ConZone {
                 let mapped = self.table.zone_mapped_slices(zone);
                 ZoneHeat {
                     zone: zone.raw(),
-                    state: state_name(z.state),
-                    conventional: self.is_conventional(zone),
-                    wp_slices: z.wp_slices,
+                    state: state_name(self.zones.state(zone)),
+                    conventional: self.zones.is_conventional(zone),
+                    wp_slices: self.zones.wp_slices(zone),
                     flushed_slices: z.flushed_slices,
                     staged_slices: z.staged.len() as u64,
                     mapped_slices: mapped,

@@ -41,7 +41,6 @@
 
 mod arbiter;
 mod breakdown;
-mod buffer;
 mod device;
 mod gc;
 mod heatmap;

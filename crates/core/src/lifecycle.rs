@@ -7,7 +7,7 @@
 //! both the open-zone slot and the buffer — the host-side tool for
 //! avoiding the Fig. 6(b) conflicts.
 
-use conzone_types::{DeviceError, SimTime, ZoneId, ZoneState};
+use conzone_types::{DeviceError, SimTime, ZoneId};
 
 use crate::device::ConZone;
 
@@ -20,23 +20,7 @@ impl ConZone {
         now: SimTime,
         zone: ZoneId,
     ) -> Result<SimTime, DeviceError> {
-        let idx = self.checked_zone(zone)?;
-        if self.is_conventional(zone) {
-            // Conventional zones have no open/close lifecycle.
-            return Ok(now + self.cfg.host_overhead);
-        }
-        match self.zones[idx].state {
-            ZoneState::Open => {}
-            ZoneState::Full => return Err(DeviceError::ZoneFull { zone }),
-            ZoneState::Empty | ZoneState::Closed => {
-                if self.open_zone_count() >= self.cfg.max_open_zones {
-                    return Err(DeviceError::TooManyOpenZones {
-                        limit: self.cfg.max_open_zones,
-                    });
-                }
-                self.zones[idx].state = ZoneState::Open;
-            }
-        }
+        self.zones.open(zone)?;
         Ok(now + self.cfg.host_overhead)
     }
 
@@ -48,17 +32,10 @@ impl ConZone {
         now: SimTime,
         zone: ZoneId,
     ) -> Result<SimTime, DeviceError> {
-        let idx = self.checked_zone(zone)?;
-        if self.is_conventional(zone) || self.zones[idx].state != ZoneState::Open {
-            return Err(DeviceError::ZoneNotWritable { zone });
-        }
+        self.zones.closable(zone)?;
         // Release the zone's buffer: drain it (prematurely if sub-unit).
-        let buf_idx = idx % self.buffers.len();
-        let mut t = now;
-        if self.buffers[buf_idx].owner == Some(zone) {
-            t = self.flush_buffer(t, buf_idx, true)?;
-        }
-        self.zones[idx].state = ZoneState::Closed;
+        let t = self.drain_buffer_of(now, zone)?;
+        self.zones.close(zone);
         Ok(t + self.cfg.host_overhead)
     }
 
@@ -70,18 +47,20 @@ impl ConZone {
         now: SimTime,
         zone: ZoneId,
     ) -> Result<SimTime, DeviceError> {
-        let idx = self.checked_zone(zone)?;
-        if self.is_conventional(zone) {
-            return Err(DeviceError::ZoneNotWritable { zone });
-        }
         let mut t = now;
-        if self.zones[idx].state != ZoneState::Full {
-            let buf_idx = idx % self.buffers.len();
-            if self.buffers[buf_idx].owner == Some(zone) {
-                t = self.flush_buffer(t, buf_idx, true)?;
-            }
-            self.zones[idx].state = ZoneState::Full;
+        if self.zones.finishable(zone)? {
+            t = self.drain_buffer_of(now, zone)?;
+            self.zones.seal(zone);
         }
         Ok(t + self.cfg.host_overhead)
+    }
+
+    /// Drains the write buffer `zone` maps to, if the zone owns it.
+    fn drain_buffer_of(&mut self, now: SimTime, zone: ZoneId) -> Result<SimTime, DeviceError> {
+        let buf_idx = zone.index() % self.buffers.len();
+        if self.buffers[buf_idx].owner() == Some(zone) {
+            return self.flush_buffer(now, buf_idx, true);
+        }
+        Ok(now)
     }
 }

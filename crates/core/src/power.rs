@@ -17,7 +17,7 @@
 
 use conzone_types::{
     CellType, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, PowerCycle, RecoveryReport, SimTime,
-    SuperblockId, ZoneState,
+    SuperblockId, ZoneId,
 };
 
 use crate::device::ConZone;
@@ -64,17 +64,17 @@ impl PowerCycle for ConZone {
         if self.cut_state.is_some() {
             return Err(DeviceError::Unsupported("power is already cut".to_string()));
         }
-        let zs = self.zone_slices();
         let mut lost_lpns: Vec<Lpn> = Vec::new();
-        for zidx in 0..self.zones.len() {
-            let wp = self.zones[zidx].wp_slices;
-            let flushed = self.zones[zidx].flushed_slices;
+        for (media, z) in self.media.iter().zip(0..) {
+            let zone = ZoneId(z);
+            let wp = self.zones.wp_slices(zone);
+            let flushed = media.flushed_slices;
             if wp > flushed {
-                let base = zidx as u64 * zs;
-                lost_lpns.extend((flushed..wp).map(|o| Lpn(base + o)));
+                let base = self.zones.start_lpn(zone);
+                lost_lpns.extend((flushed..wp).map(|o| base.offset(o)));
                 // The write pointer rewinds to the durable prefix: the
                 // host may rewrite the lost range after remount.
-                self.zones[zidx].wp_slices = flushed;
+                self.zones.rewind(zone, flushed);
             }
         }
         for buf in &mut self.buffers {
@@ -136,16 +136,7 @@ impl PowerCycle for ConZone {
         let recovered_slices = recovered_lpns.len() as u64;
         self.counters.recovered_slices += recovered_slices;
 
-        // No zone survives a power cycle open.
-        for z in &mut self.zones {
-            if z.state == ZoneState::Open {
-                z.state = if z.wp_slices == 0 {
-                    ZoneState::Empty
-                } else {
-                    ZoneState::Closed
-                };
-            }
-        }
+        self.zones.close_open_zones();
 
         self.probe.emit(
             finish,
@@ -166,10 +157,8 @@ impl PowerCycle for ConZone {
     }
 
     fn in_flight_slices(&self) -> u64 {
-        let buffered: u64 = self
-            .zones
-            .iter()
-            .map(|z| z.wp_slices - z.flushed_slices)
+        let buffered: u64 = (self.media.iter().zip(0..))
+            .map(|(media, z)| self.zones.wp_slices(ZoneId(z)) - media.flushed_slices)
             .sum();
         self.slc.owner.len() as u64 + buffered
     }

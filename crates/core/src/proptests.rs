@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use conzone_types::{
     DeviceConfig, DeviceError, FaultConfig, Geometry, IoRequest, PowerCycle, SimTime,
-    StorageDevice, ZoneId, ZonePadding, ZonedDevice, SLICE_BYTES,
+    StorageDevice, ZoneId, ZonedDevice, SLICE_BYTES,
 };
 
 use crate::ConZone;
@@ -75,7 +75,6 @@ fn device(faults: bool, tail: bool) -> ConZone {
     let mut b = DeviceConfig::builder(geometry)
         .slc_gc_threshold(gc_threshold)
         .chunk_bytes(if tail { 128 * 1024 } else { 256 * 1024 })
-        .zone_padding(ZonePadding::SlcAligned)
         .conventional_zones(1);
     if faults {
         b = b.fault(FaultConfig::with_rates(0.05, 0.02, 0.1));
@@ -187,7 +186,7 @@ proptest! {
                 Err(e) => prop_assert!(false, "op {op:?} failed: {e}"),
             }
         }
-        let zs = dev.zone_slices();
+        let zs = dev.zones.zone_slices();
         for zone in (1..dev.zone_count() as u64).map(ZoneId) {
             t = dev.reset_zone(t, zone).expect("reset").finished;
             prop_assert!(dev.reset_reference(zone).is_empty(), "{zone} keeps SLC slices");
@@ -240,7 +239,7 @@ mod read_reference {
         let unmapped = |lpn: Lpn| {
             DeviceError::Internal(format!("durable {lpn} below the write pointer is unmapped"))
         };
-        let zs = dev.zone_slices();
+        let zs = dev.zones.zone_slices();
         let mut t_map = now;
         let mut slots = Vec::new();
         let mut ppas = Vec::new();
@@ -248,17 +247,17 @@ mod read_reference {
         for lpn in range.iter() {
             let zone_id = ZoneId(lpn.raw() / zs);
             let offset = lpn.raw() % zs;
-            if dev.is_conventional(zone_id) {
+            if dev.zones.is_conventional(zone_id) {
                 if dev.table.get(lpn).is_none() {
                     return Err(DeviceError::UnwrittenRead { lpn });
                 }
-            } else if offset >= dev.zones[zone_id.raw() as usize].wp_slices {
+            } else if offset >= dev.zones.wp_slices(zone_id) {
                 return Err(DeviceError::UnwrittenRead { lpn });
             }
 
             let buf_idx = zone_id.raw() as usize % dev.buffers.len();
             let b = &dev.buffers[buf_idx];
-            if b.owner == Some(zone_id) && offset >= b.start_offset && offset < b.end_offset() {
+            if b.owner() == Some(zone_id) && offset >= b.start_offset() && offset < b.end_offset() {
                 slots.push(Slot::Buffer(buf_idx, offset));
                 continue;
             }

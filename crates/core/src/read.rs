@@ -40,7 +40,7 @@ impl ConZone {
         now: SimTime,
         range: LpnRange,
     ) -> Result<(SimTime, Option<Vec<u8>>), DeviceError> {
-        let zs = self.zone_slices();
+        let zs = self.zones.zone_slices();
         let mut t_map = now;
         // Reused scratch: error returns drop the buffers (re-allocated on
         // the next op — errors are cold); the success path puts them back.
@@ -56,16 +56,13 @@ impl ConZone {
             let zone_id = ZoneId(at / zs);
             let offset = at % zs;
             let zone_start = at - offset;
-            let conventional = self.is_conventional(zone_id);
             // Conventional zones may be sparsely written: presence in the
             // mapping table is the ground truth, checked page by page as
             // the run's PPAs are gathered below.
-            let readable = if conventional {
-                zs
-            } else {
-                self.zones[zone_id.index()].wp_slices
-            };
-            if offset >= readable || (conventional && self.table.get(lpn).is_none()) {
+            let readable = self.zones.readable(zone_id);
+            if offset >= readable
+                || (self.zones.is_conventional(zone_id) && self.table.get(lpn).is_none())
+            {
                 return Err(DeviceError::UnwrittenRead { lpn });
             }
             let mut stop = end.min(zone_start + readable);
@@ -74,16 +71,14 @@ impl ConZone {
             // (conventional zones never own a buffer).
             let buf = zone_id.index() % self.buffers.len();
             let b = &self.buffers[buf];
-            if b.owner == Some(zone_id) {
-                if offset >= b.start_offset && offset < b.end_offset() {
-                    let n = stop.min(zone_start + b.end_offset()) - at;
-                    slots.push(Slot::Buffer { buf, offset, n });
-                    at += n;
-                    continue;
-                }
-                if offset < b.start_offset {
-                    stop = stop.min(zone_start + b.start_offset);
-                }
+            if b.holds(zone_id, offset) {
+                let n = stop.min(zone_start + b.end_offset()) - at;
+                slots.push(Slot::Buffer { buf, offset, n });
+                at += n;
+                continue;
+            }
+            if b.owner() == Some(zone_id) && offset < b.start_offset() {
+                stop = stop.min(zone_start + b.start_offset());
             }
 
             // L2P cache: LZA, then LCA, then LPA (Fig. 4 Ⅰ/Ⅱ).
@@ -163,22 +158,14 @@ impl ConZone {
         // Data reads start after mapping resolution completes (Fig. 4 ③).
         // Both spans are emitted retroactively once their windows are
         // known, so a failed read never leaves phases dangling.
-        self.breakdown.mapping_fetch += t_map - now;
-        if t_map > now {
-            self.spans.open(now, SpanKind::MapFetch);
-            self.spans.close(t_map);
-        }
+        self.charge(SpanKind::MapFetch, now, t_map);
         let mut finish = t_map;
         let mut flash_data: Option<Vec<u8>> = None;
         if !ppas.is_empty() {
             let out = self.flash.read_slices(t_map, &ppas).map_err(internal)?;
             finish = out.finish;
             flash_data = out.data;
-            self.breakdown.data_read += finish.saturating_since(t_map);
-            if finish > t_map {
-                self.spans.open(t_map, SpanKind::DataRead);
-                self.spans.close(finish);
-            }
+            self.charge(SpanKind::DataRead, t_map, finish);
         }
 
         let data = if self.cfg.data_backing {

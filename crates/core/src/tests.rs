@@ -3,8 +3,8 @@
 use bytes::Bytes;
 use conzone_types::{
     Counters, DeviceConfig, DeviceError, FaultConfig, Geometry, IoRequest, Lpn, LpnRange,
-    MapGranularity, PowerCycle, SearchStrategy, SimTime, StorageDevice, ZoneId, ZonePadding,
-    ZoneState, ZonedDevice, SLICE_BYTES,
+    MapGranularity, PowerCycle, SearchStrategy, SimTime, StorageDevice, ZoneId, ZoneState,
+    ZonedDevice, SLICE_BYTES,
 };
 
 use crate::ConZone;
@@ -37,7 +37,6 @@ fn non_pow2_config() -> DeviceConfig {
     };
     DeviceConfig::builder(g)
         .chunk_bytes(128 * 1024)
-        .zone_padding(ZonePadding::SlcAligned)
         .data_backing(true)
         .build()
         .expect("non-pow2 config valid")

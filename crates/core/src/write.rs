@@ -18,7 +18,7 @@
 use conzone_flash::{FlashError, ProgramOutcome};
 use conzone_types::{
     to_index, ChipId, DeviceError, DeviceEvent, FlushKind, LpnRange, MapGranularity, SimTime,
-    SpanKind, SuperblockId, ZoneId, ZoneState, SLICE_BYTES, SLICE_LEN,
+    SpanKind, SuperblockId, ZoneId, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::device::ConZone;
@@ -38,35 +38,11 @@ impl ConZone {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<SimTime, DeviceError> {
-        let (zone_id, offset) = self.zone_and_offset(range)?;
-        if offset + range.count > self.zone_slices() {
-            return Err(DeviceError::ZoneBoundary { zone: zone_id });
-        }
-        if self.is_conventional(zone_id) {
+        let (zone_id, offset) = self.zones.admit_write(range)?;
+        if self.zones.is_conventional(zone_id) {
             return self.conventional_write(now, zone_id, offset, range, payload);
         }
         let zidx = zone_id.index();
-        match self.zones[zidx].state {
-            ZoneState::Full => return Err(DeviceError::ZoneFull { zone: zone_id }),
-            // Closed zones reopen implicitly, like empty ones.
-            ZoneState::Empty | ZoneState::Closed => {
-                if self.open_zone_count() >= self.cfg.max_open_zones {
-                    return Err(DeviceError::TooManyOpenZones {
-                        limit: self.cfg.max_open_zones,
-                    });
-                }
-            }
-            ZoneState::Open => {}
-        }
-        let expected = self.zones[zidx].wp_slices;
-        if offset != expected {
-            return Err(DeviceError::NotWritePointer {
-                zone: zone_id,
-                expected: self.zone_start(zone_id).offset(expected),
-                got: range.start,
-            });
-        }
-        self.zones[zidx].state = ZoneState::Open;
 
         // Snapshot sub-activity attribution so write_path stays exclusive
         // of the combine / GC / log time accumulated inside the flushes.
@@ -81,17 +57,13 @@ impl ConZone {
 
         // Conflicting zone-write-buffer mapping: evict the other zone's
         // data (prematurely, if it is less than a programming unit).
-        let conflicting = match self.buffers[buf_idx].owner {
-            Some(owner) => owner != zone_id && !self.buffers[buf_idx].is_empty(),
-            None => false,
-        };
-        if conflicting {
+        if self.buffers[buf_idx].conflicts_with(zone_id) {
             self.counters.buffer_conflicts += 1;
             self.probe
                 .emit(t, DeviceEvent::BufferConflict { zone: zone_id });
             t = self.flush_buffer(t, buf_idx, true)?;
         }
-        if self.buffers[buf_idx].owner != Some(zone_id) {
+        if self.buffers[buf_idx].owner() != Some(zone_id) {
             self.buffers[buf_idx].release();
             self.buffers[buf_idx].adopt(zone_id, offset);
         }
@@ -99,11 +71,12 @@ impl ConZone {
         // Append, flushing full superpages as they accumulate.
         let mut remaining = range.count;
         let mut pay_off = 0usize;
+        let mut zone_complete = false;
         while remaining > 0 {
             let take = remaining.min(self.buffers[buf_idx].room());
             let chunk = payload.map(|p| &p[pay_off..pay_off + to_index(take * SLICE_BYTES)]);
             self.buffers[buf_idx].append(take, chunk);
-            self.zones[zidx].wp_slices += take;
+            zone_complete = self.zones.advance(zone_id, take);
             pay_off += to_index(take * SLICE_BYTES);
             remaining -= take;
             if self.buffers[buf_idx].is_full() {
@@ -112,10 +85,10 @@ impl ConZone {
         }
 
         // Zone completed: drain everything and seal it.
-        if self.zones[zidx].wp_slices == self.zone_slices() {
+        if zone_complete {
             t = self.flush_buffer(t, buf_idx, true)?;
             self.buffers[buf_idx].release();
-            self.zones[zidx].state = ZoneState::Full;
+            self.zones.seal(zone_id);
         }
         // Exclusive write-path attribution: the combine / GC / log time
         // accumulated inside the flushes is already charged elsewhere.
@@ -137,8 +110,6 @@ impl ConZone {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<SimTime, DeviceError> {
-        let zidx = zone_id.index();
-        self.zones[zidx].state = ZoneState::Open;
         // Supersede previous versions: gather the mapped pages' slices,
         // then drop them a physical run at a time. (The cache is keyed per
         // page, so its invalidation has no run form.)
@@ -156,9 +127,8 @@ impl ConZone {
         t = self.maybe_flush_l2p_log(t);
         // The "write pointer" of a conventional zone reports the written
         // high-water mark for inspection only.
-        let zone = &mut self.zones[zidx];
-        zone.wp_slices = zone.wp_slices.max(offset + range.count);
-        zone.flushed_slices = zone.wp_slices;
+        self.media[zone_id.index()].flushed_slices =
+            self.zones.mark_written(zone_id, offset + range.count);
         Ok(t + self.cfg.host_overhead)
     }
 
@@ -172,20 +142,9 @@ impl ConZone {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<(SimTime, u64), DeviceError> {
-        let (zone_id, _) = self.zone_and_offset(range)?;
-        if self.is_conventional(zone_id) {
-            return Err(DeviceError::Unsupported(
-                "zone append targets a conventional zone".to_string(),
-            ));
-        }
-        let wp = self.zones[zone_id.index()].wp_slices;
-        let assigned = (zone_id.raw() * self.zone_slices() + wp) * SLICE_BYTES;
-        let landed = LpnRange::new(self.zone_start(zone_id).offset(wp), range.count);
-        if wp + range.count > self.zone_slices() {
-            return Err(DeviceError::ZoneBoundary { zone: zone_id });
-        }
+        let landed = self.zones.append_target(range)?;
         let finished = self.write_range(now, landed, payload)?;
-        Ok((finished, assigned))
+        Ok((finished, landed.start.byte_offset()))
     }
 
     /// Flushes a write buffer. With `drain`, any sub-unit remainder is
@@ -203,21 +162,22 @@ impl ConZone {
             }
             return Ok(now);
         }
-        let zone_id = self.buffers[buf_idx].owner.ok_or_else(|| {
+        let zone_id = self.buffers[buf_idx].owner().ok_or_else(|| {
             DeviceError::Internal(format!("non-empty write buffer {buf_idx} has no owner"))
         })?;
         let zidx = zone_id.index();
-        let zone_base = self.zone_start(zone_id);
+        let zone_base = self.zones.start_lpn(zone_id);
         let unit = self.unit_slices();
         let backing = self.backing_slices();
         let sb = self.cfg.geometry.zone_superblock(zone_id);
 
         debug_assert_eq!(
-            self.buffers[buf_idx].start_offset, self.zones[zidx].flushed_slices,
+            self.buffers[buf_idx].start_offset(),
+            self.media[zidx].flushed_slices,
             "buffer must continue the zone's durable prefix"
         );
-        let staged_len = self.zones[zidx].staged.len() as u64;
-        let run_start = self.zones[zidx].staged_start();
+        let staged_len = self.media[zidx].staged.len() as u64;
+        let run_start = self.media[zidx].staged_start();
         let run_end = self.buffers[buf_idx].end_offset();
         // (A host flush inside the tail patch leaves the durable prefix
         // mid-unit; nothing is ever staged there.)
@@ -243,21 +203,17 @@ impl ConZone {
                 self.scratch.ppas.clear();
                 self.scratch
                     .ppas
-                    .extend(self.zones[zidx].staged.iter().map(|s| s.ppa));
+                    .extend(self.media[zidx].staged.iter().map(|s| s.ppa));
                 let read_start = t;
                 let out = self
                     .flash
                     .read_slices(t, &self.scratch.ppas)
                     .map_err(internal)?;
                 t = out.finish;
-                self.breakdown.combine_read += t.saturating_since(read_start);
-                if t > read_start {
-                    self.spans.open(read_start, SpanKind::CombineRead);
-                    self.spans.close(t);
-                }
+                self.charge(SpanKind::CombineRead, read_start, t);
                 staged_data = out.data;
                 self.drop_gathered_slc_slices()?;
-                self.zones[zidx].staged.clear();
+                self.media[zidx].staged.clear();
                 self.counters.slc_combines += 1;
                 self.probe.emit(
                     t,
@@ -267,7 +223,7 @@ impl ConZone {
                     },
                 );
             }
-            let from_buffer = full_end - self.buffers[buf_idx].start_offset;
+            let from_buffer = full_end - self.buffers[buf_idx].start_offset();
             let buf_data = self.buffers[buf_idx].drain_front(from_buffer);
             let payload: Option<Vec<u8>> = if self.cfg.data_backing {
                 let mut v = staged_data.unwrap_or_default();
@@ -332,14 +288,14 @@ impl ConZone {
                 }
             }
             t = finish;
-            self.zones[zidx].flushed_slices = full_end;
+            self.media[zidx].flushed_slices = full_end;
             self.maybe_aggregate(zone_id, run_start, full_end);
             t = self.maybe_flush_l2p_log(t);
         }
 
         // ── §III-E: zone-tail patch into reserved SLC slices ──
         if run_end > backing && !self.buffers[buf_idx].is_empty() {
-            let patch_start = self.buffers[buf_idx].start_offset;
+            let patch_start = self.buffers[buf_idx].start_offset();
             debug_assert!(
                 patch_start >= backing,
                 "canonical region fully flushed first"
@@ -356,14 +312,14 @@ impl ConZone {
             );
             t = self.program_slc_batch(t, lpns, pay.as_deref(), true, None)?;
             self.counters.patch_slices += count;
-            self.zones[zidx].flushed_slices = run_end;
+            self.media[zidx].flushed_slices = run_end;
             self.maybe_aggregate(zone_id, patch_start, run_end);
         }
 
         // ── Path ②: premature flush of the sub-unit remainder ──
         if drain && !self.buffers[buf_idx].is_empty() {
-            let start = self.buffers[buf_idx].start_offset;
-            let count = self.buffers[buf_idx].slices;
+            let start = self.buffers[buf_idx].start_offset();
+            let count = self.buffers[buf_idx].slices();
             let pay = self.buffers[buf_idx].drain_front(count);
             let lpns = LpnRange::new(zone_base.offset(start), count);
             self.counters.premature_flushes += 1;
@@ -376,7 +332,7 @@ impl ConZone {
                 },
             );
             t = self.program_slc_batch(t, lpns, pay.as_deref(), false, Some(zidx))?;
-            self.zones[zidx].flushed_slices = start + count;
+            self.media[zidx].flushed_slices = start + count;
         }
 
         if drain {
@@ -440,7 +396,7 @@ impl ConZone {
                         .owner
                         .insert_run(out.first, lpn, to_index(out.slices));
                     if let Some(z) = staged_zone {
-                        dev.zones[z]
+                        dev.media[z]
                             .staged
                             .extend((0..out.slices).map(|i| StagedSlice {
                                 lpn: lpn.offset(i),
@@ -529,9 +485,9 @@ impl ConZone {
         if self.cfg.max_aggregation == MapGranularity::Page {
             return;
         }
-        let zone_base = self.zone_start(zone_id);
+        let zone_base = self.zones.start_lpn(zone_id);
         let chunk = self.cfg.chunk_slices();
-        let flushed = self.zones[zone_id.index()].flushed_slices;
+        let flushed = self.media[zone_id.index()].flushed_slices;
         let pinned = conzone_ftl::pins_aggregates(self.cfg.search_strategy);
         let first = from / chunk;
         let last = (to - 1) / chunk;
@@ -547,10 +503,10 @@ impl ConZone {
             }
         }
         if self.cfg.max_aggregation == MapGranularity::Zone
-            && flushed == self.zone_slices()
+            && flushed == self.zones.zone_slices()
             && self.table.try_aggregate_zone(zone_base)
         {
-            self.note_bits(zone_base, self.zone_slices(), MapGranularity::Zone);
+            self.note_bits(zone_base, self.zones.zone_slices(), MapGranularity::Zone);
             if pinned {
                 self.cache.insert(zone_base, MapGranularity::Zone, true);
             }

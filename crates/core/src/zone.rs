@@ -1,6 +1,7 @@
-//! Per-zone bookkeeping.
+//! What a zone has on the media. Its state and write pointer live in the
+//! device's [`ZoneTable`](conzone_types::ZoneTable).
 
-use conzone_types::{Lpn, Ppa, ZoneState};
+use conzone_types::{Lpn, Ppa};
 
 /// A slice of zone data staged in the SLC secondary write buffer, awaiting
 /// combination into the reserved normal blocks (paper §III-B path ③).
@@ -12,16 +13,11 @@ pub(crate) struct StagedSlice {
     pub ppa: Ppa,
 }
 
-/// Internal state of one zone.
+/// Media state of one zone.
 #[derive(Debug, Clone)]
 pub(crate) struct Zone {
-    /// Lifecycle state.
-    pub state: ZoneState,
-    /// Host-visible write pointer: slices accepted so far (including data
-    /// still in the volatile buffer).
-    pub wp_slices: u64,
     /// Slices durably placed (flashed canonically, staged in SLC, or patch),
-    /// i.e. `wp_slices` minus whatever sits in the volatile buffer.
+    /// i.e. the write pointer minus whatever sits in the volatile buffer.
     pub flushed_slices: u64,
     /// Premature-flush data staged in SLC: a contiguous run ending at
     /// `flushed_slices`, beginning at a programming-unit-aligned offset.
@@ -35,8 +31,6 @@ impl Zone {
     /// worth of slices on top.
     pub(crate) fn new(staged_capacity: usize) -> Zone {
         Zone {
-            state: ZoneState::Empty,
-            wp_slices: 0,
             flushed_slices: 0,
             staged: Vec::with_capacity(staged_capacity),
         }
@@ -47,10 +41,8 @@ impl Zone {
         self.flushed_slices - self.staged.len() as u64
     }
 
-    /// Resets the zone to empty.
+    /// Nothing of the zone is on the media any more.
     pub(crate) fn reset(&mut self) {
-        self.state = ZoneState::Empty;
-        self.wp_slices = 0;
         self.flushed_slices = 0;
         self.staged.clear();
     }
@@ -63,15 +55,13 @@ mod tests {
     #[test]
     fn new_zone_is_empty() {
         let z = Zone::new(8);
-        assert_eq!(z.state, ZoneState::Empty);
-        assert_eq!(z.wp_slices, 0);
+        assert_eq!(z.flushed_slices, 0);
         assert_eq!(z.staged_start(), 0);
     }
 
     #[test]
     fn staged_start_tracks_run() {
         let mut z = Zone::new(8);
-        z.wp_slices = 40;
         z.flushed_slices = 36;
         z.staged = (24..36)
             .map(|i| StagedSlice {
@@ -81,7 +71,7 @@ mod tests {
             .collect();
         assert_eq!(z.staged_start(), 24);
         z.reset();
-        assert_eq!(z.wp_slices, 0);
+        assert_eq!(z.flushed_slices, 0);
         assert!(z.staged.is_empty());
     }
 }

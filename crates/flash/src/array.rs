@@ -16,7 +16,7 @@
 
 use conzone_sim::{Reservation, Resource, ResourceBank};
 use conzone_types::{
-    to_index, CellType, ChipId, DeviceConfig, DeviceEvent, FaultKind, Geometry, MediaOp,
+    to_index, CellType, ChipId, Counters, DeviceConfig, DeviceEvent, FaultKind, Geometry, MediaOp,
     MediaTimings, Ppa, Probe, SimDuration, SimTime, SuperblockId, SLICE_BYTES, SLICE_LEN,
 };
 
@@ -44,6 +44,22 @@ pub struct FlashStats {
     pub read_retries: u64,
     /// Blocks permanently retired (failed erases + grown bad blocks).
     pub blocks_retired: u64,
+}
+
+impl FlashStats {
+    /// Books the media statistics in a device's counters: the one place
+    /// the two records meet, for every model built on a [`FlashArray`].
+    #[inline]
+    pub fn fold_into(&self, c: &mut Counters) {
+        c.flash_program_bytes_slc = self.program_bytes_slc;
+        c.flash_program_bytes_tlc = self.program_bytes_tlc;
+        c.flash_program_bytes_qlc = self.program_bytes_qlc;
+        c.flash_data_reads = self.page_reads;
+        c.erases_slc = self.erases_slc;
+        c.erases_normal = self.erases_normal;
+        c.read_retries = self.read_retries;
+        c.blocks_retired = self.blocks_retired;
+    }
 }
 
 /// Result of a program operation.
@@ -160,12 +176,6 @@ impl FlashArray {
     #[inline]
     pub fn stats(&self) -> FlashStats {
         self.stats
-    }
-
-    /// Whether payload bytes are retained for verification.
-    #[inline]
-    pub fn stores_data(&self) -> bool {
-        self.store.is_enabled()
     }
 
     /// Cell technology of a block index (same on every chip).
@@ -644,11 +654,6 @@ impl FlashArray {
         Ok(())
     }
 
-    /// Moves a retained payload between physical slices (GC migration).
-    pub fn relocate_data(&mut self, from: Ppa, to: Ppa) {
-        self.store.relocate(from, to);
-    }
-
     /// Fetches the retained payload of a slice, if any.
     pub fn data_of(&self, ppa: Ppa) -> Option<&[u8]> {
         self.store.get(ppa)
@@ -727,11 +732,6 @@ impl FlashArray {
             .sum()
     }
 
-    /// Whether every chip's block of this superblock is fully programmed.
-    pub fn superblock_full(&self, sb: SuperblockId) -> bool {
-        (0..self.geometry.nchips()).all(|c| self.block(ChipId(c as u64), sb.index()).is_full())
-    }
-
     /// Whether every chip's block of this superblock is erased.
     pub fn superblock_erased(&self, sb: SuperblockId) -> bool {
         (0..self.geometry.nchips()).all(|c| self.block(ChipId(c as u64), sb.index()).is_erased())
@@ -789,23 +789,6 @@ impl FlashArray {
             normal: region(g.slc_blocks_per_chip..g.blocks_per_chip, self.normal_cell),
             host_bytes_written: 0,
         }
-    }
-
-    /// Maximum erase count across all blocks (wear indicator).
-    pub fn max_erase_count(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(Block::erase_count)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean erase count across all blocks.
-    pub fn mean_erase_count(&self) -> f64 {
-        if self.blocks.is_empty() {
-            return 0.0;
-        }
-        self.blocks.iter().map(Block::erase_count).sum::<u64>() as f64 / self.blocks.len() as f64
     }
 
     /// When every plane and channel has drained.
@@ -941,7 +924,6 @@ mod tests {
     #[test]
     fn erase_drops_the_blocks_payloads_and_reprogram_reads_new_bytes() {
         let mut a = array();
-        assert!(a.stores_data());
         let old = vec![0xAAu8; 64 * 1024];
         let new = vec![0x55u8; 64 * 1024];
         let kept = a
@@ -1176,8 +1158,7 @@ mod tests {
         assert!(a.superblock_erased(SuperblockId(7)));
         assert!(t >= SimTime::ZERO + SimDuration::from_millis(3));
         assert_eq!(a.stats().erases_normal, 4);
-        assert_eq!(a.max_erase_count(), 1);
-        assert!(a.mean_erase_count() > 0.0);
+        assert_eq!(a.block(ChipId(0), 7).erase_count(), 1);
     }
 
     #[test]

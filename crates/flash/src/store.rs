@@ -64,16 +64,6 @@ impl DataStore {
         self.slices.get(&ppa.raw()).map(|b| b.as_ref())
     }
 
-    /// Moves a slice's payload to a new physical address (GC migration).
-    pub fn relocate(&mut self, from: Ppa, to: Ppa) {
-        if self.slices.is_empty() {
-            return;
-        }
-        if let Some(data) = self.slices.remove(&from.raw()) {
-            self.slices.insert(to.raw(), data);
-        }
-    }
-
     /// Drops the payload of one slice.
     pub fn remove(&mut self, ppa: Ppa) {
         self.remove_range(ppa, 1);
@@ -127,9 +117,8 @@ mod tests {
         s.put(Ppa(1), &slice_of(7));
         s.remove(Ppa(1));
         s.remove_range(Ppa(0), 960);
-        s.relocate(Ppa(1), Ppa(2));
         assert_eq!(s.len(), 0);
-        assert!(s.get(Ppa(1)).is_none() && s.get(Ppa(2)).is_none());
+        assert!(s.get(Ppa(1)).is_none());
     }
 
     /// The same calls on an enabled store that happens to be empty, then
@@ -138,26 +127,21 @@ mod tests {
     fn enabled_store_early_out_only_when_empty() {
         let mut s = DataStore::new(true);
         s.remove_range(Ppa(0), 8);
-        s.relocate(Ppa(1), Ppa(2));
         assert!(s.is_empty());
         s.put(Ppa(20), &slice_of(3));
         s.remove_range(Ppa(0), 8);
-        s.relocate(Ppa(1), Ppa(2));
         assert_eq!(s.len(), 1, "a slice outside the range survives");
-        s.relocate(Ppa(20), Ppa(4));
-        s.remove_range(Ppa(0), 8);
+        s.remove_range(Ppa(16), 8);
         assert!(s.is_empty());
     }
 
     #[test]
-    fn put_get_relocate_remove() {
+    fn put_get_remove() {
         let mut s = DataStore::new(true);
         s.put(Ppa(5), &slice_of(1));
         assert_eq!(s.get(Ppa(5)).unwrap()[0], 1);
-        s.relocate(Ppa(5), Ppa(9));
-        assert!(s.get(Ppa(5)).is_none());
-        assert_eq!(s.get(Ppa(9)).unwrap()[0], 1);
-        s.remove(Ppa(9));
+        assert!(s.get(Ppa(9)).is_none());
+        s.remove(Ppa(5));
         assert!(s.is_empty());
     }
 

@@ -1,22 +1,25 @@
-//! The limited volatile write buffers (paper §III-B).
+//! The limited volatile write buffers (paper §III-B; FEMU has them too,
+//! Table I).
 //!
 //! Each buffer holds at most one superpage and is shared by all zones whose
 //! index is congruent to the buffer index modulo the buffer count. Buffered
 //! data is always the contiguous tail of its owner zone's accepted writes.
+//! Where a flush puts the data — SLC staging in ConZone, a padded
+//! programming unit in the FEMU baseline — is the model's business.
 
 use conzone_types::{to_index, ZoneId, SLICE_BYTES, SLICE_LEN};
 
 /// One volatile write buffer.
 #[derive(Debug, Clone)]
-pub(crate) struct WriteBuffer {
+pub struct WriteBuffer {
     /// Zone currently owning the buffer, if any.
-    pub owner: Option<ZoneId>,
+    owner: Option<ZoneId>,
     /// Zone-relative slice offset of the first buffered slice.
-    pub start_offset: u64,
+    start_offset: u64,
     /// Number of buffered slices.
-    pub slices: u64,
+    slices: u64,
     /// Buffered payload, 4 KiB per slice, when data backing is enabled.
-    pub data: Vec<u8>,
+    data: Vec<u8>,
     /// Capacity in slices (one superpage).
     capacity: u64,
     /// Whether payload bytes are retained.
@@ -24,7 +27,9 @@ pub(crate) struct WriteBuffer {
 }
 
 impl WriteBuffer {
-    pub(crate) fn new(capacity_slices: u64, backed: bool) -> WriteBuffer {
+    /// An unowned buffer of `capacity_slices` (one superpage); `backed`
+    /// says whether payload bytes are retained.
+    pub fn new(capacity_slices: u64, backed: bool) -> WriteBuffer {
         WriteBuffer {
             owner: None,
             start_offset: 0,
@@ -35,24 +40,59 @@ impl WriteBuffer {
         }
     }
 
+    /// Zone currently owning the buffer, if any.
+    #[inline]
+    pub fn owner(&self) -> Option<ZoneId> {
+        self.owner
+    }
+
+    /// Zone-relative slice offset of the first buffered slice.
+    #[inline]
+    pub fn start_offset(&self) -> u64 {
+        self.start_offset
+    }
+
+    /// Number of buffered slices.
+    #[inline]
+    pub fn slices(&self) -> u64 {
+        self.slices
+    }
+
+    /// Whether the slice at `offset` of `zone` sits in this buffer.
+    #[inline]
+    pub fn holds(&self, zone: ZoneId, offset: u64) -> bool {
+        self.owner == Some(zone) && offset >= self.start_offset && offset < self.end_offset()
+    }
+
+    /// Whether a write to `zone` must first evict another zone's data:
+    /// the conflicting zone-to-buffer mapping of §III-B.
+    #[inline]
+    pub fn conflicts_with(&self, zone: ZoneId) -> bool {
+        !self.is_empty() && self.owner != Some(zone)
+    }
+
     /// Whether the buffer holds no data.
-    pub(crate) fn is_empty(&self) -> bool {
+    #[inline]
+    pub fn is_empty(&self) -> bool {
         self.slices == 0
     }
 
     /// Whether the buffer is at capacity.
-    pub(crate) fn is_full(&self) -> bool {
+    #[inline]
+    pub fn is_full(&self) -> bool {
         self.slices == self.capacity
     }
 
     /// Free slices remaining.
-    pub(crate) fn room(&self) -> u64 {
+    #[inline]
+    pub fn room(&self) -> u64 {
         self.capacity - self.slices
     }
 
     /// Takes ownership for `zone` with the next data expected at
     /// `start_offset`; the buffer must be empty.
-    pub(crate) fn adopt(&mut self, zone: ZoneId, start_offset: u64) {
+    #[inline]
+    pub fn adopt(&mut self, zone: ZoneId, start_offset: u64) {
         debug_assert!(self.is_empty(), "adopting a non-empty buffer");
         self.owner = Some(zone);
         self.start_offset = start_offset;
@@ -64,7 +104,8 @@ impl WriteBuffer {
     /// # Panics
     ///
     /// Debug-panics when overflowing capacity or appending without an owner.
-    pub(crate) fn append(&mut self, count: u64, payload: Option<&[u8]>) {
+    #[inline]
+    pub fn append(&mut self, count: u64, payload: Option<&[u8]>) {
         debug_assert!(self.owner.is_some(), "append to unowned buffer");
         debug_assert!(self.slices + count <= self.capacity, "buffer overflow");
         if self.backed {
@@ -84,7 +125,8 @@ impl WriteBuffer {
 
     /// Removes `count` slices from the buffer head, returning their payload
     /// when backed.
-    pub(crate) fn drain_front(&mut self, count: u64) -> Option<Vec<u8>> {
+    #[inline]
+    pub fn drain_front(&mut self, count: u64) -> Option<Vec<u8>> {
         debug_assert!(count <= self.slices, "draining more than buffered");
         self.start_offset += count;
         self.slices -= count;
@@ -99,7 +141,8 @@ impl WriteBuffer {
     }
 
     /// Clears the buffer and drops ownership.
-    pub(crate) fn release(&mut self) {
+    #[inline]
+    pub fn release(&mut self) {
         self.owner = None;
         self.start_offset = 0;
         self.slices = 0;
@@ -107,13 +150,14 @@ impl WriteBuffer {
     }
 
     /// Zone-relative offset one past the last buffered slice.
-    pub(crate) fn end_offset(&self) -> u64 {
+    #[inline]
+    pub fn end_offset(&self) -> u64 {
         self.start_offset + self.slices
     }
 
     /// Payload of the slice at zone-relative `offset`, when buffered and
     /// backed.
-    pub(crate) fn slice_data(&self, offset: u64) -> Option<&[u8]> {
+    pub fn slice_data(&self, offset: u64) -> Option<&[u8]> {
         if !self.backed || offset < self.start_offset || offset >= self.end_offset() {
             return None;
         }
@@ -132,14 +176,16 @@ mod tests {
         b.adopt(ZoneId(3), 16);
         b.append(2, Some(&vec![7u8; 2 * 4096]));
         b.append(1, Some(&vec![9u8; 4096]));
-        assert_eq!(b.slices, 3);
+        assert_eq!(b.slices(), 3);
         assert_eq!(b.end_offset(), 19);
         assert_eq!(b.slice_data(18).unwrap()[0], 9);
         let head = b.drain_front(2).unwrap();
         assert_eq!(head.len(), 2 * 4096);
         assert_eq!(head[0], 7);
-        assert_eq!(b.start_offset, 18);
-        assert_eq!(b.slices, 1);
+        assert_eq!(b.start_offset(), 18);
+        assert_eq!(b.slices(), 1);
+        assert!(b.holds(ZoneId(3), 18) && !b.holds(ZoneId(3), 19) && !b.holds(ZoneId(2), 18));
+        assert!(b.conflicts_with(ZoneId(2)) && !b.conflicts_with(ZoneId(3)));
         assert_eq!(b.slice_data(18).unwrap()[0], 9);
     }
 
@@ -159,10 +205,10 @@ mod tests {
         b.adopt(ZoneId(1), 0);
         b.append(1, None);
         b.release();
-        assert!(b.owner.is_none());
+        assert!(b.owner().is_none() && !b.conflicts_with(ZoneId(2)));
         assert!(b.is_empty());
         b.adopt(ZoneId(2), 8);
-        assert_eq!(b.start_offset, 8);
+        assert_eq!(b.start_offset(), 8);
     }
 
     #[test]

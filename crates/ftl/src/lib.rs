@@ -14,7 +14,9 @@
 //!   L2P cache (also the Legacy baseline's prefetching cache);
 //! * [`OwnerMap`] — the dense reverse map (physical slice → logical page)
 //!   garbage collection reads, over ConZone's SLC blocks and over the
-//!   Legacy baseline's normal blocks.
+//!   Legacy baseline's normal blocks;
+//! * [`WriteBuffer`] — the superpage-sized volatile write buffer of
+//!   §III-B that zones share, in ConZone and in the FEMU baseline.
 //!
 //! ```
 //! use conzone_ftl::{L2pCache, LookupResult, MappingTable};
@@ -40,6 +42,7 @@
 #![warn(missing_debug_implementations)]
 
 mod bitmap;
+mod buffer;
 mod cache;
 mod lru;
 mod mapping;
@@ -47,6 +50,7 @@ mod owner;
 mod strategy;
 
 pub use bitmap::MapBitmap;
+pub use buffer::WriteBuffer;
 pub use cache::{L2pCache, LookupResult};
 pub use lru::{InsertOutcome, LruCache};
 pub use mapping::{MapEntry, MappingTable};

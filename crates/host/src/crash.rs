@@ -181,13 +181,4 @@ mod tests {
         assert_eq!(verdict.report.lost_slices, 0);
         assert_eq!(verdict.report.recovered_slices, 0);
     }
-
-    #[test]
-    fn baselines_reject_power_cycling() {
-        let mut dev = conzone_legacy::LegacyDevice::new(DeviceConfig::tiny_for_tests());
-        assert!(matches!(
-            power_cycle_and_verify(&mut dev, 0, SimTime::ZERO),
-            Err(HostError::Device { .. })
-        ));
-    }
 }

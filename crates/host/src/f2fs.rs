@@ -465,15 +465,6 @@ impl F2fsLite {
     pub fn zone_bytes(&self) -> u64 {
         self.zone_bytes
     }
-
-    /// Per-zone `(written, live)` slice counts, for diagnostics.
-    pub fn debug_zones(&self) -> Vec<(u64, u64)> {
-        self.zone_written
-            .iter()
-            .zip(&self.zone_live)
-            .map(|(w, l)| (*w, *l))
-            .collect()
-    }
 }
 
 #[cfg(test)]

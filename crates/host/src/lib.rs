@@ -54,9 +54,6 @@ pub use fio_file::{parse_fio_jobs, NamedJob, ParseFioError};
 pub use job::{AccessPattern, FioJob};
 pub use qd::{run_tenants, MultiReport, QdOptions, QueuePair, TenantReport, TenantSpec};
 pub use runner::{run_job, run_job_sampled, run_job_until, HostError, JobReport};
-pub use trace::{
-    replay_budget, replay_counters, replay_trace, MobileTraceBuilder, ParseTraceError, Trace,
-    TraceKind, TraceOp,
-};
+pub use trace::{replay_trace, MobileTraceBuilder, ParseTraceError, Trace, TraceKind, TraceOp};
 pub use verify::payload_for;
 pub use workloads::WorkloadPreset;

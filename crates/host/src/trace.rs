@@ -14,7 +14,7 @@
 //! (closed-loop) when `respect_timestamps` is off.
 
 use conzone_sim::SimRng;
-use conzone_types::{Counters, IoRequest, SimDuration, SimTime, ZonedDevice, SLICE_BYTES};
+use conzone_types::{IoRequest, SimTime, ZonedDevice, SLICE_BYTES};
 
 use crate::runner::{HostError, JobReport, Tally};
 
@@ -381,17 +381,6 @@ pub fn replay_trace<D: ZonedDevice + ?Sized>(
     ))
 }
 
-/// Convenience: the counter delta a replay produced.
-pub fn replay_counters(report: &JobReport) -> &Counters {
-    &report.counters
-}
-
-/// Upper bound on how long a closed-loop replay of `trace` can take,
-/// assuming every op costs at most `per_op`: a sanity budget for tests.
-pub fn replay_budget(trace: &Trace, per_op: SimDuration) -> SimDuration {
-    per_op * trace.len() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,15 +455,6 @@ mod tests {
         assert!(
             r.finished < SimTime::from_nanos(50_000_000),
             "closed loop ignores gaps"
-        );
-    }
-
-    #[test]
-    fn budget_helper() {
-        let trace = Trace::parse("0 W 0 4096\n1 W 4096 4096\n").unwrap();
-        assert_eq!(
-            replay_budget(&trace, SimDuration::from_micros(100)),
-            SimDuration::from_micros(200)
         );
     }
 }

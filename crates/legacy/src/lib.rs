@@ -37,8 +37,8 @@ use conzone_flash::{FlashArray, FlashError};
 use conzone_ftl::{block_runs, LruCache, MappingTable, OwnerMap};
 use conzone_types::{
     to_index, ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig,
-    FlushKind, IoKind, IoRequest, L2pOutcome, Lpn, LpnRange, PowerCycle, Ppa, Probe,
-    RecoveryReport, SimTime, StorageDevice, SuperblockId, ZoneId, SLICE_BYTES, SLICE_LEN,
+    FlushKind, IoKind, IoRequest, L2pOutcome, Lpn, LpnRange, Ppa, Probe, SimTime, StorageDevice,
+    SuperblockId, ZoneId, SLICE_BYTES, SLICE_LEN,
 };
 
 #[cfg(test)]
@@ -202,12 +202,7 @@ impl LegacyDevice {
         self.kill_mapped(range)?;
         self.table.unmap_extent(range.start, range.count);
         self.drop_cached(range);
-        Ok(Completion {
-            submitted: now,
-            finished: now + self.cfg.host_overhead,
-            data: None,
-            assigned_offset: None,
-        })
+        Ok(Completion::at(now, now + self.cfg.host_overhead))
     }
 
     /// Wear and lifespan report (the paper's §I trim-gap argument shows
@@ -626,15 +621,7 @@ impl StorageDevice for LegacyDevice {
     }
 
     fn submit(&mut self, now: SimTime, request: &IoRequest) -> Result<Completion, DeviceError> {
-        request.validate()?;
-        if request.offset + request.len > self.capacity_bytes() {
-            return Err(DeviceError::OutOfRange {
-                offset: request.offset,
-                capacity: self.capacity_bytes(),
-            });
-        }
-        let range = LpnRange::covering_bytes(request.offset, request.len)
-            .expect("validated request is non-empty");
+        let range = request.admit(self.capacity_bytes())?;
         match request.kind {
             IoKind::Append => Err(DeviceError::Unsupported(
                 "legacy devices have no zones to append to".to_string(),
@@ -643,22 +630,15 @@ impl StorageDevice for LegacyDevice {
                 self.counters.host_write_ops += 1;
                 self.counters.host_write_bytes += request.len;
                 let finished = self.write_range(now, range, request.data.as_deref())?;
-                Ok(Completion {
-                    submitted: now,
-                    finished,
-                    data: None,
-                    assigned_offset: None,
-                })
+                Ok(Completion::at(now, finished))
             }
             IoKind::Read => {
                 self.counters.host_read_ops += 1;
                 self.counters.host_read_bytes += request.len;
                 let (finished, data) = self.read_range(now, range)?;
                 Ok(Completion {
-                    submitted: now,
-                    finished,
                     data: data.map(Bytes::from),
-                    assigned_offset: None,
+                    ..Completion::at(now, finished)
                 })
             }
         }
@@ -686,43 +666,18 @@ impl StorageDevice for LegacyDevice {
             );
             t = self.flush_unit(t)?;
         }
-        Ok(Completion {
-            submitted: now,
-            finished: t + self.cfg.host_overhead,
-            data: None,
-            assigned_offset: None,
-        })
+        Ok(Completion::at(now, t + self.cfg.host_overhead))
     }
 
     fn counters(&self) -> Counters {
         let mut c = self.counters;
-        let stats = self.flash.stats();
-        c.flash_program_bytes_slc = stats.program_bytes_slc;
-        c.flash_program_bytes_tlc = stats.program_bytes_tlc;
-        c.flash_program_bytes_qlc = stats.program_bytes_qlc;
-        c.flash_data_reads = stats.page_reads;
-        c.erases_slc = stats.erases_slc;
-        c.erases_normal = stats.erases_normal;
+        self.flash.stats().fold_into(&mut c);
         c.l2p_evictions = self.cache.evictions();
         c
     }
 
     fn model_name(&self) -> &'static str {
         "legacy"
-    }
-}
-
-impl PowerCycle for LegacyDevice {
-    fn power_cut(&mut self, _now: SimTime) -> Result<u64, DeviceError> {
-        Err(DeviceError::Unsupported(
-            "legacy baseline does not model power loss".to_string(),
-        ))
-    }
-
-    fn remount(&mut self, _now: SimTime) -> Result<RecoveryReport, DeviceError> {
-        Err(DeviceError::Unsupported(
-            "legacy baseline does not model power loss".to_string(),
-        ))
     }
 }
 

@@ -873,7 +873,7 @@ mod tests {
         }
         assert_eq!(chunks.concat(), tree::chrome_trace(&many).to_string());
 
-        let spans: Vec<SpanRecord> = (0..crate::span::ALL_KINDS.len() * TIMES_NS.len())
+        let spans: Vec<SpanRecord> = (0..conzone_types::SpanKind::ALL.len() * TIMES_NS.len())
             .map(|i| {
                 let start = TIMES_NS[i * 5 % TIMES_NS.len()];
                 let end = TIMES_NS[i * 7 % TIMES_NS.len()];
@@ -881,7 +881,7 @@ mod tests {
                     id: i as u64 + 1,
                     parent: i as u64 / 3,
                     io: u64::MAX - i as u64,
-                    kind: crate::span::ALL_KINDS[i % crate::span::ALL_KINDS.len()],
+                    kind: conzone_types::SpanKind::ALL[i % conzone_types::SpanKind::KIND_COUNT],
                     start: SimTime::from_nanos(start.min(end)),
                     end: SimTime::from_nanos(start.max(end)),
                 }

@@ -49,13 +49,6 @@ impl Resource {
         Reservation { start, end }
     }
 
-    /// Reserves the resource starting no earlier than `earliest`, which may
-    /// itself be later than `now` (e.g. waiting for data from another
-    /// resource).
-    pub fn acquire_after(&mut self, earliest: SimTime, duration: SimDuration) -> Reservation {
-        self.acquire(earliest, duration)
-    }
-
     /// When the resource next becomes free.
     #[inline]
     pub fn free_at(&self) -> SimTime {

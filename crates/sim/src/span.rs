@@ -92,23 +92,6 @@ pub struct KindAttribution {
     pub self_time: SimDuration,
 }
 
-pub(crate) const ALL_KINDS: [SpanKind; SpanKind::KIND_COUNT] = [
-    SpanKind::IoRead,
-    SpanKind::IoWrite,
-    SpanKind::IoAppend,
-    SpanKind::IoFlush,
-    SpanKind::ZoneReset,
-    SpanKind::MapFetch,
-    SpanKind::DataRead,
-    SpanKind::WritePath,
-    SpanKind::CombineRead,
-    SpanKind::GcStall,
-    SpanKind::L2pLog,
-    SpanKind::Erase,
-    SpanKind::QueueCmd,
-    SpanKind::QueueWait,
-];
-
 /// Folds closed spans into one [`KindAttribution`] per kind, in
 /// [`SpanKind::index`] order.
 ///
@@ -133,7 +116,7 @@ pub fn attribute_spans(spans: &[SpanRecord]) -> Vec<KindAttribution> {
         }
     }
 
-    let mut out: Vec<KindAttribution> = ALL_KINDS
+    let mut out: Vec<KindAttribution> = SpanKind::ALL
         .iter()
         .map(|&kind| KindAttribution {
             kind,

@@ -170,19 +170,6 @@ impl core::fmt::Display for SearchStrategy {
     }
 }
 
-/// How zones with non-power-of-two backing superblocks are exposed
-/// (paper §III-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ZonePadding {
-    /// Zone size equals the superblock capacity even when that is not a
-    /// power of two (relies on the pending NVMe relaxation).
-    None,
-    /// Zone size is rounded up to the next power of two; the tail of each
-    /// zone is patched into *reserved* SLC flash pages so its mapping entries
-    /// can still aggregate (the paper's temporary solution).
-    SlcAligned,
-}
-
 /// Seeded fault-injection configuration of the flash fault plane.
 ///
 /// All rates default to zero, which disables injection entirely: the fault
@@ -307,8 +294,6 @@ pub struct DeviceConfig {
     /// path outside the device). ConZone runs under the real Linux block
     /// layer; we model that cost explicitly.
     pub host_overhead: SimDuration,
-    /// Handling of non-power-of-two zone capacities.
-    pub zone_padding: ZonePadding,
     /// Run SLC garbage collection when free SLC superblocks drop to this
     /// count.
     pub slc_gc_threshold: usize,
@@ -352,7 +337,6 @@ impl DeviceConfig {
                 max_open_zones: 6,
                 mapping_media: CellType::Slc,
                 host_overhead: SimDuration::from_nanos(12_500),
-                zone_padding: ZonePadding::SlcAligned,
                 slc_gc_threshold: 1,
                 l2p_log_entries: 0,
                 conventional_zones: 0,
@@ -387,13 +371,13 @@ impl DeviceConfig {
         self.geometry.superblock_bytes()
     }
 
-    /// Exposed zone size in bytes, after padding policy.
+    /// Exposed zone size in bytes: the backing superblock rounded up to
+    /// the next power of two, as NVMe ZNS wants zone sizes. The tail of
+    /// each zone is patched into *reserved* SLC flash pages so its mapping
+    /// entries can still aggregate (paper §III-E, the temporary solution).
+    #[inline]
     pub fn zone_size_bytes(&self) -> u64 {
-        let backing = self.zone_backing_bytes();
-        match self.zone_padding {
-            ZonePadding::None => backing,
-            ZonePadding::SlcAligned => backing.next_power_of_two(),
-        }
+        self.zone_backing_bytes().next_power_of_two()
     }
 
     /// Exposed zone size in 4 KiB slices.
@@ -403,8 +387,7 @@ impl DeviceConfig {
     }
 
     /// Slices of each zone that are patched into reserved SLC pages
-    /// (zero when the backing superblock is already a power of two or
-    /// padding is disabled).
+    /// (zero when the backing superblock is already a power of two).
     #[inline]
     pub fn zone_patch_slices(&self) -> u64 {
         (self.zone_size_bytes() - self.zone_backing_bytes()) / SLICE_BYTES
@@ -438,12 +421,6 @@ impl DeviceConfig {
     #[inline]
     pub fn chunk_slices(&self) -> u64 {
         self.chunk_bytes / SLICE_BYTES
-    }
-
-    /// Latency entry of the normal region's media.
-    #[inline]
-    pub fn normal_latency(&self) -> MediaLatency {
-        self.timings.latency(self.normal_cell)
     }
 }
 
@@ -515,10 +492,6 @@ impl DeviceConfigBuilder {
     setter!(
         /// Sets the fixed per-request host I/O-stack overhead.
         host_overhead: SimDuration
-    );
-    setter!(
-        /// Sets the non-power-of-two zone padding policy.
-        zone_padding: ZonePadding
     );
     setter!(
         /// Sets the SLC GC trigger threshold (free superblocks).
@@ -599,15 +572,6 @@ impl DeviceConfigBuilder {
             return Err(ConfigError::new(
                 "normal region cannot be SLC; use Tlc or Qlc (SLC is the secondary buffer)",
             ));
-        }
-        if cfg.zone_padding == ZonePadding::None && !zone_size.is_power_of_two() {
-            // Mirror the NVMe restriction the paper discusses: warnless
-            // acceptance would hide a spec violation, so reject it and point
-            // at the SlcAligned workaround.
-            return Err(ConfigError::new(format!(
-                "zone size {zone_size} is not a power of two; use ZonePadding::SlcAligned \
-                 (paper §III-E) or a power-of-two geometry"
-            )));
         }
         let slc_bytes = cfg.geometry.slc_superblocks() as u64 * cfg.geometry.superblock_bytes();
         if slc_bytes < cfg.geometry.superpage_bytes() {
@@ -726,21 +690,6 @@ mod tests {
             .normal_cell(CellType::Slc)
             .build()
             .is_err());
-        // Non-power-of-two zone without the SLC workaround is rejected.
-        assert!(DeviceConfig::builder(Geometry::consumer_1p5gb())
-            .zone_padding(ZonePadding::None)
-            .build()
-            .is_err());
-    }
-
-    #[test]
-    fn zone_padding_none_on_power_of_two_ok() {
-        let cfg = DeviceConfig::builder(Geometry::tiny())
-            .zone_padding(ZonePadding::None)
-            .chunk_bytes(256 * 1024)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.zone_patch_slices(), 0);
     }
 
     #[test]

@@ -123,6 +123,32 @@ impl IoRequest {
         }
         Ok(())
     }
+
+    /// The front door of every model's `submit`: validates the request
+    /// and returns the logical pages it covers on a device of `capacity`
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// What [`IoRequest::validate`] returns, then
+    /// [`DeviceError::OutOfRange`] for a request that ends past
+    /// `capacity` (or past the end of the `u64` byte space).
+    #[inline]
+    pub fn admit(&self, capacity: u64) -> Result<LpnRange, DeviceError> {
+        self.validate()?;
+        match self.offset.checked_add(self.len) {
+            Some(end) if end <= capacity => {}
+            _ => {
+                return Err(DeviceError::OutOfRange {
+                    offset: self.offset,
+                    capacity,
+                })
+            }
+        }
+        LpnRange::covering_bytes(self.offset, self.len).ok_or_else(|| {
+            DeviceError::Internal("validated request covers no logical pages".to_string())
+        })
+    }
 }
 
 /// Result of a completed request.
@@ -140,6 +166,18 @@ pub struct Completion {
 }
 
 impl Completion {
+    /// A completion that carries no data and no append placement: what
+    /// every command but a data-backed read and a zone append answers.
+    #[inline]
+    pub fn at(submitted: SimTime, finished: SimTime) -> Completion {
+        Completion {
+            submitted,
+            finished,
+            data: None,
+            assigned_offset: None,
+        }
+    }
+
     /// End-to-end latency of the request.
     #[inline]
     pub fn latency(&self) -> SimDuration {
@@ -173,7 +211,8 @@ pub struct ZoneInfo {
     pub write_pointer: u64,
     /// Writable capacity in bytes (equals the zone size in this model).
     pub capacity: u64,
-    /// Zone size in bytes (power of two under `ZonePadding::SlcAligned`).
+    /// Zone size in bytes: the backing superblock rounded up to a power of
+    /// two on ConZone (paper §III-E), the bare superblock on FEMU.
     pub size: u64,
     /// Byte offset of the zone start in the logical address space.
     pub start: u64,
@@ -329,7 +368,9 @@ impl core::fmt::Display for RecoveryReport {
     }
 }
 
-/// Devices that model unclean power loss and recovery.
+/// Devices that model unclean power loss and recovery: ConZone. A model
+/// without a power-loss model (the Legacy and FEMU baselines) does not
+/// implement the trait.
 ///
 /// `power_cut` models yanking the plug at simulated time `now`: everything
 /// volatile (write buffers, L2P cache, unsynced mapping-log entries) is
@@ -344,8 +385,7 @@ pub trait PowerCycle: StorageDevice {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Unsupported`] on models without a power-loss model;
-    /// `Unsupported` also if power is already cut.
+    /// [`DeviceError::Unsupported`] if power is already cut.
     fn power_cut(&mut self, now: SimTime) -> Result<u64, DeviceError>;
 
     /// Remounts the device after [`PowerCycle::power_cut`], replaying
@@ -353,8 +393,7 @@ pub trait PowerCycle: StorageDevice {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Unsupported`] on models without a power-loss model,
-    /// or if power was never cut.
+    /// [`DeviceError::Unsupported`] if power was never cut.
     fn remount(&mut self, now: SimTime) -> Result<RecoveryReport, DeviceError>;
 
     /// Acknowledged slices currently at risk from a power cut: volatile
@@ -395,6 +434,25 @@ mod tests {
     }
 
     #[test]
+    fn admission_bounds_the_request_without_overflowing() {
+        let capacity = 1 << 20;
+        let r = IoRequest::read(capacity - 8192, 8192)
+            .admit(capacity)
+            .unwrap();
+        assert_eq!(r, LpnRange::new(crate::Lpn(254), 2));
+        assert!(matches!(
+            IoRequest::read(1, 4096).admit(capacity),
+            Err(DeviceError::Unaligned { .. })
+        ));
+        for offset in [capacity - 4096, u64::MAX - 4095] {
+            assert_eq!(
+                IoRequest::write(offset, 8192).admit(capacity),
+                Err(DeviceError::OutOfRange { offset, capacity })
+            );
+        }
+    }
+
+    #[test]
     fn zone_info_display() {
         let info = ZoneInfo {
             id: ZoneId(3),
@@ -409,12 +467,8 @@ mod tests {
 
     #[test]
     fn completion_latency() {
-        let c = Completion {
-            submitted: SimTime::from_nanos(100),
-            finished: SimTime::from_nanos(400),
-            data: None,
-            assigned_offset: None,
-        };
+        let c = Completion::at(SimTime::from_nanos(100), SimTime::from_nanos(400));
         assert_eq!(c.latency(), SimDuration::from_nanos(300));
+        assert!(c.data.is_none() && c.assigned_offset.is_none());
     }
 }

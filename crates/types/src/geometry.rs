@@ -8,7 +8,7 @@
 //! SLC blocks program partially at 4 KiB granularity.
 
 use crate::addr::{
-    to_index, ChannelId, ChipId, Lpn, Ppa, SuperblockId, ZoneId, MAX_SLICES, SLICE_BYTES, SLICE_LEN,
+    to_index, ChannelId, ChipId, Ppa, SuperblockId, ZoneId, MAX_SLICES, SLICE_BYTES, SLICE_LEN,
 };
 use crate::error::ConfigError;
 
@@ -357,13 +357,6 @@ impl Geometry {
     pub fn zone_count(&self) -> usize {
         self.normal_superblocks()
     }
-
-    /// Logical page at byte offset zero of a zone of `zone_size_slices`
-    /// logical slices.
-    #[inline]
-    pub fn zone_start_lpn(&self, zone: ZoneId, zone_size_slices: u64) -> Lpn {
-        Lpn(zone.raw() * zone_size_slices)
-    }
 }
 
 /// Decoded components of a [`Ppa`].
@@ -460,7 +453,6 @@ mod tests {
         let g = Geometry::tiny();
         assert_eq!(g.zone_superblock(ZoneId(0)), SuperblockId(4));
         assert_eq!(g.zone_count(), 16);
-        assert_eq!(g.zone_start_lpn(ZoneId(2), 256), Lpn(512));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   Table II media timings as defaults;
 //! * [`StorageDevice`] / [`ZonedDevice`] — the trait all device models
 //!   implement so the host harness can drive them interchangeably;
+//! * [`ZoneTable`] — the zone states, write pointers and admission rules
+//!   both zoned models answer with;
 //! * [`Counters`] — the statistics record from which bandwidth, write
 //!   amplification and cache hit rates are derived.
 //!
@@ -41,6 +43,7 @@ mod geometry;
 mod span;
 mod time;
 mod trace;
+mod zone;
 
 pub use addr::{
     to_index, ChannelId, ChipId, ChunkId, Lpn, LpnRange, Ppa, SuperblockId, ZoneId, MAX_SLICES,
@@ -48,7 +51,7 @@ pub use addr::{
 };
 pub use config::{
     CellType, DeviceConfig, DeviceConfigBuilder, FaultConfig, MapGranularity, MediaLatency,
-    MediaTimings, SearchStrategy, ZonePadding,
+    MediaTimings, SearchStrategy,
 };
 pub use counters::Counters;
 pub use device::{
@@ -63,6 +66,7 @@ pub use trace::{
     CountingSink, DeviceEvent, FaultKind, FlushKind, L2pOutcome, MediaOp, Probe, TraceRecord,
     TraceSink,
 };
+pub use zone::ZoneTable;
 
 #[cfg(test)]
 mod proptests;

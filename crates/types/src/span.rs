@@ -72,6 +72,24 @@ impl SpanKind {
     /// Number of distinct span kinds (indexable via [`SpanKind::index`]).
     pub const KIND_COUNT: usize = 14;
 
+    /// Every kind, in [`SpanKind::index`] order.
+    pub const ALL: [SpanKind; SpanKind::KIND_COUNT] = [
+        SpanKind::IoRead,
+        SpanKind::IoWrite,
+        SpanKind::IoAppend,
+        SpanKind::IoFlush,
+        SpanKind::ZoneReset,
+        SpanKind::MapFetch,
+        SpanKind::DataRead,
+        SpanKind::WritePath,
+        SpanKind::CombineRead,
+        SpanKind::GcStall,
+        SpanKind::L2pLog,
+        SpanKind::Erase,
+        SpanKind::QueueCmd,
+        SpanKind::QueueWait,
+    ];
+
     /// Stable short name of the kind, used by every exporter.
     pub fn name(&self) -> &'static str {
         match self {
@@ -320,29 +338,12 @@ mod tests {
         }
     }
 
-    const ALL_KINDS: [SpanKind; SpanKind::KIND_COUNT] = [
-        SpanKind::IoRead,
-        SpanKind::IoWrite,
-        SpanKind::IoAppend,
-        SpanKind::IoFlush,
-        SpanKind::ZoneReset,
-        SpanKind::MapFetch,
-        SpanKind::DataRead,
-        SpanKind::WritePath,
-        SpanKind::CombineRead,
-        SpanKind::GcStall,
-        SpanKind::L2pLog,
-        SpanKind::Erase,
-        SpanKind::QueueCmd,
-        SpanKind::QueueWait,
-    ];
-
     #[test]
     fn kind_names_and_indices_are_distinct() {
         let mut idx = std::collections::BTreeSet::new();
         let mut names = std::collections::BTreeSet::new();
-        for k in ALL_KINDS {
-            assert!(k.index() < SpanKind::KIND_COUNT);
+        for k in SpanKind::ALL {
+            assert_eq!(SpanKind::ALL[k.index()], k, "ALL is in index order");
             idx.insert(k.index());
             names.insert(k.name());
         }
@@ -352,7 +353,7 @@ mod tests {
 
     #[test]
     fn roots_have_no_breakdown_category_and_children_do() {
-        for k in ALL_KINDS {
+        for k in SpanKind::ALL {
             assert_eq!(
                 k.breakdown_category().is_none(),
                 k.is_root(),
