@@ -7,12 +7,18 @@
 //! miss is a run of one page: it fetches mapping entries from flash with
 //! the configured search strategy (one to three fetches), inserts the entry
 //! at its actual aggregation level, and may evict by LRU. Data slices are
-//! then read from flash, grouping by physical page.
+//! then read from flash in one [`FlashArray::read_slices`] call, which
+//! senses each physical page once.
 //!
 //! The model still performs one lookup per 4 KiB page — counters and trace
 //! events say so. The host only skips repeating it: every page of a hit's
 //! span would find the same entry, which the first lookup already made the
-//! most recently used one, so the cache ends in the same state.
+//! most recently used one, so the cache ends in the same state. The run's
+//! physical addresses are gathered with one copy of the mapping table's
+//! mapped prefix, and the flash array pays per flash page, not per slice
+//! (`docs/internals.md`, "The read path, page by page").
+//!
+//! [`FlashArray::read_slices`]: conzone_flash::FlashArray::read_slices
 
 use conzone_ftl::{InsertOutcome, LookupResult};
 use conzone_types::{
@@ -85,10 +91,9 @@ impl ConZone {
             let n = match self.cache.lookup(lpn) {
                 LookupResult::Hit(g) => {
                     let stop = stop.min(self.cache.span(lpn, g).1.raw());
-                    let gathered = ppas.len();
-                    let run = self.table.ppas(LpnRange::new(lpn, stop - at));
-                    ppas.extend(run.map_while(|ppa| ppa));
-                    let n = (ppas.len() - gathered) as u64;
+                    let run = self.table.mapped_prefix(LpnRange::new(lpn, stop - at));
+                    let n = run.len() as u64;
+                    ppas.extend(run);
                     // An unmapped page is found only after its lookup.
                     let lookups = n.max(1);
                     let (hits, outcome) = match g {

@@ -17,13 +17,18 @@
 use conzone_sim::{Reservation, Resource, ResourceBank};
 use conzone_types::{
     to_index, CellType, ChipId, Counters, DeviceConfig, DeviceEvent, FaultKind, Geometry, MediaOp,
-    MediaTimings, Ppa, Probe, SimDuration, SimTime, SuperblockId, SLICE_BYTES, SLICE_LEN,
+    MediaTimings, Ppa, PpaParts, Probe, SimDuration, SimTime, SuperblockId, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::block::Block;
 use crate::error::FlashError;
 use crate::fault::FaultPlane;
 use crate::store::DataStore;
+
+#[cfg(test)]
+mod proptests;
+#[cfg(test)]
+mod reference;
 
 /// Cumulative media-level statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -111,14 +116,75 @@ pub struct FlashArray {
     /// they serialise.
     planes: ResourceBank,
     channels: ResourceBank,
+    /// Per chip, its first plane and its channel; per block of a chip, its
+    /// plane within the chip: [`Geometry::plane_of`] and
+    /// [`Geometry::channel_of`] looked up rather than divided out for every
+    /// page `read_slices` senses.
+    chip_lanes: Vec<(usize, usize)>,
+    block_planes: Vec<usize>,
     store: DataStore,
     stats: FlashStats,
     probe: Probe,
     fault: FaultPlane,
-    /// Scratch for `read_slices` page grouping — `(chip, block, page,
-    /// bytes)` per flash-page sense — reused across calls so the per-IO
-    /// read path performs no heap allocation in steady state.
-    read_scratch: Vec<(ChipId, usize, usize, u64)>,
+    /// Scratch for `read_slices` page grouping — one entry per flash-page
+    /// sense — reused across calls so the per-IO read path performs no
+    /// heap allocation in steady state.
+    read_scratch: Vec<PageRead>,
+    /// `read_slices`' per-chip grouping cursors, indexed by chip. An entry
+    /// belongs to the call whose number is in its `call` field, so a new
+    /// call starts with every cursor empty without touching the table.
+    read_cursors: Vec<ChipCursor>,
+    /// Number of the latest `read_slices` call.
+    read_calls: u64,
+}
+
+/// One flash-page sense of a `read_slices` call.
+#[derive(Debug, Clone, Copy)]
+struct PageRead {
+    /// Address of the page's first slice: the grouping key.
+    page: Ppa,
+    chip: ChipId,
+    block: usize,
+    /// Bytes of the page the request reads.
+    bytes: u64,
+}
+
+/// Adds `slices` slices of `page` (decoded as `parts`) to group `found`, or
+/// to a new group at the end of `order`, and returns the group's index.
+#[inline]
+fn add_to_group(
+    order: &mut Vec<PageRead>,
+    found: Option<usize>,
+    page: Ppa,
+    parts: PpaParts,
+    slices: usize,
+) -> usize {
+    let bytes = slices as u64 * SLICE_BYTES;
+    match found {
+        Some(i) => {
+            order[i].bytes += bytes;
+            i
+        }
+        None => {
+            order.push(PageRead {
+                page,
+                chip: parts.chip,
+                block: parts.block,
+                bytes,
+            });
+            order.len() - 1
+        }
+    }
+}
+
+/// Where one chip's runs of a `read_slices` call have got to: every run of
+/// the call on that chip ends at or below `end`, and the page holding the
+/// address before `end` is group `group`.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChipCursor {
+    call: u64,
+    end: Ppa,
+    group: usize,
 }
 
 impl FlashArray {
@@ -149,6 +215,12 @@ impl FlashArray {
             blocks,
             planes: ResourceBank::new(g.nplanes()),
             channels: ResourceBank::new(g.channels),
+            chip_lanes: (0..g.nchips() as u64)
+                .map(|c| (g.plane_of(ChipId(c), 0), g.channel_of(ChipId(c)).index()))
+                .collect(),
+            block_planes: (0..g.blocks_per_chip)
+                .map(|b| b % g.planes_per_chip)
+                .collect(),
             store: DataStore::new(cfg.data_backing),
             stats: FlashStats::default(),
             probe: Probe::disabled(),
@@ -157,6 +229,8 @@ impl FlashArray {
             // GC read is the largest caller, so pre-size to its page count
             // rather than growing mid-workload.
             read_scratch: Vec::with_capacity(g.nchips() * g.pages_per_block),
+            read_cursors: vec![ChipCursor::default(); g.nchips()],
+            read_calls: 0,
         }
     }
 
@@ -186,6 +260,13 @@ impl FlashArray {
         } else {
             self.normal_cell
         }
+    }
+
+    /// `(plane, channel)` a page read of `block` on `chip` reserves.
+    #[inline]
+    fn read_lanes(&self, chip: ChipId, block: usize) -> (usize, usize) {
+        let (first_plane, channel) = self.chip_lanes[chip.index()];
+        (first_plane + self.block_planes[block], channel)
     }
 
     fn block_index(&self, chip: ChipId, block: usize) -> usize {
@@ -471,69 +552,110 @@ impl FlashArray {
     /// Reads the given slices, grouping them into flash-page senses, and
     /// returns the completion time (and payload when the store is enabled).
     ///
+    /// Each flash page the request touches is sensed once and transferred
+    /// once, with the bytes of all its requested slices, in the order the
+    /// pages first appear in `ppas`; read-retry draws follow that order.
     /// Slices must hold live data.
     ///
     /// # Errors
     ///
-    /// [`FlashError::ReadDead`] if any slice is erased or invalidated.
+    /// [`FlashError::ReadDead`] naming the first slice of `ppas` that is
+    /// unwritten or invalidated; nothing is reserved or counted then.
     pub fn read_slices(&mut self, now: SimTime, ppas: &[Ppa]) -> Result<ReadOutcome, FlashError> {
-        // Group into flash pages preserving first-appearance order so
-        // resource reservation stays deterministic. The request is walked
-        // in runs of consecutive slices of one flash page: one address
-        // decode and one group search per run, not per slice. The group
-        // list is a reused scratch buffer and the search a linear scan
-        // from the newest group — the hot read path must not allocate, and
-        // one host IO spans tens of flash pages (32 for a 512 KiB read of
-        // 16 KiB pages, 64 for fio `--bs 1m`), not thousands.
+        // The request is walked in runs of consecutive addresses inside one
+        // block, each paying one address decode, one liveness test and one
+        // cursor check; each page of a run then costs one group entry
+        // (docs/internals.md, "The read path, page by page"). The group
+        // list is a reused scratch buffer — the hot read path must not
+        // allocate.
         let mut order = std::mem::take(&mut self.read_scratch);
         order.clear();
-        let spp = self.geometry.slices_per_page();
-        let mut dead: Option<Ppa> = None;
+        self.read_calls += 1;
+        let call = self.read_calls;
+        let g = &self.geometry;
+        let spp = g.slices_per_page();
+        let slices_per_block = spp * g.pages_per_block;
         let mut rest = ppas;
-        // While every run has started at or above the end of the one before
-        // it, all earlier slices lie below the run at hand, so of the pages
-        // seen only the newest can be its page: the search stops there. (A
-        // GC victim's live slices arrive sorted and span up to a thousand
-        // pages; scanning them all for every new page was three quarters of
-        // the Legacy baseline's run time.)
-        let mut ascending = true;
-        let mut seen_end = Ppa(0);
-        'runs: while let Some(&first) = rest.first() {
-            let parts = self.geometry.decode_ppa(first);
-            let blk = self.block(parts.chip, parts.block);
+        // Where the previous run ended, and the decoded address of its last
+        // page. A run stops short of the end of its block only where the
+        // next address does not follow it, so a run starting where the
+        // previous one ended starts the next block: stepped to, not decoded.
+        let mut prev: Option<(Ppa, PpaParts)> = None;
+        while let Some(&first) = rest.first() {
+            let mut parts = match prev {
+                Some((end, last)) if end == first => g.next_page(last),
+                _ => g.decode_ppa(first),
+            };
+            // The run: consecutive addresses from `first` inside one block.
             let in_block = parts.page * spp + parts.slice;
-            let mut n = 0;
-            while n < spp - parts.slice && rest.get(n) == Some(&first.offset(n as u64)) {
-                if !blk.is_written(in_block + n) || !blk.is_valid(in_block + n) {
-                    dead = Some(rest[n]);
-                    break 'runs;
-                }
+            let room = (slices_per_block - in_block).min(rest.len());
+            let mut n = 1;
+            while n < room && rest[n] == first.offset(n as u64) {
                 n += 1;
             }
-            let bytes = n as u64 * SLICE_BYTES;
-            let key = (parts.chip, parts.block, parts.page);
-            ascending &= first >= seen_end;
-            seen_end = first.offset(n as u64);
-            let same_page = |g: &&mut (ChipId, usize, usize, u64)| (g.0, g.1, g.2) == key;
-            let group = if ascending {
-                order.last_mut().filter(same_page)
+            let block = &self.blocks[parts.chip.index() * g.blocks_per_chip + parts.block];
+            if let Some(i) = block.first_dead(in_block, n) {
+                self.read_scratch = order;
+                return Err(FlashError::ReadDead {
+                    ppa: first.offset(i as u64),
+                });
+            }
+            let end = first.offset(n as u64);
+            // Runs of one chip usually arrive in address order (a zone's
+            // units rotate over the chips, a GC victim's slices are sorted).
+            // Then the chip's groups all lie below the run, and only the
+            // one holding the chip's highest address so far can be the
+            // run's first page; its later pages are new. A run starting
+            // below that address searches every group, page by page. (The
+            // first run of a call has nothing to look for.)
+            let chip = parts.chip.index();
+            let seen = if order.is_empty() {
+                None
             } else {
-                order.iter_mut().rev().find(same_page)
+                Some(self.read_cursors[chip]).filter(|c| c.call == call)
             };
-            match group {
-                Some(g) => g.3 += bytes,
-                None => order.push((parts.chip, parts.block, parts.page, bytes)),
+            let ascending = seen.is_none_or(|c| first >= c.end);
+            let take = (spp - parts.slice).min(n);
+            let page = Ppa(first.raw() - parts.slice as u64);
+            let found = match seen {
+                None => None,
+                Some(c) if ascending => Some(c.group).filter(|&i| order[i].page == page),
+                Some(_) => order.iter().rposition(|r| r.page == page),
+            };
+            let mut group = add_to_group(&mut order, found, page, parts, take);
+            let (mut at, mut left) = (page, n - take);
+            while left > 0 {
+                at = at.offset(spp as u64);
+                parts = PpaParts {
+                    page: parts.page + 1,
+                    slice: 0,
+                    ..parts
+                };
+                let take = spp.min(left);
+                let found = if ascending {
+                    None
+                } else {
+                    order.iter().rposition(|r| r.page == at)
+                };
+                group = add_to_group(&mut order, found, at, parts, take);
+                left -= take;
             }
             rest = &rest[n..];
-        }
-        if let Some(ppa) = dead {
-            self.read_scratch = order;
-            return Err(FlashError::ReadDead { ppa });
+            if rest.is_empty() {
+                break;
+            }
+            if seen.is_none_or(|c| end > c.end) {
+                self.read_cursors[chip] = ChipCursor { call, end, group };
+            }
+            prev = Some((end, parts));
         }
         let mut finish = now;
-        for &(chip, block, _page, bytes) in &order {
+        for &PageRead {
+            chip, block, bytes, ..
+        } in &order
+        {
             let cell = self.cell_of_block(block);
-            let plane = self.geometry.plane_of(chip, block);
+            let (plane, channel) = self.read_lanes(chip, block);
             let mut sense_lat = self.timings.latency(cell).read;
             let steps = self.fault.read_retry_steps();
             if steps > 0 {
@@ -544,7 +666,6 @@ impl FlashArray {
                 self.probe.emit(now, DeviceEvent::ReadRetry { steps });
             }
             let sense = self.planes.acquire(plane, now, sense_lat);
-            let channel = self.geometry.channel_of(chip).index();
             let xfer = self
                 .channels
                 .acquire(channel, sense.end, self.transfer_time(bytes));
@@ -871,6 +992,30 @@ mod tests {
         }
     }
 
+    /// The lane tables hold `Geometry::{plane_of, channel_of}` for every
+    /// block of every chip, planes and channels dividing evenly or not.
+    #[test]
+    fn read_lanes_equal_the_geometry() {
+        for (planes, channels) in [(1, 2), (2, 2), (3, 3)] {
+            let g = Geometry {
+                planes_per_chip: planes,
+                channels,
+                ..Geometry::tiny()
+            };
+            let cfg = DeviceConfig::builder(g)
+                .chunk_bytes(256 * 1024)
+                .build()
+                .unwrap();
+            let a = FlashArray::new(&cfg);
+            for chip in (0..g.nchips() as u64).map(ChipId) {
+                for block in 0..g.blocks_per_chip {
+                    let want = (g.plane_of(chip, block), g.channel_of(chip).index());
+                    assert_eq!(a.read_lanes(chip, block), want, "{chip:?} block {block}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn slc_partial_program_costs_per_page_touched() {
         let mut a = array();
@@ -1049,7 +1194,7 @@ mod tests {
             ],
             "B appeared first"
         );
-        // Ascending with gaps (the newest-group-only search): A, A, B, B.
+        // Ascending with gaps (the chip cursor's group only): A, A, B, B.
         let sink = traced(&mut a);
         let ppas: Vec<Ppa> = [0, 2, 5, 7].map(|i| out.first.offset(i)).into();
         let before = a.stats().page_reads;
@@ -1062,8 +1207,8 @@ mod tests {
                 (CellType::Slc, 2 * SLICE_BYTES)
             ]
         );
-        // Ascending until the last slice, which revisits A behind B: the
-        // whole list is searched again from there on.
+        // Ascending until the last slice, which revisits A behind B: below
+        // the chip's highest address so far, so every group is searched.
         let sink = traced(&mut a);
         let ppas: Vec<Ppa> = [1, 3, 4, 6, 2].map(|i| out.first.offset(i)).into();
         a.read_slices(out.finish, &ppas).unwrap();

@@ -84,6 +84,33 @@ impl BitVec {
         }
     }
 
+    /// Whether all `count` bits starting at `start` are set: one test per
+    /// `u64` the run touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run reaches past `len`.
+    #[inline]
+    pub fn all_ones(&self, start: usize, count: usize) -> bool {
+        let end = start + count;
+        assert!(
+            end <= self.len,
+            "bit run {start}..{end} out of range {}",
+            self.len
+        );
+        let mut idx = start;
+        while idx < end {
+            let bit = idx % 64;
+            // Set bits from `idx` up to the word's first clear one, if any.
+            let ones = (self.words[idx / 64] >> bit).trailing_ones() as usize;
+            if bit + ones < 64 {
+                return idx + ones >= end;
+            }
+            idx += ones;
+        }
+        true
+    }
+
     /// Clears every bit.
     pub fn clear_all(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -172,6 +199,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `all_ones` against the per-bit `get` loop, at every word-boundary
+    /// shape, on a vector with holes in every word, at both ends of some.
+    #[test]
+    fn all_ones_equals_the_get_loop() {
+        const LEN: usize = 200;
+        let edges = [0usize, 1, 62, 63, 64, 65, 127, 128, 129, 198, LEN];
+        let mut v = BitVec::new(LEN);
+        v.fill_range(0, LEN, true);
+        for hole in [5, 63, 64, 130, 199] {
+            v.set(hole, false);
+        }
+        for &start in &edges {
+            for &end in edges.iter().filter(|&&e| e >= start) {
+                let looped = (start..end).all(|i| v.get(i));
+                assert_eq!(v.all_ones(start, end - start), looped, "{start}..{end}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn all_ones_past_len_panics() {
+        BitVec::new(70).all_ones(64, 7);
     }
 
     #[test]

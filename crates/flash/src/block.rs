@@ -95,6 +95,19 @@ impl Block {
         idx < self.cursor
     }
 
+    /// Offset from `start` of the first of the `count` slices there that
+    /// is unwritten or dead, or `None` when the whole run is live: one
+    /// masked validity test per word the run touches, and a per-slice
+    /// search only when that fails. (Only programmed slices are ever
+    /// valid; the cursor test keeps that out of the argument.)
+    #[inline]
+    pub fn first_dead(&self, start: usize, count: usize) -> Option<usize> {
+        if start + count <= self.cursor && self.valid.all_ones(start, count) {
+            return None;
+        }
+        (0..count).find(|&i| !self.is_written(start + i) || !self.is_valid(start + i))
+    }
+
     /// Programs `count` slices at the cursor, marking them valid, and
     /// returns the index of the first slice programmed.
     ///
@@ -234,6 +247,23 @@ mod tests {
             })
         ));
         assert_eq!((b.cursor(), b.valid_count()), (200, 200));
+    }
+
+    /// `first_dead` against the two per-slice tests it replaces, for runs
+    /// before, across and past the cursor and around invalidated slices.
+    #[test]
+    fn first_dead_equals_the_per_slice_tests() {
+        let mut b = Block::new(CellType::Slc, 200);
+        b.program(130).unwrap();
+        b.invalidate_run(63, 2).unwrap();
+        b.invalidate_run(100, 1).unwrap();
+        for start in [0usize, 1, 60, 63, 64, 65, 99, 101, 126, 129, 130, 196] {
+            for count in 0..=(200 - start).min(70) {
+                let looped =
+                    (0..count).find(|&i| !b.is_written(start + i) || !b.is_valid(start + i));
+                assert_eq!(b.first_dead(start, count), looped, "{start}+{count}");
+            }
+        }
     }
 
     #[test]

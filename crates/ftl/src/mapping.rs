@@ -150,6 +150,17 @@ impl MappingTable {
         run.iter().map(|slot| unpack(*slot))
     }
 
+    /// Physical addresses of the pages of `range` up to its first unmapped
+    /// page, in logical order — the `Some` prefix of
+    /// [`MappingTable::ppas`], sized before it is copied, so a caller
+    /// gathering a cache hit's run extends its list in one step.
+    pub fn mapped_prefix(&self, range: LpnRange) -> impl ExactSizeIterator<Item = Ppa> + '_ {
+        let (lo, hi) = (range.start.index(), range.end().index());
+        let run = self.ppas.get(lo..hi).unwrap_or_default();
+        let mapped = run.iter().position(|&slot| slot == 0).unwrap_or(run.len());
+        run[..mapped].iter().map(|&slot| Ppa(u64::from(slot - 1)))
+    }
+
     /// Installs or updates one entry at page granularity. `canonical`
     /// records whether `ppa` is the slice's reserved location, which gates
     /// later aggregation.
@@ -478,6 +489,21 @@ mod tests {
         // Past the table there is nothing to resolve.
         assert_eq!(t.ppas(LpnRange::new(Lpn(30), 3)).len(), 0);
         assert_eq!(t.ppas(LpnRange::new(Lpn(30), 2)).len(), 2);
+    }
+
+    #[test]
+    fn mapped_prefix_is_the_some_prefix_of_ppas() {
+        let mut t = table();
+        for i in [3, 4, 6, 31] {
+            t.set(Lpn(i), Ppa(70 + i), true);
+        }
+        for (start, count) in [(3, 4), (3, 2), (5, 3), (6, 1), (0, 32), (31, 1), (30, 3)] {
+            let range = LpnRange::new(Lpn(start), count);
+            let want: Vec<Ppa> = t.ppas(range).map_while(|ppa| ppa).collect();
+            let got = t.mapped_prefix(range);
+            assert_eq!(got.len(), want.len(), "{start}+{count}");
+            assert_eq!(got.collect::<Vec<_>>(), want, "{start}+{count}");
+        }
     }
 
     #[test]

@@ -29,6 +29,9 @@ use crate::job::{AccessPattern, FioJob};
 use crate::qd::FrontEnd;
 use crate::verify::payload_for;
 
+#[cfg(test)]
+mod reference;
+
 /// Errors surfaced while running a job.
 #[derive(Debug)]
 pub enum HostError {
@@ -75,7 +78,7 @@ impl std::error::Error for HostError {
 }
 
 /// Aggregate result of one job run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobReport {
     /// Device model name.
     pub model: &'static str,
@@ -252,6 +255,75 @@ pub(crate) struct Tenant<'a> {
     pub(crate) tally: Tally,
     thread_hists: Vec<LatencyHistogram>,
     writes_since_fsync: u64,
+    /// An open-loop job's arrival schedule; `None` runs closed loop.
+    arrivals: Option<Arrivals>,
+}
+
+/// An open-loop job's Poisson arrival schedule, drawn one arrival at a time
+/// as the previous one is served: arrivals are the only events of an
+/// open-loop run, so the event queue holds one at a time however many
+/// requests the job makes. Arrivals go round-robin across the generator
+/// threads.
+#[derive(Debug)]
+struct Arrivals {
+    rng: SimRng,
+    iops: f64,
+    /// The latest arrival drawn.
+    at: SimTime,
+    drawn: u64,
+    /// Arrivals the job makes, over all threads.
+    total: u64,
+    threads: u64,
+}
+
+impl Arrivals {
+    fn new(job: &FioJob, iops: f64) -> Arrivals {
+        Arrivals {
+            rng: SimRng::new(job.seed ^ 0xa221_7a15),
+            iops,
+            at: job.start,
+            drawn: 0,
+            total: job.requests_per_thread().saturating_mul(job.threads as u64),
+            threads: job.threads as u64,
+        }
+    }
+
+    /// The next arrival and the thread it goes to; `None` once every
+    /// request has arrived.
+    ///
+    /// # Errors
+    ///
+    /// [`HostError::BadJob`] when the arrival would fall past the end of
+    /// simulated time.
+    fn next(&mut self) -> Result<Option<(SimTime, usize)>, HostError> {
+        if self.drawn == self.total {
+            return Ok(None);
+        }
+        // Exponential inter-arrival with mean 1/iops seconds.
+        let u = self.rng.f64().max(f64::MIN_POSITIVE);
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::cast_possible_truncation,
+            reason = "workload arrival-rate knob: arrivals are seeded and quantised to integer ns \
+                      (the saturating `as`); a last-bit libm difference across platforms is \
+                      accepted"
+        )]
+        let gap_ns = (-u.ln() / self.iops * 1e9) as u64;
+        self.at = self
+            .at
+            .checked_add(SimDuration::from_nanos(gap_ns))
+            .ok_or_else(|| {
+                HostError::BadJob(format!(
+                    "at {} IOPS, arrival {} of {} falls past the end of simulated time",
+                    self.iops,
+                    self.drawn + 1,
+                    self.total
+                ))
+            })?;
+        let thread = to_index(self.drawn % self.threads);
+        self.drawn += 1;
+        Ok(Some((self.at, thread)))
+    }
 }
 
 impl<'a> Tenant<'a> {
@@ -347,6 +419,7 @@ impl<'a> Tenant<'a> {
             tally: Tally::new(job.start),
             thread_hists: (0..job.threads).map(|_| LatencyHistogram::new()).collect(),
             writes_since_fsync: 0,
+            arrivals: job.arrival_iops.map(|iops| Arrivals::new(job, iops)),
         })
     }
 
@@ -544,10 +617,11 @@ pub(crate) enum Ev {
 /// Runs every tenant's job to completion against `dev`.
 ///
 /// Each generator thread keeps `queue_depth` commands outstanding, or —
-/// for an open-loop job — follows a pre-drawn Poisson arrival schedule.
-/// No thread generates a command at or after `stop_at`; commands already
-/// in flight complete normally. `sampler` observes the device counters at
-/// every completion. Results are left in `tenants` and `front`.
+/// for an open-loop job — follows a Poisson arrival schedule, drawn as it
+/// is served. No thread generates a command at or after `stop_at`;
+/// commands already in flight complete normally. `sampler` observes the
+/// device counters at every completion. Results are left in `tenants` and
+/// `front`.
 pub(crate) fn drive<D: StorageDevice + ?Sized>(
     dev: &mut D,
     tenants: &mut [Tenant<'_>],
@@ -556,9 +630,9 @@ pub(crate) fn drive<D: StorageDevice + ?Sized>(
     mut sampler: Option<&mut MetricsSampler>,
 ) -> Result<(), HostError> {
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    for (tenant, ts) in tenants.iter().enumerate() {
+    for (tenant, ts) in tenants.iter_mut().enumerate() {
         let job = ts.job;
-        match job.arrival_iops {
+        match ts.arrivals.as_mut() {
             None => {
                 for thread in 0..job.threads {
                     for _ in 0..job.queue_depth {
@@ -566,24 +640,8 @@ pub(crate) fn drive<D: StorageDevice + ?Sized>(
                     }
                 }
             }
-            Some(iops) => {
-                // Open loop: pre-draw every arrival from a Poisson process
-                // and spread them round-robin across the generator threads.
-                let mut arrival_rng = SimRng::new(job.seed ^ 0xa221_7a15);
-                let mut at = job.start;
-                for i in 0..job.requests_per_thread() * job.threads as u64 {
-                    // Exponential inter-arrival with mean 1/iops seconds.
-                    let u = arrival_rng.f64().max(f64::MIN_POSITIVE);
-                    #[expect(
-                        clippy::disallowed_methods,
-                        clippy::cast_possible_truncation,
-                        reason = "workload arrival-rate knob: arrivals are seeded and quantised \
-                                  to integer ns (the saturating `as`); a last-bit libm \
-                                  difference across platforms is accepted"
-                    )]
-                    let gap_ns = (-u.ln() / iops * 1e9) as u64;
-                    at += SimDuration::from_nanos(gap_ns);
-                    let thread = to_index(i % job.threads as u64);
+            Some(arrivals) => {
+                if let Some((at, thread)) = arrivals.next()? {
                     queue.push(at, Ev::Gen { tenant, thread });
                 }
             }
@@ -600,6 +658,19 @@ pub(crate) fn drive<D: StorageDevice + ?Sized>(
                     continue;
                 }
                 let ts = &mut tenants[tenant];
+                // Open loop: the next arrival comes due no earlier than
+                // this one, so drawing it now keeps the schedule's order.
+                if let Some(arrivals) = ts.arrivals.as_mut() {
+                    if let Some((at, next)) = arrivals.next()? {
+                        queue.push(
+                            at,
+                            Ev::Gen {
+                                tenant,
+                                thread: next,
+                            },
+                        );
+                    }
+                }
                 let Some((offset, is_read)) = ts.next_request(thread) else {
                     continue;
                 };
@@ -634,7 +705,7 @@ pub(crate) fn drive<D: StorageDevice + ?Sized>(
             s.observe(done, &dev.counters());
         }
         // Closed loop: the queue slot re-arms at completion.
-        if ts.job.arrival_iops.is_none() {
+        if ts.arrivals.is_none() {
             queue.push(done, Ev::Gen { tenant, thread });
         }
     }

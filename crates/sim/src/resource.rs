@@ -42,6 +42,7 @@ impl Resource {
 
     /// Reserves the resource for `duration` starting no earlier than `now`,
     /// queueing behind any prior reservation.
+    #[inline]
     pub fn acquire(&mut self, now: SimTime, duration: SimDuration) -> Reservation {
         let start = now.max(self.busy_until);
         let end = start + duration;
@@ -93,6 +94,7 @@ impl ResourceBank {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    #[inline]
     pub fn acquire(&mut self, index: usize, now: SimTime, duration: SimDuration) -> Reservation {
         self.resources[index].acquire(now, duration)
     }
@@ -102,6 +104,7 @@ impl ResourceBank {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    #[inline]
     pub fn free_at(&self, index: usize) -> SimTime {
         self.resources[index].free_at()
     }

@@ -285,6 +285,29 @@ impl Geometry {
         }
     }
 
+    /// Decoded address of slice 0 of the flash page after the one `parts`
+    /// lies in — what [`Geometry::decode_ppa`] returns for the next page's
+    /// first address, by carrying into the next block and chip instead of
+    /// dividing. Past the last page of the array the chip is `nchips()`.
+    #[inline]
+    pub fn next_page(&self, parts: PpaParts) -> PpaParts {
+        let (mut chip, mut block, mut page) = (parts.chip, parts.block, parts.page + 1);
+        if page == self.pages_per_block {
+            page = 0;
+            block += 1;
+            if block == self.blocks_per_chip {
+                block = 0;
+                chip = ChipId(chip.raw() + 1);
+            }
+        }
+        PpaParts {
+            chip,
+            block,
+            page,
+            slice: 0,
+        }
+    }
+
     /// Total independent planes across the array.
     #[inline]
     pub fn nplanes(&self) -> usize {
@@ -409,6 +432,27 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `next_page` is the decode of the next page's first address, from
+    /// any slice of every page, across block and chip boundaries.
+    #[test]
+    fn next_page_equals_decoding_the_next_page() {
+        for g in [Geometry::tiny(), Geometry::consumer_1p5gb()] {
+            let spp = g.slices_per_page() as u64;
+            let pages = g.total_slices() / spp;
+            for page in 0..pages - 1 {
+                let slice = page % spp;
+                let parts = g.decode_ppa(Ppa(page * spp + slice));
+                assert_eq!(
+                    g.next_page(parts),
+                    g.decode_ppa(Ppa((page + 1) * spp)),
+                    "page {page}"
+                );
+            }
+            let last = g.decode_ppa(Ppa(g.total_slices() - 1));
+            assert_eq!(g.next_page(last).chip, ChipId(g.nchips() as u64));
         }
     }
 

@@ -66,6 +66,13 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
+
+    /// The instant `d` after this one, or `None` past the end of the
+    /// timeline (which `+` would overflow).
+    #[inline]
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {
@@ -292,6 +299,16 @@ mod tests {
         let b = SimTime::from_nanos(20);
         assert_eq!(b.saturating_since(a).as_nanos(), 10);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn checked_add_stops_at_the_end_of_the_timeline() {
+        let last = SimTime::from_nanos(u64::MAX - 1);
+        assert_eq!(
+            last.checked_add(SimDuration::from_nanos(1)),
+            Some(SimTime::from_nanos(u64::MAX))
+        );
+        assert_eq!(last.checked_add(SimDuration::from_nanos(2)), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   appends (`append_range`), plus `ConZone::reset_zone`;
 //! * random reads (zone-mapped: all hits; page-mapped: ~90 % misses) and
 //!   sequential reads: `ConZone::submit` → `read_range`,
-//!   `L2pCache::{lookup, insert}`, `MappingTable::{get, ppas}`,
+//!   `L2pCache::{lookup, insert}`, `MappingTable::{get, mapped_prefix}`,
 //!   `FlashArray::read_slices`;
 //! * single-page mapping stores: `MappingTable::set`, which no device
 //!   calls any more (ConZone and the Legacy baseline both map whole runs);
@@ -32,6 +32,11 @@
 //!   both arbiters' `pick`, through the public `run_tenants`;
 //! * construction: `ConZone::new`, `LegacyDevice::new`, `FemuZns::new`.
 //!
+//! And a third: what a job file asks for sizes nothing but its threads and
+//! queue depth. An open-loop job's arrival schedule is drawn as it runs,
+//! so `io_size` and `rate_iops` from a hostile file cost neither memory
+//! nor a panic (`parse_fio_jobs` → `run_job`).
+//!
 //! The test binary installs its own counting `#[global_allocator]`, so no
 //! library crate carries a feature or `unsafe` for it. Counts are kept per
 //! thread: libtest runs every `#[test]` on a thread of its own and
@@ -43,9 +48,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use conzone::host::{run_job, run_tenants, AccessPattern, FioJob, QdOptions, TenantSpec};
+use conzone::host::{
+    parse_fio_jobs, run_job, run_tenants, AccessPattern, FioJob, HostError, QdOptions, TenantSpec,
+};
 use conzone::types::{
-    DeviceConfig, Geometry, IoRequest, MapGranularity, SimDuration, SimTime, StorageDevice,
+    DeviceConfig, DeviceError, Geometry, IoRequest, MapGranularity, SimDuration, SimTime,
+    StorageDevice,
 };
 use conzone::{ArbiterKind, ConZone, QueueFrontEnd};
 
@@ -194,6 +202,60 @@ fn device_construction_requests_under_1_mib_of_unzeroed_memory() {
             "{model}::new requested {bytes} unzeroed bytes (limit {LIMIT})"
         );
     }
+}
+
+/// What one open-loop job of a fio file needs beyond its device: the
+/// per-thread generator state and histograms, one queued arrival.
+const JOB_LIMIT: u64 = 1 << 20;
+
+/// A 1 TiB `io_size` at 4 KiB and a million IOPS: 2^28 arrivals, which
+/// queued up front would be 10 GiB, and an abort before the first IO. On
+/// an empty device that first read fails, which ends the run.
+#[test]
+fn a_terabyte_open_loop_job_file_reaches_its_first_io() {
+    let text = "[flood]\nrw=randread\nbs=4k\nsize=1m\nio_size=1024g\nrate_iops=1000000\n";
+    let jobs = parse_fio_jobs(text).expect("job file");
+    let job = &jobs[0].job;
+    assert_eq!(job.requests_per_thread(), 1 << 28);
+    let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
+    let mut result = None;
+    let bytes = unzeroed_bytes_during(|| result = Some(run_job(&mut dev, job)));
+    assert!(
+        matches!(
+            result,
+            Some(Err(HostError::Device {
+                source: DeviceError::UnwrittenRead { .. },
+                ..
+            }))
+        ),
+        "{result:?}"
+    );
+    assert!(bytes < JOB_LIMIT, "{bytes} bytes requested");
+}
+
+/// One arrival per 31 years on average: forty of them run past the end of
+/// the 584-year simulated timeline, which is a bad job — not an overflow
+/// panic, nor arrivals wrapping back in time.
+#[test]
+fn an_open_loop_schedule_past_the_end_of_time_is_a_bad_job() {
+    let text = "[trickle]\nrw=randread\nbs=4k\nsize=1m\nio_size=160k\nrate_iops=0.000000001\n";
+    let jobs = parse_fio_jobs(text).expect("job file");
+    let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
+    let fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
+        .zone_bytes(dev.config().zone_size_bytes())
+        .region(0, 1 << 20)
+        .bytes_per_thread(1 << 20);
+    let filled = run_job(&mut dev, &fill).expect("fill").finished;
+    let job = jobs[0].job.clone().start_at(filled);
+    assert_eq!(job.requests_per_thread(), 40);
+    let mut result = None;
+    let bytes = unzeroed_bytes_during(|| result = Some(run_job(&mut dev, &job)));
+    assert!(
+        matches!(&result, Some(Err(HostError::BadJob(why))) if why.contains("end of simulated time")),
+        "{result:?}"
+    );
+    assert!(dev.counters().host_read_ops > 0, "no arrival was served");
+    assert!(bytes < JOB_LIMIT, "{bytes} bytes requested");
 }
 
 /// 512 KiB writes, each followed by a flush — the paper's synchronous
