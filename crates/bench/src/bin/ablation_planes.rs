@@ -1,70 +1,5 @@
-//! Ablation: multi-plane dies and the write-buffer conflict penalty.
-//!
-//! We initially attributed our Fig. 6(b) overstatement (+148 % vs the
-//! paper's +65 %) partly to modelling single-plane dies. This sweep tests
-//! that hypothesis by re-running Fig. 6(b) with 1–4 planes per chip —
-//! and *refutes* it: plane parallelism accelerates the no-conflict case
-//! at least as much as the conflict case (two zones on different planes
-//! of one die program concurrently), so the relative penalty does not
-//! shrink. The remaining gap must come from controller-level overlap
-//! (cache programming, internal staging SRAM) that no geometry knob
-//! recovers — see EXPERIMENTS.md.
+//! Prints the planes-per-chip ablation (`conzone_bench::figures::ablation_planes`).
 
-use conzone_bench::{print_expectations, print_table, ExpectedRelation};
-use conzone_core::ConZone;
-use conzone_host::{run_job, AccessPattern, FioJob};
-use conzone_types::{DeviceConfig, Geometry};
-
-fn run_case(planes: usize, zones: [u64; 2]) -> (f64, f64) {
-    let mut geometry = Geometry::consumer_1p5gb();
-    geometry.planes_per_chip = planes;
-    let cfg = DeviceConfig::builder(geometry).build().expect("config");
-    let zone_bytes = cfg.zone_size_bytes();
-    let mut dev = ConZone::new(cfg);
-    let job = FioJob::new(AccessPattern::SeqWrite, 48 * 1024)
-        .zone_bytes(zone_bytes)
-        .threads(2)
-        .with_thread_zones(vec![vec![zones[0]], vec![zones[1]]])
-        .bytes_per_thread(zone_bytes);
-    let r = run_job(&mut dev, &job).expect("run");
-    (r.bandwidth_mibs(), r.waf())
-}
-
-fn main() {
-    let mut rows = Vec::new();
-    let mut gains = Vec::new();
-    for planes in [1usize, 2, 4] {
-        let (conflict_bw, conflict_waf) = run_case(planes, [0, 2]);
-        let (clean_bw, _) = run_case(planes, [0, 1]);
-        let gain = (clean_bw / conflict_bw - 1.0) * 100.0;
-        gains.push(gain);
-        rows.push(vec![
-            planes.to_string(),
-            format!("{conflict_bw:.0}"),
-            format!("{clean_bw:.0}"),
-            format!("{gain:+.0}%"),
-            format!("{conflict_waf:.3}"),
-        ]);
-    }
-    print_table(
-        "Ablation: planes per chip vs the Fig. 6(b) conflict penalty",
-        &[
-            "planes",
-            "conflict MiB/s",
-            "no-conflict MiB/s",
-            "no-conflict gain",
-            "conflict waf",
-        ],
-        &rows,
-    );
-    println!("\npaper-reported gain on real hardware: ~+65 %");
-    print_expectations(&[ExpectedRelation {
-        claim: "plane parallelism does NOT close the conflict gap — a \
-                negative result that narrows the deviation analysis",
-        holds: gains.iter().all(|g| *g > 100.0),
-        evidence: format!(
-            "gains {:.0}% / {:.0}% / {:.0}% with 1 / 2 / 4 planes",
-            gains[0], gains[1], gains[2]
-        ),
-    }]);
+fn main() -> std::process::ExitCode {
+    conzone_bench::cli(conzone_bench::figures::ablation_planes, std::env::args())
 }

@@ -1,125 +1,5 @@
-//! Fig. 6(a): 512 KiB sequential read/write bandwidth, single-threaded
-//! (ST) and multi-threaded (MT, 4 threads), for ConZone, Legacy and the
-//! FEMU-like baseline on the paper's §IV-A configuration.
-//!
-//! ZMS itself is closed hardware; the paper validates ConZone against the
-//! *relationships* quoted in §IV-B/§IV-C, which this binary checks:
-//! ConZone write ≈ ZMS write, ConZone MT read ≈ ZMS, ConZone read above
-//! Legacy (~1 % ST / ~10 % MT), FEMU write above ZMS, FEMU read far below.
+//! Prints Fig. 6(a), sequential bandwidth of ConZone, Legacy and FEMU (`conzone_bench::figures::fig6a`).
 
-use conzone_bench::{
-    conzone_device, femu_device, legacy_device, mibs, print_expectations, print_table, run_seq_rw,
-    ExpectedRelation,
-};
-use conzone_types::{MapGranularity, SearchStrategy, StorageDevice};
-
-fn main() {
-    let zone_bytes = 16 * 1024 * 1024;
-
-    // For fairness against Legacy's chunk-sized prefetch, ConZone only
-    // aggregates mapping entries at chunk range here (paper §IV-C).
-    let mut results: Vec<(String, f64, f64)> = Vec::new(); // (label, write, read)
-    let mut rows = Vec::new();
-
-    for threads in [1usize, 4] {
-        let tag = if threads == 1 { "ST" } else { "MT" };
-
-        let mut cz = conzone_device(MapGranularity::Chunk, SearchStrategy::Bitmap);
-        let (w, r) = run_seq_rw(&mut cz, threads, Some(zone_bytes)).expect("conzone run");
-        rows.push(vec![
-            format!("ConZone {tag}"),
-            mibs(&w),
-            mibs(&r),
-            format!("{:.3}", w.waf()),
-        ]);
-        results.push((
-            format!("conzone-{tag}"),
-            w.bandwidth_mibs(),
-            r.bandwidth_mibs(),
-        ));
-
-        let mut lg = legacy_device();
-        let (w, r) = run_seq_rw(&mut lg, threads, None).expect("legacy run");
-        rows.push(vec![
-            format!("Legacy {tag}"),
-            mibs(&w),
-            mibs(&r),
-            format!("{:.3}", w.waf()),
-        ]);
-        results.push((
-            format!("legacy-{tag}"),
-            w.bandwidth_mibs(),
-            r.bandwidth_mibs(),
-        ));
-
-        let mut fm = femu_device();
-        let femu_zone = fm.config().geometry.superblock_bytes();
-        let (w, r) = run_seq_rw(&mut fm, threads, Some(femu_zone)).expect("femu run");
-        rows.push(vec![
-            format!("FEMU {tag}"),
-            mibs(&w),
-            mibs(&r),
-            format!("{:.3}", w.waf()),
-        ]);
-        results.push((
-            format!("femu-{tag}"),
-            w.bandwidth_mibs(),
-            r.bandwidth_mibs(),
-        ));
-    }
-
-    print_table(
-        "Fig. 6(a): sequential 512 KiB I/O bandwidth (MiB/s)",
-        &["series", "write", "read", "waf"],
-        &rows,
-    );
-
-    let get = |name: &str| {
-        results
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .cloned()
-            .expect("series present")
-    };
-    let (_, cz_w_st, cz_r_st) = get("conzone-ST");
-    let (_, cz_w_mt, cz_r_mt) = get("conzone-MT");
-    let (_, lg_w_st, lg_r_st) = get("legacy-ST");
-    let (_, _lg_w_mt, lg_r_mt) = get("legacy-MT");
-    let (_, fm_w_st, fm_r_st) = get("femu-ST");
-
-    print_expectations(&[
-        ExpectedRelation {
-            claim: "ConZone write bandwidth comparable to Legacy",
-            holds: (cz_w_st / lg_w_st - 1.0).abs() < 0.25,
-            evidence: format!("ST write {cz_w_st:.0} vs {lg_w_st:.0} MiB/s"),
-        },
-        ExpectedRelation {
-            claim: "ConZone ST read at or above Legacy ST read (~1 %)",
-            holds: cz_r_st >= lg_r_st * 0.99,
-            evidence: format!("{cz_r_st:.0} vs {lg_r_st:.0} MiB/s"),
-        },
-        ExpectedRelation {
-            claim: "ConZone MT read above Legacy MT read (~10 %)",
-            holds: cz_r_mt > lg_r_mt,
-            evidence: format!(
-                "{cz_r_mt:.0} vs {lg_r_mt:.0} MiB/s ({:+.1} %)",
-                (cz_r_mt / lg_r_mt - 1.0) * 100.0
-            ),
-        },
-        ExpectedRelation {
-            claim: "FEMU write at ConZone's level or above (no UFS channel model)",
-            holds: fm_w_st >= cz_w_st * 0.9,
-            evidence: format!("{fm_w_st:.0} vs {cz_w_st:.0} MiB/s"),
-        },
-        ExpectedRelation {
-            claim: "FEMU read far below ConZone (KVM switching latency)",
-            holds: fm_r_st < cz_r_st * 0.8,
-            evidence: format!("{fm_r_st:.0} vs {cz_r_st:.0} MiB/s"),
-        },
-        ExpectedRelation {
-            claim: "ConZone MT write stays media-bound (WAF-bounded conflict cost)",
-            holds: cz_w_mt > cz_w_st * 0.5,
-            evidence: format!("{cz_w_mt:.0} vs ST {cz_w_st:.0} MiB/s"),
-        },
-    ]);
+fn main() -> std::process::ExitCode {
+    conzone_bench::cli(conzone_bench::figures::fig6a, std::env::args())
 }

@@ -1,76 +1,5 @@
-//! Fig. 6(b): the cost of write-buffer conflicts.
-//!
-//! Two threads each write one full zone with 48 KiB granularity (below the
-//! 96 KiB programming unit, so every buffer eviction is premature). Odd
-//! and even zones map to the two write buffers; when both threads write
-//! zones of the *same parity* they share one buffer and every switch
-//! evicts the other thread's sub-unit data into SLC. The paper reports
-//! ~65 % higher bandwidth and ~24 % lower write amplification without
-//! conflicts.
+//! Prints Fig. 6(b), the cost of write-buffer conflicts (`conzone_bench::figures::fig6b`).
 
-use conzone_bench::{conzone_device, print_expectations, print_table, ExpectedRelation};
-use conzone_host::{run_job, AccessPattern, FioJob};
-use conzone_types::{MapGranularity, SearchStrategy};
-
-fn run_case(zones: [u64; 2]) -> (f64, f64, u64) {
-    let mut dev = conzone_device(MapGranularity::Zone, SearchStrategy::Bitmap);
-    let zone_bytes = 16 * 1024 * 1024u64;
-    let job = FioJob::new(AccessPattern::SeqWrite, 48 * 1024)
-        .zone_bytes(zone_bytes)
-        .threads(2)
-        .with_thread_zones(vec![vec![zones[0]], vec![zones[1]]])
-        .bytes_per_thread(zone_bytes);
-    let r = run_job(&mut dev, &job).expect("fig6b run");
-    (r.bandwidth_mibs(), r.waf(), r.counters.buffer_conflicts)
-}
-
-fn main() {
-    // Same parity: zones 0 and 2 share buffer 0 → conflicts.
-    let (bw_conflict, waf_conflict, conflicts) = run_case([0, 2]);
-    // Different parity: zones 0 and 1 use separate buffers.
-    let (bw_clean, waf_clean, clean_conflicts) = run_case([0, 1]);
-
-    print_table(
-        "Fig. 6(b): write-buffer conflicts (2 threads, 48 KiB writes, one zone each)",
-        &["case", "bandwidth MiB/s", "waf", "buffer conflicts"],
-        &[
-            vec![
-                "conflict (same parity)".into(),
-                format!("{bw_conflict:.0}"),
-                format!("{waf_conflict:.3}"),
-                conflicts.to_string(),
-            ],
-            vec![
-                "no conflict (split parity)".into(),
-                format!("{bw_clean:.0}"),
-                format!("{waf_clean:.3}"),
-                clean_conflicts.to_string(),
-            ],
-        ],
-    );
-
-    let bw_gain = (bw_clean / bw_conflict - 1.0) * 100.0;
-    let waf_drop = (1.0 - waf_clean / waf_conflict) * 100.0;
-    println!(
-        "\nno-conflict bandwidth gain: {bw_gain:+.1} % (paper: ~+65 %)\n\
-         write-amplification reduction: {waf_drop:.1} % (paper: ~24 %)"
-    );
-
-    print_expectations(&[
-        ExpectedRelation {
-            claim: "conflicts cause premature flushes and extra SLC writes",
-            holds: conflicts > 0 && clean_conflicts == 0,
-            evidence: format!("{conflicts} vs {clean_conflicts} conflicts"),
-        },
-        ExpectedRelation {
-            claim: "no-conflict bandwidth is substantially higher (paper ~65 %)",
-            holds: bw_gain > 30.0,
-            evidence: format!("{bw_gain:+.1} %"),
-        },
-        ExpectedRelation {
-            claim: "no-conflict write amplification is lower (paper ~24 %)",
-            holds: waf_drop > 10.0,
-            evidence: format!("-{waf_drop:.1} %"),
-        },
-    ]);
+fn main() -> std::process::ExitCode {
+    conzone_bench::cli(conzone_bench::figures::fig6b, std::env::args())
 }

@@ -1,177 +1,6 @@
-//! Fig. 7: impact of the mapping mechanism on 4 KiB random reads.
-//!
-//! Same data volume, three read ranges (1 MiB / 16 MiB / 1 GiB). With
-//! page mapping the 12 KiB L2P cache only covers ~12 MiB of mappings, so
-//! KIOPS decays as the range grows (paper: −16.5 % at 16 MiB, −33.5 % at
-//! 1 GiB) while hybrid mapping stays flat at ~20 KIOPS with ~50 µs tail
-//! latency.
+//! Prints Fig. 7, page vs hybrid mapping under 4 KiB random reads (`conzone_bench::figures::fig7`).
+//! `--trace-out <path>` also writes the hybrid 1 GiB phase as a Chrome trace.
 
-use conzone_bench::{
-    conzone_device, event_totals, fill_zoned, kiops, print_expectations, print_table, randread_job,
-    trace_out_path, trace_sink, us, write_chrome_trace, ExpectedRelation,
-};
-use conzone_host::run_job;
-use conzone_types::{
-    DeviceEvent, L2pOutcome, MapGranularity, Probe, SearchStrategy, SimTime, StorageDevice,
-    TraceRecord,
-};
-
-const RANGES: [(u64, &str); 3] = [(1 << 20, "1MiB"), (16 << 20, "16MiB"), (1 << 30, "1GiB")];
-const OPS: u64 = 20_000;
-
-struct MappingRun {
-    /// Per range: (KIOPS, p99.9 µs, L2P miss rate).
-    perf: Vec<(f64, f64, f64)>,
-    /// Per range: event counts by kind from the measured phase's trace.
-    events: Vec<[u64; DeviceEvent::KIND_COUNT]>,
-    /// Drained trace of the last (largest-range) measured phase.
-    last_trace: Vec<TraceRecord>,
-}
-
-fn run_mapping(max_aggregation: MapGranularity) -> MappingRun {
-    let mut perf = Vec::new();
-    let mut events = Vec::new();
-    let mut last_trace = Vec::new();
-    for &(range, _) in RANGES.iter() {
-        let mut dev = conzone_device(max_aggregation, SearchStrategy::Bitmap);
-        // Same data volume in every case: fill 1 GiB once.
-        let t = fill_zoned(&mut dev, 1 << 30, 16 << 20, SimTime::ZERO).expect("fill");
-        // Warm the L2P cache to steady state so the measured tail
-        // reflects capacity misses, not cold-start compulsory misses.
-        let warm = run_job(&mut dev, &randread_job(range, OPS / 2, t).seed(7)).expect("warmup");
-        // Trace only the measured phase: the probe attaches after warmup.
-        let sink = trace_sink();
-        dev.set_probe(Probe::attached(sink.clone()));
-        let r = run_job(&mut dev, &randread_job(range, OPS, warm.finished)).expect("randread");
-        perf.push((
-            r.kiops(),
-            r.latency.p999.as_micros_f64(),
-            r.counters.l2p_miss_rate(),
-        ));
-        let records = sink.drain();
-        events.push(event_totals(&records));
-        last_trace = records;
-    }
-    MappingRun {
-        perf,
-        events,
-        last_trace,
-    }
-}
-
-fn main() {
-    let page = run_mapping(MapGranularity::Page);
-    let hybrid = run_mapping(MapGranularity::Zone);
-
-    let mut rows = Vec::new();
-    for (i, &(_, label)) in RANGES.iter().enumerate() {
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.1}", page.perf[i].0),
-            format!("{:.1}", page.perf[i].1),
-            format!("{:.1}%", page.perf[i].2 * 100.0),
-            format!("{:.1}", hybrid.perf[i].0),
-            format!("{:.1}", hybrid.perf[i].1),
-            format!("{:.1}%", hybrid.perf[i].2 * 100.0),
-        ]);
-    }
-    print_table(
-        "Fig. 7: 4 KiB random reads, page vs hybrid mapping",
-        &[
-            "range",
-            "page KIOPS",
-            "page p99.9 us",
-            "page miss",
-            "hybrid KIOPS",
-            "hybrid p99.9 us",
-            "hybrid miss",
-        ],
-        &rows,
-    );
-
-    // The same story told by the event trace: hybrid mapping turns the
-    // page-mapping misses into hits, request by request.
-    let hit_idx = DeviceEvent::L2pLookup {
-        outcome: L2pOutcome::HitZone,
-    }
-    .kind_index();
-    let miss_idx = DeviceEvent::L2pLookup {
-        outcome: L2pOutcome::Miss,
-    }
-    .kind_index();
-    let mut event_rows = Vec::new();
-    for (i, &(_, label)) in RANGES.iter().enumerate() {
-        event_rows.push(vec![
-            label.to_string(),
-            page.events[i][hit_idx].to_string(),
-            page.events[i][miss_idx].to_string(),
-            hybrid.events[i][hit_idx].to_string(),
-            hybrid.events[i][miss_idx].to_string(),
-        ]);
-    }
-    print_table(
-        "Fig. 7 trace: L2P lookup events in the measured phase",
-        &[
-            "range",
-            "page hits",
-            "page misses",
-            "hybrid hits",
-            "hybrid misses",
-        ],
-        &event_rows,
-    );
-
-    if let Some(path) = trace_out_path() {
-        if let Err(e) = write_chrome_trace(&path, &hybrid.last_trace) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "wrote Chrome trace of the hybrid 1 GiB measured phase \
-             ({} events) to {path}",
-            hybrid.last_trace.len()
-        );
-    }
-
-    let page_drop16 = (1.0 - page.perf[1].0 / page.perf[0].0) * 100.0;
-    let page_drop1g = (1.0 - page.perf[2].0 / page.perf[0].0) * 100.0;
-    println!(
-        "\npage-mapping KIOPS drop vs 1 MiB range: 16 MiB {page_drop16:.1} % \
-         (paper 16.5 %), 1 GiB {page_drop1g:.1} % (paper 33.5 %)"
-    );
-
-    print_expectations(&[
-        ExpectedRelation {
-            claim: "both mechanisms match at 1 MiB (everything cached, ~20 KIOPS)",
-            holds: (page.perf[0].0 / hybrid.perf[0].0 - 1.0).abs() < 0.05,
-            evidence: format!("{:.1} vs {:.1} KIOPS", page.perf[0].0, hybrid.perf[0].0),
-        },
-        ExpectedRelation {
-            claim: "page mapping degrades at 16 MiB (paper −16.5 %)",
-            holds: page_drop16 > 5.0,
-            evidence: format!("−{page_drop16:.1} %"),
-        },
-        ExpectedRelation {
-            claim: "page mapping degrades further at 1 GiB (paper −33.5 %)",
-            holds: page_drop1g > page_drop16,
-            evidence: format!("−{page_drop1g:.1} %"),
-        },
-        ExpectedRelation {
-            claim: "hybrid mapping stays flat across ranges",
-            holds: (hybrid.perf[2].0 / hybrid.perf[0].0 - 1.0).abs() < 0.05,
-            evidence: format!("{:.1} vs {:.1} KIOPS", hybrid.perf[0].0, hybrid.perf[2].0),
-        },
-        ExpectedRelation {
-            claim: "hybrid tail latency stays ~50 us at 1 GiB",
-            holds: hybrid.perf[2].1 < 80.0,
-            evidence: format!("p99.9 {:.1} us", hybrid.perf[2].1),
-        },
-        ExpectedRelation {
-            claim: "page-mapping tail latency grows with range",
-            holds: page.perf[2].1 > hybrid.perf[2].1,
-            evidence: format!("{:.1} vs {:.1} us", page.perf[2].1, hybrid.perf[2].1),
-        },
-    ]);
-
-    let _ = (kiops, us); // formatting helpers used by sibling binaries
+fn main() -> std::process::ExitCode {
+    conzone_bench::cli(conzone_bench::figures::fig7, std::env::args())
 }

@@ -1,118 +1,5 @@
-//! Fig. 8: impact of the L2P search strategy on random reads with hybrid
-//! mapping.
-//!
-//! When the hybrid map cannot hold every aggregated entry, each miss must
-//! discover the aggregation level of the missed address. The
-//! performance-optimised BITMAP keeps the map bits in SRAM (one flash
-//! fetch per miss, ~0.006 % capacity overhead); the capacity-optimised
-//! MULTIPLE probes the mapping table zone → chunk → page (up to three
-//! fetches). The paper measures a 27.4 % miss rate at which MULTIPLE is
-//! ~10 % slower with a higher tail; its proposed fix — PINNED aggregated
-//! entries (a full-zone entry per zone, 256 KiB of SRAM per TiB) — removes
-//! the misses entirely.
-//!
-//! Setup: 88 zones (352 chunks) filled; the L2P cache is scaled to 256
-//! entries so uniform random reads miss at ~27 % under chunk-granularity
-//! hybrid mapping, matching the paper's operating point.
+//! Prints Fig. 8, the L2P search strategies (`conzone_bench::figures::fig8`).
 
-use conzone_bench::{fill_zoned, print_expectations, print_table, randread_job, ExpectedRelation};
-use conzone_core::ConZone;
-use conzone_host::run_job;
-use conzone_types::{
-    DeviceConfig, Geometry, MapGranularity, SearchStrategy, SimTime, StorageDevice,
-};
-
-const FILL_ZONES: u64 = 88;
-const ZONE_BYTES: u64 = 16 * 1024 * 1024;
-const OPS: u64 = 20_000;
-
-fn run_strategy(strategy: SearchStrategy, max_aggregation: MapGranularity) -> (f64, f64, f64) {
-    let cfg = DeviceConfig::builder(Geometry::consumer_1p5gb())
-        .search_strategy(strategy)
-        .max_aggregation(max_aggregation)
-        .l2p_cache_bytes(1024) // 256 entries: forces the paper's miss rate
-        .build()
-        .expect("fig8 config");
-    let mut dev = ConZone::new(cfg);
-    let range = FILL_ZONES * ZONE_BYTES;
-    let t = fill_zoned(&mut dev, range, ZONE_BYTES, SimTime::ZERO).expect("fill");
-    let before = dev.counters();
-    let r = run_job(&mut dev, &randread_job(range, OPS, t)).expect("randread");
-    let _ = before;
-    (
-        r.kiops(),
-        r.latency.p999.as_micros_f64(),
-        r.counters.l2p_miss_rate(),
-    )
-}
-
-fn main() {
-    // BITMAP and MULTIPLE run chunk-granularity hybrid mapping (the
-    // partially aggregated state the paper's case study examines);
-    // PINNED runs the paper's proposed zone-entry design.
-    let (bm_kiops, bm_tail, bm_miss) = run_strategy(SearchStrategy::Bitmap, MapGranularity::Chunk);
-    let (mu_kiops, mu_tail, mu_miss) =
-        run_strategy(SearchStrategy::Multiple, MapGranularity::Chunk);
-    let (pin_kiops, pin_tail, pin_miss) =
-        run_strategy(SearchStrategy::Pinned, MapGranularity::Zone);
-
-    print_table(
-        "Fig. 8: L2P search strategy under hybrid mapping (4 KiB random reads)",
-        &["strategy", "KIOPS", "p99.9 us", "miss rate"],
-        &[
-            vec![
-                "BITMAP".into(),
-                format!("{bm_kiops:.1}"),
-                format!("{bm_tail:.1}"),
-                format!("{:.1}%", bm_miss * 100.0),
-            ],
-            vec![
-                "MULTIPLE".into(),
-                format!("{mu_kiops:.1}"),
-                format!("{mu_tail:.1}"),
-                format!("{:.1}%", mu_miss * 100.0),
-            ],
-            vec![
-                "PINNED (zone entries)".into(),
-                format!("{pin_kiops:.1}"),
-                format!("{pin_tail:.1}"),
-                format!("{:.1}%", pin_miss * 100.0),
-            ],
-        ],
-    );
-
-    let gap = (1.0 - mu_kiops / bm_kiops) * 100.0;
-    println!(
-        "\nMULTIPLE vs BITMAP KIOPS gap: {gap:.1} % at {:.1} % miss rate \
-         (paper: ~10 % at 27.4 %)",
-        bm_miss * 100.0
-    );
-
-    print_expectations(&[
-        ExpectedRelation {
-            claim: "operating point near the paper's 27.4 % miss rate",
-            holds: (0.15..0.40).contains(&bm_miss),
-            evidence: format!("{:.1} %", bm_miss * 100.0),
-        },
-        ExpectedRelation {
-            claim: "MULTIPLE is ~10 % slower than BITMAP",
-            holds: gap > 4.0,
-            evidence: format!("{gap:.1} %"),
-        },
-        ExpectedRelation {
-            claim: "MULTIPLE has a higher tail latency",
-            holds: mu_tail > bm_tail,
-            evidence: format!("{mu_tail:.1} vs {bm_tail:.1} us"),
-        },
-        ExpectedRelation {
-            claim: "PINNED zone entries eliminate misses without the bitmap's SRAM",
-            holds: pin_miss < 0.01 && pin_kiops >= bm_kiops,
-            evidence: format!("{:.2} % miss, {pin_kiops:.1} KIOPS", pin_miss * 100.0),
-        },
-        ExpectedRelation {
-            claim: "PINNED tail stays at the flash-read floor",
-            holds: pin_tail <= bm_tail,
-            evidence: format!("{pin_tail:.1} vs {bm_tail:.1} us"),
-        },
-    ]);
+fn main() -> std::process::ExitCode {
+    conzone_bench::cli(conzone_bench::figures::fig8, std::env::args())
 }

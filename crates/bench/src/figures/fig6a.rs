@@ -1,0 +1,142 @@
+use conzone_host::JobReport;
+use conzone_types::{MapGranularity, SearchStrategy, StorageDevice};
+
+use crate::{conzone_device, femu_device, legacy_device, mibs, run_seq_rw, ExpectedRelation, Out};
+
+/// Write then read sequentially on ConZone. For fairness against Legacy's
+/// chunk-sized prefetch, ConZone only aggregates mapping entries at chunk
+/// range here (paper §IV-C).
+fn conzone(threads: usize) -> (JobReport, JobReport) {
+    let mut cz = conzone_device(MapGranularity::Chunk, SearchStrategy::Bitmap);
+    run_seq_rw(&mut cz, threads, Some(16 * 1024 * 1024)).expect("conzone run")
+}
+
+fn legacy(threads: usize) -> (JobReport, JobReport) {
+    run_seq_rw(&mut legacy_device(), threads, None).expect("legacy run")
+}
+
+fn femu(threads: usize) -> (JobReport, JobReport) {
+    let mut fm = femu_device();
+    let femu_zone = fm.config().geometry.superblock_bytes();
+    run_seq_rw(&mut fm, threads, Some(femu_zone)).expect("femu run")
+}
+
+/// Fig. 6(a): 512 KiB sequential read/write bandwidth, single-threaded
+/// (ST) and multi-threaded (MT, 4 threads), for ConZone, Legacy and the
+/// FEMU-like baseline on the paper's §IV-A configuration.
+///
+/// ZMS itself is closed hardware; the paper validates ConZone against the
+/// *relationships* quoted in §IV-B/§IV-C, which this figure checks:
+/// ConZone write ≈ ZMS write, ConZone MT read ≈ ZMS, ConZone read above
+/// Legacy (~1 % ST / ~10 % MT), FEMU write above ZMS, FEMU read far below.
+pub fn fig6a(out: &mut Out) {
+    let series = [
+        ("ConZone", conzone as fn(_) -> _),
+        ("Legacy", legacy),
+        ("FEMU", femu),
+    ];
+    let mut rows = Vec::new();
+    // (write, read) MiB/s in row order.
+    let mut bw = Vec::new();
+    for (threads, tag) in [(1, "ST"), (4, "MT")] {
+        for (name, run) in series {
+            let (w, r) = run(threads);
+            rows.push(vec![
+                format!("{name} {tag}"),
+                mibs(&w),
+                mibs(&r),
+                format!("{:.3}", w.waf()),
+            ]);
+            bw.push((w.bandwidth_mibs(), r.bandwidth_mibs()));
+        }
+    }
+
+    out.table(
+        "Fig. 6(a): sequential 512 KiB I/O bandwidth (MiB/s)",
+        &["series", "write", "read", "waf"],
+        &rows,
+    );
+
+    let (cz_w_st, cz_r_st) = bw[0];
+    let (lg_w_st, lg_r_st) = bw[1];
+    let (fm_w_st, fm_r_st) = bw[2];
+    let (cz_w_mt, cz_r_mt) = bw[3];
+    let (_, lg_r_mt) = bw[4];
+
+    out.check([
+        ExpectedRelation {
+            claim: "ConZone write bandwidth comparable to Legacy",
+            holds: (cz_w_st / lg_w_st - 1.0).abs() < 0.25,
+            evidence: format!("ST write {cz_w_st:.0} vs {lg_w_st:.0} MiB/s"),
+        },
+        ExpectedRelation {
+            claim: "ConZone ST read at or above Legacy ST read (~1 %)",
+            holds: cz_r_st >= lg_r_st * 0.99,
+            evidence: format!("{cz_r_st:.0} vs {lg_r_st:.0} MiB/s"),
+        },
+        ExpectedRelation {
+            claim: "ConZone MT read above Legacy MT read (~10 %)",
+            holds: cz_r_mt > lg_r_mt,
+            evidence: format!(
+                "{cz_r_mt:.0} vs {lg_r_mt:.0} MiB/s ({:+.1} %)",
+                (cz_r_mt / lg_r_mt - 1.0) * 100.0
+            ),
+        },
+        ExpectedRelation {
+            claim: "FEMU write at ConZone's level or above (no UFS channel model)",
+            holds: fm_w_st >= cz_w_st * 0.9,
+            evidence: format!("{fm_w_st:.0} vs {cz_w_st:.0} MiB/s"),
+        },
+        ExpectedRelation {
+            claim: "FEMU read far below ConZone (KVM switching latency)",
+            holds: fm_r_st < cz_r_st * 0.8,
+            evidence: format!("{fm_r_st:.0} vs {cz_r_st:.0} MiB/s"),
+        },
+        ExpectedRelation {
+            claim: "ConZone MT write stays media-bound (WAF-bounded conflict cost)",
+            holds: cz_w_mt > cz_w_st * 0.5,
+            evidence: format!("{cz_w_mt:.0} vs ST {cz_w_st:.0} MiB/s"),
+        },
+    ]);
+}
+
+/// EXPERIMENTS.md "Known deviations" 1–3 as bands around today's values.
+/// A model change that moves one out of its band is a deliberate change
+/// to simulated output: it goes through the output-change protocol
+/// (ROADMAP item 6), which moves the band with it.
+#[cfg(test)]
+mod known_deviations {
+    use super::{conzone, femu, legacy};
+
+    #[test]
+    fn deviation_1_mt_write_stays_below_the_paper() {
+        let mt_write = conzone(4).0.bandwidth_mibs();
+        assert!(
+            (250.0..=320.0).contains(&mt_write),
+            "EXPERIMENTS.md known deviation 1: ConZone MT write {mt_write:.0} MiB/s left \
+             250–320 (paper ≈ 400); moving it needs the output-change protocol (ROADMAP item 6)"
+        );
+    }
+
+    #[test]
+    fn deviation_2_mt_read_gain_over_legacy_is_overstated() {
+        let gain = (conzone(4).1.bandwidth_mibs() / legacy(4).1.bandwidth_mibs() - 1.0) * 100.0;
+        assert!(
+            (20.0..=40.0).contains(&gain),
+            "EXPERIMENTS.md known deviation 2: ConZone MT read over Legacy MT {gain:+.1} % left \
+             +20 % to +40 % (paper ≈ +10 %); moving it needs the output-change protocol \
+             (ROADMAP item 6)"
+        );
+    }
+
+    #[test]
+    fn deviation_3_femu_write_stays_below_conzone() {
+        let ratio = femu(1).0.bandwidth_mibs() / conzone(1).0.bandwidth_mibs();
+        assert!(
+            (0.90..1.00).contains(&ratio),
+            "EXPERIMENTS.md known deviation 3: FEMU ST write ÷ ConZone ST write {ratio:.3} left \
+             0.90 to < 1.00 (paper: slightly above 1); moving it needs the output-change \
+             protocol (ROADMAP item 6)"
+        );
+    }
+}

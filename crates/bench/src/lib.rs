@@ -1,35 +1,34 @@
-//! Shared harness code for the figure/table regeneration binaries.
+//! The paper's tables, figures and ablations as functions.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the experiment index). This library provides the
-//! paper's §IV-A evaluation configuration, device factories, the workload
-//! recipes behind each figure, and plain-text table printing.
+//! Every entry of [`figures::ALL`] regenerates one table or figure of the
+//! paper (see DESIGN.md §4 for the experiment index) into an [`Out`]: the
+//! text a reader sees and the paper-stated relations it checked, as data.
+//! Each binary in `src/bin/` hands one of them to [`cli`]; `all_figures`
+//! runs them all in one process. This file holds what the figures share:
+//! device factories on the paper's §IV-A evaluation configuration, the
+//! workload recipes behind several figures, and plain-text table printing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use conzone_core::ConZone;
 use conzone_femu::FemuZns;
 use conzone_host::{run_job, AccessPattern, FioJob, HostError, JobReport};
 use conzone_legacy::LegacyDevice;
-use conzone_sim::{export, LatencyHistogram, LatencySummary, RingBufferSink};
+use conzone_sim::RingBufferSink;
 use conzone_types::{
     DeviceConfig, DeviceEvent, Geometry, MapGranularity, SearchStrategy, SimTime, StorageDevice,
     TraceRecord,
 };
 
-/// The paper's §IV-A configuration: TLC media, 2 channels × 2 chips,
-/// 3200 MiB/s channels, 96 KiB programming unit, two 384 KiB write
-/// buffers, 12 KiB L2P cache, ~1.5 GB flash with 16 MiB zones.
-pub fn paper_config() -> DeviceConfig {
-    DeviceConfig::paper_evaluation()
-}
+pub mod figures;
 
 /// ConZone with the given mapping cap and search strategy on the paper
 /// configuration.
-pub fn conzone_device(max_aggregation: MapGranularity, strategy: SearchStrategy) -> ConZone {
+pub(crate) fn conzone_device(max_aggregation: MapGranularity, strategy: SearchStrategy) -> ConZone {
     ConZone::new(
         DeviceConfig::builder(Geometry::consumer_1p5gb())
             .max_aggregation(max_aggregation)
@@ -41,21 +40,21 @@ pub fn conzone_device(max_aggregation: MapGranularity, strategy: SearchStrategy)
 
 /// The Legacy baseline on the paper configuration (prefetch window = one
 /// chunk of entries, matching the paper's 1023-entry window).
-pub fn legacy_device() -> LegacyDevice {
-    LegacyDevice::new(paper_config())
+pub(crate) fn legacy_device() -> LegacyDevice {
+    LegacyDevice::new(DeviceConfig::paper_evaluation())
 }
 
 /// The FEMU-like baseline on the paper configuration.
-pub fn femu_device() -> FemuZns {
-    FemuZns::new(paper_config())
+pub(crate) fn femu_device() -> FemuZns {
+    FemuZns::new(DeviceConfig::paper_evaluation())
 }
 
 /// Target I/O volume of the Fig. 6(a) sequential runs (rounded down to a
 /// whole number of zones per thread for zoned devices).
-pub const SEQ_VOLUME_BYTES: u64 = 256 * 1024 * 1024;
+const SEQ_VOLUME_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Fig. 6(a)'s fio recipe: 512 KiB sequential I/O over `region` bytes.
-pub fn seq_job(pattern: AccessPattern, threads: usize, region: u64) -> FioJob {
+fn seq_job(pattern: AccessPattern, threads: usize, region: u64) -> FioJob {
     FioJob::new(pattern, 512 * 1024)
         .threads(threads)
         .bytes_per_thread(region / threads as u64)
@@ -70,7 +69,7 @@ pub fn seq_job(pattern: AccessPattern, threads: usize, region: u64) -> FioJob {
 /// # Errors
 ///
 /// Propagates [`HostError`] from either phase.
-pub fn run_seq_rw<D: StorageDevice + ?Sized>(
+pub(crate) fn run_seq_rw<D: StorageDevice + ?Sized>(
     dev: &mut D,
     threads: usize,
     zone_bytes: Option<u64>,
@@ -100,7 +99,7 @@ pub fn run_seq_rw<D: StorageDevice + ?Sized>(
 /// # Errors
 ///
 /// Propagates [`HostError`].
-pub fn fill_zoned<D: StorageDevice + ?Sized>(
+pub(crate) fn fill_zoned<D: StorageDevice + ?Sized>(
     dev: &mut D,
     bytes: u64,
     zone_bytes: u64,
@@ -116,7 +115,7 @@ pub fn fill_zoned<D: StorageDevice + ?Sized>(
 
 /// A 4 KiB single-thread random-read job over `[0, range)` with a fixed op
 /// count (the Fig. 7 / Fig. 8 recipe).
-pub fn randread_job(range: u64, ops: u64, start: SimTime) -> FioJob {
+pub(crate) fn randread_job(range: u64, ops: u64, start: SimTime) -> FioJob {
     FioJob::new(AccessPattern::RandRead, 4096)
         .region(0, range)
         .ops_per_thread(ops)
@@ -124,54 +123,9 @@ pub fn randread_job(range: u64, ops: u64, start: SimTime) -> FioJob {
         .start_at(start)
 }
 
-/// Whether `--csv` was passed to the current binary (machine-readable
-/// output for plotting scripts).
-pub fn csv_mode() -> bool {
-    std::env::args().any(|a| a == "--csv")
-}
-
-/// Renders a plain-text table, or CSV when the binary was invoked with
-/// `--csv`.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    if csv_mode() {
-        println!("# {title}");
-        println!("{}", headers.join(","));
-        for row in rows {
-            println!("{}", row.join(","));
-        }
-        return;
-    }
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    line(
-        &widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<String>>(),
-    );
-    for row in rows {
-        line(row);
-    }
-}
-
 /// Formats a bandwidth cell; non-finite values (degenerate zero-duration
 /// reports) print as `n/a` instead of a misleading number.
-pub fn mibs(report: &JobReport) -> String {
+pub(crate) fn mibs(report: &JobReport) -> String {
     let v = report.bandwidth_mibs();
     if v.is_finite() {
         format!("{v:.0}")
@@ -180,29 +134,14 @@ pub fn mibs(report: &JobReport) -> String {
     }
 }
 
-/// Formats a KIOPS cell; non-finite values print as `n/a`.
-pub fn kiops(report: &JobReport) -> String {
-    let v = report.kiops();
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "n/a".to_string()
-    }
-}
-
-/// Formats a microseconds latency cell.
-pub fn us(d: conzone_types::SimDuration) -> String {
-    format!("{:.1}", d.as_micros_f64())
-}
-
 /// A ring sink big enough for one measured phase of a figure run
 /// (256 Ki events, ~10 MiB), for attaching to a device under test.
-pub fn trace_sink() -> Arc<RingBufferSink> {
+pub(crate) fn trace_sink() -> Arc<RingBufferSink> {
     Arc::new(RingBufferSink::with_capacity(256 * 1024))
 }
 
 /// Event counts per [`DeviceEvent::kind_index`] of a drained trace.
-pub fn event_totals(records: &[TraceRecord]) -> [u64; DeviceEvent::KIND_COUNT] {
+pub(crate) fn event_totals(records: &[TraceRecord]) -> [u64; DeviceEvent::KIND_COUNT] {
     let mut totals = [0u64; DeviceEvent::KIND_COUNT];
     for r in records {
         totals[r.event.kind_index()] += 1;
@@ -210,84 +149,12 @@ pub fn event_totals(records: &[TraceRecord]) -> [u64; DeviceEvent::KIND_COUNT] {
     totals
 }
 
-/// Rows `(kind, count, first µs, last µs)` per event kind present in a
-/// drained trace, ready for [`print_table`].
-pub fn trace_summary_rows(records: &[TraceRecord]) -> Vec<Vec<String>> {
-    // (kind index, name, count, first ns, last ns)
-    let mut by_kind: Vec<(usize, &'static str, u64, u64, u64)> = Vec::new();
-    for r in records {
-        let idx = r.event.kind_index();
-        let t = r.time.as_nanos();
-        match by_kind.iter_mut().find(|e| e.0 == idx) {
-            Some(e) => {
-                e.2 += 1;
-                e.3 = e.3.min(t);
-                e.4 = e.4.max(t);
-            }
-            None => by_kind.push((idx, r.event.kind_name(), 1, t, t)),
-        }
-    }
-    by_kind.sort_by_key(|e| e.0);
-    by_kind
-        .into_iter()
-        .map(|(_, name, count, first, last)| {
-            vec![
-                name.to_string(),
-                count.to_string(),
-                format!("{:.1}", first as f64 / 1000.0),
-                format!("{:.1}", last as f64 / 1000.0),
-            ]
-        })
-        .collect()
-}
-
-/// GC pause distribution from paired `GcBegin`/`GcEnd` events in a
-/// drained trace.
-pub fn gc_pauses(records: &[TraceRecord]) -> LatencySummary {
-    let mut hist = LatencyHistogram::new();
-    let mut begin: Option<SimTime> = None;
-    for r in records {
-        match r.event {
-            DeviceEvent::GcBegin { .. } => begin = Some(r.time),
-            DeviceEvent::GcEnd { .. } => {
-                if let Some(b) = begin.take() {
-                    hist.record(r.time - b);
-                }
-            }
-            _ => {}
-        }
-    }
-    hist.summary()
-}
-
-/// `--trace-out <path>` passed to the current binary: where to write a
-/// Chrome trace-event file of the measured run, if requested.
-pub fn trace_out_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Writes a drained trace as Chrome trace-event JSON (loadable in
-/// Perfetto / about:tracing).
-///
-/// # Errors
-///
-/// A filesystem error, as `<path>: <reason>`.
-pub fn write_chrome_trace(path: &str, records: &[TraceRecord]) -> Result<(), String> {
-    export::write_file(path, export::chrome_trace(records))
-}
-
 /// A paper-stated relationship between two measured values, checked and
 /// reported by the harness (the ZMS hardware itself is closed; the paper
 /// gives these relations in §IV-B/§IV-C/§IV-D prose).
 #[derive(Debug)]
 pub struct ExpectedRelation {
-    /// What the paper claims, verbatim-ish.
+    /// What the paper claims, verbatim-ish; unique across [`figures::ALL`].
     pub claim: &'static str,
     /// Whether our measurements satisfy it.
     pub holds: bool,
@@ -295,16 +162,116 @@ pub struct ExpectedRelation {
     pub evidence: String,
 }
 
-/// Prints a block of expectation checks.
-pub fn print_expectations(expectations: &[ExpectedRelation]) {
-    println!("\n-- paper-shape checks --");
-    for e in expectations {
-        println!(
-            "[{}] {}  ({})",
-            if e.holds { "ok" } else { "DEVIATES" },
-            e.claim,
-            e.evidence
+/// What one figure produces: its text, as plain tables or CSV, the
+/// paper-stated relations it checked, in print order, and the failure
+/// that ended it early, if any.
+#[derive(Debug, Default)]
+pub struct Out {
+    csv: bool,
+    /// Where `fig7` writes a Chrome trace of its last measured phase.
+    trace_out: Option<String>,
+    text: String,
+    relations: Vec<ExpectedRelation>,
+    error: Option<String>,
+}
+
+impl Out {
+    /// Everything the figure printed.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The relations the figure checked, in print order.
+    pub fn relations(&self) -> &[ExpectedRelation] {
+        &self.relations
+    }
+
+    /// Appends one line of text (which may itself hold line breaks).
+    pub(crate) fn line(&mut self, text: impl AsRef<str>) {
+        self.text.push_str(text.as_ref());
+        self.text.push('\n');
+    }
+
+    /// Renders a plain-text table, or CSV in `--csv` mode.
+    pub(crate) fn table(&mut self, title: &str, headers: &[&str], rows: &[Vec<String>]) {
+        if self.csv {
+            self.line(format!("# {title}"));
+            self.line(headers.join(","));
+            for row in rows {
+                self.line(row.join(","));
+            }
+            return;
+        }
+        self.line(format!("\n== {title} =="));
+        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+        for row in rows {
+            for (i, cell) in row.iter().enumerate() {
+                if i < widths.len() {
+                    widths[i] = widths[i].max(cell.len());
+                }
+            }
+        }
+        let line = |out: &mut Self, cells: &[String]| {
+            let mut s = String::new();
+            for (i, c) in cells.iter().enumerate() {
+                s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
+            }
+            out.line(s.trim_end());
+        };
+        line(
+            self,
+            &headers.iter().map(|h| h.to_string()).collect::<Vec<_>>(),
         );
+        line(
+            self,
+            &widths
+                .iter()
+                .map(|w| "-".repeat(*w))
+                .collect::<Vec<String>>(),
+        );
+        for row in rows {
+            line(self, row);
+        }
+    }
+
+    /// Prints a block of paper-shape checks and records them.
+    pub(crate) fn check(&mut self, relations: impl IntoIterator<Item = ExpectedRelation>) {
+        self.line("\n-- paper-shape checks --");
+        for e in relations {
+            self.line(format!(
+                "[{}] {}  ({})",
+                if e.holds { "ok" } else { "DEVIATES" },
+                e.claim,
+                e.evidence
+            ));
+            self.relations.push(e);
+        }
+    }
+}
+
+/// The whole of a figure binary: reads the two flags the binaries accept
+/// from `args` (`--csv` for machine-readable tables, `--trace-out <path>`
+/// for `fig7`'s Chrome trace; anything else is ignored), runs `figure`,
+/// and prints its text to standard output. A failure goes to standard
+/// error as `error: …` and makes the exit status 1.
+pub fn cli(figure: figures::Figure, args: impl IntoIterator<Item = String>) -> ExitCode {
+    let mut out = Out::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--csv" => out.csv = true,
+            "--trace-out" => out.trace_out = args.next(),
+            _ => {}
+        }
+    }
+    figure(&mut out);
+    print!("{}", out.text);
+    match out.error {
+        Some(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+        None => ExitCode::SUCCESS,
     }
 }
 
@@ -345,21 +312,19 @@ mod tests {
         assert!(!records.is_empty());
         let totals = event_totals(&records);
         assert_eq!(totals.iter().sum::<u64>(), records.len() as u64);
-        let rows = trace_summary_rows(&records);
-        assert!(!rows.is_empty());
-        for row in &rows {
-            assert_eq!(row.len(), 4);
-        }
-        // A pure sequential write on a fresh device runs no GC.
-        assert_eq!(gc_pauses(&records).count, 0);
     }
 
     #[test]
     fn table_printer_does_not_panic() {
-        print_table(
-            "t",
-            &["a", "bb"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
+        let rows = [vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]];
+        let mut out = Out::default();
+        out.table("t", &["a", "bb"], &rows);
+        assert_eq!(out.text(), "\n== t ==\na    bb\n---  --\n1    2\n333  4\n");
+        let mut csv = Out {
+            csv: true,
+            ..Out::default()
+        };
+        csv.table("t", &["a", "bb"], &rows);
+        assert_eq!(csv.text(), "# t\na,bb\n1,2\n333,4\n");
     }
 }
