@@ -16,7 +16,7 @@
 //! the cut.
 
 use conzone_types::{
-    CellType, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, PowerCycle, RecoveryReport, SimTime,
+    CellType, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, RecoveryReport, SimTime,
     SuperblockId, ZoneId,
 };
 
@@ -57,10 +57,17 @@ impl ConZone {
         }
         Ok(())
     }
-}
 
-impl PowerCycle for ConZone {
-    fn power_cut(&mut self, now: SimTime) -> Result<u64, DeviceError> {
+    /// Cuts power at `now`: everything volatile (write buffers, L2P cache,
+    /// unsynced mapping-log entries) is discarded instantly and the device
+    /// rejects every command until [`remount`](Self::remount). Returns the
+    /// number of acknowledged slices lost from volatile buffers (also
+    /// recorded in [`Counters::lost_slices`](conzone_types::Counters::lost_slices)).
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError::Unsupported`] if power is already cut.
+    pub fn power_cut(&mut self, now: SimTime) -> Result<u64, DeviceError> {
         if self.cut_state.is_some() {
             return Err(DeviceError::Unsupported("power is already cut".to_string()));
         }
@@ -93,7 +100,14 @@ impl PowerCycle for ConZone {
         Ok(lost_slices)
     }
 
-    fn remount(&mut self, now: SimTime) -> Result<RecoveryReport, DeviceError> {
+    /// Remounts the device after [`power_cut`](Self::power_cut), replaying
+    /// the SLC secondary buffer and the persisted L2P log at media cost, and
+    /// reports exactly which logical pages came back and which were lost.
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError::Unsupported`] if power was never cut.
+    pub fn remount(&mut self, now: SimTime) -> Result<RecoveryReport, DeviceError> {
         let cut = self.cut_state.take().ok_or_else(|| {
             DeviceError::Unsupported("remount without a preceding power cut".to_string())
         })?;
@@ -156,7 +170,11 @@ impl PowerCycle for ConZone {
         })
     }
 
-    fn in_flight_slices(&self) -> u64 {
+    /// Acknowledged slices currently at risk from a power cut: volatile
+    /// buffered slices (would be lost) plus live SLC secondary-buffer
+    /// slices (would need replay). A remount's `recovered_slices +
+    /// lost_slices` balances against this value at the cut.
+    pub fn in_flight_slices(&self) -> u64 {
         let buffered: u64 = (self.media.iter().zip(0..))
             .map(|(media, z)| self.zones.wp_slices(ZoneId(z)) - media.flushed_slices)
             .sum();

@@ -17,9 +17,8 @@
 //! `data_backing` on the device) for the byte-level comparison; without
 //! payloads the balance and lost-range audits still run.
 
-use conzone_types::{
-    DeviceError, IoRequest, PowerCycle, RecoveryReport, SimTime, StorageDevice, SLICE_BYTES,
-};
+use conzone_core::ConZone;
+use conzone_types::{DeviceError, IoRequest, RecoveryReport, SimTime, StorageDevice, SLICE_BYTES};
 
 use crate::runner::HostError;
 use crate::verify::payload_for;
@@ -59,8 +58,8 @@ impl core::fmt::Display for CrashVerdict {
 /// [`HostError::Crash`] on any balance or lost-range violation,
 /// [`HostError::VerifyMismatch`] when recovered data reads back wrong, and
 /// [`HostError::Device`] when the device rejects the power cycle itself.
-pub fn power_cycle_and_verify<D: StorageDevice + PowerCycle + ?Sized>(
-    dev: &mut D,
+pub fn power_cycle_and_verify(
+    dev: &mut ConZone,
     seed: u64,
     cut_at: SimTime,
 ) -> Result<CrashVerdict, HostError> {
@@ -139,7 +138,6 @@ mod tests {
     use super::*;
     use crate::job::{AccessPattern, FioJob};
     use crate::runner::run_job_until;
-    use conzone_core::ConZone;
     use conzone_types::{DeviceConfig, SimDuration};
 
     fn cut_job(seed: u64) -> FioJob {

@@ -330,7 +330,8 @@ pub trait ZonedDevice: StorageDevice {
     }
 }
 
-/// Outcome of a [`PowerCycle::remount`] replay after an unclean power cut.
+/// Outcome of a remount replay after an unclean power cut (ConZone's
+/// `power_cut` / `remount`; the baselines model no power loss).
 ///
 /// Recovery is reported at 4 KiB slice granularity: `recovered` lists the
 /// logical pages whose latest acknowledged contents survived in non-volatile
@@ -365,43 +366,6 @@ impl core::fmt::Display for RecoveryReport {
             self.lost_slices,
             self.lost.len(),
         )
-    }
-}
-
-/// Devices that model unclean power loss and recovery: ConZone. A model
-/// without a power-loss model (the Legacy and FEMU baselines) does not
-/// implement the trait.
-///
-/// `power_cut` models yanking the plug at simulated time `now`: everything
-/// volatile (write buffers, L2P cache, unsynced mapping-log entries) is
-/// discarded instantly and the device stops servicing I/O. `remount` models
-/// the subsequent power-on: the device replays its non-volatile structures
-/// (SLC secondary buffer, persisted L2P log) and reports exactly which
-/// logical pages came back and which were lost.
-pub trait PowerCycle: StorageDevice {
-    /// Cuts power at `now`. Returns the number of acknowledged slices that
-    /// were lost from volatile buffers (also recorded in
-    /// [`Counters::lost_slices`] at the following [`PowerCycle::remount`]).
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::Unsupported`] if power is already cut.
-    fn power_cut(&mut self, now: SimTime) -> Result<u64, DeviceError>;
-
-    /// Remounts the device after [`PowerCycle::power_cut`], replaying
-    /// non-volatile state and charging the simulated replay-scan latency.
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::Unsupported`] if power was never cut.
-    fn remount(&mut self, now: SimTime) -> Result<RecoveryReport, DeviceError>;
-
-    /// Acknowledged slices currently at risk from a power cut: volatile
-    /// buffered slices (would be lost) plus live SLC secondary-buffer
-    /// slices (would need replay). The crash proptest checks
-    /// `recovered_slices + lost_slices` against this value at the cut.
-    fn in_flight_slices(&self) -> u64 {
-        0
     }
 }
 

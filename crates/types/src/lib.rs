@@ -55,8 +55,7 @@ pub use config::{
 };
 pub use counters::Counters;
 pub use device::{
-    Completion, IoKind, IoRequest, PowerCycle, RecoveryReport, StorageDevice, ZoneInfo, ZoneState,
-    ZonedDevice,
+    Completion, IoKind, IoRequest, RecoveryReport, StorageDevice, ZoneInfo, ZoneState, ZonedDevice,
 };
 pub use error::{ConfigError, DeviceError};
 pub use geometry::{Geometry, PpaParts};
