@@ -43,8 +43,8 @@
 #![warn(missing_docs)]
 
 pub use conzone_core::{
-    Arbiter, ArbiterKind, BlockHeat, ConZone, HeatmapSnapshot, QueueFrontEnd, RoundRobinArbiter,
-    TimeBreakdown, WeightedArbiter, ZoneHeat,
+    Arbiter, ArbiterKind, BlockHeat, ConZone, HeatmapSnapshot, QueueFrontEnd, TimeBreakdown,
+    ZoneHeat,
 };
 pub use conzone_femu::FemuZns;
 pub use conzone_legacy::LegacyDevice;
