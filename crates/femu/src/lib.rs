@@ -362,7 +362,7 @@ impl StorageDevice for FemuZns {
 
 impl ZonedDevice for FemuZns {
     fn zone_count(&self) -> usize {
-        self.zones.len()
+        self.zones.zone_count()
     }
 
     fn zone_size(&self) -> u64 {

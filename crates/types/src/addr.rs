@@ -126,12 +126,6 @@ impl Lpn {
         self.0 * SLICE_BYTES
     }
 
-    /// Logical page containing `byte` (which need not be aligned).
-    #[inline]
-    pub const fn containing(byte: u64) -> Lpn {
-        Lpn(byte / SLICE_BYTES)
-    }
-
     /// The `n`-th page after this one.
     #[inline]
     pub const fn offset(self, n: u64) -> Lpn {
@@ -153,7 +147,7 @@ impl Ppa {
 /// use conzone_types::{Lpn, LpnRange};
 ///
 /// let r = LpnRange::new(Lpn(4), 3);
-/// assert!(r.contains(Lpn(6)));
+/// assert_eq!(r.end(), Lpn(7));
 /// assert_eq!(r.iter().count(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,24 +182,6 @@ impl LpnRange {
         Lpn(self.start.0 + self.count)
     }
 
-    /// Bytes covered by the range.
-    #[inline]
-    pub const fn bytes(self) -> u64 {
-        self.count * SLICE_BYTES
-    }
-
-    /// Whether the range is empty.
-    #[inline]
-    pub const fn is_empty(self) -> bool {
-        self.count == 0
-    }
-
-    /// Whether `lpn` lies inside the range.
-    #[inline]
-    pub const fn contains(self, lpn: Lpn) -> bool {
-        lpn.0 >= self.start.0 && lpn.0 < self.start.0 + self.count
-    }
-
     /// Iterates over each page in the range.
     pub fn iter(self) -> impl Iterator<Item = Lpn> {
         (self.start.0..self.start.0 + self.count).map(Lpn)
@@ -225,8 +201,6 @@ mod tests {
     #[test]
     fn lpn_byte_conversions() {
         assert_eq!(Lpn(3).byte_offset(), 3 * 4096);
-        assert_eq!(Lpn::containing(4095), Lpn(0));
-        assert_eq!(Lpn::containing(4096), Lpn(1));
     }
 
     #[test]
@@ -274,11 +248,8 @@ mod tests {
         let r = LpnRange::new(Lpn(10), 4);
         let pages: Vec<_> = r.iter().collect();
         assert_eq!(pages, vec![Lpn(10), Lpn(11), Lpn(12), Lpn(13)]);
-        assert!(r.contains(Lpn(10)));
-        assert!(r.contains(Lpn(13)));
-        assert!(!r.contains(Lpn(14)));
+        assert!(r.iter().all(|l| l >= r.start && l < r.end()));
         assert_eq!(r.end(), Lpn(14));
-        assert_eq!(r.bytes(), 4 * 4096);
     }
 
     #[test]

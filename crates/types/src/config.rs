@@ -18,11 +18,8 @@ pub enum CellType {
 }
 
 impl CellType {
-    /// All cell types, in increasing density order.
-    pub const ALL: [CellType; 3] = [CellType::Slc, CellType::Tlc, CellType::Qlc];
-
     /// Short lowercase name, e.g. `"slc"`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CellType::Slc => "slc",
             CellType::Tlc => "tlc",
@@ -63,7 +60,7 @@ pub struct MediaTimings {
 impl MediaTimings {
     /// The defaults of paper Table II. Erase latencies follow typical 3D
     /// NAND data sheets (3.5 ms) — the paper does not list erase times.
-    pub fn paper_table2() -> MediaTimings {
+    pub(crate) fn paper_table2() -> MediaTimings {
         MediaTimings {
             slc: MediaLatency {
                 read: SimDuration::from_micros(20),
@@ -695,7 +692,6 @@ mod tests {
     #[test]
     fn cell_type_names() {
         assert_eq!(CellType::Slc.to_string(), "slc");
-        assert_eq!(CellType::ALL.len(), 3);
     }
 
     #[test]

@@ -13,15 +13,10 @@ pub struct ConfigError {
 
 impl ConfigError {
     /// Creates a configuration error with the given message.
-    pub fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         ConfigError {
             message: message.into(),
         }
-    }
-
-    /// The human-readable reason the configuration is invalid.
-    pub fn message(&self) -> &str {
-        &self.message
     }
 }
 

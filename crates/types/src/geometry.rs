@@ -14,18 +14,16 @@ use crate::error::ConfigError;
 
 /// Static geometry of the flash array.
 ///
-/// Use [`Geometry::validate`] (done automatically by
-/// [`DeviceConfigBuilder`](crate::DeviceConfigBuilder)) before relying on the
-/// derived quantities.
+/// The derived quantities hold for a geometry that
+/// [`DeviceConfigBuilder::build`](crate::DeviceConfigBuilder::build) has
+/// accepted.
 ///
 /// ```
 /// use conzone_types::Geometry;
 ///
 /// let g = Geometry::consumer_1p5gb();
-/// g.validate()?;
 /// assert_eq!(g.nchips(), 4);
 /// assert_eq!(g.superpage_bytes(), 384 * 1024); // matches paper §II-B
-/// # Ok::<(), conzone_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
@@ -95,7 +93,7 @@ impl Geometry {
     /// whole number of programming units, when the page size is not a whole
     /// number of 4 KiB slices, when no normal blocks remain after the SLC
     /// region, or when the array holds more than [`MAX_SLICES`] slices.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         fn nonzero(v: usize, what: &str) -> Result<(), ConfigError> {
             if v == 0 {
                 Err(ConfigError::new(format!("{what} must be non-zero")))
@@ -177,7 +175,7 @@ impl Geometry {
 
     /// Flash pages per programming unit of the normal area.
     #[inline]
-    pub fn pages_per_unit(&self) -> usize {
+    pub(crate) fn pages_per_unit(&self) -> usize {
         self.program_unit_bytes / self.page_bytes
     }
 
@@ -195,7 +193,7 @@ impl Geometry {
 
     /// Bytes per flash block.
     #[inline]
-    pub fn block_bytes(&self) -> u64 {
+    pub(crate) fn block_bytes(&self) -> u64 {
         self.pages_per_block as u64 * self.page_bytes as u64
     }
 
@@ -356,18 +354,6 @@ impl Geometry {
         self.encode_ppa(chip, sb.index(), page, slice)
     }
 
-    /// Inverse of [`Geometry::superblock_slice`]: the (superblock,
-    /// slice-offset) pair containing `ppa`.
-    pub fn superblock_offset_of(&self, ppa: Ppa) -> (SuperblockId, u64) {
-        let parts = self.decode_ppa(ppa);
-        let unit_in_block = parts.page / self.pages_per_unit();
-        let page_in_unit = parts.page % self.pages_per_unit();
-        let unit = unit_in_block as u64 * self.nchips() as u64 + parts.chip.raw();
-        let within = page_in_unit as u64 * self.slices_per_page() as u64 + parts.slice as u64;
-        let offset = unit * self.slices_per_unit() as u64 + within;
-        (SuperblockId(parts.block as u64), offset)
-    }
-
     /// The superblock reserved for a zone. Zones bind one-to-one to normal
     /// superblocks, placed after the SLC region.
     #[inline]
@@ -377,7 +363,7 @@ impl Geometry {
 
     /// Number of zones the normal region provides.
     #[inline]
-    pub fn zone_count(&self) -> usize {
+    pub(crate) fn zone_count(&self) -> usize {
         self.normal_superblocks()
     }
 }
@@ -453,16 +439,6 @@ mod tests {
             }
             let last = g.decode_ppa(Ppa(g.total_slices() - 1));
             assert_eq!(g.next_page(last).chip, ChipId(g.nchips() as u64));
-        }
-    }
-
-    #[test]
-    fn superblock_slice_roundtrip() {
-        let g = Geometry::tiny();
-        let sb = SuperblockId(5);
-        for offset in 0..g.slices_per_superblock() {
-            let ppa = g.superblock_slice(sb, offset);
-            assert_eq!(g.superblock_offset_of(ppa), (sb, offset));
         }
     }
 

@@ -131,7 +131,7 @@ impl SpanKind {
     }
 
     /// Whether this kind opens a new IO lifecycle (a root span).
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         matches!(
             self,
             SpanKind::IoRead
@@ -245,7 +245,7 @@ impl SpanRecorder {
 
     /// Whether a sink is attached.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.sink.is_some()
     }
 

@@ -62,14 +62,8 @@ impl ZoneTable {
 
     /// Number of zones.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub fn zone_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Whether the table has no zones.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Zone size in slices.
