@@ -11,7 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
 
-use conzone_sim::RingBufferSink;
+use conzone_sim::{ResourceBank, RingBufferSink};
 use conzone_types::{
     CellType, ChipId, DeviceConfig, FaultConfig, Geometry, Ppa, Probe, SimDuration, SimTime,
     SuperblockId, SLICE_LEN,
@@ -175,9 +175,8 @@ fn backward_multi_page_run(ppas: &[Ppa], g: &Geometry) -> bool {
 type Outcome = Result<(SimTime, Option<Vec<u8>>), FlashError>;
 
 /// Every plane's and channel's free time.
-fn free_times(a: &FlashArray) -> (Vec<SimTime>, Vec<SimTime>) {
-    let bank = |b: &conzone_sim::ResourceBank| (0..b.len()).map(|i| b.free_at(i)).collect();
-    (bank(&a.planes), bank(&a.channels))
+fn free_times(a: &FlashArray) -> (ResourceBank, ResourceBank) {
+    (a.planes.clone(), a.channels.clone())
 }
 
 /// How often a run of cases reached the shapes the property is about.

@@ -3,9 +3,9 @@
 //! The workspace has no serialization dependency. Small documents (the
 //! stats report, a scenario summary, the benchmark's result line) are built
 //! as a [`Json`] value and printed; the per-record exporters, whose output
-//! runs to megabytes, stream through [`ObjectWriter`] instead and never
-//! hold a tree. Both print strings and numbers through [`write_string`],
-//! [`write_u64`] and [`write_f64`]. The parser exists so tests can round-trip what was
+//! runs to megabytes, stream through the crate's `ObjectWriter` instead
+//! and never hold a tree. Both print strings and numbers through the same
+//! three writers. The parser exists so tests can round-trip what was
 //! written; it accepts standard JSON (no comments, no trailing commas).
 
 use std::fmt;
@@ -113,7 +113,7 @@ impl From<String> for Json {
 /// and control characters escaped — straight into `out`. The one escaper:
 /// [`Json`]'s `Display` and the streaming exporters both print strings
 /// (and object keys) through it.
-pub fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+pub(crate) fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
     // Everything escaped is ASCII, so the stretches between escapes are
     // whole characters and go out as they are.
@@ -143,7 +143,7 @@ pub fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
 /// Writes an exact integer in decimal, digit by digit: the exporters print
 /// half a dozen integers per record, `write!("{n}")` sets up a formatter
 /// for each, and a push per digit beats a block copy at these lengths.
-pub fn write_u64<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+pub(crate) fn write_u64<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
     // u64::MAX has 20 digits.
     let mut digits = [b'0'; 20];
     let mut at = digits.len();
@@ -163,7 +163,7 @@ pub fn write_u64<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
 /// Writes a number the way [`Json::F64`] prints: integral values keep one
 /// decimal (`3.0`) so they stay floats on the way back in, everything else
 /// takes Rust's shortest round-trip form, and non-finite values are `null`.
-pub fn write_f64<W: fmt::Write>(out: &mut W, x: f64) -> fmt::Result {
+pub(crate) fn write_f64<W: fmt::Write>(out: &mut W, x: f64) -> fmt::Result {
     if !x.is_finite() {
         out.write_str("null")
     } else if x.fract() == 0.0 && x.abs() < 1e15 {
@@ -178,21 +178,21 @@ pub fn write_f64<W: fmt::Write>(out: &mut W, x: f64) -> fmt::Result {
 /// [`Json`]'s own `Display` prints objects through, so the two cannot
 /// drift.
 #[derive(Debug)]
-pub struct ObjectWriter<'a, W: fmt::Write> {
+pub(crate) struct ObjectWriter<'a, W: fmt::Write> {
     out: &'a mut W,
     any: bool,
 }
 
 impl<'a, W: fmt::Write> ObjectWriter<'a, W> {
     /// Opens the object.
-    pub fn begin(out: &'a mut W) -> Result<ObjectWriter<'a, W>, fmt::Error> {
+    pub(crate) fn begin(out: &'a mut W) -> Result<ObjectWriter<'a, W>, fmt::Error> {
         out.write_char('{')?;
         Ok(ObjectWriter { out, any: false })
     }
 
     /// Writes `"key":` (after a comma, from the second member on) and
     /// hands back the sink for the value.
-    pub fn key(&mut self, key: &str) -> Result<&mut W, fmt::Error> {
+    pub(crate) fn key(&mut self, key: &str) -> Result<&mut W, fmt::Error> {
         if self.any {
             self.out.write_char(',')?;
         }
@@ -203,22 +203,22 @@ impl<'a, W: fmt::Write> ObjectWriter<'a, W> {
     }
 
     /// An exact integer member.
-    pub fn u64(&mut self, key: &str, value: u64) -> fmt::Result {
+    pub(crate) fn u64(&mut self, key: &str, value: u64) -> fmt::Result {
         write_u64(self.key(key)?, value)
     }
 
     /// A string member.
-    pub fn str(&mut self, key: &str, value: &str) -> fmt::Result {
+    pub(crate) fn str(&mut self, key: &str, value: &str) -> fmt::Result {
         write_string(self.key(key)?, value)
     }
 
     /// Opens a nested object member; close it before writing on.
-    pub fn object(&mut self, key: &str) -> Result<ObjectWriter<'_, W>, fmt::Error> {
+    pub(crate) fn object(&mut self, key: &str) -> Result<ObjectWriter<'_, W>, fmt::Error> {
         ObjectWriter::begin(self.key(key)?)
     }
 
     /// Closes the object.
-    pub fn end(self) -> fmt::Result {
+    pub(crate) fn end(self) -> fmt::Result {
         self.out.write_char('}')
     }
 }

@@ -18,7 +18,7 @@
 //!     let r = chip.acquire(SimTime::ZERO, SimDuration::from_micros(32));
 //!     lat.record(r.end - SimTime::ZERO);
 //! }
-//! assert_eq!(lat.max(), SimDuration::from_micros(320));
+//! assert_eq!(lat.summary().max, SimDuration::from_micros(320));
 //! ```
 
 // Unit tests assert and cast freely; the panic-family denies and the

@@ -27,7 +27,7 @@ proptest! {
             let err = (approx - exact).abs() / exact;
             prop_assert!(err <= 0.05, "q={q}: approx {approx} vs exact {exact}");
         }
-        prop_assert_eq!(hist.count(), samples.len() as u64);
+        prop_assert_eq!(hist.summary().count, samples.len() as u64);
         prop_assert_eq!(hist.min().as_nanos(), sorted[0]);
         prop_assert_eq!(hist.max().as_nanos(), *sorted.last().unwrap());
         let exact_mean = samples.iter().sum::<u64>() / samples.len() as u64;
@@ -53,7 +53,7 @@ proptest! {
             hc.record(SimDuration::from_nanos(s));
         }
         ha.merge(&hb);
-        prop_assert_eq!(ha.count(), hc.count());
+        prop_assert_eq!(ha.summary().count, hc.summary().count);
         prop_assert_eq!(ha.mean(), hc.mean());
         for q in [0.25, 0.5, 0.75, 0.99] {
             prop_assert_eq!(ha.quantile(q), hc.quantile(q));

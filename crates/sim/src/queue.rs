@@ -69,23 +69,6 @@ impl<T> EventQueue<T> {
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.payload))
     }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 impl<T> Default for EventQueue<T> {
@@ -116,15 +99,5 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_nanos(7), ());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
     }
 }

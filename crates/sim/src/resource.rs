@@ -55,16 +55,10 @@ impl Resource {
     pub fn free_at(&self) -> SimTime {
         self.busy_until
     }
-
-    /// Whether the resource is idle at `now`.
-    #[inline]
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
 }
 
 /// A bank of identical resources, e.g. all chips or all channels.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResourceBank {
     resources: Vec<Resource>,
 }
@@ -75,18 +69,6 @@ impl ResourceBank {
         ResourceBank {
             resources: vec![Resource::new(); n],
         }
-    }
-
-    /// Number of resources in the bank.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.resources.len()
-    }
-
-    /// Whether the bank is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.resources.is_empty()
     }
 
     /// Reserves resource `index`.
@@ -140,17 +122,14 @@ mod tests {
     #[test]
     fn idle_checks() {
         let mut r = Resource::new();
-        assert!(r.is_idle_at(SimTime::ZERO));
+        assert_eq!(r.free_at(), SimTime::ZERO);
         r.acquire(SimTime::ZERO, SimDuration::from_nanos(10));
-        assert!(!r.is_idle_at(SimTime::from_nanos(5)));
-        assert!(r.is_idle_at(SimTime::from_nanos(10)));
         assert_eq!(r.free_at(), SimTime::from_nanos(10));
     }
 
     #[test]
     fn bank_tracks_independent_resources() {
         let mut bank = ResourceBank::new(2);
-        assert_eq!(bank.len(), 2);
         bank.acquire(0, SimTime::ZERO, SimDuration::from_nanos(100));
         bank.acquire(1, SimTime::ZERO, SimDuration::from_nanos(40));
         assert_eq!(bank.free_at(0), SimTime::from_nanos(100));

@@ -5,8 +5,6 @@
 //! we carry our own SplitMix64/xoshiro256++ implementation instead of
 //! depending on an external RNG's stream stability.
 
-use conzone_types::to_index;
-
 /// Deterministic xoshiro256++ generator seeded via SplitMix64.
 ///
 /// ```
@@ -85,16 +83,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        lo + self.below(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -111,7 +99,7 @@ impl SimRng {
         reason = "seeded sampling API: bit-identical for a fixed seed on one platform; its users \
                   quantise to integer ns, and a last-bit libm difference across platforms is accepted"
     )]
-    pub fn normal(&mut self) -> f64 {
+    pub(crate) fn normal(&mut self) -> f64 {
         let u1 = self.f64().max(f64::MIN_POSITIVE);
         let u2 = self.f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -126,14 +114,6 @@ impl SimRng {
     )]
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.normal()).exp()
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = to_index(self.below(i as u64 + 1));
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -167,7 +147,7 @@ mod tests {
         let mut rng = SimRng::new(2);
         let mut seen = [false; 8];
         for _ in 0..500 {
-            seen[rng.range(0, 8) as usize] = true;
+            seen[rng.below(8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -190,17 +170,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / f64::from(n);
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
     }
 
     #[test]

@@ -20,7 +20,7 @@ const SUBBUCKET_BITS: u32 = 5;
 /// for us in [10u64, 20, 30, 40, 1000] {
 ///     h.record(SimDuration::from_micros(us));
 /// }
-/// assert_eq!(h.count(), 5);
+/// assert_eq!(h.summary().count, 5);
 /// assert!(h.quantile(0.99) >= SimDuration::from_micros(900));
 /// ```
 #[derive(Debug, Clone)]
@@ -108,14 +108,8 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(other.max_ns);
     }
 
-    /// Number of recorded samples.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Mean latency; zero if empty.
-    pub fn mean(&self) -> SimDuration {
+    pub(crate) fn mean(&self) -> SimDuration {
         if self.count == 0 {
             SimDuration::ZERO
         } else {
@@ -126,7 +120,7 @@ impl LatencyHistogram {
     }
 
     /// Smallest recorded sample; zero if empty.
-    pub fn min(&self) -> SimDuration {
+    pub(crate) fn min(&self) -> SimDuration {
         if self.count == 0 {
             SimDuration::ZERO
         } else {
@@ -135,7 +129,7 @@ impl LatencyHistogram {
     }
 
     /// Largest recorded sample; zero if empty.
-    pub fn max(&self) -> SimDuration {
+    pub(crate) fn max(&self) -> SimDuration {
         SimDuration::from_nanos(self.max_ns)
     }
 
@@ -303,7 +297,7 @@ mod tests {
             c.record(d);
         }
         a.merge(&b);
-        assert_eq!(a.count(), c.count());
+        assert_eq!(a.summary().count, c.summary().count);
         assert_eq!(a.mean(), c.mean());
         assert_eq!(a.quantile(0.99), c.quantile(0.99));
     }
@@ -311,7 +305,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_zeroes() {
         let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.summary().count, 0);
         assert_eq!(h.mean(), SimDuration::ZERO);
         assert_eq!(h.quantile(0.99), SimDuration::ZERO);
         let s = h.summary();
@@ -323,7 +317,7 @@ mod tests {
         let mut h = LatencyHistogram::new();
         let mut rng = crate::SimRng::new(11);
         for _ in 0..10_000 {
-            h.record(SimDuration::from_nanos(rng.range(1_000, 1_000_000)));
+            h.record(SimDuration::from_nanos(1_000 + rng.below(999_000)));
         }
         let s = h.summary();
         assert!(s.min <= s.p50 && s.p50 <= s.p90);
@@ -340,7 +334,7 @@ mod tests {
 
         // full ∪ ∅ = full.
         full.merge(&LatencyHistogram::new());
-        assert_eq!(full.count(), reference.count());
+        assert_eq!(full.summary().count, reference.summary().count);
         assert_eq!(full.min(), reference.min());
         assert_eq!(full.max(), reference.max());
         assert_eq!(full.mean(), reference.mean());
@@ -349,14 +343,14 @@ mod tests {
         // ∅ ∪ full = full — the empty side's sentinel min must not leak.
         let mut empty = LatencyHistogram::new();
         empty.merge(&reference);
-        assert_eq!(empty.count(), reference.count());
+        assert_eq!(empty.summary().count, reference.summary().count);
         assert_eq!(empty.min(), reference.min());
         assert_eq!(empty.summary(), reference.summary());
 
         // ∅ ∪ ∅ stays empty.
         let mut e = LatencyHistogram::new();
         e.merge(&LatencyHistogram::new());
-        assert_eq!(e.count(), 0);
+        assert_eq!(e.summary().count, 0);
         assert_eq!(e.min(), SimDuration::ZERO);
         assert_eq!(e.summary().p999, SimDuration::ZERO);
     }

@@ -146,20 +146,10 @@ pub struct MetricsSampler {
 }
 
 impl MetricsSampler {
-    /// Creates a sampler with the given interval (must be non-zero).
-    pub fn new(interval: SimDuration) -> MetricsSampler {
-        assert!(interval.as_nanos() > 0, "sampling interval must be > 0");
-        MetricsSampler {
-            interval,
-            next_boundary: SimTime::ZERO + interval,
-            last: Counters::new(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// Creates a sampler whose interval grid starts at `origin` and whose
-    /// first delta is taken against `baseline` — for jobs that begin
-    /// mid-simulation on a device with prior activity.
+    /// Creates a sampler with the given (non-zero) interval whose grid
+    /// starts at `origin` and whose first delta is taken against
+    /// `baseline` — a job may begin mid-simulation on a device with prior
+    /// activity.
     pub fn anchored(origin: SimTime, interval: SimDuration, baseline: &Counters) -> MetricsSampler {
         assert!(interval.as_nanos() > 0, "sampling interval must be > 0");
         MetricsSampler {
@@ -168,11 +158,6 @@ impl MetricsSampler {
             last: *baseline,
             samples: Vec::new(),
         }
-    }
-
-    /// The sampling interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
     }
 
     /// Observes the cumulative counters at simulated time `now`, closing
@@ -207,11 +192,6 @@ impl MetricsSampler {
             });
         }
         self.samples
-    }
-
-    /// Samples closed so far.
-    pub fn samples(&self) -> &[MetricsSample] {
-        &self.samples
     }
 }
 
@@ -441,27 +421,29 @@ mod tests {
         }
     }
 
+    /// A sampler on a grid starting at time zero.
+    fn sampler(interval: SimDuration) -> MetricsSampler {
+        MetricsSampler::anchored(SimTime::ZERO, interval, &Counters::new())
+    }
+
     #[test]
     fn sampler_emits_one_delta_per_interval() {
         let mut c = Counters::new();
-        let interval = SimDuration::from_millis(1);
-        let mut s = MetricsSampler::new(interval);
+        let mut s = sampler(SimDuration::from_millis(1));
         let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
-        // 0.4 ms: some writes.
+        // 0.4 ms: some writes; the interval has not elapsed yet.
         c.host_write_bytes = 100;
         s.observe(at(400), &c);
-        assert!(s.samples().is_empty(), "interval not elapsed yet");
         // 1.2 ms: more writes — first interval closes with everything so far.
         c.host_write_bytes = 250;
         s.observe(at(1200), &c);
-        assert_eq!(s.samples().len(), 1);
-        assert_eq!(s.samples()[0].delta.host_write_bytes, 250);
-        assert_eq!(s.samples()[0].start, SimTime::ZERO);
-        assert_eq!(s.samples()[0].end, at(1000));
         // 3.5 ms: crossing two boundaries at once.
         c.host_write_bytes = 400;
         let samples = s.finish(at(3500), &c);
         assert_eq!(samples.len(), 4, "2 full + 1 empty + final partial");
+        assert_eq!(samples[0].delta.host_write_bytes, 250);
+        assert_eq!(samples[0].start, SimTime::ZERO);
+        assert_eq!(samples[0].end, at(1000));
         assert_eq!(samples[1].delta.host_write_bytes, 150);
         assert_eq!(samples[2].delta.host_write_bytes, 0);
         assert_eq!(samples[3].end, at(3500));
@@ -473,7 +455,7 @@ mod tests {
     #[test]
     fn sampler_finish_on_exact_boundary_adds_no_empty_tail() {
         let mut c = Counters::new();
-        let mut s = MetricsSampler::new(SimDuration::from_millis(1));
+        let mut s = sampler(SimDuration::from_millis(1));
         c.host_write_bytes = 64;
         s.observe(SimTime::ZERO + SimDuration::from_micros(400), &c);
         let samples = s.finish(SimTime::ZERO + SimDuration::from_millis(1), &c);
@@ -491,7 +473,7 @@ mod tests {
         // of the work vanishing.
         let mut c = Counters::new();
         c.host_write_bytes = 4096;
-        let s = MetricsSampler::new(SimDuration::from_millis(1));
+        let s = sampler(SimDuration::from_millis(1));
         let samples = s.finish(SimTime::ZERO, &c);
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].start, SimTime::ZERO);
@@ -507,7 +489,7 @@ mod tests {
 
     #[test]
     fn sampler_zero_duration_idle_run_is_empty() {
-        let s = MetricsSampler::new(SimDuration::from_millis(1));
+        let s = sampler(SimDuration::from_millis(1));
         let samples = s.finish(SimTime::ZERO, &Counters::new());
         assert!(samples.is_empty(), "nothing happened, nothing to report");
     }
@@ -523,12 +505,12 @@ mod tests {
         let mut c = Counters::new();
         c.host_read_ops = 3;
         s.observe(origin + SimDuration::from_micros(1), &c);
-        assert_eq!(s.samples().len(), 1);
         // More work lands at exactly the same instant; finish at the
         // boundary keeps it as a zero-width sample.
         c.host_read_ops = 7;
         let samples = s.finish(origin + SimDuration::from_micros(1), &c);
         assert_eq!(samples.len(), 2);
+        assert_eq!(samples[0].delta.host_read_ops, 3);
         assert_eq!(samples[1].delta.host_read_ops, 4);
         assert_eq!(samples[1].start, samples[1].end);
         let total: u64 = samples.iter().map(|s| s.delta.host_read_ops).sum();
