@@ -14,7 +14,7 @@
 //! multi-level-cell blocks program whole multi-page programming units
 //! (paper §II-A).
 
-use conzone_sim::{Reservation, Resource, ResourceBank};
+use conzone_sim::{Reservation, ResourceBank};
 use conzone_types::{
     to_index, CellType, ChipId, Counters, DeviceConfig, DeviceEvent, FaultKind, Geometry, MediaOp,
     MediaTimings, Ppa, PpaParts, Probe, SimDuration, SimTime, SuperblockId, SLICE_BYTES, SLICE_LEN,
@@ -254,7 +254,7 @@ impl FlashArray {
 
     /// Cell technology of a block index (same on every chip).
     #[inline]
-    pub fn cell_of_block(&self, block: usize) -> CellType {
+    pub(crate) fn cell_of_block(&self, block: usize) -> CellType {
         if block < self.geometry.slc_blocks_per_chip {
             CellType::Slc
         } else {
@@ -509,12 +509,6 @@ impl FlashArray {
     #[inline]
     pub fn is_block_retired(&self, chip: ChipId, block: usize) -> bool {
         self.fault.is_retired(self.block_index(chip, block))
-    }
-
-    /// Number of permanently retired blocks.
-    #[inline]
-    pub fn retired_blocks(&self) -> u64 {
-        self.fault.retired_count()
     }
 
     /// Reserves `ops` transfer-then-program rounds on the chip (one round
@@ -775,8 +769,10 @@ impl FlashArray {
         Ok(())
     }
 
-    /// Fetches the retained payload of a slice, if any.
-    pub fn data_of(&self, ppa: Ppa) -> Option<&[u8]> {
+    /// Fetches the retained payload of a slice, if any (the tests' window
+    /// on erase dropping payloads).
+    #[cfg(test)]
+    fn data_of(&self, ppa: Ppa) -> Option<&[u8]> {
         self.store.get(ppa)
     }
 
@@ -932,10 +928,6 @@ impl FlashArray {
             .expect("chip has at least one plane")
     }
 }
-
-/// Convenience: a standalone resource for host-side overheads, re-exported
-/// for device models that need an extra serial stage.
-pub type HostStage = Resource;
 
 #[cfg(test)]
 mod tests {
@@ -1427,7 +1419,6 @@ mod tests {
         assert!(r.end > SimTime::ZERO, "failed erase still takes time");
         assert!(a.is_block_retired(ChipId(0), 4));
         assert_eq!(a.stats().blocks_retired, 1);
-        assert_eq!(a.retired_blocks(), 1);
         let before = a.stats().erases_normal;
         let r = a.erase_block(r.end, ChipId(0), 4);
         assert_eq!(r.end, r.start, "retired block erases are no-ops");

@@ -2,30 +2,18 @@
 
 /// Fixed-length bit vector backed by `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitVec {
+pub(crate) struct BitVec {
     words: Vec<u64>,
     len: usize,
 }
 
 impl BitVec {
     /// Creates `len` bits, all clear.
-    pub fn new(len: usize) -> BitVec {
+    pub(crate) fn new(len: usize) -> BitVec {
         BitVec {
             words: vec![0; len.div_ceil(64)],
             len,
         }
-    }
-
-    /// Number of bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the vector has zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Reads bit `idx`.
@@ -34,7 +22,7 @@ impl BitVec {
     ///
     /// Panics if `idx >= len`.
     #[inline]
-    pub fn get(&self, idx: usize) -> bool {
+    pub(crate) fn get(&self, idx: usize) -> bool {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         (self.words[idx / 64] >> (idx % 64)) & 1 == 1
     }
@@ -45,7 +33,7 @@ impl BitVec {
     ///
     /// Panics if `idx >= len`.
     #[inline]
-    pub fn set(&mut self, idx: usize, value: bool) {
+    pub(crate) fn set(&mut self, idx: usize, value: bool) {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         let word = &mut self.words[idx / 64];
         let mask = 1u64 << (idx % 64);
@@ -62,7 +50,7 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if the run reaches past `len`.
-    pub fn fill_range(&mut self, start: usize, count: usize, value: bool) {
+    pub(crate) fn fill_range(&mut self, start: usize, count: usize, value: bool) {
         let end = start + count;
         assert!(
             end <= self.len,
@@ -91,7 +79,7 @@ impl BitVec {
     ///
     /// Panics if the run reaches past `len`.
     #[inline]
-    pub fn all_ones(&self, start: usize, count: usize) -> bool {
+    pub(crate) fn all_ones(&self, start: usize, count: usize) -> bool {
         let end = start + count;
         assert!(
             end <= self.len,
@@ -112,17 +100,17 @@ impl BitVec {
     }
 
     /// Clears every bit.
-    pub fn clear_all(&mut self) {
+    pub(crate) fn clear_all(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Iterates over the indices of set bits.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(move |(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
@@ -145,7 +133,6 @@ mod tests {
     #[test]
     fn set_get_roundtrip() {
         let mut v = BitVec::new(130);
-        assert_eq!(v.len(), 130);
         for i in (0..130).step_by(3) {
             v.set(i, true);
         }

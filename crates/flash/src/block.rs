@@ -26,7 +26,7 @@ pub struct Block {
 
 impl Block {
     /// Creates an erased block of `slices` 4 KiB slices.
-    pub fn new(cell: CellType, slices: usize) -> Block {
+    pub(crate) fn new(cell: CellType, slices: usize) -> Block {
         Block {
             cell,
             cursor: 0,
@@ -54,15 +54,9 @@ impl Block {
         self.cursor
     }
 
-    /// Whether the program cursor reached the end of the block.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.cursor == self.slices
-    }
-
     /// Whether nothing has been programmed since the last erase.
     #[inline]
-    pub fn is_erased(&self) -> bool {
+    pub(crate) fn is_erased(&self) -> bool {
         self.cursor == 0
     }
 
@@ -91,7 +85,7 @@ impl Block {
 
     /// Whether slice `idx` has been programmed since the last erase.
     #[inline]
-    pub fn is_written(&self, idx: usize) -> bool {
+    pub(crate) fn is_written(&self, idx: usize) -> bool {
         idx < self.cursor
     }
 
@@ -101,7 +95,7 @@ impl Block {
     /// search only when that fails. (Only programmed slices are ever
     /// valid; the cursor test keeps that out of the argument.)
     #[inline]
-    pub fn first_dead(&self, start: usize, count: usize) -> Option<usize> {
+    pub(crate) fn first_dead(&self, start: usize, count: usize) -> Option<usize> {
         if start + count <= self.cursor && self.valid.all_ones(start, count) {
             return None;
         }
@@ -114,7 +108,7 @@ impl Block {
     /// # Errors
     ///
     /// [`FlashError::BlockFull`] when fewer than `count` slices remain.
-    pub fn program(&mut self, count: usize) -> Result<usize, FlashError> {
+    pub(crate) fn program(&mut self, count: usize) -> Result<usize, FlashError> {
         if self.cursor + count > self.slices {
             return Err(FlashError::BlockFull {
                 cursor: self.cursor,
@@ -135,7 +129,7 @@ impl Block {
     ///
     /// [`FlashError::InvalidSlice`], naming the first offender, if the run
     /// reaches a slice that was never programmed; nothing is changed then.
-    pub fn invalidate_run(&mut self, start: usize, count: usize) -> Result<(), FlashError> {
+    pub(crate) fn invalidate_run(&mut self, start: usize, count: usize) -> Result<(), FlashError> {
         if start + count > self.cursor {
             return Err(FlashError::InvalidSlice {
                 index: start.max(self.cursor),
@@ -146,7 +140,7 @@ impl Block {
     }
 
     /// Erases the block, clearing all state and bumping the wear counter.
-    pub fn erase(&mut self) {
+    pub(crate) fn erase(&mut self) {
         self.cursor = 0;
         self.valid.clear_all();
         self.erase_count += 1;
@@ -173,7 +167,7 @@ mod tests {
     fn program_past_end_rejected() {
         let mut b = Block::new(CellType::Tlc, 4);
         b.program(4).unwrap();
-        assert!(b.is_full());
+        assert_eq!(b.cursor(), b.slices());
         assert!(matches!(b.program(1), Err(FlashError::BlockFull { .. })));
     }
 
@@ -237,7 +231,7 @@ mod tests {
                 assert_eq!(b.is_valid(i), i < cursor, "valid {i} at {cursor}");
             }
         }
-        assert!(b.is_full());
+        assert_eq!(b.cursor(), b.slices());
         assert!(matches!(
             b.program(1),
             Err(FlashError::BlockFull {

@@ -20,7 +20,7 @@ use crate::bitvec::BitVec;
 
 /// Deterministic fault injector and block-retirement registry.
 #[derive(Debug, Clone)]
-pub struct FaultPlane {
+pub(crate) struct FaultPlane {
     cfg: FaultConfig,
     rng: SimRng,
     /// One bit per physical block, chip-major (same indexing as
@@ -32,7 +32,7 @@ pub struct FaultPlane {
 
 impl FaultPlane {
     /// Creates a fault plane over `total_blocks` physical blocks.
-    pub fn new(cfg: FaultConfig, total_blocks: usize) -> FaultPlane {
+    pub(crate) fn new(cfg: FaultConfig, total_blocks: usize) -> FaultPlane {
         FaultPlane {
             cfg,
             rng: SimRng::new(cfg.seed),
@@ -41,27 +41,15 @@ impl FaultPlane {
         }
     }
 
-    /// The configuration this plane was built from.
-    #[inline]
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Whether block `idx` (chip-major) is retired.
     #[inline]
-    pub fn is_retired(&self, idx: usize) -> bool {
+    pub(crate) fn is_retired(&self, idx: usize) -> bool {
         self.retired.get(idx)
-    }
-
-    /// Number of retired blocks.
-    #[inline]
-    pub fn retired_count(&self) -> u64 {
-        self.retired.count_ones() as u64
     }
 
     /// Permanently retires block `idx`. Returns `true` if the block was
     /// not already retired.
-    pub fn retire(&mut self, idx: usize) -> bool {
+    pub(crate) fn retire(&mut self, idx: usize) -> bool {
         if self.retired.get(idx) {
             return false;
         }
@@ -72,14 +60,14 @@ impl FaultPlane {
     /// Draws whether the next program operation fails. Never touches the
     /// RNG when the rate is zero.
     #[inline]
-    pub fn program_fails(&mut self) -> bool {
+    pub(crate) fn program_fails(&mut self) -> bool {
         self.cfg.program_fail_rate > 0.0 && self.rng.chance(self.cfg.program_fail_rate)
     }
 
     /// Draws whether the next block erase fails. Never touches the RNG
     /// when the rate is zero.
     #[inline]
-    pub fn erase_fails(&mut self) -> bool {
+    pub(crate) fn erase_fails(&mut self) -> bool {
         self.cfg.erase_fail_rate > 0.0 && self.rng.chance(self.cfg.erase_fail_rate)
     }
 
@@ -87,7 +75,7 @@ impl FaultPlane {
     /// the time, otherwise uniform in `1..=max_read_retries`. Never
     /// touches the RNG when the rate is zero.
     #[inline]
-    pub fn read_retry_steps(&mut self) -> u32 {
+    pub(crate) fn read_retry_steps(&mut self) -> u32 {
         if self.cfg.read_retry_rate <= 0.0 || !self.rng.chance(self.cfg.read_retry_rate) {
             return 0;
         }
@@ -101,14 +89,14 @@ impl FaultPlane {
 
     /// Extra sense latency of a read-retry event of `steps` steps.
     #[inline]
-    pub fn retry_penalty(&self, steps: u32) -> SimDuration {
+    pub(crate) fn retry_penalty(&self, steps: u32) -> SimDuration {
         self.cfg.read_retry_step * u64::from(steps)
     }
 
     /// Records one program failure on block `idx`; when the grown-bad
     /// threshold is reached the block retires. Returns `true` when this
     /// failure retired the block.
-    pub fn record_program_failure(&mut self, idx: usize) -> bool {
+    pub(crate) fn record_program_failure(&mut self, idx: usize) -> bool {
         self.fail_counts[idx] = self.fail_counts[idx].saturating_add(1);
         self.cfg.grown_bad_threshold > 0
             && self.fail_counts[idx] >= self.cfg.grown_bad_threshold
@@ -167,7 +155,7 @@ mod tests {
             !p.record_program_failure(1),
             "already retired, not retired again"
         );
-        assert_eq!(p.retired_count(), 1);
+        assert_eq!((0..4).filter(|&b| p.is_retired(b)).count(), 1);
         // Threshold zero disables promotion entirely.
         cfg.grown_bad_threshold = 0;
         let mut p = FaultPlane::new(cfg, 4);

@@ -36,10 +36,8 @@ mod fault;
 mod store;
 mod wear;
 
-pub use array::{FlashArray, FlashStats, HostStage, ProgramOutcome, ReadOutcome};
-pub use bitvec::BitVec;
+pub use array::{FlashArray, FlashStats, ProgramOutcome, ReadOutcome};
 pub use block::Block;
 pub use error::FlashError;
-pub use fault::FaultPlane;
 pub use store::DataStore;
 pub use wear::{erase_budget, RegionWear, WearReport};

@@ -38,7 +38,7 @@ impl DataStore {
 
     /// Whether payloads are retained.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -64,11 +64,6 @@ impl DataStore {
         self.slices.get(&ppa.raw()).map(|b| b.as_ref())
     }
 
-    /// Drops the payload of one slice.
-    pub fn remove(&mut self, ppa: Ppa) {
-        self.remove_range(ppa, 1);
-    }
-
     /// Drops all payloads in `[first, first + count)` linear slice
     /// addresses (used on block erase). A store that holds nothing — every
     /// timing-only device — returns before hashing a single key.
@@ -79,16 +74,6 @@ impl DataStore {
         for i in 0..count {
             self.slices.remove(&(first.raw() + i));
         }
-    }
-
-    /// Number of retained slices.
-    pub fn len(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Whether no payloads are retained.
-    pub fn is_empty(&self) -> bool {
-        self.slices.is_empty()
     }
 }
 
@@ -105,7 +90,6 @@ mod tests {
         let mut s = DataStore::new(false);
         s.put(Ppa(1), &slice_of(7));
         assert!(s.get(Ppa(1)).is_none());
-        assert!(s.is_empty());
         assert!(!s.is_enabled());
     }
 
@@ -115,9 +99,8 @@ mod tests {
     fn disabled_store_mutations_are_noops() {
         let mut s = DataStore::new(false);
         s.put(Ppa(1), &slice_of(7));
-        s.remove(Ppa(1));
+        s.remove_range(Ppa(1), 1);
         s.remove_range(Ppa(0), 960);
-        assert_eq!(s.len(), 0);
         assert!(s.get(Ppa(1)).is_none());
     }
 
@@ -127,12 +110,14 @@ mod tests {
     fn enabled_store_early_out_only_when_empty() {
         let mut s = DataStore::new(true);
         s.remove_range(Ppa(0), 8);
-        assert!(s.is_empty());
         s.put(Ppa(20), &slice_of(3));
         s.remove_range(Ppa(0), 8);
-        assert_eq!(s.len(), 1, "a slice outside the range survives");
+        assert!(
+            s.get(Ppa(20)).is_some(),
+            "a slice outside the range survives"
+        );
         s.remove_range(Ppa(16), 8);
-        assert!(s.is_empty());
+        assert!(s.get(Ppa(20)).is_none());
     }
 
     #[test]
@@ -141,8 +126,8 @@ mod tests {
         s.put(Ppa(5), &slice_of(1));
         assert_eq!(s.get(Ppa(5)).unwrap()[0], 1);
         assert!(s.get(Ppa(9)).is_none());
-        s.remove(Ppa(5));
-        assert!(s.is_empty());
+        s.remove_range(Ppa(5), 1);
+        assert!(s.get(Ppa(5)).is_none());
     }
 
     #[test]
@@ -152,9 +137,9 @@ mod tests {
             s.put(Ppa(100 + i), &slice_of(i as u8));
         }
         s.remove_range(Ppa(100), 5);
-        assert_eq!(s.len(), 5);
-        assert!(s.get(Ppa(104)).is_none());
-        assert!(s.get(Ppa(105)).is_some());
+        for i in 0..10 {
+            assert_eq!(s.get(Ppa(100 + i)).is_some(), i >= 5, "slice {i}");
+        }
     }
 
     #[test]
