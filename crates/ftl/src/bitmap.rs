@@ -26,9 +26,10 @@ impl MapBitmap {
         }
     }
 
-    /// SRAM the bitmap occupies, in bytes (the paper's overhead argument).
-    #[inline]
-    pub fn overhead_bytes(&self) -> u64 {
+    /// SRAM the bitmap occupies, in bytes (the paper's overhead argument,
+    /// which the tests hold it to).
+    #[cfg(test)]
+    fn overhead_bytes(&self) -> u64 {
         self.bits.len() as u64
     }
 
@@ -37,7 +38,7 @@ impl MapBitmap {
     /// # Panics
     ///
     /// Panics if `lpn` is out of range.
-    pub fn set(&mut self, lpn: Lpn, granularity: MapGranularity) {
+    pub(crate) fn set(&mut self, lpn: Lpn, granularity: MapGranularity) {
         assert!(lpn.raw() < self.capacity, "lpn {lpn} out of range");
         let idx = (lpn.raw() / 4) as usize;
         let shift = (lpn.raw() % 4) * 2;
@@ -81,12 +82,6 @@ impl MapBitmap {
         let shift = (lpn.raw() % 4) * 2;
         MapGranularity::from_bits((self.bits[idx] >> shift) & 0b11)
             .expect("bitmap never stores the reserved pattern")
-    }
-
-    /// Static overhead for a device of `capacity_slices` pages, without
-    /// building the bitmap.
-    pub fn overhead_for(capacity_slices: u64) -> u64 {
-        capacity_slices.div_ceil(4)
     }
 }
 
@@ -163,7 +158,7 @@ mod tests {
     fn overhead_matches_paper_scale() {
         // 1 TB at 4 KiB pages = 268_435_456 pages → 64 MiB of SRAM.
         let pages = 1_u64 << 40 >> 12;
-        assert_eq!(MapBitmap::overhead_for(pages), 64 * 1024 * 1024);
+        assert_eq!(MapBitmap::new(pages).overhead_bytes(), 64 * 1024 * 1024);
         // Our 1.5 GB evaluation device: ~96 KiB, i.e. ~0.006 %.
         let b = MapBitmap::new(393_216);
         assert_eq!(b.overhead_bytes(), 98_304);

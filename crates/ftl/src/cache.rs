@@ -80,20 +80,18 @@ impl L2pCache {
 
     /// Capacity in entries.
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.lru.capacity()
     }
 
     /// Resident entries.
     #[inline]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "callers count entries; none asks whether the cache is empty"
+    )]
     pub fn len(&self) -> usize {
         self.lru.len()
-    }
-
-    /// Whether the cache holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
     }
 
     /// Total LRU evictions so far.

@@ -54,8 +54,8 @@ pub use buffer::WriteBuffer;
 pub use cache::{L2pCache, LookupResult};
 pub use lru::{InsertOutcome, LruCache};
 pub use mapping::{MapEntry, MappingTable};
-pub use owner::{block_runs, OwnerIter, OwnerMap};
-pub use strategy::{mapping_fetches, pins_aggregates, sram_overhead_bytes};
+pub use owner::{block_runs, OwnerMap};
+pub use strategy::{mapping_fetches, pins_aggregates};
 
 #[cfg(test)]
 mod proptests;

@@ -77,7 +77,7 @@ pub enum InsertOutcome {
 /// c.insert(2, false);
 /// c.touch(1); // 1 becomes most recent
 /// assert_eq!(c.insert(3, false), InsertOutcome::Evicted(2));
-/// assert!(c.contains(1) && c.contains(3) && !c.contains(2));
+/// assert!(c.touch(1) && c.touch(3) && !c.touch(2));
 /// ```
 #[derive(Debug)]
 pub struct LruCache {
@@ -119,7 +119,7 @@ impl LruCache {
 
     /// Number of resident entries.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
@@ -131,7 +131,7 @@ impl LruCache {
 
     /// Configured capacity in entries.
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -143,7 +143,7 @@ impl LruCache {
 
     /// Whether `key` is resident (does not touch recency).
     #[inline]
-    pub fn contains(&self, key: u64) -> bool {
+    pub(crate) fn contains(&self, key: u64) -> bool {
         self.map.contains_key(&key)
     }
 
@@ -272,7 +272,7 @@ impl LruCache {
     /// Removes every key for which `pred` returns true; returns how many
     /// were removed. Walks the recency list, unlinking as it goes, so it
     /// allocates nothing (zone reset calls it on every reset).
-    pub fn retain_not<F: FnMut(u64) -> bool>(&mut self, mut pred: F) -> usize {
+    pub(crate) fn retain_not<F: FnMut(u64) -> bool>(&mut self, mut pred: F) -> usize {
         let mut removed = 0;
         let mut idx = self.head;
         while idx != NIL {
@@ -287,7 +287,7 @@ impl LruCache {
     }
 
     /// Drops every entry.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.nodes.clear();
         self.free.clear();

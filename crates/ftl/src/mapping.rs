@@ -95,31 +95,19 @@ impl MappingTable {
 
     /// Logical capacity in slices.
     #[inline]
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.ppas.len() as u64
-    }
-
-    /// Slices per chunk.
-    #[inline]
-    pub fn chunk_slices(&self) -> u64 {
-        self.chunk_slices
-    }
-
-    /// Slices per zone.
-    #[inline]
-    pub fn zone_slices(&self) -> u64 {
-        self.zone_slices
     }
 
     /// The chunk containing a logical page.
     #[inline]
-    pub fn chunk_of(&self, lpn: Lpn) -> ChunkId {
+    pub(crate) fn chunk_of(&self, lpn: Lpn) -> ChunkId {
         ChunkId(lpn.raw() / self.chunk_slices)
     }
 
     /// The zone containing a logical page.
     #[inline]
-    pub fn zone_of(&self, lpn: Lpn) -> ZoneId {
+    pub(crate) fn zone_of(&self, lpn: Lpn) -> ZoneId {
         ZoneId(lpn.raw() / self.zone_slices)
     }
 
@@ -363,11 +351,6 @@ impl MappingTable {
         self.get(lpn).map(|e| e.granularity)
     }
 
-    /// Number of mapped entries (for tests and reports).
-    pub fn mapped_count(&self) -> u64 {
-        self.ppas.iter().filter(|slot| **slot != 0).count() as u64
-    }
-
     /// Mapped slices inside one zone — the utilization column of the
     /// per-zone heatmap snapshot.
     pub fn zone_mapped_slices(&self, zone: ZoneId) -> u64 {
@@ -471,7 +454,7 @@ mod tests {
             t.set(Lpn(i), Ppa(i), true);
         }
         t.unmap_zone(ZoneId(1));
-        assert_eq!(t.mapped_count(), 16);
+        assert_eq!(t.iter_mapped().count(), 16);
         assert!(t.get(Lpn(16)).is_none());
         assert!(t.get(Lpn(15)).is_some());
     }

@@ -200,18 +200,17 @@ impl OwnerMap {
     }
 
     /// Number of recorded owners.
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "callers count owners; none asks whether the map is empty"
+    )]
     pub fn len(&self) -> usize {
         self.dense_len + self.overflow.len()
     }
 
-    /// Whether no owner is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Live entries in ascending `Ppa` order (the `BTreeMap` order the
     /// map replaced): the dense stream and the overflow stream merged.
-    pub fn iter(&self) -> OwnerIter<'_> {
+    pub fn iter(&self) -> impl Iterator<Item = (Ppa, Lpn)> + '_ {
         OwnerIter {
             map: self,
             next_dense: 0,
@@ -242,7 +241,7 @@ pub fn block_runs(
 
 /// Merged in-order iterator over [`OwnerMap`]; yields pairs by value.
 #[derive(Debug)]
-pub struct OwnerIter<'a> {
+struct OwnerIter<'a> {
     map: &'a OwnerMap,
     next_dense: usize,
     overflow: std::iter::Peekable<std::collections::btree_map::Iter<'a, Ppa, Lpn>>,
@@ -323,7 +322,6 @@ mod tests {
             reference.insert(outside, Lpn(99));
 
             assert_eq!(dense.len(), reference.len());
-            assert!(!dense.is_empty());
             assert!(dense.contains_key(outside));
             assert_eq!(dense.get(Ppa(base + spb)), Some(Lpn(2)));
 
@@ -397,7 +395,7 @@ mod tests {
         let ppas: Vec<_> = table.ppas(LpnRange::new(Lpn(0), 5)).collect();
         let (hi, lo) = (Some(Ppa(last)), Some(Ppa(last - 1)));
         assert_eq!(ppas, [hi, hi, lo, hi, None]);
-        assert_eq!(table.mapped_count(), 4);
+        assert_eq!(table.iter_mapped().count(), 4);
 
         let g = Geometry::tiny();
         let mut owners = OwnerMap::new(&g, 0..g.slc_blocks_per_chip);

@@ -41,14 +41,6 @@ pub fn pins_aggregates(strategy: SearchStrategy) -> bool {
     matches!(strategy, SearchStrategy::Pinned)
 }
 
-/// SRAM overhead in bytes a strategy adds beyond the L2P cache itself.
-pub fn sram_overhead_bytes(strategy: SearchStrategy, capacity_slices: u64) -> u64 {
-    match strategy {
-        SearchStrategy::Bitmap => crate::MapBitmap::overhead_for(capacity_slices),
-        SearchStrategy::Multiple | SearchStrategy::Pinned => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,12 +78,5 @@ mod tests {
         assert!(pins_aggregates(SearchStrategy::Pinned));
         assert!(!pins_aggregates(SearchStrategy::Bitmap));
         assert!(!pins_aggregates(SearchStrategy::Multiple));
-    }
-
-    #[test]
-    fn only_bitmap_costs_sram() {
-        assert!(sram_overhead_bytes(SearchStrategy::Bitmap, 1 << 20) > 0);
-        assert_eq!(sram_overhead_bytes(SearchStrategy::Multiple, 1 << 20), 0);
-        assert_eq!(sram_overhead_bytes(SearchStrategy::Pinned, 1 << 20), 0);
     }
 }
