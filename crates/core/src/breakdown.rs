@@ -31,7 +31,7 @@ pub struct TimeBreakdown {
 
 impl TimeBreakdown {
     /// Total attributed time.
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.mapping_fetch
             + self.data_read
             + self.write_path
@@ -57,7 +57,7 @@ impl TimeBreakdown {
     }
 
     /// Fraction of attributed time spent in `part`, in `[0, 1]`.
-    pub fn share(&self, part: SimDuration) -> f64 {
+    pub(crate) fn share(&self, part: SimDuration) -> f64 {
         let total = self.total().as_nanos();
         if total == 0 {
             0.0

@@ -8,8 +8,7 @@
 
 use conzone_ftl::block_runs;
 use conzone_types::{
-    to_index, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, Ppa, SimTime, SpanKind,
-    SuperblockId, ZoneId,
+    to_index, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, Ppa, SimTime, SpanKind, ZoneId,
 };
 
 use crate::device::ConZone;
@@ -274,10 +273,5 @@ impl ConZone {
             self.reset_reference(zone),
             "reset walk of zone {zone} disagrees with the SLC owner scan"
         );
-    }
-
-    /// Superblocks currently on the SLC used (GC-eligible) list, for tests.
-    pub fn slc_used_superblocks(&self) -> Vec<SuperblockId> {
-        self.slc.used.clone()
     }
 }

@@ -3,11 +3,11 @@
 //! The emulator's correctness rests on a handful of cross-structure
 //! agreements — the L2P table, the flash validity bitmaps, the SLC owner
 //! map and the per-zone write-pointer bookkeeping must all describe the
-//! same device state. [`ConZone::check_invariants`] walks the full state
+//! same device state. `ConZone::check_invariants` walks the full state
 //! and returns every disagreement it finds; the `debug_assert_invariants`
 //! hooks run it after every SLC garbage-collection pass and every
-//! power-cycle remount in debug and test builds, and compile to nothing
-//! in release builds (the checker is `O(capacity)` per call).
+//! power-cycle remount in debug and test builds. Release builds compile
+//! neither the hooks nor the checker (it is `O(capacity)` per call).
 //!
 //! The invariants, and the corruption each one catches:
 //!
@@ -35,17 +35,20 @@
 //!    partition the SLC region with no duplicates, and every free
 //!    superblock is fully erased.
 
+#[cfg(any(test, debug_assertions))]
 use std::collections::{BTreeMap, BTreeSet};
+#[cfg(any(test, debug_assertions))]
 use std::fmt;
 
+#[cfg(any(test, debug_assertions))]
 use conzone_types::{ChipId, Lpn, Ppa, ZoneId, ZoneState};
 
 use crate::device::ConZone;
 
 /// Which structural invariant a violation breaks.
+#[cfg(any(test, debug_assertions))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[non_exhaustive]
-pub enum InvariantKind {
+pub(crate) enum InvariantKind {
     /// Two mapped logical pages share one physical slice.
     MappingDuplicatePpa,
     /// A mapped logical page points at a slice the flash marks invalid.
@@ -73,6 +76,7 @@ pub enum InvariantKind {
     SlcPartition,
 }
 
+#[cfg(any(test, debug_assertions))]
 impl fmt::Display for InvariantKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -93,20 +97,23 @@ impl fmt::Display for InvariantKind {
 }
 
 /// One structural disagreement found by [`ConZone::check_invariants`].
+#[cfg(any(test, debug_assertions))]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvariantViolation {
+pub(crate) struct InvariantViolation {
     /// Which invariant broke.
-    pub kind: InvariantKind,
+    pub(crate) kind: InvariantKind,
     /// Human-readable description naming the offending addresses.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
+#[cfg(any(test, debug_assertions))]
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] {}", self.kind, self.detail)
     }
 }
 
+#[cfg(any(test, debug_assertions))]
 fn violation(out: &mut Vec<InvariantViolation>, kind: InvariantKind, detail: String) {
     out.push(InvariantViolation { kind, detail });
 }
@@ -128,13 +135,38 @@ fn panic_on_violations(violations: Vec<InvariantViolation>, context: &str) {
 }
 
 impl ConZone {
+    /// Panics with the violation list if any invariant is broken.
+    /// Compiled out entirely in release builds.
+    #[cfg(debug_assertions)]
+    #[track_caller]
+    pub(crate) fn debug_assert_invariants(&self, context: &str) {
+        panic_on_violations(self.check_invariants(), context);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    pub(crate) fn debug_assert_invariants(&self, _context: &str) {}
+
+    /// Mid-IO variant of [`ConZone::debug_assert_invariants`] for hooks
+    /// that fire nested inside a host request (the GC step).
+    #[cfg(debug_assertions)]
+    #[track_caller]
+    pub(crate) fn debug_assert_invariants_during_io(&self, context: &str) {
+        panic_on_violations(self.check_invariants_during_io(), context);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    pub(crate) fn debug_assert_invariants_during_io(&self, _context: &str) {}
+}
+
+#[cfg(any(test, debug_assertions))]
+impl ConZone {
     /// Walks the full device state and returns every structural invariant
-    /// violation found (empty when the device is consistent).
-    ///
-    /// Always compiled — tests assert on the returned list directly — but
-    /// only the `debug_assert_invariants` hooks call it automatically, and
-    /// those are debug/test-only.
-    pub fn check_invariants(&self) -> Vec<InvariantViolation> {
+    /// violation found (empty when the device is consistent). Tests assert
+    /// on the returned list directly; the `debug_assert_invariants` hooks
+    /// call it in debug builds.
+    pub(crate) fn check_invariants(&self) -> Vec<InvariantViolation> {
         self.check_invariants_inner(true)
     }
 
@@ -160,30 +192,6 @@ impl ConZone {
         self.check_slc_partition(&mut out);
         out
     }
-
-    /// Panics with the violation list if any invariant is broken.
-    /// Compiled out entirely in release builds.
-    #[cfg(debug_assertions)]
-    #[track_caller]
-    pub(crate) fn debug_assert_invariants(&self, context: &str) {
-        panic_on_violations(self.check_invariants(), context);
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[inline(always)]
-    pub(crate) fn debug_assert_invariants(&self, _context: &str) {}
-
-    /// Mid-IO variant of [`ConZone::debug_assert_invariants`] for hooks
-    /// that fire nested inside a host request (the GC step).
-    #[cfg(debug_assertions)]
-    #[track_caller]
-    pub(crate) fn debug_assert_invariants_during_io(&self, context: &str) {
-        panic_on_violations(self.check_invariants_during_io(), context);
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[inline(always)]
-    pub(crate) fn debug_assert_invariants_during_io(&self, _context: &str) {}
 
     /// Invariant 1: the mapping table is injective onto the valid slices
     /// of the flash array, and covers all of them.

@@ -512,9 +512,4 @@ impl ConZone {
             }
         }
     }
-
-    /// The zone's reserved superblock (exposed for tests).
-    pub fn zone_superblock(&self, zone: ZoneId) -> SuperblockId {
-        self.cfg.geometry.zone_superblock(zone)
-    }
 }
