@@ -75,7 +75,6 @@ const NODE_BLOCK: u64 = u64::MAX;
 /// The F2FS-like allocator. Drives any [`ZonedDevice`].
 #[derive(Debug)]
 pub struct F2fsLite {
-    zone_bytes: u64,
     zone_slices: u64,
     nzones: u64,
     logs: [Option<LogCursor>; 6],
@@ -112,7 +111,6 @@ impl F2fsLite {
         let zone_bytes = dev.zone_size();
         let nzones = dev.zone_count() as u64;
         F2fsLite {
-            zone_bytes,
             zone_slices: zone_bytes / SLICE_BYTES,
             nzones,
             logs: [None; 6],
@@ -374,7 +372,7 @@ impl F2fsLite {
     /// # Errors
     ///
     /// Returns [`DeviceError::NoFreeSpace`] when no zone is reclaimable.
-    pub fn clean<D: ZonedDevice + ?Sized>(
+    pub(crate) fn clean<D: ZonedDevice + ?Sized>(
         &mut self,
         dev: &mut D,
         now: SimTime,
@@ -459,11 +457,6 @@ impl F2fsLite {
     /// Device slice currently holding file block `(file, block)`, if live.
     pub fn locate(&self, file: u64, block: u64) -> Option<u64> {
         self.files.get(&file)?.get(&block).copied()
-    }
-
-    /// Zone size this allocator was built for, in bytes.
-    pub fn zone_bytes(&self) -> u64 {
-        self.zone_bytes
     }
 }
 

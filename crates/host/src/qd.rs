@@ -76,10 +76,9 @@ pub(crate) struct IoSlot {
 /// completed command into the CQ and reaps it at the same simulated
 /// instant, so CQ occupancy never exceeds one.
 #[derive(Debug)]
-pub struct QueuePair {
+pub(crate) struct QueuePair {
     sq: VecDeque<u32>,
     cq: VecDeque<u32>,
-    depth: usize,
     slots: Vec<IoSlot>,
     free: Vec<u32>,
     inflight: u32,
@@ -88,7 +87,7 @@ pub struct QueuePair {
 impl QueuePair {
     /// A queue pair for `threads` generator threads at `depth` outstanding
     /// commands each.
-    pub fn new(threads: usize, depth: usize) -> QueuePair {
+    pub(crate) fn new(threads: usize, depth: usize) -> QueuePair {
         // Slot indices live in u32 (half the slab footprint of usize);
         // clamp the slot count into that index space up front so every
         // later index conversion is widening.
@@ -97,25 +96,14 @@ impl QueuePair {
         QueuePair {
             sq: VecDeque::with_capacity(n),
             cq: VecDeque::with_capacity(n),
-            depth,
             slots: vec![IoSlot::default(); n],
             free: (0..n32).rev().collect(),
             inflight: 0,
         }
     }
 
-    /// Outstanding commands allowed per thread.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Commands waiting in the submission queue.
-    pub fn pending(&self) -> usize {
-        self.sq.len()
-    }
-
     /// Commands dispatched to the device but not yet reaped.
-    pub fn inflight(&self) -> u32 {
+    pub(crate) fn inflight(&self) -> u32 {
         self.inflight
     }
 
@@ -175,7 +163,7 @@ impl QueuePair {
 }
 
 /// One tenant of a multi-tenant run: a named workload with an arbitration
-/// weight, backed by its own [`QueuePair`].
+/// weight, backed by its own queue pair.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     /// Tenant name for reports (e.g. `"reader"`).

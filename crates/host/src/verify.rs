@@ -12,7 +12,7 @@ use conzone_types::{to_index, SLICE_BYTES, SLICE_LEN};
 ///
 /// Every 4 KiB slice is generated independently from `(seed, slice
 /// offset)`, so partially overlapping requests still verify.
-pub fn payload_for(seed: u64, offset: u64, len: u64) -> Bytes {
+pub(crate) fn payload_for(seed: u64, offset: u64, len: u64) -> Bytes {
     let mut v = Vec::with_capacity(to_index(len));
     let slices = len / SLICE_BYTES;
     for s in 0..slices {

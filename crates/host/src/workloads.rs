@@ -275,7 +275,7 @@ mod tests {
         for preset in WorkloadPreset::ALL {
             let mut d = dev();
             let trace = preset.build(d.zone_size(), d.zone_count() as u64, 7);
-            assert!(!trace.is_empty(), "{}", preset.name());
+            assert!(trace.len() > 0, "{}", preset.name());
             let report = replay_trace(&mut d, &trace, SimTime::ZERO, false)
                 .unwrap_or_else(|e| panic!("{}: {e}", preset.name()));
             assert_eq!(report.ops, trace.len() as u64, "{}", preset.name());
