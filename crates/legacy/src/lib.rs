@@ -171,11 +171,6 @@ impl LegacyDevice {
         }
     }
 
-    /// Logical capacity in slices (physical minus over-provisioning).
-    pub fn logical_slices(&self) -> u64 {
-        self.logical_slices
-    }
-
     /// Discards (trims) a 4 KiB-aligned byte range: mappings are dropped
     /// and the physical slices invalidated immediately, so GC never moves
     /// them. This is exactly the signal whose *absence* creates the
