@@ -52,7 +52,14 @@ pub struct NamedJob {
     pub job: FioJob,
 }
 
-fn parse_size(s: &str, line: usize) -> Result<u64, ParseFioError> {
+/// Parses "4k", "512K", "16m", "1g" or plain bytes — the sizes of a job
+/// file and of the `conzone` CLI's flags.
+///
+/// # Errors
+///
+/// `bad size '…': …` for anything else, including a size past the `u64`
+/// byte space.
+pub fn parse_size(s: &str) -> Result<u64, String> {
     let s = s.trim();
     let (digits, mult) = match s.chars().last() {
         Some('k') | Some('K') => (&s[..s.len() - 1], 1024u64),
@@ -60,13 +67,11 @@ fn parse_size(s: &str, line: usize) -> Result<u64, ParseFioError> {
         Some('g') | Some('G') => (&s[..s.len() - 1], 1024 * 1024 * 1024),
         _ => (s, 1),
     };
-    digits
+    let v = digits
         .parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|e| ParseFioError {
-            line,
-            message: format!("bad size '{s}': {e}"),
-        })
+        .map_err(|e| format!("bad size '{s}': {e}"))?;
+    v.checked_mul(mult)
+        .ok_or_else(|| format!("bad size '{s}': more than {} bytes", u64::MAX))
 }
 
 /// The accumulated key/value state of a section.
@@ -109,13 +114,15 @@ impl Section {
             line,
             message: format!("bad {key}: {e}"),
         };
+        let size =
+            |value: &str| parse_size(value).map_err(|message| ParseFioError { line, message });
         match key {
             "rw" | "readwrite" => self.rw = value.to_string(),
             "rwmixread" => self.rwmixread = value.parse().map_err(bad_num)?,
-            "bs" | "blocksize" => self.bs = parse_size(value, line)?,
-            "size" => self.size = parse_size(value, line)?,
-            "io_size" => self.io_size = Some(parse_size(value, line)?),
-            "offset" => self.offset = parse_size(value, line)?,
+            "bs" | "blocksize" => self.bs = size(value)?,
+            "size" => self.size = size(value)?,
+            "io_size" => self.io_size = Some(size(value)?),
+            "offset" => self.offset = size(value)?,
             "numjobs" => self.numjobs = value.parse().map_err(bad_num)?,
             "iodepth" => self.iodepth = value.parse().map_err(bad_num)?,
             "rate_iops" => {
@@ -285,6 +292,8 @@ rate_iops=10000
         assert!(err.message.contains("unsupported rw"));
         let err = parse_fio_jobs("[j]\nbs=12q\n").unwrap_err();
         assert!(err.message.contains("bad size"));
+        let err = parse_fio_jobs("[j]\nrw=write\nsize=99999999999g\n").unwrap_err();
+        assert_eq!((err.line, err.message.contains("bad size")), (3, true));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Parse: the usage text, the flag parser and every `--flag` → typed value
 //! conversion. Nothing here touches a device.
 
-use conzone::host::{AccessPattern, QdOptions};
+use conzone::host::{parse_size, AccessPattern, QdOptions};
 use conzone::types::{
     to_index, DeviceConfig, FaultConfig, Geometry, MapGranularity, SearchStrategy, SimDuration,
 };
@@ -37,21 +37,6 @@ usage:
                     [--bursts 8] [--burst-bytes 8m] [--reads 5000] [--out trace.txt]
 ";
 
-/// Parses "4k", "512K", "16m", "1g" or plain bytes.
-pub fn parse_size(s: &str) -> Result<u64, String> {
-    let s = s.trim();
-    let (digits, mult) = match s.chars().last() {
-        Some('k') | Some('K') => (&s[..s.len() - 1], 1024u64),
-        Some('m') | Some('M') => (&s[..s.len() - 1], 1024 * 1024),
-        Some('g') | Some('G') => (&s[..s.len() - 1], 1024 * 1024 * 1024),
-        _ => (s, 1),
-    };
-    digits
-        .parse::<u64>()
-        .map(|v| v * mult)
-        .map_err(|e| format!("bad size '{s}': {e}"))
-}
-
 /// Parses "100ms", "1s", "50us", "7500ns" or plain nanoseconds.
 pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     let s = s.trim();
@@ -69,7 +54,9 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     if v == 0 {
         return Err(format!("bad duration '{s}': must be > 0"));
     }
-    Ok(SimDuration::from_nanos(v * unit))
+    v.checked_mul(unit)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| format!("bad duration '{s}': more than {} ns", u64::MAX))
 }
 
 /// NVMe addresses queues and queue entries with 16-bit fields: at most
@@ -316,6 +303,11 @@ mod tests {
         assert_eq!(parse_size("1G").unwrap(), 1 << 30);
         assert!(parse_size("x").is_err());
         assert!(parse_size("4q").is_err());
+        assert!(parse_size("17179869184g").is_err(), "2^64 bytes");
+        assert_eq!(
+            parse_size("17179869183g").unwrap(),
+            u64::MAX - (1 << 30) + 1
+        );
     }
 
     #[test]
@@ -336,6 +328,7 @@ mod tests {
         assert_eq!(parse_duration("123").unwrap(), SimDuration::from_nanos(123));
         assert!(parse_duration("0ms").is_err());
         assert!(parse_duration("fast").is_err());
+        assert!(parse_duration("18446744074s").is_err(), "past u64 ns");
     }
 
     #[test]
