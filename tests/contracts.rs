@@ -1,0 +1,105 @@
+//! ZNS contracts about simulated cost, one test each (ROADMAP item 2(a)).
+//! The interface half of the contract — which commands a zone state
+//! accepts — is `ZoneTable`'s and is checked against a naive model in
+//! `conzone-types`; these rows check what a command costs on ConZone.
+
+use conzone::types::{
+    Completion, DeviceConfig, DeviceError, IoRequest, SimDuration, SimTime, StorageDevice, ZoneId,
+    ZonedDevice,
+};
+use conzone::ConZone;
+
+fn write(dev: &mut ConZone, now: SimTime, offset: u64, len: u64) -> Completion {
+    dev.submit(now, &IoRequest::write(offset, len))
+        .unwrap_or_else(|e| panic!("write of {len} bytes at {offset}: {e}"))
+}
+
+/// Limits reject rather than stall: with `max_open_zones` zones open, a
+/// write that would open one more is refused on the spot, and it leaves
+/// nothing behind — a twin device that never saw it completes the same
+/// next write at the same instant and shows the same zones.
+///
+/// Deviation, pinned here: ConZone books `host_write_ops` and
+/// `host_write_bytes` before it admits a write, so the refused command is
+/// still counted as one host write of its length. Nothing else differs.
+#[test]
+fn open_zone_limit_rejects_rather_than_stalls() {
+    let cfg = DeviceConfig::tiny_for_tests();
+    let (limit, zone) = (cfg.max_open_zones, cfg.zone_size_bytes());
+    let (mut dev, mut twin) = (ConZone::new(cfg.clone()), ConZone::new(cfg));
+    let mut t = SimTime::ZERO;
+    for z in 0..limit as u64 {
+        let done = write(&mut dev, t, z * zone, 4096);
+        assert_eq!(write(&mut twin, t, z * zone, 4096).finished, done.finished);
+        t = done.finished;
+    }
+
+    let refused = dev.submit(t, &IoRequest::write(limit as u64 * zone, 4096));
+    assert_eq!(
+        refused.unwrap_err(),
+        DeviceError::TooManyOpenZones { limit }
+    );
+
+    let next = write(&mut dev, t, 4096, 4096);
+    assert_eq!(next.finished, write(&mut twin, t, 4096, 4096).finished);
+    for z in 0..dev.zone_count() as u64 {
+        assert_eq!(dev.zone_info(ZoneId(z)), twin.zone_info(ZoneId(z)));
+    }
+    let mut counted = twin.counters();
+    counted.host_write_ops += 1;
+    counted.host_write_bytes += 4096;
+    assert_eq!(
+        dev.counters(),
+        counted,
+        "the refusal is counted as a host write"
+    );
+}
+
+/// Reset is near-free on an empty zone: a reset of an Empty zone, or of
+/// one whose data never left the write buffer, completes after the host
+/// overhead alone and erases nothing. A reset after one programmed unit
+/// pays at least a block erase.
+///
+/// Deviation, pinned here: a reset does not grow with occupancy beyond
+/// that. Each zone is one superblock, erased in one parallel step
+/// however much of it was programmed, so a full zone resets exactly as
+/// fast as one holding a single unit.
+#[test]
+fn reset_is_near_free_on_an_empty_zone() {
+    let cfg = DeviceConfig::tiny_for_tests();
+    let (zone, overhead) = (cfg.zone_size_bytes(), cfg.host_overhead);
+    let unit = cfg.geometry.program_unit_bytes as u64;
+    let erase = cfg.timings.latency(cfg.normal_cell).erase;
+    let mut dev = ConZone::new(cfg);
+    let mut t = SimTime::ZERO;
+    // Each reset is issued once the media has gone idle, so its latency is
+    // its own cost, not a wait behind the writes before it. Returns the
+    // latency and the blocks erased.
+    let reset = |dev: &mut ConZone, t: &mut SimTime, z: u64| {
+        let before = dev.counters().erases_normal;
+        let done = dev
+            .reset_zone(*t + SimDuration::from_millis(100), ZoneId(z))
+            .expect("reset");
+        *t = done.finished;
+        (done.latency(), dev.counters().erases_normal - before)
+    };
+
+    // Zone 0 was never written; zone 1 holds 8 KiB, all in its buffer.
+    assert_eq!(reset(&mut dev, &mut t, 0), (overhead, 0));
+    t = write(&mut dev, t, zone, 8192).finished;
+    assert_eq!(reset(&mut dev, &mut t, 1), (overhead, 0));
+
+    // Zone 2: one programming unit, made durable by a flush.
+    t = write(&mut dev, t, 2 * zone, unit).finished;
+    t = dev.flush(t).expect("flush").finished;
+    let (one_unit, erased) = reset(&mut dev, &mut t, 2);
+    assert!(one_unit >= erase, "{one_unit} < one block erase ({erase})");
+    assert!(erased > 0);
+
+    // Zone 3, written to its end, costs the same.
+    for offset in (0..zone).step_by(256 * 1024) {
+        t = write(&mut dev, t, 3 * zone + offset, 256 * 1024).finished;
+    }
+    t = dev.flush(t).expect("flush").finished;
+    assert_eq!(reset(&mut dev, &mut t, 3), (one_unit, erased));
+}
