@@ -259,6 +259,12 @@ pub(crate) struct Tenant<'a> {
     arrivals: Option<Arrivals>,
 }
 
+/// The last instant a request may arrive at, on an open-loop schedule or
+/// from a replayed trace: half the `u64` nanosecond range (≈ 292 years).
+/// What a device adds to an arrival, and the requests queued behind it,
+/// then stay inside `SimTime`.
+pub(crate) const ARRIVAL_HORIZON: SimTime = SimTime::from_nanos(u64::MAX / 2);
+
 /// An open-loop job's Poisson arrival schedule, drawn one arrival at a time
 /// as the previous one is served: arrivals are the only events of an
 /// open-loop run, so the event queue holds one at a time however many
@@ -293,8 +299,8 @@ impl Arrivals {
     ///
     /// # Errors
     ///
-    /// [`HostError::BadJob`] when the arrival would fall past the end of
-    /// simulated time.
+    /// [`HostError::BadJob`] when the arrival would fall past
+    /// [`ARRIVAL_HORIZON`].
     fn next(&mut self) -> Result<Option<(SimTime, usize)>, HostError> {
         if self.drawn == self.total {
             return Ok(None);
@@ -312,6 +318,7 @@ impl Arrivals {
         self.at = self
             .at
             .checked_add(SimDuration::from_nanos(gap_ns))
+            .filter(|&at| at <= ARRIVAL_HORIZON)
             .ok_or_else(|| {
                 HostError::BadJob(format!(
                     "at {} IOPS, arrival {} of {} falls past the end of simulated time",

@@ -16,7 +16,7 @@
 use conzone_sim::SimRng;
 use conzone_types::{IoRequest, SimTime, ZonedDevice, SLICE_BYTES};
 
-use crate::runner::{HostError, JobReport, Tally};
+use crate::runner::{HostError, JobReport, Tally, ARRIVAL_HORIZON};
 
 /// One trace operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,7 +334,9 @@ impl MobileTraceBuilder {
 ///
 /// # Errors
 ///
-/// Propagates device errors with the offending offset.
+/// Propagates device errors with the offending offset;
+/// [`HostError::BadJob`] for an open-loop op timestamped past the arrival
+/// horizon (≈ 292 years after `start`'s origin).
 pub fn replay_trace<D: ZonedDevice + ?Sized>(
     dev: &mut D,
     trace: &Trace,
@@ -346,7 +348,14 @@ pub fn replay_trace<D: ZonedDevice + ?Sized>(
     let mut t = start;
     for op in trace.ops() {
         let issue = if open_loop {
-            t.max(start + (op.at - SimTime::ZERO))
+            let at = start.checked_add(op.at - SimTime::ZERO);
+            let at = at.filter(|&at| at <= ARRIVAL_HORIZON).ok_or_else(|| {
+                HostError::BadJob(format!(
+                    "trace op at {} falls past the end of simulated time",
+                    op.at
+                ))
+            })?;
+            t.max(at)
         } else {
             t
         };
@@ -429,6 +438,22 @@ mod tests {
         assert_eq!(report.ops, trace.len() as u64);
         assert!(report.bandwidth_mibs() > 0.0);
         assert!(report.counters.host_read_ops >= 200);
+    }
+
+    /// An op timestamped past the arrival horizon is a bad job, not an
+    /// overflow in the device's `now + latency`.
+    #[test]
+    fn an_open_loop_op_past_the_end_of_time_is_a_bad_job() {
+        let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
+        let trace = Trace::parse("0 W 0 4096\n18446744073709551000 W 4096 4096\n").unwrap();
+        let err = replay_trace(&mut dev, &trace, SimTime::ZERO, true).unwrap_err();
+        assert!(
+            matches!(&err, HostError::BadJob(why) if why.contains("end of simulated time")),
+            "{err}"
+        );
+        // Back to back, the timestamps are ignored.
+        let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
+        replay_trace(&mut dev, &trace, SimTime::ZERO, false).unwrap();
     }
 
     #[test]

@@ -59,7 +59,8 @@ fn internal(e: FlashError) -> DeviceError {
 /// padding of a premature flush.
 #[derive(Debug)]
 struct PendingRun {
-    /// First logical page not yet programmed; `None` marks flush padding.
+    /// First logical page not yet programmed; `None` marks flush padding,
+    /// or slices GC moved whose page has a newer copy queued.
     lpn: Option<Lpn>,
     /// Slices not yet programmed.
     count: usize,
@@ -119,10 +120,12 @@ pub struct LegacyDevice {
     probe: Probe,
     /// Reused buffers, so the steady-state write and GC path allocates
     /// nothing with data backing off: the pieces and payload of the unit
-    /// being programmed, and the live slices of the GC victim.
+    /// being programmed, the live slices of the GC victim, and those of
+    /// them whose page has a newer copy pending.
     unit_pieces: Vec<(Option<Lpn>, usize)>,
     unit_payload: Vec<u8>,
     gc_ppas: Vec<Ppa>,
+    superseded: Vec<Ppa>,
 }
 
 impl LegacyDevice {
@@ -167,6 +170,9 @@ impl LegacyDevice {
             unit_pieces: Vec::new(),
             unit_payload: Vec::new(),
             gc_ppas: Vec::new(),
+            // GC runs while the host's pending slices make up one unit at
+            // most; twice that is room enough.
+            superseded: Vec::with_capacity(2 * g.slices_per_unit()),
             cfg,
         }
     }
@@ -400,6 +406,7 @@ impl LegacyDevice {
         let mut ppas = std::mem::take(&mut self.gc_ppas);
         ppas.clear();
         self.flash.superblock_valid_ppas_into(victim, &mut ppas);
+        self.find_superseded(victim);
         self.probe.emit(
             now,
             DeviceEvent::GcBegin {
@@ -423,6 +430,26 @@ impl LegacyDevice {
         Ok(t)
     }
 
+    /// Collects the live slices of GC victim `victim` whose page the host
+    /// has written again since: the new copy waits in the pending queue,
+    /// ahead of anything the pass queues.
+    fn find_superseded(&mut self, victim: SuperblockId) {
+        self.superseded.clear();
+        for run in &self.pending {
+            let Some(start) = run.lpn else {
+                continue;
+            };
+            for lpn in LpnRange::new(start, run.count as u64).iter() {
+                match self.table.get(lpn) {
+                    Some(e) if self.cfg.geometry.decode_ppa(e.ppa).block == victim.index() => {
+                        self.superseded.push(e.ppa);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
     /// Reads a GC victim's live slices and re-queues them through the
     /// pending buffer, flushing in units; they land on the (different)
     /// open superblock. Their old mappings are dropped immediately — the
@@ -443,18 +470,23 @@ impl LegacyDevice {
                 .owner
                 .get(first)
                 .expect("valid legacy slice has an owner");
+            let dead = self.superseded.contains(&first);
             let n = 1 + ppas[at + 1..]
                 .iter()
                 .zip(1..)
                 .take_while(|&(p, d)| {
-                    *p == first.offset(d) && self.owner.get(*p) == Some(lpn.offset(d))
+                    *p == first.offset(d)
+                        && self.owner.get(*p) == Some(lpn.offset(d))
+                        && self.superseded.contains(p) == dead
                 })
                 .count();
             let data = out
                 .data
                 .as_ref()
                 .map(|d| d[at * SLICE_LEN..(at + n) * SLICE_LEN].to_vec());
-            self.queue(Some(lpn), n, data);
+            // A superseded page still moves, but lands dead: behind its
+            // newer pending copy it would otherwise win.
+            self.queue((!dead).then_some(lpn), n, data);
             let owners = LpnRange::new(lpn, n as u64);
             self.table.unmap_extent(owners.start, owners.count);
             self.owner.remove_run(first, n);

@@ -224,6 +224,7 @@ impl ReferenceLegacy {
         self.counters.gc_runs += 1;
         self.in_gc = true;
         let ppas = self.flash.superblock_valid_ppas(victim);
+        let queued = self.pending.len();
         let mut t = now;
         if !ppas.is_empty() {
             let out = self.flash.read_slices(t, &ppas).map_err(internal)?;
@@ -237,7 +238,10 @@ impl ReferenceLegacy {
                     .data
                     .as_ref()
                     .map(|d| d[i * SLICE_BYTES as usize..(i + 1) * SLICE_BYTES as usize].to_vec());
-                self.pending.push_back(PendingSlice { lpn, data });
+                // A page the host has written again since lands dead.
+                let superseded = self.pending.iter().take(queued).any(|p| p.lpn == lpn);
+                let to = if superseded { Lpn(u64::MAX) } else { lpn };
+                self.pending.push_back(PendingSlice { lpn: to, data });
                 self.table.unmap(lpn);
                 self.owner.remove(&ppa.raw());
                 self.cache.remove(lpn.raw());

@@ -478,6 +478,10 @@ fn run_shape(
 }
 
 #[cfg(test)]
+#[path = "argv_fuzz.rs"]
+mod argv_fuzz;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::args::{args, cli};

@@ -269,6 +269,9 @@ fn hostile_flag_values_are_rejected_cleanly() {
         "0 W 0 18446744073709551615\n0 W 0 18446744073709551615\n",
     )
     .unwrap();
+    // A write timestamped 615 ns before the end of `SimTime`.
+    let late_trace = dir.join("late.trace");
+    std::fs::write(&late_trace, "18446744073709551000 W 0 4096\n").unwrap();
     let run_flags = [
         "--threads 0",
         "--threads 99999999999",
@@ -305,8 +308,11 @@ fn hostile_flag_values_are_rejected_cleanly() {
     let scenarios = scenarios
         .iter()
         .map(|s| format!("scenario {s} --config tiny"));
-    let replay = format!("replay {} --config tiny", huge_trace.display());
-    for case in runs.chain(scenarios).chain([replay]) {
+    let replays = [
+        format!("replay {} --config tiny", huge_trace.display()),
+        format!("replay {} --config tiny --open-loop", late_trace.display()),
+    ];
+    for case in runs.chain(scenarios).chain(replays) {
         let args: Vec<&str> = case.split(' ').collect();
         let (ok, stdout, stderr) = conzone(&args);
         assert!(!ok, "`{case}` succeeded: {stdout}");

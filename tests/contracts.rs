@@ -1,7 +1,7 @@
 //! ZNS contracts about simulated cost, one test each (ROADMAP item 2(a)).
 //! The interface half of the contract — which commands a zone state
-//! accepts — is `ZoneTable`'s and is checked against a naive model in
-//! `conzone-types`; these rows check what a command costs on ConZone.
+//! accepts — is checked against the naive zoned device in
+//! `tests/oracle.rs`; these rows check what a command costs on ConZone.
 
 use conzone::types::{
     Completion, DeviceConfig, DeviceError, IoRequest, SimDuration, SimTime, StorageDevice, ZoneId,
@@ -102,4 +102,32 @@ fn reset_is_near_free_on_an_empty_zone() {
     }
     t = dev.flush(t).expect("flush").finished;
     assert_eq!(reset(&mut dev, &mut t, 3), (one_unit, erased));
+}
+
+/// Finish cost tracks the unwritten remainder: on a real device a finish
+/// pads or marks what is left of the zone, so the emptier zone costs more.
+///
+/// Deviation, pinned here: ConZone's finish drains the zone's write buffer
+/// and seals the zone, and the unwritten remainder costs nothing. With
+/// nothing buffered, a zone with one programming unit written and a zone
+/// written halfway both finish in exactly the host overhead, programming
+/// nothing.
+#[test]
+fn finish_cost_ignores_the_unwritten_remainder() {
+    let cfg = DeviceConfig::tiny_for_tests();
+    let (zone, overhead) = (cfg.zone_size_bytes(), cfg.host_overhead);
+    let unit = cfg.geometry.program_unit_bytes as u64;
+    let mut dev = ConZone::new(cfg);
+    let mut t = write(&mut dev, SimTime::ZERO, zone, unit).finished;
+    t = write(&mut dev, t, 2 * zone, zone / 2).finished;
+    t = dev.flush(t).expect("flush").finished;
+    for z in [1, 2] {
+        let programmed = dev.counters().flash_program_bytes();
+        let done = dev
+            .finish_zone(t + SimDuration::from_millis(100), ZoneId(z))
+            .expect("finish");
+        t = done.finished;
+        assert_eq!(done.latency(), overhead, "zone {z}");
+        assert_eq!(dev.counters().flash_program_bytes(), programmed, "zone {z}");
+    }
 }

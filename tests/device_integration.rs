@@ -2,7 +2,7 @@
 //! shared traits by the host runner.
 
 use conzone::host::{run_job, AccessPattern, FioJob};
-use conzone::types::{DeviceConfig, IoRequest, SimTime, StorageDevice, ZoneId, ZonedDevice};
+use conzone::types::{DeviceConfig, IoRequest, SimTime, StorageDevice, ZonedDevice};
 use conzone::{ConZone, FemuZns, LegacyDevice};
 
 fn cfg() -> DeviceConfig {
@@ -81,41 +81,6 @@ fn runner_reports_all_models() {
         .verify(true);
     let r = run_job(&mut lg, &job).expect("legacy");
     assert_eq!(r.bytes, 4 * zone);
-}
-
-/// Zoned semantics agree between the two zoned models.
-#[test]
-fn zoned_models_agree_on_semantics() {
-    let mut cz = ConZone::new(cfg());
-    let mut fm = FemuZns::new(cfg());
-
-    // Both enforce the write pointer.
-    for result in [
-        cz.submit(SimTime::ZERO, &IoRequest::write(8192, 4096)),
-        fm.submit(SimTime::ZERO, &IoRequest::write(8192, 4096)),
-    ] {
-        assert!(matches!(
-            result,
-            Err(conzone::types::DeviceError::NotWritePointer { .. })
-        ));
-    }
-
-    // Both expose zone info and reset.
-    for (zc, zs) in [
-        (cz.zone_count(), cz.zone_size()),
-        (fm.zone_count(), fm.zone_size()),
-    ] {
-        assert!(zc > 0 && zs > 0);
-    }
-    let w = cz
-        .submit(SimTime::ZERO, &IoRequest::write(0, 4096))
-        .unwrap();
-    let r = cz.reset_zone(w.finished, ZoneId(0)).unwrap();
-    assert_eq!(
-        cz.zone_info(ZoneId(0)).unwrap().state,
-        conzone::types::ZoneState::Empty
-    );
-    let _ = r;
 }
 
 /// Identical request streams produce identical simulated timings across
