@@ -1,7 +1,9 @@
 use conzone_host::JobReport;
 use conzone_types::{MapGranularity, SearchStrategy, StorageDevice};
 
-use crate::{conzone_device, femu_device, legacy_device, mibs, run_seq_rw, ExpectedRelation, Out};
+use crate::{
+    conzone_device, femu_device, legacy_device, mibs, run_seq_rw, sweep, ExpectedRelation, Out,
+};
 
 /// Write then read sequentially on ConZone. For fairness against Legacy's
 /// chunk-sized prefetch, ConZone only aggregates mapping entries at chunk
@@ -35,20 +37,22 @@ pub fn fig6a(out: &mut Out) {
         ("Legacy", legacy),
         ("FEMU", femu),
     ];
+    let points: Vec<_> = [(1, "ST"), (4, "MT")]
+        .into_iter()
+        .flat_map(|(threads, tag)| series.map(|(name, run)| (threads, tag, name, run)))
+        .collect();
+    let results = sweep(&points, |&(threads, _, _, run)| run(threads));
     let mut rows = Vec::new();
     // (write, read) MiB/s in row order.
     let mut bw = Vec::new();
-    for (threads, tag) in [(1, "ST"), (4, "MT")] {
-        for (name, run) in series {
-            let (w, r) = run(threads);
-            rows.push(vec![
-                format!("{name} {tag}"),
-                mibs(&w),
-                mibs(&r),
-                format!("{:.3}", w.waf()),
-            ]);
-            bw.push((w.bandwidth_mibs(), r.bandwidth_mibs()));
-        }
+    for (&(_, tag, name, _), (w, r)) in points.iter().zip(&results) {
+        rows.push(vec![
+            format!("{name} {tag}"),
+            mibs(w),
+            mibs(r),
+            format!("{:.3}", w.waf()),
+        ]);
+        bw.push((w.bandwidth_mibs(), r.bandwidth_mibs()));
     }
 
     out.table(

@@ -6,49 +6,43 @@ use conzone_types::{
 };
 
 use crate::{
-    conzone_device, event_totals, fill_zoned, randread_job, trace_sink, ExpectedRelation, Out,
+    conzone_device, event_totals, fill_zoned, randread_job, sweep, trace_sink, ExpectedRelation,
+    Out,
 };
 
 const RANGES: [(u64, &str); 3] = [(1 << 20, "1MiB"), (16 << 20, "16MiB"), (1 << 30, "1GiB")];
 const OPS: u64 = 20_000;
 
-struct MappingRun {
-    /// Per range: (KIOPS, p99.9 µs, L2P miss rate).
-    perf: Vec<(f64, f64, f64)>,
-    /// Per range: event counts by kind from the measured phase's trace.
-    events: Vec<[u64; DeviceEvent::KIND_COUNT]>,
-    /// Drained trace of the last (largest-range) measured phase.
-    last_trace: Vec<TraceRecord>,
+/// One measured phase: a mapping mechanism at one read range.
+struct Point {
+    /// KIOPS, p99.9 µs and L2P miss rate.
+    perf: (f64, f64, f64),
+    /// Event counts by kind from the measured phase's trace.
+    events: [u64; DeviceEvent::KIND_COUNT],
+    /// The drained trace itself, when the point keeps it.
+    trace: Option<Vec<TraceRecord>>,
 }
 
-fn run_mapping(max_aggregation: MapGranularity) -> MappingRun {
-    let mut perf = Vec::new();
-    let mut events = Vec::new();
-    let mut last_trace = Vec::new();
-    for &(range, _) in RANGES.iter() {
-        let mut dev = conzone_device(max_aggregation, SearchStrategy::Bitmap);
-        // Same data volume in every case: fill 1 GiB once.
-        let t = fill_zoned(&mut dev, 1 << 30, 16 << 20, SimTime::ZERO).expect("fill");
-        // Warm the L2P cache to steady state so the measured tail
-        // reflects capacity misses, not cold-start compulsory misses.
-        let warm = run_job(&mut dev, &randread_job(range, OPS / 2, t).seed(7)).expect("warmup");
-        // Trace only the measured phase: the probe attaches after warmup.
-        let sink = trace_sink();
-        dev.set_probe(Probe::attached(sink.clone()));
-        let r = run_job(&mut dev, &randread_job(range, OPS, warm.finished)).expect("randread");
-        perf.push((
+fn run_point(max_aggregation: MapGranularity, range: u64, keep_trace: bool) -> Point {
+    let mut dev = conzone_device(max_aggregation, SearchStrategy::Bitmap);
+    // Same data volume in every case: fill 1 GiB once.
+    let t = fill_zoned(&mut dev, 1 << 30, 16 << 20, SimTime::ZERO).expect("fill");
+    // Warm the L2P cache to steady state so the measured tail
+    // reflects capacity misses, not cold-start compulsory misses.
+    let warm = run_job(&mut dev, &randread_job(range, OPS / 2, t).seed(7)).expect("warmup");
+    // Trace only the measured phase: the probe attaches after warmup.
+    let sink = trace_sink();
+    dev.set_probe(Probe::attached(sink.clone()));
+    let r = run_job(&mut dev, &randread_job(range, OPS, warm.finished)).expect("randread");
+    let records = sink.drain();
+    Point {
+        perf: (
             r.kiops(),
             r.latency.p999.as_micros_f64(),
             r.counters.l2p_miss_rate(),
-        ));
-        let records = sink.drain();
-        events.push(event_totals(&records));
-        last_trace = records;
-    }
-    MappingRun {
-        perf,
-        events,
-        last_trace,
+        ),
+        events: event_totals(&records),
+        trace: keep_trace.then_some(records),
     }
 }
 
@@ -61,19 +55,31 @@ fn run_mapping(max_aggregation: MapGranularity) -> MappingRun {
 /// latency. With `--trace-out <path>`, the hybrid 1 GiB measured phase is
 /// also written there as a Chrome trace.
 pub fn fig7(out: &mut Out) {
-    let page = run_mapping(MapGranularity::Page);
-    let hybrid = run_mapping(MapGranularity::Zone);
+    let points: Vec<(MapGranularity, u64)> = [MapGranularity::Page, MapGranularity::Zone]
+        .into_iter()
+        .flat_map(|mapping| RANGES.map(|(range, _)| (mapping, range)))
+        .collect();
+    let results = sweep(&points, |&(mapping, range)| {
+        // Only the hybrid 1 GiB phase is ever written out as a trace.
+        run_point(
+            mapping,
+            range,
+            mapping == MapGranularity::Zone && range == 1 << 30,
+        )
+    });
+    let (page, hybrid) = results.split_at(RANGES.len());
+    let hybrid_trace = hybrid[2].trace.as_deref().unwrap_or_default();
 
     let mut rows = Vec::new();
     for (i, &(_, label)) in RANGES.iter().enumerate() {
         rows.push(vec![
             label.to_string(),
-            format!("{:.1}", page.perf[i].0),
-            format!("{:.1}", page.perf[i].1),
-            format!("{:.1}%", page.perf[i].2 * 100.0),
-            format!("{:.1}", hybrid.perf[i].0),
-            format!("{:.1}", hybrid.perf[i].1),
-            format!("{:.1}%", hybrid.perf[i].2 * 100.0),
+            format!("{:.1}", page[i].perf.0),
+            format!("{:.1}", page[i].perf.1),
+            format!("{:.1}%", page[i].perf.2 * 100.0),
+            format!("{:.1}", hybrid[i].perf.0),
+            format!("{:.1}", hybrid[i].perf.1),
+            format!("{:.1}%", hybrid[i].perf.2 * 100.0),
         ]);
     }
     out.table(
@@ -104,10 +110,10 @@ pub fn fig7(out: &mut Out) {
     for (i, &(_, label)) in RANGES.iter().enumerate() {
         event_rows.push(vec![
             label.to_string(),
-            page.events[i][hit_idx].to_string(),
-            page.events[i][miss_idx].to_string(),
-            hybrid.events[i][hit_idx].to_string(),
-            hybrid.events[i][miss_idx].to_string(),
+            page[i].events[hit_idx].to_string(),
+            page[i].events[miss_idx].to_string(),
+            hybrid[i].events[hit_idx].to_string(),
+            hybrid[i].events[miss_idx].to_string(),
         ]);
     }
     out.table(
@@ -124,7 +130,7 @@ pub fn fig7(out: &mut Out) {
 
     if let Some(path) = out.trace_out.clone() {
         // Chrome trace-event JSON, loadable in Perfetto / about:tracing.
-        let trace = export::chrome_trace(&hybrid.last_trace);
+        let trace = export::chrome_trace(hybrid_trace);
         if let Err(e) = export::write_file(&path, trace) {
             out.error = Some(e);
             return;
@@ -132,12 +138,12 @@ pub fn fig7(out: &mut Out) {
         out.line(format!(
             "wrote Chrome trace of the hybrid 1 GiB measured phase \
              ({} events) to {path}",
-            hybrid.last_trace.len()
+            hybrid_trace.len()
         ));
     }
 
-    let page_drop16 = (1.0 - page.perf[1].0 / page.perf[0].0) * 100.0;
-    let page_drop1g = (1.0 - page.perf[2].0 / page.perf[0].0) * 100.0;
+    let page_drop16 = (1.0 - page[1].perf.0 / page[0].perf.0) * 100.0;
+    let page_drop1g = (1.0 - page[2].perf.0 / page[0].perf.0) * 100.0;
     out.line(format!(
         "\npage-mapping KIOPS drop vs 1 MiB range: 16 MiB {page_drop16:.1} % \
          (paper 16.5 %), 1 GiB {page_drop1g:.1} % (paper 33.5 %)"
@@ -146,8 +152,8 @@ pub fn fig7(out: &mut Out) {
     out.check([
         ExpectedRelation {
             claim: "both mechanisms match at 1 MiB (everything cached, ~20 KIOPS)",
-            holds: (page.perf[0].0 / hybrid.perf[0].0 - 1.0).abs() < 0.05,
-            evidence: format!("{:.1} vs {:.1} KIOPS", page.perf[0].0, hybrid.perf[0].0),
+            holds: (page[0].perf.0 / hybrid[0].perf.0 - 1.0).abs() < 0.05,
+            evidence: format!("{:.1} vs {:.1} KIOPS", page[0].perf.0, hybrid[0].perf.0),
         },
         ExpectedRelation {
             claim: "page mapping degrades at 16 MiB (paper −16.5 %)",
@@ -161,18 +167,18 @@ pub fn fig7(out: &mut Out) {
         },
         ExpectedRelation {
             claim: "hybrid mapping stays flat across ranges",
-            holds: (hybrid.perf[2].0 / hybrid.perf[0].0 - 1.0).abs() < 0.05,
-            evidence: format!("{:.1} vs {:.1} KIOPS", hybrid.perf[0].0, hybrid.perf[2].0),
+            holds: (hybrid[2].perf.0 / hybrid[0].perf.0 - 1.0).abs() < 0.05,
+            evidence: format!("{:.1} vs {:.1} KIOPS", hybrid[0].perf.0, hybrid[2].perf.0),
         },
         ExpectedRelation {
             claim: "hybrid tail latency stays ~50 us at 1 GiB",
-            holds: hybrid.perf[2].1 < 80.0,
-            evidence: format!("p99.9 {:.1} us", hybrid.perf[2].1),
+            holds: hybrid[2].perf.1 < 80.0,
+            evidence: format!("p99.9 {:.1} us", hybrid[2].perf.1),
         },
         ExpectedRelation {
             claim: "page-mapping tail latency grows with range",
-            holds: page.perf[2].1 > hybrid.perf[2].1,
-            evidence: format!("{:.1} vs {:.1} us", page.perf[2].1, hybrid.perf[2].1),
+            holds: page[2].perf.1 > hybrid[2].perf.1,
+            evidence: format!("{:.1} vs {:.1} us", page[2].perf.1, hybrid[2].perf.1),
         },
     ]);
 }

@@ -2,7 +2,7 @@ use conzone_core::ConZone;
 use conzone_host::run_job;
 use conzone_types::{DeviceConfig, Geometry, MapGranularity, SearchStrategy, SimTime};
 
-use crate::{fill_zoned, randread_job, ExpectedRelation, Out};
+use crate::{fill_zoned, randread_job, sweep, ExpectedRelation, Out};
 
 const FILL_ZONES: u64 = 88;
 const ZONE_BYTES: u64 = 16 * 1024 * 1024;
@@ -46,11 +46,17 @@ pub fn fig8(out: &mut Out) {
     // BITMAP and MULTIPLE run chunk-granularity hybrid mapping (the
     // partially aggregated state the paper's case study examines);
     // PINNED runs the paper's proposed zone-entry design.
-    let (bm_kiops, bm_tail, bm_miss) = run_strategy(SearchStrategy::Bitmap, MapGranularity::Chunk);
-    let (mu_kiops, mu_tail, mu_miss) =
-        run_strategy(SearchStrategy::Multiple, MapGranularity::Chunk);
-    let (pin_kiops, pin_tail, pin_miss) =
-        run_strategy(SearchStrategy::Pinned, MapGranularity::Zone);
+    let results = sweep(
+        &[
+            (SearchStrategy::Bitmap, MapGranularity::Chunk),
+            (SearchStrategy::Multiple, MapGranularity::Chunk),
+            (SearchStrategy::Pinned, MapGranularity::Zone),
+        ],
+        |&(strategy, agg)| run_strategy(strategy, agg),
+    );
+    let (bm_kiops, bm_tail, bm_miss) = results[0];
+    let (mu_kiops, mu_tail, mu_miss) = results[1];
+    let (pin_kiops, pin_tail, pin_miss) = results[2];
 
     out.table(
         "Fig. 8: L2P search strategy under hybrid mapping (4 KiB random reads)",

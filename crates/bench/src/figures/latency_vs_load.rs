@@ -2,7 +2,7 @@ use conzone_core::ConZone;
 use conzone_host::run_job;
 use conzone_types::{DeviceConfig, Geometry, MapGranularity, SimTime};
 
-use crate::{fill_zoned, randread_job, Out};
+use crate::{fill_zoned, randread_job, sweep, Out};
 
 const RANGE: u64 = 1 << 30;
 const OPS: u64 = 20_000;
@@ -34,20 +34,28 @@ fn run(agg: MapGranularity, iops: f64) -> (f64, f64, f64) {
 /// consumes extra chip time on mapping fetches, shrinking the capacity
 /// left for data.
 pub fn latency_vs_load(out: &mut Out) {
-    let mut rows = Vec::new();
-    for &offered in &[5_000.0f64, 20_000.0, 40_000.0, 60_000.0, 70_000.0, 76_000.0] {
-        let (pa, pm, pt) = run(MapGranularity::Page, offered);
-        let (ha, hm, ht) = run(MapGranularity::Zone, offered);
-        rows.push(vec![
-            format!("{:.0}", offered),
-            format!("{pa:.0}"),
-            format!("{pm:.0}"),
-            format!("{pt:.0}"),
-            format!("{ha:.0}"),
-            format!("{hm:.0}"),
-            format!("{ht:.0}"),
-        ]);
-    }
+    let loads = [5_000.0f64, 20_000.0, 40_000.0, 60_000.0, 70_000.0, 76_000.0];
+    let points: Vec<(f64, MapGranularity)> = loads
+        .iter()
+        .flat_map(|&iops| [(iops, MapGranularity::Page), (iops, MapGranularity::Zone)])
+        .collect();
+    let results = sweep(&points, |&(iops, agg)| run(agg, iops));
+    let rows: Vec<Vec<String>> = loads
+        .iter()
+        .zip(results.chunks(2))
+        .map(|(offered, pair)| {
+            let ((pa, pm, pt), (ha, hm, ht)) = (pair[0], pair[1]);
+            vec![
+                format!("{:.0}", offered),
+                format!("{pa:.0}"),
+                format!("{pm:.0}"),
+                format!("{pt:.0}"),
+                format!("{ha:.0}"),
+                format!("{hm:.0}"),
+                format!("{ht:.0}"),
+            ]
+        })
+        .collect();
     out.table(
         "Latency vs offered load: open-loop 4 KiB random reads over 1 GiB",
         &[

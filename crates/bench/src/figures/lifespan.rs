@@ -7,7 +7,7 @@ use conzone_types::{
     to_index, DeviceConfig, Geometry, IoRequest, SimTime, StorageDevice, ZoneId, ZonedDevice,
 };
 
-use crate::{ExpectedRelation, Out};
+use crate::{sweep, ExpectedRelation, Out};
 
 const EXTENT: u64 = 256 * 1024;
 const STEPS: usize = 6000;
@@ -19,6 +19,7 @@ fn small_device() -> DeviceConfig {
     DeviceConfig::builder(g).build().expect("lifespan config")
 }
 
+#[derive(Clone, Copy)]
 struct Outcome {
     user_waf: f64,
     erases: u64,
@@ -253,9 +254,10 @@ fn run_conzone() -> Outcome {
 /// measured against *user* bytes, so ConZone's host-side cleaning copies
 /// are charged fairly.
 pub fn lifespan(out: &mut Out) {
-    let cz = run_conzone();
-    let lg = run_legacy(false);
-    let lt = run_legacy(true);
+    // Legacy without trim first: its device GC makes it the longest run.
+    let runs: [fn() -> Outcome; 3] = [|| run_legacy(false), run_conzone, || run_legacy(true)];
+    let outcomes = sweep(&runs, |run| run());
+    let (lg, cz, lt) = (outcomes[0], outcomes[1], outcomes[2]);
     out.table(
         &format!(
             "Lifespan under random file churn (~{:.1} GiB user writes, 60 % live)",

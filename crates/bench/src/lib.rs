@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use conzone_core::ConZone;
@@ -132,6 +133,50 @@ pub(crate) fn mibs(report: &JobReport) -> String {
     } else {
         "n/a".to_string()
     }
+}
+
+/// Runs `run` on every point and returns the results in point order.
+///
+/// A figure's points are independent device runs: each builds its own
+/// device and shares nothing, so they run on as many scoped workers as
+/// [`std::thread::available_parallelism`] reports, each pulling the next
+/// index off a shared counter. That keeps no more devices alive at once
+/// than can make progress, and a slow point does not hold up the workers
+/// behind it; list the slowest points first where the figure allows it.
+/// The result is `points.iter().map(run)` whatever the worker count, so a
+/// figure's output does not depend on the machine. A point that panics
+/// fails the caller.
+pub(crate) fn sweep<P: Sync, R: Send>(points: &[P], run: impl Fn(&P) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(points.len()));
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<R>> = points.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter hands out indices and
+                        // publishes nothing else.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(point) = points.get(i) else {
+                            break done;
+                        };
+                        done.push((i, run(point)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, result) in handle.join().expect("sweep thread") {
+                results[i] = Some(result);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every point ran"))
+        .collect()
 }
 
 /// A ring sink big enough for one measured phase of a figure run
@@ -312,6 +357,36 @@ mod tests {
         assert!(!records.is_empty());
         let totals = event_totals(&records);
         assert_eq!(totals.iter().sum::<u64>(), records.len() as u64);
+    }
+
+    /// `sweep` returns what the serial map returns, in point order, for no
+    /// point, one point, and more points than workers whose costs differ so
+    /// that they finish out of order.
+    #[test]
+    fn sweep_equals_the_serial_map() {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cost = |&p: &u64| {
+            // Uneven costs: a point can finish before the one ahead of it.
+            std::thread::sleep(std::time::Duration::from_millis(p % 5 * 2));
+            p * p + 1
+        };
+        for n in [0, 1, 4 * workers as u64 + 3] {
+            let points: Vec<u64> = (0..n).collect();
+            let serial: Vec<u64> = points.iter().map(cost).collect();
+            assert_eq!(sweep(&points, cost), serial, "{n} points");
+        }
+    }
+
+    #[test]
+    fn a_panicking_point_fails_the_sweep() {
+        let points: Vec<u32> = (0..8).collect();
+        let swept = std::panic::catch_unwind(|| {
+            sweep(&points, |&p| {
+                assert_ne!(p, 5, "point 5 fails");
+                p
+            })
+        });
+        assert!(swept.is_err());
     }
 
     #[test]
