@@ -19,16 +19,17 @@
 )]
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use conzone_types::{
-    to_index, Counters, DeviceEvent, SimDuration, SimTime, TraceRecord, TraceSink,
-};
+use conzone_types::{Counters, DeviceEvent, SimDuration, SimTime, TraceRecord, TraceSink};
 
 /// The storage behind [`RingBufferSink`].
 #[derive(Debug)]
 struct Ring {
-    /// Grows to the sink's capacity (reserved up front), then slot
-    /// `head % capacity` is overwritten in place.
+    /// Grows to the sink's capacity (reserved up front), then is
+    /// overwritten in place, oldest first.
     records: Vec<TraceRecord>,
+    /// The slot the next record overwrites once the ring is full, which
+    /// is where the oldest retained record sits; 0 until then.
+    next: usize,
     /// Events recorded so far, overwritten ones included.
     head: u64,
 }
@@ -57,6 +58,7 @@ impl RingBufferSink {
             #[allow(clippy::disallowed_types, reason = "see the import")]
             ring: Mutex::new(Ring {
                 records: Vec::with_capacity(capacity),
+                next: 0,
                 head: 0,
             }),
             capacity,
@@ -64,8 +66,9 @@ impl RingBufferSink {
     }
 
     /// A recorder that panicked cannot have left the ring half-updated
-    /// (`record` writes the slot, then bumps `head`, and neither step
-    /// can fail), so a poisoned lock is still safe to read and write.
+    /// (`record` writes the slot, then moves `next` and bumps `head`, and
+    /// no step can fail), so a poisoned lock is still safe to read and
+    /// write.
     #[allow(clippy::disallowed_types, reason = "see the import")]
     fn ring(&self) -> MutexGuard<'_, Ring> {
         self.ring.lock().unwrap_or_else(PoisonError::into_inner)
@@ -85,14 +88,7 @@ impl RingBufferSink {
     /// them, so draining twice returns the same records.
     pub fn drain(&self) -> Vec<TraceRecord> {
         let ring = self.ring();
-        // Until the first overwrite the oldest record is slot 0; after
-        // it, the slot the next record would land in.
-        let oldest = if ring.records.len() < self.capacity {
-            0
-        } else {
-            to_index(ring.head % self.capacity as u64)
-        };
-        let (newer, older) = ring.records.split_at(oldest);
+        let (newer, older) = ring.records.split_at(ring.next);
         [older, newer].concat()
     }
 }
@@ -110,8 +106,13 @@ impl TraceSink for RingBufferSink {
         if ring.records.len() < self.capacity {
             ring.records.push(record);
         } else {
-            let slot = to_index(ring.head % self.capacity as u64);
+            let slot = ring.next;
             ring.records[slot] = record;
+            ring.next = if slot + 1 == self.capacity {
+                0
+            } else {
+                slot + 1
+            };
         }
         ring.head += 1;
     }
@@ -376,6 +377,30 @@ mod tests {
             "oldest retained is #24"
         );
         assert_eq!(records[15].event, DeviceEvent::L2pEviction { count: 39 });
+    }
+
+    /// At capacity 16, through three wraps of the slot cursor: after
+    /// every record the ring drains the last 16 events in order, and
+    /// counts the rest as dropped.
+    #[test]
+    fn ring_wraps_around_at_capacity_16() {
+        let sink = RingBufferSink::with_capacity(16);
+        assert!(sink.drain().is_empty());
+        for n in 1..=3 * 16 + 5u64 {
+            sink.record(
+                SimTime::from_nanos(n),
+                DeviceEvent::L2pEviction { count: n },
+            );
+            let first = n.saturating_sub(16) + 1;
+            let last_16: Vec<TraceRecord> = (first..=n)
+                .map(|count| TraceRecord {
+                    time: SimTime::from_nanos(count),
+                    event: DeviceEvent::L2pEviction { count },
+                })
+                .collect();
+            assert_eq!(sink.drain(), last_16, "after {n} records");
+            assert_eq!(sink.dropped(), n.saturating_sub(16));
+        }
     }
 
     #[test]
