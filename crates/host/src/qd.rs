@@ -536,7 +536,8 @@ pub fn run_tenants<D: StorageDevice + ?Sized>(
     let mut reports = Vec::with_capacity(specs.len());
     for ((spec, ts), lane) in specs.iter().zip(&tenants).zip(&front.lanes) {
         let tally = &ts.tally;
-        all.merge(&tally.hist);
+        let latency = tally.latency();
+        all.merge(&latency);
         bytes += tally.bytes;
         ops += tally.ops;
         // A tenant that completed nothing does not extend the run.
@@ -549,11 +550,11 @@ pub fn run_tenants<D: StorageDevice + ?Sized>(
             bytes: tally.bytes,
             ops: tally.ops,
             finished: tally.finished,
-            latency: tally.hist.summary(),
-            read_latency: tally.read_hist.summary(),
-            write_latency: tally.write_hist.summary(),
+            latency: latency.summary(),
+            read_latency: tally.read_latency(),
+            write_latency: tally.write_latency(),
             queue_wait: lane.wait_hist.summary(),
-            thread_latency: ts.thread_latency(),
+            thread_latency: tally.thread_latency(),
             counters: lane.counters,
         });
     }

@@ -151,46 +151,94 @@ pub(crate) fn rate_over(amount: u64, unit: u64, ops: u64, duration: SimDuration)
 
 /// Latency and volume books of one issuing stream — a tenant, a job, or a
 /// trace replay.
-#[derive(Debug, Default)]
+///
+/// A completion is recorded once, into its thread's histogram for its
+/// kind. The stream's, the per-kind and the per-thread distributions are
+/// merged from those when a report asks; merging is exact, because
+/// buckets, count, sum, minimum and maximum all add.
+#[derive(Debug)]
 pub(crate) struct Tally {
-    pub(crate) hist: LatencyHistogram,
-    pub(crate) read_hist: LatencyHistogram,
-    pub(crate) write_hist: LatencyHistogram,
+    /// Per thread, indexed by [`READ`], [`WRITE`] and [`NO_DATA`].
+    hists: Vec<[LatencyHistogram; 3]>,
     pub(crate) bytes: u64,
     pub(crate) ops: u64,
     pub(crate) finished: SimTime,
 }
 
+/// A thread's histogram of reads.
+const READ: usize = 0;
+/// A thread's histogram of writes.
+const WRITE: usize = 1;
+/// A thread's histogram of operations that move no data (zone resets).
+const NO_DATA: usize = 2;
+
+/// One histogram holding every sample of `hists`.
+fn merged<'h>(hists: impl IntoIterator<Item = &'h LatencyHistogram>) -> LatencyHistogram {
+    let mut all = LatencyHistogram::new();
+    for h in hists {
+        all.merge(h);
+    }
+    all
+}
+
 impl Tally {
-    pub(crate) fn new(start: SimTime) -> Tally {
+    /// Empty books for `threads` issuing threads, finished at `start`.
+    pub(crate) fn new(start: SimTime, threads: usize) -> Tally {
         Tally {
+            hists: (0..threads).map(|_| Default::default()).collect(),
+            bytes: 0,
+            ops: 0,
             finished: start,
-            ..Tally::default()
         }
     }
 
-    /// Books an operation that moves no data (a zone reset).
-    pub(crate) fn record(&mut self, latency: SimDuration, done: SimTime) {
-        self.hist.record(latency);
+    fn book(&mut self, thread: usize, kind: usize, latency: SimDuration, done: SimTime) {
+        self.hists[thread][kind].record(latency);
         self.ops += 1;
         self.finished = self.finished.max(done);
     }
 
-    /// Books a read or a write of `bytes`.
+    /// Books an operation of `thread` that moves no data (a zone reset).
+    pub(crate) fn record(&mut self, thread: usize, latency: SimDuration, done: SimTime) {
+        self.book(thread, NO_DATA, latency, done);
+    }
+
+    /// Books a read or a write of `bytes` by `thread`.
     pub(crate) fn record_io(
         &mut self,
+        thread: usize,
         is_read: bool,
         bytes: u64,
         latency: SimDuration,
         done: SimTime,
     ) {
-        self.record(latency, done);
-        if is_read {
-            self.read_hist.record(latency);
-        } else {
-            self.write_hist.record(latency);
-        }
+        self.book(thread, if is_read { READ } else { WRITE }, latency, done);
         self.bytes += bytes;
+    }
+
+    /// Every operation's latency.
+    pub(crate) fn latency(&self) -> LatencyHistogram {
+        merged(self.hists.iter().flatten())
+    }
+
+    /// The latency of one kind of operation, over all threads.
+    fn kind_latency(&self, kind: usize) -> LatencySummary {
+        merged(self.hists.iter().map(|h| &h[kind])).summary()
+    }
+
+    /// The reads' latency distribution.
+    pub(crate) fn read_latency(&self) -> LatencySummary {
+        self.kind_latency(READ)
+    }
+
+    /// The writes' latency distribution.
+    pub(crate) fn write_latency(&self) -> LatencySummary {
+        self.kind_latency(WRITE)
+    }
+
+    /// Per-thread latency distributions, indexed by thread id.
+    pub(crate) fn thread_latency(&self) -> Vec<LatencySummary> {
+        self.hists.iter().map(|h| merged(h).summary()).collect()
     }
 
     /// Shapes the books into a [`JobReport`].
@@ -198,7 +246,6 @@ impl Tally {
         &self,
         model: &'static str,
         started: SimTime,
-        thread_latency: Vec<LatencySummary>,
         metrics: Vec<MetricsSample>,
         counters: Counters,
     ) -> JobReport {
@@ -208,10 +255,10 @@ impl Tally {
             finished: self.finished,
             bytes: self.bytes,
             ops: self.ops,
-            latency: self.hist.summary(),
-            read_latency: self.read_hist.summary(),
-            write_latency: self.write_hist.summary(),
-            thread_latency,
+            latency: self.latency().summary(),
+            read_latency: self.read_latency(),
+            write_latency: self.write_latency(),
+            thread_latency: self.thread_latency(),
             metrics,
             counters,
         }
@@ -253,7 +300,6 @@ pub(crate) struct Tenant<'a> {
     zone_bytes: u64,
     threads: Vec<ThreadState>,
     pub(crate) tally: Tally,
-    thread_hists: Vec<LatencyHistogram>,
     writes_since_fsync: u64,
     /// An open-loop job's arrival schedule; `None` runs closed loop.
     arrivals: Option<Arrivals>,
@@ -423,8 +469,7 @@ impl<'a> Tenant<'a> {
             region_len,
             zone_bytes,
             threads,
-            tally: Tally::new(job.start),
-            thread_hists: (0..job.threads).map(|_| LatencyHistogram::new()).collect(),
+            tally: Tally::new(job.start, job.threads),
             writes_since_fsync: 0,
             arrivals: job.arrival_iops.map(|iops| Arrivals::new(job, iops)),
         })
@@ -529,14 +574,6 @@ impl<'a> Tenant<'a> {
         }
         Ok(done)
     }
-
-    /// Per-thread latency distributions, indexed by thread id.
-    pub(crate) fn thread_latency(&self) -> Vec<LatencySummary> {
-        self.thread_hists
-            .iter()
-            .map(LatencyHistogram::summary)
-            .collect()
-    }
 }
 
 /// Runs a job against any device model and collects a [`JobReport`].
@@ -603,7 +640,6 @@ fn run_single<D: StorageDevice + ?Sized>(
     Ok(tenant.tally.job_report(
         dev.model_name(),
         job.start,
-        tenant.thread_latency(),
         metrics.unwrap_or_default(),
         after.since(&before),
     ))
@@ -706,8 +742,7 @@ pub(crate) fn drive<D: StorageDevice + ?Sized>(
         let ts = &mut tenants[tenant];
         let latency = done.saturating_since(arrival);
         ts.tally
-            .record_io(is_read, ts.job.block_bytes, latency, done);
-        ts.thread_hists[thread].record(latency);
+            .record_io(thread, is_read, ts.job.block_bytes, latency, done);
         if let Some(s) = sampler.as_deref_mut() {
             s.observe(done, &dev.counters());
         }
@@ -972,6 +1007,112 @@ mod tests {
             (r.finished, r.latency.p99)
         };
         assert_eq!(run(), run());
+    }
+}
+
+/// Recording each completion once against the books as they were kept
+/// before: every completion recorded three times, into the stream's
+/// histogram, its kind's and its thread's.
+#[cfg(test)]
+mod books_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Default)]
+    struct ThreeRecordBooks {
+        hist: LatencyHistogram,
+        read_hist: LatencyHistogram,
+        write_hist: LatencyHistogram,
+        thread_hists: Vec<LatencyHistogram>,
+        bytes: u64,
+        ops: u64,
+        finished: SimTime,
+    }
+
+    impl ThreeRecordBooks {
+        fn record(&mut self, thread: usize, kind: usize, latency: SimDuration, done: SimTime) {
+            self.hist.record(latency);
+            match kind {
+                READ => self.read_hist.record(latency),
+                WRITE => self.write_hist.record(latency),
+                _ => {}
+            }
+            self.thread_hists[thread].record(latency);
+            self.ops += 1;
+            self.finished = self.finished.max(done);
+        }
+
+        fn job_report(&self) -> JobReport {
+            JobReport {
+                model: "books",
+                started: SimTime::ZERO,
+                finished: self.finished,
+                bytes: self.bytes,
+                ops: self.ops,
+                latency: self.hist.summary(),
+                read_latency: self.read_hist.summary(),
+                write_latency: self.write_hist.summary(),
+                thread_latency: self
+                    .thread_hists
+                    .iter()
+                    .map(LatencyHistogram::summary)
+                    .collect(),
+                metrics: Vec::new(),
+                counters: Counters::default(),
+            }
+        }
+    }
+
+    /// One stream: its thread count and its completions as (thread, kind,
+    /// latency magnitude, latency bits).
+    fn stream() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32, u64)>)> {
+        (
+            1usize..4,
+            prop::collection::vec((0usize..3, 0usize..3, 0u32..40, any::<u64>()), 0..300),
+        )
+    }
+
+    proptest! {
+        /// Per stream, the `JobReport` (and so a queue pair's
+        /// `TenantReport` latencies) equals the three-record books', for
+        /// 1–3 threads mixing reads, writes and zone resets; and over 1–3
+        /// streams, the merge the queue-pair driver reports as
+        /// `MultiReport::latency` equals the merge of their stream
+        /// histograms.
+        #[test]
+        fn one_record_per_completion_reports_what_three_did(
+            streams in prop::collection::vec(stream(), 1..4)
+        ) {
+            let mut all_once = LatencyHistogram::new();
+            let mut all_thrice = LatencyHistogram::new();
+            for (threads, completions) in streams {
+                let mut once = Tally::new(SimTime::ZERO, threads);
+                let mut thrice = ThreeRecordBooks {
+                    thread_hists: vec![LatencyHistogram::new(); threads],
+                    ..ThreeRecordBooks::default()
+                };
+                for (i, (thread, kind, magnitude, bits)) in completions.into_iter().enumerate() {
+                    let thread = thread % threads;
+                    let latency = SimDuration::from_nanos(bits % (1 << magnitude));
+                    let done = SimTime::from_nanos(i as u64 * 1000);
+                    match kind {
+                        NO_DATA => once.record(thread, latency, done),
+                        _ => {
+                            once.record_io(thread, kind == READ, 4096, latency, done);
+                            thrice.bytes += 4096;
+                        }
+                    }
+                    thrice.record(thread, kind, latency, done);
+                }
+                prop_assert_eq!(
+                    once.job_report("books", SimTime::ZERO, Vec::new(), Counters::default()),
+                    thrice.job_report()
+                );
+                all_once.merge(&once.latency());
+                all_thrice.merge(&thrice.hist);
+            }
+            prop_assert_eq!(all_once.summary(), all_thrice.summary());
+        }
     }
 }
 

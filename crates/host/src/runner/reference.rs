@@ -47,14 +47,13 @@ fn run_job_eager<D: StorageDevice + ?Sized>(
         };
         let done = ts.issue(dev, t, offset, is_read)?;
         let latency = done.saturating_since(t);
-        ts.tally.record_io(is_read, job.block_bytes, latency, done);
-        ts.thread_hists[thread].record(latency);
+        ts.tally
+            .record_io(thread, is_read, job.block_bytes, latency, done);
     }
     let after = dev.counters();
     Ok(ts.tally.job_report(
         dev.model_name(),
         job.start,
-        ts.thread_latency(),
         Vec::new(),
         after.since(&before),
     ))

@@ -344,7 +344,8 @@ pub fn replay_trace<D: ZonedDevice + ?Sized>(
     open_loop: bool,
 ) -> Result<JobReport, HostError> {
     let before = dev.counters();
-    let mut tally = Tally::new(start);
+    // Replay is a single issuing stream: thread 0.
+    let mut tally = Tally::new(start, 1);
     let mut t = start;
     for op in trace.ops() {
         let issue = if open_loop {
@@ -373,20 +374,13 @@ pub fn replay_trace<D: ZonedDevice + ?Sized>(
         })?;
         t = completion.finished;
         match op.kind {
-            TraceKind::Read => tally.record_io(true, op.len, completion.latency(), t),
-            TraceKind::Write => tally.record_io(false, op.len, completion.latency(), t),
-            TraceKind::Discard => tally.record(completion.latency(), t),
+            TraceKind::Read => tally.record_io(0, true, op.len, completion.latency(), t),
+            TraceKind::Write => tally.record_io(0, false, op.len, completion.latency(), t),
+            TraceKind::Discard => tally.record(0, completion.latency(), t),
         }
     }
     let after = dev.counters();
-    Ok(tally.job_report(
-        dev.model_name(),
-        start,
-        // Replay is a single issuing stream.
-        vec![tally.hist.summary()],
-        Vec::new(),
-        after.since(&before),
-    ))
+    Ok(tally.job_report(dev.model_name(), start, Vec::new(), after.since(&before)))
 }
 
 #[cfg(test)]
