@@ -190,27 +190,50 @@ impl Obs {
     /// ending in `.jsonl` get one span per line; any other extension gets a
     /// nested Chrome trace. Drops in either ring are surfaced loudly: a
     /// truncated dump that looks complete is worse than no dump.
+    ///
+    /// The files are independent, so each is formatted and written on a
+    /// thread of its own. The status lines follow in trace → spans →
+    /// metrics order, and the first of those files that failed is the
+    /// error.
     fn write(&self, spans: Option<&SpanDump>, samples: &[MetricsSample]) -> Result<(), String> {
-        if let Some((path, sink)) = &self.trace {
-            let records = sink.drain();
-            let ms = timed_export(path, Document::ChromeTrace(&records))?;
-            let (n, dropped) = (records.len(), sink.dropped());
+        let trace = self
+            .trace
+            .as_ref()
+            .map(|(path, sink)| (path, sink.drain(), sink.dropped()));
+        let spans = self
+            .spans
+            .as_ref()
+            .zip(spans)
+            .map(|((path, _), dump)| (path, dump));
+        let metrics = self.metrics.as_ref().map(|(path, _)| path);
+        let (trace_ms, spans_ms, metrics_ms) = std::thread::scope(|s| {
+            let trace_ms = trace.as_ref().map(|(path, records, _)| {
+                s.spawn(move || timed_export(path, Document::ChromeTrace(records)))
+            });
+            let spans_ms = spans.map(|(path, dump)| {
+                let document = if path.ends_with(".jsonl") {
+                    Document::SpanJsonl(&dump.records)
+                } else {
+                    Document::SpanChromeTrace(&dump.records)
+                };
+                s.spawn(move || timed_export(path, document))
+            });
+            let metrics_ms = metrics
+                .map(|path| s.spawn(move || timed_export(path, Document::MetricsJsonl(samples))));
+            (joined(trace_ms), joined(spans_ms), joined(metrics_ms))
+        });
+        if let (Some((path, records, dropped)), Some(ms)) = (&trace, trace_ms) {
+            let (ms, n) = (ms?, records.len());
             eprintln!("trace    : {n} events to {path} ({dropped} dropped) in {ms:.1} ms");
-            if dropped > 0 {
+            if *dropped > 0 {
                 eprintln!(
                     "warning  : the event ring dropped {dropped} records — the trace is \
                      truncated; trace a shorter phase"
                 );
             }
         }
-        if let (Some((path, _)), Some(dump)) = (&self.spans, spans) {
-            let document = if path.ends_with(".jsonl") {
-                Document::SpanJsonl(&dump.records)
-            } else {
-                Document::SpanChromeTrace(&dump.records)
-            };
-            let ms = timed_export(path, document)?;
-            let (n, dropped) = (dump.records.len(), dump.dropped);
+        if let (Some((path, dump)), Some(ms)) = (spans, spans_ms) {
+            let (ms, n, dropped) = (ms?, dump.records.len(), dump.dropped);
             eprintln!("spans    : {n} spans to {path} ({dropped} dropped) in {ms:.1} ms");
             if dropped > 0 {
                 eprintln!(
@@ -219,8 +242,8 @@ impl Obs {
                 );
             }
         }
-        if let Some((path, _)) = &self.metrics {
-            let ms = timed_export(path, Document::MetricsJsonl(samples))?;
+        if let (Some(path), Some(ms)) = (metrics, metrics_ms) {
+            let ms = ms?;
             eprintln!(
                 "metrics  : {} intervals to {path} in {ms:.1} ms",
                 samples.len()
@@ -228,6 +251,14 @@ impl Obs {
         }
         Ok(())
     }
+}
+
+/// What an export thread returned, if one ran; its panic, if it panicked.
+fn joined<T>(thread: Option<std::thread::ScopedJoinHandle<'_, T>>) -> Option<T> {
+    thread.map(|t| {
+        t.join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }
 
 /// Streams `document` to `path`; returns the wall milliseconds it took, for
@@ -533,6 +564,25 @@ mod tests {
         }
         std::fs::remove_file(trace_path).ok();
         std::fs::remove_file(metrics_path).ok();
+    }
+
+    /// The exports run side by side, but when several fail the error is
+    /// the first of them in trace → spans → metrics order.
+    #[test]
+    fn the_first_failed_export_in_file_order_is_the_error() {
+        let missing = std::env::temp_dir().join("conzone-cli-no-such-dir");
+        let path = |name: &str| missing.join(name).to_string_lossy().into_owned();
+        let (trace, spans, metrics) = (path("t.json"), path("s.jsonl"), path("m.jsonl"));
+        let run = |flags: String| {
+            let line = format!("run --config tiny --bs 128k --size 1m --region 1m {flags}");
+            cmd_run(&cli(&line)).expect_err("an export into a missing directory")
+        };
+        let all = run(format!(
+            "--trace-out {trace} --span-out {spans} --metrics-out {metrics}"
+        ));
+        assert!(all.starts_with(&format!("{trace}: ")), "{all}");
+        let last_two = run(format!("--span-out {spans} --metrics-out {metrics}"));
+        assert!(last_two.starts_with(&format!("{spans}: ")), "{last_two}");
     }
 
     #[test]
