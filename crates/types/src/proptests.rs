@@ -2,102 +2,165 @@
 //! zone table's property runs next to the naive zoned model, in
 //! `tests/oracle.rs` of the facade.
 
-use proptest::prelude::*;
+use conzone_check::{check, Rng};
 
 use crate::{ChipId, DeviceConfig, Geometry, LpnRange, SuperblockId};
 
-fn arb_geometry() -> impl Strategy<Value = Geometry> {
-    (
-        1usize..4,  // channels
-        1usize..4,  // chips per channel
-        2usize..12, // blocks per chip
-        1usize..3,  // slc blocks per chip
-        1usize..6,  // programming units per block
-        1usize..5,  // pages per unit
-        1usize..4,  // planes per chip
+/// A geometry of 1–3 channels of 1–3 chips, 1–3 planes, 1–2 SLC and 2–11
+/// normal blocks per chip, and units of 1–4 pages, 1–5 units a block.
+fn geometry(rng: &mut Rng) -> Geometry {
+    let (channels, chips) = (rng.range(1..4), rng.range(1..4));
+    let (extra_blocks, slc) = (rng.range(2..12), rng.range(1..3));
+    let (units, pages_per_unit) = (rng.range(1..6), rng.range(1..5));
+    sized(
+        channels,
+        chips,
+        slc,
+        extra_blocks,
+        units,
+        pages_per_unit,
+        rng.range(1..4),
     )
-        .prop_map(|(ch, cpc, extra_blocks, slc, upb, ppu, planes)| Geometry {
-            channels: ch,
-            chips_per_channel: cpc,
-            blocks_per_chip: slc + extra_blocks,
-            slc_blocks_per_chip: slc,
-            pages_per_block: upb * ppu,
-            page_bytes: 16 * 1024,
-            program_unit_bytes: ppu * 16 * 1024,
-            planes_per_chip: planes,
-        })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// Generated geometries always validate.
-    #[test]
-    fn arbitrary_geometries_validate(g in arb_geometry()) {
-        prop_assert!(g.validate().is_ok());
+fn sized(
+    channels: usize,
+    chips_per_channel: usize,
+    slc: usize,
+    extra_blocks: usize,
+    units: usize,
+    pages_per_unit: usize,
+    planes_per_chip: usize,
+) -> Geometry {
+    Geometry {
+        channels,
+        chips_per_channel,
+        blocks_per_chip: slc + extra_blocks,
+        slc_blocks_per_chip: slc,
+        pages_per_block: units * pages_per_unit,
+        page_bytes: 16 * 1024,
+        program_unit_bytes: pages_per_unit * 16 * 1024,
+        planes_per_chip,
     }
+}
 
-    /// PPA encode/decode is a bijection over the whole array.
-    #[test]
-    fn ppa_roundtrip(g in arb_geometry(), seed in any::<u64>()) {
-        let chip = ChipId(seed % g.nchips() as u64);
-        let block = (seed / 7) as usize % g.blocks_per_chip;
-        let page = (seed / 11) as usize % g.pages_per_block;
-        let slice = (seed / 13) as usize % g.slices_per_page();
-        let ppa = g.encode_ppa(chip, block, page, slice);
-        let parts = g.decode_ppa(ppa);
-        prop_assert_eq!(parts.chip, chip);
-        prop_assert_eq!(parts.block, block);
-        prop_assert_eq!(parts.page, page);
-        prop_assert_eq!(parts.slice, slice);
-    }
+/// A geometry whose superpage divides the power-of-two zone it backs:
+/// channels, chips per channel and pages per unit are powers of two.
+fn chunked_geometry(rng: &mut Rng) -> Geometry {
+    let pow2 = |rng: &mut Rng, below: usize| 1 << rng.range(0..below);
+    let (channels, chips, pages_per_unit) = (pow2(rng, 2), pow2(rng, 2), pow2(rng, 3));
+    let (extra_blocks, slc, units) = (rng.range(2..12), rng.range(1..3), rng.range(1..6));
+    sized(
+        channels,
+        chips,
+        slc,
+        extra_blocks,
+        units,
+        pages_per_unit,
+        rng.range(1..4),
+    )
+}
 
-    /// Superblock slice addressing never leaves its superblock.
-    #[test]
-    fn superblock_slice_roundtrip(g in arb_geometry(), seed in any::<u64>()) {
+/// A geometry and a seed that picks an address in it.
+fn addressed(rng: &mut Rng) -> ((Geometry, u64), Vec<()>) {
+    ((geometry(rng), rng.next_u64()), Vec::new())
+}
+
+/// Generated geometries always validate.
+#[test]
+fn arbitrary_geometries_validate() {
+    let path = "conzone_types::proptests::arbitrary_geometries_validate";
+    check(
+        path,
+        64,
+        |rng| (geometry(rng), Vec::<()>::new()),
+        |g, _| {
+            assert!(g.validate().is_ok(), "{:?}", g.validate());
+        },
+    );
+}
+
+/// PPA encode/decode is a bijection over the whole array.
+#[test]
+fn ppa_roundtrip() {
+    check(
+        "conzone_types::proptests::ppa_roundtrip",
+        64,
+        addressed,
+        |&(g, seed), _| {
+            let chip = ChipId(seed % g.nchips() as u64);
+            let block = (seed / 7) as usize % g.blocks_per_chip;
+            let page = (seed / 11) as usize % g.pages_per_block;
+            let slice = (seed / 13) as usize % g.slices_per_page();
+            let parts = g.decode_ppa(g.encode_ppa(chip, block, page, slice));
+            assert_eq!((parts.chip, parts.block), (chip, block));
+            assert_eq!((parts.page, parts.slice), (page, slice));
+        },
+    );
+}
+
+/// Superblock slice addressing never leaves its superblock.
+#[test]
+fn superblock_slice_roundtrip() {
+    let path = "conzone_types::proptests::superblock_slice_roundtrip";
+    check(path, 64, addressed, |&(g, seed), _| {
         let sb = SuperblockId(seed % g.blocks_per_chip as u64);
         let offset = (seed / 3) % g.slices_per_superblock();
         let ppa = g.superblock_slice(sb, offset);
-        prop_assert_eq!(g.decode_ppa(ppa).block as u64, sb.raw());
-    }
+        assert_eq!(g.decode_ppa(ppa).block as u64, sb.raw());
+    });
+}
 
-    /// Byte-range to page-range conversion covers exactly the requested
-    /// bytes.
-    #[test]
-    fn lpn_range_covers_bytes(offset in 0u64..1 << 40, len in 1u64..1 << 20) {
+/// Byte-range to page-range conversion covers exactly the requested
+/// bytes.
+#[test]
+fn lpn_range_covers_bytes() {
+    let path = "conzone_types::proptests::lpn_range_covers_bytes";
+    let generate = |rng: &mut Rng| {
+        (
+            (rng.range(0..1 << 40), rng.range(1..1 << 20)),
+            Vec::<()>::new(),
+        )
+    };
+    check(path, 64, generate, |&(offset, len), _| {
         let range = LpnRange::covering_bytes(offset, len).expect("non-empty");
-        prop_assert!(range.start.byte_offset() <= offset);
-        prop_assert!(range.end().byte_offset() >= offset + len);
+        assert!(range.start.byte_offset() <= offset);
+        assert!(range.end().byte_offset() >= offset + len);
         // Tight: shrinking either side would lose bytes.
-        prop_assert!(range.start.byte_offset() + 4096 > offset);
-        prop_assert!(range.end().byte_offset() - 4096 < offset + len);
-    }
+        assert!(range.start.byte_offset() + 4096 > offset);
+        assert!(range.end().byte_offset() - 4096 < offset + len);
+    });
+}
 
-    /// Validated configs keep their derived quantities self-consistent.
-    #[test]
-    fn config_invariants(g in arb_geometry()) {
-        // Chunks must divide zones: use the superpage as a safe chunk.
-        let chunk = g.superpage_bytes().min(g.superblock_bytes());
-        let zone_ok = {
-            let padded = g.superblock_bytes().next_power_of_two();
-            padded.is_multiple_of(chunk)
-        };
-        prop_assume!(zone_ok);
-        let cfg = DeviceConfig::builder(g)
-            .chunk_bytes(chunk)
-            .build();
-        prop_assume!(cfg.is_ok());
-        let cfg = cfg.unwrap();
-        prop_assert!(cfg.zone_size_bytes().is_power_of_two());
-        prop_assert!(cfg.zone_size_bytes() >= cfg.zone_backing_bytes());
-        prop_assert_eq!(cfg.zone_size_bytes() % cfg.chunk_bytes, 0);
-        prop_assert_eq!(
-            cfg.capacity_bytes(),
-            cfg.zone_size_bytes() * cfg.zone_count() as u64
-        );
-        prop_assert_eq!(
-            cfg.zone_patch_slices() * crate::SLICE_BYTES,
-            cfg.zone_size_bytes() - cfg.zone_backing_bytes()
-        );
-    }
+/// Every geometry whose superpage divides its padded zone builds, with
+/// the superpage as its chunk, and the built config keeps its derived
+/// quantities self-consistent.
+#[test]
+fn config_invariants() {
+    let path = "conzone_types::proptests::config_invariants";
+    check(
+        path,
+        64,
+        |rng| (chunked_geometry(rng), Vec::<()>::new()),
+        |&g, _| {
+            let chunk = g.superpage_bytes();
+            assert!(g
+                .superblock_bytes()
+                .next_power_of_two()
+                .is_multiple_of(chunk));
+            let cfg = DeviceConfig::builder(g).chunk_bytes(chunk).build();
+            let cfg = cfg.unwrap_or_else(|e| panic!("{g:?} does not build: {e}"));
+            assert!(cfg.zone_size_bytes().is_power_of_two());
+            assert!(cfg.zone_size_bytes() >= cfg.zone_backing_bytes());
+            assert_eq!(cfg.zone_size_bytes() % cfg.chunk_bytes, 0);
+            assert_eq!(
+                cfg.capacity_bytes(),
+                cfg.zone_size_bytes() * cfg.zone_count() as u64
+            );
+            assert_eq!(
+                cfg.zone_patch_slices() * crate::SLICE_BYTES,
+                cfg.zone_size_bytes() - cfg.zone_backing_bytes()
+            );
+        },
+    );
 }
