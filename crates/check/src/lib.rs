@@ -5,7 +5,9 @@
 //! An input is a list of items (the commands of a stream, the reads of a
 //! scenario) and parameters drawn alongside it, which stay fixed while the
 //! list shrinks. Generators build valid items by construction: there is no
-//! rejection, so every drawn case is checked. The seed is the FNV-1a hash
+//! rejection, so every drawn case is checked. Shrinking hands the property
+//! sub-lists of what was drawn, so it must hold on every sub-list (the
+//! empty one too) of a valid list. The seed is the FNV-1a hash
 //! of the test's path, and cases are drawn one after another from one
 //! [`Rng`], so a failure reproduces run to run.
 //!

@@ -374,26 +374,32 @@ mod tests {
 
     mod bucket_props {
         use super::*;
-        use proptest::prelude::*;
+        use conzone_check::{check, Rng};
 
-        proptest! {
-            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        fn value(rng: &mut Rng) -> (u64, Vec<()>) {
+            (rng.next_u64(), Vec::new())
+        }
 
-            /// Every bucket's lower bound really is a lower bound, over the
-            /// whole u64 domain (including the top tier near `u64::MAX`).
-            #[test]
-            fn bucket_low_is_a_lower_bound(v in any::<u64>()) {
+        /// Every bucket's lower bound really is a lower bound, over the
+        /// whole u64 domain (including the top tier near `u64::MAX`).
+        #[test]
+        fn bucket_low_is_a_lower_bound() {
+            let path = "conzone_sim::stats::tests::bucket_props::bucket_low_is_a_lower_bound";
+            check(path, 256, value, |&v, _| {
                 let low = bucket_low(bucket_index(v));
-                prop_assert!(low <= v, "bucket_low {low} > value {v}");
-            }
+                assert!(low <= v, "bucket_low {low} > value {v}");
+            });
+        }
 
-            /// Round-tripping the lower bound through `bucket_index` lands
-            /// back in the same bucket (lower bounds are canonical).
-            #[test]
-            fn bucket_low_is_in_its_own_bucket(v in any::<u64>()) {
+        /// Round-tripping the lower bound through `bucket_index` lands
+        /// back in the same bucket (lower bounds are canonical).
+        #[test]
+        fn bucket_low_is_in_its_own_bucket() {
+            let path = "conzone_sim::stats::tests::bucket_props::bucket_low_is_in_its_own_bucket";
+            check(path, 256, value, |&v, _| {
                 let idx = bucket_index(v);
-                prop_assert_eq!(bucket_index(bucket_low(idx)), idx);
-            }
+                assert_eq!(bucket_index(bucket_low(idx)), idx);
+            });
         }
     }
 }
