@@ -8,8 +8,7 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-use proptest::test_runner::{TestCaseError, TestRng};
+use conzone_check::{check, Rng, Simpler};
 
 use conzone_sim::{ResourceBank, RingBufferSink};
 use conzone_types::{
@@ -95,7 +94,7 @@ fn program(a: &mut FlashArray, backed: bool) {
 /// shuffled, given a slice of an earlier page again further on, cut in two
 /// with the halves swapped, or given a copy of one of its stretches at the
 /// end (so runs of several pages come back below addresses already read).
-fn request(rng: &mut TestRng, g: &Geometry) -> Vec<Ppa> {
+fn request(rng: &mut Rng, g: &Geometry) -> Vec<Ppa> {
     let total = g.total_slices();
     let spp = g.slices_per_page() as u64;
     let mut ppas: Vec<Ppa> = match rng.below(3) {
@@ -194,12 +193,72 @@ struct Reach {
     revisits: u64,
 }
 
-/// Builds twin arrays from `seed`'s configuration and drives both through
-/// `reads` generated requests, some with a slice made dead or unwritten
-/// first, asserting agreement after each.
-fn lockstep(seed: u64, reads: usize, reach: &mut Reach) -> Result<(), TestCaseError> {
-    let mut rng = TestRng::new(seed);
-    let (backed, retries) = (rng.below(2) == 1, rng.below(2) == 1);
+/// One read of the property: its addresses, and perhaps a slice that
+/// cannot be read, inserted at a position first.
+#[derive(Debug, Clone, PartialEq)]
+struct Step {
+    ppas: Vec<Ppa>,
+    dead: Option<(usize, Dead)>,
+}
+
+/// A slice that cannot be read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Dead {
+    /// The request's own slice at this index, invalidated just before.
+    Live(usize),
+    /// A slice the setup never wrote.
+    Unwritten(Ppa),
+}
+
+impl Simpler for Step {
+    /// Without the dead slice; then the first half of the addresses.
+    fn simpler(&self) -> Option<Step> {
+        let ppas = &self.ppas;
+        match self.dead {
+            Some(_) => Some(Step {
+                dead: None,
+                ..self.clone()
+            }),
+            None if ppas.len() > 1 => Some(Step {
+                ppas: ppas[..ppas.len() / 2].to_vec(),
+                dead: None,
+            }),
+            None => None,
+        }
+    }
+}
+
+/// A generated request; one in four gets a dead slice at any position: a
+/// live one of its own, or one the setup never wrote.
+fn step(rng: &mut Rng, g: &Geometry) -> Step {
+    let ppas = request(rng, g);
+    let dead = (rng.below(4) == 0).then(|| {
+        let at = rng.below(ppas.len() as u64 + 1) as usize;
+        if rng.below(2) == 0 {
+            (at, Dead::Live(rng.below(ppas.len() as u64) as usize))
+        } else {
+            let (chip, block, written) = PARTIAL[rng.below(2) as usize];
+            let unwritten = written as u64 + rng.below(g.slices_per_block() - written as u64);
+            (
+                at,
+                Dead::Unwritten(g.encode_ppa(ChipId(chip), block, 0, 0).offset(unwritten)),
+            )
+        }
+    });
+    Step { ppas, dead }
+}
+
+/// The configuration flags and `reads` steps drawn from `seed`.
+fn case(seed: u64, reads: usize) -> ((bool, bool), Vec<Step>) {
+    let mut rng = Rng::new(seed);
+    let flags = (rng.below(2) == 1, rng.below(2) == 1);
+    let g = config(false, false).geometry;
+    (flags, (0..reads).map(|_| step(&mut rng, &g)).collect())
+}
+
+/// Builds twin arrays with data backing and read retries as given and
+/// drives both through `steps`, asserting agreement after each.
+fn lockstep((backed, retries): (bool, bool), steps: &[Step], reach: &mut Reach) {
     let cfg = config(backed, retries);
     let g = cfg.geometry;
     let (mut new, mut old) = (FlashArray::new(&cfg), FlashArray::new(&cfg));
@@ -212,21 +271,17 @@ fn lockstep(seed: u64, reads: usize, reach: &mut Reach) -> Result<(), TestCaseEr
     new.set_probe(Probe::attached(new_events.clone()));
     old.set_probe(Probe::attached(old_events.clone()));
     let mut t = SimTime::ZERO + SimDuration::from_millis(50);
-    for step in 0..reads {
-        let mut ppas = request(&mut rng, &g);
-        if rng.below(4) == 0 {
-            // One slice that cannot be read, at any position: a live one
-            // invalidated now, or one the setup never wrote.
-            let at = rng.below(ppas.len() as u64 + 1) as usize;
-            let victim = if rng.below(2) == 0 {
-                let live = ppas[rng.below(ppas.len() as u64) as usize];
-                let _ = new.invalidate(live);
-                let _ = old.invalidate(live);
-                live
-            } else {
-                let (chip, block, written) = PARTIAL[rng.below(2) as usize];
-                let unwritten = written as u64 + rng.below(g.slices_per_block() - written as u64);
-                new.block_base(ChipId(chip), block).offset(unwritten)
+    for (step, Step { ppas, dead }) in steps.iter().enumerate() {
+        let mut ppas = ppas.clone();
+        if let Some((at, dead)) = *dead {
+            let victim = match dead {
+                Dead::Live(i) => {
+                    let live = ppas[i];
+                    let _ = new.invalidate(live);
+                    let _ = old.invalidate(live);
+                    live
+                }
+                Dead::Unwritten(ppa) => ppa,
             };
             ppas.insert(at, victim);
         }
@@ -235,10 +290,10 @@ fn lockstep(seed: u64, reads: usize, reach: &mut Reach) -> Result<(), TestCaseEr
         let want: Outcome = old
             .read_slices_reference(t, &ppas)
             .map(|r| (r.finish, r.data));
-        prop_assert_eq!(&got, &want, "step {} read {:?}", step, ppas);
-        prop_assert_eq!(free_times(&new), free_times(&old), "step {}", step);
-        prop_assert_eq!(new.stats(), old.stats(), "step {}", step);
-        prop_assert_eq!(new_events.drain(), old_events.drain(), "step {}", step);
+        assert_eq!(&got, &want, "step {step} read {ppas:?}");
+        assert_eq!(free_times(&new), free_times(&old), "step {step}");
+        assert_eq!(new.stats(), old.stats(), "step {step}");
+        assert_eq!(new_events.drain(), old_events.drain(), "step {step}");
 
         reach.reads += 1;
         reach.dead += u64::from(got.is_err());
@@ -254,21 +309,24 @@ fn lockstep(seed: u64, reads: usize, reach: &mut Reach) -> Result<(), TestCaseEr
             t = finish;
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Zone-striped, linear and scattered requests, in order, reversed,
-    /// shuffled, with a page repeated out of order, rotated or with a
-    /// stretch read twice, with a dead or unwritten slice at any position,
-    /// data backing and read retries on and off: the page-granular walk
-    /// reads what the per-slice walk read.
-    #[test]
-    fn read_slices_equals_the_per_slice_walk(seed in any::<u64>()) {
-        lockstep(seed, 24, &mut Reach::default())?;
-    }
+/// Zone-striped, linear and scattered requests, in order, reversed,
+/// shuffled, with a page repeated out of order, rotated or with a
+/// stretch read twice, with a dead or unwritten slice at any position,
+/// data backing and read retries on and off: the page-granular walk
+/// reads what the per-slice walk read.
+#[test]
+fn read_slices_equals_the_per_slice_walk() {
+    let path = "conzone_flash::array::proptests::read_slices_equals_the_per_slice_walk";
+    check(
+        path,
+        48,
+        |rng| case(rng.next_u64(), 24),
+        |&flags, steps| {
+            lockstep(flags, steps, &mut Reach::default());
+        },
+    );
 }
 
 /// The property is only worth its name if the requests reach the paths it
@@ -277,7 +335,8 @@ proptest! {
 fn the_generated_requests_reach_every_shape() {
     let mut reach = Reach::default();
     for seed in 0..16 {
-        lockstep(seed, 24, &mut reach).expect("walks agree");
+        let (flags, steps) = case(seed, 24);
+        lockstep(flags, &steps, &mut reach);
     }
     assert!(reach.dead >= reach.reads / 8, "{reach:?}");
     assert!(reach.reads - reach.dead >= reach.reads / 3, "{reach:?}");
