@@ -7,8 +7,7 @@
 //! cross-checks its mapping-entry walk against the whole-region owner
 //! scan it replaced ([`ConZone::reset_reference`]).
 
-use proptest::prelude::*;
-
+use conzone_check::{check, Rng, Simpler};
 use conzone_types::{
     DeviceConfig, DeviceError, FaultConfig, Geometry, IoRequest, SimTime, StorageDevice, ZoneId,
     ZonedDevice, SLICE_BYTES,
@@ -16,7 +15,7 @@ use conzone_types::{
 
 use crate::ConZone;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Op {
     /// Append `slices` at a sequential zone's write pointer.
     Write { zone: u8, slices: u8 },
@@ -34,20 +33,46 @@ enum Op {
     PowerCutRemount,
 }
 
-fn ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            10 => (any::<u8>(), 1u8..48).prop_map(|(zone, slices)| Op::Write { zone, slices }),
-            4 => (any::<u8>(), 1u8..16)
-                .prop_map(|(offset, slices)| Op::Conventional { offset, slices }),
-            2 => Just(Op::Flush),
-            2 => any::<u8>().prop_map(|zone| Op::Reset { zone }),
-            1 => any::<u8>().prop_map(|zone| Op::Close { zone }),
-            1 => any::<u8>().prop_map(|zone| Op::Finish { zone }),
-            2 => Just(Op::PowerCutRemount),
-        ],
-        1..max_len,
-    )
+fn op(rng: &mut Rng) -> Op {
+    let byte = |rng: &mut Rng| rng.next_u64() as u8;
+    match rng.below(22) {
+        0..10 => Op::Write {
+            zone: byte(rng),
+            slices: rng.range(1..48),
+        },
+        10..14 => Op::Conventional {
+            offset: byte(rng),
+            slices: rng.range(1..16),
+        },
+        14..16 => Op::Flush,
+        16..18 => Op::Reset { zone: byte(rng) },
+        18 => Op::Close { zone: byte(rng) },
+        19 => Op::Finish { zone: byte(rng) },
+        _ => Op::PowerCutRemount,
+    }
+}
+
+impl Simpler for Op {
+    /// Half the slices of a write.
+    fn simpler(&self) -> Option<Op> {
+        match *self {
+            Op::Write { zone, slices } if slices > 1 => Some(Op::Write {
+                zone,
+                slices: slices / 2,
+            }),
+            Op::Conventional { offset, slices } if slices > 1 => Some(Op::Conventional {
+                offset,
+                slices: slices / 2,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// Up to `max_len` ops and a flag drawn after them.
+fn ops_and_flag(rng: &mut Rng, max_len: usize) -> (bool, Vec<Op>) {
+    let ops = rng.vec(1..max_len, op);
+    (rng.bool(), ops)
 }
 
 /// The tiny geometry (power-of-two zones, no tail), or with `tail` a
@@ -143,61 +168,79 @@ fn apply(dev: &mut ConZone, t: SimTime, op: &Op) -> Result<SimTime, DeviceError>
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Random workloads — with and without fault injection — leave the
-    /// device structurally consistent after every operation sequence.
-    #[test]
-    fn invariants_hold_under_random_workload(ops in ops(60), faults in any::<bool>()) {
-        let mut dev = device(faults, false);
-        let mut t = SimTime::ZERO;
-        for op in &ops {
-            match apply(&mut dev, t, op) {
-                Ok(finish) => t = finish,
-                Err(DeviceError::NoFreeSpace { .. }) => {}
-                Err(e) => prop_assert!(false, "op {op:?} failed: {e}"),
+/// Random workloads — with and without fault injection — leave the
+/// device structurally consistent after every operation sequence.
+#[test]
+fn invariants_hold_under_random_workload() {
+    let path = "conzone_core::proptests::invariants_hold_under_random_workload";
+    check(
+        path,
+        48,
+        |rng| ops_and_flag(rng, 60),
+        |&faults, ops| {
+            let mut dev = device(faults, false);
+            let mut t = SimTime::ZERO;
+            for op in ops {
+                match apply(&mut dev, t, op) {
+                    Ok(finish) => t = finish,
+                    Err(DeviceError::NoFreeSpace { .. }) => {}
+                    Err(e) => panic!("op {op:?} failed: {e}"),
+                }
             }
-        }
-        let violations = dev.check_invariants();
-        prop_assert!(
-            violations.is_empty(),
-            "violations after {} ops: {violations:?}",
-            ops.len()
-        );
-    }
+            let violations = dev.check_invariants();
+            assert!(
+                violations.is_empty(),
+                "violations after {} ops: {violations:?}",
+                ops.len()
+            );
+        },
+    );
+}
 
-    /// Write / close / finish / reset / GC streams under fault injection
-    /// (program-failure redos put non-canonical entries below the backing
-    /// boundary; power cycles strand staged runs), with and without a
-    /// zone tail, each ended by resetting every sequential zone: the walk
-    /// over the zones' own mapping entries must leave no SLC slice owned
-    /// by a reset zone and nothing mapped in one.
-    #[test]
-    fn resetting_every_zone_leaves_no_slc_leftovers(ops in ops(120), tail in any::<bool>()) {
-        let mut dev = device(true, tail);
-        let mut t = SimTime::ZERO;
-        for op in &ops {
-            match apply(&mut dev, t, op) {
-                Ok(finish) => t = finish,
-                // A flush that ran out of SLC space half-way is not rolled
-                // back; what a reset owes after that is unspecified.
-                Err(DeviceError::NoFreeSpace { .. }) => prop_assume!(false),
-                Err(e) => prop_assert!(false, "op {op:?} failed: {e}"),
+/// Write / close / finish / reset / GC streams under fault injection
+/// (program-failure redos put non-canonical entries below the backing
+/// boundary; power cycles strand staged runs), with and without a
+/// zone tail, each ended by resetting every sequential zone: the walk
+/// over the zones' own mapping entries must leave no SLC slice owned
+/// by a reset zone and nothing mapped in one.
+#[test]
+fn resetting_every_zone_leaves_no_slc_leftovers() {
+    let path = "conzone_core::proptests::resetting_every_zone_leaves_no_slc_leftovers";
+    check(
+        path,
+        48,
+        |rng| ops_and_flag(rng, 120),
+        |&tail, ops| {
+            let mut dev = device(true, tail);
+            let mut t = SimTime::ZERO;
+            for op in ops {
+                match apply(&mut dev, t, op) {
+                    Ok(finish) => t = finish,
+                    // A flush that ran out of SLC space half-way is not rolled
+                    // back; what a reset owes after that is unspecified.
+                    Err(DeviceError::NoFreeSpace { .. }) => return,
+                    Err(e) => panic!("op {op:?} failed: {e}"),
+                }
             }
-        }
-        let zs = dev.zones.zone_slices();
-        for zone in (1..dev.zone_count() as u64).map(ZoneId) {
-            t = dev.reset_zone(t, zone).expect("reset").finished;
-            prop_assert!(dev.reset_reference(zone).is_empty(), "{zone} keeps SLC slices");
-            prop_assert_eq!(dev.table.zone_mapped_slices(zone), 0);
-        }
-        if let Some((ppa, lpn)) = dev.slc.owner.iter().find(|(_, lpn)| lpn.raw() >= zs) {
-            prop_assert!(false, "{ppa} still owned by {lpn}, outside the conventional zone");
-        }
-        let violations = dev.check_invariants();
-        prop_assert!(violations.is_empty(), "violations after the resets: {violations:?}");
-    }
+            let zs = dev.zones.zone_slices();
+            for zone in (1..dev.zone_count() as u64).map(ZoneId) {
+                t = dev.reset_zone(t, zone).expect("reset").finished;
+                assert!(
+                    dev.reset_reference(zone).is_empty(),
+                    "{zone} keeps SLC slices"
+                );
+                assert_eq!(dev.table.zone_mapped_slices(zone), 0);
+            }
+            if let Some((ppa, lpn)) = dev.slc.owner.iter().find(|(_, lpn)| lpn.raw() >= zs) {
+                panic!("{ppa} still owned by {lpn}, outside the conventional zone");
+            }
+            let violations = dev.check_invariants();
+            assert!(
+                violations.is_empty(),
+                "violations after the resets: {violations:?}"
+            );
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -208,8 +251,7 @@ mod read_reference {
     use std::sync::Arc;
 
     use bytes::Bytes;
-    use proptest::prelude::*;
-    use proptest::test_runner::TestCaseError;
+    use conzone_check::{check, Rng};
 
     use conzone_ftl::{InsertOutcome, LookupResult};
     use conzone_sim::{RingBufferSink, SpanBuffer};
@@ -379,8 +421,8 @@ mod read_reference {
         }
     }
 
-    /// One generated scenario: a device shape, how its zones were written,
-    /// and the reads to compare.
+    /// One generated scenario: a device shape and how its zones were
+    /// written. The reads to compare come with it.
     #[derive(Debug, Clone)]
     struct Case {
         strategy: SearchStrategy,
@@ -390,8 +432,6 @@ mod read_reference {
         sparse: Vec<(u64, u64)>,
         /// Slices left in zone 3's write buffer, never flushed.
         buffered: u64,
-        /// `(first lpn, pages)` reads.
-        reads: Vec<(u64, u64)>,
     }
 
     /// Tiny geometry: zones of 256 slices in chunks of 64, one superpage
@@ -485,112 +525,106 @@ mod read_reference {
         )
     }
 
-    /// Runs the case through both walkers and returns the run-granular
-    /// device's counters for coverage checks.
-    fn compare(case: &Case) -> Result<Counters, TestCaseError> {
+    /// Runs the `(first lpn, pages)` reads of the case through both
+    /// walkers and returns the run-granular device's counters for coverage
+    /// checks.
+    fn compare(case: &Case, reads: &[(u64, u64)]) -> Counters {
         let mut runs = rig(case);
         let mut slices = rig(case);
-        prop_assert_eq!(books(&runs), books(&slices), "identical set-up");
-        for &(lpn, pages) in &case.reads {
+        assert_eq!(books(&runs), books(&slices), "identical set-up");
+        for &(lpn, pages) in reads {
             let req = IoRequest::read(lpn * SLICE_BYTES, pages * SLICE_BYTES);
             let a = runs.dev.submit(runs.t, &req);
             let b = submit_read_per_slice(&mut slices.dev, slices.t, &req);
             match (&a, &b) {
                 (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.finished, b.finished, "read {:?}", (lpn, pages));
-                    prop_assert_eq!(&a.data, &b.data, "payload of {:?}", (lpn, pages));
-                    prop_assert_eq!(
+                    assert_eq!(a.finished, b.finished, "read {:?}", (lpn, pages));
+                    assert_eq!(&a.data, &b.data, "payload of {:?}", (lpn, pages));
+                    assert_eq!(
                         a.data.as_ref().map(|d| d.len() as u64),
                         Some(pages * SLICE_BYTES)
                     );
                     runs.t = a.finished;
                     slices.t = b.finished;
                 }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "read {:?}", (lpn, pages)),
-                _ => prop_assert!(false, "read {:?}: {:?} vs {:?}", (lpn, pages), a, b),
+                (Err(a), Err(b)) => assert_eq!(a, b, "read {:?}", (lpn, pages)),
+                _ => panic!("read {:?}: {:?} vs {:?}", (lpn, pages), a, b),
             }
             // Failed reads included: their prefix has the same side effects.
-            prop_assert_eq!(
+            assert_eq!(
                 books(&runs),
                 books(&slices),
                 "after read {:?}",
                 (lpn, pages)
             );
         }
-        prop_assert_eq!(runs.events.dropped() + runs.spans.dropped(), 0);
-        prop_assert_eq!(runs.events.drain(), slices.events.drain());
-        prop_assert_eq!(runs.spans.drain(), slices.spans.drain());
-        prop_assert!(runs.dev.check_invariants().is_empty());
+        assert_eq!(runs.events.dropped() + runs.spans.dropped(), 0);
+        assert_eq!(runs.events.drain(), slices.events.drain());
+        assert_eq!(runs.spans.drain(), slices.spans.drain());
+        assert!(runs.dev.check_invariants().is_empty());
 
         // Same recency order: push fresh entries through both caches and
         // watch the residents fall out one by one.
-        prop_assert_eq!(coverage(&runs.dev), coverage(&slices.dev));
+        assert_eq!(coverage(&runs.dev), coverage(&slices.dev));
         for fresh in 0..case.cache_entries {
             for dev in [&mut runs.dev, &mut slices.dev] {
                 dev.cache
                     .insert(Lpn(8 * ZS + fresh), MapGranularity::Page, false);
             }
-            prop_assert_eq!(
+            assert_eq!(
                 coverage(&runs.dev),
                 coverage(&slices.dev),
                 "eviction {}",
                 fresh
             );
         }
-        Ok(runs.dev.counters())
+        runs.dev.counters()
     }
 
-    fn cases() -> impl Strategy<Value = Case> {
-        let strategy = prop_oneof![
-            Just(SearchStrategy::Bitmap),
-            Just(SearchStrategy::Multiple),
-            Just(SearchStrategy::Pinned),
-        ];
-        let max_aggregation = prop_oneof![
-            2 => Just(MapGranularity::Zone),
-            2 => Just(MapGranularity::Chunk),
-            1 => Just(MapGranularity::Page),
-        ];
-        let read = prop_oneof![
+    fn case(rng: &mut Rng) -> (Case, Vec<(u64, u64)>) {
+        let strategy = [
+            SearchStrategy::Bitmap,
+            SearchStrategy::Multiple,
+            SearchStrategy::Pinned,
+        ][rng.range(0..3)];
+        let max_aggregation = match rng.below(5) {
+            0..2 => MapGranularity::Zone,
+            2..4 => MapGranularity::Chunk,
+            _ => MapGranularity::Page,
+        };
+        // From "a few pinned aggregates fill it" to "nothing is evicted".
+        let cache_entries = [2, 3, 6, 24][rng.range(0..4)];
+        let sparse = rng.vec(0..12, |rng| (rng.range(0..ZS), rng.range(1..12)));
+        let buffered = rng.range(0..40);
+        let read = |rng: &mut Rng| match rng.below(7) {
             // Mostly inside the full zones and zone 3: straddles zone and
             // chunk boundaries, runs into the buffered and unwritten tail.
-            4 => (ZS..4 * ZS, 1..300u64),
+            0..4 => (rng.range(ZS..4 * ZS), rng.range(1..300)),
             // The sparse conventional zone and the page-mapped zone 4.
-            1 => (0..ZS, 1..24u64),
-            1 => (4 * ZS..4 * ZS + 40, 1..12u64),
-            1 => (0..WRITTEN_ZONES * ZS + CHUNK, 1..300u64),
-        ];
-        (
+            4 => (rng.range(0..ZS), rng.range(1..24)),
+            5 => (rng.range(4 * ZS..4 * ZS + 40), rng.range(1..12)),
+            _ => (rng.range(0..WRITTEN_ZONES * ZS + CHUNK), rng.range(1..300)),
+        };
+        let case = Case {
             strategy,
             max_aggregation,
-            // From "a few pinned aggregates fill it" to "nothing is evicted".
-            prop_oneof![Just(2u64), Just(3), Just(6), Just(24)],
-            prop::collection::vec((0..ZS, 1..12u64), 0..12),
-            0..40u64,
-            prop::collection::vec(read, 1..24),
-        )
-            .prop_map(
-                |(strategy, max_aggregation, cache_entries, sparse, buffered, reads)| Case {
-                    strategy,
-                    max_aggregation,
-                    cache_entries,
-                    sparse,
-                    buffered,
-                    reads,
-                },
-            )
+            cache_entries,
+            sparse,
+            buffered,
+        };
+        (case, rng.vec(1..24, read))
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-        /// The run-granular walker and the per-slice reference agree on
-        /// completion times, payloads, errors, counters, time breakdown,
-        /// flash occupancy, the event and span streams and the LRU order.
-        #[test]
-        fn read_runs_match_the_per_slice_reference(case in cases()) {
-            compare(&case)?;
-        }
+    /// The run-granular walker and the per-slice reference agree on
+    /// completion times, payloads, errors, counters, time breakdown,
+    /// flash occupancy, the event and span streams and the LRU order.
+    #[test]
+    fn read_runs_match_the_per_slice_reference() {
+        let path =
+            "conzone_core::proptests::read_reference::read_runs_match_the_per_slice_reference";
+        check(path, 32, case, |case, reads| {
+            compare(case, reads);
+        });
     }
 
     /// Hand-picked reads that provably reach every kind of run, so the
@@ -603,25 +637,31 @@ mod read_reference {
             cache_entries,
             sparse: vec![(3, 5), (10, 2), (200, 8)],
             buffered: 20,
-            reads: vec![
-                (ZS + 100, 300),     // zone 1 → zone 2
-                (2 * ZS + 200, 120), // zone 2 → zone 3, chunk hits
-                (3 * ZS + 150, 62),  // flash, then the buffer, exactly to the wp
-                (3 * ZS + 200, 4),   // buffer only
-                (3 * ZS + 150, 100), // … and on into the unwritten tail
-                (3, 5),              // sparse conventional, mapped
-                (3, 8),              // … and running off the mapped pages
-                (4 * ZS, 35),        // page-mapped, SLC-staged
-                (4 * ZS, 36),        // … and one page too far
-                (ZS, 128),
-                (4 * ZS + 10, 10),
-            ],
         };
-        let zone = compare(&case(SearchStrategy::Bitmap, MapGranularity::Zone, 6)).unwrap();
+        let reads = [
+            (ZS + 100, 300),     // zone 1 → zone 2
+            (2 * ZS + 200, 120), // zone 2 → zone 3, chunk hits
+            (3 * ZS + 150, 62),  // flash, then the buffer, exactly to the wp
+            (3 * ZS + 200, 4),   // buffer only
+            (3 * ZS + 150, 100), // … and on into the unwritten tail
+            (3, 5),              // sparse conventional, mapped
+            (3, 8),              // … and running off the mapped pages
+            (4 * ZS, 35),        // page-mapped, SLC-staged
+            (4 * ZS, 36),        // … and one page too far
+            (ZS, 128),
+            (4 * ZS + 10, 10),
+        ];
+        let zone = compare(
+            &case(SearchStrategy::Bitmap, MapGranularity::Zone, 6),
+            &reads,
+        );
         assert!(zone.l2p_hits_zone > 0 && zone.l2p_hits_chunk > 0 && zone.l2p_hits_page > 0);
         assert!(zone.l2p_misses > 0 && zone.l2p_evictions > 0 && zone.read_retries > 0);
 
-        let multiple = compare(&case(SearchStrategy::Multiple, MapGranularity::Chunk, 3)).unwrap();
+        let multiple = compare(
+            &case(SearchStrategy::Multiple, MapGranularity::Chunk, 3),
+            &reads,
+        );
         assert_eq!(multiple.l2p_hits_zone, 0);
         assert!(
             multiple.flash_mapping_reads > multiple.l2p_misses,
@@ -630,7 +670,10 @@ mod read_reference {
 
         // Two entries, both pinned aggregates: page inserts are rejected,
         // so every page-mapped slice misses again and nothing is evicted.
-        let pinned = compare(&case(SearchStrategy::Pinned, MapGranularity::Zone, 2)).unwrap();
+        let pinned = compare(
+            &case(SearchStrategy::Pinned, MapGranularity::Zone, 2),
+            &reads,
+        );
         assert_eq!((pinned.l2p_hits_page, pinned.l2p_evictions), (0, 0));
         assert!(pinned.l2p_misses >= 35 + 10);
     }
