@@ -1,10 +1,8 @@
 //! Differential property: the run-granular [`LegacyDevice`] against the
 //! per-slice device it replaced ([`ReferenceLegacy`]), step for step.
 
-use proptest::prelude::*;
-use proptest::test_runner::{TestCaseError, TestRng};
-
 use bytes::Bytes;
+use conzone_check::{check, Rng, Simpler};
 use conzone_types::{
     Completion, DeviceConfig, DeviceError, IoRequest, SimTime, StorageDevice, SLICE_BYTES,
 };
@@ -12,7 +10,7 @@ use conzone_types::{
 use crate::reference::ReferenceLegacy;
 use crate::LegacyDevice;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Op {
     /// Write `slices` at page `at` (wrapped into the logical space, clipped
     /// at its end), with a payload or timing-only.
@@ -42,22 +40,53 @@ enum Op {
     },
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            12 => (any::<u16>(), 1u8..80, 0u8..8).prop_map(|(at, slices, b)| Op::Write {
-                at,
-                slices,
-                backed: b != 0,
-            }),
-            6 => (any::<u8>(), 1u8..24).prop_map(|(at, slices)| Op::Hot { at, slices }),
-            2 => (any::<u16>(), 1u8..120).prop_map(|(at, slices)| Op::Trim { at, slices }),
-            3 => (any::<u16>(), 1u8..40).prop_map(|(at, slices)| Op::Read { at, slices }),
-            2 => Just(Op::Flush),
-            1 => any::<u8>().prop_map(|kind| Op::Bad { kind }),
-        ],
-        300..700,
-    )
+fn op(rng: &mut Rng) -> Op {
+    let (short, byte) = (
+        |rng: &mut Rng| rng.next_u64() as u16,
+        |rng: &mut Rng| rng.next_u64() as u8,
+    );
+    match rng.below(26) {
+        0..12 => Op::Write {
+            at: short(rng),
+            slices: rng.range(1..80),
+            backed: rng.below(8) != 0,
+        },
+        12..18 => Op::Hot {
+            at: byte(rng),
+            slices: rng.range(1..24),
+        },
+        18..20 => Op::Trim {
+            at: short(rng),
+            slices: rng.range(1..120),
+        },
+        20..23 => Op::Read {
+            at: short(rng),
+            slices: rng.range(1..40),
+        },
+        23..25 => Op::Flush,
+        _ => Op::Bad { kind: byte(rng) },
+    }
+}
+
+/// A stream of 300–700 steps.
+fn ops(rng: &mut Rng) -> Vec<Op> {
+    rng.vec(300..700, op)
+}
+
+impl Simpler for Op {
+    /// Half the slices of a request.
+    fn simpler(&self) -> Option<Op> {
+        let mut op = self.clone();
+        let (Op::Write { slices, .. }
+        | Op::Hot { slices, .. }
+        | Op::Trim { slices, .. }
+        | Op::Read { slices, .. }) = &mut op
+        else {
+            return None;
+        };
+        *slices /= 2;
+        (*slices > 0).then_some(op)
+    }
 }
 
 /// What a step returned, in comparable form.
@@ -83,16 +112,13 @@ fn payload(step: usize, slices: u64) -> Bytes {
 /// superblocks away from both (as if retired) before that step, until
 /// `keep` are left. Returns the final counters and how many steps failed
 /// with `NoFreeSpace`.
-fn lockstep(
-    ops: &[Op],
-    starve_at: Option<(usize, u8)>,
-) -> Result<(conzone_types::Counters, usize), TestCaseError> {
+fn lockstep(ops: &[Op], starve_at: Option<(usize, u8)>) -> (conzone_types::Counters, usize) {
     let cfg = DeviceConfig::tiny_for_tests();
     assert!(cfg.data_backing, "the property compares payloads");
     let mut new = LegacyDevice::new(cfg.clone());
     let mut old = ReferenceLegacy::new(cfg);
     let cap = new.capacity_bytes();
-    prop_assert_eq!(cap, old.capacity_bytes());
+    assert_eq!(cap, old.capacity_bytes());
     let span = cap / SLICE_BYTES;
     let mut t = SimTime::ZERO;
     let mut no_space = 0;
@@ -146,9 +172,9 @@ fn lockstep(
                 }
             },
         };
-        prop_assert_eq!(&got, &want, "step {} {:?}", step, op);
-        prop_assert_eq!(new.counters(), old.counters(), "step {} {:?}", step, op);
-        prop_assert_eq!(
+        assert_eq!(&got, &want, "step {} {:?}", step, op);
+        assert_eq!(new.counters(), old.counters(), "step {} {:?}", step, op);
+        assert_eq!(
             new.wear_report(),
             old.wear_report(),
             "step {} {:?}",
@@ -165,46 +191,57 @@ fn lockstep(
     for page in 0..span {
         let req = IoRequest::read(page * SLICE_BYTES, SLICE_BYTES);
         let (got, want) = (outcome(new.submit(t, &req)), outcome(old.submit(t, &req)));
-        prop_assert_eq!(&got, &want, "final read of page {}", page);
+        assert_eq!(&got, &want, "final read of page {}", page);
         if let Ok((_, finished, _, _)) = got {
             t = finished;
         }
     }
-    Ok((new.counters(), no_space))
+    (new.counters(), no_space)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+/// Write / overwrite / trim / flush / read streams over the whole
+/// logical space of the tiny geometry (13 MiB over 16 MiB of normal
+/// blocks), data backing on: 300–700 steps write the device several
+/// times over, so GC runs dozens of passes per case.
+#[test]
+fn run_granular_legacy_equals_the_per_slice_device() {
+    let path = "conzone_legacy::proptests::run_granular_legacy_equals_the_per_slice_device";
+    check(
+        path,
+        8,
+        |rng| ((), ops(rng)),
+        |(), ops| {
+            lockstep(ops, None);
+        },
+    );
+}
 
-    /// Write / overwrite / trim / flush / read streams over the whole
-    /// logical space of the tiny geometry (13 MiB over 16 MiB of normal
-    /// blocks), data backing on: 300–700 steps write the device several
-    /// times over, so GC runs dozens of passes per case.
-    #[test]
-    fn run_granular_legacy_equals_the_per_slice_device(ops in ops()) {
-        let (counters, _) = lockstep(&ops, None)?;
-        prop_assert!(counters.host_write_ops > 0);
-    }
-
-    /// The same streams with the free list cut short part-way, down to
-    /// one spare superblock (GC after every superblock written) or none:
-    /// the append stream and GC's own flushes hit `NoFreeSpace`, and what
-    /// that leaves behind (a queue holding more than a unit, a GC pass that
-    /// never finished) must behave the same afterwards, error for error.
-    #[test]
-    fn starved_legacy_fails_the_same_way(ops in ops(), at in 50usize..200, keep in 0u8..2) {
-        let (_, no_space) = lockstep(&ops, Some((at, keep)))?;
-        prop_assert!(keep > 0 || no_space > 0, "no spare superblock, yet never out of space");
-    }
+/// The same streams with the free list cut short part-way, down to
+/// one spare superblock (GC after every superblock written) or none:
+/// the append stream and GC's own flushes hit `NoFreeSpace`, and what
+/// that leaves behind (a queue holding more than a unit, a GC pass that
+/// never finished) must behave the same afterwards, error for error.
+#[test]
+fn starved_legacy_fails_the_same_way() {
+    let path = "conzone_legacy::proptests::starved_legacy_fails_the_same_way";
+    let generate = |rng: &mut Rng| {
+        let ops = ops(rng);
+        ((rng.range(50..200), rng.range(0..2)), ops)
+    };
+    check(path, 8, generate, |&(at, keep), ops| {
+        let (_, no_space) = lockstep(ops, Some((at, keep)));
+        assert!(
+            keep > 0 || no_space > 0,
+            "no spare superblock, yet never out of space"
+        );
+    });
 }
 
 /// The property above is only worth its name if the streams do reach GC:
 /// one fixed stream, counted.
 #[test]
 fn the_generated_streams_reach_dozens_of_gc_passes() {
-    let mut rng = TestRng::new(7);
-    let stream = ops().generate(&mut rng);
-    let (counters, no_space) = lockstep(&stream, None).expect("devices agree");
+    let (counters, no_space) = lockstep(&ops(&mut Rng::new(7)), None);
     assert!(counters.gc_runs >= 24, "{counters:?}");
     assert!(counters.gc_migrated_slices > 0);
     assert!(counters.premature_flushes > 0);
