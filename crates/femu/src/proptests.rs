@@ -6,10 +6,8 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-use proptest::test_runner::{TestCaseError, TestRng};
-
 use bytes::Bytes;
+use conzone_check::{check, Rng, Simpler};
 use conzone_sim::RingBufferSink;
 use conzone_types::{
     Completion, Counters, DeviceConfig, DeviceError, Geometry, IoRequest, Probe, SimTime,
@@ -23,7 +21,7 @@ use crate::FemuZns;
 /// buffer 1 (the tiny geometry has two), so most writes conflict.
 const ZONES: u8 = 6;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Op {
     /// Write `slices` at the zone's write pointer — or `skew` slices past
     /// it, which the device must refuse unless `skew` is zero.
@@ -60,43 +58,63 @@ enum Op {
     },
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
+fn op(rng: &mut Rng) -> Op {
+    let byte = |rng: &mut Rng| rng.next_u64() as u8;
     // One zone id in sixteen is past the last zone.
-    let zone = || any::<u8>().prop_map(|z| if z % 16 == 15 { 200 } else { z % ZONES });
-    prop::collection::vec(
-        prop_oneof![
-            // Mostly sub-unit (16 slices) writes, so drains pad; sometimes
-            // more than the 64-slice buffer.
-            14 => (zone(), 1u8..24, 0u8..12, 0u8..4).prop_map(|(zone, slices, skew, b)| Op::Write {
-                zone,
-                slices,
-                skew: skew.saturating_sub(10),
-                backed: b != 0,
-            }),
-            2 => (zone(), 60u8..90).prop_map(|(zone, slices)| Op::Write {
-                zone,
-                slices,
-                skew: 0,
-                backed: true,
-            }),
-            4 => (zone(), 1u8..20, 0u8..2).prop_map(|(zone, slices, b)| Op::Append {
-                zone,
-                slices,
-                backed: b != 0,
-            }),
-            6 => (zone(), any::<u8>(), 1u8..40).prop_map(|(zone, at, slices)| Op::Read {
-                zone,
-                at,
-                slices,
-            }),
-            1 => Just(Op::Flush),
-            1 => zone().prop_map(|zone| Op::Open { zone }),
-            2 => zone().prop_map(|zone| Op::Close { zone }),
-            1 => zone().prop_map(|zone| Op::Finish { zone }),
-            1 => zone().prop_map(|zone| Op::Reset { zone }),
-        ],
-        200..500,
-    )
+    let zone = |rng: &mut Rng| match byte(rng) {
+        z if z % 16 == 15 => 200,
+        z => z % ZONES,
+    };
+    match rng.below(32) {
+        // Mostly sub-unit (16 slices) writes, so drains pad; sometimes
+        // more than the 64-slice buffer.
+        0..14 => Op::Write {
+            zone: zone(rng),
+            slices: rng.range(1..24),
+            skew: rng.range(0u8..12).saturating_sub(10),
+            backed: rng.below(4) != 0,
+        },
+        14..16 => Op::Write {
+            zone: zone(rng),
+            slices: rng.range(60..90),
+            skew: 0,
+            backed: true,
+        },
+        16..20 => Op::Append {
+            zone: zone(rng),
+            slices: rng.range(1..20),
+            backed: rng.below(2) != 0,
+        },
+        20..26 => Op::Read {
+            zone: zone(rng),
+            at: byte(rng),
+            slices: rng.range(1..40),
+        },
+        26 => Op::Flush,
+        27 => Op::Open { zone: zone(rng) },
+        28..30 => Op::Close { zone: zone(rng) },
+        30 => Op::Finish { zone: zone(rng) },
+        _ => Op::Reset { zone: zone(rng) },
+    }
+}
+
+/// A stream of 200–500 steps.
+fn ops(rng: &mut Rng) -> Vec<Op> {
+    rng.vec(200..500, op)
+}
+
+impl Simpler for Op {
+    /// Half the slices of a request.
+    fn simpler(&self) -> Option<Op> {
+        let mut op = self.clone();
+        let (Op::Write { slices, .. } | Op::Append { slices, .. } | Op::Read { slices, .. }) =
+            &mut op
+        else {
+            return None;
+        };
+        *slices /= 2;
+        (*slices > 0).then_some(op)
+    }
 }
 
 /// What a step returned, in comparable form.
@@ -120,7 +138,7 @@ fn payload(step: usize, slices: u64) -> Bytes {
 /// Drives both devices through `ops`, asserting equal results, counters,
 /// zone views and event streams after every step, then reads back every
 /// written page of both. Returns the final counters.
-fn lockstep(ops: &[Op], data_backing: bool) -> Result<Counters, TestCaseError> {
+fn lockstep(ops: &[Op], data_backing: bool) -> Counters {
     let cfg = DeviceConfig::builder(Geometry::tiny())
         .chunk_bytes(256 * 1024)
         .data_backing(data_backing)
@@ -134,7 +152,7 @@ fn lockstep(ops: &[Op], data_backing: bool) -> Result<Counters, TestCaseError> {
     );
     new.set_probe(Probe::attached(new_events.clone()));
     old.set_probe(Probe::attached(old_events.clone()));
-    prop_assert_eq!(new.capacity_bytes(), old.capacity_bytes());
+    assert_eq!(new.capacity_bytes(), old.capacity_bytes());
     let zone_bytes = new.zone_size();
     let mut t = SimTime::ZERO;
 
@@ -208,10 +226,10 @@ fn lockstep(ops: &[Op], data_backing: bool) -> Result<Counters, TestCaseError> {
                 (outcome(new.reset_zone(t, z)), outcome(old.reset_zone(t, z)))
             }
         };
-        prop_assert_eq!(&got, &want, "step {} {:?}", step, op);
-        prop_assert_eq!(new.counters(), old.counters(), "step {} {:?}", step, op);
+        assert_eq!(&got, &want, "step {} {:?}", step, op);
+        assert_eq!(new.counters(), old.counters(), "step {} {:?}", step, op);
         if let Some(zone) = zone_of(op) {
-            prop_assert_eq!(
+            assert_eq!(
                 new.zone_info(zone),
                 old.zone_info(zone),
                 "step {} {:?}",
@@ -219,7 +237,7 @@ fn lockstep(ops: &[Op], data_backing: bool) -> Result<Counters, TestCaseError> {
                 op
             );
         }
-        prop_assert_eq!(
+        assert_eq!(
             new_events.drain(),
             old_events.drain(),
             "events of step {} {:?}",
@@ -236,41 +254,38 @@ fn lockstep(ops: &[Op], data_backing: bool) -> Result<Counters, TestCaseError> {
         for page in 0..info.write_pointer / SLICE_BYTES {
             let req = IoRequest::read(info.start + page * SLICE_BYTES, SLICE_BYTES);
             let (got, want) = (outcome(new.submit(t, &req)), outcome(old.submit(t, &req)));
-            prop_assert_eq!(&got, &want, "final read of zone {} page {}", zone, page);
-            prop_assert!(got.is_ok(), "written page unreadable: {:?}", got);
+            assert_eq!(&got, &want, "final read of zone {} page {}", zone, page);
+            assert!(got.is_ok(), "written page unreadable: {:?}", got);
             if let Ok((_, finished, _, _)) = got {
                 t = finished;
             }
         }
     }
-    Ok(new.counters())
+    new.counters()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Write / append / read / flush / open / close / finish / reset
-    /// streams over six zones on two buffers, with data backing on and
-    /// off: zones evict each other's sub-unit tails (padded, so the next
-    /// write of the evicted zone starts its buffer mid-unit), fill up,
-    /// get finished early and are reset.
-    #[test]
-    fn femu_on_the_shared_parts_equals_the_hand_written_device(
-        ops in ops(),
-        data_backing in any::<bool>(),
-    ) {
-        let counters = lockstep(&ops, data_backing)?;
-        prop_assert!(counters.host_write_ops > 0);
-    }
+/// Write / append / read / flush / open / close / finish / reset
+/// streams over six zones on two buffers, with data backing on and
+/// off: zones evict each other's sub-unit tails (padded, so the next
+/// write of the evicted zone starts its buffer mid-unit), fill up,
+/// get finished early and are reset.
+#[test]
+fn femu_on_the_shared_parts_equals_the_hand_written_device() {
+    let path = "conzone_femu::proptests::femu_on_the_shared_parts_equals_the_hand_written_device";
+    let generate = |rng: &mut Rng| {
+        let ops = ops(rng);
+        (rng.bool(), ops)
+    };
+    check(path, 24, generate, |&data_backing, ops| {
+        lockstep(ops, data_backing);
+    });
 }
 
 /// The property above is only worth its name if the streams do reach the
 /// paths it lists: one fixed stream, counted.
 #[test]
 fn the_generated_streams_reach_conflicts_padding_and_resets() {
-    let mut rng = TestRng::new(11);
-    let stream = ops().generate(&mut rng);
-    let counters = lockstep(&stream, true).expect("devices agree");
+    let counters = lockstep(&ops(&mut Rng::new(11)), true);
     assert!(counters.buffer_conflicts >= 20, "{counters:?}");
     assert!(counters.premature_flushes >= 20, "{counters:?}");
     assert!(
