@@ -2,59 +2,107 @@
 //! [`parse_fio_jobs`] and [`Trace::parse`]. Mutated copies of a real job
 //! file and of a generated trace must never panic; every trace the parser
 //! accepts must come back unchanged from `parse(to_text())` and answer
-//! `total_bytes()`. Seeds and mutations are fixed, so a failure
-//! reproduces, and it prints the input that caused it.
+//! `total_bytes()`. Each case is a list of edits drawn by the property
+//! engine, so a failure reproduces, and it is shrunk to the fewest edits
+//! of the seed text that still panic.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use conzone_sim::SimRng;
+use conzone_check::{check, Rng, Simpler};
 
 use crate::fio_file::parse_fio_jobs;
 use crate::trace::{MobileTraceBuilder, Trace};
 
 /// Mutated inputs per parser.
-const ROUNDS: u64 = 10_000;
+const ROUNDS: u32 = 10_000;
 
 /// Bytes an insertion draws from: the parsers' own syntax, digits and
 /// size suffixes, whitespace, and a lone UTF-8 lead byte.
 const ALPHABET: &[u8] = b"0123456789kKmMgGrRwWdD=[]#; \t\n\xc3";
 
-/// `seed` with one to four mutations: a bit flip, an inserted or deleted
-/// byte, the number at a position (or none) replaced by `u64::MAX` or by
-/// up to 40 random digits, or a duplicated line.
-fn mutate(rng: &mut SimRng, seed: &[u8]) -> String {
-    let mut bytes = seed.to_vec();
-    for _ in 0..=rng.below(4) {
-        let n = bytes.len() as u64;
-        let at = rng.below(n.max(1)) as usize;
+/// One edit of the text, at a position drawn modulo its length then.
+#[derive(Debug, Clone, PartialEq)]
+enum Edit {
+    Flip {
+        at: u64,
+        bit: u8,
+    },
+    Insert {
+        at: u64,
+        byte: u8,
+    },
+    Delete {
+        at: u64,
+    },
+    /// The number at the position (or none) replaced by these digits.
+    Number {
+        at: u64,
+        digits: String,
+    },
+    /// The line at the position duplicated.
+    Line {
+        at: u64,
+    },
+}
+
+impl Simpler for Edit {}
+
+/// One to four edits: a bit flip, an inserted or deleted byte, the number
+/// at a position replaced by `u64::MAX` or by up to 40 random digits, or a
+/// duplicated line.
+fn edits(rng: &mut Rng) -> ((), Vec<Edit>) {
+    let edit = |rng: &mut Rng| {
+        let at = rng.next_u64();
         match rng.below(5) {
-            0 if n > 0 => bytes[at] ^= 1 << rng.below(8),
-            1 => bytes.insert(at, ALPHABET[rng.below(ALPHABET.len() as u64) as usize]),
-            2 if n > 0 => {
-                bytes.remove(at);
-            }
+            0 => Edit::Flip {
+                at,
+                bit: rng.range(0..8),
+            },
+            1 => Edit::Insert {
+                at,
+                byte: ALPHABET[rng.range(0..ALPHABET.len())],
+            },
+            2 => Edit::Delete { at },
             3 => {
-                let start = at
-                    - bytes[..at]
-                        .iter()
-                        .rev()
-                        .take_while(|b| b.is_ascii_digit())
-                        .count();
-                let end = at
-                    + bytes[at..]
-                        .iter()
-                        .take_while(|b| b.is_ascii_digit())
-                        .count();
-                let digits: Vec<u8> = if rng.below(2) == 0 {
-                    u64::MAX.to_string().into_bytes()
-                } else {
-                    (0..=rng.below(40))
-                        .map(|_| b'0' + rng.below(10) as u8)
-                        .collect()
+                let digits = match rng.bool() {
+                    true => u64::MAX.to_string(),
+                    false => (0..=rng.below(40))
+                        .map(|_| char::from(b'0' + rng.range(0u8..10)))
+                        .collect(),
                 };
-                bytes.splice(start..end, digits);
+                Edit::Number { at, digits }
             }
-            _ => {
+            _ => Edit::Line { at },
+        }
+    };
+    ((), rng.vec(1..5, edit))
+}
+
+/// `seed` with `edits` applied in order.
+fn mutate(seed: &[u8], edits: &[Edit]) -> String {
+    let mut bytes = seed.to_vec();
+    for edit in edits {
+        let n = bytes.len() as u64;
+        let at = |raw: u64| (raw % n.max(1)) as usize;
+        match *edit {
+            Edit::Flip { at: raw, bit } if n > 0 => bytes[at(raw)] ^= 1 << bit,
+            Edit::Insert { at: raw, byte } => bytes.insert(at(raw), byte),
+            Edit::Delete { at: raw } if n > 0 => {
+                bytes.remove(at(raw));
+            }
+            Edit::Number {
+                at: raw,
+                ref digits,
+            } => {
+                let at = at(raw);
+                let digit = |b: &&u8| b.is_ascii_digit();
+                let start = at - bytes[..at].iter().rev().take_while(digit).count();
+                let end = at + bytes[at..].iter().take_while(digit).count();
+                bytes.splice(start..end, digits.bytes());
+            }
+            Edit::Line { at: raw } => {
+                let at = at(raw);
                 let start = bytes[..at]
                     .iter()
                     .rposition(|&b| b == b'\n')
@@ -66,36 +114,41 @@ fn mutate(rng: &mut SimRng, seed: &[u8]) -> String {
                 let line = bytes[start..end].to_vec();
                 bytes.splice(end..end, line);
             }
+            Edit::Flip { .. } | Edit::Delete { .. } => {}
         }
     }
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// Runs `check` on `ROUNDS` mutations of `seed` and returns how many it
-/// accepted; a panic fails the test with the input that caused it.
-fn fuzz(seed: &str, rng_seed: u64, check: impl Fn(&str) -> bool) -> u64 {
-    let mut rng = SimRng::new(rng_seed);
-    let mut accepted = 0;
-    for round in 0..ROUNDS {
-        let text = mutate(&mut rng, seed.as_bytes());
-        match catch_unwind(AssertUnwindSafe(|| check(&text))) {
-            Ok(ok) => accepted += u64::from(ok),
-            Err(_) => panic!("round {round} panicked on input {text:?}"),
-        }
-    }
-    accepted
+/// Runs `parse` on `ROUNDS` edited copies of `seed` and returns how many
+/// it accepted; a panic fails the test with the input that caused it,
+/// shrunk to the fewest edits.
+fn fuzz(path: &str, seed: &str, parse: impl Fn(&str) -> bool) -> u64 {
+    let accepted = Cell::new(0);
+    check(path, ROUNDS, edits, |(), edits| {
+        let text = mutate(seed.as_bytes(), edits);
+        let ok = catch_unwind(AssertUnwindSafe(|| parse(&text)))
+            .unwrap_or_else(|_| panic!("panicked on input {text:?}"));
+        accepted.set(accepted.get() + u64::from(ok));
+    });
+    accepted.get()
+}
+
+/// Both outcomes are reached, so the mutations exercise the parser.
+fn assert_both_outcomes(accepted: u64) {
+    let rounds = u64::from(ROUNDS);
+    assert!(
+        accepted > rounds / 10 && accepted < rounds * 9 / 10,
+        "{accepted} accepted"
+    );
 }
 
 #[test]
 fn mutated_job_files_never_panic() {
     let seed = include_str!("../../../tests/golden/jobfile-tiny/job.fio");
     assert!(parse_fio_jobs(seed).is_ok());
-    let accepted = fuzz(seed, 1, |text| parse_fio_jobs(text).is_ok());
-    // Both outcomes are reached, so the mutations exercise the parser.
-    assert!(
-        accepted > ROUNDS / 10 && accepted < ROUNDS * 9 / 10,
-        "{accepted} accepted"
-    );
+    let path = "conzone_host::parse_fuzz::mutated_job_files_never_panic";
+    assert_both_outcomes(fuzz(path, seed, |text| parse_fio_jobs(text).is_ok()));
 }
 
 #[test]
@@ -106,7 +159,8 @@ fn mutated_traces_never_panic_and_accepted_ones_round_trip() {
         .reads(8)
         .build()
         .to_text();
-    let accepted = fuzz(&seed, 2, |text| {
+    let path = "conzone_host::parse_fuzz::mutated_traces_never_panic_and_accepted_ones_round_trip";
+    let accepted = fuzz(path, &seed, |text| {
         let Ok(trace) = Trace::parse(text) else {
             return false;
         };
@@ -115,8 +169,5 @@ fn mutated_traces_never_panic_and_accepted_ones_round_trip() {
         assert_eq!(again.total_bytes(), trace.total_bytes());
         true
     });
-    assert!(
-        accepted > ROUNDS / 10 && accepted < ROUNDS * 9 / 10,
-        "{accepted} accepted"
-    );
+    assert_both_outcomes(accepted);
 }

@@ -1019,9 +1019,9 @@ mod proptests {
     use super::*;
     use crate::job::AccessPattern;
     use crate::runner::run_job;
+    use conzone_check::{check, Rng};
     use conzone_core::ConZone;
     use conzone_types::DeviceConfig;
-    use proptest::prelude::*;
 
     const MIB: u64 = 1024 * 1024;
 
@@ -1065,82 +1065,87 @@ mod proptests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-        /// The transparency law, property form: any seed, pattern, block
-        /// size, thread count and queue depth produces identical reports
-        /// from `run_job` and from `run_tenants` with that job as the only
-        /// tenant behind a zero-cost fetch stage.
-        #[test]
-        fn one_tenant_zero_fetch_matches_run_job(
-            shape in prop_oneof![
-                Just(Shape::SeqWriteZoned),
-                Just(Shape::RandRead),
-                Just(Shape::Mixed),
-            ],
-            seed in any::<u64>(),
-            threads in 1usize..4,
-            bs_kib in prop_oneof![Just(4u64), Just(16), Just(128)],
-            qd in prop_oneof![Just(1usize), Just(2), Just(4), Just(8), Just(16)],
-        ) {
-            let (job, needs_fill) = job_for(shape, seed, threads, bs_kib);
-            // Mixed jobs issue random writes, which strict sequential
-            // zones reject — run those on the legacy model instead; deep
-            // queues of zoned sequential writes are rejected outright.
-            let fresh = || -> Box<dyn StorageDevice> {
+    /// The transparency law, property form: any seed, pattern, block
+    /// size, thread count and queue depth produces identical reports
+    /// from `run_job` and from `run_tenants` with that job as the only
+    /// tenant behind a zero-cost fetch stage.
+    #[test]
+    fn one_tenant_zero_fetch_matches_run_job() {
+        let path = "conzone_host::qd::proptests::one_tenant_zero_fetch_matches_run_job";
+        let generate = |rng: &mut Rng| {
+            let shape = [Shape::SeqWriteZoned, Shape::RandRead, Shape::Mixed][rng.range(0..3)];
+            let (seed, threads) = (rng.next_u64(), rng.range(1..4));
+            let (bs_kib, qd) = (
+                [4, 16, 128][rng.range(0..3)],
+                [1, 2, 4, 8, 16][rng.range(0..5)],
+            );
+            ((shape, seed, threads, bs_kib, qd), Vec::<()>::new())
+        };
+        check(
+            path,
+            24,
+            generate,
+            |&(shape, seed, threads, bs_kib, qd), _| {
+                let (job, needs_fill) = job_for(shape, seed, threads, bs_kib);
+                // Mixed jobs issue random writes, which strict sequential
+                // zones reject — run those on the legacy model instead; deep
+                // queues of zoned sequential writes are rejected outright.
+                let fresh = || -> Box<dyn StorageDevice> {
+                    match shape {
+                        Shape::Mixed => Box::new(conzone_legacy::LegacyDevice::new(
+                            DeviceConfig::tiny_for_tests(),
+                        )),
+                        _ => Box::new(ConZone::new(DeviceConfig::tiny_for_tests())),
+                    }
+                };
+                let queued = |dev: &mut dyn StorageDevice, job: &FioJob| {
+                    let spec = TenantSpec::new("t0", job.clone());
+                    run_tenants(dev, &[spec], &QdOptions::default()).unwrap()
+                };
+                let (mut direct_dev, mut queued_dev) = (fresh(), fresh());
+                let mut fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
+                    .region(0, 4 * MIB)
+                    .bytes_per_thread(4 * MIB);
+                let mut job = job;
                 match shape {
-                    Shape::Mixed => Box::new(conzone_legacy::LegacyDevice::new(
-                        DeviceConfig::tiny_for_tests(),
-                    )),
-                    _ => Box::new(ConZone::new(DeviceConfig::tiny_for_tests())),
+                    Shape::Mixed => job = job.queue_depth(qd).fsync_every(5),
+                    Shape::RandRead => {
+                        fill = fill.zone_bytes(MIB);
+                        job = job.queue_depth(qd);
+                    }
+                    Shape::SeqWriteZoned => {}
                 }
-            };
-            let queued = |dev: &mut dyn StorageDevice, job: &FioJob| {
-                let spec = TenantSpec::new("t0", job.clone());
-                run_tenants(dev, &[spec], &QdOptions::default()).unwrap()
-            };
-            let (mut direct_dev, mut queued_dev) = (fresh(), fresh());
-            let mut fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
-                .region(0, 4 * MIB)
-                .bytes_per_thread(4 * MIB);
-            let mut job = job;
-            match shape {
-                Shape::Mixed => job = job.queue_depth(qd).fsync_every(5),
-                Shape::RandRead => {
-                    fill = fill.zone_bytes(MIB);
-                    job = job.queue_depth(qd);
+                if needs_fill {
+                    let f1 = run_job(direct_dev.as_mut(), &fill).unwrap();
+                    let f2 = queued(queued_dev.as_mut(), &fill);
+                    assert_eq!(f1.finished, f2.finished);
+                    job = job.start_at(f1.finished);
                 }
-                Shape::SeqWriteZoned => {}
-            }
-            if needs_fill {
-                let f1 = run_job(direct_dev.as_mut(), &fill).unwrap();
-                let f2 = queued(queued_dev.as_mut(), &fill);
-                prop_assert_eq!(f1.finished, f2.finished);
-                job = job.start_at(f1.finished);
-            }
-            let a = run_job(direct_dev.as_mut(), &job).unwrap();
-            let m = queued(queued_dev.as_mut(), &job);
-            let t = &m.tenants[0];
-            prop_assert_eq!(a.finished, m.finished);
-            prop_assert_eq!(a.bytes, m.bytes);
-            prop_assert_eq!(a.ops, m.ops);
-            prop_assert_eq!(a.latency, m.latency);
-            prop_assert_eq!(a.read_latency, t.read_latency);
-            prop_assert_eq!(a.write_latency, t.write_latency);
-            prop_assert_eq!(&a.thread_latency, &t.thread_latency);
-            prop_assert_eq!(a.counters, m.counters);
-            prop_assert_eq!(a.counters, t.counters);
-        }
+                let a = run_job(direct_dev.as_mut(), &job).unwrap();
+                let m = queued(queued_dev.as_mut(), &job);
+                let t = &m.tenants[0];
+                assert_eq!(a.finished, m.finished);
+                assert_eq!(a.bytes, m.bytes);
+                assert_eq!(a.ops, m.ops);
+                assert_eq!(a.latency, m.latency);
+                assert_eq!(a.read_latency, t.read_latency);
+                assert_eq!(a.write_latency, t.write_latency);
+                assert_eq!(&a.thread_latency, &t.thread_latency);
+                assert_eq!(a.counters, m.counters);
+                assert_eq!(a.counters, t.counters);
+            },
+        );
+    }
 
-        /// Conservation holds for arbitrary two-tenant mixes.
-        #[test]
-        fn tenant_counters_always_sum(
-            seed in any::<u64>(),
-            qd_a in 1usize..6,
-            qd_b in 1usize..6,
-            weight_a in 1u32..5,
-        ) {
+    /// Conservation holds for arbitrary two-tenant mixes.
+    #[test]
+    fn tenant_counters_always_sum() {
+        let path = "conzone_host::qd::proptests::tenant_counters_always_sum";
+        let generate = |rng: &mut Rng| {
+            let (seed, qd_a, qd_b) = (rng.next_u64(), rng.range(1..6), rng.range(1..6));
+            ((seed, qd_a, qd_b, rng.range(1..5)), Vec::<()>::new())
+        };
+        check(path, 24, generate, |&(seed, qd_a, qd_b, weight_a), _| {
             let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
             let fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
                 .zone_bytes(MIB)
@@ -1161,7 +1166,10 @@ mod proptests {
             };
             let m = run_tenants(
                 &mut dev,
-                &[tenant("a", qd_a, seed).weight(weight_a), tenant("b", qd_b, seed ^ 1)],
+                &[
+                    tenant("a", qd_a, seed).weight(weight_a),
+                    tenant("b", qd_b, seed ^ 1),
+                ],
                 &QdOptions {
                     fetch_cost: SimDuration::from_micros(2),
                     arbiter: ArbiterKind::Weighted,
@@ -1169,8 +1177,8 @@ mod proptests {
                 },
             )
             .unwrap();
-            prop_assert!(m.tenants_sum_consistent());
-            prop_assert_eq!(m.ops, 160);
-        }
+            assert!(m.tenants_sum_consistent());
+            assert_eq!(m.ops, 160);
+        });
     }
 }

@@ -1016,7 +1016,7 @@ mod tests {
 #[cfg(test)]
 mod books_tests {
     use super::*;
-    use proptest::prelude::*;
+    use conzone_check::{check, Rng, Simpler};
 
     #[derive(Default)]
     struct ThreeRecordBooks {
@@ -1063,56 +1063,81 @@ mod books_tests {
         }
     }
 
-    /// One stream: its thread count and its completions as (thread, kind,
-    /// latency magnitude, latency bits).
-    fn stream() -> impl Strategy<Value = (usize, Vec<(usize, usize, u32, u64)>)> {
-        (
-            1usize..4,
-            prop::collection::vec((0usize..3, 0usize..3, 0u32..40, any::<u64>()), 0..300),
-        )
+    /// One completion of stream `stream`: its thread (modulo the stream's
+    /// threads), its kind and its latency, `bits` below 2^`magnitude` ns.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Done {
+        stream: usize,
+        thread: usize,
+        kind: usize,
+        magnitude: u32,
+        bits: u64,
     }
 
-    proptest! {
-        /// Per stream, the `JobReport` (and so a queue pair's
-        /// `TenantReport` latencies) equals the three-record books', for
-        /// 1–3 threads mixing reads, writes and zone resets; and over 1–3
-        /// streams, the merge the queue-pair driver reports as
-        /// `MultiReport::latency` equals the merge of their stream
-        /// histograms.
-        #[test]
-        fn one_record_per_completion_reports_what_three_did(
-            streams in prop::collection::vec(stream(), 1..4)
-        ) {
+    impl Simpler for Done {}
+
+    /// 1–3 streams of 1–3 threads, with up to 300 completions each.
+    fn streams(rng: &mut Rng) -> (Vec<usize>, Vec<Done>) {
+        let threads = rng.vec(1..4, |rng| rng.range(1..4));
+        let mut done = Vec::new();
+        for stream in 0..threads.len() {
+            for _ in 0..rng.range(0usize..300) {
+                let (thread, kind) = (rng.range(0..3), rng.range(0..3));
+                let (magnitude, bits) = (rng.range(0..40), rng.next_u64());
+                done.push(Done {
+                    stream,
+                    thread,
+                    kind,
+                    magnitude,
+                    bits,
+                });
+            }
+        }
+        (threads, done)
+    }
+
+    /// Per stream, the `JobReport` (and so a queue pair's
+    /// `TenantReport` latencies) equals the three-record books', for
+    /// 1–3 threads mixing reads, writes and zone resets; and over 1–3
+    /// streams, the merge the queue-pair driver reports as
+    /// `MultiReport::latency` equals the merge of their stream
+    /// histograms.
+    #[test]
+    fn one_record_per_completion_reports_what_three_did() {
+        let path =
+            "conzone_host::runner::books_tests::one_record_per_completion_reports_what_three_did";
+        check(path, 256, streams, |threads, completions| {
             let mut all_once = LatencyHistogram::new();
             let mut all_thrice = LatencyHistogram::new();
-            for (threads, completions) in streams {
+            for (stream, &threads) in threads.iter().enumerate() {
                 let mut once = Tally::new(SimTime::ZERO, threads);
                 let mut thrice = ThreeRecordBooks {
                     thread_hists: vec![LatencyHistogram::new(); threads],
                     ..ThreeRecordBooks::default()
                 };
-                for (i, (thread, kind, magnitude, bits)) in completions.into_iter().enumerate() {
-                    let thread = thread % threads;
-                    let latency = SimDuration::from_nanos(bits % (1 << magnitude));
+                let mine = completions.iter().filter(|c| c.stream == stream);
+                for (i, c) in mine.enumerate() {
+                    let thread = c.thread % threads;
+                    let latency = SimDuration::from_nanos(c.bits % (1 << c.magnitude));
                     let done = SimTime::from_nanos(i as u64 * 1000);
-                    match kind {
+                    match c.kind {
                         NO_DATA => once.record(thread, latency, done),
                         _ => {
-                            once.record_io(thread, kind == READ, 4096, latency, done);
+                            once.record_io(thread, c.kind == READ, 4096, latency, done);
                             thrice.bytes += 4096;
                         }
                     }
-                    thrice.record(thread, kind, latency, done);
+                    thrice.record(thread, c.kind, latency, done);
                 }
-                prop_assert_eq!(
+                assert_eq!(
                     once.job_report("books", SimTime::ZERO, Vec::new(), Counters::default()),
                     thrice.job_report()
                 );
                 all_once.merge(&once.latency());
                 all_thrice.merge(&thrice.hist);
             }
-            prop_assert_eq!(all_once.summary(), all_thrice.summary());
-        }
+            assert_eq!(all_once.summary(), all_thrice.summary());
+        });
     }
 }
 
