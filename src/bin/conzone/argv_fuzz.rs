@@ -5,18 +5,19 @@
 //! dropped or duplicated, and values become `u64::MAX`, 40 digits or
 //! nothing. Each result goes through `Args::parse`, `build_config`,
 //! `parse_qd_options`, `parse_tenant_weights` and the `Shape` / `Obs`
-//! builders. Nothing runs a device, and nothing may panic.
+//! builders. Nothing runs a device, and nothing may panic; a panic is
+//! shrunk to the fewest edits of its seed line.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use conzone::sim::SimRng;
+use conzone_check::{check, Rng, Simpler};
 
 use super::{Obs, Shape};
 use crate::args::{build_config, parse_qd_options, parse_tenant_weights, Args};
 
 /// Mutated command lines.
-const ROUNDS: u64 = 4_000;
-
+const ROUNDS: u32 = 4_000;
 /// The command lines to mutate, split into tokens.
 fn seeds() -> Vec<Vec<String>> {
     let readme = include_str!("../../../tests/golden/README.md");
@@ -37,36 +38,66 @@ fn seeds() -> Vec<Vec<String>> {
         .collect()
 }
 
-/// `seed` with one to three mutations: a token dropped, a flag and its
-/// value duplicated, or a value replaced by `u64::MAX`, by 40 digits or by
-/// an empty string.
-fn mutate(rng: &mut SimRng, seed: &[String]) -> Vec<String> {
+/// One edit of a command line, at a token drawn modulo its length then.
+#[derive(Debug, Clone, PartialEq)]
+enum Edit {
+    Drop(u64),
+    /// The token and the one after it, duplicated.
+    Repeat(u64),
+    /// A value (a token that is not a flag) replaced.
+    Value(u64, String),
+}
+
+impl Simpler for Edit {}
+
+/// A token dropped, a flag and its value duplicated, or a value replaced
+/// by `u64::MAX`, by 40 digits or by an empty string.
+fn edit(rng: &mut Rng) -> Edit {
+    let at = rng.next_u64();
+    match rng.below(3) {
+        0 => Edit::Drop(at),
+        1 => Edit::Repeat(at),
+        _ => Edit::Value(
+            at,
+            match rng.below(3) {
+                0 => u64::MAX.to_string(),
+                1 => (0..40)
+                    .map(|_| char::from(b'0' + rng.range(0u8..10)))
+                    .collect(),
+                _ => String::new(),
+            },
+        ),
+    }
+}
+
+/// `seed` with `edits` applied in order; never empty.
+fn mutate(seed: &[String], edits: &[Edit]) -> Vec<String> {
     let mut argv = seed.to_vec();
-    for _ in 0..=rng.below(3) {
-        let at = rng.below(argv.len() as u64) as usize;
-        match rng.below(3) {
-            0 => {
-                argv.remove(at);
+    for edit in edits {
+        if argv.is_empty() {
+            argv.push("run".to_string());
+        }
+        let at = |raw: &u64| (raw % argv.len() as u64) as usize;
+        match edit {
+            Edit::Drop(raw) => {
+                argv.remove(at(raw));
             }
-            1 => {
+            Edit::Repeat(raw) => {
+                let at = at(raw);
                 let end = (at + 2).min(argv.len());
                 let flag = argv[at..end].to_vec();
                 argv.splice(end..end, flag);
             }
-            _ if !argv[at].starts_with("--") => {
-                argv[at] = match rng.below(3) {
-                    0 => u64::MAX.to_string(),
-                    1 => (0..40)
-                        .map(|_| char::from(b'0' + rng.below(10) as u8))
-                        .collect(),
-                    _ => String::new(),
-                };
+            Edit::Value(raw, value) => {
+                let at = at(raw);
+                if !argv[at].starts_with("--") {
+                    argv[at].clone_from(value);
+                }
             }
-            _ => {}
         }
-        if argv.is_empty() {
-            argv.push("run".to_string());
-        }
+    }
+    if argv.is_empty() {
+        argv.push("run".to_string());
     }
     argv
 }
@@ -89,19 +120,19 @@ fn accepts(argv: &[String]) -> bool {
 fn mutated_command_lines_never_panic() {
     let seeds = seeds();
     assert!(seeds.len() > 30, "{} seed lines", seeds.len());
-    let mut rng = SimRng::new(29);
-    let mut accepted = 0;
-    for round in 0..ROUNDS {
-        let seed = &seeds[rng.below(seeds.len() as u64) as usize];
-        let argv = mutate(&mut rng, seed);
-        match catch_unwind(AssertUnwindSafe(|| accepts(&argv))) {
-            Ok(ok) => accepted += u64::from(ok),
-            Err(_) => panic!("round {round} panicked on {argv:?}"),
-        }
-    }
+    let path = "conzone::run::argv_fuzz::mutated_command_lines_never_panic";
+    let generate = |rng: &mut Rng| (rng.range(0..seeds.len()), rng.vec(1..4, edit));
+    let accepted = Cell::new(0);
+    check(path, ROUNDS, generate, |&seed, edits| {
+        let argv = mutate(&seeds[seed], edits);
+        let ok = catch_unwind(AssertUnwindSafe(|| accepts(&argv)))
+            .unwrap_or_else(|_| panic!("panicked on {argv:?}"));
+        accepted.set(accepted.get() + u64::from(ok));
+    });
     // Both outcomes are reached, so the mutations exercise the parsers.
+    let (accepted, rounds) = (accepted.get(), u64::from(ROUNDS));
     assert!(
-        accepted > ROUNDS / 10 && accepted < ROUNDS * 9 / 10,
+        accepted > rounds / 10 && accepted < rounds * 9 / 10,
         "{accepted} accepted"
     );
 }

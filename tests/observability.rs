@@ -6,7 +6,7 @@
 use std::process::Command;
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use conzone_check::{check, Rng};
 
 use conzone::host::{run_job, run_job_sampled, AccessPattern, FioJob};
 use conzone::sim::{
@@ -260,17 +260,16 @@ fn assert_io_spans_nest(io: u64, spans: &[&SpanRecord]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// Whatever the workload shape, the recorder never emits a dangling or
-    /// crossing span: per IO the dump is one properly nested tree.
-    #[test]
-    fn span_nesting_is_balanced_per_io(
-        seed in 0u64..1024,
-        churn_kib in 64u64..2048,
-        read_ops in 1u64..400,
-    ) {
+/// Whatever the workload shape, the recorder never emits a dangling or
+/// crossing span: per IO the dump is one properly nested tree.
+#[test]
+fn span_nesting_is_balanced_per_io() {
+    let generate = |rng: &mut Rng| {
+        let shape = (rng.range(0..1024), rng.range(64..2048), rng.range(1..400));
+        (shape, Vec::<()>::new())
+    };
+    let path = "observability::span_nesting_is_balanced_per_io";
+    check(path, 16, generate, |&(seed, churn_kib, read_ops), _| {
         let mut dev = spanful_device();
         let spans = Arc::new(SpanBuffer::with_capacity(1 << 20));
         dev.set_span_sink(spans.clone());
@@ -294,17 +293,17 @@ proptest! {
         run_job(&mut dev, &reads).expect("reads");
 
         let records = spans.drain();
-        prop_assert!(!records.is_empty());
+        assert!(!records.is_empty());
         let mut by_io: std::collections::BTreeMap<u64, Vec<&SpanRecord>> =
             std::collections::BTreeMap::new();
         for s in &records {
-            prop_assert!(s.io != 0, "every span belongs to an IO");
+            assert!(s.io != 0, "every span belongs to an IO");
             by_io.entry(s.io).or_default().push(s);
         }
         for (io, group) in &by_io {
             assert_io_spans_nest(*io, group);
         }
-    }
+    });
 }
 
 fn conzone_cli(args: &[&str]) -> (bool, String, String) {

@@ -7,8 +7,9 @@
 mod oracle;
 
 use conzone::types::ZoneTable;
+use conzone_check::shrink;
 
-use oracle::{build, check, lockstep, run, shrink, stream, Cmd, NaiveZones};
+use oracle::{build, check, lockstep, run, stream, Cmd, NaiveZones};
 
 /// Seeds per configuration, and commands per seed. Release builds run
 /// more and longer streams.

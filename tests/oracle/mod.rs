@@ -17,6 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use conzone::sim::SimRng;
 use conzone::types::{DeviceError, SimTime, ZoneInfo, SLICE_BYTES, SLICE_LEN};
+use conzone_check::{shrink, Simpler};
 
 pub use naive::NaiveZones;
 pub use targets::{build, Dut};
@@ -57,16 +58,17 @@ pub enum Cmd {
     },
 }
 
-impl Cmd {
+impl Simpler for Cmd {
     /// The command with its slice count halved, if it has one above 1.
-    fn halved(mut self) -> Option<Cmd> {
+    fn simpler(&self) -> Option<Cmd> {
+        let mut cmd = *self;
         let (Cmd::Write { count, .. } | Cmd::Append { count, .. } | Cmd::Read { count, .. }) =
-            &mut self
+            &mut cmd
         else {
             return None;
         };
         *count /= 2;
-        (*count > 0).then_some(self)
+        (*count > 0).then_some(cmd)
     }
 }
 
@@ -197,53 +199,10 @@ fn zones_agree(target: &mut impl Target, naive: &NaiveZones) -> Result<(), Strin
     Ok(())
 }
 
-/// A shorter stream that still fails: `fails` gives the failing step of a
-/// stream, or `None`. Cuts the stream after its failing step, drops chunks
-/// of halving size down to single commands while the failure persists,
-/// halves the slice counts, and repeats until nothing shrinks.
-pub fn shrink(mut stream: Vec<Cmd>, fails: impl Fn(&[Cmd]) -> Option<usize>) -> Vec<Cmd> {
-    // Keeps `candidate`, cut after its failing step, if it fails.
-    let keep = |stream: &mut Vec<Cmd>, mut candidate: Vec<Cmd>| match fails(&candidate) {
-        Some(step) => {
-            candidate.truncate(step + 1);
-            *stream = candidate;
-            true
-        }
-        None => false,
-    };
-    let whole = stream.clone();
-    keep(&mut stream, whole);
-    loop {
-        let before = stream.clone();
-        let mut size = stream.len() / 2;
-        while size > 0 {
-            let mut at = 0;
-            while at < stream.len() {
-                let mut candidate = stream.clone();
-                candidate.drain(at..(at + size).min(stream.len()));
-                if !keep(&mut stream, candidate) {
-                    at += size;
-                }
-            }
-            size /= 2;
-        }
-        let mut at = 0;
-        while at < stream.len() {
-            let mut candidate = stream.clone();
-            candidate[at] = stream[at].halved().unwrap_or(stream[at]);
-            if candidate == stream || !keep(&mut stream, candidate) {
-                at += 1;
-            }
-        }
-        if stream == before {
-            return stream;
-        }
-    }
-}
-
 /// Runs `cmds` on a fresh `(target, naive)` pair in lock-step and returns
 /// the target. On a disagreement, panics with `label` (the configuration
-/// and the seed), the shrunk stream and what went wrong in it.
+/// and the seed), the stream shrunk by the property engine's shrinker and
+/// what went wrong in it.
 pub fn lockstep<T: Target>(label: &str, fresh: impl Fn() -> (T, NaiveZones), cmds: Vec<Cmd>) -> T {
     let run_fresh = |cmds: &[Cmd]| {
         let (mut target, naive) = fresh();

@@ -3,7 +3,7 @@
 //! the recovery report and reproduces it run to run. (What every command
 //! answers, power cuts included, is the oracle's: `tests/oracle.rs`.)
 
-use proptest::prelude::*;
+use conzone_check::{check, Rng};
 
 use conzone::host::{power_cycle_and_verify, run_job_until, AccessPattern, FioJob};
 use conzone::types::{
@@ -41,53 +41,61 @@ fn crash_job(seed: u64, zone_bytes: u64) -> FioJob {
         .verify(true)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+/// For any fault schedule and power-cut instant, the recovery report
+/// balances against the data in flight at the cut, every recovered
+/// slice reads back byte-identical to what the workload wrote, and
+/// every lost slice reads as unwritten — never as stale data.
+#[test]
+fn crash_recovery_is_sound() {
+    let generate = |rng: &mut Rng| {
+        let (seed, fault_seed) = (rng.next_u64(), rng.next_u64());
+        let (program_permille, retry_permille) = (rng.range(0u32..200), rng.range(0u32..400));
+        let cut_us = rng.range(20..2000);
+        let case = (seed, fault_seed, (program_permille, retry_permille), cut_us);
+        (case, Vec::<()>::new())
+    };
+    let path = "proptest_integrity::crash_recovery_is_sound";
+    check(
+        path,
+        24,
+        generate,
+        |&(seed, fault_seed, permille, cut_us), _| {
+            let mut cfg = small_cfg();
+            cfg.fault = FaultConfig::with_rates(
+                f64::from(permille.0) / 1000.0,
+                0.0,
+                f64::from(permille.1) / 1000.0,
+            );
+            cfg.fault.seed = fault_seed;
+            let mut dev = ConZone::new(cfg);
+            let job = crash_job(seed, dev.zone_size());
+            let cut_at = SimTime::ZERO + SimDuration::from_micros(cut_us);
+            run_job_until(&mut dev, &job, cut_at).expect("workload runs to the cut");
+            let verdict =
+                power_cycle_and_verify(&mut dev, seed, cut_at).expect("recovery audits pass");
+            assert_eq!(
+                verdict.report.recovered_slices + verdict.report.lost_slices,
+                verdict.in_flight_at_cut
+            );
+            assert_eq!(
+                verdict.verified_recovered_slices,
+                verdict.report.recovered_slices
+            );
+            assert_eq!(verdict.verified_lost_slices, verdict.report.lost_slices);
+        },
+    );
+}
 
-    /// For any fault schedule and power-cut instant, the recovery report
-    /// balances against the data in flight at the cut, every recovered
-    /// slice reads back byte-identical to what the workload wrote, and
-    /// every lost slice reads as unwritten — never as stale data.
-    #[test]
-    fn crash_recovery_is_sound(
-        seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        program_permille in 0u32..200,
-        retry_permille in 0u32..400,
-        cut_us in 20u64..2000,
-    ) {
-        let mut cfg = small_cfg();
-        cfg.fault = FaultConfig::with_rates(
-            f64::from(program_permille) / 1000.0,
-            0.0,
-            f64::from(retry_permille) / 1000.0,
-        );
-        cfg.fault.seed = fault_seed;
-        let mut dev = ConZone::new(cfg);
-        let job = crash_job(seed, dev.zone_size());
-        let cut_at = SimTime::ZERO + SimDuration::from_micros(cut_us);
-        run_job_until(&mut dev, &job, cut_at).expect("workload runs to the cut");
-        let verdict = power_cycle_and_verify(&mut dev, seed, cut_at)
-            .expect("recovery audits pass");
-        prop_assert_eq!(
-            verdict.report.recovered_slices + verdict.report.lost_slices,
-            verdict.in_flight_at_cut
-        );
-        prop_assert_eq!(
-            verdict.verified_recovered_slices,
-            verdict.report.recovered_slices
-        );
-        prop_assert_eq!(verdict.verified_lost_slices, verdict.report.lost_slices);
-    }
-
-    /// The same fault seed, workload seed and cut instant reproduce the
-    /// exact same recovery report and device counters, run to run.
-    #[test]
-    fn seeded_crash_runs_are_deterministic(
-        seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        cut_us in 50u64..1000,
-    ) {
+/// The same fault seed, workload seed and cut instant reproduce the
+/// exact same recovery report and device counters, run to run.
+#[test]
+fn seeded_crash_runs_are_deterministic() {
+    let generate = |rng: &mut Rng| {
+        let case = (rng.next_u64(), rng.next_u64(), rng.range(50..1000));
+        (case, Vec::<()>::new())
+    };
+    let path = "proptest_integrity::seeded_crash_runs_are_deterministic";
+    check(path, 24, generate, |&(seed, fault_seed, cut_us), _| {
         let run = || {
             let mut cfg = small_cfg();
             cfg.fault = FaultConfig::with_rates(0.1, 0.0, 0.2);
@@ -96,13 +104,12 @@ proptest! {
             let job = crash_job(seed, dev.zone_size());
             let cut_at = SimTime::ZERO + SimDuration::from_micros(cut_us);
             run_job_until(&mut dev, &job, cut_at).expect("workload runs");
-            let verdict =
-                power_cycle_and_verify(&mut dev, seed, cut_at).expect("recovery ok");
+            let verdict = power_cycle_and_verify(&mut dev, seed, cut_at).expect("recovery ok");
             (verdict.report, dev.counters())
         };
         let (report_a, counters_a) = run();
         let (report_b, counters_b) = run();
-        prop_assert_eq!(report_a, report_b);
-        prop_assert_eq!(counters_a, counters_b);
-    }
+        assert_eq!(report_a, report_b);
+        assert_eq!(counters_a, counters_b);
+    });
 }
