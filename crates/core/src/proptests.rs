@@ -108,10 +108,8 @@ fn device(faults: bool, tail: bool) -> ConZone {
 }
 
 /// Applies one op, treating well-formed rejections (zone full, open-zone
-/// limit, not writable) as no-ops: the property is that *accepted*
-/// operations never corrupt structural state. Running out of SLC space is
-/// handed back as `Err(NoFreeSpace)`: it can strike in the middle of a
-/// flush, which is not rolled back.
+/// limit, not writable, out of SLC space) as no-ops: the property is that
+/// no operation, accepted or refused, corrupts structural state.
 fn apply(dev: &mut ConZone, t: SimTime, op: &Op) -> Result<SimTime, DeviceError> {
     let zone_bytes = dev.config().zone_size_bytes();
     let zones = dev.zone_count() as u64;
@@ -162,7 +160,8 @@ fn apply(dev: &mut ConZone, t: SimTime, op: &Op) -> Result<SimTime, DeviceError>
             | DeviceError::TooManyOpenZones { .. }
             | DeviceError::NotWritePointer { .. }
             | DeviceError::ZoneBoundary { .. }
-            | DeviceError::ZoneNotWritable { .. },
+            | DeviceError::ZoneNotWritable { .. }
+            | DeviceError::NoFreeSpace { .. },
         ) => Ok(t),
         Err(e) => Err(e),
     }
@@ -183,7 +182,6 @@ fn invariants_hold_under_random_workload() {
             for op in ops {
                 match apply(&mut dev, t, op) {
                     Ok(finish) => t = finish,
-                    Err(DeviceError::NoFreeSpace { .. }) => {}
                     Err(e) => panic!("op {op:?} failed: {e}"),
                 }
             }
@@ -216,9 +214,6 @@ fn resetting_every_zone_leaves_no_slc_leftovers() {
             for op in ops {
                 match apply(&mut dev, t, op) {
                     Ok(finish) => t = finish,
-                    // A flush that ran out of SLC space half-way is not rolled
-                    // back; what a reset owes after that is unspecified.
-                    Err(DeviceError::NoFreeSpace { .. }) => return,
                     Err(e) => panic!("op {op:?} failed: {e}"),
                 }
             }

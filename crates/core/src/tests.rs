@@ -1063,3 +1063,58 @@ fn fault_schedules_are_deterministic() {
     assert!(c1.program_failures > 0 || c1.blocks_retired > 0);
     assert!(c1.read_retries > 0);
 }
+
+/// A flush that runs out of SLC space part-way is refused whole: the
+/// close that drained it leaves the zone open, the data stays readable in
+/// its write buffer, nothing it placed stays mapped, and once a reset
+/// frees space the same close goes through.
+#[test]
+fn a_flush_refused_for_space_keeps_its_data_in_the_buffer() {
+    // Two SLC superblocks of 256 slices; each zone stages 40 slices.
+    let g = Geometry {
+        blocks_per_chip: 18,
+        slc_blocks_per_chip: 2,
+        program_unit_bytes: 256 * 1024,
+        ..Geometry::tiny()
+    };
+    let cfg = DeviceConfig::builder(g)
+        .chunk_bytes(256 * 1024)
+        .data_backing(true);
+    let mut dev = ConZone::new(cfg.build().expect("starved config"));
+    let zone_bytes = dev.zone_size();
+    let len = 40 * SLICE_BYTES;
+    let mut t = SimTime::ZERO;
+    let refused = (0..16u8)
+        .find_map(|z| {
+            let offset = u64::from(z) * zone_bytes;
+            t = write_at(&mut dev, t, offset, pattern(len as usize, z));
+            match dev.close_zone(t, ZoneId(u64::from(z))) {
+                Ok(c) => {
+                    t = c.finished;
+                    None
+                }
+                Err(e) => Some((z, e)),
+            }
+        })
+        .expect("the SLC region runs out");
+    let (zone, e) = refused;
+    assert!(matches!(e, DeviceError::NoFreeSpace { .. }), "{e}");
+    assert!(
+        dev.check_invariants().is_empty(),
+        "{:?}",
+        dev.check_invariants()
+    );
+    let offset = u64::from(zone) * zone_bytes;
+    let info = dev.zone_info(ZoneId(u64::from(zone))).expect("zone");
+    assert_eq!((info.state, info.write_pointer), (ZoneState::Open, len));
+    let (t2, data) = read_at(&mut dev, t, offset, len);
+    assert_eq!(data, pattern(len as usize, zone));
+    assert_eq!(dev.counters().slc_combines, 0);
+
+    t = dev.reset_zone(t2, ZoneId(0)).expect("reset").finished;
+    let closed = dev.close_zone(t, ZoneId(u64::from(zone)));
+    t = closed.expect("the reset freed space").finished;
+    let (_, data) = read_at(&mut dev, t, offset, len);
+    assert_eq!(data, pattern(len as usize, zone));
+    assert!(dev.check_invariants().is_empty());
+}

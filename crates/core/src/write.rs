@@ -38,6 +38,11 @@ impl ConZone {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<SimTime, DeviceError> {
+        // What admission changes (it opens the zone) a refused eviction
+        // below must undo.
+        let found = self
+            .zones
+            .info(ZoneId(range.start.raw() / self.zones.zone_slices()));
         let (zone_id, offset) = self.zones.admit_write(range)?;
         if self.zones.is_conventional(zone_id) {
             return self.conventional_write(now, zone_id, offset, range, payload);
@@ -61,7 +66,15 @@ impl ConZone {
             self.counters.buffer_conflicts += 1;
             self.probe
                 .emit(t, DeviceEvent::BufferConflict { zone: zone_id });
-            t = self.flush_buffer(t, buf_idx, true)?;
+            match self.flush_buffer(t, buf_idx, true) {
+                Ok(done) => t = done,
+                Err(e) => {
+                    if let Ok(info) = found {
+                        self.zones.restore(zone_id, info.state);
+                    }
+                    return Err(e);
+                }
+            }
         }
         if self.buffers[buf_idx].owner() != Some(zone_id) {
             self.buffers[buf_idx].release();
@@ -310,7 +323,9 @@ impl ConZone {
                     slices: count,
                 },
             );
-            t = self.program_slc_batch(t, lpns, pay.as_deref(), true, None)?;
+            t = self
+                .program_slc_batch(t, lpns, pay.as_deref(), true, None)
+                .inspect_err(|_| self.buffers[buf_idx].undrain_front(count, pay))?;
             self.counters.patch_slices += count;
             self.media[zidx].flushed_slices = run_end;
             self.maybe_aggregate(zone_id, patch_start, run_end);
@@ -331,7 +346,9 @@ impl ConZone {
                     slices: count,
                 },
             );
-            t = self.program_slc_batch(t, lpns, pay.as_deref(), false, Some(zidx))?;
+            t = self
+                .program_slc_batch(t, lpns, pay.as_deref(), false, Some(zidx))
+                .inspect_err(|_| self.buffers[buf_idx].undrain_front(count, pay))?;
             self.media[zidx].flushed_slices = start + count;
         }
 
@@ -346,6 +363,10 @@ impl ConZone {
     /// the mapping table (`canonical` flag as given), the SLC owner map
     /// and — for premature flushes — the zone's staged list are updated
     /// once per such run.
+    ///
+    /// A batch that runs out of SLC space part-way is refused whole: what
+    /// it placed is taken back (see [`ConZone::unplace_slc_batch`]), so the
+    /// caller's data is still only where it was before.
     pub(crate) fn program_slc_batch(
         &mut self,
         now: SimTime,
@@ -354,40 +375,80 @@ impl ConZone {
         canonical: bool,
         staged_zone: Option<usize>,
     ) -> Result<SimTime, DeviceError> {
-        let mut t = now;
-        let mut finish = t;
-        let total = to_index(lpns.count);
-        let mut idx = 0usize;
         // Reused chip-order scratch; GC (reachable below) uses the
         // separate `gc_chip_order` buffer, so the two never alias.
         let mut order = std::mem::take(&mut self.scratch.chip_order);
-        while idx < total {
+        let staged = staged_zone.map(|z| (z, self.media[z].staged.len()));
+        let mut placed = 0;
+        let outcome = self.place_slc_batch(
+            now,
+            lpns,
+            payload,
+            canonical,
+            staged_zone,
+            &mut order,
+            &mut placed,
+        );
+        self.scratch.chip_order = order;
+        match outcome {
+            Ok(finish) => Ok(self.maybe_flush_l2p_log(finish)),
+            Err(e) => {
+                self.unplace_slc_batch(lpns, placed, staged)?;
+                Err(e)
+            }
+        }
+    }
+
+    /// The placement loop of [`ConZone::program_slc_batch`]; `placed`
+    /// counts the slices of `lpns` placed so far.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the batch's arguments plus its two scratch outputs"
+    )]
+    fn place_slc_batch(
+        &mut self,
+        now: SimTime,
+        lpns: LpnRange,
+        payload: Option<&[u8]>,
+        canonical: bool,
+        staged_zone: Option<usize>,
+        order: &mut Vec<usize>,
+        placed: &mut usize,
+    ) -> Result<SimTime, DeviceError> {
+        let mut t = now;
+        let mut finish = t;
+        let total = to_index(lpns.count);
+        let out_of_space = |at| DeviceError::NoFreeSpace {
+            at,
+            what: "slc secondary buffer superblocks".to_string(),
+        };
+        // Whether GC ran and nothing was placed since: a second pass then
+        // would free no more room (the region is full of live data).
+        let mut gc_idle = false;
+        while *placed < total {
             let sb = match self.slc.active {
                 Some(sb) => sb,
                 None => {
                     if self.slc.free.len() <= self.cfg.slc_gc_threshold && !self.slc.used.is_empty()
                     {
+                        if gc_idle {
+                            return Err(out_of_space(t));
+                        }
                         t = self.run_slc_gc(t)?;
                         finish = finish.max(t);
+                        gc_idle = true;
                     }
                     // GC's own migration may already have opened a fresh
                     // superblock; reuse it instead of double-activating.
                     match self.slc.active {
                         Some(sb) => sb,
-                        None => {
-                            self.slc
-                                .activate_next()
-                                .ok_or_else(|| DeviceError::NoFreeSpace {
-                                    at: t,
-                                    what: "slc secondary buffer superblocks".to_string(),
-                                })?
-                        }
+                        None => self.slc.activate_next().ok_or_else(|| out_of_space(t))?,
                     }
                 }
             };
-            let pending = idx..total;
-            idx =
-                self.slc_placement_round(t, sb, pending, &mut order, payload, |dev, at, out| {
+            let (pending, before) = (*placed..total, *placed);
+            *placed =
+                self.slc_placement_round(t, sb, pending, order, payload, |dev, at, out| {
                     // Host-visible: the buffer frees at the end of the transfer.
                     finish = finish.max(out.buffer_free);
                     let lpn = lpns.start.offset(at as u64);
@@ -406,10 +467,36 @@ impl ConZone {
                     dev.note_bits(lpn, out.slices, MapGranularity::Page);
                     dev.note_l2p_updates(out.slices);
                 })?;
+            gc_idle &= *placed == before;
         }
-        self.scratch.chip_order = order;
-        let finish = self.maybe_flush_l2p_log(finish);
         Ok(finish)
+    }
+
+    /// Takes back the first `placed` slices of a refused SLC batch over
+    /// `lpns`: their copies (wherever GC has moved them since) become
+    /// dead, unowned slices, as a failed program leaves them; the whole
+    /// run is unmapped; and a staged list `(zone, length)` is cut back to
+    /// its length before the batch.
+    fn unplace_slc_batch(
+        &mut self,
+        lpns: LpnRange,
+        placed: usize,
+        staged: Option<(usize, usize)>,
+    ) -> Result<(), DeviceError> {
+        let taken = LpnRange::new(lpns.start, placed as u64);
+        self.scratch.ppas.clear();
+        for (lpn, slot) in taken.iter().zip(self.table.ppas(taken)) {
+            if let Some(ppa) = slot {
+                self.scratch.ppas.push(ppa);
+                self.cache.invalidate_page(lpn);
+            }
+        }
+        self.drop_gathered_slc_slices()?;
+        self.table.unmap_extent(lpns.start, lpns.count);
+        if let Some((zone, len)) = staged {
+            self.media[zone].staged.truncate(len);
+        }
+        Ok(())
     }
 
     /// One placement round of the SLC write stream, shared by host

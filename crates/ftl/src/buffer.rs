@@ -140,6 +140,17 @@ impl WriteBuffer {
         }
     }
 
+    /// Puts back the `count` slices [`WriteBuffer::drain_front`] just
+    /// removed, with the payload it returned: a flush that was refused.
+    pub fn undrain_front(&mut self, count: u64, payload: Option<Vec<u8>>) {
+        self.start_offset -= count;
+        self.slices += count;
+        if let Some(mut head) = payload {
+            head.extend_from_slice(&self.data);
+            self.data = head;
+        }
+    }
+
     /// Clears the buffer and drops ownership.
     #[inline]
     pub fn release(&mut self) {

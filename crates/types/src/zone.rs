@@ -349,6 +349,13 @@ impl ZoneTable {
         self.transition(zone.index(), ZoneState::Full);
     }
 
+    /// Puts a zone back in `state`, write pointer unchanged: undoes the
+    /// opening [`ZoneTable::admit_write`] did for a write the model then
+    /// refused.
+    pub fn restore(&mut self, zone: ZoneId, state: ZoneState) {
+        self.transition(zone.index(), state);
+    }
+
     /// Returns a zone to empty, write pointer at its start. The model
     /// drops the zone's buffered data and erases its blocks.
     pub fn reset(&mut self, zone: ZoneId) {

@@ -39,10 +39,22 @@ fn conzone_with_conventional_zones_agrees_with_the_oracle() {
     agree(&["conv1-open1", "conv2-open2", "conv1-open6"]);
 }
 
-/// Program failures and read retries.
+/// Program and erase failures, grown-bad retirement and read retries.
 #[test]
 fn conzone_under_faults_agrees_with_the_oracle() {
     agree(&["faults"]);
+}
+
+/// Two SLC blocks a chip: flushes that run out of SLC space are refused,
+/// and a refusal changes no zone, no byte and no later answer. The first
+/// stream does run out, dozens of times.
+#[test]
+fn starved_conzone_refuses_cleanly() {
+    agree(&["starved"]);
+    let (mut dut, naive) = build("starved");
+    let cmds = stream(0x0c1e, RUNS.1, &naive, true, true);
+    let refused = run(&mut dut, naive, &cmds).expect("the device agrees");
+    assert!(refused >= 24, "{refused} refusals");
 }
 
 /// FEMU, with no open limit; Legacy, one conventional region.

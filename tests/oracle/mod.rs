@@ -96,6 +96,9 @@ pub enum Refusal {
     NotWritable,
     Unsupported,
     Unwritten,
+    /// Out of SLC space: a right answer only where the device is starved
+    /// ([`NaiveZones::starved`]).
+    NoSpace,
     Other(String),
 }
 
@@ -110,6 +113,7 @@ impl From<DeviceError> for Refusal {
             DeviceError::ZoneNotWritable { .. } => Refusal::NotWritable,
             DeviceError::Unsupported(_) => Refusal::Unsupported,
             DeviceError::UnwrittenRead { .. } => Refusal::Unwritten,
+            DeviceError::NoFreeSpace { .. } => Refusal::NoSpace,
             other => Refusal::Other(other.to_string()),
         }
     }
@@ -151,10 +155,16 @@ pub trait Target {
 }
 
 /// Runs `stream` on `target` and `naive` in lock-step, then reads back
-/// every written slice; the error is the failing step and what went wrong
+/// every written slice, and returns how many commands the target refused
+/// for want of space; the error is the failing step and what went wrong
 /// there. A panic in the target fails its step.
-pub fn run(target: &mut impl Target, mut naive: NaiveZones, stream: &[Cmd]) -> Result<(), Failure> {
+pub fn run(
+    target: &mut impl Target,
+    mut naive: NaiveZones,
+    stream: &[Cmd],
+) -> Result<usize, Failure> {
     let mut t = SimTime::ZERO;
+    let mut refused = 0;
     let mut step = |naive: &mut NaiveZones, cmd: Cmd| -> Result<(), String> {
         let Ok(got) = catch_unwind(AssertUnwindSafe(|| target.exec(cmd, naive, t))) else {
             return Err("the device panicked".to_string());
@@ -165,7 +175,13 @@ pub fn run(target: &mut impl Target, mut naive: NaiveZones, stream: &[Cmd]) -> R
             Err(_) => {}
         }
         let got = got.map(|(_, done)| done);
-        let want = naive.apply(cmd, &got);
+        let want = match got {
+            Err(Refusal::NoSpace) if naive.may_run_out(cmd) => {
+                refused += 1;
+                Err(Refusal::NoSpace)
+            }
+            _ => naive.apply(cmd, &got),
+        };
         if got != want {
             return Err(format!("the device answered {got:?}, the oracle {want:?}"));
         }
@@ -179,7 +195,7 @@ pub fn run(target: &mut impl Target, mut naive: NaiveZones, stream: &[Cmd]) -> R
         let fail = |why| (last, format!("reading back {cmd:?}: {why}"));
         step(&mut naive, cmd).map_err(fail)?;
     }
-    Ok(())
+    Ok(refused)
 }
 
 /// Every zone, and the first id past the end and `u64::MAX`, as the target
@@ -206,7 +222,7 @@ fn zones_agree(target: &mut impl Target, naive: &NaiveZones) -> Result<(), Strin
 pub fn lockstep<T: Target>(label: &str, fresh: impl Fn() -> (T, NaiveZones), cmds: Vec<Cmd>) -> T {
     let run_fresh = |cmds: &[Cmd]| {
         let (mut target, naive) = fresh();
-        run(&mut target, naive, cmds).map(|()| target)
+        run(&mut target, naive, cmds).map(|_| target)
     };
     if let Ok(target) = run_fresh(&cmds) {
         return target;

@@ -17,6 +17,10 @@ pub struct NaiveZones {
     pub zone_slices: u64,
     pub limit: usize,
     pub conventional: u64,
+    /// The device may run out of SLC space: it may then refuse a command
+    /// that takes data in or drains a write buffer, and the refusal must
+    /// change nothing.
+    pub starved: bool,
     data: BTreeMap<u64, u64>,
     /// The tag of the next write's first slice.
     next_tag: u64,
@@ -29,6 +33,7 @@ impl NaiveZones {
             zone_slices,
             limit,
             conventional,
+            starved: false,
             data: BTreeMap::new(),
             next_tag: 1,
         }
@@ -77,6 +82,17 @@ impl NaiveZones {
             Cmd::Read { zone, skew, count }
         };
         runs.into_iter().map(read).collect()
+    }
+
+    /// Whether the device may refuse `cmd` for want of space: it is
+    /// starved, `cmd` takes data in or drains a write buffer, and the
+    /// contract accepts it.
+    pub fn may_run_out(&self, cmd: Cmd) -> bool {
+        let buffers = matches!(
+            cmd,
+            Cmd::Write { .. } | Cmd::Append { .. } | Cmd::Flush | Cmd::Close(_) | Cmd::Finish(_)
+        );
+        self.starved && buffers && self.clone().apply(cmd, &Ok(Done::Ok)).is_ok()
     }
 
     /// Sequential zones open now.

@@ -49,7 +49,9 @@ pub fn build(name: &str) -> (Dut, NaiveZones) {
         // Program failures (a failed unit moves to SLC until its zone is
         // reset) and read retries, with twice the SLC. No grown-bad
         // retirement: each retired block would send its zone's units to
-        // SLC for good, and SLC would run out at last whatever its size.
+        // SLC for good, and SLC would run out at last whatever its size,
+        // in the middle of a write that cannot then be refused cleanly
+        // (ROADMAP 1(b)).
         "faults" => conzone(
             with(geometry(24, 8))
                 .chunk_bytes(256 * 1024)
@@ -59,6 +61,16 @@ pub fn build(name: &str) -> (Dut, NaiveZones) {
                     ..FaultConfig::with_rates(0.05, 0.0, 0.2)
                 }),
         ),
+        // Two SLC blocks a chip and 256 KiB program units: the zones'
+        // staged sub-unit remainders outgrow the SLC region, flushes run
+        // out of space, and the device refuses them (`NaiveZones::starved`).
+        "starved" => {
+            let g = Geometry {
+                program_unit_bytes: 256 * 1024,
+                ..geometry(18, 2)
+            };
+            conzone(with(g).chunk_bytes(256 * 1024))
+        }
         // A conventional zone, pinned search over a 16-entry L2P cache, an
         // L2P log and little SLC: every feature at once.
         "torture" => conzone(
@@ -75,7 +87,8 @@ pub fn build(name: &str) -> (Dut, NaiveZones) {
         "legacy" => Dut::Legacy(LegacyDevice::new(tiny().build().expect(name))),
         _ => panic!("no configuration {name}"),
     };
-    let naive = dut.naive();
+    let mut naive = dut.naive();
+    naive.starved = name == "starved";
     (dut, naive)
 }
 
