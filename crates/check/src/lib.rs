@@ -198,12 +198,14 @@ pub fn check<P: Debug, T: Simpler>(
         let why = run(&minimal)
             .err()
             .map_or_else(String::new, |p| message(&*p));
-        panic!(
-            "{path}: case {case} of seed {seed:#x} failed: {why}\n\
-             parameters: {params:?}\n\
-             shrunk from {drawn} to {} items: {minimal:?}",
-            minimal.len()
-        );
+        let list = match drawn {
+            0 => String::new(),
+            _ => format!(
+                "\nshrunk from {drawn} to {} items: {minimal:?}",
+                minimal.len()
+            ),
+        };
+        panic!("{path}: case {case} of seed {seed:#x} failed: {why}\nparameters: {params:?}{list}");
     }
 }
 
