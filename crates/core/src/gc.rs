@@ -113,11 +113,6 @@ impl ConZone {
                     None => {
                         self.scratch.gc_lpns = lpns;
                         self.scratch.gc_chip_order = order;
-                        // What moved lives on at its new home; the old
-                        // copies die now, so the victim stays collectable.
-                        for &old in &old_ppas[..idx] {
-                            self.flash.invalidate_run(old, 1).map_err(internal)?;
-                        }
                         return Err(DeviceError::NoFreeSpace {
                             at: now,
                             what: "no free SLC superblock for GC destination".to_string(),
