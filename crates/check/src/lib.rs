@@ -53,9 +53,14 @@ impl Rng {
     }
 
     /// A value in `range`, which must not be empty.
-    pub fn range<N: Int>(&mut self, range: Range<N>) -> N {
-        let (start, end) = (range.start.to_u64(), range.end.to_u64());
-        N::from_u64(start + self.below(end - start))
+    pub fn range<N: TryFrom<u64> + TryInto<u64>>(&mut self, range: Range<N>) -> N {
+        let wide = |n: N| {
+            n.try_into()
+                .unwrap_or_else(|_| unreachable!("an unsigned integer"))
+        };
+        let (start, end) = (wide(range.start), wide(range.end));
+        let v = start + self.below(end - start);
+        N::try_from(v).unwrap_or_else(|_| unreachable!("drawn inside the range"))
     }
 
     /// A fair coin.
@@ -69,33 +74,6 @@ impl Rng {
         (0..n).map(|_| item(self)).collect()
     }
 }
-
-/// An unsigned integer type [`Rng::range`] draws.
-pub trait Int: Copy {
-    /// The value, widened.
-    fn to_u64(self) -> u64;
-    /// A value known to fit, narrowed.
-    fn from_u64(v: u64) -> Self;
-}
-
-macro_rules! int {
-    ($($t:ty),*) => {$(
-        #[allow(
-            clippy::cast_lossless,
-            clippy::cast_possible_truncation,
-            reason = "one macro for all five widths; narrowed values were drawn in the type's range"
-        )]
-        impl Int for $t {
-            fn to_u64(self) -> u64 {
-                self as u64
-            }
-            fn from_u64(v: u64) -> $t {
-                v as $t
-            }
-        }
-    )*};
-}
-int!(u8, u16, u32, u64, usize);
 
 /// The seed of the test at `path`: its FNV-1a hash.
 fn seed_for(path: &str) -> u64 {
@@ -208,30 +186,14 @@ pub fn check<P: Debug, T: Simpler>(
 
 /// The text of a panic payload.
 fn message(payload: &(dyn Any + Send)) -> String {
-    match (
-        payload.downcast_ref::<&str>(),
-        payload.downcast_ref::<String>(),
-    ) {
-        (Some(s), _) => (*s).to_string(),
-        (None, Some(s)) => s.clone(),
-        (None, None) => "a panic without a message".to_string(),
-    }
+    let text = payload.downcast_ref::<&str>().map(|s| (*s).to_string());
+    text.or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn draws_are_deterministic_and_in_range() {
-        let (mut a, mut b) = (Rng::new(7), Rng::new(7));
-        for _ in 0..256 {
-            let x = a.range(3u8..17);
-            assert_eq!(x, b.range(3u8..17));
-            assert!((3..17).contains(&x));
-            assert_eq!(a.vec(1..4, Rng::bool), b.vec(1..4, Rng::bool));
-        }
-    }
 
     /// A count that halves to 1.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,24 +209,22 @@ mod tests {
     /// would pass halved.
     #[test]
     fn a_failure_shrinks_to_the_items_that_cause_it() {
-        let mut rng = Rng::new(1);
-        let counts: Vec<Count> = rng.vec(200..201, |rng| Count(rng.below(100)));
+        let counts = Rng::new(1).vec(200..201, |rng| Count(rng.below(100)));
         let fails_at = |items: &[Count]| {
             let big = items.iter().enumerate().filter(|(_, c)| c.0 >= 4);
             big.map(|(i, _)| i).nth(1)
         };
-        assert!(fails_at(&counts).is_some());
         let minimal = shrink(counts, fails_at);
         assert!(minimal.len() == 2 && minimal.iter().all(|c| (4..8).contains(&c.0)));
     }
 
     #[test]
-    fn a_passing_property_runs_every_case() {
+    fn a_passing_property_runs_every_case_in_range() {
         let ran = std::cell::Cell::new(0);
-        let generate = |rng: &mut Rng| (rng.below(10), rng.vec(0..5, |rng| rng.range(1u64..3)));
+        let generate = |rng: &mut Rng| (rng.range(3u8..17), rng.vec(0..5, |rng| rng.below(3)));
         check("tests::passing", 64, generate, |&p, items| {
             ran.set(ran.get() + 1);
-            assert!(p < 10 && items.iter().all(|&x| (1..3).contains(&x)));
+            assert!((3..17).contains(&p) && items.iter().all(|&x| x < 3));
         });
         assert_eq!(ran.get(), 64);
     }
@@ -272,11 +232,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "shrunk from 40 to 1 items: [7]")]
     fn a_failing_property_reports_the_shrunk_list() {
-        check(
-            "tests::failing",
-            8,
-            |rng| ((), rng.vec(40..41, |rng| rng.below(8))),
-            |(), items| assert!(!items.contains(&7), "a seven"),
-        );
+        let generate = |rng: &mut Rng| ((), rng.vec(40..41, |rng| rng.below(8)));
+        check("tests::failing", 8, generate, |(), items| {
+            assert!(!items.contains(&7), "a seven");
+        });
     }
 }

@@ -52,28 +52,7 @@ fn op(rng: &mut Rng) -> Op {
     }
 }
 
-impl Simpler for Op {
-    /// Half the slices of a write.
-    fn simpler(&self) -> Option<Op> {
-        match *self {
-            Op::Write { zone, slices } if slices > 1 => Some(Op::Write {
-                zone,
-                slices: slices / 2,
-            }),
-            Op::Conventional { offset, slices } if slices > 1 => Some(Op::Conventional {
-                offset,
-                slices: slices / 2,
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// Up to `max_len` ops and a flag drawn after them.
-fn ops_and_flag(rng: &mut Rng, max_len: usize) -> (bool, Vec<Op>) {
-    let ops = rng.vec(1..max_len, op);
-    (rng.bool(), ops)
-}
+impl Simpler for Op {}
 
 /// The tiny geometry (power-of-two zones, no tail), or with `tail` a
 /// 384 KiB superblock padded to 512 KiB zones: a 128 KiB SLC patch each
@@ -172,27 +151,23 @@ fn apply(dev: &mut ConZone, t: SimTime, op: &Op) -> Result<SimTime, DeviceError>
 #[test]
 fn invariants_hold_under_random_workload() {
     let path = "conzone_core::proptests::invariants_hold_under_random_workload";
-    check(
-        path,
-        48,
-        |rng| ops_and_flag(rng, 60),
-        |&faults, ops| {
-            let mut dev = device(faults, false);
-            let mut t = SimTime::ZERO;
-            for op in ops {
-                match apply(&mut dev, t, op) {
-                    Ok(finish) => t = finish,
-                    Err(e) => panic!("op {op:?} failed: {e}"),
-                }
+    let generate = |rng: &mut Rng| (rng.bool(), rng.vec(1..60, op));
+    check(path, 48, generate, |&faults, ops| {
+        let mut dev = device(faults, false);
+        let mut t = SimTime::ZERO;
+        for op in ops {
+            match apply(&mut dev, t, op) {
+                Ok(finish) => t = finish,
+                Err(e) => panic!("op {op:?} failed: {e}"),
             }
-            let violations = dev.check_invariants();
-            assert!(
-                violations.is_empty(),
-                "violations after {} ops: {violations:?}",
-                ops.len()
-            );
-        },
-    );
+        }
+        let violations = dev.check_invariants();
+        assert!(
+            violations.is_empty(),
+            "violations after {} ops: {violations:?}",
+            ops.len()
+        );
+    });
 }
 
 /// Write / close / finish / reset / GC streams under fault injection
@@ -204,38 +179,34 @@ fn invariants_hold_under_random_workload() {
 #[test]
 fn resetting_every_zone_leaves_no_slc_leftovers() {
     let path = "conzone_core::proptests::resetting_every_zone_leaves_no_slc_leftovers";
-    check(
-        path,
-        48,
-        |rng| ops_and_flag(rng, 120),
-        |&tail, ops| {
-            let mut dev = device(true, tail);
-            let mut t = SimTime::ZERO;
-            for op in ops {
-                match apply(&mut dev, t, op) {
-                    Ok(finish) => t = finish,
-                    Err(e) => panic!("op {op:?} failed: {e}"),
-                }
+    let generate = |rng: &mut Rng| (rng.bool(), rng.vec(1..120, op));
+    check(path, 48, generate, |&tail, ops| {
+        let mut dev = device(true, tail);
+        let mut t = SimTime::ZERO;
+        for op in ops {
+            match apply(&mut dev, t, op) {
+                Ok(finish) => t = finish,
+                Err(e) => panic!("op {op:?} failed: {e}"),
             }
-            let zs = dev.zones.zone_slices();
-            for zone in (1..dev.zone_count() as u64).map(ZoneId) {
-                t = dev.reset_zone(t, zone).expect("reset").finished;
-                assert!(
-                    dev.reset_reference(zone).is_empty(),
-                    "{zone} keeps SLC slices"
-                );
-                assert_eq!(dev.table.zone_mapped_slices(zone), 0);
-            }
-            if let Some((ppa, lpn)) = dev.slc.owner.iter().find(|(_, lpn)| lpn.raw() >= zs) {
-                panic!("{ppa} still owned by {lpn}, outside the conventional zone");
-            }
-            let violations = dev.check_invariants();
+        }
+        let zs = dev.zones.zone_slices();
+        for zone in (1..dev.zone_count() as u64).map(ZoneId) {
+            t = dev.reset_zone(t, zone).expect("reset").finished;
             assert!(
-                violations.is_empty(),
-                "violations after the resets: {violations:?}"
+                dev.reset_reference(zone).is_empty(),
+                "{zone} keeps SLC slices"
             );
-        },
-    );
+            assert_eq!(dev.table.zone_mapped_slices(zone), 0);
+        }
+        if let Some((ppa, lpn)) = dev.slc.owner.iter().find(|(_, lpn)| lpn.raw() >= zs) {
+            panic!("{ppa} still owned by {lpn}, outside the conventional zone");
+        }
+        let violations = dev.check_invariants();
+        assert!(
+            violations.is_empty(),
+            "violations after the resets: {violations:?}"
+        );
+    });
 }
 
 // ---------------------------------------------------------------------

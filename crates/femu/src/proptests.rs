@@ -103,19 +103,7 @@ fn ops(rng: &mut Rng) -> Vec<Op> {
     rng.vec(200..500, op)
 }
 
-impl Simpler for Op {
-    /// Half the slices of a request.
-    fn simpler(&self) -> Option<Op> {
-        let mut op = self.clone();
-        let (Op::Write { slices, .. } | Op::Append { slices, .. } | Op::Read { slices, .. }) =
-            &mut op
-        else {
-            return None;
-        };
-        *slices /= 2;
-        (*slices > 0).then_some(op)
-    }
-}
+impl Simpler for Op {}
 
 /// What a step returned, in comparable form.
 type Outcome = Result<(SimTime, SimTime, Option<Bytes>, Option<u64>), DeviceError>;
@@ -272,10 +260,7 @@ fn lockstep(ops: &[Op], data_backing: bool) -> Counters {
 #[test]
 fn femu_on_the_shared_parts_equals_the_hand_written_device() {
     let path = "conzone_femu::proptests::femu_on_the_shared_parts_equals_the_hand_written_device";
-    let generate = |rng: &mut Rng| {
-        let ops = ops(rng);
-        (rng.bool(), ops)
-    };
+    let generate = |rng: &mut Rng| (rng.bool(), ops(rng));
     check(path, 24, generate, |&data_backing, ops| {
         lockstep(ops, data_backing);
     });

@@ -194,56 +194,41 @@ struct Reach {
 }
 
 /// One read of the property: its addresses, and perhaps a slice that
-/// cannot be read, inserted at a position first.
+/// cannot be read, inserted at a position first: one of them invalidated
+/// just before, or one the setup never wrote (invalidating it changes
+/// nothing).
 #[derive(Debug, Clone, PartialEq)]
 struct Step {
     ppas: Vec<Ppa>,
-    dead: Option<(usize, Dead)>,
-}
-
-/// A slice that cannot be read.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Dead {
-    /// The request's own slice at this index, invalidated just before.
-    Live(usize),
-    /// A slice the setup never wrote.
-    Unwritten(Ppa),
+    dead: Option<(usize, Ppa)>,
 }
 
 impl Simpler for Step {
     /// Without the dead slice; then the first half of the addresses.
     fn simpler(&self) -> Option<Step> {
-        let ppas = &self.ppas;
-        match self.dead {
-            Some(_) => Some(Step {
-                dead: None,
-                ..self.clone()
-            }),
-            None if ppas.len() > 1 => Some(Step {
-                ppas: ppas[..ppas.len() / 2].to_vec(),
-                dead: None,
-            }),
-            None => None,
-        }
+        let (ppas, dead) = match self.dead {
+            Some(_) => (self.ppas.clone(), None),
+            None if self.ppas.len() > 1 => (self.ppas[..self.ppas.len() / 2].to_vec(), None),
+            None => return None,
+        };
+        Some(Step { ppas, dead })
     }
 }
 
-/// A generated request; one in four gets a dead slice at any position: a
-/// live one of its own, or one the setup never wrote.
+/// A generated request; one in four gets a dead slice at any position.
 fn step(rng: &mut Rng, g: &Geometry) -> Step {
     let ppas = request(rng, g);
     let dead = (rng.below(4) == 0).then(|| {
         let at = rng.below(ppas.len() as u64 + 1) as usize;
         if rng.below(2) == 0 {
-            (at, Dead::Live(rng.below(ppas.len() as u64) as usize))
-        } else {
-            let (chip, block, written) = PARTIAL[rng.below(2) as usize];
-            let unwritten = written as u64 + rng.below(g.slices_per_block() - written as u64);
-            (
-                at,
-                Dead::Unwritten(g.encode_ppa(ChipId(chip), block, 0, 0).offset(unwritten)),
-            )
+            return (at, ppas[rng.below(ppas.len() as u64) as usize]);
         }
+        let (chip, block, written) = PARTIAL[rng.below(2) as usize];
+        let unwritten = written as u64 + rng.below(g.slices_per_block() - written as u64);
+        (
+            at,
+            g.encode_ppa(ChipId(chip), block, 0, 0).offset(unwritten),
+        )
     });
     Step { ppas, dead }
 }
@@ -273,16 +258,9 @@ fn lockstep((backed, retries): (bool, bool), steps: &[Step], reach: &mut Reach) 
     let mut t = SimTime::ZERO + SimDuration::from_millis(50);
     for (step, Step { ppas, dead }) in steps.iter().enumerate() {
         let mut ppas = ppas.clone();
-        if let Some((at, dead)) = *dead {
-            let victim = match dead {
-                Dead::Live(i) => {
-                    let live = ppas[i];
-                    let _ = new.invalidate(live);
-                    let _ = old.invalidate(live);
-                    live
-                }
-                Dead::Unwritten(ppa) => ppa,
-            };
+        if let Some((at, victim)) = *dead {
+            let _ = new.invalidate(victim);
+            let _ = old.invalidate(victim);
             ppas.insert(at, victim);
         }
         let before = new.stats();
@@ -319,14 +297,10 @@ fn lockstep((backed, retries): (bool, bool), steps: &[Step], reach: &mut Reach) 
 #[test]
 fn read_slices_equals_the_per_slice_walk() {
     let path = "conzone_flash::array::proptests::read_slices_equals_the_per_slice_walk";
-    check(
-        path,
-        48,
-        |rng| case(rng.next_u64(), 24),
-        |&flags, steps| {
-            lockstep(flags, steps, &mut Reach::default());
-        },
-    );
+    let generate = |rng: &mut Rng| case(rng.next_u64(), 24);
+    check(path, 48, generate, |&flags, steps| {
+        lockstep(flags, steps, &mut Reach::default());
+    });
 }
 
 /// The property is only worth its name if the requests reach the paths it

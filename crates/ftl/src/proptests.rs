@@ -157,18 +157,7 @@ fn table_op(rng: &mut Rng) -> TableOp {
     }
 }
 
-impl Simpler for TableOp {
-    /// Half the pages of a run.
-    fn simpler(&self) -> Option<TableOp> {
-        let op = match *self {
-            TableOp::Set(l, n, c) if n > 1 => TableOp::Set(l, n / 2, c),
-            TableOp::Relocate(l, n) if n > 1 => TableOp::Relocate(l, n / 2),
-            TableOp::UnmapRun(l, n) if n > 1 => TableOp::UnmapRun(l, n / 2),
-            _ => return None,
-        };
-        Some(op)
-    }
-}
+impl Simpler for TableOp {}
 
 /// One step of the owner-map ≡ `BTreeMap` property.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,16 +204,7 @@ fn owner_op(rng: &mut Rng) -> OwnerOp {
     }
 }
 
-impl Simpler for OwnerOp {
-    /// Half the slices of a run.
-    fn simpler(&self) -> Option<OwnerOp> {
-        match *self {
-            OwnerOp::InsertRun(p, l, n) if n > 1 => Some(OwnerOp::InsertRun(p, l, n / 2)),
-            OwnerOp::RemoveRun(p, n) if n > 1 => Some(OwnerOp::RemoveRun(p, n / 2)),
-            _ => None,
-        }
-    }
-}
+impl Simpler for OwnerOp {}
 
 /// The run forms of the mapping table against the per-page loops they
 /// replaced, kept here as the reference: `set_extent` ≡ n × `set`
@@ -239,8 +219,8 @@ impl Simpler for OwnerOp {
 /// packing has to tell from "unmapped").
 #[test]
 fn run_forms_equal_the_per_page_loops() {
-    let path = "conzone_ftl::proptests::run_forms_equal_the_per_page_loops";
     let generate = |rng: &mut Rng| ((), rng.vec(1..60, table_op));
+    let path = "conzone_ftl::proptests::run_forms_equal_the_per_page_loops";
     check(path, 96, generate, |(), ops| {
         let mut bulk = MappingTable::new(TABLE_PAGES, 8, 32);
         let mut looped = MappingTable::new(TABLE_PAGES, 8, 32);
@@ -332,8 +312,8 @@ fn run_forms_equal_the_per_page_loops() {
 /// iteration — dense region and overflow merged — are the map's.
 #[test]
 fn owner_map_matches_a_btreemap() {
-    let path = "conzone_ftl::proptests::owner_map_matches_a_btreemap";
     let generate = |rng: &mut Rng| ((), rng.vec(1..60, owner_op));
+    let path = "conzone_ftl::proptests::owner_map_matches_a_btreemap";
     check(path, 96, generate, |(), ops| {
         let g = Geometry::tiny();
         let mut packed = OwnerMap::new(&g, 0..g.slc_blocks_per_chip);
@@ -377,11 +357,8 @@ fn owner_map_matches_a_btreemap() {
 /// order and pin flags after it.
 #[test]
 fn lru_matches_reference() {
+    let generate = |rng: &mut Rng| (rng.range(1..16), rng.vec(1..200, lru_op));
     let path = "conzone_ftl::proptests::lru_matches_reference";
-    let generate = |rng: &mut Rng| {
-        let ops = rng.vec(1..200, lru_op);
-        (rng.range(1..16), ops)
-    };
     check(path, 96, generate, |&cap, ops| {
         let mut real = LruCache::new(cap);
         let mut reference = RefLru {
@@ -432,11 +409,8 @@ fn lru_matches_reference() {
 /// granularity holds no covering key.)
 #[test]
 fn lookup_skips_only_empty_granularities() {
+    let generate = |rng: &mut Rng| (rng.range(1..12), rng.vec(1..150, cache_op));
     let path = "conzone_ftl::proptests::lookup_skips_only_empty_granularities";
-    let generate = |rng: &mut Rng| {
-        let ops = rng.vec(1..150, cache_op);
-        (rng.range(1..12), ops)
-    };
     check(path, 96, generate, |&cap, ops| {
         let mut cache = L2pCache::new(cap, 4, 16);
         for op in ops.iter().cloned() {
@@ -471,11 +445,8 @@ fn lookup_skips_only_empty_granularities() {
 /// Pinned entries are never evicted, whatever the churn.
 #[test]
 fn pinned_entries_survive() {
+    let generate = |rng: &mut Rng| (rng.range(2..16), rng.vec(1..300, |r| r.next_u64() as u16));
     let path = "conzone_ftl::proptests::pinned_entries_survive";
-    let generate = |rng: &mut Rng| {
-        let churn = rng.vec(1..300, |rng| rng.next_u64() as u16);
-        (rng.range(2..16), churn)
-    };
     check(path, 96, generate, |&cap, churn| {
         let mut cache = LruCache::new(cap);
         cache.insert(u64::MAX, true);
@@ -491,8 +462,8 @@ fn pinned_entries_survive() {
 /// canonical; unmapping any page breaks future aggregation.
 #[test]
 fn aggregation_soundness() {
-    let path = "conzone_ftl::proptests::aggregation_soundness";
     let generate = |rng: &mut Rng| ((), rng.vec(1..80, |rng| (rng.range(0..64), rng.bool())));
+    let path = "conzone_ftl::proptests::aggregation_soundness";
     check(path, 96, generate, |(), mapped| {
         let mut table = MappingTable::new(64, 8, 32);
         for &(lpn, canonical) in mapped {
@@ -517,8 +488,8 @@ fn aggregation_soundness() {
 /// arbitrary interleaving of inserts and invalidations.
 #[test]
 fn cache_and_bitmap_track_table() {
-    let path = "conzone_ftl::proptests::cache_and_bitmap_track_table";
     let generate = |rng: &mut Rng| ((), rng.vec(1..120, |rng| (rng.range(0..64), rng.bool())));
+    let path = "conzone_ftl::proptests::cache_and_bitmap_track_table";
     check(path, 96, generate, |(), ops| {
         let mut table = MappingTable::new(64, 8, 32);
         let mut cache = L2pCache::new(128, 8, 32);

@@ -21,59 +21,37 @@ const ROUNDS: u32 = 10_000;
 /// size suffixes, whitespace, and a lone UTF-8 lead byte.
 const ALPHABET: &[u8] = b"0123456789kKmMgGrRwWdD=[]#; \t\n\xc3";
 
-/// One edit of the text, at a position drawn modulo its length then.
+/// One edit of the text, at a position drawn modulo its length then: a
+/// bit flipped, a byte inserted or deleted, the number there (or none)
+/// replaced by digits, or the line there duplicated.
 #[derive(Debug, Clone, PartialEq)]
 enum Edit {
-    Flip {
-        at: u64,
-        bit: u8,
-    },
-    Insert {
-        at: u64,
-        byte: u8,
-    },
-    Delete {
-        at: u64,
-    },
-    /// The number at the position (or none) replaced by these digits.
-    Number {
-        at: u64,
-        digits: String,
-    },
-    /// The line at the position duplicated.
-    Line {
-        at: u64,
-    },
+    Flip(u64, u8),
+    Insert(u64, u8),
+    Delete(u64),
+    Number(u64, String),
+    Line(u64),
 }
 
 impl Simpler for Edit {}
 
-/// One to four edits: a bit flip, an inserted or deleted byte, the number
-/// at a position replaced by `u64::MAX` or by up to 40 random digits, or a
-/// duplicated line.
+/// One to four edits; a number becomes `u64::MAX` or up to 40 random
+/// digits, an insertion draws from [`ALPHABET`].
 fn edits(rng: &mut Rng) -> ((), Vec<Edit>) {
     let edit = |rng: &mut Rng| {
         let at = rng.next_u64();
         match rng.below(5) {
-            0 => Edit::Flip {
+            0 => Edit::Flip(at, rng.range(0..8)),
+            1 => Edit::Insert(at, ALPHABET[rng.range(0..ALPHABET.len())]),
+            2 => Edit::Delete(at),
+            3 if rng.bool() => Edit::Number(at, u64::MAX.to_string()),
+            3 => Edit::Number(
                 at,
-                bit: rng.range(0..8),
-            },
-            1 => Edit::Insert {
-                at,
-                byte: ALPHABET[rng.range(0..ALPHABET.len())],
-            },
-            2 => Edit::Delete { at },
-            3 => {
-                let digits = match rng.bool() {
-                    true => u64::MAX.to_string(),
-                    false => (0..=rng.below(40))
-                        .map(|_| char::from(b'0' + rng.range(0u8..10)))
-                        .collect(),
-                };
-                Edit::Number { at, digits }
-            }
-            _ => Edit::Line { at },
+                (0..=rng.below(40))
+                    .map(|_| rng.range(b'0'..b':') as char)
+                    .collect(),
+            ),
+            _ => Edit::Line(at),
         }
     };
     ((), rng.vec(1..5, edit))
@@ -84,37 +62,31 @@ fn mutate(seed: &[u8], edits: &[Edit]) -> String {
     let mut bytes = seed.to_vec();
     for edit in edits {
         let n = bytes.len() as u64;
-        let at = |raw: u64| (raw % n.max(1)) as usize;
-        match *edit {
-            Edit::Flip { at: raw, bit } if n > 0 => bytes[at(raw)] ^= 1 << bit,
-            Edit::Insert { at: raw, byte } => bytes.insert(at(raw), byte),
-            Edit::Delete { at: raw } if n > 0 => {
+        let at = |raw: &u64| (raw % n.max(1)) as usize;
+        match edit {
+            Edit::Flip(raw, bit) if n > 0 => bytes[at(raw)] ^= 1 << bit,
+            Edit::Insert(raw, byte) => bytes.insert(at(raw), *byte),
+            Edit::Delete(raw) if n > 0 => {
                 bytes.remove(at(raw));
             }
-            Edit::Number {
-                at: raw,
-                ref digits,
-            } => {
-                let at = at(raw);
-                let digit = |b: &&u8| b.is_ascii_digit();
+            Edit::Number(raw, digits) => {
+                let (at, digit) = (at(raw), |b: &&u8| b.is_ascii_digit());
                 let start = at - bytes[..at].iter().rev().take_while(digit).count();
                 let end = at + bytes[at..].iter().take_while(digit).count();
                 bytes.splice(start..end, digits.bytes());
             }
-            Edit::Line { at: raw } => {
+            Edit::Line(raw) => {
                 let at = at(raw);
                 let start = bytes[..at]
                     .iter()
                     .rposition(|&b| b == b'\n')
                     .map_or(0, |i| i + 1);
-                let end = bytes[at..]
-                    .iter()
-                    .position(|&b| b == b'\n')
-                    .map_or(bytes.len(), |i| at + i + 1);
+                let end = bytes[at..].iter().position(|&b| b == b'\n');
+                let end = end.map_or(bytes.len(), |i| at + i + 1);
                 let line = bytes[start..end].to_vec();
                 bytes.splice(end..end, line);
             }
-            Edit::Flip { .. } | Edit::Delete { .. } => {}
+            Edit::Flip(..) | Edit::Delete(_) => {}
         }
     }
     String::from_utf8_lossy(&bytes).into_owned()

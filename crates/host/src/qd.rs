@@ -1081,60 +1081,56 @@ mod proptests {
             );
             ((shape, seed, threads, bs_kib, qd), Vec::<()>::new())
         };
-        check(
-            path,
-            24,
-            generate,
-            |&(shape, seed, threads, bs_kib, qd), _| {
-                let (job, needs_fill) = job_for(shape, seed, threads, bs_kib);
-                // Mixed jobs issue random writes, which strict sequential
-                // zones reject — run those on the legacy model instead; deep
-                // queues of zoned sequential writes are rejected outright.
-                let fresh = || -> Box<dyn StorageDevice> {
-                    match shape {
-                        Shape::Mixed => Box::new(conzone_legacy::LegacyDevice::new(
-                            DeviceConfig::tiny_for_tests(),
-                        )),
-                        _ => Box::new(ConZone::new(DeviceConfig::tiny_for_tests())),
-                    }
-                };
-                let queued = |dev: &mut dyn StorageDevice, job: &FioJob| {
-                    let spec = TenantSpec::new("t0", job.clone());
-                    run_tenants(dev, &[spec], &QdOptions::default()).unwrap()
-                };
-                let (mut direct_dev, mut queued_dev) = (fresh(), fresh());
-                let mut fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
-                    .region(0, 4 * MIB)
-                    .bytes_per_thread(4 * MIB);
-                let mut job = job;
+        check(path, 24, generate, |case, _| {
+            let &(shape, seed, threads, bs_kib, qd) = case;
+            let (job, needs_fill) = job_for(shape, seed, threads, bs_kib);
+            // Mixed jobs issue random writes, which strict sequential
+            // zones reject — run those on the legacy model instead; deep
+            // queues of zoned sequential writes are rejected outright.
+            let fresh = || -> Box<dyn StorageDevice> {
                 match shape {
-                    Shape::Mixed => job = job.queue_depth(qd).fsync_every(5),
-                    Shape::RandRead => {
-                        fill = fill.zone_bytes(MIB);
-                        job = job.queue_depth(qd);
-                    }
-                    Shape::SeqWriteZoned => {}
+                    Shape::Mixed => Box::new(conzone_legacy::LegacyDevice::new(
+                        DeviceConfig::tiny_for_tests(),
+                    )),
+                    _ => Box::new(ConZone::new(DeviceConfig::tiny_for_tests())),
                 }
-                if needs_fill {
-                    let f1 = run_job(direct_dev.as_mut(), &fill).unwrap();
-                    let f2 = queued(queued_dev.as_mut(), &fill);
-                    assert_eq!(f1.finished, f2.finished);
-                    job = job.start_at(f1.finished);
+            };
+            let queued = |dev: &mut dyn StorageDevice, job: &FioJob| {
+                let spec = TenantSpec::new("t0", job.clone());
+                run_tenants(dev, &[spec], &QdOptions::default()).unwrap()
+            };
+            let (mut direct_dev, mut queued_dev) = (fresh(), fresh());
+            let mut fill = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
+                .region(0, 4 * MIB)
+                .bytes_per_thread(4 * MIB);
+            let mut job = job;
+            match shape {
+                Shape::Mixed => job = job.queue_depth(qd).fsync_every(5),
+                Shape::RandRead => {
+                    fill = fill.zone_bytes(MIB);
+                    job = job.queue_depth(qd);
                 }
-                let a = run_job(direct_dev.as_mut(), &job).unwrap();
-                let m = queued(queued_dev.as_mut(), &job);
-                let t = &m.tenants[0];
-                assert_eq!(a.finished, m.finished);
-                assert_eq!(a.bytes, m.bytes);
-                assert_eq!(a.ops, m.ops);
-                assert_eq!(a.latency, m.latency);
-                assert_eq!(a.read_latency, t.read_latency);
-                assert_eq!(a.write_latency, t.write_latency);
-                assert_eq!(&a.thread_latency, &t.thread_latency);
-                assert_eq!(a.counters, m.counters);
-                assert_eq!(a.counters, t.counters);
-            },
-        );
+                Shape::SeqWriteZoned => {}
+            }
+            if needs_fill {
+                let f1 = run_job(direct_dev.as_mut(), &fill).unwrap();
+                let f2 = queued(queued_dev.as_mut(), &fill);
+                assert_eq!(f1.finished, f2.finished);
+                job = job.start_at(f1.finished);
+            }
+            let a = run_job(direct_dev.as_mut(), &job).unwrap();
+            let m = queued(queued_dev.as_mut(), &job);
+            let t = &m.tenants[0];
+            assert_eq!(a.finished, m.finished);
+            assert_eq!(a.bytes, m.bytes);
+            assert_eq!(a.ops, m.ops);
+            assert_eq!(a.latency, m.latency);
+            assert_eq!(a.read_latency, t.read_latency);
+            assert_eq!(a.write_latency, t.write_latency);
+            assert_eq!(&a.thread_latency, &t.thread_latency);
+            assert_eq!(a.counters, m.counters);
+            assert_eq!(a.counters, t.counters);
+        });
     }
 
     /// Conservation holds for arbitrary two-tenant mixes.

@@ -1063,34 +1063,28 @@ mod books_tests {
         }
     }
 
-    /// One completion of stream `stream`: its thread (modulo the stream's
-    /// threads), its kind and its latency, `bits` below 2^`magnitude` ns.
+    /// One completion: its stream, its thread (modulo the stream's
+    /// threads), its kind and its latency in ns.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Done {
-        stream: usize,
-        thread: usize,
-        kind: usize,
-        magnitude: u32,
-        bits: u64,
-    }
+    struct Done(usize, usize, usize, u64);
 
     impl Simpler for Done {}
 
-    /// 1–3 streams of 1–3 threads, with up to 300 completions each.
+    /// 1–3 streams of 1–3 threads, with up to 300 completions each, of
+    /// latencies below 2^0 to 2^39 ns.
     fn streams(rng: &mut Rng) -> (Vec<usize>, Vec<Done>) {
         let threads = rng.vec(1..4, |rng| rng.range(1..4));
         let mut done = Vec::new();
         for stream in 0..threads.len() {
             for _ in 0..rng.range(0usize..300) {
-                let (thread, kind) = (rng.range(0..3), rng.range(0..3));
-                let (magnitude, bits) = (rng.range(0..40), rng.next_u64());
-                done.push(Done {
+                let (thread, kind, magnitude) =
+                    (rng.range(0..3), rng.range(0..3), rng.range(0..40));
+                done.push(Done(
                     stream,
                     thread,
                     kind,
-                    magnitude,
-                    bits,
-                });
+                    rng.next_u64() % (1 << magnitude),
+                ));
             }
         }
         (threads, done)
@@ -1115,19 +1109,18 @@ mod books_tests {
                     thread_hists: vec![LatencyHistogram::new(); threads],
                     ..ThreeRecordBooks::default()
                 };
-                let mine = completions.iter().filter(|c| c.stream == stream);
-                for (i, c) in mine.enumerate() {
-                    let thread = c.thread % threads;
-                    let latency = SimDuration::from_nanos(c.bits % (1 << c.magnitude));
+                let mine = completions.iter().filter(|c| c.0 == stream);
+                for (i, &Done(_, thread, kind, ns)) in mine.enumerate() {
+                    let (thread, latency) = (thread % threads, SimDuration::from_nanos(ns));
                     let done = SimTime::from_nanos(i as u64 * 1000);
-                    match c.kind {
+                    match kind {
                         NO_DATA => once.record(thread, latency, done),
                         _ => {
-                            once.record_io(thread, c.kind == READ, 4096, latency, done);
+                            once.record_io(thread, kind == READ, 4096, latency, done);
                             thrice.bytes += 4096;
                         }
                     }
-                    thrice.record(thread, c.kind, latency, done);
+                    thrice.record(thread, kind, latency, done);
                 }
                 assert_eq!(
                     once.job_report("books", SimTime::ZERO, Vec::new(), Counters::default()),

@@ -16,45 +16,38 @@ fn nanos(rng: &mut Rng, len: std::ops::Range<usize>, below: u64) -> Vec<u64> {
 #[test]
 fn quantiles_match_exact() {
     let path = "conzone_sim::proptests::quantiles_match_exact";
-    check(
-        path,
-        64,
-        |rng| ((), nanos(rng, 10..500, 10_000_000)),
-        |(), samples| {
-            if samples.is_empty() {
-                return;
-            }
-            let mut hist = LatencyHistogram::new();
-            for &s in samples {
-                hist.record(SimDuration::from_nanos(s));
-            }
-            let mut sorted = samples.to_vec();
-            sorted.sort_unstable();
-            for q in [0.1, 0.5, 0.9, 0.99] {
-                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-                let exact = sorted[rank - 1] as f64;
-                let approx = hist.quantile(q).as_nanos() as f64;
-                let err = (approx - exact).abs() / exact;
-                assert!(err <= 0.05, "q={q}: approx {approx} vs exact {exact}");
-            }
-            assert_eq!(hist.summary().count, samples.len() as u64);
-            assert_eq!(hist.min().as_nanos(), sorted[0]);
-            assert_eq!(hist.max().as_nanos(), sorted[sorted.len() - 1]);
-            let exact_mean = samples.iter().sum::<u64>() / samples.len() as u64;
-            let mean_err = (hist.mean().as_nanos() as i64 - exact_mean as i64).abs();
-            assert!(mean_err <= 1, "mean off by {mean_err}");
-        },
-    );
+    let generate = |rng: &mut Rng| ((), nanos(rng, 10..500, 10_000_000));
+    check(path, 64, generate, |(), samples| {
+        if samples.is_empty() {
+            return;
+        }
+        let mut hist = LatencyHistogram::new();
+        for &s in samples {
+            hist.record(SimDuration::from_nanos(s));
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        for q in [0.1, 0.5, 0.9, 0.99] {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let exact = sorted[rank - 1] as f64;
+            let approx = hist.quantile(q).as_nanos() as f64;
+            let err = (approx - exact).abs() / exact;
+            assert!(err <= 0.05, "q={q}: approx {approx} vs exact {exact}");
+        }
+        assert_eq!(hist.summary().count, samples.len() as u64);
+        assert_eq!(hist.min().as_nanos(), sorted[0]);
+        assert_eq!(hist.max().as_nanos(), sorted[sorted.len() - 1]);
+        let exact_mean = samples.iter().sum::<u64>() / samples.len() as u64;
+        let mean_err = (hist.mean().as_nanos() as i64 - exact_mean as i64).abs();
+        assert!(mean_err <= 1, "mean off by {mean_err}");
+    });
 }
 
 /// Merging histograms equals recording into one.
 #[test]
 fn merge_is_homomorphic() {
+    let generate = |rng: &mut Rng| (nanos(rng, 1..100, 1_000_000), nanos(rng, 1..100, 1_000_000));
     let path = "conzone_sim::proptests::merge_is_homomorphic";
-    let generate = |rng: &mut Rng| {
-        let a = nanos(rng, 1..100, 1_000_000);
-        (a, nanos(rng, 1..100, 1_000_000))
-    };
     check(path, 64, generate, |a, b| {
         let mut ha = LatencyHistogram::new();
         let mut hb = LatencyHistogram::new();
@@ -81,11 +74,8 @@ fn merge_is_homomorphic() {
 /// the sum of durations.
 #[test]
 fn resource_reservations_never_overlap() {
+    let generate = |rng: &mut Rng| ((), rng.vec(1..100, |r| (r.range(0..1000), r.range(1..500))));
     let path = "conzone_sim::proptests::resource_reservations_never_overlap";
-    let generate = |rng: &mut Rng| {
-        let op = |rng: &mut Rng| (rng.range(0..1000), rng.range(1..500));
-        ((), rng.vec(1..100, op))
-    };
     check(path, 64, generate, |(), ops| {
         let mut resource = Resource::new();
         let mut last_end = SimTime::ZERO;
@@ -109,28 +99,24 @@ fn resource_reservations_never_overlap() {
 #[test]
 fn event_queue_is_stable_sorted() {
     let path = "conzone_sim::proptests::event_queue_is_stable_sorted";
-    check(
-        path,
-        64,
-        |rng| ((), rng.vec(1..200, |rng| rng.below(50))),
-        |(), times| {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_nanos(t), i);
-            }
-            let mut last: Option<(u64, usize)> = None;
-            while let Some((t, i)) = q.pop() {
-                if let Some((lt, li)) = last {
-                    assert!(t.as_nanos() >= lt, "time ordered");
-                    if t.as_nanos() == lt {
-                        assert!(i > li, "FIFO at equal times");
-                    }
+    let generate = |rng: &mut Rng| ((), rng.vec(1..200, |rng| rng.below(50)));
+    check(path, 64, generate, |(), times| {
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.push(SimTime::from_nanos(t), i);
+        }
+        let mut last: Option<(u64, usize)> = None;
+        while let Some((t, i)) = q.pop() {
+            if let Some((lt, li)) = last {
+                assert!(t.as_nanos() >= lt, "time ordered");
+                if t.as_nanos() == lt {
+                    assert!(i > li, "FIFO at equal times");
                 }
-                assert_eq!(times[i], t.as_nanos());
-                last = Some((t.as_nanos(), i));
             }
-        },
-    );
+            assert_eq!(times[i], t.as_nanos());
+            last = Some((t.as_nanos(), i));
+        }
+    });
 }
 
 /// The RNG's `below` is uniform enough over small bounds (chi-squared
@@ -138,28 +124,24 @@ fn event_queue_is_stable_sorted() {
 #[test]
 fn rng_below_uniform() {
     let path = "conzone_sim::proptests::rng_below_uniform";
-    check(
-        path,
-        64,
-        |rng| (rng.next_u64(), Vec::<()>::new()),
-        |&seed, _| {
-            let mut rng = SimRng::new(seed);
-            let bound = 8u64;
-            let n = 8000;
-            let mut counts = [0u32; 8];
-            for _ in 0..n {
-                counts[rng.below(bound) as usize] += 1;
-            }
-            let expect = f64::from(n) / bound as f64;
-            for (i, &c) in counts.iter().enumerate() {
-                let dev = (f64::from(c) - expect).abs() / expect;
-                assert!(dev < 0.15, "bucket {i}: {c} vs {expect}");
-            }
-            let mut a = SimRng::new(seed);
-            let mut b = SimRng::new(seed);
-            for _ in 0..32 {
-                assert_eq!(a.next_u64(), b.next_u64());
-            }
-        },
-    );
+    let generate = |rng: &mut Rng| (rng.next_u64(), Vec::<()>::new());
+    check(path, 64, generate, |&seed, _| {
+        let mut rng = SimRng::new(seed);
+        let bound = 8u64;
+        let n = 8000;
+        let mut counts = [0u32; 8];
+        for _ in 0..n {
+            counts[rng.below(bound) as usize] += 1;
+        }
+        let expect = f64::from(n) / bound as f64;
+        for (i, &c) in counts.iter().enumerate() {
+            let dev = (f64::from(c) - expect).abs() / expect;
+            assert!(dev < 0.15, "bucket {i}: {c} vs {expect}");
+        }
+        let mut a = SimRng::new(seed);
+        let mut b = SimRng::new(seed);
+        for _ in 0..32 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    });
 }

@@ -324,42 +324,38 @@ mod tests {
     /// `drain` takes nothing away.
     #[test]
     fn ring_matches_a_bounded_deque_model() {
-        let path = "conzone_sim::trace::tests::ring_matches_a_bounded_deque_model";
         let generate = |rng: &mut Rng| {
             let shape = (rng.range(16..65), rng.range(0..401), rng.range(1..40));
             (shape, Vec::<()>::new())
         };
-        check(
-            path,
-            64,
-            generate,
-            |&(capacity, fill_percent, drain_every), _| {
-                let n = capacity * fill_percent / 100;
-                let sink = RingBufferSink::with_capacity(capacity);
-                let mut model: VecDeque<TraceRecord> = VecDeque::new();
-                let events = all_events();
-                for i in 0..n {
-                    let record = TraceRecord {
-                        time: SimTime::from_nanos(i as u64),
-                        event: events[i % events.len()],
-                    };
-                    sink.record(record.time, record.event);
-                    model.push_back(record);
-                    if model.len() > capacity {
-                        model.pop_front();
-                    }
-                    if (i + 1) % drain_every == 0 || i + 1 == n {
-                        let drained = sink.drain();
-                        assert_eq!(&drained, &Vec::from(model.clone()));
-                        assert_eq!(sink.drain(), drained, "drain is not idempotent");
-                        assert_eq!(sink.recorded(), i as u64 + 1);
-                        assert_eq!(sink.dropped(), (i + 1).saturating_sub(capacity) as u64);
-                    }
+        let path = "conzone_sim::trace::tests::ring_matches_a_bounded_deque_model";
+        check(path, 64, generate, |shape, _| {
+            let &(capacity, fill_percent, drain_every) = shape;
+            let n = capacity * fill_percent / 100;
+            let sink = RingBufferSink::with_capacity(capacity);
+            let mut model: VecDeque<TraceRecord> = VecDeque::new();
+            let events = all_events();
+            for i in 0..n {
+                let record = TraceRecord {
+                    time: SimTime::from_nanos(i as u64),
+                    event: events[i % events.len()],
+                };
+                sink.record(record.time, record.event);
+                model.push_back(record);
+                if model.len() > capacity {
+                    model.pop_front();
                 }
-                assert_eq!(sink.drain().len(), n.min(capacity));
-                assert_eq!(sink.recorded(), n as u64);
-            },
-        );
+                if (i + 1) % drain_every == 0 || i + 1 == n {
+                    let drained = sink.drain();
+                    assert_eq!(&drained, &Vec::from(model.clone()));
+                    assert_eq!(sink.drain(), drained, "drain is not idempotent");
+                    assert_eq!(sink.recorded(), i as u64 + 1);
+                    assert_eq!(sink.dropped(), (i + 1).saturating_sub(capacity) as u64);
+                }
+            }
+            assert_eq!(sink.drain().len(), n.min(capacity));
+            assert_eq!(sink.recorded(), n as u64);
+        });
     }
 
     #[test]

@@ -54,19 +54,12 @@ impl Simpler for Edit {}
 /// by `u64::MAX`, by 40 digits or by an empty string.
 fn edit(rng: &mut Rng) -> Edit {
     let at = rng.next_u64();
-    match rng.below(3) {
-        0 => Edit::Drop(at),
-        1 => Edit::Repeat(at),
-        _ => Edit::Value(
-            at,
-            match rng.below(3) {
-                0 => u64::MAX.to_string(),
-                1 => (0..40)
-                    .map(|_| char::from(b'0' + rng.range(0u8..10)))
-                    .collect(),
-                _ => String::new(),
-            },
-        ),
+    match rng.below(9) {
+        0..3 => Edit::Drop(at),
+        3..6 => Edit::Repeat(at),
+        6 => Edit::Value(at, u64::MAX.to_string()),
+        7 => Edit::Value(at, (0..40).map(|_| rng.range(b'0'..b':') as char).collect()),
+        _ => Edit::Value(at, String::new()),
     }
 }
 
@@ -79,14 +72,10 @@ fn mutate(seed: &[String], edits: &[Edit]) -> Vec<String> {
         }
         let at = |raw: &u64| (raw % argv.len() as u64) as usize;
         match edit {
-            Edit::Drop(raw) => {
-                argv.remove(at(raw));
-            }
+            Edit::Drop(raw) => drop(argv.remove(at(raw))),
             Edit::Repeat(raw) => {
-                let at = at(raw);
-                let end = (at + 2).min(argv.len());
-                let flag = argv[at..end].to_vec();
-                argv.splice(end..end, flag);
+                let (at, end) = (at(raw), (at(raw) + 2).min(argv.len()));
+                argv.splice(end..end, argv[at..end].to_vec());
             }
             Edit::Value(raw, value) => {
                 let at = at(raw);
@@ -120,9 +109,9 @@ fn accepts(argv: &[String]) -> bool {
 fn mutated_command_lines_never_panic() {
     let seeds = seeds();
     assert!(seeds.len() > 30, "{} seed lines", seeds.len());
-    let path = "conzone::run::argv_fuzz::mutated_command_lines_never_panic";
     let generate = |rng: &mut Rng| (rng.range(0..seeds.len()), rng.vec(1..4, edit));
     let accepted = Cell::new(0);
+    let path = "conzone::run::argv_fuzz::mutated_command_lines_never_panic";
     check(path, ROUNDS, generate, |&seed, edits| {
         let argv = mutate(&seeds[seed], edits);
         let ok = catch_unwind(AssertUnwindSafe(|| accepts(&argv)))

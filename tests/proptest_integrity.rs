@@ -55,35 +55,30 @@ fn crash_recovery_is_sound() {
         (case, Vec::<()>::new())
     };
     let path = "proptest_integrity::crash_recovery_is_sound";
-    check(
-        path,
-        24,
-        generate,
-        |&(seed, fault_seed, permille, cut_us), _| {
-            let mut cfg = small_cfg();
-            cfg.fault = FaultConfig::with_rates(
-                f64::from(permille.0) / 1000.0,
-                0.0,
-                f64::from(permille.1) / 1000.0,
-            );
-            cfg.fault.seed = fault_seed;
-            let mut dev = ConZone::new(cfg);
-            let job = crash_job(seed, dev.zone_size());
-            let cut_at = SimTime::ZERO + SimDuration::from_micros(cut_us);
-            run_job_until(&mut dev, &job, cut_at).expect("workload runs to the cut");
-            let verdict =
-                power_cycle_and_verify(&mut dev, seed, cut_at).expect("recovery audits pass");
-            assert_eq!(
-                verdict.report.recovered_slices + verdict.report.lost_slices,
-                verdict.in_flight_at_cut
-            );
-            assert_eq!(
-                verdict.verified_recovered_slices,
-                verdict.report.recovered_slices
-            );
-            assert_eq!(verdict.verified_lost_slices, verdict.report.lost_slices);
-        },
-    );
+    check(path, 24, generate, |case, _| {
+        let &(seed, fault_seed, permille, cut_us) = case;
+        let mut cfg = small_cfg();
+        cfg.fault = FaultConfig::with_rates(
+            f64::from(permille.0) / 1000.0,
+            0.0,
+            f64::from(permille.1) / 1000.0,
+        );
+        cfg.fault.seed = fault_seed;
+        let mut dev = ConZone::new(cfg);
+        let job = crash_job(seed, dev.zone_size());
+        let cut_at = SimTime::ZERO + SimDuration::from_micros(cut_us);
+        run_job_until(&mut dev, &job, cut_at).expect("workload runs to the cut");
+        let verdict = power_cycle_and_verify(&mut dev, seed, cut_at).expect("recovery audits pass");
+        assert_eq!(
+            verdict.report.recovered_slices + verdict.report.lost_slices,
+            verdict.in_flight_at_cut
+        );
+        assert_eq!(
+            verdict.verified_recovered_slices,
+            verdict.report.recovered_slices
+        );
+        assert_eq!(verdict.verified_lost_slices, verdict.report.lost_slices);
+    });
 }
 
 /// The same fault seed, workload seed and cut instant reproduce the
