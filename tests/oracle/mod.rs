@@ -216,16 +216,20 @@ fn zones_agree(target: &mut impl Target, naive: &NaiveZones) -> Result<(), Strin
 }
 
 /// Runs `cmds` on a fresh `(target, naive)` pair in lock-step and returns
-/// the target. On a disagreement, panics with `label` (the configuration
+/// the target and how many commands it refused for want of space. On a disagreement, panics with `label` (the configuration
 /// and the seed), the stream shrunk by the property engine's shrinker and
 /// what went wrong in it.
-pub fn lockstep<T: Target>(label: &str, fresh: impl Fn() -> (T, NaiveZones), cmds: Vec<Cmd>) -> T {
+pub fn lockstep<T: Target>(
+    label: &str,
+    fresh: impl Fn() -> (T, NaiveZones),
+    cmds: Vec<Cmd>,
+) -> (T, usize) {
     let run_fresh = |cmds: &[Cmd]| {
         let (mut target, naive) = fresh();
-        run(&mut target, naive, cmds).map(|_| target)
+        run(&mut target, naive, cmds).map(|refused| (target, refused))
     };
-    if let Ok(target) = run_fresh(&cmds) {
-        return target;
+    if let Ok(done) = run_fresh(&cmds) {
+        return done;
     }
     let minimal = shrink(cmds, |s| run_fresh(s).err().map(|(step, _)| step));
     let ((_, why), n) = (run_fresh(&minimal).err().unwrap_or_default(), minimal.len());
@@ -233,8 +237,9 @@ pub fn lockstep<T: Target>(label: &str, fresh: impl Fn() -> (T, NaiveZones), cmd
 }
 
 /// Runs `steps` seeded commands on the named configuration (see [`build`])
-/// and returns the device.
-pub fn check(name: &str, seed: u64, steps: usize) -> Dut {
+/// and returns the device and how many commands it refused for want of
+/// space.
+pub fn check(name: &str, seed: u64, steps: usize) -> (Dut, usize) {
     let (dut, naive) = build(name);
     let zoned = !matches!(dut, Dut::Legacy(_));
     let cmds = stream(seed, steps, &naive, zoned, matches!(dut, Dut::ConZone(_)));

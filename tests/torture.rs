@@ -11,7 +11,7 @@ mod oracle;
 
 #[test]
 fn everything_at_once() {
-    let mut dut = oracle::check("torture", 0x707, 4000);
+    let (mut dut, _) = oracle::check("torture", 0x707, 4000);
 
     // The run exercised everything it was meant to.
     let c = dut.dev().counters();
