@@ -39,7 +39,7 @@ fn conzone_with_conventional_zones_agrees_with_the_oracle() {
     agree(&["conv1-open1", "conv2-open2", "conv1-open6"]);
 }
 
-/// Program and erase failures, grown-bad retirement and read retries.
+/// Program failures and read retries.
 #[test]
 fn conzone_under_faults_agrees_with_the_oracle() {
     agree(&["faults"]);
