@@ -150,7 +150,7 @@ fn apply(dev: &mut ConZone, t: SimTime, op: &Op) -> Result<SimTime, DeviceError>
 /// device structurally consistent after every operation sequence.
 #[test]
 fn invariants_hold_under_random_workload() {
-    let path = "conzone_core::proptests::invariants_hold_under_random_workload";
+    let path = concat!(module_path!(), "::invariants_hold_under_random_workload");
     let generate = |rng: &mut Rng| (rng.bool(), rng.vec(1..60, op));
     check(path, 48, generate, |&faults, ops| {
         let mut dev = device(faults, false);
@@ -178,7 +178,10 @@ fn invariants_hold_under_random_workload() {
 /// by a reset zone and nothing mapped in one.
 #[test]
 fn resetting_every_zone_leaves_no_slc_leftovers() {
-    let path = "conzone_core::proptests::resetting_every_zone_leaves_no_slc_leftovers";
+    let path = concat!(
+        module_path!(),
+        "::resetting_every_zone_leaves_no_slc_leftovers"
+    );
     let generate = |rng: &mut Rng| (rng.bool(), rng.vec(1..120, op));
     check(path, 48, generate, |&tail, ops| {
         let mut dev = device(true, tail);
@@ -540,8 +543,7 @@ mod read_reference {
             assert_eq!(
                 coverage(&runs.dev),
                 coverage(&slices.dev),
-                "eviction {}",
-                fresh
+                "eviction {fresh}"
             );
         }
         runs.dev.counters()

@@ -296,7 +296,7 @@ fn lockstep((backed, retries): (bool, bool), steps: &[Step], reach: &mut Reach) 
 /// reads what the per-slice walk read.
 #[test]
 fn read_slices_equals_the_per_slice_walk() {
-    let path = "conzone_flash::array::proptests::read_slices_equals_the_per_slice_walk";
+    let path = concat!(module_path!(), "::read_slices_equals_the_per_slice_walk");
     let generate = |rng: &mut Rng| case(rng.next_u64(), 24);
     check(path, 48, generate, |&flags, steps| {
         lockstep(flags, steps, &mut Reach::default());

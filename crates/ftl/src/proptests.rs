@@ -220,7 +220,7 @@ impl Simpler for OwnerOp {}
 #[test]
 fn run_forms_equal_the_per_page_loops() {
     let generate = |rng: &mut Rng| ((), rng.vec(1..60, table_op));
-    let path = "conzone_ftl::proptests::run_forms_equal_the_per_page_loops";
+    let path = concat!(module_path!(), "::run_forms_equal_the_per_page_loops");
     check(path, 96, generate, |(), ops| {
         let mut bulk = MappingTable::new(TABLE_PAGES, 8, 32);
         let mut looped = MappingTable::new(TABLE_PAGES, 8, 32);
@@ -313,7 +313,7 @@ fn run_forms_equal_the_per_page_loops() {
 #[test]
 fn owner_map_matches_a_btreemap() {
     let generate = |rng: &mut Rng| ((), rng.vec(1..60, owner_op));
-    let path = "conzone_ftl::proptests::owner_map_matches_a_btreemap";
+    let path = concat!(module_path!(), "::owner_map_matches_a_btreemap");
     check(path, 96, generate, |(), ops| {
         let g = Geometry::tiny();
         let mut packed = OwnerMap::new(&g, 0..g.slc_blocks_per_chip);
@@ -358,7 +358,7 @@ fn owner_map_matches_a_btreemap() {
 #[test]
 fn lru_matches_reference() {
     let generate = |rng: &mut Rng| (rng.range(1..16), rng.vec(1..200, lru_op));
-    let path = "conzone_ftl::proptests::lru_matches_reference";
+    let path = concat!(module_path!(), "::lru_matches_reference");
     check(path, 96, generate, |&cap, ops| {
         let mut real = LruCache::new(cap);
         let mut reference = RefLru {
@@ -386,12 +386,8 @@ fn lru_matches_reference() {
                     reference.entries.clear();
                 }
             }
-            assert_eq!(
-                real.recency().collect::<Vec<_>>(),
-                &reference.entries[..],
-                "{:?}",
-                op
-            );
+            let recency: Vec<_> = real.recency().collect();
+            assert_eq!(recency, &reference.entries[..], "{op:?}");
             assert_eq!(real.len(), reference.entries.len());
             assert_eq!(real.evictions(), evictions);
             for k in 0..64 {
@@ -410,7 +406,7 @@ fn lru_matches_reference() {
 #[test]
 fn lookup_skips_only_empty_granularities() {
     let generate = |rng: &mut Rng| (rng.range(1..12), rng.vec(1..150, cache_op));
-    let path = "conzone_ftl::proptests::lookup_skips_only_empty_granularities";
+    let path = concat!(module_path!(), "::lookup_skips_only_empty_granularities");
     check(path, 96, generate, |&cap, ops| {
         let mut cache = L2pCache::new(cap, 4, 16);
         for op in ops.iter().cloned() {
@@ -446,7 +442,7 @@ fn lookup_skips_only_empty_granularities() {
 #[test]
 fn pinned_entries_survive() {
     let generate = |rng: &mut Rng| (rng.range(2..16), rng.vec(1..300, |r| r.next_u64() as u16));
-    let path = "conzone_ftl::proptests::pinned_entries_survive";
+    let path = concat!(module_path!(), "::pinned_entries_survive");
     check(path, 96, generate, |&cap, churn| {
         let mut cache = LruCache::new(cap);
         cache.insert(u64::MAX, true);
@@ -463,7 +459,7 @@ fn pinned_entries_survive() {
 #[test]
 fn aggregation_soundness() {
     let generate = |rng: &mut Rng| ((), rng.vec(1..80, |rng| (rng.range(0..64), rng.bool())));
-    let path = "conzone_ftl::proptests::aggregation_soundness";
+    let path = concat!(module_path!(), "::aggregation_soundness");
     check(path, 96, generate, |(), mapped| {
         let mut table = MappingTable::new(64, 8, 32);
         for &(lpn, canonical) in mapped {
@@ -489,7 +485,7 @@ fn aggregation_soundness() {
 #[test]
 fn cache_and_bitmap_track_table() {
     let generate = |rng: &mut Rng| ((), rng.vec(1..120, |rng| (rng.range(0..64), rng.bool())));
-    let path = "conzone_ftl::proptests::cache_and_bitmap_track_table";
+    let path = concat!(module_path!(), "::cache_and_bitmap_track_table");
     check(path, 96, generate, |(), ops| {
         let mut table = MappingTable::new(64, 8, 32);
         let mut cache = L2pCache::new(128, 8, 32);

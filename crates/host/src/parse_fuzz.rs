@@ -119,7 +119,7 @@ fn assert_both_outcomes(accepted: u64) {
 fn mutated_job_files_never_panic() {
     let seed = include_str!("../../../tests/golden/jobfile-tiny/job.fio");
     assert!(parse_fio_jobs(seed).is_ok());
-    let path = "conzone_host::parse_fuzz::mutated_job_files_never_panic";
+    let path = concat!(module_path!(), "::mutated_job_files_never_panic");
     assert_both_outcomes(fuzz(path, seed, |text| parse_fio_jobs(text).is_ok()));
 }
 
@@ -131,7 +131,10 @@ fn mutated_traces_never_panic_and_accepted_ones_round_trip() {
         .reads(8)
         .build()
         .to_text();
-    let path = "conzone_host::parse_fuzz::mutated_traces_never_panic_and_accepted_ones_round_trip";
+    let path = concat!(
+        module_path!(),
+        "::mutated_traces_never_panic_and_accepted_ones_round_trip"
+    );
     let accepted = fuzz(path, &seed, |text| {
         let Ok(trace) = Trace::parse(text) else {
             return false;

@@ -1071,7 +1071,7 @@ mod proptests {
     /// tenant behind a zero-cost fetch stage.
     #[test]
     fn one_tenant_zero_fetch_matches_run_job() {
-        let path = "conzone_host::qd::proptests::one_tenant_zero_fetch_matches_run_job";
+        let path = concat!(module_path!(), "::one_tenant_zero_fetch_matches_run_job");
         let generate = |rng: &mut Rng| {
             let shape = [Shape::SeqWriteZoned, Shape::RandRead, Shape::Mixed][rng.range(0..3)];
             let (seed, threads) = (rng.next_u64(), rng.range(1..4));
@@ -1136,7 +1136,7 @@ mod proptests {
     /// Conservation holds for arbitrary two-tenant mixes.
     #[test]
     fn tenant_counters_always_sum() {
-        let path = "conzone_host::qd::proptests::tenant_counters_always_sum";
+        let path = concat!(module_path!(), "::tenant_counters_always_sum");
         let generate = |rng: &mut Rng| {
             let (seed, qd_a, qd_b) = (rng.next_u64(), rng.range(1..6), rng.range(1..6));
             ((seed, qd_a, qd_b, rng.range(1..5)), Vec::<()>::new())

@@ -15,7 +15,7 @@ fn nanos(rng: &mut Rng, len: std::ops::Range<usize>, below: u64) -> Vec<u64> {
 /// of the exact order statistic.
 #[test]
 fn quantiles_match_exact() {
-    let path = "conzone_sim::proptests::quantiles_match_exact";
+    let path = concat!(module_path!(), "::quantiles_match_exact");
     let generate = |rng: &mut Rng| ((), nanos(rng, 10..500, 10_000_000));
     check(path, 64, generate, |(), samples| {
         if samples.is_empty() {
@@ -47,7 +47,7 @@ fn quantiles_match_exact() {
 #[test]
 fn merge_is_homomorphic() {
     let generate = |rng: &mut Rng| (nanos(rng, 1..100, 1_000_000), nanos(rng, 1..100, 1_000_000));
-    let path = "conzone_sim::proptests::merge_is_homomorphic";
+    let path = concat!(module_path!(), "::merge_is_homomorphic");
     check(path, 64, generate, |a, b| {
         let mut ha = LatencyHistogram::new();
         let mut hb = LatencyHistogram::new();
@@ -75,7 +75,7 @@ fn merge_is_homomorphic() {
 #[test]
 fn resource_reservations_never_overlap() {
     let generate = |rng: &mut Rng| ((), rng.vec(1..100, |r| (r.range(0..1000), r.range(1..500))));
-    let path = "conzone_sim::proptests::resource_reservations_never_overlap";
+    let path = concat!(module_path!(), "::resource_reservations_never_overlap");
     check(path, 64, generate, |(), ops| {
         let mut resource = Resource::new();
         let mut last_end = SimTime::ZERO;
@@ -98,7 +98,7 @@ fn resource_reservations_never_overlap() {
 /// time, FIFO within equal times.
 #[test]
 fn event_queue_is_stable_sorted() {
-    let path = "conzone_sim::proptests::event_queue_is_stable_sorted";
+    let path = concat!(module_path!(), "::event_queue_is_stable_sorted");
     let generate = |rng: &mut Rng| ((), rng.vec(1..200, |rng| rng.below(50)));
     check(path, 64, generate, |(), times| {
         let mut q = EventQueue::new();
@@ -123,7 +123,7 @@ fn event_queue_is_stable_sorted() {
 /// style sanity bound) and deterministic per seed.
 #[test]
 fn rng_below_uniform() {
-    let path = "conzone_sim::proptests::rng_below_uniform";
+    let path = concat!(module_path!(), "::rng_below_uniform");
     let generate = |rng: &mut Rng| (rng.next_u64(), Vec::<()>::new());
     check(path, 64, generate, |&seed, _| {
         let mut rng = SimRng::new(seed);

@@ -384,7 +384,7 @@ mod tests {
         /// whole u64 domain (including the top tier near `u64::MAX`).
         #[test]
         fn bucket_low_is_a_lower_bound() {
-            let path = "conzone_sim::stats::tests::bucket_props::bucket_low_is_a_lower_bound";
+            let path = concat!(module_path!(), "::bucket_low_is_a_lower_bound");
             check(path, 256, value, |&v, _| {
                 let low = bucket_low(bucket_index(v));
                 assert!(low <= v, "bucket_low {low} > value {v}");
@@ -395,7 +395,7 @@ mod tests {
         /// back in the same bucket (lower bounds are canonical).
         #[test]
         fn bucket_low_is_in_its_own_bucket() {
-            let path = "conzone_sim::stats::tests::bucket_props::bucket_low_is_in_its_own_bucket";
+            let path = concat!(module_path!(), "::bucket_low_is_in_its_own_bucket");
             check(path, 256, value, |&v, _| {
                 let idx = bucket_index(v);
                 assert_eq!(bucket_index(bucket_low(idx)), idx);

@@ -328,7 +328,7 @@ mod tests {
             let shape = (rng.range(16..65), rng.range(0..401), rng.range(1..40));
             (shape, Vec::<()>::new())
         };
-        let path = "conzone_sim::trace::tests::ring_matches_a_bounded_deque_model";
+        let path = concat!(module_path!(), "::ring_matches_a_bounded_deque_model");
         check(path, 64, generate, |shape, _| {
             let &(capacity, fill_percent, drain_every) = shape;
             let n = capacity * fill_percent / 100;

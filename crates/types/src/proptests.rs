@@ -36,7 +36,7 @@ fn addressed(rng: &mut Rng) -> ((Geometry, u64), Vec<()>) {
 #[test]
 fn arbitrary_geometries_validate() {
     let generate = |rng: &mut Rng| (geometry(rng, false), Vec::<()>::new());
-    let path = "conzone_types::proptests::arbitrary_geometries_validate";
+    let path = concat!(module_path!(), "::arbitrary_geometries_validate");
     check(path, 64, generate, |g, _| {
         assert!(g.validate().is_ok(), "{g:?}");
     });
@@ -45,7 +45,7 @@ fn arbitrary_geometries_validate() {
 /// PPA encode/decode is a bijection over the whole array.
 #[test]
 fn ppa_roundtrip() {
-    let path = "conzone_types::proptests::ppa_roundtrip";
+    let path = concat!(module_path!(), "::ppa_roundtrip");
     check(path, 64, addressed, |&(g, seed), _| {
         let chip = ChipId(seed % g.nchips() as u64);
         let block = (seed / 7) as usize % g.blocks_per_chip;
@@ -60,7 +60,7 @@ fn ppa_roundtrip() {
 /// Superblock slice addressing never leaves its superblock.
 #[test]
 fn superblock_slice_roundtrip() {
-    let path = "conzone_types::proptests::superblock_slice_roundtrip";
+    let path = concat!(module_path!(), "::superblock_slice_roundtrip");
     check(path, 64, addressed, |&(g, seed), _| {
         let sb = SuperblockId(seed % g.blocks_per_chip as u64);
         let offset = (seed / 3) % g.slices_per_superblock();
@@ -79,7 +79,7 @@ fn lpn_range_covers_bytes() {
             Vec::<()>::new(),
         )
     };
-    let path = "conzone_types::proptests::lpn_range_covers_bytes";
+    let path = concat!(module_path!(), "::lpn_range_covers_bytes");
     check(path, 64, generate, |&(offset, len), _| {
         let range = LpnRange::covering_bytes(offset, len).expect("non-empty");
         assert!(range.start.byte_offset() <= offset);
@@ -96,7 +96,7 @@ fn lpn_range_covers_bytes() {
 #[test]
 fn config_invariants() {
     let generate = |rng: &mut Rng| (geometry(rng, true), Vec::<()>::new());
-    let path = "conzone_types::proptests::config_invariants";
+    let path = concat!(module_path!(), "::config_invariants");
     check(path, 64, generate, |&g, _| {
         let cfg = DeviceConfig::builder(g)
             .chunk_bytes(g.superpage_bytes())

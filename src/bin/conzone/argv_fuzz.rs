@@ -111,7 +111,7 @@ fn mutated_command_lines_never_panic() {
     assert!(seeds.len() > 30, "{} seed lines", seeds.len());
     let generate = |rng: &mut Rng| (rng.range(0..seeds.len()), rng.vec(1..4, edit));
     let accepted = Cell::new(0);
-    let path = "conzone::run::argv_fuzz::mutated_command_lines_never_panic";
+    let path = concat!(module_path!(), "::mutated_command_lines_never_panic");
     check(path, ROUNDS, generate, |&seed, edits| {
         let argv = mutate(&seeds[seed], edits);
         let ok = catch_unwind(AssertUnwindSafe(|| accepts(&argv)))

@@ -268,7 +268,7 @@ fn span_nesting_is_balanced_per_io() {
         let shape = (rng.range(0..1024), rng.range(64..2048), rng.range(1..400));
         (shape, Vec::<()>::new())
     };
-    let path = "observability::span_nesting_is_balanced_per_io";
+    let path = concat!(module_path!(), "::span_nesting_is_balanced_per_io");
     check(path, 16, generate, |&(seed, churn_kib, read_ops), _| {
         let mut dev = spanful_device();
         let spans = Arc::new(SpanBuffer::with_capacity(1 << 20));

@@ -54,7 +54,7 @@ fn crash_recovery_is_sound() {
         let case = (seed, fault_seed, (program_permille, retry_permille), cut_us);
         (case, Vec::<()>::new())
     };
-    let path = "proptest_integrity::crash_recovery_is_sound";
+    let path = concat!(module_path!(), "::crash_recovery_is_sound");
     check(path, 24, generate, |case, _| {
         let &(seed, fault_seed, permille, cut_us) = case;
         let mut cfg = small_cfg();
@@ -89,7 +89,7 @@ fn seeded_crash_runs_are_deterministic() {
         let case = (rng.next_u64(), rng.next_u64(), rng.range(50..1000));
         (case, Vec::<()>::new())
     };
-    let path = "proptest_integrity::seeded_crash_runs_are_deterministic";
+    let path = concat!(module_path!(), "::seeded_crash_runs_are_deterministic");
     check(path, 24, generate, |&(seed, fault_seed, cut_us), _| {
         let run = || {
             let mut cfg = small_cfg();
