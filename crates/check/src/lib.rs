@@ -185,7 +185,7 @@ pub fn check<P: Debug, T: Simpler>(
 }
 
 /// The text of a panic payload.
-fn message(payload: &(dyn Any + Send)) -> String {
+pub fn message(payload: &(dyn Any + Send)) -> String {
     let text = payload.downcast_ref::<&str>().map(|s| (*s).to_string());
     text.or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_default()

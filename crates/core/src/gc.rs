@@ -57,7 +57,19 @@ impl ConZone {
                         t = end;
                         self.counters.gc_migrated_slices += live;
                     }
-                    Err(e) => outcome = Err(e),
+                    Err(e) => {
+                        // Out of room part-way: the victim stays in use,
+                        // and the copies already moved out of it are dead.
+                        outcome = Err(e);
+                        for &ppa in &ppas {
+                            if self.slc.owner.get(ppa).is_none() {
+                                if let Err(e) = self.flash.invalidate_run(ppa, 1) {
+                                    outcome = Err(internal(e));
+                                    break;
+                                }
+                            }
+                        }
+                    }
                 },
                 Err(e) => outcome = Err(e),
             }
@@ -104,7 +116,6 @@ impl ConZone {
         // threshold guarantees a destination superblock is available.
         let mut finish = now;
         let mut idx = 0usize;
-        let mut order = std::mem::take(&mut self.scratch.gc_chip_order);
         while idx < lpns.len() {
             let sb = match self.slc.active {
                 Some(sb) => sb,
@@ -112,7 +123,6 @@ impl ConZone {
                     Some(sb) => sb,
                     None => {
                         self.scratch.gc_lpns = lpns;
-                        self.scratch.gc_chip_order = order;
                         return Err(DeviceError::NoFreeSpace {
                             at: now,
                             what: "no free SLC superblock for GC destination".to_string(),
@@ -121,37 +131,35 @@ impl ConZone {
                 },
             };
             let pending = idx..lpns.len();
-            idx =
-                self.slc_placement_round(now, sb, pending, &mut order, data, |dev, at, out| {
-                    // GC completes when the data is in the cells, not when the
-                    // transfer ends: the victim is erased next.
-                    finish = finish.max(out.finish);
-                    // The batch landed as one physical run; its sources split
-                    // into runs that were consecutive both logically and
-                    // physically (a staged or patch fragment moves as one).
-                    let n = to_index(out.slices);
-                    let (moved_lpns, moved_from) = (&lpns[at..at + n], &old_ppas[at..at + n]);
-                    let mut k = 0;
-                    while k < n {
-                        let (lpn, old) = (moved_lpns[k], moved_from[k]);
-                        let len = 1
-                            + (1..n - k)
-                                .take_while(|&d| {
-                                    moved_lpns[k + d] == lpn.offset(d as u64)
-                                        && moved_from[k + d] == old.offset(d as u64)
-                                })
-                                .count();
-                        let new = out.first.offset(k as u64);
-                        dev.table.relocate_extent(lpn, new, len as u64);
-                        dev.slc.owner.remove_run(old, len);
-                        dev.slc.owner.insert_run(new, lpn, len);
-                        dev.fix_staged_references(lpn, new, len as u64);
-                        k += len;
-                    }
-                })?;
+            idx = self.slc_placement_round(now, sb, pending, data, |dev, at, out| {
+                // GC completes when the data is in the cells, not when the
+                // transfer ends: the victim is erased next.
+                finish = finish.max(out.finish);
+                // The batch landed as one physical run; its sources split
+                // into runs that were consecutive both logically and
+                // physically (a staged or patch fragment moves as one).
+                let n = to_index(out.slices);
+                let (moved_lpns, moved_from) = (&lpns[at..at + n], &old_ppas[at..at + n]);
+                let mut k = 0;
+                while k < n {
+                    let (lpn, old) = (moved_lpns[k], moved_from[k]);
+                    let len = 1
+                        + (1..n - k)
+                            .take_while(|&d| {
+                                moved_lpns[k + d] == lpn.offset(d as u64)
+                                    && moved_from[k + d] == old.offset(d as u64)
+                            })
+                            .count();
+                    let new = out.first.offset(k as u64);
+                    dev.table.relocate_extent(lpn, new, len as u64);
+                    dev.slc.owner.remove_run(old, len);
+                    dev.slc.owner.insert_run(new, lpn, len);
+                    dev.fix_staged_references(lpn, new, len as u64);
+                    k += len;
+                }
+            })?;
         }
         self.scratch.gc_lpns = lpns;
-        self.scratch.gc_chip_order = order;
         Ok(finish)
     }
 

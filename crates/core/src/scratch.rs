@@ -6,9 +6,10 @@
 //! `tests/zero_alloc.rs`, so `ConZone` owns one set of buffers that the paths `mem::take`, clear,
 //! fill and put back. Capacity grows during warmup and then stabilises.
 //!
-//! Fields taken concurrently must be distinct: the write path holds
-//! `chip_order` while GC (reachable from `program_slc_batch`) holds the
-//! `gc_*` buffers, so the two never alias. `ppas` is held by whichever of
+//! Fields taken concurrently must be distinct: GC (reachable from
+//! `program_slc_batch`) holds the `gc_*` buffers; `chip_order` is held
+//! only inside one SLC placement round, which calls nothing that places.
+//! `ppas` is held by whichever of
 //! an SLC combine, a conventional overwrite or a zone reset is gathering
 //! slices to drop; each puts it back before anything else can run.
 
@@ -25,14 +26,16 @@ pub(crate) struct IoScratch {
     /// SLC slices about to be dropped: a combine's staged run, the old
     /// versions under a conventional overwrite, a reset zone's leftovers.
     pub ppas: Vec<Ppa>,
-    /// Write path: idle-first chip placement order.
+    /// A conventional overwrite: the previous versions, dropped once the
+    /// new ones are placed.
+    pub overwritten: Vec<Ppa>,
+    /// SLC placement (host flushes and GC migration): idle-first chip
+    /// order.
     pub chip_order: Vec<usize>,
     /// GC: the victim's live PPAs.
     pub gc_ppas: Vec<Ppa>,
     /// GC: owners of the migrating slices.
     pub gc_lpns: Vec<Lpn>,
-    /// GC: idle-first chip placement order for migration.
-    pub gc_chip_order: Vec<usize>,
 }
 
 impl IoScratch {
@@ -52,10 +55,10 @@ impl IoScratch {
             // A reset zone's SLC leftovers: its patch slices plus one
             // staged run (program-failure redos come on top, and grow it).
             ppas: Vec::with_capacity(patch + g.slices_per_unit() + superpage),
+            overwritten: Vec::new(),
             chip_order: Vec::with_capacity(g.nchips()),
             gc_ppas: Vec::with_capacity(superblock),
             gc_lpns: Vec::with_capacity(superblock),
-            gc_chip_order: Vec::with_capacity(g.nchips()),
         }
     }
 }

@@ -18,7 +18,7 @@
 use conzone_flash::{FlashError, ProgramOutcome};
 use conzone_types::{
     to_index, ChipId, DeviceError, DeviceEvent, FlushKind, LpnRange, MapGranularity, SimTime,
-    SpanKind, SuperblockId, ZoneId, SLICE_BYTES, SLICE_LEN,
+    SpanKind, SuperblockId, ZoneId, ZoneState, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::device::ConZone;
@@ -38,14 +38,19 @@ impl ConZone {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<SimTime, DeviceError> {
-        // What admission changes (it opens the zone) a refused eviction
-        // below must undo.
+        // What admission changes (it opens the zone) a refused write must
+        // undo.
         let found = self
             .zones
             .info(ZoneId(range.start.raw() / self.zones.zone_slices()));
+        let state = found.ok().map(|info| info.state);
         let (zone_id, offset) = self.zones.admit_write(range)?;
         if self.zones.is_conventional(zone_id) {
-            return self.conventional_write(now, zone_id, offset, range, payload);
+            let done = self.conventional_write(now, zone_id, offset, range, payload);
+            if let (Err(_), Some(state)) = (&done, state) {
+                self.zones.restore(zone_id, state);
+            }
+            return done;
         }
         let zidx = zone_id.index();
 
@@ -69,8 +74,8 @@ impl ConZone {
             match self.flush_buffer(t, buf_idx, true) {
                 Ok(done) => t = done,
                 Err(e) => {
-                    if let Ok(info) = found {
-                        self.zones.restore(zone_id, info.state);
+                    if let Some(state) = state {
+                        self.zones.restore(zone_id, state);
                     }
                     return Err(e);
                 }
@@ -81,8 +86,35 @@ impl ConZone {
             self.buffers[buf_idx].adopt(zone_id, offset);
         }
 
-        // Append, flushing full superpages as they accumulate.
-        let mut remaining = range.count;
+        t = match self.fill_buffer(t, buf_idx, zone_id, range.count, payload) {
+            Ok(done) => done,
+            Err(e) => {
+                self.refuse_write(zone_id, buf_idx, offset, state)?;
+                return Err(e);
+            }
+        };
+        // Exclusive write-path attribution: the combine / GC / log time
+        // accumulated inside the flushes is already charged elsewhere.
+        let sub_delta =
+            self.breakdown.combine_read + self.breakdown.gc + self.breakdown.l2p_log - sub_before;
+        self.breakdown.write_path += (t - now) - (t - now).min(sub_delta);
+        self.spans.close(t);
+        Ok(t + self.cfg.host_overhead)
+    }
+
+    /// Appends a write's `count` slices to its zone's buffer `buf_idx`,
+    /// flushing full superpages as they accumulate; a write that completes
+    /// the zone drains the buffer and seals the zone.
+    fn fill_buffer(
+        &mut self,
+        now: SimTime,
+        buf_idx: usize,
+        zone_id: ZoneId,
+        count: u64,
+        payload: Option<&[u8]>,
+    ) -> Result<SimTime, DeviceError> {
+        let mut t = now;
+        let mut remaining = count;
         let mut pay_off = 0usize;
         let mut zone_complete = false;
         while remaining > 0 {
@@ -96,25 +128,49 @@ impl ConZone {
                 t = self.flush_buffer(t, buf_idx, false)?;
             }
         }
-
-        // Zone completed: drain everything and seal it.
         if zone_complete {
             t = self.flush_buffer(t, buf_idx, true)?;
             self.buffers[buf_idx].release();
             self.zones.seal(zone_id);
         }
-        // Exclusive write-path attribution: the combine / GC / log time
-        // accumulated inside the flushes is already charged elsewhere.
-        let sub_delta =
-            self.breakdown.combine_read + self.breakdown.gc + self.breakdown.l2p_log - sub_before;
-        self.breakdown.write_path += (t - now) - (t - now).min(sub_delta);
-        self.spans.close(t);
-        Ok(t + self.cfg.host_overhead)
+        Ok(t)
+    }
+
+    /// Takes back a write to `zone_id` that a flush refused part-way: the
+    /// zone returns to `w0` slices and to `state` (what it was before
+    /// admission), and nothing the write carried stays readable. What of
+    /// it is still buffered is dropped; what reached the media is unmapped
+    /// and its slices invalidated. A unit whose canonical slot the write
+    /// used stays used: the zone's next flush of it goes to SLC.
+    fn refuse_write(
+        &mut self,
+        zone_id: ZoneId,
+        buf_idx: usize,
+        w0: u64,
+        state: Option<ZoneState>,
+    ) -> Result<(), DeviceError> {
+        let zidx = zone_id.index();
+        let durable = self.media[zidx].flushed_slices;
+        if durable <= w0 {
+            self.buffers[buf_idx].truncate(w0 - durable);
+        } else {
+            let from = self.zones.start_lpn(zone_id).offset(w0);
+            self.unmap_and_drop(LpnRange::new(from, durable - w0))?;
+            self.media[zidx].staged.retain(|s| s.lpn < from);
+            self.media[zidx].flushed_slices = w0;
+            self.buffers[buf_idx].release();
+            self.buffers[buf_idx].adopt(zone_id, w0);
+        }
+        self.zones.rewind(zone_id, w0);
+        if let Some(state) = state {
+            self.zones.restore(zone_id, state);
+        }
+        Ok(())
     }
 
     /// Services a write to a conventional zone (paper §III-E): in-place
     /// updates are allowed anywhere in the zone; data is page-mapped into
-    /// the SLC region, superseding any previous version.
+    /// the SLC region, superseding any previous version once it is placed.
     fn conventional_write(
         &mut self,
         now: SimTime,
@@ -123,18 +179,47 @@ impl ConZone {
         range: LpnRange,
         payload: Option<&[u8]>,
     ) -> Result<SimTime, DeviceError> {
-        // Supersede previous versions: gather the mapped pages' slices,
-        // then drop them a physical run at a time. (The cache is keyed per
-        // page, so its invalidation has no run form.)
-        self.scratch.ppas.clear();
+        // Make room first: the placement below runs no GC, so the previous
+        // versions stay live where they are until the new ones are placed,
+        // and a refused overwrite leaves them mapped.
+        let mut t = now;
+        let mut room = self.slc_room();
+        while room < range.count && !self.slc.used.is_empty() {
+            t = self.run_slc_gc(t)?;
+            let grown = self.slc_room();
+            if grown <= room {
+                break;
+            }
+            room = grown;
+        }
+        // The previous versions. (The cache is keyed per page, so its
+        // invalidation has no run form.)
+        let mut old = std::mem::take(&mut self.scratch.overwritten);
+        old.clear();
         for (lpn, slot) in range.iter().zip(self.table.ppas(range)) {
             if let Some(ppa) = slot {
-                self.scratch.ppas.push(ppa);
+                old.push(ppa);
                 self.cache.invalidate_page(lpn);
             }
         }
+        match self.program_slc_batch(t, range, payload, false, None, false) {
+            Ok(done) => t = done,
+            Err(e) => {
+                // Refused: the previous versions are mapped again.
+                for &ppa in &old {
+                    if let Some(lpn) = self.slc.owner.get(ppa) {
+                        self.table.set_extent(lpn, ppa, 1, false);
+                    }
+                }
+                self.scratch.overwritten = old;
+                return Err(e);
+            }
+        }
+        // Supersede the previous versions, a physical run at a time.
+        self.scratch.ppas.clear();
+        self.scratch.ppas.extend_from_slice(&old);
+        self.scratch.overwritten = old;
         self.drop_gathered_slc_slices()?;
-        let mut t = self.program_slc_batch(now, range, payload, false, None)?;
         self.counters.conventional_updates += range.count;
         self.note_l2p_updates(range.count);
         t = self.maybe_flush_l2p_log(t);
@@ -143,6 +228,28 @@ impl ConZone {
         self.media[zone_id.index()].flushed_slices =
             self.zones.mark_written(zone_id, offset + range.count);
         Ok(t + self.cfg.host_overhead)
+    }
+
+    /// Slices the SLC write stream can place without garbage collection:
+    /// what is left of the active superblock, and the free superblocks
+    /// above the GC threshold. Retired blocks count as usable, so under
+    /// faults this may promise more than a placement finds; that
+    /// placement is then refused whole.
+    fn slc_room(&self) -> u64 {
+        let g = &self.cfg.geometry;
+        let spb = g.slices_per_block();
+        let chips = (0..g.nchips()).map(|c| ChipId(c as u64));
+        let active = self.slc.active.map_or(0, |sb| {
+            chips
+                .map(|chip| spb - self.flash.block(chip, sb.index()).cursor() as u64)
+                .sum()
+        });
+        let spare = self
+            .slc
+            .free
+            .len()
+            .saturating_sub(self.cfg.slc_gc_threshold);
+        active + spare as u64 * spb * g.nchips() as u64
     }
 
     /// Services a zone append (NVMe ZNS): the device places the data at
@@ -192,10 +299,15 @@ impl ConZone {
         let staged_len = self.media[zidx].staged.len() as u64;
         let run_start = self.media[zidx].staged_start();
         let run_end = self.buffers[buf_idx].end_offset();
-        // (A host flush inside the tail patch leaves the durable prefix
-        // mid-unit; nothing is ever staged there.)
+        // Units are aligned to the zone. (A host flush inside the tail
+        // patch leaves the durable prefix mid-unit; nothing is ever staged
+        // there. A refused write may leave it mid-unit in a unit whose
+        // canonical slot it used; see `refuse_write`.)
+        let first = run_start / unit * unit;
         debug_assert!(
-            run_start >= backing || run_start.is_multiple_of(unit),
+            run_start >= backing
+                || run_start == first
+                || (staged_len == 0 && self.slot_used(sb, first)),
             "staged run starts unit-aligned"
         );
 
@@ -203,16 +315,18 @@ impl ConZone {
 
         // ── Path ① / ③: full canonical units below the backing boundary ──
         let canon_end = run_end.min(backing);
-        let full_end = if canon_end > run_start {
-            run_start + ((canon_end - run_start) / unit) * unit
+        let full_end = if canon_end > first {
+            first + ((canon_end - first) / unit) * unit
         } else {
-            run_start
+            first
         };
         if full_end > run_start {
+            let flushed = self.media[zidx].flushed_slices;
             let mut staged_data: Option<Vec<u8>> = None;
             if staged_len > 0 {
-                // Path ③: read the staged fragments out of SLC and
-                // invalidate them (striped blocks of Fig. 3).
+                // Path ③: read the staged fragments out of SLC (striped
+                // blocks of Fig. 3); they are invalidated once their unit
+                // is programmed.
                 self.scratch.ppas.clear();
                 self.scratch
                     .ppas
@@ -225,8 +339,6 @@ impl ConZone {
                 t = out.finish;
                 self.charge(SpanKind::CombineRead, read_start, t);
                 staged_data = out.data;
-                self.drop_gathered_slc_slices()?;
-                self.media[zidx].staged.clear();
                 self.counters.slc_combines += 1;
                 self.probe.emit(
                     t,
@@ -238,6 +350,7 @@ impl ConZone {
             }
             let from_buffer = full_end - self.buffers[buf_idx].start_offset();
             let buf_data = self.buffers[buf_idx].drain_front(from_buffer);
+            // The run's data from `run_start`.
             let payload: Option<Vec<u8>> = if self.cfg.data_backing {
                 let mut v = staged_data.unwrap_or_default();
                 v.extend_from_slice(&buf_data.unwrap_or_default());
@@ -245,8 +358,10 @@ impl ConZone {
             } else {
                 None
             };
+            // Where zone offset `off` sits in the payload.
+            let at = |off: u64| to_index((off - run_start) * SLICE_BYTES);
 
-            let nunits = (full_end - run_start) / unit;
+            let nunits = (full_end - first) / unit;
             self.counters.full_flushes += nunits;
             self.probe.emit(
                 t,
@@ -258,16 +373,17 @@ impl ConZone {
             );
             let mut finish = t;
             for u in 0..nunits {
-                let off = run_start + u * unit;
+                let off = first + u * unit;
                 let first_ppa = self.cfg.geometry.superblock_slice(sb, off);
                 let parts = self.cfg.geometry.decode_ppa(first_ppa);
-                let data_slice = payload.as_ref().map(|p| {
-                    &p[to_index(u * unit * SLICE_BYTES)..to_index((u + 1) * unit * SLICE_BYTES)]
-                });
-                match self
-                    .flash
-                    .program_unit(t, parts.chip, parts.block, data_slice)
-                {
+                let programmed = if self.slot_used(sb, off) {
+                    Err(None)
+                } else {
+                    let data = payload.as_ref().map(|p| &p[at(off)..at(off + unit)]);
+                    let out = self.flash.program_unit(t, parts.chip, parts.block, data);
+                    out.map_err(Some)
+                };
+                match programmed {
                     Ok(out) => {
                         debug_assert_eq!(
                             out.first, first_ppa,
@@ -281,23 +397,51 @@ impl ConZone {
                             .set_extent(zone_base.offset(off), first_ppa, unit, true);
                         self.note_bits(zone_base.offset(off), unit, MapGranularity::Page);
                         self.note_l2p_updates(unit);
+                        if off < flushed {
+                            // The staged fragments now live in the unit.
+                            self.scratch.ppas.clear();
+                            self.scratch
+                                .ppas
+                                .extend(self.media[zidx].staged.iter().map(|s| s.ppa));
+                            self.drop_gathered_slc_slices()?;
+                            self.media[zidx].staged.clear();
+                        }
                     }
                     Err(
-                        e @ (FlashError::ProgramFailed { .. } | FlashError::BlockRetired { .. }),
+                        failed @ (None
+                        | Some(
+                            FlashError::ProgramFailed { .. } | FlashError::BlockRetired { .. },
+                        )),
                     ) => {
-                        // The reserved slices are burned (the cursor still
-                        // advanced, keeping the fixed layout intact); the
-                        // unit's payload is re-issued into the SLC
-                        // secondary buffer, which page-maps it outside the
-                        // canonical layout.
-                        if matches!(e, FlashError::ProgramFailed { .. }) {
+                        // The unit's slot is used up: by this failure (the
+                        // cursor still advanced, keeping the fixed layout
+                        // intact) or by a write refused since. Its data is
+                        // re-issued into the SLC secondary buffer, which
+                        // page-maps it outside the canonical layout; staged
+                        // fragments stay where they are.
+                        if matches!(failed, Some(FlashError::ProgramFailed { .. })) {
                             self.counters.program_failures += 1;
                         }
-                        let lpns = LpnRange::new(zone_base.offset(off), unit);
-                        let redo = self.program_slc_batch(t, lpns, data_slice, false, None)?;
-                        finish = finish.max(redo);
+                        let from = off.max(flushed);
+                        let lpns = LpnRange::new(zone_base.offset(from), off + unit - from);
+                        let data = payload.as_ref().map(|p| &p[at(from)..at(off + unit)]);
+                        match self.program_slc_batch(t, lpns, data, false, None, true) {
+                            Ok(redo) => finish = finish.max(redo),
+                            Err(e) => {
+                                // Refused: the units before this one are
+                                // durable, the rest goes back to the buffer.
+                                let rest = payload.map(|mut p| p.split_off(at(from)));
+                                self.buffers[buf_idx].undrain_front(full_end - from, rest);
+                                self.media[zidx].flushed_slices = from;
+                                if from > run_start {
+                                    self.maybe_aggregate(zone_id, run_start, from);
+                                }
+                                return Err(e);
+                            }
+                        }
+                        self.media[zidx].staged.clear();
                     }
-                    Err(e) => return Err(internal(e)),
+                    Err(Some(e)) => return Err(internal(e)),
                 }
             }
             t = finish;
@@ -324,7 +468,7 @@ impl ConZone {
                 },
             );
             t = self
-                .program_slc_batch(t, lpns, pay.as_deref(), true, None)
+                .program_slc_batch(t, lpns, pay.as_deref(), true, None, true)
                 .inspect_err(|_| self.buffers[buf_idx].undrain_front(count, pay))?;
             self.counters.patch_slices += count;
             self.media[zidx].flushed_slices = run_end;
@@ -347,7 +491,7 @@ impl ConZone {
                 },
             );
             t = self
-                .program_slc_batch(t, lpns, pay.as_deref(), false, Some(zidx))
+                .program_slc_batch(t, lpns, pay.as_deref(), false, Some(zidx), true)
                 .inspect_err(|_| self.buffers[buf_idx].undrain_front(count, pay))?;
             self.media[zidx].flushed_slices = start + count;
         }
@@ -364,9 +508,11 @@ impl ConZone {
     /// and — for premature flushes — the zone's staged list are updated
     /// once per such run.
     ///
-    /// A batch that runs out of SLC space part-way is refused whole: what
-    /// it placed is taken back (see [`ConZone::unplace_slc_batch`]), so the
-    /// caller's data is still only where it was before.
+    /// Without `gc`, a batch that would need garbage collection runs out
+    /// of space instead. A batch that runs out of SLC space part-way is
+    /// refused whole: what it placed is taken back (see
+    /// [`ConZone::unplace_slc_batch`]), so the caller's data is still only
+    /// where it was before.
     pub(crate) fn program_slc_batch(
         &mut self,
         now: SimTime,
@@ -374,24 +520,72 @@ impl ConZone {
         payload: Option<&[u8]>,
         canonical: bool,
         staged_zone: Option<usize>,
+        gc: bool,
     ) -> Result<SimTime, DeviceError> {
-        // Reused chip-order scratch; GC (reachable below) uses the
-        // separate `gc_chip_order` buffer, so the two never alias.
-        let mut order = std::mem::take(&mut self.scratch.chip_order);
+        let mut t = now;
+        let mut finish = t;
+        let total = to_index(lpns.count);
         let staged = staged_zone.map(|z| (z, self.media[z].staged.len()));
+        let out_of_space = |at| DeviceError::NoFreeSpace {
+            at,
+            what: "slc secondary buffer superblocks".to_string(),
+        };
+        // Slices of `lpns` placed so far.
         let mut placed = 0;
-        let outcome = self.place_slc_batch(
-            now,
-            lpns,
-            payload,
-            canonical,
-            staged_zone,
-            &mut order,
-            &mut placed,
-        );
-        self.scratch.chip_order = order;
+        // Whether GC ran and nothing was placed since: a second pass then
+        // would free no more room (the region is full of live data).
+        let mut gc_idle = false;
+        let outcome = loop {
+            if placed == total {
+                break Ok(());
+            }
+            if self.slc.active.is_none()
+                && self.slc.free.len() <= self.cfg.slc_gc_threshold
+                && !self.slc.used.is_empty()
+            {
+                if gc_idle || !gc {
+                    break Err(out_of_space(t));
+                }
+                match self.run_slc_gc(t) {
+                    Ok(done) => t = done,
+                    Err(e) => break Err(e),
+                }
+                finish = finish.max(t);
+                gc_idle = true;
+            }
+            // GC's own migration may already have opened a fresh
+            // superblock; reuse it instead of double-activating.
+            let Some(sb) = self.slc.active.or_else(|| self.slc.activate_next()) else {
+                break Err(out_of_space(t));
+            };
+            let before = placed;
+            let round = self.slc_placement_round(t, sb, placed..total, payload, |dev, at, out| {
+                // Host-visible: the buffer frees at the end of the transfer.
+                finish = finish.max(out.buffer_free);
+                let lpn = lpns.start.offset(at as u64);
+                dev.table.set_extent(lpn, out.first, out.slices, canonical);
+                dev.slc
+                    .owner
+                    .insert_run(out.first, lpn, to_index(out.slices));
+                if let Some(z) = staged_zone {
+                    dev.media[z]
+                        .staged
+                        .extend((0..out.slices).map(|i| StagedSlice {
+                            lpn: lpn.offset(i),
+                            ppa: out.first.offset(i),
+                        }));
+                }
+                dev.note_bits(lpn, out.slices, MapGranularity::Page);
+                dev.note_l2p_updates(out.slices);
+            });
+            match round {
+                Ok(next) => placed = next,
+                Err(e) => break Err(e),
+            }
+            gc_idle &= placed == before;
+        };
         match outcome {
-            Ok(finish) => Ok(self.maybe_flush_l2p_log(finish)),
+            Ok(()) => Ok(self.maybe_flush_l2p_log(finish)),
             Err(e) => {
                 self.unplace_slc_batch(lpns, placed, staged)?;
                 Err(e)
@@ -399,100 +593,43 @@ impl ConZone {
         }
     }
 
-    /// The placement loop of [`ConZone::program_slc_batch`]; `placed`
-    /// counts the slices of `lpns` placed so far.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the batch's arguments plus its two scratch outputs"
-    )]
-    fn place_slc_batch(
-        &mut self,
-        now: SimTime,
-        lpns: LpnRange,
-        payload: Option<&[u8]>,
-        canonical: bool,
-        staged_zone: Option<usize>,
-        order: &mut Vec<usize>,
-        placed: &mut usize,
-    ) -> Result<SimTime, DeviceError> {
-        let mut t = now;
-        let mut finish = t;
-        let total = to_index(lpns.count);
-        let out_of_space = |at| DeviceError::NoFreeSpace {
-            at,
-            what: "slc secondary buffer superblocks".to_string(),
-        };
-        // Whether GC ran and nothing was placed since: a second pass then
-        // would free no more room (the region is full of live data).
-        let mut gc_idle = false;
-        while *placed < total {
-            let sb = match self.slc.active {
-                Some(sb) => sb,
-                None => {
-                    if self.slc.free.len() <= self.cfg.slc_gc_threshold && !self.slc.used.is_empty()
-                    {
-                        if gc_idle {
-                            return Err(out_of_space(t));
-                        }
-                        t = self.run_slc_gc(t)?;
-                        finish = finish.max(t);
-                        gc_idle = true;
-                    }
-                    // GC's own migration may already have opened a fresh
-                    // superblock; reuse it instead of double-activating.
-                    match self.slc.active {
-                        Some(sb) => sb,
-                        None => self.slc.activate_next().ok_or_else(|| out_of_space(t))?,
-                    }
-                }
-            };
-            let (pending, before) = (*placed..total, *placed);
-            *placed =
-                self.slc_placement_round(t, sb, pending, order, payload, |dev, at, out| {
-                    // Host-visible: the buffer frees at the end of the transfer.
-                    finish = finish.max(out.buffer_free);
-                    let lpn = lpns.start.offset(at as u64);
-                    dev.table.set_extent(lpn, out.first, out.slices, canonical);
-                    dev.slc
-                        .owner
-                        .insert_run(out.first, lpn, to_index(out.slices));
-                    if let Some(z) = staged_zone {
-                        dev.media[z]
-                            .staged
-                            .extend((0..out.slices).map(|i| StagedSlice {
-                                lpn: lpn.offset(i),
-                                ppa: out.first.offset(i),
-                            }));
-                    }
-                    dev.note_bits(lpn, out.slices, MapGranularity::Page);
-                    dev.note_l2p_updates(out.slices);
-                })?;
-            gc_idle &= *placed == before;
-        }
-        Ok(finish)
+    /// Whether the canonical slot of the unit at zone offset `off` in
+    /// superblock `sb` is used: its block's cursor is past it.
+    fn slot_used(&self, sb: SuperblockId, off: u64) -> bool {
+        let g = &self.cfg.geometry;
+        let parts = g.decode_ppa(g.superblock_slice(sb, off));
+        let at = parts.page * g.slices_per_page() + parts.slice;
+        self.flash.block(parts.chip, parts.block).cursor() > at
     }
 
-    /// Takes back the first `placed` slices of a refused SLC batch over
-    /// `lpns`: their copies (wherever GC has moved them since) become
-    /// dead, unowned slices, as a failed program leaves them; the whole
-    /// run is unmapped; and a staged list `(zone, length)` is cut back to
-    /// its length before the batch.
-    fn unplace_slc_batch(
-        &mut self,
-        lpns: LpnRange,
-        placed: usize,
-        staged: Option<(usize, usize)>,
-    ) -> Result<(), DeviceError> {
-        let taken = LpnRange::new(lpns.start, placed as u64);
+    /// Unmaps `range` and invalidates the slices it mapped, wherever they
+    /// are (SLC copies leave the owner map too), as a failed program
+    /// leaves them.
+    fn unmap_and_drop(&mut self, range: LpnRange) -> Result<(), DeviceError> {
         self.scratch.ppas.clear();
-        for (lpn, slot) in taken.iter().zip(self.table.ppas(taken)) {
+        for (lpn, slot) in range.iter().zip(self.table.ppas(range)) {
             if let Some(ppa) = slot {
                 self.scratch.ppas.push(ppa);
                 self.cache.invalidate_page(lpn);
             }
         }
         self.drop_gathered_slc_slices()?;
-        self.table.unmap_extent(lpns.start, lpns.count);
+        self.table.unmap_extent(range.start, range.count);
+        Ok(())
+    }
+
+    /// Takes back the first `placed` slices of a refused SLC batch over
+    /// `lpns`: they are unmapped and their copies (wherever GC has moved
+    /// them since) become dead, unowned slices, as a failed program leaves
+    /// them; and a staged list `(zone, length)` is cut back to its length
+    /// before the batch.
+    fn unplace_slc_batch(
+        &mut self,
+        lpns: LpnRange,
+        placed: usize,
+        staged: Option<(usize, usize)>,
+    ) -> Result<(), DeviceError> {
+        self.unmap_and_drop(LpnRange::new(lpns.start, placed as u64))?;
         if let Some((zone, len)) = staged {
             self.media[zone].staged.truncate(len);
         }
@@ -512,7 +649,6 @@ impl ConZone {
         t: SimTime,
         sb: SuperblockId,
         pending: std::ops::Range<usize>,
-        order: &mut Vec<usize>,
         payload: Option<&[u8]>,
         mut placed: impl FnMut(&mut ConZone, usize, &ProgramOutcome),
     ) -> Result<usize, DeviceError> {
@@ -522,6 +658,7 @@ impl ConZone {
         // behind a long tPROG on a die that happens to be programming
         // TLC. Stable sort: equally idle chips keep ascending order
         // across reruns.
+        let mut order = std::mem::take(&mut self.scratch.chip_order);
         order.clear();
         order.extend(0..self.cfg.geometry.nchips());
         order.sort_by_key(|&c| self.flash.chip_free_at(ChipId(c as u64)));
@@ -552,12 +689,16 @@ impl ConZone {
                     // This chip's block left the usable set: skip it.
                     continue;
                 }
-                Err(e) => return Err(internal(e)),
+                Err(e) => {
+                    self.scratch.chip_order = order;
+                    return Err(internal(e));
+                }
             };
             any = true;
             placed(self, idx, &out);
             idx += n;
         }
+        self.scratch.chip_order = order;
         if !any {
             // Active superblock exhausted on every chip.
             self.slc.retire_active();

@@ -151,6 +151,16 @@ impl WriteBuffer {
         }
     }
 
+    /// Keeps the first `slices` buffered slices and drops the rest: what
+    /// a refused write had appended.
+    pub fn truncate(&mut self, slices: u64) {
+        debug_assert!(slices <= self.slices, "truncating past the end");
+        self.slices = slices;
+        if self.backed {
+            self.data.truncate(to_index(slices * SLICE_BYTES));
+        }
+    }
+
     /// Clears the buffer and drops ownership.
     #[inline]
     pub fn release(&mut self) {

@@ -39,10 +39,19 @@ fn conzone_with_conventional_zones_agrees_with_the_oracle() {
     agree(&["conv1-open1", "conv2-open2", "conv1-open6"]);
 }
 
-/// Program failures and read retries.
+/// Program and erase failures retire blocks; SLC runs out, and every
+/// refusal changes no zone, no byte and no later answer.
 #[test]
 fn conzone_under_faults_agrees_with_the_oracle() {
-    agree(&["faults"]);
+    let (mut retired, mut refused) = (0, 0);
+    for seed in 0..RUNS.0 {
+        let (mut dut, n) = check("faults", 0x0c1e + seed, RUNS.1);
+        (retired, refused) = (retired + dut.dev().counters().blocks_retired, refused + n);
+    }
+    assert!(
+        retired > 0 && refused > 0,
+        "{retired} blocks retired, {refused} refusals"
+    );
 }
 
 /// Two SLC blocks a chip: flushes that run out of SLC space are refused,

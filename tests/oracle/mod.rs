@@ -17,7 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use conzone::sim::SimRng;
 use conzone::types::{DeviceError, SimTime, ZoneInfo, SLICE_BYTES, SLICE_LEN};
-use conzone_check::{shrink, Simpler};
+use conzone_check::{message, shrink, Simpler};
 
 pub use naive::NaiveZones;
 pub use targets::{build, Dut};
@@ -166,8 +166,9 @@ pub fn run(
     let mut t = SimTime::ZERO;
     let mut refused = 0;
     let mut step = |naive: &mut NaiveZones, cmd: Cmd| -> Result<(), String> {
-        let Ok(got) = catch_unwind(AssertUnwindSafe(|| target.exec(cmd, naive, t))) else {
-            return Err("the device panicked".to_string());
+        let got = match catch_unwind(AssertUnwindSafe(|| target.exec(cmd, naive, t))) {
+            Ok(got) => got,
+            Err(panic) => return Err(format!("the device panicked: {}", message(&*panic))),
         };
         match got {
             Ok((finished, _)) if finished < t => return Err(format!("finished at {finished}")),

@@ -46,20 +46,15 @@ pub fn build(name: &str) -> (Dut, NaiveZones) {
             };
             conzone(with(g).chunk_bytes(128 * 1024).conventional_zones(1))
         }
-        // Program failures (a failed unit moves to SLC until its zone is
-        // reset) and read retries, with twice the SLC. No grown-bad
-        // retirement: each retired block would send its zone's units to
-        // SLC for good, and SLC would run out at last whatever its size,
-        // in the middle of a write that cannot then be refused cleanly
-        // (ROADMAP 1(b)).
+        // Program and erase failures, grown-bad retirement and read
+        // retries, over the tiny geometry's SLC. A failed or retired unit
+        // moves to SLC until its zone is reset, so SLC runs out, and the
+        // device refuses what it cannot place (`NaiveZones::starved`).
         "faults" => conzone(
-            with(geometry(24, 8))
+            with(geometry(24, 4))
                 .chunk_bytes(256 * 1024)
                 .conventional_zones(1)
-                .fault(FaultConfig {
-                    grown_bad_threshold: 0,
-                    ..FaultConfig::with_rates(0.05, 0.0, 0.2)
-                }),
+                .fault(FaultConfig::with_rates(0.05, 0.05, 0.2)),
         ),
         // Two SLC blocks a chip and 256 KiB program units: the zones'
         // staged sub-unit remainders outgrow the SLC region, flushes run
@@ -88,7 +83,7 @@ pub fn build(name: &str) -> (Dut, NaiveZones) {
         _ => panic!("no configuration {name}"),
     };
     let mut naive = dut.naive();
-    naive.starved = name == "starved";
+    naive.starved = matches!(name, "starved" | "faults");
     (dut, naive)
 }
 
