@@ -370,11 +370,10 @@ mod read_reference {
         request.validate()?;
         let range = LpnRange::covering_bytes(request.offset, request.len).expect("non-empty read");
         let depth = dev.spans.depth();
-        dev.counters.host_read_ops += 1;
-        dev.counters.host_read_bytes += request.len;
         dev.spans.open(now, SpanKind::IoRead);
         match read_range_per_slice(dev, now, range) {
             Ok((finished, data)) => {
+                dev.counters.book_host(request);
                 dev.spans.close(finished);
                 Ok(Completion {
                     submitted: now,

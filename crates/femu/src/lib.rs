@@ -313,25 +313,22 @@ impl StorageDevice for FemuZns {
         let range = request.admit(self.capacity_bytes())?;
         match request.kind {
             IoKind::Write => {
-                self.counters.host_write_ops += 1;
-                self.counters.host_write_bytes += request.len;
                 let finished = self.write_range(now, range, request.data.as_deref())?;
+                self.counters.book_host(request);
                 Ok(Completion::at(now, finished))
             }
             IoKind::Append => {
-                self.counters.host_write_ops += 1;
-                self.counters.host_write_bytes += request.len;
                 let landed = self.zones.append_target(range)?;
                 let finished = self.write_range(now, landed, request.data.as_deref())?;
+                self.counters.book_host(request);
                 Ok(Completion {
                     assigned_offset: Some(landed.start.byte_offset()),
                     ..Completion::at(now, finished)
                 })
             }
             IoKind::Read => {
-                self.counters.host_read_ops += 1;
-                self.counters.host_read_bytes += request.len;
                 let (finished, data) = self.read_range(now, range)?;
+                self.counters.book_host(request);
                 Ok(Completion {
                     data: data.map(Bytes::from),
                     ..Completion::at(now, finished)

@@ -447,9 +447,8 @@ impl StorageDevice for ReferenceFemu {
             .expect("validated request is non-empty");
         match request.kind {
             IoKind::Write => {
-                self.counters.host_write_ops += 1;
-                self.counters.host_write_bytes += request.len;
                 let finished = self.write_range(now, range, request.data.as_deref())?;
+                self.counters.book_host(request);
                 Ok(Completion {
                     submitted: now,
                     finished,
@@ -458,8 +457,6 @@ impl StorageDevice for ReferenceFemu {
                 })
             }
             IoKind::Append => {
-                self.counters.host_write_ops += 1;
-                self.counters.host_write_bytes += request.len;
                 let zs = self.zone_size_slices;
                 let zone = range.start.raw() / zs;
                 let wp = self
@@ -478,6 +475,7 @@ impl StorageDevice for ReferenceFemu {
                 let landed = LpnRange::new(conzone_types::Lpn(zone * zs + wp), range.count);
                 let assigned = landed.start.byte_offset();
                 let finished = self.write_range(now, landed, request.data.as_deref())?;
+                self.counters.book_host(request);
                 Ok(Completion {
                     submitted: now,
                     finished,
@@ -486,9 +484,8 @@ impl StorageDevice for ReferenceFemu {
                 })
             }
             IoKind::Read => {
-                self.counters.host_read_ops += 1;
-                self.counters.host_read_bytes += request.len;
                 let (finished, data) = self.read_range(now, range)?;
+                self.counters.book_host(request);
                 Ok(Completion {
                     submitted: now,
                     finished,

@@ -6,9 +6,10 @@
 //! strictly sequentially into its own zone, and reclaims space by
 //! migrating live blocks out of a victim zone and resetting it.
 //!
-//! `F2fsLite` reproduces exactly that access pattern so examples and
-//! benches can exercise the write-buffer pressure the paper's §II-B
-//! arithmetic describes (six open zones sharing two device write buffers).
+//! `F2fsLite` reproduces exactly that access pattern so the
+//! `conventional_zones` figure and the `kv_store` example can exercise the
+//! write-buffer pressure the paper's §II-B arithmetic describes (six open
+//! zones sharing two device write buffers).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -99,9 +100,8 @@ pub struct F2fsLite {
     /// first `n` conventional zones (paper §III-E: "updating the metadata
     /// of F2FS") instead of flowing through the node logs.
     conventional_meta_zones: Option<u64>,
+    /// file → its node slot, numbered in order of first use.
     node_slots: BTreeMap<u64, u64>,
-    free_node_slots: Vec<u64>,
-    next_node_slot: u64,
     stats: F2fsStats,
 }
 
@@ -125,8 +125,6 @@ impl F2fsLite {
             cleaning: false,
             conventional_meta_zones: None,
             node_slots: BTreeMap::new(),
-            free_node_slots: Vec::new(),
-            next_node_slot: 0,
             stats: F2fsStats::default(),
         }
     }
@@ -157,16 +155,6 @@ impl F2fsLite {
     /// Statistics so far.
     pub fn stats(&self) -> F2fsStats {
         self.stats
-    }
-
-    /// Free (never-written or reset) zones remaining.
-    pub fn free_zones(&self) -> usize {
-        self.free_zones.len()
-    }
-
-    /// Live 4 KiB blocks tracked by the allocator.
-    pub fn live_blocks(&self) -> u64 {
-        self.owners.len() as u64
     }
 
     fn zone_is_log_active(&self, zone: u64) -> bool {
@@ -318,18 +306,8 @@ impl F2fsLite {
         // conventional area — no log traffic, no cleaning involvement.
         if let Some(meta_zones) = self.conventional_meta_zones {
             let capacity = meta_zones * self.zone_slices;
-            let slot = match self.node_slots.get(&file) {
-                Some(&s) => s,
-                None => {
-                    let s = self.free_node_slots.pop().unwrap_or_else(|| {
-                        let s = self.next_node_slot;
-                        self.next_node_slot += 1;
-                        s
-                    });
-                    self.node_slots.insert(file, s);
-                    s
-                }
-            } % capacity;
+            let next = self.node_slots.len() as u64;
+            let slot = *self.node_slots.entry(file).or_insert(next) % capacity;
             let c = dev.submit(now, &IoRequest::write(slot * SLICE_BYTES, SLICE_BYTES))?;
             self.stats.node_blocks += 1;
             return Ok(c.finished);
@@ -346,24 +324,6 @@ impl F2fsLite {
         self.record_slice(lpn, file, NODE_BLOCK);
         self.stats.node_blocks += 1;
         Ok(c.finished)
-    }
-
-    /// Deletes a file: all its data and node blocks become stale (zones are
-    /// reclaimed later by cleaning). No device I/O is issued.
-    pub fn delete_file(&mut self, file: u64) {
-        if let Some(blocks) = self.files.remove(&file) {
-            for (_, lpn) in blocks {
-                self.stale_slice(lpn);
-            }
-        }
-        if let Some(nodes) = self.nodes.remove(&file) {
-            for lpn in nodes {
-                self.stale_slice(lpn);
-            }
-        }
-        if let Some(slot) = self.node_slots.remove(&file) {
-            self.free_node_slots.push(slot);
-        }
     }
 
     /// One segment-cleaning pass: migrate the live blocks of the dirtiest
@@ -493,9 +453,9 @@ mod tests {
         let s = fs.stats();
         assert_eq!(s.data_blocks, 210);
         assert!(s.node_blocks > 0, "node cadence fired");
-        assert_eq!(fs.live_blocks(), 210 + s.node_blocks);
+        assert_eq!(fs.owners.len() as u64, 210 + s.node_blocks);
         // Three data logs and at least one node log hold open zones.
-        assert!(fs.free_zones() < 16);
+        assert!(fs.free_zones.len() < 16);
     }
 
     #[test]
@@ -533,24 +493,10 @@ mod tests {
         assert!(d.counters().zone_resets > 0, "resets reached the device");
         // Live accounting stays consistent.
         assert_eq!(
-            fs.live_blocks(),
+            fs.owners.len() as u64,
             fs.files.values().map(|m| m.len() as u64).sum::<u64>()
                 + fs.nodes.values().map(|v| v.len() as u64).sum::<u64>()
         );
-    }
-
-    #[test]
-    fn delete_file_frees_blocks() {
-        let mut d = dev();
-        let mut fs = F2fsLite::new(&d);
-        let t = fs
-            .write_file(&mut d, SimTime::ZERO, 7, 0, 64, Temperature::Warm)
-            .unwrap();
-        let _ = t;
-        let before = fs.live_blocks();
-        fs.delete_file(7);
-        assert!(fs.live_blocks() < before);
-        assert_eq!(fs.locate(7, 0), None);
     }
 }
 
@@ -627,21 +573,5 @@ mod conventional_tests {
             with_meta <= without,
             "conventional metadata must not add conflicts: {with_meta} vs {without}"
         );
-    }
-
-    #[test]
-    fn deleted_files_recycle_node_slots() {
-        let mut d = dev_with_conventional();
-        let mut fs = F2fsLite::with_conventional_metadata(&d, 2);
-        let t = fs
-            .write_file(&mut d, SimTime::ZERO, 1, 0, 100, Temperature::Warm)
-            .unwrap();
-        let slots_before = fs.next_node_slot;
-        fs.delete_file(1);
-        let _ = fs
-            .write_file(&mut d, t, 2, 0, 100, Temperature::Warm)
-            .unwrap();
-        // File 2 reused file 1's slot instead of growing the area.
-        assert_eq!(fs.next_node_slot, slots_before);
     }
 }

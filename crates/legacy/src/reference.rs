@@ -379,9 +379,8 @@ impl StorageDevice for ReferenceLegacy {
                 "legacy devices have no zones to append to".to_string(),
             )),
             IoKind::Write => {
-                self.counters.host_write_ops += 1;
-                self.counters.host_write_bytes += request.len;
                 let finished = self.write_range(now, range, request.data.as_deref())?;
+                self.counters.book_host(request);
                 Ok(Completion {
                     submitted: now,
                     finished,
@@ -390,9 +389,8 @@ impl StorageDevice for ReferenceLegacy {
                 })
             }
             IoKind::Read => {
-                self.counters.host_read_ops += 1;
-                self.counters.host_read_bytes += request.len;
                 let (finished, data) = self.read_range(now, range)?;
+                self.counters.book_host(request);
                 Ok(Completion {
                     submitted: now,
                     finished,

@@ -4,6 +4,8 @@
 //! device models; the host harness derives write amplification and cache
 //! hit rates from it.
 
+use crate::{IoKind, IoRequest};
+
 /// Cumulative event counters of a device model.
 ///
 /// All byte counts are raw bytes; all op counts are events. The struct is a
@@ -140,6 +142,24 @@ impl Counters {
     /// Creates an all-zero counter set (same as `Default`).
     pub fn new() -> Counters {
         Counters::default()
+    }
+
+    /// Books a host command the device accepted: one op and its length,
+    /// on the write side for a write or an append, on the read side for a
+    /// read. A device calls it once the command succeeds, so a refused
+    /// command is never counted.
+    #[inline]
+    pub fn book_host(&mut self, request: &IoRequest) {
+        match request.kind {
+            IoKind::Write | IoKind::Append => {
+                self.host_write_ops += 1;
+                self.host_write_bytes += request.len;
+            }
+            IoKind::Read => {
+                self.host_read_ops += 1;
+                self.host_read_bytes += request.len;
+            }
+        }
     }
 
     /// Total bytes programmed into flash, all media.

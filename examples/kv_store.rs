@@ -180,3 +180,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ndevice time: {}", dev.time_breakdown());
     Ok(())
 }
+
+#[test]
+fn runs() {
+    main().expect("kv_store runs");
+}

@@ -71,3 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     Ok(())
 }
+
+#[test]
+fn runs() {
+    main().expect("quickstart runs");
+}

@@ -4,6 +4,7 @@
 //! must agree on the accept or the refusal variant, an append's landing
 //! offset, the bytes a read returns and every zone's state and write
 //! pointer, and the device must not finish a command before it was issued.
+//! A device's host counters must add up to the commands it accepted.
 //! A disagreement is shrunk to a short stream and reported with the
 //! configuration and the seed that found it.
 
@@ -16,7 +17,7 @@ mod targets;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use conzone::sim::SimRng;
-use conzone::types::{DeviceError, SimTime, ZoneInfo, SLICE_BYTES, SLICE_LEN};
+use conzone::types::{Counters, DeviceError, SimTime, ZoneInfo, SLICE_BYTES, SLICE_LEN};
 use conzone_check::{message, shrink, Simpler};
 
 pub use naive::NaiveZones;
@@ -152,6 +153,38 @@ pub trait Target {
 
     /// What the target says of `zone`; `None` if it has no zones.
     fn zone(&mut self, zone: u64) -> Option<Result<ZoneInfo, DeviceError>>;
+
+    /// The target's counters; `None` if it keeps none.
+    fn counters(&mut self) -> Option<Counters>;
+}
+
+/// The counters the host's commands book: `(write ops, write bytes, read
+/// ops, read bytes, zone resets)`.
+fn host_books(c: &Counters) -> [u64; 5] {
+    [
+        c.host_write_ops,
+        c.host_write_bytes,
+        c.host_read_ops,
+        c.host_read_bytes,
+        c.zone_resets,
+    ]
+}
+
+/// Books an accepted `cmd` as a device must: a write or an append is one
+/// host write of its bytes, a read one host read, a reset one zone reset.
+fn book(books: &mut Counters, cmd: Cmd) {
+    match cmd {
+        Cmd::Write { count, .. } | Cmd::Append { count, .. } => {
+            books.host_write_ops += 1;
+            books.host_write_bytes += count * SLICE_BYTES;
+        }
+        Cmd::Read { count, .. } => {
+            books.host_read_ops += 1;
+            books.host_read_bytes += count * SLICE_BYTES;
+        }
+        Cmd::Reset(_) => books.zone_resets += 1,
+        Cmd::Flush | Cmd::Open(_) | Cmd::Close(_) | Cmd::Finish(_) | Cmd::PowerCut { .. } => {}
+    }
 }
 
 /// Runs `stream` on `target` and `naive` in lock-step, then reads back
@@ -165,6 +198,7 @@ pub fn run(
 ) -> Result<usize, Failure> {
     let mut t = SimTime::ZERO;
     let mut refused = 0;
+    let mut books = Counters::default();
     let mut step = |naive: &mut NaiveZones, cmd: Cmd| -> Result<(), String> {
         let got = match catch_unwind(AssertUnwindSafe(|| target.exec(cmd, naive, t))) {
             Ok(got) => got,
@@ -185,6 +219,17 @@ pub fn run(
         };
         if got != want {
             return Err(format!("the device answered {got:?}, the oracle {want:?}"));
+        }
+        if got.is_ok() {
+            book(&mut books, cmd);
+        }
+        if let Some(c) = target.counters() {
+            let (got, want) = (host_books(&c), host_books(&books));
+            if got != want {
+                return Err(format!(
+                    "the host counters are {got:?}, the accepted commands' {want:?}"
+                ));
+            }
         }
         zones_agree(target, naive)
     };

@@ -4,8 +4,9 @@
 
 use bytes::Bytes;
 use conzone::types::{
-    DeviceConfig, DeviceConfigBuilder, DeviceError, FaultConfig, Geometry, IoRequest, LpnRange,
-    SearchStrategy, SimTime, StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice, SLICE_BYTES,
+    Counters, DeviceConfig, DeviceConfigBuilder, DeviceError, FaultConfig, Geometry, IoRequest,
+    LpnRange, SearchStrategy, SimTime, StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice,
+    SLICE_BYTES,
 };
 use conzone::{ConZone, FemuZns, LegacyDevice};
 
@@ -168,6 +169,10 @@ impl Target for Dut {
     fn zone(&mut self, zone: u64) -> Option<Result<ZoneInfo, DeviceError>> {
         self.zoned().map(|d| d.zone_info(ZoneId(zone)))
     }
+
+    fn counters(&mut self) -> Option<Counters> {
+        Some(self.dev().counters())
+    }
 }
 
 /// Takes in an admitted write the way a device model does: the zone table
@@ -227,5 +232,9 @@ impl Target for ZoneTable {
 
     fn zone(&mut self, zone: u64) -> Option<Result<ZoneInfo, DeviceError>> {
         Some(self.info(ZoneId(zone)))
+    }
+
+    fn counters(&mut self) -> Option<Counters> {
+        None
     }
 }
