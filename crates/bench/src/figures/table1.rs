@@ -1,4 +1,4 @@
-use conzone_types::{CellType, MapGranularity, SearchStrategy, StorageDevice};
+use conzone_types::{CellType, MapGranularity, SearchStrategy, StorageDevice, HOST_OVERHEAD};
 
 use crate::{conzone_device, femu_device, legacy_device, Out};
 
@@ -16,8 +16,8 @@ pub fn table1(out: &mut Out) {
     // Probe: low-latency media means the model can express sub-25 µs reads
     // (SLC) without a virtualization overhead floor above that. FEMU's
     // jitter model has a ~25 µs median per I/O on top of media.
-    let cz_low_latency = cz.config().timings.slc.read.as_micros_f64() <= 25.0
-        && cz.config().host_overhead.as_micros_f64() < 20.0;
+    let cz_low_latency = CellType::Slc.latency().read.as_micros_f64() <= 25.0
+        && HOST_OVERHEAD.as_micros_f64() < 20.0;
 
     // Probe: heterogeneous media = SLC region + multi-level normal region.
     let cz_hetero =

@@ -8,7 +8,7 @@ use conzone_ftl::{L2pCache, MapBitmap, MappingTable, WriteBuffer};
 use conzone_types::{
     to_index, Completion, Counters, DeviceConfig, DeviceError, IoKind, IoRequest, Lpn,
     MapGranularity, Probe, SearchStrategy, SimTime, SpanKind, SpanRecorder, SpanSink,
-    StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice,
+    StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice, HOST_OVERHEAD, MAPPING_MEDIA,
 };
 
 use crate::breakdown::TimeBreakdown;
@@ -179,8 +179,7 @@ impl ConZone {
             self.probe.emit(t, conzone_types::DeviceEvent::L2pLogFlush);
             let chip = self.mapping_chip();
             let bytes = self.cfg.geometry.page_bytes as u64;
-            let media = self.cfg.mapping_media;
-            let (_buffer_free, finish) = self.flash.timed_program(t, chip, media, bytes, 1);
+            let (_buffer_free, finish) = self.flash.timed_program(t, chip, MAPPING_MEDIA, bytes, 1);
             t = finish;
         }
         self.charge(SpanKind::L2pLog, now, t);
@@ -297,7 +296,7 @@ impl StorageDevice for ConZone {
         }
         t = self.maybe_flush_l2p_log(t);
         self.debug_assert_invariants("after host flush");
-        let finished = t + self.cfg.host_overhead;
+        let finished = t + HOST_OVERHEAD;
         self.spans.close(finished);
         Ok(Completion::at(now, finished))
     }

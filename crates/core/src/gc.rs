@@ -9,6 +9,7 @@
 use conzone_ftl::block_runs;
 use conzone_types::{
     to_index, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, Ppa, SimTime, SpanKind, ZoneId,
+    HOST_OVERHEAD,
 };
 
 use crate::device::ConZone;
@@ -253,7 +254,7 @@ impl ConZone {
         self.counters.zone_resets += 1;
         self.probe.emit(t, DeviceEvent::ZoneReset { zone: zone_id });
         self.debug_assert_invariants("after zone reset");
-        Ok(t + self.cfg.host_overhead)
+        Ok(t + HOST_OVERHEAD)
     }
 
     /// The scan the reset walk replaced, kept as its reference: every

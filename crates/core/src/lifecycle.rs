@@ -7,7 +7,7 @@
 //! both the open-zone slot and the buffer — the host-side tool for
 //! avoiding the Fig. 6(b) conflicts.
 
-use conzone_types::{DeviceError, SimTime, ZoneId};
+use conzone_types::{DeviceError, SimTime, ZoneId, HOST_OVERHEAD};
 
 use crate::device::ConZone;
 
@@ -21,7 +21,7 @@ impl ConZone {
         zone: ZoneId,
     ) -> Result<SimTime, DeviceError> {
         self.zones.open(zone)?;
-        Ok(now + self.cfg.host_overhead)
+        Ok(now + HOST_OVERHEAD)
     }
 
     /// Explicitly closes a zone (see [`ZonedDevice::close_zone`]).
@@ -36,7 +36,7 @@ impl ConZone {
         // Release the zone's buffer: drain it (prematurely if sub-unit).
         let t = self.drain_buffer_of(now, zone)?;
         self.zones.close(zone);
-        Ok(t + self.cfg.host_overhead)
+        Ok(t + HOST_OVERHEAD)
     }
 
     /// Finishes a zone (see [`ZonedDevice::finish_zone`]).
@@ -52,7 +52,7 @@ impl ConZone {
             t = self.drain_buffer_of(now, zone)?;
             self.zones.seal(zone);
         }
-        Ok(t + self.cfg.host_overhead)
+        Ok(t + HOST_OVERHEAD)
     }
 
     /// Drains the write buffer `zone` maps to, if the zone owns it.

@@ -17,7 +17,7 @@
 
 use conzone_types::{
     CellType, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, RecoveryReport, SimTime,
-    SuperblockId, ZoneId,
+    SuperblockId, ZoneId, MAPPING_MEDIA,
 };
 
 use crate::device::ConZone;
@@ -141,8 +141,9 @@ impl ConZone {
         }
         // Re-read the persisted L2P log head from the mapping media.
         let chip = self.mapping_chip();
-        let media = self.cfg.mapping_media;
-        let r = self.flash.timed_page_read(now, chip, media, page_bytes);
+        let r = self
+            .flash
+            .timed_page_read(now, chip, MAPPING_MEDIA, page_bytes);
         finish = finish.max(r.end);
         self.counters.flash_mapping_reads += 1;
 

@@ -227,7 +227,7 @@ mod read_reference {
     use conzone_types::{
         Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig, Geometry,
         IoRequest, L2pOutcome, Lpn, LpnRange, MapGranularity, Probe, SearchStrategy, SimTime,
-        SpanKind, StorageDevice, ZoneId, SLICE_BYTES,
+        SpanKind, StorageDevice, ZoneId, HOST_OVERHEAD, MAPPING_MEDIA, SLICE_BYTES,
     };
 
     use crate::write::internal;
@@ -302,10 +302,11 @@ mod read_reference {
                     let actual = dev.table.granularity_of(lpn).ok_or_else(|| unmapped(lpn))?;
                     let fetches = conzone_ftl::mapping_fetches(dev.cfg.search_strategy, actual);
                     let page_bytes = dev.cfg.geometry.page_bytes as u64;
-                    let media = dev.cfg.mapping_media;
                     for _ in 0..fetches {
                         let chip = dev.mapping_chip();
-                        let r = dev.flash.timed_page_read(t_map, chip, media, page_bytes);
+                        let r = dev
+                            .flash
+                            .timed_page_read(t_map, chip, MAPPING_MEDIA, page_bytes);
                         t_map = r.end;
                         dev.counters.flash_mapping_reads += 1;
                     }
@@ -356,7 +357,7 @@ mod read_reference {
             }
             v
         });
-        Ok((finish + dev.cfg.host_overhead, data))
+        Ok((finish + HOST_OVERHEAD, data))
     }
 
     /// `ConZone::submit` for a read, with the per-slice walker in place of

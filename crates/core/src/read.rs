@@ -23,7 +23,7 @@
 use conzone_ftl::{InsertOutcome, LookupResult};
 use conzone_types::{
     to_index, DeviceError, DeviceEvent, L2pOutcome, Lpn, LpnRange, MapGranularity, SimTime,
-    SpanKind, ZoneId, SLICE_BYTES, SLICE_LEN,
+    SpanKind, ZoneId, HOST_OVERHEAD, MAPPING_MEDIA, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::device::ConZone;
@@ -131,10 +131,11 @@ impl ConZone {
                         let fetches =
                             conzone_ftl::mapping_fetches(self.cfg.search_strategy, actual);
                         let page_bytes = self.cfg.geometry.page_bytes as u64;
-                        let media = self.cfg.mapping_media;
                         for _ in 0..fetches {
                             let chip = self.mapping_chip();
-                            let r = self.flash.timed_page_read(t_map, chip, media, page_bytes);
+                            let r =
+                                self.flash
+                                    .timed_page_read(t_map, chip, MAPPING_MEDIA, page_bytes);
                             t_map = r.end;
                             self.counters.flash_mapping_reads += 1;
                         }
@@ -207,6 +208,6 @@ impl ConZone {
         };
         self.scratch.read_slots = slots;
         self.scratch.read_ppas = ppas;
-        Ok((finish + self.cfg.host_overhead, data))
+        Ok((finish + HOST_OVERHEAD, data))
     }
 }

@@ -2,9 +2,9 @@
 
 use bytes::Bytes;
 use conzone_types::{
-    Counters, DeviceConfig, DeviceError, FaultConfig, Geometry, IoRequest, Lpn, LpnRange,
+    CellType, Counters, DeviceConfig, DeviceError, FaultConfig, Geometry, IoRequest, Lpn, LpnRange,
     MapGranularity, SearchStrategy, SimTime, StorageDevice, ZoneId, ZoneState, ZonedDevice,
-    SLICE_BYTES,
+    HOST_OVERHEAD, SLICE_BYTES,
 };
 
 use crate::ConZone;
@@ -467,7 +467,7 @@ fn timing_write_buffered_is_fast_flush_is_slow() {
     let c1 = d
         .submit(SimTime::ZERO, &IoRequest::write_data(0, pattern(4096, 21)))
         .unwrap();
-    assert_eq!(c1.latency(), d.config().host_overhead);
+    assert_eq!(c1.latency(), HOST_OVERHEAD);
     // A superpage-filling write waits for the flush *transfers* (the
     // buffer frees once data reaches the chip registers; tPROG runs in
     // the background).
@@ -481,7 +481,7 @@ fn timing_write_buffered_is_fast_flush_is_slow() {
         .unwrap();
     assert!(c2.latency() > c1.latency(), "flush adds transfer time");
     assert!(
-        c2.latency() < d.config().timings.tlc.program,
+        c2.latency() < CellType::Tlc.latency().program,
         "first flush does not wait for tPROG: {}",
         c2.latency()
     );
@@ -494,7 +494,7 @@ fn timing_write_buffered_is_fast_flush_is_slow() {
         )
         .unwrap();
     assert!(
-        c3.latency() >= d.config().timings.tlc.program / 2,
+        c3.latency() >= CellType::Tlc.latency().program / 2,
         "back-to-back flush queues behind tPROG: {}",
         c3.latency()
     );
@@ -508,12 +508,12 @@ fn read_latency_includes_media_and_mapping() {
     // First read misses: mapping fetch (SLC media read) + TLC data read.
     let c = d.submit(t, &IoRequest::read(0, 4096)).unwrap();
     let miss_latency = c.latency();
-    let floor = d.config().timings.slc.read + d.config().timings.tlc.read;
+    let floor = CellType::Slc.latency().read + CellType::Tlc.latency().read;
     assert!(miss_latency >= floor, "{miss_latency} >= {floor}");
     // Second read hits: only the TLC data read remains.
     let c2 = d.submit(c.finished, &IoRequest::read(4096, 4096)).unwrap();
     assert!(c2.latency() < miss_latency);
-    assert!(c2.latency() >= d.config().timings.tlc.read);
+    assert!(c2.latency() >= CellType::Tlc.latency().read);
 }
 
 #[test]

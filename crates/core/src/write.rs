@@ -18,7 +18,7 @@
 use conzone_flash::{FlashError, ProgramOutcome};
 use conzone_types::{
     to_index, ChipId, DeviceError, DeviceEvent, FlushKind, LpnRange, MapGranularity, SimTime,
-    SpanKind, SuperblockId, ZoneId, ZoneState, SLICE_BYTES, SLICE_LEN,
+    SpanKind, SuperblockId, ZoneId, ZoneState, HOST_OVERHEAD, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::device::ConZone;
@@ -99,7 +99,7 @@ impl ConZone {
             self.breakdown.combine_read + self.breakdown.gc + self.breakdown.l2p_log - sub_before;
         self.breakdown.write_path += (t - now) - (t - now).min(sub_delta);
         self.spans.close(t);
-        Ok(t + self.cfg.host_overhead)
+        Ok(t + HOST_OVERHEAD)
     }
 
     /// Appends a write's `count` slices to its zone's buffer `buf_idx`,
@@ -227,7 +227,7 @@ impl ConZone {
         // high-water mark for inspection only.
         self.media[zone_id.index()].flushed_slices =
             self.zones.mark_written(zone_id, offset + range.count);
-        Ok(t + self.cfg.host_overhead)
+        Ok(t + HOST_OVERHEAD)
     }
 
     /// Slices the SLC write stream can place without garbage collection:

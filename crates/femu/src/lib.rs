@@ -48,7 +48,7 @@ use conzone_sim::SimRng;
 use conzone_types::{
     to_index, ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FlushKind,
     IoKind, IoRequest, LpnRange, Ppa, Probe, SimDuration, SimTime, StorageDevice, ZoneId, ZoneInfo,
-    ZoneTable, ZonedDevice, SLICE_BYTES, SLICE_LEN,
+    ZoneTable, ZonedDevice, HOST_OVERHEAD, SLICE_BYTES, SLICE_LEN,
 };
 
 #[cfg(test)]
@@ -229,7 +229,7 @@ impl FemuZns {
             self.zones.seal(zone);
         }
         let jitter = self.jitter();
-        Ok(t + self.cfg.host_overhead + jitter)
+        Ok(t + HOST_OVERHEAD + jitter)
     }
 
     fn read_range(
@@ -289,7 +289,7 @@ impl FemuZns {
         for _ in 0..senses.len().max(1) {
             finish += self.jitter();
         }
-        Ok((finish + self.cfg.host_overhead, backed.then_some(data)))
+        Ok((finish + HOST_OVERHEAD, backed.then_some(data)))
     }
 }
 
@@ -343,7 +343,7 @@ impl StorageDevice for FemuZns {
             t = self.flush_buffer(t, buf, true);
         }
         let jitter = self.jitter();
-        Ok(Completion::at(now, t + self.cfg.host_overhead + jitter))
+        Ok(Completion::at(now, t + HOST_OVERHEAD + jitter))
     }
 
     fn counters(&self) -> Counters {

@@ -13,7 +13,7 @@ use conzone_sim::SimRng;
 use conzone_types::{
     to_index, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FlushKind, IoKind,
     IoRequest, LpnRange, Ppa, Probe, SimDuration, SimTime, StorageDevice, ZoneId, ZoneInfo,
-    ZoneState, ZonedDevice, SLICE_BYTES, SLICE_LEN,
+    ZoneState, ZonedDevice, HOST_OVERHEAD, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::{FEMU_SEED_MIX, VM_JITTER_MEDIAN_NS, VM_JITTER_SIGMA};
@@ -312,7 +312,7 @@ impl ReferenceFemu {
             self.zones[zidx].state = ZoneState::Full;
         }
         let jitter = self.jitter();
-        Ok(t + self.cfg.host_overhead + jitter)
+        Ok(t + HOST_OVERHEAD + jitter)
     }
 
     fn read_range(
@@ -415,7 +415,7 @@ impl ReferenceFemu {
         } else {
             SimDuration::ZERO
         };
-        Ok((finish + self.cfg.host_overhead + jitter, data))
+        Ok((finish + HOST_OVERHEAD + jitter, data))
     }
 }
 
@@ -504,7 +504,7 @@ impl StorageDevice for ReferenceFemu {
         let jitter = self.jitter();
         Ok(Completion {
             submitted: now,
-            finished: t + self.cfg.host_overhead + jitter,
+            finished: t + HOST_OVERHEAD + jitter,
             data: None,
             assigned_offset: None,
         })

@@ -17,7 +17,8 @@
 use conzone_sim::{Reservation, ResourceBank};
 use conzone_types::{
     to_index, CellType, ChipId, Counters, DeviceConfig, DeviceEvent, FaultKind, Geometry, MediaOp,
-    MediaTimings, Ppa, PpaParts, Probe, SimDuration, SimTime, SuperblockId, SLICE_BYTES, SLICE_LEN,
+    Ppa, PpaParts, Probe, SimDuration, SimTime, SuperblockId, CHANNEL_BYTES_PER_SEC, SLICE_BYTES,
+    SLICE_LEN,
 };
 
 use crate::block::Block;
@@ -101,9 +102,7 @@ pub struct ReadOutcome {
 #[derive(Debug)]
 pub struct FlashArray {
     geometry: Geometry,
-    timings: MediaTimings,
     normal_cell: CellType,
-    channel_bytes_per_sec: u64,
     model_channel_bandwidth: bool,
     /// `slice_transfer[n]`: channel time of `n` slices, for every count a
     /// flash page can hold — what each page read and SLC program moves —
@@ -205,12 +204,10 @@ impl FlashArray {
         }
         FlashArray {
             geometry: g,
-            timings: cfg.timings,
             normal_cell: cfg.normal_cell,
-            channel_bytes_per_sec: cfg.channel_bytes_per_sec,
             model_channel_bandwidth: cfg.model_channel_bandwidth,
             slice_transfer: (0..=g.slices_per_page() as u64)
-                .map(|n| SimDuration::for_transfer(n * SLICE_BYTES, cfg.channel_bytes_per_sec))
+                .map(|n| SimDuration::for_transfer(n * SLICE_BYTES, CHANNEL_BYTES_PER_SEC))
                 .collect(),
             blocks,
             planes: ResourceBank::new(g.nplanes()),
@@ -293,7 +290,7 @@ impl FlashArray {
         let slices = (bytes / SLICE_BYTES) as usize;
         match self.slice_transfer.get(slices) {
             Some(&time) if bytes.is_multiple_of(SLICE_BYTES) => time,
-            _ => SimDuration::for_transfer(bytes, self.channel_bytes_per_sec),
+            _ => SimDuration::for_transfer(bytes, CHANNEL_BYTES_PER_SEC),
         }
     }
 
@@ -527,7 +524,7 @@ impl FlashArray {
     ) -> (SimTime, SimTime) {
         let channel = self.geometry.channel_of(chip).index();
         let per_op = self.transfer_time(bytes / ops);
-        let prog = self.timings.latency(cell).program;
+        let prog = cell.latency().program;
         let mut cursor = now;
         let mut buffer_free = now;
         let mut finish = now;
@@ -650,7 +647,7 @@ impl FlashArray {
         {
             let cell = self.cell_of_block(block);
             let (plane, channel) = self.read_lanes(chip, block);
-            let mut sense_lat = self.timings.latency(cell).read;
+            let mut sense_lat = cell.latency().read;
             let steps = self.fault.read_retry_steps();
             if steps > 0 {
                 // Each retry step re-senses at a shifted reference
@@ -735,9 +732,7 @@ impl FlashArray {
             },
         );
         let plane = self.geometry.plane_of(chip, 0);
-        let sense = self
-            .planes
-            .acquire(plane, now, self.timings.latency(cell).read);
+        let sense = self.planes.acquire(plane, now, cell.latency().read);
         let channel = self.geometry.channel_of(chip).index();
         self.channels
             .acquire(channel, sense.end, self.transfer_time(bytes))
@@ -827,8 +822,7 @@ impl FlashArray {
                 bytes: 0,
             },
         );
-        self.planes
-            .acquire(plane, now, self.timings.latency(cell).erase)
+        self.planes.acquire(plane, now, cell.latency().erase)
     }
 
     /// Erases one superblock (the same block on every chip, in parallel)
@@ -959,16 +953,14 @@ mod tests {
     }
 
     /// The precomputed slice transfer times are `for_transfer`'s, for both
-    /// presets' page sizes and a rate that does not divide evenly; any
-    /// other size still goes through `for_transfer`.
+    /// presets' page sizes; any other size still goes through
+    /// `for_transfer`.
     #[test]
     fn transfer_time_equals_for_transfer() {
-        let odd_rate = DeviceConfig::builder(conzone_types::Geometry::tiny())
-            .chunk_bytes(256 * 1024)
-            .channel_bytes_per_sec(999_999_937)
-            .build()
-            .unwrap();
-        for cfg in [DeviceConfig::paper_evaluation(), odd_rate] {
+        for cfg in [
+            DeviceConfig::paper_evaluation(),
+            DeviceConfig::tiny_for_tests(),
+        ] {
             let a = FlashArray::new(&cfg);
             let page = cfg.geometry.page_bytes as u64;
             let sizes = (0..=page + SLICE_BYTES)
@@ -977,7 +969,7 @@ mod tests {
             for bytes in sizes {
                 assert_eq!(
                     a.transfer_time(bytes),
-                    SimDuration::for_transfer(bytes, cfg.channel_bytes_per_sec),
+                    SimDuration::for_transfer(bytes, CHANNEL_BYTES_PER_SEC),
                     "{bytes} bytes"
                 );
             }
@@ -1379,7 +1371,7 @@ mod tests {
 
     #[test]
     fn grown_bad_block_retires_after_threshold_failures() {
-        let mut a = faulty_array(1.0, 0.0, 0.0); // threshold 2 via with_rates
+        let mut a = faulty_array(1.0, 0.0, 0.0); // the plane retires at 2 failures
         assert!(a.program_unit(SimTime::ZERO, ChipId(0), 4, None).is_err());
         assert!(!a.is_block_retired(ChipId(0), 4));
         assert!(a.program_unit(SimTime::ZERO, ChipId(0), 4, None).is_err());

@@ -58,7 +58,7 @@ impl FlashArray {
         for &(chip, block, _page, bytes) in &order {
             let cell = self.cell_of_block(block);
             let plane = self.geometry.plane_of(chip, block);
-            let mut sense_lat = self.timings.latency(cell).read;
+            let mut sense_lat = cell.latency().read;
             let steps = self.fault.read_retry_steps();
             if steps > 0 {
                 sense_lat += self.fault.retry_penalty(steps);

@@ -10,13 +10,21 @@
 //!
 //! The plane also owns the per-block retirement bitmap: blocks retire
 //! either when an erase fails or when a block accumulates
-//! [`FaultConfig::grown_bad_threshold`] program failures (a *grown bad
-//! block*). Retirement is permanent for the life of the array.
+//! [`GROWN_BAD_THRESHOLD`] program failures (a *grown bad block*).
+//! Retirement is permanent for the life of the array.
 
 use conzone_sim::SimRng;
 use conzone_types::{FaultConfig, SimDuration};
 
 use crate::bitvec::BitVec;
+
+/// Program failures on one block before it retires as a grown bad block.
+const GROWN_BAD_THRESHOLD: u32 = 2;
+/// Most retry steps one read-retry event takes; the count is drawn
+/// uniformly from `1..=MAX_READ_RETRIES`.
+const MAX_READ_RETRIES: u32 = 3;
+/// Extra sense latency of one read-retry step.
+const READ_RETRY_STEP: SimDuration = SimDuration::from_micros(25);
 
 /// Deterministic fault injector and block-retirement registry.
 #[derive(Debug, Clone)]
@@ -72,7 +80,7 @@ impl FaultPlane {
     }
 
     /// Draws the read-retry step count for one page sense: zero most of
-    /// the time, otherwise uniform in `1..=max_read_retries`. Never
+    /// the time, otherwise uniform in `1..=MAX_READ_RETRIES`. Never
     /// touches the RNG when the rate is zero.
     #[inline]
     pub(crate) fn read_retry_steps(&mut self) -> u32 {
@@ -81,16 +89,16 @@ impl FaultPlane {
         }
         #[expect(
             clippy::cast_possible_truncation,
-            reason = "below(bound) < bound, and the bound is max_read_retries, a u32 config knob"
+            reason = "below(bound) < bound, and the bound is MAX_READ_RETRIES, a u32"
         )]
-        let step = self.rng.below(u64::from(self.cfg.max_read_retries)) as u32;
+        let step = self.rng.below(u64::from(MAX_READ_RETRIES)) as u32;
         1 + step
     }
 
     /// Extra sense latency of a read-retry event of `steps` steps.
     #[inline]
     pub(crate) fn retry_penalty(&self, steps: u32) -> SimDuration {
-        self.cfg.read_retry_step * u64::from(steps)
+        READ_RETRY_STEP * u64::from(steps)
     }
 
     /// Records one program failure on block `idx`; when the grown-bad
@@ -98,9 +106,7 @@ impl FaultPlane {
     /// failure retired the block.
     pub(crate) fn record_program_failure(&mut self, idx: usize) -> bool {
         self.fail_counts[idx] = self.fail_counts[idx].saturating_add(1);
-        self.cfg.grown_bad_threshold > 0
-            && self.fail_counts[idx] >= self.cfg.grown_bad_threshold
-            && self.retire(idx)
+        self.fail_counts[idx] >= GROWN_BAD_THRESHOLD && self.retire(idx)
     }
 }
 
@@ -123,13 +129,7 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic_per_seed() {
-        let cfg = FaultConfig {
-            program_fail_rate: 0.3,
-            erase_fail_rate: 0.1,
-            read_retry_rate: 0.2,
-            max_read_retries: 4,
-            ..FaultConfig::with_rates(0.3, 0.1, 0.2)
-        };
+        let cfg = FaultConfig::with_rates(0.3, 0.1, 0.2);
         let draw = |cfg: FaultConfig| {
             let mut p = FaultPlane::new(cfg, 8);
             let mut log = Vec::new();
@@ -145,9 +145,8 @@ mod tests {
 
     #[test]
     fn grown_bad_promotion_respects_threshold() {
-        let mut cfg = FaultConfig::with_rates(1.0, 0.0, 0.0);
-        cfg.grown_bad_threshold = 2;
-        let mut p = FaultPlane::new(cfg, 4);
+        assert_eq!(GROWN_BAD_THRESHOLD, 2);
+        let mut p = FaultPlane::new(FaultConfig::with_rates(1.0, 0.0, 0.0), 4);
         assert!(!p.record_program_failure(1), "first failure only suspects");
         assert!(p.record_program_failure(1), "second failure retires");
         assert!(p.is_retired(1));
@@ -156,24 +155,19 @@ mod tests {
             "already retired, not retired again"
         );
         assert_eq!((0..4).filter(|&b| p.is_retired(b)).count(), 1);
-        // Threshold zero disables promotion entirely.
-        cfg.grown_bad_threshold = 0;
-        let mut p = FaultPlane::new(cfg, 4);
-        for _ in 0..10 {
-            assert!(!p.record_program_failure(0));
-        }
-        assert!(!p.is_retired(0));
     }
 
     #[test]
     fn retry_steps_bounded_and_penalty_scales() {
-        let cfg = FaultConfig::with_rates(0.0, 0.0, 1.0);
-        let mut p = FaultPlane::new(cfg, 1);
+        let mut p = FaultPlane::new(FaultConfig::with_rates(0.0, 0.0, 1.0), 1);
+        let mut seen = [false; 4];
         for _ in 0..100 {
             let s = p.read_retry_steps();
-            assert!((1..=cfg.max_read_retries).contains(&s));
+            assert!((1..=3).contains(&s));
+            seen[s as usize] = true;
         }
+        assert_eq!(seen, [false, true, true, true], "every count 1..=3 drawn");
         assert_eq!(p.retry_penalty(0), SimDuration::ZERO);
-        assert_eq!(p.retry_penalty(3), cfg.read_retry_step * 3);
+        assert_eq!(p.retry_penalty(3), SimDuration::from_micros(75));
     }
 }

@@ -4,10 +4,10 @@
 //! [`crate::run_job`] hands every generated command straight to the
 //! device. This module models the host the way an NVMe driver sees it:
 //! every *tenant* (an independent workload sharing the device) owns a
-//! [`QueuePair`] — a submission queue, a completion queue, and a bounded
-//! pool of in-flight command slots — and a single controller-side
-//! command-fetch stage ([`conzone_core::QueueFrontEnd`]) arbitrates among
-//! the submission queues before commands reach the device model.
+//! [`QueuePair`] — a submission queue and a bounded pool of in-flight
+//! command slots — and a single controller-side command-fetch stage
+//! ([`conzone_core::QueueFrontEnd`]) arbitrates among the submission
+//! queues before commands reach the device model.
 //!
 //! This is [`crate::run_job`]'s event loop (`crate::runner`) with that
 //! front end attached, on the simulated clock of the discrete-event core —
@@ -67,18 +67,17 @@ pub(crate) struct IoSlot {
     granted: SimTime,
 }
 
-/// An NVMe-like queue pair: submission queue, completion queue, and a
-/// fixed slab of command slots sized `threads × depth`.
+/// An NVMe-like queue pair: a submission queue and a fixed slab of
+/// command slots sized `threads × depth`.
 ///
 /// Slots are reused through a free list — after construction the pair
 /// performs no allocation on the submit/dispatch/reap path. Completion
-/// reaping is modelled with zero host delay: the driver pushes a
-/// completed command into the CQ and reaps it at the same simulated
-/// instant, so CQ occupancy never exceeds one.
+/// reaping is modelled with zero host delay: a command is reaped at the
+/// simulated instant the device completes it, so the completion queue
+/// would never hold more than one entry and is not modelled.
 #[derive(Debug)]
 pub(crate) struct QueuePair {
     sq: VecDeque<u32>,
-    cq: VecDeque<u32>,
     slots: Vec<IoSlot>,
     free: Vec<u32>,
     inflight: u32,
@@ -95,7 +94,6 @@ impl QueuePair {
         let n = n32 as usize;
         QueuePair {
             sq: VecDeque::with_capacity(n),
-            cq: VecDeque::with_capacity(n),
             slots: vec![IoSlot::default(); n],
             free: (0..n32).rev().collect(),
             inflight: 0,
@@ -140,16 +138,10 @@ impl QueuePair {
         self.inflight += 1;
     }
 
-    /// Posts a completed command to the completion queue.
-    fn post_completion(&mut self, slot: u32) {
-        self.cq.push_back(slot);
-    }
-
-    /// Reaps the completion queue's head.
-    fn reap(&mut self) -> Option<u32> {
-        let idx = self.cq.pop_front()?;
+    /// Reaps a dispatched command the device has completed.
+    fn complete(&mut self, slot: u32) -> IoSlot {
         self.inflight -= 1;
-        Some(idx)
+        self.slot(slot)
     }
 
     /// Returns a reaped slot to the free list for reuse.
@@ -439,13 +431,11 @@ impl FrontEnd {
         Ok(())
     }
 
-    /// A dispatched command's device completion posts to the tenant's CQ
-    /// at `t` and is reaped at once; returns the completed command.
-    pub(crate) fn reap(&mut self, t: SimTime, tenant: usize, slot: u32) -> Option<IoSlot> {
+    /// Reaps a dispatched command of `tenant` at its device completion
+    /// `t`; returns the completed command.
+    pub(crate) fn reap(&mut self, t: SimTime, tenant: usize, slot: u32) -> IoSlot {
         let lane = &mut self.lanes[tenant];
-        lane.qp.post_completion(slot);
-        let slot = lane.qp.reap()?;
-        let s = lane.qp.slot(slot);
+        let s = lane.qp.complete(slot);
         lane.wait_hist.record(s.granted.saturating_since(s.arrival));
         self.probe.emit(
             t,
@@ -472,7 +462,7 @@ impl FrontEnd {
             sink.record(span(cmd_id, 0, SpanKind::QueueCmd, t));
         }
         lane.qp.release(slot);
-        Some(s)
+        s
     }
 }
 
@@ -579,7 +569,7 @@ mod tests {
     use crate::runner::JobReport;
     use conzone_core::ConZone;
     use conzone_sim::{RingBufferSink, SpanBuffer};
-    use conzone_types::{CountingSink, DeviceConfig, DeviceEvent, SpanKind};
+    use conzone_types::{DeviceConfig, DeviceEvent, SpanKind};
 
     const MIB: u64 = 1024 * 1024;
 
@@ -588,6 +578,33 @@ mod tests {
             .zone_bytes(MIB)
             .region(0, 4 * MIB)
             .bytes_per_thread(4 * MIB)
+    }
+
+    /// Completions arrive in any order: `complete` hands back that
+    /// command's slot and drops `inflight` by one, and a released slot is
+    /// the next one a submission takes.
+    #[test]
+    fn queue_pair_completes_in_any_order() {
+        let t = SimTime::from_nanos;
+        let mut qp = QueuePair::new(1, 3);
+        let ids: Vec<u32> = (0..3)
+            .map(|i| qp.submit(i * 4096, i == 1, 0, t(i)).unwrap())
+            .collect();
+        assert_eq!(qp.submit(0, true, 0, t(9)), None, "the slab is full");
+        for (&id, i) in ids.iter().zip(1..) {
+            assert_eq!(qp.fetch_next(), Some(id));
+            qp.mark_dispatched(id, t(10 * i));
+        }
+        assert_eq!(qp.inflight(), 3);
+        let s = qp.complete(ids[1]);
+        assert_eq!((s.offset, s.is_read), (4096, true));
+        assert_eq!((s.arrival, s.granted), (t(1), t(20)));
+        assert_eq!(qp.inflight(), 2);
+        qp.release(ids[1]);
+        assert_eq!(qp.submit(0, false, 0, t(30)), Some(ids[1]));
+        qp.complete(ids[2]);
+        qp.complete(ids[0]);
+        assert_eq!(qp.inflight(), 0);
     }
 
     /// `job` through the front end as the only tenant, zero fetch cost.
@@ -882,7 +899,7 @@ mod tests {
     /// command, and one QueueCmd+QueueWait span pair per completion.
     #[test]
     fn queue_events_and_spans_cover_every_command() {
-        let counting = Arc::new(CountingSink::new());
+        let events = Arc::new(RingBufferSink::with_capacity(1 << 14));
         let spans = Arc::new(SpanBuffer::with_capacity(1 << 14));
         let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
         let f = run_job(&mut dev, &fill_job()).unwrap();
@@ -893,30 +910,26 @@ mod tests {
             .queue_depth(4)
             .start_at(f.finished);
         let opts = QdOptions {
-            probe: Probe::attached(counting.clone()),
+            probe: Probe::attached(events.clone()),
             spans: Some(spans.clone()),
             ..QdOptions::default()
         };
         let r = run_tenants(&mut dev, &[TenantSpec::new("t0", job)], &opts).unwrap();
         assert_eq!(r.ops, 200);
-        let submit = DeviceEvent::QueueSubmit {
-            queue: 0,
-            backlog: 0,
+        assert_eq!(events.dropped(), 0);
+        let events = events.drain();
+        for kind in ["queue_submit", "queue_arbitrate", "queue_complete"] {
+            let n = events.iter().filter(|r| r.event.kind_name() == kind);
+            assert_eq!(n.count(), 200, "{kind}");
         }
-        .kind_index();
-        let arb = DeviceEvent::QueueArbitrate {
-            queue: 0,
-            wait_ns: 0,
-        }
-        .kind_index();
-        let done = DeviceEvent::QueueComplete {
-            queue: 0,
-            inflight: 0,
-        }
-        .kind_index();
-        assert_eq!(counting.count_of(submit), 200);
-        assert_eq!(counting.count_of(arb), 200);
-        assert_eq!(counting.count_of(done), 200);
+        let inflight: Vec<u64> = (events.iter())
+            .filter_map(|r| match r.event {
+                DeviceEvent::QueueComplete { inflight, .. } => Some(inflight),
+                _ => None,
+            })
+            .collect();
+        assert!(inflight.iter().all(|&n| n < 4), "at most qd - 1 left");
+        assert_eq!(inflight.last(), Some(&0), "the last completion drains");
         let records = spans.drain();
         assert_eq!(records.len(), 400);
         for pair in records.chunks(2) {

@@ -653,7 +653,7 @@ pub(crate) enum Ev {
     /// The command-fetch stage is free: arbitrate and dispatch one
     /// command.
     Dispatch,
-    /// A dispatched command's device completion posts to the CQ.
+    /// A dispatched command completes on the device and is reaped.
     Reap { tenant: usize, slot: u32 },
 }
 
@@ -733,7 +733,7 @@ pub(crate) fn drive<D: StorageDevice + ?Sized>(
                 continue;
             }
             Ev::Reap { tenant, slot } => {
-                let Some(s) = front.as_deref_mut().and_then(|f| f.reap(t, tenant, slot)) else {
+                let Some(s) = front.as_deref_mut().map(|f| f.reap(t, tenant, slot)) else {
                     continue;
                 };
                 (tenant, s.thread, s.is_read, s.arrival, t)
@@ -1337,6 +1337,6 @@ mod fsync_tests {
     fn flush_of_clean_device_is_cheap() {
         let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
         let c = dev.flush(conzone_types::SimTime::ZERO).unwrap();
-        assert_eq!(c.latency(), dev.config().host_overhead);
+        assert_eq!(c.latency(), conzone_types::HOST_OVERHEAD);
     }
 }

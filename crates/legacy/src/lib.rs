@@ -38,7 +38,7 @@ use conzone_ftl::{block_runs, LruCache, MappingTable, OwnerMap};
 use conzone_types::{
     to_index, ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig,
     FlushKind, IoKind, IoRequest, L2pOutcome, Lpn, LpnRange, Ppa, Probe, SimTime, StorageDevice,
-    SuperblockId, ZoneId, SLICE_BYTES, SLICE_LEN,
+    SuperblockId, ZoneId, HOST_OVERHEAD, MAPPING_MEDIA, SLICE_BYTES, SLICE_LEN,
 };
 
 #[cfg(test)]
@@ -203,7 +203,7 @@ impl LegacyDevice {
         self.kill_mapped(range)?;
         self.table.unmap_extent(range.start, range.count);
         self.drop_cached(range);
-        Ok(Completion::at(now, now + self.cfg.host_overhead))
+        Ok(Completion::at(now, now + HOST_OVERHEAD))
     }
 
     /// Wear and lifespan report (the paper's §I trim-gap argument shows
@@ -529,7 +529,7 @@ impl LegacyDevice {
                 t = self.flush_unit(t)?;
             }
         }
-        Ok(t + self.cfg.host_overhead)
+        Ok(t + HOST_OVERHEAD)
     }
 
     /// The newest pending run holding `lpn`, and the page's position in
@@ -585,7 +585,7 @@ impl LegacyDevice {
                 let r = self.flash.timed_page_read(
                     t_map,
                     chip,
-                    self.cfg.mapping_media,
+                    MAPPING_MEDIA,
                     self.cfg.geometry.page_bytes as u64,
                 );
                 t_map = r.end;
@@ -627,7 +627,7 @@ impl LegacyDevice {
         } else {
             None
         };
-        Ok((finish + self.cfg.host_overhead, data))
+        Ok((finish + HOST_OVERHEAD, data))
     }
 }
 
@@ -691,7 +691,7 @@ impl StorageDevice for LegacyDevice {
             );
             t = self.flush_unit(t)?;
         }
-        Ok(Completion::at(now, t + self.cfg.host_overhead))
+        Ok(Completion::at(now, t + HOST_OVERHEAD))
     }
 
     fn counters(&self) -> Counters {

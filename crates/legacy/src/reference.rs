@@ -13,7 +13,7 @@ use conzone_flash::FlashArray;
 use conzone_ftl::{LruCache, MappingTable};
 use conzone_types::{
     ChipId, Completion, Counters, DeviceConfig, DeviceError, FaultConfig, IoKind, IoRequest, Lpn,
-    LpnRange, Ppa, SimTime, StorageDevice, SuperblockId, SLICE_BYTES,
+    LpnRange, Ppa, SimTime, StorageDevice, SuperblockId, HOST_OVERHEAD, MAPPING_MEDIA, SLICE_BYTES,
 };
 
 use crate::{internal, OVERPROVISION_DIVISOR};
@@ -101,7 +101,7 @@ impl ReferenceLegacy {
         }
         Ok(Completion {
             submitted: now,
-            finished: now + self.cfg.host_overhead,
+            finished: now + HOST_OVERHEAD,
             data: None,
             assigned_offset: None,
         })
@@ -274,7 +274,7 @@ impl ReferenceLegacy {
                 t = self.flush_unit(t)?;
             }
         }
-        Ok(t + self.cfg.host_overhead)
+        Ok(t + HOST_OVERHEAD)
     }
 
     fn read_range(
@@ -308,7 +308,7 @@ impl ReferenceLegacy {
                 let r = self.flash.timed_page_read(
                     t_map,
                     chip,
-                    self.cfg.mapping_media,
+                    MAPPING_MEDIA,
                     self.cfg.geometry.page_bytes as u64,
                 );
                 t_map = r.end;
@@ -351,7 +351,7 @@ impl ReferenceLegacy {
         } else {
             None
         };
-        Ok((finish + self.cfg.host_overhead, data))
+        Ok((finish + HOST_OVERHEAD, data))
     }
 }
 
@@ -418,7 +418,7 @@ impl StorageDevice for ReferenceLegacy {
         }
         Ok(Completion {
             submitted: now,
-            finished: t + self.cfg.host_overhead,
+            finished: t + HOST_OVERHEAD,
             data: None,
             assigned_offset: None,
         })

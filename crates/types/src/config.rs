@@ -26,6 +26,32 @@ impl CellType {
             CellType::Qlc => "qlc",
         }
     }
+
+    /// Access latencies of this cell type: paper Table II. SLC programs in
+    /// 75 µs \[ISSCC'20] and reads in 20 µs (vendor discussion, §III-B);
+    /// TLC programs in 937.5 µs and reads in 32 µs, QLC in 6400 µs and
+    /// 85 µs \[ISSCC'24]. The paper lists no erase times; they follow
+    /// typical 3D NAND data sheets (3 / 3.5 / 4 ms).
+    #[inline]
+    pub const fn latency(self) -> MediaLatency {
+        match self {
+            CellType::Slc => MediaLatency {
+                read: SimDuration::from_micros(20),
+                program: SimDuration::from_micros(75),
+                erase: SimDuration::from_millis(3),
+            },
+            CellType::Tlc => MediaLatency {
+                read: SimDuration::from_micros(32),
+                program: SimDuration::from_nanos(937_500),
+                erase: SimDuration::from_nanos(3_500_000),
+            },
+            CellType::Qlc => MediaLatency {
+                read: SimDuration::from_micros(85),
+                program: SimDuration::from_micros(6400),
+                erase: SimDuration::from_millis(4),
+            },
+        }
+    }
 }
 
 impl core::fmt::Display for CellType {
@@ -45,57 +71,22 @@ pub struct MediaLatency {
     pub erase: SimDuration,
 }
 
-/// Per-media timing table (paper Table II defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MediaTimings {
-    /// SLC latencies: 75 µs program \[ISSCC'20], 20 µs read (vendor
-    /// discussion, paper §III-B).
-    pub slc: MediaLatency,
-    /// TLC latencies: 937.5 µs program, 32 µs read \[ISSCC'24].
-    pub tlc: MediaLatency,
-    /// QLC latencies: 6400 µs program, 85 µs read \[ISSCC'24].
-    pub qlc: MediaLatency,
-}
+/// Per-channel bandwidth in bytes per second: UFS 4.0-style 3200 MiB/s
+/// (paper §IV-A).
+pub const CHANNEL_BYTES_PER_SEC: u64 = 3200 * 1024 * 1024;
 
-impl MediaTimings {
-    /// The defaults of paper Table II. Erase latencies follow typical 3D
-    /// NAND data sheets (3.5 ms) — the paper does not list erase times.
-    pub(crate) fn paper_table2() -> MediaTimings {
-        MediaTimings {
-            slc: MediaLatency {
-                read: SimDuration::from_micros(20),
-                program: SimDuration::from_micros(75),
-                erase: SimDuration::from_millis(3),
-            },
-            tlc: MediaLatency {
-                read: SimDuration::from_micros(32),
-                program: SimDuration::from_nanos(937_500),
-                erase: SimDuration::from_nanos(3_500_000),
-            },
-            qlc: MediaLatency {
-                read: SimDuration::from_micros(85),
-                program: SimDuration::from_micros(6400),
-                erase: SimDuration::from_millis(4),
-            },
-        }
-    }
+/// Bytes one L2P cache entry occupies (4 B in the paper's SRAM estimate,
+/// §IV-D).
+pub const L2P_ENTRY_BYTES: u64 = 4;
 
-    /// Latency entry for a cell type.
-    #[inline]
-    pub fn latency(&self, cell: CellType) -> MediaLatency {
-        match cell {
-            CellType::Slc => self.slc,
-            CellType::Tlc => self.tlc,
-            CellType::Qlc => self.qlc,
-        }
-    }
-}
+/// Media holding the persisted L2P mapping table; mapping fetches pay its
+/// page-read latency.
+pub const MAPPING_MEDIA: CellType = CellType::Slc;
 
-impl Default for MediaTimings {
-    fn default() -> Self {
-        MediaTimings::paper_table2()
-    }
-}
+/// Fixed per-request host I/O-stack overhead (submission and completion
+/// path outside the device). ConZone runs under the real Linux block
+/// layer; the models charge that cost explicitly.
+pub const HOST_OVERHEAD: SimDuration = SimDuration::from_nanos(12_500);
 
 /// Granularity of an L2P mapping entry (the paper's two reserved *map bits*,
 /// §III-C): one logical page, one chunk, or one whole zone.
@@ -188,17 +179,9 @@ pub struct FaultConfig {
     /// block (it drops out of its superblock's usable set).
     pub erase_fail_rate: f64,
     /// Probability that one data page read needs read-retry: the sense is
-    /// repeated with stepped reference voltages, each step costing
-    /// [`FaultConfig::read_retry_step`] extra latency.
+    /// repeated with stepped reference voltages, up to 3 steps of 25 µs
+    /// extra latency each.
     pub read_retry_rate: f64,
-    /// Program failures on one block before it is retired as a *grown bad
-    /// block*. Zero means program failures never retire a block.
-    pub grown_bad_threshold: u32,
-    /// Maximum retry steps of one read-retry event; the actual count is
-    /// drawn uniformly from `1..=max_read_retries`.
-    pub max_read_retries: u32,
-    /// Extra sense latency per read-retry step.
-    pub read_retry_step: SimDuration,
 }
 
 impl Default for FaultConfig {
@@ -208,25 +191,20 @@ impl Default for FaultConfig {
             program_fail_rate: 0.0,
             erase_fail_rate: 0.0,
             read_retry_rate: 0.0,
-            grown_bad_threshold: 0,
-            max_read_retries: 0,
-            read_retry_step: SimDuration::ZERO,
         }
     }
 }
 
 impl FaultConfig {
-    /// A fault config with the given per-operation rates and sensible
-    /// defaults for the remaining knobs (grown-bad after 2 program
-    /// failures, up to 3 read-retry steps of 25 µs each).
+    /// A fault config with the given per-operation rates and the default
+    /// seed. The fault plane fixes the rest: a block retires as grown bad
+    /// after 2 program failures, and one read-retry event costs up to 3
+    /// steps of 25 µs each.
     pub fn with_rates(program_fail: f64, erase_fail: f64, read_retry: f64) -> FaultConfig {
         FaultConfig {
             program_fail_rate: program_fail,
             erase_fail_rate: erase_fail,
             read_retry_rate: read_retry,
-            grown_bad_threshold: 2,
-            max_read_retries: 3,
-            read_retry_step: SimDuration::from_micros(25),
             ..FaultConfig::default()
         }
     }
@@ -258,22 +236,14 @@ pub struct DeviceConfig {
     pub geometry: Geometry,
     /// Cell technology of the normal (zoned) region.
     pub normal_cell: CellType,
-    /// Media latency table.
-    pub timings: MediaTimings,
-    /// Per-channel bandwidth in bytes per second (UFS 4.0-style 3200 MiB/s
-    /// by default, paper §IV-A).
-    pub channel_bytes_per_sec: u64,
-    /// Whether channel transfer time is modelled at all (FEMU does not,
-    /// paper §IV-B).
+    /// Whether channel transfer time ([`CHANNEL_BYTES_PER_SEC`]) is
+    /// modelled at all (FEMU does not, paper §IV-B).
     pub model_channel_bandwidth: bool,
     /// Number of volatile write buffers shared by all open zones. Each
     /// buffer holds one superpage (paper §II-A/§IV-A uses two).
     pub write_buffers: usize,
     /// L2P cache capacity in bytes.
     pub l2p_cache_bytes: u64,
-    /// Bytes consumed by one L2P cache entry (4 B in the paper's SRAM
-    /// estimate, §IV-D).
-    pub l2p_entry_bytes: u64,
     /// Miss-path search strategy.
     pub search_strategy: SearchStrategy,
     /// Largest aggregation level hybrid mapping may use. `Page` degenerates
@@ -284,13 +254,6 @@ pub struct DeviceConfig {
     pub chunk_bytes: u64,
     /// Maximum simultaneously open zones (F2FS opens up to 6, §II-B).
     pub max_open_zones: usize,
-    /// Media holding the persisted L2P mapping table; mapping fetches pay
-    /// this media's page-read latency.
-    pub mapping_media: CellType,
-    /// Fixed per-request host I/O-stack overhead (submission +completion
-    /// path outside the device). ConZone runs under the real Linux block
-    /// layer; we model that cost explicitly.
-    pub host_overhead: SimDuration,
     /// Run SLC garbage collection when free SLC superblocks drop to this
     /// count.
     pub slc_gc_threshold: usize,
@@ -322,18 +285,13 @@ impl DeviceConfig {
             cfg: DeviceConfig {
                 geometry,
                 normal_cell: CellType::Tlc,
-                timings: MediaTimings::paper_table2(),
-                channel_bytes_per_sec: 3200 * 1024 * 1024,
                 model_channel_bandwidth: true,
                 write_buffers: 2,
                 l2p_cache_bytes: 12 * 1024,
-                l2p_entry_bytes: 4,
                 search_strategy: SearchStrategy::Bitmap,
                 max_aggregation: MapGranularity::Zone,
                 chunk_bytes: 4 * 1024 * 1024,
                 max_open_zones: 6,
-                mapping_media: CellType::Slc,
-                host_overhead: SimDuration::from_nanos(12_500),
                 slc_gc_threshold: 1,
                 l2p_log_entries: 0,
                 conventional_zones: 0,
@@ -411,7 +369,7 @@ impl DeviceConfig {
     /// Number of entries the L2P cache can hold.
     #[inline]
     pub fn l2p_cache_entries(&self) -> usize {
-        to_index(self.l2p_cache_bytes / self.l2p_entry_bytes)
+        to_index(self.l2p_cache_bytes / L2P_ENTRY_BYTES)
     }
 
     /// Chunk size in 4 KiB slices.
@@ -443,14 +401,6 @@ impl DeviceConfigBuilder {
         normal_cell: CellType
     );
     setter!(
-        /// Overrides the media latency table.
-        timings: MediaTimings
-    );
-    setter!(
-        /// Sets per-channel bandwidth in bytes per second.
-        channel_bytes_per_sec: u64
-    );
-    setter!(
         /// Enables or disables channel-bandwidth modelling.
         model_channel_bandwidth: bool
     );
@@ -461,10 +411,6 @@ impl DeviceConfigBuilder {
     setter!(
         /// Sets the L2P cache capacity in bytes.
         l2p_cache_bytes: u64
-    );
-    setter!(
-        /// Sets the size of one L2P cache entry in bytes.
-        l2p_entry_bytes: u64
     );
     setter!(
         /// Sets the miss-path search strategy.
@@ -481,14 +427,6 @@ impl DeviceConfigBuilder {
     setter!(
         /// Sets the maximum number of simultaneously open zones.
         max_open_zones: usize
-    );
-    setter!(
-        /// Sets the media where the mapping table is persisted.
-        mapping_media: CellType
-    );
-    setter!(
-        /// Sets the fixed per-request host I/O-stack overhead.
-        host_overhead: SimDuration
     );
     setter!(
         /// Sets the SLC GC trigger threshold (free superblocks).
@@ -529,9 +467,6 @@ impl DeviceConfigBuilder {
         if cfg.write_buffers == 0 {
             return Err(ConfigError::new("write_buffers must be non-zero"));
         }
-        if cfg.l2p_entry_bytes == 0 {
-            return Err(ConfigError::new("l2p_entry_bytes must be non-zero"));
-        }
         if cfg.l2p_cache_entries() == 0 {
             return Err(ConfigError::new(
                 "l2p_cache_bytes too small for a single entry",
@@ -562,9 +497,6 @@ impl DeviceConfigBuilder {
         if cfg.max_open_zones == 0 {
             return Err(ConfigError::new("max_open_zones must be non-zero"));
         }
-        if cfg.channel_bytes_per_sec == 0 {
-            return Err(ConfigError::new("channel_bytes_per_sec must be non-zero"));
-        }
         if cfg.normal_cell == CellType::Slc {
             return Err(ConfigError::new(
                 "normal region cannot be SLC; use Tlc or Qlc (SLC is the secondary buffer)",
@@ -594,13 +526,6 @@ impl DeviceConfigBuilder {
                 )));
             }
         }
-        if cfg.fault.read_retry_rate > 0.0
-            && (cfg.fault.max_read_retries == 0 || cfg.fault.read_retry_step == SimDuration::ZERO)
-        {
-            return Err(ConfigError::new(
-                "read_retry_rate needs max_read_retries > 0 and a non-zero read_retry_step",
-            ));
-        }
         // Conventional data lives permanently in SLC; leave GC headroom.
         let conventional_bytes = cfg.conventional_zones as u64 * cfg.zone_size_bytes();
         if conventional_bytes * 2 > slc_bytes {
@@ -618,14 +543,28 @@ mod tests {
 
     #[test]
     fn paper_defaults_match_table2() {
-        let t = MediaTimings::paper_table2();
-        assert_eq!(t.slc.program, SimDuration::from_micros(75));
-        assert_eq!(t.slc.read, SimDuration::from_micros(20));
-        assert_eq!(t.tlc.program.as_nanos(), 937_500);
-        assert_eq!(t.tlc.read, SimDuration::from_micros(32));
-        assert_eq!(t.qlc.program, SimDuration::from_micros(6400));
-        assert_eq!(t.qlc.read, SimDuration::from_micros(85));
-        assert_eq!(t.latency(CellType::Qlc), t.qlc);
+        let us = SimDuration::from_micros;
+        let (slc, tlc, qlc) = (
+            CellType::Slc.latency(),
+            CellType::Tlc.latency(),
+            CellType::Qlc.latency(),
+        );
+        assert_eq!(
+            (slc.read, slc.program, slc.erase),
+            (us(20), us(75), us(3000))
+        );
+        assert_eq!(
+            (tlc.read, tlc.program, tlc.erase),
+            (us(32), SimDuration::from_nanos(937_500), us(3500))
+        );
+        assert_eq!(
+            (qlc.read, qlc.program, qlc.erase),
+            (us(85), us(6400), us(4000))
+        );
+        assert_eq!(HOST_OVERHEAD, SimDuration::from_nanos(12_500));
+        assert_eq!(CHANNEL_BYTES_PER_SEC, 3200 << 20);
+        assert_eq!(L2P_ENTRY_BYTES, 4);
+        assert_eq!(MAPPING_MEDIA, CellType::Slc);
     }
 
     #[test]
@@ -702,7 +641,6 @@ mod tests {
 
         let f = FaultConfig::with_rates(0.01, 0.02, 0.03);
         assert!(f.enabled());
-        assert!(f.max_read_retries > 0);
         assert!(DeviceConfig::builder(Geometry::tiny())
             .chunk_bytes(256 * 1024)
             .fault(f)
@@ -713,14 +651,6 @@ mod tests {
         assert!(DeviceConfig::builder(Geometry::tiny())
             .chunk_bytes(256 * 1024)
             .fault(bad)
-            .build()
-            .is_err());
-
-        let mut retry = FaultConfig::with_rates(0.0, 0.0, 0.5);
-        retry.max_read_retries = 0;
-        assert!(DeviceConfig::builder(Geometry::tiny())
-            .chunk_bytes(256 * 1024)
-            .fault(retry)
             .build()
             .is_err());
     }

@@ -7,8 +7,8 @@
 //!   address newtypes at the 4 KiB slice granularity;
 //! * [`Geometry`] — the physical organisation of the flash array (channels,
 //!   chips, blocks, pages, programming units, superblocks);
-//! * [`DeviceConfig`] — a validated device configuration with the paper's
-//!   Table II media timings as defaults;
+//! * [`DeviceConfig`] — a validated device configuration; the paper's
+//!   Table II media timings are constants ([`CellType::latency`]);
 //! * [`StorageDevice`] / [`ZonedDevice`] — the trait all device models
 //!   implement so the host harness can drive them interchangeably;
 //! * [`ZoneTable`] — the zone states, write pointers and admission rules
@@ -51,7 +51,7 @@ pub use addr::{
 };
 pub use config::{
     CellType, DeviceConfig, DeviceConfigBuilder, FaultConfig, MapGranularity, MediaLatency,
-    MediaTimings, SearchStrategy,
+    SearchStrategy, CHANNEL_BYTES_PER_SEC, HOST_OVERHEAD, L2P_ENTRY_BYTES, MAPPING_MEDIA,
 };
 pub use counters::Counters;
 pub use device::{
@@ -62,8 +62,7 @@ pub use geometry::{Geometry, PpaParts};
 pub use span::{SpanKind, SpanRecord, SpanRecorder, SpanSink};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    CountingSink, DeviceEvent, FaultKind, FlushKind, L2pOutcome, MediaOp, Probe, TraceRecord,
-    TraceSink,
+    DeviceEvent, FaultKind, FlushKind, L2pOutcome, MediaOp, Probe, TraceRecord, TraceSink,
 };
 pub use zone::ZoneTable;
 

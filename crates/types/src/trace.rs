@@ -4,15 +4,13 @@
 //! happened; this module says *when*. Every device model emits typed
 //! [`DeviceEvent`]s through one cheap [`Probe`] handle as it advances the
 //! simulated clock, and any [`TraceSink`] implementation can collect them
-//! — a bounded ring buffer for export (see `conzone_sim::trace`), or the
-//! in-crate [`CountingSink`] when only totals are wanted.
+//! — a bounded ring buffer for export (see `conzone_sim::trace`).
 //!
 //! Emission is a single `Option` test when no sink is attached
 //! ([`Probe::disabled`]), so instrumented hot paths cost nothing in the
 //! default configuration.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::addr::ZoneId;
@@ -247,7 +245,7 @@ impl DeviceEvent {
         }
     }
 
-    /// Index of the event kind into [`CountingSink`] buckets.
+    /// Dense index of the event kind, in `0..KIND_COUNT`.
     pub fn kind_index(&self) -> usize {
         match self {
             DeviceEvent::BufferFlush {
@@ -308,39 +306,11 @@ pub struct TraceRecord {
 ///
 /// `record` takes `&self` so a sink can be shared between a device and the
 /// harness that later drains it; implementations use interior mutability
-/// (atomics in [`CountingSink`], a mutex in `conzone_sim`'s collecting
-/// sinks).
+/// (a mutex in `conzone_sim`'s collecting sinks).
 pub trait TraceSink {
     /// Called once per event, in non-decreasing simulation-time order per
     /// device.
     fn record(&self, time: SimTime, event: DeviceEvent);
-}
-
-/// A sink that only counts events per kind — no storage, no allocation.
-///
-/// Useful as an always-on "is the device doing what I think" check and as
-/// the cheapest possible attached sink.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    counts: [AtomicU64; DeviceEvent::KIND_COUNT],
-}
-
-impl CountingSink {
-    /// Creates a zeroed counting sink.
-    pub fn new() -> CountingSink {
-        CountingSink::default()
-    }
-
-    /// Events seen of the kind with this [`DeviceEvent::kind_index`].
-    pub fn count_of(&self, kind_index: usize) -> u64 {
-        self.counts[kind_index].load(Ordering::Relaxed)
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn record(&self, _time: SimTime, event: DeviceEvent) {
-        self.counts[event.kind_index()].fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// The handle device models emit through.
@@ -407,39 +377,6 @@ mod tests {
                 outcome: L2pOutcome::Miss,
             },
         );
-    }
-
-    #[test]
-    fn counting_sink_counts_by_kind() {
-        let sink = Arc::new(CountingSink::new());
-        let p = Probe::attached(sink.clone());
-        assert!(p.enabled());
-        let t = SimTime::from_nanos(1);
-        p.emit(
-            t,
-            DeviceEvent::BufferFlush {
-                zone: ZoneId(0),
-                kind: FlushKind::Full,
-                slices: 16,
-            },
-        );
-        p.emit(
-            t,
-            DeviceEvent::BufferFlush {
-                zone: ZoneId(1),
-                kind: FlushKind::Premature,
-                slices: 3,
-            },
-        );
-        p.emit(t, DeviceEvent::ZoneReset { zone: ZoneId(0) });
-        let total: u64 = (0..DeviceEvent::KIND_COUNT).map(|k| sink.count_of(k)).sum();
-        assert_eq!(total, 3);
-        let full = DeviceEvent::BufferFlush {
-            zone: ZoneId(0),
-            kind: FlushKind::Full,
-            slices: 16,
-        };
-        assert_eq!(sink.count_of(full.kind_index()), 1);
     }
 
     #[test]

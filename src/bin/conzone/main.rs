@@ -18,7 +18,9 @@ mod scenario;
 use std::process::ExitCode;
 
 use conzone::host::{replay_trace, MobileTraceBuilder, Trace, WorkloadPreset};
-use conzone::types::{IoRequest, SimTime, StorageDevice, ZoneId, ZonedDevice};
+use conzone::types::{
+    IoRequest, SimTime, StorageDevice, ZoneId, ZonedDevice, CHANNEL_BYTES_PER_SEC, MAPPING_MEDIA,
+};
 
 use crate::args::{build_config, Args, USAGE};
 use crate::report::{emit, Extras, Report};
@@ -39,8 +41,8 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     println!(
         "media    : {} normal region, {} mapping media, {} MiB/s per channel",
         cfg.normal_cell,
-        cfg.mapping_media,
-        cfg.channel_bytes_per_sec >> 20
+        MAPPING_MEDIA,
+        CHANNEL_BYTES_PER_SEC >> 20
     );
     println!(
         "zones    : {} x {} MiB (backing {} MiB, patch {} KiB)",

@@ -5,7 +5,7 @@
 
 use conzone::types::{
     Completion, DeviceConfig, DeviceError, IoRequest, SimDuration, SimTime, StorageDevice, ZoneId,
-    ZonedDevice,
+    ZonedDevice, HOST_OVERHEAD,
 };
 use conzone::ConZone;
 
@@ -62,9 +62,9 @@ fn open_zone_limit_rejects_rather_than_stalls() {
 #[test]
 fn reset_is_near_free_on_an_empty_zone() {
     let cfg = DeviceConfig::tiny_for_tests();
-    let (zone, overhead) = (cfg.zone_size_bytes(), cfg.host_overhead);
+    let (zone, overhead) = (cfg.zone_size_bytes(), HOST_OVERHEAD);
     let unit = cfg.geometry.program_unit_bytes as u64;
-    let erase = cfg.timings.latency(cfg.normal_cell).erase;
+    let erase = cfg.normal_cell.latency().erase;
     let mut dev = ConZone::new(cfg);
     let mut t = SimTime::ZERO;
     // Each reset is issued once the media has gone idle, so its latency is
@@ -110,7 +110,7 @@ fn reset_is_near_free_on_an_empty_zone() {
 #[test]
 fn finish_cost_ignores_the_unwritten_remainder() {
     let cfg = DeviceConfig::tiny_for_tests();
-    let (zone, overhead) = (cfg.zone_size_bytes(), cfg.host_overhead);
+    let (zone, overhead) = (cfg.zone_size_bytes(), HOST_OVERHEAD);
     let unit = cfg.geometry.program_unit_bytes as u64;
     let mut dev = ConZone::new(cfg);
     let mut t = write(&mut dev, SimTime::ZERO, zone, unit).finished;
