@@ -8,7 +8,7 @@ use conzone_ftl::{L2pCache, MapBitmap, MappingTable, WriteBuffer};
 use conzone_types::{
     to_index, Completion, Counters, DeviceConfig, DeviceError, IoKind, IoRequest, Lpn,
     MapGranularity, Probe, SearchStrategy, SimTime, SpanKind, SpanRecorder, SpanSink,
-    StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice, HOST_OVERHEAD, MAPPING_MEDIA,
+    StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice, HOST_OVERHEAD,
 };
 
 use crate::breakdown::TimeBreakdown;
@@ -57,7 +57,6 @@ pub struct ConZone {
     pub(crate) buffers: Vec<WriteBuffer>,
     pub(crate) slc: SlcRegion,
     pub(crate) counters: Counters,
-    pub(crate) next_mapping_chip: u64,
     /// Accumulated L2P mapping updates not yet persisted (paper §III-E).
     pub(crate) l2p_log_pending: u64,
     pub(crate) breakdown: TimeBreakdown,
@@ -104,7 +103,6 @@ impl ConZone {
             buffers,
             slc: SlcRegion::new(&cfg.geometry),
             counters: Counters::new(),
-            next_mapping_chip: 0,
             l2p_log_pending: 0,
             breakdown: TimeBreakdown::default(),
             probe: Probe::disabled(),
@@ -177,10 +175,7 @@ impl ConZone {
             self.l2p_log_pending -= threshold;
             self.counters.l2p_log_flushes += 1;
             self.probe.emit(t, conzone_types::DeviceEvent::L2pLogFlush);
-            let chip = self.mapping_chip();
-            let bytes = self.cfg.geometry.page_bytes as u64;
-            let (_buffer_free, finish) = self.flash.timed_program(t, chip, MAPPING_MEDIA, bytes, 1);
-            t = finish;
+            t = self.flash.program_mapping_page(t);
         }
         self.charge(SpanKind::L2pLog, now, t);
         t
@@ -197,13 +192,6 @@ impl ConZone {
     #[inline]
     pub(crate) fn unit_slices(&self) -> u64 {
         self.cfg.geometry.slices_per_unit() as u64
-    }
-
-    /// Round-robin chip for the next mapping-table fetch.
-    pub(crate) fn mapping_chip(&mut self) -> conzone_types::ChipId {
-        let chip = self.next_mapping_chip % self.cfg.geometry.nchips() as u64;
-        self.next_mapping_chip += 1;
-        conzone_types::ChipId(chip)
     }
 
     /// Records a page's aggregation level in the strategy bitmap, if one is

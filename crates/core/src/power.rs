@@ -17,7 +17,7 @@
 
 use conzone_types::{
     CellType, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, RecoveryReport, SimTime,
-    SuperblockId, ZoneId, MAPPING_MEDIA,
+    SuperblockId, ZoneId,
 };
 
 use crate::device::ConZone;
@@ -140,12 +140,7 @@ impl ConZone {
             }
         }
         // Re-read the persisted L2P log head from the mapping media.
-        let chip = self.mapping_chip();
-        let r = self
-            .flash
-            .timed_page_read(now, chip, MAPPING_MEDIA, page_bytes);
-        finish = finish.max(r.end);
-        self.counters.flash_mapping_reads += 1;
+        finish = finish.max(self.flash.read_mapping_page(now));
 
         let recovered_lpns: Vec<Lpn> = self.slc.owner.iter().map(|(_, lpn)| lpn).collect();
         let recovered_slices = recovered_lpns.len() as u64;

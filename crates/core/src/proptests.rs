@@ -227,7 +227,7 @@ mod read_reference {
     use conzone_types::{
         Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig, Geometry,
         IoRequest, L2pOutcome, Lpn, LpnRange, MapGranularity, Probe, SearchStrategy, SimTime,
-        SpanKind, StorageDevice, ZoneId, HOST_OVERHEAD, MAPPING_MEDIA, SLICE_BYTES,
+        SpanKind, StorageDevice, ZoneId, HOST_OVERHEAD, SLICE_BYTES,
     };
 
     use crate::write::internal;
@@ -301,14 +301,8 @@ mod read_reference {
                     );
                     let actual = dev.table.granularity_of(lpn).ok_or_else(|| unmapped(lpn))?;
                     let fetches = conzone_ftl::mapping_fetches(dev.cfg.search_strategy, actual);
-                    let page_bytes = dev.cfg.geometry.page_bytes as u64;
                     for _ in 0..fetches {
-                        let chip = dev.mapping_chip();
-                        let r = dev
-                            .flash
-                            .timed_page_read(t_map, chip, MAPPING_MEDIA, page_bytes);
-                        t_map = r.end;
-                        dev.counters.flash_mapping_reads += 1;
+                        t_map = dev.flash.read_mapping_page(t_map);
                     }
                     let pinned = conzone_ftl::pins_aggregates(dev.cfg.search_strategy)
                         && actual > MapGranularity::Page;

@@ -23,7 +23,7 @@
 use conzone_ftl::{InsertOutcome, LookupResult};
 use conzone_types::{
     to_index, DeviceError, DeviceEvent, L2pOutcome, Lpn, LpnRange, MapGranularity, SimTime,
-    SpanKind, ZoneId, HOST_OVERHEAD, MAPPING_MEDIA, SLICE_BYTES, SLICE_LEN,
+    SpanKind, ZoneId, HOST_OVERHEAD, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::device::ConZone;
@@ -130,14 +130,8 @@ impl ConZone {
                         let actual = entry.granularity;
                         let fetches =
                             conzone_ftl::mapping_fetches(self.cfg.search_strategy, actual);
-                        let page_bytes = self.cfg.geometry.page_bytes as u64;
                         for _ in 0..fetches {
-                            let chip = self.mapping_chip();
-                            let r =
-                                self.flash
-                                    .timed_page_read(t_map, chip, MAPPING_MEDIA, page_bytes);
-                            t_map = r.end;
-                            self.counters.flash_mapping_reads += 1;
+                            t_map = self.flash.read_mapping_page(t_map);
                         }
                         let pinned = conzone_ftl::pins_aggregates(self.cfg.search_strategy)
                             && actual > MapGranularity::Page;

@@ -590,6 +590,26 @@ mod more_femu_tests {
         assert_eq!(r.data.unwrap(), data);
     }
 
+    /// Every flash page a read senses is a data-page read: reads of
+    /// flushed data count one per distinct 16 KiB page they touch, however
+    /// the range is aligned.
+    #[test]
+    fn reads_of_flushed_data_count_each_page_they_sense() {
+        let mut d = FemuZns::new(DeviceConfig::tiny_for_tests());
+        let page = d.cfg.geometry.page_bytes as u64;
+        let w = d
+            .submit(SimTime::ZERO, &IoRequest::write(0, 8 * page))
+            .unwrap();
+        let mut t = d.flush(w.finished).unwrap().finished;
+        assert_eq!(d.counters().flash_data_reads, 0);
+        for (offset, len, pages) in [(0, 8 * page, 8), (4096, 4096, 1), (page - 4096, 8192, 2)] {
+            let before = d.counters().flash_data_reads;
+            t = d.submit(t, &IoRequest::read(offset, len)).unwrap().finished;
+            let sensed = d.counters().flash_data_reads - before;
+            assert_eq!(sensed, pages, "{len} bytes at {offset}");
+        }
+    }
+
     #[test]
     fn flush_drains_every_buffer() {
         let mut d = FemuZns::new(DeviceConfig::tiny_for_tests());

@@ -512,13 +512,7 @@ impl StorageDevice for ReferenceFemu {
 
     fn counters(&self) -> Counters {
         let mut c = self.counters;
-        let stats = self.flash.stats();
-        c.flash_program_bytes_slc = stats.program_bytes_slc;
-        c.flash_program_bytes_tlc = stats.program_bytes_tlc;
-        c.flash_program_bytes_qlc = stats.program_bytes_qlc;
-        c.flash_data_reads = stats.page_reads;
-        c.erases_slc = stats.erases_slc;
-        c.erases_normal = stats.erases_normal;
+        self.flash.stats().fold_into(&mut c);
         c
     }
 

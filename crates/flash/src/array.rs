@@ -1,24 +1,26 @@
 //! The timed flash array: chips, channels, blocks and Table-II latencies.
 //!
-//! [`FlashArray`] owns every block's state plus one [`Resource`] per chip
-//! and per channel. Operations reserve those resources in submission order,
-//! so queueing delay and parallelism fall out of the reservation times:
+//! [`FlashArray`] owns every block's state plus one [`Resource`] per die
+//! plane and per channel. Operations reserve those resources in submission
+//! order, so queueing delay and parallelism fall out of the reservation
+//! times. Three private steps make every reservation:
 //!
-//! * **read**: the chip senses one flash page (media read latency), then the
-//!   channel transfers the requested bytes to the controller;
-//! * **program**: the channel transfers the payload to the chip's page
-//!   buffer, then the chip programs (media program latency);
-//! * **erase**: the chip is busy for the media erase latency.
+//! * **sense** (every page read, data or mapping table): the plane senses
+//!   one flash page (media read latency), then the channel transfers the
+//!   requested bytes to the controller;
+//! * **program round**: the channel transfers the payload to the chip's
+//!   page buffer, then the plane programs (media program latency);
+//! * **erase**: the plane is busy for the media erase latency.
 //!
 //! SLC blocks partial-program one 4 KiB slice per program operation;
 //! multi-level-cell blocks program whole multi-page programming units
 //! (paper §II-A).
 
-use conzone_sim::{Reservation, ResourceBank};
+use conzone_sim::{Reservation, Resource};
 use conzone_types::{
     to_index, CellType, ChipId, Counters, DeviceConfig, DeviceEvent, FaultKind, Geometry, MediaOp,
-    Ppa, PpaParts, Probe, SimDuration, SimTime, SuperblockId, CHANNEL_BYTES_PER_SEC, SLICE_BYTES,
-    SLICE_LEN,
+    Ppa, PpaParts, Probe, SimDuration, SimTime, SuperblockId, CHANNEL_BYTES_PER_SEC, MAPPING_MEDIA,
+    SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::block::Block;
@@ -40,8 +42,11 @@ pub struct FlashStats {
     pub program_bytes_tlc: u64,
     /// Bytes programmed into QLC blocks.
     pub program_bytes_qlc: u64,
-    /// Flash page sense operations.
+    /// Data-page senses: every page [`FlashArray::read_slices`] and
+    /// [`FlashArray::timed_page_read`] sense.
     pub page_reads: u64,
+    /// Mapping-table page senses ([`FlashArray::read_mapping_page`]).
+    pub mapping_reads: u64,
     /// Block erases in the SLC region.
     pub erases_slc: u64,
     /// Block erases in the normal region.
@@ -61,6 +66,7 @@ impl FlashStats {
         c.flash_program_bytes_tlc = self.program_bytes_tlc;
         c.flash_program_bytes_qlc = self.program_bytes_qlc;
         c.flash_data_reads = self.page_reads;
+        c.flash_mapping_reads = self.mapping_reads;
         c.erases_slc = self.erases_slc;
         c.erases_normal = self.erases_normal;
         c.read_retries = self.read_retries;
@@ -113,8 +119,8 @@ pub struct FlashArray {
     /// One resource per plane (`chip * planes + block % planes`):
     /// operations on different planes of a die overlap; within a plane
     /// they serialise.
-    planes: ResourceBank,
-    channels: ResourceBank,
+    planes: Vec<Resource>,
+    channels: Vec<Resource>,
     /// Per chip, its first plane and its channel; per block of a chip, its
     /// plane within the chip: [`Geometry::plane_of`] and
     /// [`Geometry::channel_of`] looked up rather than divided out for every
@@ -135,6 +141,9 @@ pub struct FlashArray {
     read_cursors: Vec<ChipCursor>,
     /// Number of the latest `read_slices` call.
     read_calls: u64,
+    /// Mapping-table pages rotate over the chips: the next one goes to
+    /// chip `mapping_pages % nchips`.
+    mapping_pages: u64,
 }
 
 /// One flash-page sense of a `read_slices` call.
@@ -210,8 +219,8 @@ impl FlashArray {
                 .map(|n| SimDuration::for_transfer(n * SLICE_BYTES, CHANNEL_BYTES_PER_SEC))
                 .collect(),
             blocks,
-            planes: ResourceBank::new(g.nplanes()),
-            channels: ResourceBank::new(g.channels),
+            planes: vec![Resource::new(); g.nplanes()],
+            channels: vec![Resource::new(); g.channels],
             chip_lanes: (0..g.nchips() as u64)
                 .map(|c| (g.plane_of(ChipId(c), 0), g.channel_of(ChipId(c)).index()))
                 .collect(),
@@ -228,6 +237,7 @@ impl FlashArray {
             read_scratch: Vec::with_capacity(g.nchips() * g.pages_per_block),
             read_cursors: vec![ChipCursor::default(); g.nchips()],
             read_calls: 0,
+            mapping_pages: 0,
         }
     }
 
@@ -529,13 +539,11 @@ impl FlashArray {
         let mut buffer_free = now;
         let mut finish = now;
         for _ in 0..ops {
-            let register_free = self.planes.free_at(plane);
-            let xfer = self
-                .channels
-                .acquire(channel, cursor.max(register_free), per_op);
+            let register_free = self.planes[plane].free_at();
+            let xfer = self.channels[channel].acquire(cursor.max(register_free), per_op);
             cursor = xfer.end;
             buffer_free = xfer.end;
-            finish = self.planes.acquire(plane, xfer.end, prog).end;
+            finish = self.planes[plane].acquire(xfer.end, prog).end;
         }
         (buffer_free, finish)
     }
@@ -646,7 +654,6 @@ impl FlashArray {
         } in &order
         {
             let cell = self.cell_of_block(block);
-            let (plane, channel) = self.read_lanes(chip, block);
             let mut sense_lat = cell.latency().read;
             let steps = self.fault.read_retry_steps();
             if steps > 0 {
@@ -656,20 +663,9 @@ impl FlashArray {
                 self.stats.read_retries += u64::from(steps);
                 self.probe.emit(now, DeviceEvent::ReadRetry { steps });
             }
-            let sense = self.planes.acquire(plane, now, sense_lat);
-            let xfer = self
-                .channels
-                .acquire(channel, sense.end, self.transfer_time(bytes));
-            finish = finish.max(xfer.end);
             self.stats.page_reads += 1;
-            self.probe.emit(
-                now,
-                DeviceEvent::Media {
-                    op: MediaOp::Read,
-                    cell,
-                    bytes,
-                },
-            );
+            let lanes = self.read_lanes(chip, block);
+            finish = finish.max(self.sense(now, lanes, cell, sense_lat, bytes).end);
         }
         self.read_scratch = order;
         let data = if self.store.is_enabled() {
@@ -714,8 +710,10 @@ impl FlashArray {
         self.schedule_program(now, chip, plane, bytes, cell, ops)
     }
 
-    /// A timing-only page read of `bytes` on `chip` with `cell` latency,
-    /// used for mapping-table fetches (no block state is touched).
+    /// A timing-only data-page read of `bytes` on `chip` with `cell`
+    /// latency that touches no block state, for callers that located the
+    /// page themselves (FEMU's reads, a remount's SLC scan). Counted as a
+    /// data-page read.
     pub fn timed_page_read(
         &mut self,
         now: SimTime,
@@ -723,6 +721,51 @@ impl FlashArray {
         cell: CellType,
         bytes: u64,
     ) -> Reservation {
+        self.stats.page_reads += 1;
+        let lanes = self.chip_lanes[chip.index()];
+        self.sense(now, lanes, cell, cell.latency().read, bytes)
+    }
+
+    /// Reads one mapping-table page from the mapping media on the next
+    /// chip in round-robin order; returns when its data reaches the
+    /// controller. Counted as a mapping read.
+    pub fn read_mapping_page(&mut self, now: SimTime) -> SimTime {
+        let (chip, cell) = (self.next_mapping_chip(), MAPPING_MEDIA);
+        let lanes = self.chip_lanes[chip.index()];
+        let bytes = self.geometry.page_bytes as u64;
+        self.stats.mapping_reads += 1;
+        self.sense(now, lanes, cell, cell.latency().read, bytes).end
+    }
+
+    /// Programs one mapping-table page to the mapping media on the next
+    /// chip in round-robin order; returns when the program completes.
+    pub fn program_mapping_page(&mut self, now: SimTime) -> SimTime {
+        let chip = self.next_mapping_chip();
+        let bytes = self.geometry.page_bytes as u64;
+        self.timed_program(now, chip, MAPPING_MEDIA, bytes, 1).1
+    }
+
+    fn next_mapping_chip(&mut self) -> ChipId {
+        let chip = ChipId(self.mapping_pages % self.geometry.nchips() as u64);
+        self.mapping_pages += 1;
+        chip
+    }
+
+    /// The one page sense every read makes: `lanes.0` (a plane) senses for
+    /// `latency`, then `lanes.1` (a channel) transfers `bytes`, traced as a
+    /// `Media { Read }` of `cell`. The caller counts it.
+    #[inline]
+    fn sense(
+        &mut self,
+        now: SimTime,
+        (plane, channel): (usize, usize),
+        cell: CellType,
+        latency: SimDuration,
+        bytes: u64,
+    ) -> Reservation {
+        let sense = self.planes[plane].acquire(now, latency);
+        let transfer = self.transfer_time(bytes);
+        let xfer = self.channels[channel].acquire(sense.end, transfer);
         self.probe.emit(
             now,
             DeviceEvent::Media {
@@ -731,11 +774,7 @@ impl FlashArray {
                 bytes,
             },
         );
-        let plane = self.geometry.plane_of(chip, 0);
-        let sense = self.planes.acquire(plane, now, cell.latency().read);
-        let channel = self.geometry.channel_of(chip).index();
-        self.channels
-            .acquire(channel, sense.end, self.transfer_time(bytes))
+        xfer
     }
 
     /// Marks one slice dead.
@@ -774,7 +813,8 @@ impl FlashArray {
     /// Erases one block; live data (if any) is destroyed.
     ///
     /// Erases of retired blocks are zero-time no-ops (the controller skips
-    /// them), though the block state is still reset so superblock erase
+    /// them: the one reservation is of zero length, nothing is counted or
+    /// traced), though the block state is still reset so superblock erase
     /// accounting stays consistent. A failed erase retires the block
     /// permanently — it drops out of its superblock's usable set — but
     /// still occupies the chip for the full erase latency.
@@ -787,42 +827,44 @@ impl FlashArray {
             self.block_base(chip, block),
             self.geometry.slices_per_block(),
         );
-        if self.fault.is_retired(idx) {
-            return self.planes.acquire(plane, now, SimDuration::ZERO);
-        }
-        if self.fault.erase_fails() {
-            self.fault.retire(idx);
-            self.stats.blocks_retired += 1;
-            self.probe.emit(
-                now,
-                DeviceEvent::FaultInjected {
-                    kind: FaultKind::Erase,
-                    chip: chip.raw(),
-                    block: block as u64,
-                },
-            );
-            self.probe.emit(
-                now,
-                DeviceEvent::BlockRetired {
-                    chip: chip.raw(),
-                    block: block as u64,
-                },
-            );
-        }
-        if cell == CellType::Slc {
-            self.stats.erases_slc += 1;
+        let latency = if self.fault.is_retired(idx) {
+            SimDuration::ZERO
         } else {
-            self.stats.erases_normal += 1;
-        }
-        self.probe.emit(
-            now,
-            DeviceEvent::Media {
-                op: MediaOp::Erase,
-                cell,
-                bytes: 0,
-            },
-        );
-        self.planes.acquire(plane, now, cell.latency().erase)
+            if self.fault.erase_fails() {
+                self.fault.retire(idx);
+                self.stats.blocks_retired += 1;
+                self.probe.emit(
+                    now,
+                    DeviceEvent::FaultInjected {
+                        kind: FaultKind::Erase,
+                        chip: chip.raw(),
+                        block: block as u64,
+                    },
+                );
+                self.probe.emit(
+                    now,
+                    DeviceEvent::BlockRetired {
+                        chip: chip.raw(),
+                        block: block as u64,
+                    },
+                );
+            }
+            if cell == CellType::Slc {
+                self.stats.erases_slc += 1;
+            } else {
+                self.stats.erases_normal += 1;
+            }
+            self.probe.emit(
+                now,
+                DeviceEvent::Media {
+                    op: MediaOp::Erase,
+                    cell,
+                    bytes: 0,
+                },
+            );
+            cell.latency().erase
+        };
+        self.planes[plane].acquire(now, latency)
     }
 
     /// Erases one superblock (the same block on every chip, in parallel)
@@ -904,7 +946,11 @@ impl FlashArray {
 
     /// When every plane and channel has drained.
     pub fn all_idle_at(&self) -> SimTime {
-        self.planes.all_free_at().max(self.channels.all_free_at())
+        self.planes
+            .iter()
+            .chain(&self.channels)
+            .map(Resource::free_at)
+            .fold(SimTime::ZERO, SimTime::max)
     }
 
     /// When the chip's earliest-free plane becomes available (used by
@@ -916,8 +962,9 @@ impl FlashArray {
     pub fn chip_free_at(&self, chip: ChipId) -> SimTime {
         let planes = self.geometry.planes_per_chip;
         let base = chip.index() * planes;
-        (base..base + planes)
-            .map(|p| self.planes.free_at(p))
+        self.planes[base..base + planes]
+            .iter()
+            .map(Resource::free_at)
             .min()
             .expect("chip has at least one plane")
     }

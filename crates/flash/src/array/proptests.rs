@@ -5,18 +5,21 @@
 //! the error and the slice it names), on every plane's and channel's free
 //! time, on the media statistics and on the event stream — equal
 //! `ReadRetry` events in equal order mean equal fault draws.
+//!
+//! Conservation property: whatever the array is asked to do, its
+//! statistics and its `Media` events agree.
 
 use std::sync::Arc;
 
 use conzone_check::{check, Rng, Simpler};
 
-use conzone_sim::{ResourceBank, RingBufferSink};
+use conzone_sim::{Resource, RingBufferSink};
 use conzone_types::{
-    CellType, ChipId, DeviceConfig, FaultConfig, Geometry, Ppa, Probe, SimDuration, SimTime,
-    SuperblockId, SLICE_LEN,
+    CellType, ChipId, DeviceConfig, DeviceEvent, FaultConfig, Geometry, MediaOp, Ppa, Probe,
+    SimDuration, SimTime, SuperblockId, SLICE_BYTES, SLICE_LEN,
 };
 
-use super::{FlashArray, FlashError};
+use super::{FlashArray, FlashError, FlashStats};
 
 /// Two channels × two chips × six blocks (two SLC) of sixteen 4-slice
 /// pages, two planes per chip: 1 536 slices, so generated addresses cross
@@ -174,7 +177,7 @@ fn backward_multi_page_run(ppas: &[Ppa], g: &Geometry) -> bool {
 type Outcome = Result<(SimTime, Option<Vec<u8>>), FlashError>;
 
 /// Every plane's and channel's free time.
-fn free_times(a: &FlashArray) -> (ResourceBank, ResourceBank) {
+fn free_times(a: &FlashArray) -> (Vec<Resource>, Vec<Resource>) {
     (a.planes.clone(), a.channels.clone())
 }
 
@@ -318,4 +321,184 @@ fn the_generated_requests_reach_every_shape() {
     assert!(reach.revisits >= reach.reads / 8, "{reach:?}");
     assert!(reach.long >= reach.reads / 32, "{reach:?}");
     assert!(reach.retries > 0, "{reach:?}");
+}
+
+/// One call of the array's media API, with arguments drawn small enough
+/// that blocks fill, fail, retire and get erased within a case.
+#[derive(Debug, Clone, PartialEq)]
+enum Call {
+    /// `read_slices` of the first `slices` slices of a block (at most its
+    /// cursor, at least one: an erased block's read is refused).
+    ReadSlices {
+        chip: u64,
+        block: usize,
+        slices: u64,
+    },
+    TimedPageRead {
+        chip: u64,
+        cell: CellType,
+        bytes: u64,
+    },
+    ReadMappingPage,
+    ProgramUnit {
+        chip: u64,
+        block: usize,
+    },
+    ProgramSlc {
+        chip: u64,
+        block: usize,
+        count: usize,
+    },
+    TimedProgram {
+        chip: u64,
+        cell: CellType,
+        bytes: u64,
+        ops: u64,
+    },
+    ProgramMappingPage,
+    EraseBlock {
+        chip: u64,
+        block: usize,
+    },
+}
+
+impl Simpler for Call {}
+
+fn call(rng: &mut Rng, g: &Geometry) -> Call {
+    let chip = rng.below(g.nchips() as u64);
+    let block = rng.below(g.blocks_per_chip as u64) as usize;
+    let cell = [CellType::Slc, CellType::Tlc, CellType::Qlc][rng.below(3) as usize];
+    let slices = 1 + rng.below(g.slices_per_page() as u64);
+    match rng.below(8) {
+        0 => Call::ReadSlices {
+            chip,
+            block,
+            slices: 1 + rng.below(g.slices_per_block()),
+        },
+        1 => Call::TimedPageRead {
+            chip,
+            cell,
+            bytes: slices * SLICE_BYTES,
+        },
+        2 => Call::ReadMappingPage,
+        3 => Call::ProgramUnit { chip, block },
+        4 => Call::ProgramSlc {
+            chip,
+            block,
+            count: 1 + rng.below(12) as usize,
+        },
+        5 => {
+            let ops = 1 + rng.below(3);
+            Call::TimedProgram {
+                chip,
+                cell,
+                bytes: ops * slices * SLICE_BYTES,
+                ops,
+            }
+        }
+        6 => Call::ProgramMappingPage,
+        _ => Call::EraseBlock { chip, block },
+    }
+}
+
+/// What the `Media` events of a stream add up to: page senses, programmed
+/// bytes per cell type (SLC, TLC, QLC) and erases.
+#[derive(Debug, Default, PartialEq)]
+struct Traced {
+    reads: u64,
+    program_bytes: [u64; 3],
+    erases: u64,
+}
+
+impl Traced {
+    /// The sums over every event `sink` holds.
+    fn of(sink: &RingBufferSink) -> Traced {
+        let mut sums = Traced::default();
+        for record in sink.drain() {
+            if let DeviceEvent::Media { op, cell, bytes } = record.event {
+                match op {
+                    MediaOp::Read => sums.reads += 1,
+                    MediaOp::Program => sums.program_bytes[cell as usize] += bytes,
+                    MediaOp::Erase => sums.erases += 1,
+                }
+            }
+        }
+        sums
+    }
+
+    /// The same sums from the array's statistics.
+    fn counted(stats: FlashStats) -> Traced {
+        Traced {
+            reads: stats.page_reads + stats.mapping_reads,
+            program_bytes: [
+                stats.program_bytes_slc,
+                stats.program_bytes_tlc,
+                stats.program_bytes_qlc,
+            ],
+            erases: stats.erases_slc + stats.erases_normal,
+        }
+    }
+}
+
+/// Random calls of every media operation, with program and erase failures
+/// and read retries on or off: after each call, the array's counts equal
+/// the sums of the `Media` events it emitted — one `Read` per counted data
+/// or mapping page sense, `Program` bytes per cell type, one `Erase` per
+/// counted erase.
+#[test]
+fn media_counts_equal_the_media_events() {
+    let path = concat!(module_path!(), "::media_counts_equal_the_media_events");
+    let g = config(false, false).geometry;
+    let generate = |rng: &mut Rng| (rng.bool(), rng.vec(1..120, |rng| call(rng, &g)));
+    check(path, 64, generate, |&faults, calls| {
+        let rates = if faults {
+            (0.2, 0.2, 0.3)
+        } else {
+            (0.0, 0.0, 0.0)
+        };
+        let cfg = DeviceConfig {
+            fault: FaultConfig::with_rates(rates.0, rates.1, rates.2),
+            ..config(false, false)
+        };
+        let mut a = FlashArray::new(&cfg);
+        let sink = Arc::new(RingBufferSink::new());
+        a.set_probe(Probe::attached(sink.clone()));
+        let mut t = SimTime::ZERO;
+        for (i, c) in calls.iter().enumerate() {
+            t = match *c {
+                Call::ReadSlices {
+                    chip,
+                    block,
+                    slices,
+                } => {
+                    let base = a.block_base(ChipId(chip), block);
+                    let cursor = a.block(ChipId(chip), block).cursor() as u64;
+                    let ppas: Vec<Ppa> = (0..slices.min(cursor).max(1))
+                        .map(|s| base.offset(s))
+                        .collect();
+                    a.read_slices(t, &ppas).map_or(t, |r| r.finish)
+                }
+                Call::TimedPageRead { chip, cell, bytes } => {
+                    a.timed_page_read(t, ChipId(chip), cell, bytes).end
+                }
+                Call::ReadMappingPage => a.read_mapping_page(t),
+                Call::ProgramUnit { chip, block } => a
+                    .program_unit(t, ChipId(chip), block, None)
+                    .map_or(t, |p| p.buffer_free),
+                Call::ProgramSlc { chip, block, count } => a
+                    .program_slc(t, ChipId(chip), block, count, None)
+                    .map_or(t, |p| p.buffer_free),
+                Call::TimedProgram {
+                    chip,
+                    cell,
+                    bytes,
+                    ops,
+                } => a.timed_program(t, ChipId(chip), cell, bytes, ops).0,
+                Call::ProgramMappingPage => a.program_mapping_page(t),
+                Call::EraseBlock { chip, block } => a.erase_block(t, ChipId(chip), block).end,
+            };
+            let counted = Traced::counted(a.stats());
+            assert_eq!(Traced::of(&sink), counted, "after call {i}: {c:?}");
+        }
+    });
 }

@@ -65,11 +65,10 @@ impl FlashArray {
                 self.stats.read_retries += u64::from(steps);
                 self.probe.emit(now, DeviceEvent::ReadRetry { steps });
             }
-            let sense = self.planes.acquire(plane, now, sense_lat);
+            let sense = self.planes[plane].acquire(now, sense_lat);
             let channel = self.geometry.channel_of(chip).index();
-            let xfer = self
-                .channels
-                .acquire(channel, sense.end, self.transfer_time(bytes));
+            let transfer = self.transfer_time(bytes);
+            let xfer = self.channels[channel].acquire(sense.end, transfer);
             finish = finish.max(xfer.end);
             self.stats.page_reads += 1;
             self.probe.emit(

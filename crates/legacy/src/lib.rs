@@ -38,7 +38,7 @@ use conzone_ftl::{block_runs, LruCache, MappingTable, OwnerMap};
 use conzone_types::{
     to_index, ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig,
     FlushKind, IoKind, IoRequest, L2pOutcome, Lpn, LpnRange, Ppa, Probe, SimTime, StorageDevice,
-    SuperblockId, ZoneId, HOST_OVERHEAD, MAPPING_MEDIA, SLICE_BYTES, SLICE_LEN,
+    SuperblockId, ZoneId, HOST_OVERHEAD, SLICE_BYTES, SLICE_LEN,
 };
 
 #[cfg(test)]
@@ -113,7 +113,6 @@ pub struct LegacyDevice {
     /// blocks.
     owner: OwnerMap,
     counters: Counters,
-    next_mapping_chip: u64,
     logical_slices: u64,
     /// Guards against recursive GC while GC's own flushes allocate space.
     in_gc: bool,
@@ -163,7 +162,6 @@ impl LegacyDevice {
             free: normal,
             owner: OwnerMap::new(&g, normal_blocks),
             counters: Counters::new(),
-            next_mapping_chip: 0,
             logical_slices,
             in_gc: false,
             probe: Probe::disabled(),
@@ -220,12 +218,6 @@ impl LegacyDevice {
 
     fn units_per_superblock(&self) -> usize {
         self.cfg.geometry.units_per_block() * self.cfg.geometry.nchips()
-    }
-
-    fn mapping_chip(&mut self) -> ChipId {
-        let chip = self.next_mapping_chip % self.cfg.geometry.nchips() as u64;
-        self.next_mapping_chip += 1;
-        ChipId(chip)
     }
 
     fn queue(&mut self, lpn: Option<Lpn>, count: usize, data: Option<Vec<u8>>) {
@@ -574,21 +566,13 @@ impl LegacyDevice {
                 );
             } else {
                 self.counters.l2p_misses += 1;
-                self.counters.flash_mapping_reads += 1;
                 self.probe.emit(
                     t_map,
                     DeviceEvent::L2pLookup {
                         outcome: L2pOutcome::Miss,
                     },
                 );
-                let chip = self.mapping_chip();
-                let r = self.flash.timed_page_read(
-                    t_map,
-                    chip,
-                    MAPPING_MEDIA,
-                    self.cfg.geometry.page_bytes as u64,
-                );
-                t_map = r.end;
+                t_map = self.flash.read_mapping_page(t_map);
                 // Sequential prefetch: pull the whole window of entries
                 // from the same mapping page into the cache.
                 let window_start = lpn.raw() / self.prefetch_window * self.prefetch_window;

@@ -13,7 +13,7 @@ use conzone_flash::FlashArray;
 use conzone_ftl::{LruCache, MappingTable};
 use conzone_types::{
     ChipId, Completion, Counters, DeviceConfig, DeviceError, FaultConfig, IoKind, IoRequest, Lpn,
-    LpnRange, Ppa, SimTime, StorageDevice, SuperblockId, HOST_OVERHEAD, MAPPING_MEDIA, SLICE_BYTES,
+    LpnRange, Ppa, SimTime, StorageDevice, SuperblockId, HOST_OVERHEAD, SLICE_BYTES,
 };
 
 use crate::{internal, OVERPROVISION_DIVISOR};
@@ -39,7 +39,6 @@ pub(crate) struct ReferenceLegacy {
     used: Vec<SuperblockId>,
     owner: BTreeMap<u64, Lpn>,
     counters: Counters,
-    next_mapping_chip: u64,
     logical_slices: u64,
     in_gc: bool,
 }
@@ -68,7 +67,6 @@ impl ReferenceLegacy {
             used: Vec::new(),
             owner: BTreeMap::new(),
             counters: Counters::new(),
-            next_mapping_chip: 0,
             logical_slices,
             in_gc: false,
             cfg,
@@ -119,12 +117,6 @@ impl ReferenceLegacy {
 
     fn units_per_superblock(&self) -> usize {
         self.cfg.geometry.units_per_block() * self.cfg.geometry.nchips()
-    }
-
-    fn mapping_chip(&mut self) -> ChipId {
-        let chip = self.next_mapping_chip % self.cfg.geometry.nchips() as u64;
-        self.next_mapping_chip += 1;
-        ChipId(chip)
     }
 
     fn ensure_append_point(
@@ -303,15 +295,7 @@ impl ReferenceLegacy {
                 self.counters.l2p_hits_page += 1;
             } else {
                 self.counters.l2p_misses += 1;
-                self.counters.flash_mapping_reads += 1;
-                let chip = self.mapping_chip();
-                let r = self.flash.timed_page_read(
-                    t_map,
-                    chip,
-                    MAPPING_MEDIA,
-                    self.cfg.geometry.page_bytes as u64,
-                );
-                t_map = r.end;
+                t_map = self.flash.read_mapping_page(t_map);
                 let window_start = lpn.raw() / self.prefetch_window * self.prefetch_window;
                 for w in
                     window_start..(window_start + self.prefetch_window).min(self.logical_slices)
@@ -426,13 +410,7 @@ impl StorageDevice for ReferenceLegacy {
 
     fn counters(&self) -> Counters {
         let mut c = self.counters;
-        let stats = self.flash.stats();
-        c.flash_program_bytes_slc = stats.program_bytes_slc;
-        c.flash_program_bytes_tlc = stats.program_bytes_tlc;
-        c.flash_program_bytes_qlc = stats.program_bytes_qlc;
-        c.flash_data_reads = stats.page_reads;
-        c.erases_slc = stats.erases_slc;
-        c.erases_normal = stats.erases_normal;
+        self.flash.stats().fold_into(&mut c);
         c.l2p_evictions = self.cache.evictions();
         c
     }

@@ -40,7 +40,7 @@ mod stats;
 mod trace;
 
 pub use queue::EventQueue;
-pub use resource::{Reservation, Resource, ResourceBank};
+pub use resource::{Reservation, Resource};
 pub use rng::SimRng;
 pub use span::{attribute_spans, breakdown_from_spans, KindAttribution, SpanBuffer};
 pub use stats::{LatencyHistogram, LatencySummary};

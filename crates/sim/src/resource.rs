@@ -57,49 +57,6 @@ impl Resource {
     }
 }
 
-/// A bank of identical resources, e.g. all chips or all channels.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResourceBank {
-    resources: Vec<Resource>,
-}
-
-impl ResourceBank {
-    /// Creates `n` idle resources.
-    pub fn new(n: usize) -> ResourceBank {
-        ResourceBank {
-            resources: vec![Resource::new(); n],
-        }
-    }
-
-    /// Reserves resource `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    #[inline]
-    pub fn acquire(&mut self, index: usize, now: SimTime, duration: SimDuration) -> Reservation {
-        self.resources[index].acquire(now, duration)
-    }
-
-    /// When resource `index` next becomes free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    #[inline]
-    pub fn free_at(&self, index: usize) -> SimTime {
-        self.resources[index].free_at()
-    }
-
-    /// The latest free time across the bank (when everything drains).
-    pub fn all_free_at(&self) -> SimTime {
-        self.resources
-            .iter()
-            .map(Resource::free_at)
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,15 +82,5 @@ mod tests {
         assert_eq!(r.free_at(), SimTime::ZERO);
         r.acquire(SimTime::ZERO, SimDuration::from_nanos(10));
         assert_eq!(r.free_at(), SimTime::from_nanos(10));
-    }
-
-    #[test]
-    fn bank_tracks_independent_resources() {
-        let mut bank = ResourceBank::new(2);
-        bank.acquire(0, SimTime::ZERO, SimDuration::from_nanos(100));
-        bank.acquire(1, SimTime::ZERO, SimDuration::from_nanos(40));
-        assert_eq!(bank.free_at(0), SimTime::from_nanos(100));
-        assert_eq!(bank.free_at(1), SimTime::from_nanos(40));
-        assert_eq!(bank.all_free_at(), SimTime::from_nanos(100));
     }
 }

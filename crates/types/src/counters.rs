@@ -36,9 +36,12 @@ pub struct Counters {
     pub flash_program_bytes_tlc: u64,
     /// Bytes programmed into QLC flash.
     pub flash_program_bytes_qlc: u64,
-    /// Flash page reads for host data.
+    /// Data-page senses: every flash page sensed for data — host reads,
+    /// GC and SLC-combine read-backs, a remount's SLC scan and FEMU's
+    /// reads.
     pub flash_data_reads: u64,
-    /// Flash page reads for mapping-table fetches.
+    /// Mapping-table page senses: L2P-miss fetches and a remount's read
+    /// of the L2P log head.
     pub flash_mapping_reads: u64,
     /// Flash block erases in the SLC region.
     pub erases_slc: u64,

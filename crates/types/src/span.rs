@@ -65,6 +65,24 @@ pub enum SpanKind {
     QueueWait,
 }
 
+/// [`SpanKind::name`] of each [`SpanKind::index`].
+const KIND_NAMES: [&str; SpanKind::KIND_COUNT] = [
+    "io_read",
+    "io_write",
+    "io_append",
+    "io_flush",
+    "zone_reset",
+    "map_fetch",
+    "data_read",
+    "write_path",
+    "combine_read",
+    "gc_stall",
+    "l2p_log",
+    "erase",
+    "queue_cmd",
+    "queue_wait",
+];
+
 // A `_` arm in these mappings would absorb a newly added kind instead of
 // failing the build (E0004), and an exporter would silently miss it.
 #[deny(clippy::wildcard_enum_match_arm)]
@@ -92,22 +110,7 @@ impl SpanKind {
 
     /// Stable short name of the kind, used by every exporter.
     pub fn name(&self) -> &'static str {
-        match self {
-            SpanKind::IoRead => "io_read",
-            SpanKind::IoWrite => "io_write",
-            SpanKind::IoAppend => "io_append",
-            SpanKind::IoFlush => "io_flush",
-            SpanKind::ZoneReset => "zone_reset",
-            SpanKind::MapFetch => "map_fetch",
-            SpanKind::DataRead => "data_read",
-            SpanKind::WritePath => "write_path",
-            SpanKind::CombineRead => "combine_read",
-            SpanKind::GcStall => "gc_stall",
-            SpanKind::L2pLog => "l2p_log",
-            SpanKind::Erase => "erase",
-            SpanKind::QueueCmd => "queue_cmd",
-            SpanKind::QueueWait => "queue_wait",
-        }
+        KIND_NAMES[self.index()]
     }
 
     /// Dense index of the kind into attribution buckets.

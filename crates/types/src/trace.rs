@@ -201,48 +201,40 @@ pub enum DeviceEvent {
     },
 }
 
-// A `_` arm in these mappings would absorb a newly added variant instead
-// of failing the build (E0004), and an exporter would silently miss it.
+/// [`DeviceEvent::kind_name`] of each [`DeviceEvent::kind_index`].
+const KIND_NAMES: [&str; DeviceEvent::KIND_COUNT] = [
+    "buffer_flush_full",
+    "buffer_flush_premature",
+    "buffer_conflict",
+    "slc_combine",
+    "patch_slice",
+    "gc_begin",
+    "gc_end",
+    "l2p_miss",
+    "l2p_hit",
+    "l2p_eviction",
+    "l2p_log_flush",
+    "media_program",
+    "media_read",
+    "media_erase",
+    "zone_reset",
+    "fault_injected",
+    "block_retired",
+    "read_retry",
+    "power_cut",
+    "recovery_replay",
+    "queue_submit",
+    "queue_arbitrate",
+    "queue_complete",
+];
+
+// A `_` arm in this mapping would absorb a newly added variant instead of
+// failing the build (E0004), and an exporter would silently miss it.
 #[deny(clippy::wildcard_enum_match_arm)]
 impl DeviceEvent {
-    /// Stable short name of the event kind (used by exporters and the
-    /// counting sink).
+    /// Stable short name of the event kind, used by the exporters.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            DeviceEvent::BufferFlush {
-                kind: FlushKind::Full,
-                ..
-            } => "buffer_flush_full",
-            DeviceEvent::BufferFlush {
-                kind: FlushKind::Premature,
-                ..
-            } => "buffer_flush_premature",
-            DeviceEvent::BufferConflict { .. } => "buffer_conflict",
-            DeviceEvent::SlcCombine { .. } => "slc_combine",
-            DeviceEvent::PatchSlice { .. } => "patch_slice",
-            DeviceEvent::GcBegin { .. } => "gc_begin",
-            DeviceEvent::GcEnd { .. } => "gc_end",
-            DeviceEvent::L2pLookup {
-                outcome: L2pOutcome::Miss,
-            } => "l2p_miss",
-            DeviceEvent::L2pLookup { .. } => "l2p_hit",
-            DeviceEvent::L2pEviction { .. } => "l2p_eviction",
-            DeviceEvent::L2pLogFlush => "l2p_log_flush",
-            DeviceEvent::Media { op, .. } => match op {
-                MediaOp::Program => "media_program",
-                MediaOp::Read => "media_read",
-                MediaOp::Erase => "media_erase",
-            },
-            DeviceEvent::ZoneReset { .. } => "zone_reset",
-            DeviceEvent::FaultInjected { .. } => "fault_injected",
-            DeviceEvent::BlockRetired { .. } => "block_retired",
-            DeviceEvent::ReadRetry { .. } => "read_retry",
-            DeviceEvent::PowerCut { .. } => "power_cut",
-            DeviceEvent::RecoveryReplay { .. } => "recovery_replay",
-            DeviceEvent::QueueSubmit { .. } => "queue_submit",
-            DeviceEvent::QueueArbitrate { .. } => "queue_arbitrate",
-            DeviceEvent::QueueComplete { .. } => "queue_complete",
-        }
+        KIND_NAMES[self.kind_index()]
     }
 
     /// Dense index of the event kind, in `0..KIND_COUNT`.

@@ -198,7 +198,7 @@ mod tests {
             "--region",
             "2m",
             "--ops",
-            "128",
+            "256",
             "--csv",
             csv_path.to_str().unwrap(),
         ]);

@@ -382,3 +382,181 @@ fn unknown_flags_are_rejected_and_documented_ones_are_known() {
     check("cli_figures.rs", suite.split("\n}\n").next().unwrap());
     assert!(checked > 100, "only {checked} documented flags found");
 }
+
+/// The first `"name":N` of a stats report.
+fn counter(report: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let (_, rest) = report
+        .split_once(&key)
+        .unwrap_or_else(|| panic!("no {key} in {report}"));
+    let digits = rest.split(|c: char| !c.is_ascii_digit()).next().unwrap();
+    digits.parse().unwrap()
+}
+
+/// Seeded fault injection fires every fault class, and the same seed
+/// writes the same report byte for byte.
+#[test]
+fn seeded_fault_runs_fire_and_reproduce() {
+    let run = |rates: &str| {
+        let (ok, stdout, stderr) = conzone(&[
+            "run",
+            "--config",
+            "tiny",
+            "--pattern",
+            "seqwrite",
+            "--bs",
+            "8k",
+            "--threads",
+            "4",
+            "--size",
+            "4m",
+            "--region",
+            "4m",
+            "--fault-rates",
+            rates,
+            "--fault-seed",
+            "42",
+            "--stats-json",
+        ]);
+        assert!(ok, "{stderr}");
+        stdout
+    };
+    let report = run("0.05,0,0.1");
+    for name in ["program_failures", "read_retries", "blocks_retired"] {
+        assert!(counter(&report, name) > 0, "{name}: {report}");
+    }
+    assert_eq!(run("0.05,0.2,0.1"), run("0.05,0.2,0.1"));
+}
+
+/// A power cut in the middle of a faulty run is followed by a remount
+/// that reports what it recovered.
+#[test]
+fn a_power_cut_run_reports_its_recovery() {
+    let (ok, stdout, stderr) = conzone(&[
+        "run",
+        "--config",
+        "tiny",
+        "--pattern",
+        "seqwrite",
+        "--bs",
+        "8k",
+        "--threads",
+        "4",
+        "--size",
+        "4m",
+        "--region",
+        "4m",
+        "--fault-rates",
+        "0.05,0,0.1",
+        "--fault-seed",
+        "42",
+        "--power-cut-at",
+        "100us",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("recovery :") || stderr.contains("recovery :"),
+        "{stdout}{stderr}"
+    );
+}
+
+/// Two tenants behind the weighted arbiter: per-tenant counters sum to the
+/// device's, and a second process with the same seed writes the same
+/// report.
+#[test]
+fn a_two_tenant_run_conserves_counters_and_reruns_identically() {
+    let args = [
+        "run",
+        "--config",
+        "tiny",
+        "--pattern",
+        "randread",
+        "--bs",
+        "4k",
+        "--size",
+        "2m",
+        "--region",
+        "4m",
+        "--qd",
+        "8",
+        "--tenants",
+        "2",
+        "--arbiter",
+        "wrr",
+        "--tenant-weights",
+        "3,1",
+        "--fetch-cost",
+        "25us",
+        "--seed",
+        "42",
+        "--stats-json",
+    ];
+    let (ok, report, stderr) = conzone(&args);
+    assert!(ok, "{stderr}");
+    assert!(
+        report.contains("\"tenants_sum_consistent\":true"),
+        "{report}"
+    );
+    assert_eq!(conzone(&args).1, report);
+}
+
+/// Page-only mapping sends every read through the L2P cache's index
+/// (lookup, miss, insert, evict). Two processes write the same report, so
+/// hash order leaking into results could not hide behind one process.
+#[test]
+fn page_mapped_reads_miss_and_rerun_identically() {
+    let args = [
+        "run",
+        "--config",
+        "tiny",
+        "--pattern",
+        "randread",
+        "--bs",
+        "4k",
+        "--size",
+        "2m",
+        "--region",
+        "4m",
+        "--aggregation",
+        "page",
+        "--seed",
+        "42",
+        "--stats-json",
+    ];
+    let (ok, report, stderr) = conzone(&args);
+    assert!(ok, "{stderr}");
+    assert_eq!(conzone(&args).1, report);
+    assert!(counter(&report, "l2p_misses") > 0, "{report}");
+}
+
+/// The multi-tenant scenarios conserve counters across tenants.
+#[test]
+fn tenant_scenarios_conserve_counters() {
+    for args in [
+        [
+            "scenario",
+            "interference",
+            "--region",
+            "2m",
+            "--ops",
+            "256",
+            "--stats-json",
+        ],
+        [
+            "scenario",
+            "flash-cache",
+            "--region",
+            "4m",
+            "--ops",
+            "512",
+            "--stats-json",
+        ],
+    ] {
+        let (ok, report, stderr) = conzone(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(
+            report.contains("\"tenants_sum_consistent\":true"),
+            "{args:?}: {report}"
+        );
+    }
+}
