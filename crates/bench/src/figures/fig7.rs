@@ -1,14 +1,10 @@
-use conzone_host::run_job;
-use conzone_sim::export;
-use conzone_types::{
-    DeviceEvent, L2pOutcome, MapGranularity, Probe, SearchStrategy, SimTime, StorageDevice,
-    TraceRecord,
-};
+use std::sync::Arc;
 
-use crate::{
-    conzone_device, event_totals, fill_zoned, randread_job, sweep, trace_sink, ExpectedRelation,
-    Out,
-};
+use conzone_host::run_job;
+use conzone_sim::{export, RingBufferSink};
+use conzone_types::{MapGranularity, Probe, SearchStrategy, SimTime, StorageDevice};
+
+use crate::{conzone_device, fill_zoned, randread_job, sweep, trace_sink, ExpectedRelation, Out};
 
 const RANGES: [(u64, &str); 3] = [(1 << 20, "1MiB"), (16 << 20, "16MiB"), (1 << 30, "1GiB")];
 const OPS: u64 = 20_000;
@@ -17,13 +13,14 @@ const OPS: u64 = 20_000;
 struct Point {
     /// KIOPS, p99.9 µs and L2P miss rate.
     perf: (f64, f64, f64),
-    /// Event counts by kind from the measured phase's trace.
-    events: [u64; DeviceEvent::KIND_COUNT],
-    /// The drained trace itself, when the point keeps it.
-    trace: Option<Vec<TraceRecord>>,
+    /// L2P lookups of the measured phase that hit and that missed.
+    lookups: (u64, u64),
+    /// The event ring that recorded the measured phase, when the point
+    /// was traced.
+    trace: Option<Arc<RingBufferSink>>,
 }
 
-fn run_point(max_aggregation: MapGranularity, range: u64, keep_trace: bool) -> Point {
+fn run_point(max_aggregation: MapGranularity, range: u64, traced: bool) -> Point {
     let mut dev = conzone_device(max_aggregation, SearchStrategy::Bitmap);
     // Same data volume in every case: fill 1 GiB once.
     let t = fill_zoned(&mut dev, 1 << 30, 16 << 20, SimTime::ZERO).expect("fill");
@@ -31,18 +28,19 @@ fn run_point(max_aggregation: MapGranularity, range: u64, keep_trace: bool) -> P
     // reflects capacity misses, not cold-start compulsory misses.
     let warm = run_job(&mut dev, &randread_job(range, OPS / 2, t).seed(7)).expect("warmup");
     // Trace only the measured phase: the probe attaches after warmup.
-    let sink = trace_sink();
-    dev.set_probe(Probe::attached(sink.clone()));
+    let trace = traced.then(trace_sink);
+    if let Some(sink) = &trace {
+        dev.set_probe(Probe::attached(sink.clone()));
+    }
     let r = run_job(&mut dev, &randread_job(range, OPS, warm.finished)).expect("randread");
-    let records = sink.drain();
     Point {
         perf: (
             r.kiops(),
             r.latency.p999.as_micros_f64(),
             r.counters.l2p_miss_rate(),
         ),
-        events: event_totals(&records),
-        trace: keep_trace.then_some(records),
+        lookups: (r.counters.l2p_hits(), r.counters.l2p_misses),
+        trace,
     }
 }
 
@@ -53,22 +51,19 @@ fn run_point(max_aggregation: MapGranularity, range: u64, keep_trace: bool) -> P
 /// KIOPS decays as the range grows (paper: −16.5 % at 16 MiB, −33.5 % at
 /// 1 GiB) while hybrid mapping stays flat at ~20 KIOPS with ~50 µs tail
 /// latency. With `--trace-out <path>`, the hybrid 1 GiB measured phase is
-/// also written there as a Chrome trace.
+/// traced and written there as a Chrome trace; no other phase records
+/// events.
 pub fn fig7(out: &mut Out) {
     let points: Vec<(MapGranularity, u64)> = [MapGranularity::Page, MapGranularity::Zone]
         .into_iter()
         .flat_map(|mapping| RANGES.map(|(range, _)| (mapping, range)))
         .collect();
+    let trace_out = out.trace_out.is_some();
     let results = sweep(&points, |&(mapping, range)| {
-        // Only the hybrid 1 GiB phase is ever written out as a trace.
-        run_point(
-            mapping,
-            range,
-            mapping == MapGranularity::Zone && range == 1 << 30,
-        )
+        let exported = mapping == MapGranularity::Zone && range == 1 << 30;
+        run_point(mapping, range, trace_out && exported)
     });
     let (page, hybrid) = results.split_at(RANGES.len());
-    let hybrid_trace = hybrid[2].trace.as_deref().unwrap_or_default();
 
     let mut rows = Vec::new();
     for (i, &(_, label)) in RANGES.iter().enumerate() {
@@ -96,24 +91,18 @@ pub fn fig7(out: &mut Out) {
         &rows,
     );
 
-    // The same story told by the event trace: hybrid mapping turns the
-    // page-mapping misses into hits, request by request.
-    let hit_idx = DeviceEvent::L2pLookup {
-        outcome: L2pOutcome::HitZone,
-    }
-    .kind_index();
-    let miss_idx = DeviceEvent::L2pLookup {
-        outcome: L2pOutcome::Miss,
-    }
-    .kind_index();
+    // The same story told lookup by lookup: hybrid mapping turns the
+    // page-mapping misses into hits. One `L2pLookup` event is emitted per
+    // counted lookup (`l2p_events_equal_l2p_counters` in `conzone-core`),
+    // so these are the trace's event counts without recording a trace.
     let mut event_rows = Vec::new();
     for (i, &(_, label)) in RANGES.iter().enumerate() {
         event_rows.push(vec![
             label.to_string(),
-            page[i].events[hit_idx].to_string(),
-            page[i].events[miss_idx].to_string(),
-            hybrid[i].events[hit_idx].to_string(),
-            hybrid[i].events[miss_idx].to_string(),
+            page[i].lookups.0.to_string(),
+            page[i].lookups.1.to_string(),
+            hybrid[i].lookups.0.to_string(),
+            hybrid[i].lookups.1.to_string(),
         ]);
     }
     out.table(
@@ -128,17 +117,20 @@ pub fn fig7(out: &mut Out) {
         &event_rows,
     );
 
-    if let Some(path) = out.trace_out.clone() {
-        // Chrome trace-event JSON, loadable in Perfetto / about:tracing.
-        let trace = export::chrome_trace(hybrid_trace);
-        if let Err(e) = export::write_file(&path, trace) {
+    if let (Some(path), Some(sink)) = (out.trace_out.clone(), &hybrid[2].trace) {
+        // Chrome trace-event JSON, loadable in Perfetto / about:tracing,
+        // streamed from the ring where it lies.
+        let (written, events) = sink.read(|older, newer| {
+            let trace = export::Document::ChromeTrace(older, newer);
+            (export::write_file(&path, trace), older.len() + newer.len())
+        });
+        if let Err(e) = written {
             out.error = Some(e);
             return;
         }
         out.line(format!(
             "wrote Chrome trace of the hybrid 1 GiB measured phase \
-             ({} events) to {path}",
-            hybrid_trace.len()
+             ({events} events) to {path}"
         ));
     }
 

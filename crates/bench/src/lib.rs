@@ -21,8 +21,7 @@ use conzone_host::{run_job, AccessPattern, FioJob, HostError, JobReport};
 use conzone_legacy::LegacyDevice;
 use conzone_sim::RingBufferSink;
 use conzone_types::{
-    DeviceConfig, DeviceEvent, Geometry, MapGranularity, SearchStrategy, SimTime, StorageDevice,
-    TraceRecord,
+    DeviceConfig, Geometry, MapGranularity, SearchStrategy, SimTime, StorageDevice,
 };
 
 pub mod figures;
@@ -179,19 +178,11 @@ pub(crate) fn sweep<P: Sync, R: Send>(points: &[P], run: impl Fn(&P) -> R + Sync
         .collect()
 }
 
-/// A ring sink big enough for one measured phase of a figure run
-/// (256 Ki events, ~10 MiB), for attaching to a device under test.
+/// A ring sink big enough for one measured phase of a figure run, for
+/// attaching to a device under test: 256 Ki events, 8 MiB reserved, of
+/// which only the records it holds are ever touched.
 pub(crate) fn trace_sink() -> Arc<RingBufferSink> {
     Arc::new(RingBufferSink::with_capacity(256 * 1024))
-}
-
-/// Event counts per [`DeviceEvent::kind_index`] of a drained trace.
-pub(crate) fn event_totals(records: &[TraceRecord]) -> [u64; DeviceEvent::KIND_COUNT] {
-    let mut totals = [0u64; DeviceEvent::KIND_COUNT];
-    for r in records {
-        totals[r.event.kind_index()] += 1;
-    }
-    totals
 }
 
 /// A paper-stated relationship between two measured values, checked and
@@ -340,23 +331,6 @@ mod tests {
         assert_eq!(j.block_bytes, 512 * 1024);
         assert_eq!(j.threads, 4);
         assert_eq!(j.bytes_per_thread, 64 * 1024 * 1024);
-    }
-
-    #[test]
-    fn trace_helpers_summarize_a_real_run() {
-        use conzone_types::Probe;
-        let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
-        let sink = trace_sink();
-        dev.set_probe(Probe::attached(sink.clone()));
-        let job = FioJob::new(AccessPattern::SeqWrite, 256 * 1024)
-            .zone_bytes(1024 * 1024)
-            .region(0, 2 * 1024 * 1024)
-            .bytes_per_thread(2 * 1024 * 1024);
-        run_job(&mut dev, &job).expect("write");
-        let records = sink.drain();
-        assert!(!records.is_empty());
-        let totals = event_totals(&records);
-        assert_eq!(totals.iter().sum::<u64>(), records.len() as u64);
     }
 
     /// `sweep` returns what the serial map returns, in point order, for no

@@ -213,6 +213,229 @@ fn resetting_every_zone_leaves_no_slc_leftovers() {
 }
 
 // ---------------------------------------------------------------------
+// The event stream and the counters tell the same L2P story.
+
+mod l2p_events {
+    use std::sync::Arc;
+
+    use conzone_check::{check, Rng, Simpler};
+    use conzone_sim::RingBufferSink;
+    use conzone_types::{
+        Counters, DeviceConfig, DeviceError, DeviceEvent, Geometry, IoRequest, L2pOutcome,
+        MapGranularity, Probe, SearchStrategy, SimTime, StorageDevice, ZoneId, ZonedDevice,
+        SLICE_BYTES,
+    };
+
+    use crate::ConZone;
+
+    /// Tiny geometry: 16 zones of 256 slices in chunks of 64.
+    const ZONES: u64 = 16;
+    const ZS: u64 = 256;
+    const CHUNK: u64 = 64;
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Cmd {
+        /// Append `slices` at the zone's write pointer.
+        Write { zone: u8, slices: u8 },
+        /// Drain every write buffer.
+        Flush,
+        /// Read `slices` from `at` (a slice offset, wrapped into the
+        /// zone's written part).
+        Read { zone: u8, at: u8, slices: u16 },
+        /// Reset the zone.
+        Reset { zone: u8 },
+    }
+
+    impl Simpler for Cmd {
+        fn simpler(&self) -> Option<Cmd> {
+            match *self {
+                Cmd::Write { zone, slices } if slices > 1 => Some(Cmd::Write {
+                    zone,
+                    slices: slices / 2,
+                }),
+                Cmd::Read { zone, at, slices } if slices > 1 => Some(Cmd::Read {
+                    zone,
+                    at,
+                    slices: slices / 2,
+                }),
+                Cmd::Write { .. } | Cmd::Read { .. } | Cmd::Flush | Cmd::Reset { .. } => None,
+            }
+        }
+    }
+
+    fn cmd(rng: &mut Rng) -> Cmd {
+        // Few zones, so that streams come back to what they wrote.
+        let zone = |rng: &mut Rng| rng.range(0..4u8);
+        match rng.below(10) {
+            0..4 => Cmd::Write {
+                zone: zone(rng),
+                slices: rng.range(1..200),
+            },
+            4 => Cmd::Flush,
+            5..9 => Cmd::Read {
+                zone: zone(rng),
+                at: rng.next_u64() as u8,
+                slices: rng.range(1..300),
+            },
+            _ => Cmd::Reset { zone: zone(rng) },
+        }
+    }
+
+    /// Applies one command; a refusal (zone full, open-zone limit, out of
+    /// SLC space, reading past the written part) is a no-op to the
+    /// property, which is about what was counted, not what succeeded.
+    fn apply(dev: &mut ConZone, t: SimTime, cmd: &Cmd) -> SimTime {
+        let wp = |dev: &ConZone, zone: u64| {
+            let info = dev.zone_info(ZoneId(zone)).expect("zone info");
+            info.write_pointer / SLICE_BYTES
+        };
+        let r = match *cmd {
+            Cmd::Write { zone, slices } => {
+                let zone = u64::from(zone);
+                let slices = u64::from(slices).min(ZS - wp(dev, zone));
+                if slices == 0 {
+                    return t;
+                }
+                let at = (zone * ZS + wp(dev, zone)) * SLICE_BYTES;
+                dev.submit(t, &IoRequest::write(at, slices * SLICE_BYTES))
+            }
+            Cmd::Flush => dev.flush(t),
+            Cmd::Read { zone, at, slices } => {
+                let zone = u64::from(zone);
+                let written = wp(dev, zone);
+                if written == 0 {
+                    return t;
+                }
+                let at = zone * ZS + u64::from(at) % written;
+                let len = u64::from(slices).min(ZONES * ZS - at) * SLICE_BYTES;
+                dev.submit(t, &IoRequest::read(at * SLICE_BYTES, len))
+            }
+            Cmd::Reset { zone } => dev.reset_zone(t, ZoneId(u64::from(zone))),
+        };
+        match r {
+            Ok(c) => c.finished,
+            Err(
+                DeviceError::ZoneFull { .. }
+                | DeviceError::TooManyOpenZones { .. }
+                | DeviceError::ZoneBoundary { .. }
+                | DeviceError::NoFreeSpace { .. }
+                | DeviceError::UnwrittenRead { .. },
+            ) => t,
+            Err(e) => panic!("{cmd:?} failed: {e}"),
+        }
+    }
+
+    /// The L2P counters the recorded events account for: lookups by
+    /// outcome, and evictions summed over the events' counts.
+    fn tally<'a>(records: impl Iterator<Item = &'a conzone_types::TraceRecord>) -> Counters {
+        let mut c = Counters::new();
+        for r in records {
+            match r.event {
+                DeviceEvent::L2pLookup { outcome } => match outcome {
+                    L2pOutcome::HitZone => c.l2p_hits_zone += 1,
+                    L2pOutcome::HitChunk => c.l2p_hits_chunk += 1,
+                    L2pOutcome::HitPage => c.l2p_hits_page += 1,
+                    L2pOutcome::Miss => c.l2p_misses += 1,
+                },
+                DeviceEvent::L2pEviction { count } => c.l2p_evictions += count,
+                _ => {}
+            }
+        }
+        c
+    }
+
+    /// The same counters of the device.
+    fn l2p(c: &Counters) -> Counters {
+        let mut out = Counters::new();
+        out.l2p_hits_zone = c.l2p_hits_zone;
+        out.l2p_hits_chunk = c.l2p_hits_chunk;
+        out.l2p_hits_page = c.l2p_hits_page;
+        out.l2p_misses = c.l2p_misses;
+        out.l2p_evictions = c.l2p_evictions;
+        out
+    }
+
+    /// Random write / flush / read / reset streams, under zone, chunk and
+    /// page aggregation, every search strategy and caches from "pinned
+    /// aggregates fill it" to "nothing is evicted", with an event ring on
+    /// the probe from the start: after every command, the `L2pLookup`
+    /// events by outcome are the hit and miss counters, and the
+    /// `L2pEviction` counts sum to the eviction counter (read misses and
+    /// pinned aggregates both evict). Figure 7 prints its lookup table
+    /// from the counters on the strength of this. The cases together
+    /// reach every outcome and both kinds of eviction.
+    #[test]
+    fn l2p_events_equal_l2p_counters() {
+        let path = concat!(module_path!(), "::l2p_events_equal_l2p_counters");
+        let generate = |rng: &mut Rng| {
+            let max_aggregation = [
+                MapGranularity::Zone,
+                MapGranularity::Chunk,
+                MapGranularity::Page,
+            ][rng.range(0..3)];
+            let strategy = [
+                SearchStrategy::Bitmap,
+                SearchStrategy::Multiple,
+                SearchStrategy::Pinned,
+            ][rng.range(0..3)];
+            let cache_entries: u64 = [2, 3, 8, 64][rng.range(0..4)];
+            let params = (max_aggregation, strategy, cache_entries);
+            (params, rng.vec(1..40, cmd))
+        };
+        let reached = std::cell::Cell::new(Counters::new());
+        let pinned_evictions = std::cell::Cell::new(0);
+        check(
+            path,
+            64,
+            generate,
+            |&(max_aggregation, strategy, cache_entries), cmds| {
+                let cfg = DeviceConfig::builder(Geometry::tiny())
+                    .chunk_bytes(CHUNK * SLICE_BYTES)
+                    .max_aggregation(max_aggregation)
+                    .search_strategy(strategy)
+                    .l2p_cache_bytes(cache_entries * 4)
+                    .build()
+                    .expect("l2p config");
+                assert_eq!((cfg.zone_size_slices(), cfg.chunk_slices()), (ZS, CHUNK));
+                let mut dev = ConZone::new(cfg);
+                assert_eq!(dev.zone_count() as u64, ZONES);
+                let sink = Arc::new(RingBufferSink::new());
+                dev.set_probe(Probe::attached(sink.clone()));
+                let mut t = SimTime::ZERO;
+                for (i, cmd) in cmds.iter().enumerate() {
+                    t = apply(&mut dev, t, cmd);
+                    let events = sink.read(|older, newer| tally(older.iter().chain(newer)));
+                    assert_eq!(sink.dropped(), 0, "the ring overflowed");
+                    assert_eq!(
+                        events,
+                        l2p(&dev.counters()),
+                        "events (left) vs counters (right) after command {i}, {cmd:?}"
+                    );
+                }
+                let mut total = reached.get();
+                total.merge(&dev.counters());
+                reached.set(total);
+                if strategy == SearchStrategy::Pinned {
+                    pinned_evictions.set(pinned_evictions.get() + dev.counters().l2p_evictions);
+                }
+            },
+        );
+        let c = reached.get();
+        let outcomes = [
+            c.l2p_hits_zone,
+            c.l2p_hits_chunk,
+            c.l2p_hits_page,
+            c.l2p_misses,
+        ];
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "an outcome never occurs: {outcomes:?}"
+        );
+        assert!(c.l2p_evictions > 0 && pinned_evictions.get() > 0);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Differential test of the run-granular read path against a per-slice
 // reference (the first "obviously-correct reference" of ROADMAP item 4c).
 

@@ -16,8 +16,9 @@
 //! count as canonical for aggregation.
 
 use conzone_flash::{FlashError, ProgramOutcome};
+use conzone_ftl::InsertOutcome;
 use conzone_types::{
-    to_index, ChipId, DeviceError, DeviceEvent, FlushKind, LpnRange, MapGranularity, SimTime,
+    to_index, ChipId, DeviceError, DeviceEvent, FlushKind, Lpn, LpnRange, MapGranularity, SimTime,
     SpanKind, SuperblockId, ZoneId, ZoneState, HOST_OVERHEAD, SLICE_BYTES, SLICE_LEN,
 };
 
@@ -434,7 +435,7 @@ impl ConZone {
                                 self.buffers[buf_idx].undrain_front(full_end - from, rest);
                                 self.media[zidx].flushed_slices = from;
                                 if from > run_start {
-                                    self.maybe_aggregate(zone_id, run_start, from);
+                                    self.maybe_aggregate(finish, zone_id, run_start, from);
                                 }
                                 return Err(e);
                             }
@@ -446,7 +447,7 @@ impl ConZone {
             }
             t = finish;
             self.media[zidx].flushed_slices = full_end;
-            self.maybe_aggregate(zone_id, run_start, full_end);
+            self.maybe_aggregate(t, zone_id, run_start, full_end);
             t = self.maybe_flush_l2p_log(t);
         }
 
@@ -472,7 +473,7 @@ impl ConZone {
                 .inspect_err(|_| self.buffers[buf_idx].undrain_front(count, pay))?;
             self.counters.patch_slices += count;
             self.media[zidx].flushed_slices = run_end;
-            self.maybe_aggregate(zone_id, patch_start, run_end);
+            self.maybe_aggregate(t, zone_id, patch_start, run_end);
         }
 
         // ── Path ②: premature flush of the sub-unit remainder ──
@@ -708,8 +709,9 @@ impl ConZone {
 
     /// Attempts chunk aggregation for every chunk completed in
     /// `[from, to)`, and zone aggregation when the zone is fully durable
-    /// (paper §III-C ②, capped by `max_aggregation`).
-    pub(crate) fn maybe_aggregate(&mut self, zone_id: ZoneId, from: u64, to: u64) {
+    /// (paper §III-C ②, capped by `max_aggregation`), at `now`, when the
+    /// range became durable.
+    pub(crate) fn maybe_aggregate(&mut self, now: SimTime, zone_id: ZoneId, from: u64, to: u64) {
         if self.cfg.max_aggregation == MapGranularity::Page {
             return;
         }
@@ -725,7 +727,7 @@ impl ConZone {
                 if self.table.try_aggregate_chunk(lpn) {
                     self.note_bits(zone_base.offset(c * chunk), chunk, MapGranularity::Chunk);
                     if pinned {
-                        self.cache.insert(lpn, MapGranularity::Chunk, true);
+                        self.pin(now, lpn, MapGranularity::Chunk);
                     }
                 }
             }
@@ -736,8 +738,17 @@ impl ConZone {
         {
             self.note_bits(zone_base, self.zones.zone_slices(), MapGranularity::Zone);
             if pinned {
-                self.cache.insert(zone_base, MapGranularity::Zone, true);
+                self.pin(now, zone_base, MapGranularity::Zone);
             }
+        }
+    }
+
+    /// Pins a new aggregated entry in the L2P cache (the §IV-D design); a
+    /// full cache evicts for it as a read miss's insert does, and the
+    /// eviction is traced the same way.
+    fn pin(&mut self, now: SimTime, lpn: Lpn, granularity: MapGranularity) {
+        if let InsertOutcome::Evicted(_) = self.cache.insert(lpn, granularity, true) {
+            self.probe.emit(now, DeviceEvent::L2pEviction { count: 1 });
         }
     }
 }

@@ -155,12 +155,18 @@ fn write_micros<W: fmt::Write>(out: &mut W, ns: u64) -> fmt::Result {
 /// a sink the output a chunk at a time; `Display` (hence `to_string()`)
 /// and [`write_file`] are that with two different sinks.
 /// Nothing of the output is held but the chunk being filled.
+///
+/// The two event-trace variants take their records as two slices, older
+/// then newer, so that the halves [`RingBufferSink::read`] hands over are
+/// exported where they lie; a single slice is `(records, &[])`.
+///
+/// [`RingBufferSink::read`]: crate::RingBufferSink::read
 #[derive(Debug, Clone, Copy)]
 pub enum Document<'a> {
     /// [`chrome_trace`]
-    ChromeTrace(&'a [TraceRecord]),
+    ChromeTrace(&'a [TraceRecord], &'a [TraceRecord]),
     /// [`trace_jsonl`]
-    TraceJsonl(&'a [TraceRecord]),
+    TraceJsonl(&'a [TraceRecord], &'a [TraceRecord]),
     /// A Chrome trace-event document of closed spans, using `X`
     /// (complete) events so Perfetto nests each IO's causal chain as
     /// stacked slices on one track. Events are sorted by start time with
@@ -253,8 +259,8 @@ impl Document<'_> {
             sink,
         };
         match *self {
-            Document::ChromeTrace(records) => {
-                let mut sorted: Vec<&TraceRecord> = records.iter().collect();
+            Document::ChromeTrace(older, newer) => {
+                let mut sorted: Vec<&TraceRecord> = older.iter().chain(newer).collect();
                 sorted.sort_by_key(|r| r.time);
                 out.trace_events(sorted, |mut o, r| {
                     let (ph, name) = match r.event {
@@ -278,12 +284,14 @@ impl Document<'_> {
                     o.end()
                 })?;
             }
-            Document::TraceJsonl(records) => out.lines(records, |mut o, r| {
-                o.u64("ts_ns", r.time.as_nanos())?;
-                o.str("kind", r.event.kind_name())?;
-                event_args(&mut o, &r.event)?;
-                o.end()
-            })?,
+            Document::TraceJsonl(older, newer) => {
+                out.lines(older.iter().chain(newer), |mut o, r| {
+                    o.u64("ts_ns", r.time.as_nanos())?;
+                    o.str("kind", r.event.kind_name())?;
+                    event_args(&mut o, &r.event)?;
+                    o.end()
+                })?;
+            }
             Document::SpanChromeTrace(spans) => {
                 let mut sorted: Vec<&SpanRecord> = spans.iter().collect();
                 sorted.sort_by_key(|s| (s.start, s.id));
@@ -353,13 +361,13 @@ pub fn write_file(path: &str, document: Document<'_>) -> Result<(), String> {
 /// microseconds per the format, converted from the simulated nanosecond
 /// clock.
 pub fn chrome_trace(records: &[TraceRecord]) -> Document<'_> {
-    Document::ChromeTrace(records)
+    Document::ChromeTrace(records, &[])
 }
 
 /// One JSON object per event, newline-separated:
 /// `{"ts_ns": …, "kind": "…", …fields}`.
 pub fn trace_jsonl(records: &[TraceRecord]) -> String {
-    Document::TraceJsonl(records).to_string()
+    Document::TraceJsonl(records, &[]).to_string()
 }
 
 /// One JSON object per closed span, newline-separated:
@@ -826,8 +834,8 @@ mod tests {
     /// The streaming exporters against the tree builders they replaced,
     /// byte for byte: every `DeviceEvent` variant (and payload variation)
     /// and every `SpanKind`, at each of `TIMES_NS`, out of time order so
-    /// the sorts matter; through `write_to`, through `Display` and through
-    /// a file.
+    /// the sorts matter; event records whole and split into two halves;
+    /// through `stream`, through `Display` and through a file.
     #[test]
     fn streaming_exporters_equal_the_tree_builders_byte_for_byte() {
         let events = crate::trace::all_events();
@@ -847,10 +855,21 @@ mod tests {
             tree::chrome_trace(&records).to_string()
         );
         assert_eq!(trace_jsonl(&records), tree::trace_jsonl(&records));
-        assert_eq!(
-            Document::TraceJsonl(&records).to_string(),
-            tree::trace_jsonl(&records)
-        );
+        // Split anywhere into older and newer halves, the records export
+        // as the whole slice does.
+        for at in [0, 1, records.len() / 2, records.len() - 1, records.len()] {
+            let (older, newer) = records.split_at(at);
+            assert_eq!(
+                Document::ChromeTrace(older, newer).to_string(),
+                tree::chrome_trace(&records).to_string(),
+                "split at {at}"
+            );
+            assert_eq!(
+                Document::TraceJsonl(older, newer).to_string(),
+                tree::trace_jsonl(&records),
+                "split at {at}"
+            );
+        }
         // Past 64 KiB the output crosses to the sink in chunks that end on
         // record boundaries, and nothing is lost between them.
         let many: Vec<TraceRecord> = records.iter().cycle().take(2_000).copied().collect();

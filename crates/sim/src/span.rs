@@ -12,12 +12,11 @@
 //! the combine / GC / log work nested inside it, so only self time — never
 //! inclusive time — sums back to the breakdown totals.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 #[allow(
     clippy::disallowed_types,
     reason = "observability sink: only reached with a probe attached, and attaching one never changes simulated results; the mutex orders concurrent recorders, not device state"
 )]
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use conzone_types::{to_index, SimDuration, SpanKind, SpanRecord, SpanSink};
 
@@ -29,9 +28,18 @@ use conzone_types::{to_index, SimDuration, SpanKind, SpanRecord, SpanSink};
 #[derive(Debug)]
 pub struct SpanBuffer {
     #[allow(clippy::disallowed_types, reason = "see the import")]
-    spans: Mutex<Vec<SpanRecord>>,
+    spans: Mutex<Spans>,
     capacity: usize,
-    recorded: AtomicU64,
+}
+
+/// The storage behind [`SpanBuffer`]: one lock covers both members, so
+/// recording a span synchronises once.
+#[derive(Debug)]
+struct Spans {
+    /// The kept spans, in close order, until drained.
+    records: Vec<SpanRecord>,
+    /// Spans offered so far, kept or dropped, drained ones included.
+    recorded: u64,
 }
 
 impl SpanBuffer {
@@ -39,15 +47,25 @@ impl SpanBuffer {
     pub fn with_capacity(capacity: usize) -> SpanBuffer {
         SpanBuffer {
             #[allow(clippy::disallowed_types, reason = "see the import")]
-            spans: Mutex::new(Vec::new()),
+            spans: Mutex::new(Spans {
+                records: Vec::new(),
+                recorded: 0,
+            }),
             capacity,
-            recorded: AtomicU64::new(0),
         }
+    }
+
+    /// A recorder that panicked cannot have left the buffer half-updated
+    /// (`record` bumps the count, then pushes, and neither step can fail
+    /// halfway), so a poisoned lock is still safe to use.
+    #[allow(clippy::disallowed_types, reason = "see the import")]
+    fn spans(&self) -> MutexGuard<'_, Spans> {
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Total spans offered to the buffer (kept or dropped).
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.spans().recorded
     }
 
     /// Spans that did not fit in `capacity`.
@@ -57,24 +75,16 @@ impl SpanBuffer {
 
     /// Takes the collected spans out of the buffer.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        match self.spans.lock() {
-            Ok(mut guard) => std::mem::take(&mut *guard),
-            // A poisoned lock means a recording thread panicked mid-push;
-            // the vector itself is still well-formed.
-            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-        }
+        std::mem::take(&mut self.spans().records)
     }
 }
 
 impl SpanSink for SpanBuffer {
     fn record(&self, span: SpanRecord) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut guard = match self.spans.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if guard.len() < self.capacity {
-            guard.push(span);
+        let mut spans = self.spans();
+        spans.recorded += 1;
+        if spans.records.len() < self.capacity {
+            spans.records.push(span);
         }
     }
 }

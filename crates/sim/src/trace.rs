@@ -84,12 +84,23 @@ impl RingBufferSink {
         self.recorded().saturating_sub(self.capacity as u64)
     }
 
+    /// Hands `read` the retained events in recording order without copying
+    /// them: the ring's two ordered halves, `(older, newer)`, where `older`
+    /// runs from the oldest retained record to the end of the storage and
+    /// `newer` wraps round to the newest (empty until the ring has filled).
+    ///
+    /// The lock is held while `read` runs, so it must not call back into
+    /// this sink (`recorded`, `dropped` and `drain` take the same lock).
+    pub fn read<R>(&self, read: impl FnOnce(&[TraceRecord], &[TraceRecord]) -> R) -> R {
+        let ring = self.ring();
+        let (newer, older) = ring.records.split_at(ring.next);
+        read(older, newer)
+    }
+
     /// Copies out the retained events in recording order; the sink keeps
     /// them, so draining twice returns the same records.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let ring = self.ring();
-        let (newer, older) = ring.records.split_at(ring.next);
-        [older, newer].concat()
+        self.read(|older, newer| [older, newer].concat())
     }
 }
 
@@ -320,8 +331,8 @@ mod tests {
 
     /// The ring against a `VecDeque` that drops its front when over
     /// capacity: at every drain point the retained records are the
-    /// model's, in order; `recorded`/`dropped` count exactly; and
-    /// `drain` takes nothing away.
+    /// model's, in order, copied out and read in place alike;
+    /// `recorded`/`dropped` count exactly; and `drain` takes nothing away.
     #[test]
     fn ring_matches_a_bounded_deque_model() {
         let generate = |rng: &mut Rng| {
@@ -348,6 +359,10 @@ mod tests {
                 if (i + 1) % drain_every == 0 || i + 1 == n {
                     let drained = sink.drain();
                     assert_eq!(&drained, &Vec::from(model.clone()));
+                    sink.read(|older, newer| {
+                        assert_eq!([older, newer].concat(), drained, "halves out of order");
+                        assert!(i >= capacity || newer.is_empty(), "wrapped before full");
+                    });
                     assert_eq!(sink.drain(), drained, "drain is not idempotent");
                     assert_eq!(sink.recorded(), i as u64 + 1);
                     assert_eq!(sink.dropped(), (i + 1).saturating_sub(capacity) as u64);

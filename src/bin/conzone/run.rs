@@ -192,14 +192,14 @@ impl Obs {
     /// truncated dump that looks complete is worse than no dump.
     ///
     /// The files are independent, so each is formatted and written on a
-    /// thread of its own. The status lines follow in trace → spans →
-    /// metrics order, and the first of those files that failed is the
-    /// error.
+    /// thread of its own; the trace is streamed from the event ring where
+    /// it lies. The status lines follow in trace → spans → metrics order,
+    /// and the first of those files that failed is the error.
     fn write(&self, spans: Option<&SpanDump>, samples: &[MetricsSample]) -> Result<(), String> {
         let trace = self
             .trace
             .as_ref()
-            .map(|(path, sink)| (path, sink.drain(), sink.dropped()));
+            .map(|(path, sink)| (path, sink, sink.dropped()));
         let spans = self
             .spans
             .as_ref()
@@ -207,8 +207,13 @@ impl Obs {
             .map(|((path, _), dump)| (path, dump));
         let metrics = self.metrics.as_ref().map(|(path, _)| path);
         let (trace_ms, spans_ms, metrics_ms) = std::thread::scope(|s| {
-            let trace_ms = trace.as_ref().map(|(path, records, _)| {
-                s.spawn(move || timed_export(path, Document::ChromeTrace(records)))
+            let trace_ms = trace.map(|(path, sink, _)| {
+                s.spawn(move || {
+                    sink.read(|older, newer| {
+                        let ms = timed_export(path, Document::ChromeTrace(older, newer));
+                        (older.len() + newer.len(), ms)
+                    })
+                })
             });
             let spans_ms = spans.map(|(path, dump)| {
                 let document = if path.ends_with(".jsonl") {
@@ -222,10 +227,10 @@ impl Obs {
                 .map(|path| s.spawn(move || timed_export(path, Document::MetricsJsonl(samples))));
             (joined(trace_ms), joined(spans_ms), joined(metrics_ms))
         });
-        if let (Some((path, records, dropped)), Some(ms)) = (&trace, trace_ms) {
-            let (ms, n) = (ms?, records.len());
+        if let (Some((path, _, dropped)), Some((n, ms))) = (trace, trace_ms) {
+            let ms = ms?;
             eprintln!("trace    : {n} events to {path} ({dropped} dropped) in {ms:.1} ms");
-            if *dropped > 0 {
+            if dropped > 0 {
                 eprintln!(
                     "warning  : the event ring dropped {dropped} records — the trace is \
                      truncated; trace a shorter phase"
