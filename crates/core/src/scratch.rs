@@ -13,7 +13,7 @@
 //! an SLC combine, a conventional overwrite or a zone reset is gathering
 //! slices to drop; each puts it back before anything else can run.
 
-use conzone_types::{to_index, DeviceConfig, Lpn, Ppa};
+use conzone_types::{to_index, DeviceConfig, Lpn, Ppa, SimTime};
 
 /// The per-device scratch pool. All buffers are logically empty between
 /// operations; only their capacity persists.
@@ -30,8 +30,8 @@ pub(crate) struct IoScratch {
     /// new ones are placed.
     pub overwritten: Vec<Ppa>,
     /// SLC placement (host flushes and GC migration): idle-first chip
-    /// order.
-    pub chip_order: Vec<usize>,
+    /// order, each chip with the time it becomes free.
+    pub chip_order: Vec<(SimTime, usize)>,
     /// GC: the victim's live PPAs.
     pub gc_ppas: Vec<Ppa>,
     /// GC: owners of the migrating slices.

@@ -18,8 +18,8 @@
 use conzone_flash::{FlashError, ProgramOutcome};
 use conzone_ftl::InsertOutcome;
 use conzone_types::{
-    to_index, ChipId, DeviceError, DeviceEvent, FlushKind, Lpn, LpnRange, MapGranularity, SimTime,
-    SpanKind, SuperblockId, ZoneId, ZoneState, HOST_OVERHEAD, SLICE_BYTES, SLICE_LEN,
+    to_index, ChipId, DeviceError, DeviceEvent, FlushKind, Lpn, LpnRange, MapGranularity, PpaParts,
+    SimTime, SpanKind, SuperblockId, ZoneId, ZoneState, HOST_OVERHEAD, SLICE_BYTES, SLICE_LEN,
 };
 
 use crate::device::ConZone;
@@ -304,11 +304,13 @@ impl ConZone {
         // patch leaves the durable prefix mid-unit; nothing is ever staged
         // there. A refused write may leave it mid-unit in a unit whose
         // canonical slot it used; see `refuse_write`.)
-        let first = run_start / unit * unit;
+        let first_unit = run_start / unit;
+        let first = first_unit * unit;
         debug_assert!(
             run_start >= backing
                 || run_start == first
-                || (staged_len == 0 && self.slot_used(sb, first)),
+                || (staged_len == 0
+                    && self.slot_used(self.cfg.geometry.superblock_unit(sb, first_unit))),
             "staged run starts unit-aligned"
         );
 
@@ -373,11 +375,15 @@ impl ConZone {
                 },
             );
             let mut finish = t;
+            // A copy, so what it derives stays out of the loop.
+            let g = self.cfg.geometry;
             for u in 0..nunits {
                 let off = first + u * unit;
-                let first_ppa = self.cfg.geometry.superblock_slice(sb, off);
-                let parts = self.cfg.geometry.decode_ppa(first_ppa);
-                let programmed = if self.slot_used(sb, off) {
+                // The unit's reserved slot, decoded without a division by
+                // the slice counts; its address is encoded from the parts.
+                let parts = g.superblock_unit(sb, first_unit + u);
+                let first_ppa = g.encode_ppa(parts.chip, parts.block, parts.page, 0);
+                let programmed = if self.slot_used(parts) {
                     Err(None)
                 } else {
                     let data = payload.as_ref().map(|p| &p[at(off)..at(off + unit)]);
@@ -594,13 +600,14 @@ impl ConZone {
         }
     }
 
-    /// Whether the canonical slot of the unit at zone offset `off` in
-    /// superblock `sb` is used: its block's cursor is past it.
-    fn slot_used(&self, sb: SuperblockId, off: u64) -> bool {
-        let g = &self.cfg.geometry;
-        let parts = g.decode_ppa(g.superblock_slice(sb, off));
-        let at = parts.page * g.slices_per_page() + parts.slice;
-        self.flash.block(parts.chip, parts.block).cursor() > at
+    /// Whether the canonical slot of a unit, whose first slice `unit`
+    /// decodes ([`Geometry::superblock_unit`]), is used: its block's cursor
+    /// is past it.
+    ///
+    /// [`Geometry::superblock_unit`]: conzone_types::Geometry::superblock_unit
+    fn slot_used(&self, unit: PpaParts) -> bool {
+        let at = unit.page * self.cfg.geometry.slices_per_page();
+        self.flash.block(unit.chip, unit.block).cursor() > at
     }
 
     /// Unmaps `range` and invalidates the slices it mapped, wherever they
@@ -657,15 +664,23 @@ impl ConZone {
         let spp = self.cfg.geometry.slices_per_page();
         // Preferring idle chips keeps premature flushes from stalling
         // behind a long tPROG on a die that happens to be programming
-        // TLC. Stable sort: equally idle chips keep ascending order
-        // across reruns.
+        // TLC. A stable insertion sort over one key a chip: equally idle
+        // chips keep ascending order across reruns.
         let mut order = std::mem::take(&mut self.scratch.chip_order);
         order.clear();
-        order.extend(0..self.cfg.geometry.nchips());
-        order.sort_by_key(|&c| self.flash.chip_free_at(ChipId(c as u64)));
+        for c in 0..self.cfg.geometry.nchips() {
+            let free = self.flash.chip_free_at(ChipId(c as u64));
+            order.push((free, c));
+            let mut at = c;
+            while at > 0 && order[at - 1].0 > free {
+                order[at] = order[at - 1];
+                at -= 1;
+            }
+            order[at] = (free, c);
+        }
         let mut idx = pending.start;
         let mut any = false;
-        for &c in order.iter() {
+        for &(_, c) in order.iter() {
             if idx >= pending.end {
                 break;
             }

@@ -110,9 +110,10 @@ pub struct FlashArray {
     geometry: Geometry,
     normal_cell: CellType,
     model_channel_bandwidth: bool,
-    /// `slice_transfer[n]`: channel time of `n` slices, for every count a
-    /// flash page can hold — what each page read and SLC program moves —
-    /// so the 128-bit division of `for_transfer` is paid here, once.
+    /// `slice_transfer[n]`: channel time of `n` slices, for every count up
+    /// to a programming unit — what each page read, SLC program and unit
+    /// program moves — so the 128-bit division of `for_transfer` is paid
+    /// here, once.
     slice_transfer: Vec<SimDuration>,
     /// Blocks in chip-major order: `blocks[chip * blocks_per_chip + block]`.
     blocks: Vec<Block>,
@@ -124,7 +125,7 @@ pub struct FlashArray {
     /// Per chip, its first plane and its channel; per block of a chip, its
     /// plane within the chip: [`Geometry::plane_of`] and
     /// [`Geometry::channel_of`] looked up rather than divided out for every
-    /// page `read_slices` senses.
+    /// page sense and every program round.
     chip_lanes: Vec<(usize, usize)>,
     block_planes: Vec<usize>,
     store: DataStore,
@@ -215,7 +216,7 @@ impl FlashArray {
             geometry: g,
             normal_cell: cfg.normal_cell,
             model_channel_bandwidth: cfg.model_channel_bandwidth,
-            slice_transfer: (0..=g.slices_per_page() as u64)
+            slice_transfer: (0..=g.slices_per_unit() as u64)
                 .map(|n| SimDuration::for_transfer(n * SLICE_BYTES, CHANNEL_BYTES_PER_SEC))
                 .collect(),
             blocks,
@@ -269,11 +270,22 @@ impl FlashArray {
         }
     }
 
-    /// `(plane, channel)` a page read of `block` on `chip` reserves.
+    /// `(plane, channel)` a page read or a program of `block` on `chip`
+    /// reserves.
     #[inline]
-    fn read_lanes(&self, chip: ChipId, block: usize) -> (usize, usize) {
+    fn lanes(&self, chip: ChipId, block: usize) -> (usize, usize) {
         let (first_plane, channel) = self.chip_lanes[chip.index()];
         (first_plane + self.block_planes[block], channel)
+    }
+
+    /// Index into `blocks` of the block holding `ppa`, and the slice's
+    /// offset in it. Blocks are stored in address order, so one division
+    /// by the block size finds both.
+    #[inline]
+    fn slice_home(&self, ppa: Ppa) -> (usize, usize) {
+        let spb = self.geometry.slices_per_block();
+        let idx = ppa.raw() / spb;
+        (to_index(idx), to_index(ppa.raw() - idx * spb))
     }
 
     fn block_index(&self, chip: ChipId, block: usize) -> usize {
@@ -373,8 +385,8 @@ impl FlashArray {
         if self.fault.program_fails() {
             self.burn_slices(idx, unit_slices)?;
             // The chip still pays transfer + tPROG for the failed attempt.
-            let plane = self.geometry.plane_of(chip, block);
-            self.schedule_program(now, chip, plane, unit_bytes as u64, cell, 1);
+            let lanes = self.lanes(chip, block);
+            self.schedule_program(now, lanes, unit_bytes as u64, cell, 1);
             self.note_program_failure(now, chip, block, idx);
             return Err(FlashError::ProgramFailed {
                 chip: chip.raw(),
@@ -389,9 +401,8 @@ impl FlashArray {
             }
         }
         self.count_program(now, cell, unit_bytes as u64);
-        let plane = self.geometry.plane_of(chip, block);
-        let (buffer_free, finish) =
-            self.schedule_program(now, chip, plane, unit_bytes as u64, cell, 1);
+        let lanes = self.lanes(chip, block);
+        let (buffer_free, finish) = self.schedule_program(now, lanes, unit_bytes as u64, cell, 1);
         Ok(ProgramOutcome {
             first,
             slices: unit_slices as u64,
@@ -445,17 +456,22 @@ impl FlashArray {
         }
         let start_slice = self.blocks[idx].program(count)?;
         let first = self.block_base(chip, block).offset(start_slice as u64);
-        // One program operation per flash page covered by the run.
+        // One program operation per flash page covered by the run: the
+        // pages from the one `start_slice` lies in, found with one division
+        // and, for a run reaching past that page, a second.
         let spp = self.geometry.slices_per_page();
-        let first_page = start_slice / spp;
-        let last_page = (start_slice + count - 1) / spp;
-        let ops = (last_page - first_page + 1) as u64;
+        let reach = start_slice % spp + count;
+        let ops = if reach <= spp {
+            1
+        } else {
+            reach.div_ceil(spp) as u64
+        };
         if self.fault.program_fails() {
             // Burn the just-claimed slices; the chip still pays the
             // transfer + tPROG of the failed attempt.
             self.blocks[idx].invalidate_run(start_slice, count)?;
-            let plane = self.geometry.plane_of(chip, block);
-            self.schedule_program(now, chip, plane, bytes, CellType::Slc, ops);
+            let lanes = self.lanes(chip, block);
+            self.schedule_program(now, lanes, bytes, CellType::Slc, ops);
             self.note_program_failure(now, chip, block, idx);
             return Err(FlashError::ProgramFailed {
                 chip: chip.raw(),
@@ -468,9 +484,8 @@ impl FlashArray {
             }
         }
         self.count_program(now, CellType::Slc, bytes);
-        let plane = self.geometry.plane_of(chip, block);
-        let (buffer_free, finish) =
-            self.schedule_program(now, chip, plane, bytes, CellType::Slc, ops);
+        let lanes = self.lanes(chip, block);
+        let (buffer_free, finish) = self.schedule_program(now, lanes, bytes, CellType::Slc, ops);
         Ok(ProgramOutcome {
             first,
             slices: count as u64,
@@ -518,22 +533,22 @@ impl FlashArray {
         self.fault.is_retired(self.block_index(chip, block))
     }
 
-    /// Reserves `ops` transfer-then-program rounds on the chip (one round
-    /// per partial program for SLC, a single round for a whole unit).
+    /// Reserves `ops` transfer-then-program rounds on a block's plane and
+    /// its chip's channel, `lanes` (one round per partial program for
+    /// SLC, a single round for a whole unit).
     /// Transfers wait for the chip's page register — i.e. for the previous
     /// program on that chip to complete. Returns `(last transfer end, last
     /// program end)`.
     fn schedule_program(
         &mut self,
         now: SimTime,
-        chip: ChipId,
-        plane: usize,
+        (plane, channel): (usize, usize),
         bytes: u64,
         cell: CellType,
         ops: u64,
     ) -> (SimTime, SimTime) {
-        let channel = self.geometry.channel_of(chip).index();
-        let per_op = self.transfer_time(bytes / ops);
+        // A whole unit, and most SLC programs, are one round: no division.
+        let per_op = self.transfer_time(if ops == 1 { bytes } else { bytes / ops });
         let prog = cell.latency().program;
         let mut cursor = now;
         let mut buffer_free = now;
@@ -664,7 +679,7 @@ impl FlashArray {
                 self.probe.emit(now, DeviceEvent::ReadRetry { steps });
             }
             self.stats.page_reads += 1;
-            let lanes = self.read_lanes(chip, block);
+            let lanes = self.lanes(chip, block);
             finish = finish.max(self.sense(now, lanes, cell, sense_lat, bytes).end);
         }
         self.read_scratch = order;
@@ -706,8 +721,8 @@ impl FlashArray {
     ) -> (SimTime, SimTime) {
         assert!(ops > 0, "at least one program operation");
         self.count_program(now, cell, bytes);
-        let plane = self.geometry.plane_of(chip, 0);
-        self.schedule_program(now, chip, plane, bytes, cell, ops)
+        let lanes = self.chip_lanes[chip.index()];
+        self.schedule_program(now, lanes, bytes, cell, ops)
     }
 
     /// A timing-only data-page read of `bytes` on `chip` with `cell`
@@ -786,8 +801,7 @@ impl FlashArray {
         self.invalidate_run(ppa, 1)
     }
 
-    /// Marks `count` physically consecutive slices of one block dead with
-    /// a single address decode.
+    /// Marks `count` physically consecutive slices of one block dead.
     ///
     /// # Errors
     ///
@@ -795,9 +809,7 @@ impl FlashArray {
     /// never programmed — which includes running past the end of `first`'s
     /// block; nothing is changed then.
     pub fn invalidate_run(&mut self, first: Ppa, count: usize) -> Result<(), FlashError> {
-        let parts = self.geometry.decode_ppa(first);
-        let in_block = parts.page * self.geometry.slices_per_page() + parts.slice;
-        let idx = self.block_index(parts.chip, parts.block);
+        let (idx, in_block) = self.slice_home(first);
         self.blocks[idx].invalidate_run(in_block, count)?;
         self.store.remove_range(first, count as u64);
         Ok(())
@@ -1023,8 +1035,45 @@ mod tests {
         }
     }
 
-    /// The lane tables hold `Geometry::{plane_of, channel_of}` for every
-    /// block of every chip, planes and channels dividing evenly or not.
+    /// The one-division lookup of `invalidate_run` is the decode and
+    /// `block_index` it replaced, for every slice of the array.
+    #[test]
+    fn slice_home_equals_decoding_the_address() {
+        let a = array();
+        let spp = a.geometry.slices_per_page();
+        for ppa in (0..a.geometry.total_slices()).map(Ppa) {
+            let parts = a.geometry.decode_ppa(ppa);
+            let want = (
+                a.block_index(parts.chip, parts.block),
+                parts.page * spp + parts.slice,
+            );
+            assert_eq!(a.slice_home(ppa), want, "{ppa}");
+        }
+    }
+
+    /// The transfer table holds `for_transfer` of every slice count up to
+    /// a programming unit, on the three evaluation geometries.
+    #[test]
+    fn slice_transfer_table_equals_for_transfer() {
+        let mut small = Geometry::consumer_1p5gb();
+        small.blocks_per_chip = 32;
+        for g in [Geometry::tiny(), Geometry::consumer_1p5gb(), small] {
+            let cfg = DeviceConfig::builder(g)
+                .chunk_bytes(256 * 1024)
+                .build()
+                .unwrap();
+            let a = FlashArray::new(&cfg);
+            assert_eq!(a.slice_transfer.len(), g.slices_per_unit() + 1);
+            for (n, &time) in (0u64..).zip(&a.slice_transfer) {
+                let want = SimDuration::for_transfer(n * SLICE_BYTES, CHANNEL_BYTES_PER_SEC);
+                assert_eq!(time, want, "{n} slices of {g:?}");
+            }
+        }
+    }
+
+    /// The lane tables, which every page sense and program round reserves
+    /// through, hold `Geometry::{plane_of, channel_of}` for every block of
+    /// every chip, planes and channels dividing evenly or not.
     #[test]
     fn read_lanes_equal_the_geometry() {
         for (planes, channels) in [(1, 2), (2, 2), (3, 3)] {
@@ -1041,7 +1090,7 @@ mod tests {
             for chip in (0..g.nchips() as u64).map(ChipId) {
                 for block in 0..g.blocks_per_chip {
                     let want = (g.plane_of(chip, block), g.channel_of(chip).index());
-                    assert_eq!(a.read_lanes(chip, block), want, "{chip:?} block {block}");
+                    assert_eq!(a.lanes(chip, block), want, "{chip:?} block {block}");
                 }
             }
         }

@@ -45,11 +45,13 @@ impl BitVec {
     }
 
     /// Sets the `count` bits starting at `start` to `value`, a word at a
-    /// time: one masked store per `u64` the run touches.
+    /// time: a masked store to the words at either end of the run, a plain
+    /// one to each word between.
     ///
     /// # Panics
     ///
     /// Panics if the run reaches past `len`.
+    #[inline]
     pub(crate) fn fill_range(&mut self, start: usize, count: usize, value: bool) {
         let end = start + count;
         assert!(
@@ -57,18 +59,22 @@ impl BitVec {
             "bit run {start}..{end} out of range {}",
             self.len
         );
-        let mut idx = start;
-        while idx < end {
-            let bit = idx % 64;
-            let n = (64 - bit).min(end - idx);
-            let mask = (u64::MAX >> (64 - n)) << bit;
-            let word = &mut self.words[idx / 64];
-            if value {
-                *word |= mask;
-            } else {
-                *word &= !mask;
+        if count == 0 {
+            return;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        let fill = if value { u64::MAX } else { 0 };
+        let store = |word: &mut u64, mask: u64| *word = (*word & !mask) | (fill & mask);
+        match &mut self.words[first..=last] {
+            [only] => store(only, head & tail),
+            [lo, mid @ .., hi] => {
+                store(lo, head);
+                mid.fill(fill);
+                store(hi, tail);
             }
-            idx += n;
+            [] => {}
         }
     }
 

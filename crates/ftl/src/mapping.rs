@@ -36,7 +36,42 @@ pub struct MappingTable {
     zone_slices: u64,
 }
 
-const CANONICAL_FLAG: u8 = 0b100;
+pub(crate) const CANONICAL_FLAG: u8 = 0b100;
+
+/// The two map bits of a flag byte.
+pub(crate) const MAP_BITS: u8 = 0b11;
+
+/// `0x01` in every byte of a word: a flag mask times this is the mask
+/// repeated over eight entries.
+const EVERY_BYTE: u64 = 0x0101_0101_0101_0101;
+
+/// The flag bytes of `flags` eight at a time, as words, and the fewer
+/// than eight left over.
+#[inline]
+fn flag_words(flags: &[u8]) -> (impl Iterator<Item = u64> + '_, &[u8]) {
+    let words = flags.chunks_exact(8);
+    let rest = words.remainder();
+    let words = words.map(|w| u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]));
+    (words, rest)
+}
+
+/// Whether some entry of `flags` has a bit of `mask` set: the words
+/// or-ed together and tested once, then the remainder.
+#[inline]
+pub(crate) fn any_flag(flags: &[u8], mask: u8) -> bool {
+    let (words, rest) = flag_words(flags);
+    let wide = EVERY_BYTE * u64::from(mask);
+    words.fold(0, |acc, w| acc | w) & wide != 0 || rest.iter().any(|f| f & mask != 0)
+}
+
+/// Whether every entry of `flags` has bit `bit` set: the words and-ed
+/// together and tested once, then the remainder.
+#[inline]
+pub(crate) fn all_flag(flags: &[u8], bit: u8) -> bool {
+    let (words, rest) = flag_words(flags);
+    let wide = EVERY_BYTE * u64::from(bit);
+    words.fold(u64::MAX, |acc, w| acc & w) & wide == wide && rest.iter().all(|f| f & bit != 0)
+}
 
 /// Slot value of a mapped page: the address plus one, leaving 0 — what a
 /// lazily-zeroed allocation reads as — for "unmapped".
@@ -60,9 +95,11 @@ fn unpack(slot: u32) -> Option<Ppa> {
 /// Points the slots of `run` at the physically consecutive slices from
 /// `first`.
 fn store_run(run: &mut [u32], first: Ppa) {
-    let packed = pack(first)..pack(first.offset(run.len() as u64));
-    for (slot, packed) in run.iter_mut().zip(packed) {
+    // The end is packed only to check that the whole run fits an entry.
+    let (mut packed, _) = (pack(first), pack(first.offset(run.len() as u64)));
+    for slot in run {
         *slot = packed;
+        packed += 1;
     }
 }
 
@@ -89,6 +126,21 @@ impl MappingTable {
             ppas: vec![0; to_index(capacity_slices)],
             flags: vec![0; to_index(capacity_slices)],
             chunk_slices,
+            zone_slices,
+        }
+    }
+
+    /// A table holding exactly the given packed entries and flag bytes
+    /// (chunks of one page, one zone), for properties that draw the
+    /// entries directly.
+    #[cfg(test)]
+    pub(crate) fn from_entries(ppas: Vec<u32>, flags: Vec<u8>) -> MappingTable {
+        assert_eq!(ppas.len(), flags.len());
+        let zone_slices = (ppas.len() as u64).max(1);
+        MappingTable {
+            ppas,
+            flags,
+            chunk_slices: 1,
             zone_slices,
         }
     }
@@ -186,19 +238,26 @@ impl MappingTable {
             hi <= self.ppas.len(),
             "lpn run {start}+{count} beyond capacity"
         );
-        if self.flags[lo..hi].iter().any(|f| f & 0b11 != 0) {
+        if any_flag(&self.flags[lo..hi], MAP_BITS) {
             for idx in lo..hi {
                 self.demote_covering(idx);
             }
         }
-        store_run(&mut self.ppas[lo..hi], first);
-        self.flags[lo..hi].fill(page_flags(canonical));
+        // One pass over both tables, not a `memset` call for a unit's or a
+        // page's worth of flag bytes.
+        let flags = page_flags(canonical);
+        let (mut packed, _) = (pack(first), pack(first.offset(count)));
+        for (slot, f) in self.ppas[lo..hi].iter_mut().zip(&mut self.flags[lo..hi]) {
+            *slot = packed;
+            *f = flags;
+            packed += 1;
+        }
     }
 
     /// Demotes the aggregated chunk or zone covering entry `idx`, if any,
     /// back to page bits.
     fn demote_covering(&mut self, idx: usize) {
-        let tile = match MapGranularity::from_bits(self.flags[idx] & 0b11) {
+        let tile = match MapGranularity::from_bits(self.flags[idx] & MAP_BITS) {
             Some(MapGranularity::Chunk) => self.chunk_slices,
             Some(MapGranularity::Zone) => self.zone_slices,
             _ => return,
@@ -237,15 +296,24 @@ impl MappingTable {
 
     /// Physical addresses of the mapped pages of `range` whose data is
     /// *not* at its canonical reserved location, in logical order (pages
-    /// past the table are skipped like unmapped ones).
+    /// past the table are skipped like unmapped ones). Eight entries whose
+    /// flags are all canonical are passed over with one test.
     pub fn non_canonical_ppas(&self, range: LpnRange) -> impl Iterator<Item = Ppa> + '_ {
         let hi = range.end().index().min(self.ppas.len());
         let lo = range.start.index().min(hi);
-        self.ppas[lo..hi]
-            .iter()
-            .zip(&self.flags[lo..hi])
-            .filter(|(_, flags)| **flags & CANONICAL_FLAG == 0)
-            .filter_map(|(slot, _)| unpack(*slot))
+        let (flags, slots) = (&self.flags[lo..hi], &self.ppas[lo..hi]);
+        let (words, rest) = flag_words(flags);
+        let canonical = EVERY_BYTE * u64::from(CANONICAL_FLAG);
+        // Entries worth a look: those of each word not all canonical, then
+        // the remainder.
+        let looked_at = words
+            .enumerate()
+            .filter(move |&(_, w)| w & canonical != canonical)
+            .flat_map(|(w, _)| w * 8..w * 8 + 8)
+            .chain(flags.len() - rest.len()..flags.len());
+        looked_at
+            .filter(move |&i| flags[i] & CANONICAL_FLAG == 0)
+            .filter_map(move |i| unpack(slots[i]))
     }
 
     /// Unmaps one entry (host overwrote or the zone was reset). Like
@@ -267,7 +335,7 @@ impl MappingTable {
     pub fn unmap_extent(&mut self, start: Lpn, count: u64) {
         let hi = to_index((start.raw() + count).min(self.capacity()));
         let lo = start.index().min(hi);
-        if self.flags[lo..hi].iter().any(|f| f & 0b11 != 0) {
+        if any_flag(&self.flags[lo..hi], MAP_BITS) {
             for idx in lo..hi {
                 self.demote_covering(idx);
             }
@@ -288,13 +356,14 @@ impl MappingTable {
 
     /// Whether `[start, start + len)` lies inside the table and every page
     /// of it is mapped canonically. Only mapped entries carry the
-    /// canonical flag (`unmap` clears it), so the flag bytes alone decide.
+    /// canonical flag (`unmap` clears it), so the flag bytes alone decide,
+    /// eight at a time.
     fn range_aggregatable(&self, start: u64, len: u64) -> bool {
         let (lo, hi) = (to_index(start), to_index(start + len));
         let canonical = self
             .flags
             .get(lo..hi)
-            .is_some_and(|flags| flags.iter().all(|f| f & CANONICAL_FLAG != 0));
+            .is_some_and(|flags| all_flag(flags, CANONICAL_FLAG));
         debug_assert!(!canonical || !self.ppas[lo..hi].contains(&0));
         canonical
     }

@@ -23,7 +23,9 @@ use conzone_types::{to_index, Geometry, Lpn, Ppa};
 /// block - first_block) * slices_per_block + in_block` — also
 /// lexicographic in the same tuple, so ascending dense order is exactly
 /// ascending `Ppa` order and iteration is bit-identical to the `BTreeMap`
-/// it replaced.
+/// it replaced. The region is one contiguous span of every chip's
+/// addresses, so that index is the chip's region span times the chip plus
+/// the address's offset into the region: one division finds it.
 ///
 /// Addresses outside the region (invariant-corruption tests insert them
 /// on purpose) go to a `BTreeMap` overflow that is empty in normal
@@ -38,12 +40,12 @@ pub struct OwnerMap {
     dense_len: usize,
     /// Raw-address span of one chip: `blocks_per_chip * slices_per_block`.
     chip_span: u64,
-    /// Slices per block (`in_block` span).
-    block_span: u64,
-    /// First block of the region on every chip.
-    first_block: u64,
-    /// Blocks of the region per chip.
-    region_blocks: u64,
+    /// Where the region starts in a chip's span: `first_block *
+    /// slices_per_block`.
+    region_start: u64,
+    /// Slices of the region on one chip: `region_blocks *
+    /// slices_per_block`.
+    region_span: u64,
     /// Entries outside the region; normally empty.
     overflow: BTreeMap<Ppa, Lpn>,
 }
@@ -77,9 +79,8 @@ impl OwnerMap {
             slots: vec![0; slots],
             dense_len: 0,
             chip_span: geometry.blocks_per_chip as u64 * block_span,
-            block_span,
-            first_block: blocks.start as u64,
-            region_blocks: region_blocks as u64,
+            region_start: blocks.start as u64 * block_span,
+            region_span: region_blocks as u64 * block_span,
             overflow: BTreeMap::new(),
         }
     }
@@ -87,31 +88,33 @@ impl OwnerMap {
     /// Dense slot index for an in-region address, `None` outside.
     #[inline]
     fn dense_index(&self, ppa: Ppa) -> Option<usize> {
+        self.locate(ppa).map(|(i, _)| i)
+    }
+
+    /// Dense slot index for an in-region address, with the number of
+    /// slots from it to the end of its chip's part of the region (up to
+    /// which consecutive addresses are consecutive slots); `None` outside.
+    #[inline]
+    fn locate(&self, ppa: Ppa) -> Option<(usize, u64)> {
         let raw = ppa.raw();
         let chip = raw / self.chip_span;
-        let rem = raw % self.chip_span;
         // Wraps to a huge value below the region, failing the bound check.
-        let block = (rem / self.block_span).wrapping_sub(self.first_block);
-        let in_block = rem % self.block_span;
-        if block < self.region_blocks {
-            Some(to_index(
-                (chip * self.region_blocks + block) * self.block_span + in_block,
-            ))
-        } else {
-            None
-        }
+        let in_region = (raw - chip * self.chip_span).wrapping_sub(self.region_start);
+        (in_region < self.region_span).then(|| {
+            (
+                to_index(chip * self.region_span + in_region),
+                self.region_span - in_region,
+            )
+        })
     }
 
     /// Inverse of [`OwnerMap::dense_index`].
     #[inline]
     fn dense_ppa(&self, idx: usize) -> Ppa {
         let idx = idx as u64;
-        let per_chip = self.region_blocks * self.block_span;
-        let chip = idx / per_chip;
-        let rem = idx % per_chip;
-        let block = self.first_block + rem / self.block_span;
-        let in_block = rem % self.block_span;
-        Ppa(chip * self.chip_span + block * self.block_span + in_block)
+        let chip = idx / self.region_span;
+        let in_region = idx - chip * self.region_span;
+        Ppa(chip * self.chip_span + self.region_start + in_region)
     }
 
     /// Records `lpn` as the owner of `ppa`; returns the previous owner.
@@ -139,14 +142,13 @@ impl OwnerMap {
     }
 
     /// The slots of the `count` physically consecutive slices from
-    /// `first`, when the whole run lies inside one block of the region —
-    /// where consecutive addresses are consecutive slots, found with a
-    /// single index computation. `None` for a run that leaves the block or
-    /// the region; the callers then go slice by slice.
+    /// `first`, when the whole run lies inside one chip's part of the
+    /// region — where consecutive addresses are consecutive slots, found
+    /// with a single index computation. `None` for a run that leaves it;
+    /// the callers then go slice by slice.
     fn run_slots(&mut self, first: Ppa, count: usize) -> Option<&mut [u32]> {
-        let i = self.dense_index(first)?;
-        let in_block = i % to_index(self.block_span);
-        (in_block + count <= to_index(self.block_span)).then(|| &mut self.slots[i..i + count])
+        let (i, room) = self.locate(first)?;
+        (count as u64 <= room).then(|| &mut self.slots[i..i + count])
     }
 
     /// [`OwnerMap::insert`] for a run: slice `first + i` is owned by page
@@ -174,8 +176,13 @@ impl OwnerMap {
     pub fn remove_run(&mut self, first: Ppa, count: usize) {
         match self.run_slots(first, count) {
             Some(slots) => {
-                let live = slots.iter().filter(|slot| **slot != 0).count();
-                slots.fill(0);
+                // One pass that counts and clears: a run is a few slots, too
+                // short for a second pass or a `memset` call to pay.
+                let mut live = 0;
+                for slot in slots {
+                    live += usize::from(*slot != 0);
+                    *slot = 0;
+                }
                 self.dense_len -= live;
             }
             None => {

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use conzone_check::{check, Rng, Simpler};
 
+use crate::mapping::{all_flag, any_flag, CANONICAL_FLAG, MAP_BITS};
 use crate::{InsertOutcome, L2pCache, LookupResult, LruCache, MapBitmap, MappingTable, OwnerMap};
 use conzone_types::{Geometry, Lpn, LpnRange, MapGranularity, Ppa, ZoneId, MAX_SLICES};
 
@@ -302,6 +303,97 @@ fn run_forms_equal_the_per_page_loops() {
                 .map(|e| e.ppa)
                 .collect();
             assert_eq!(bulk.non_canonical_ppas(range).collect::<Vec<_>>(), filtered);
+        }
+    });
+}
+
+/// One mapping-table entry as the word-wise flag scans see it: the
+/// packed address (0: unmapped) and the flag byte.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Entry {
+    slot: u32,
+    flags: u8,
+}
+
+impl Simpler for Entry {}
+
+/// An entry that is, one time in `rare`, unmapped, non-canonical or
+/// aggregated (and otherwise a canonical page-level one), so that long
+/// runs of all-canonical, never-aggregated flags occur and end in a
+/// remainder that is not.
+fn entry(rng: &mut Rng, rare: u64) -> Entry {
+    let odd = |rng: &mut Rng| rng.below(rare) == 0;
+    if odd(rng) && odd(rng) {
+        return Entry { slot: 0, flags: 0 };
+    }
+    let canonical = if odd(rng) { 0 } else { CANONICAL_FLAG };
+    let bits = if odd(rng) { 1 + rng.below(2) as u8 } else { 0 };
+    Entry {
+        slot: rng.range(1..1000),
+        flags: canonical | bits,
+    }
+}
+
+/// The byte loops the word-wise flag scans replaced, kept as their
+/// reference: `set_extent` / `unmap_extent`'s "any entry aggregated",
+/// `range_aggregatable`'s "every entry canonical" and the reset walk's
+/// `non_canonical_ppas`.
+mod byte_loops {
+    use super::{CANONICAL_FLAG, MAP_BITS};
+    use conzone_types::Ppa;
+
+    pub(super) fn any_aggregated(flags: &[u8]) -> bool {
+        flags.iter().any(|f| f & MAP_BITS != 0)
+    }
+
+    pub(super) fn all_canonical(flags: &[u8]) -> bool {
+        flags.iter().all(|f| f & CANONICAL_FLAG != 0)
+    }
+
+    pub(super) fn non_canonical_ppas(slots: &[u32], flags: &[u8]) -> Vec<Ppa> {
+        slots
+            .iter()
+            .zip(flags)
+            .filter(|(_, f)| **f & CANONICAL_FLAG == 0)
+            .filter_map(|(slot, _)| slot.checked_sub(1).map(|raw| Ppa(u64::from(raw))))
+            .collect()
+    }
+}
+
+/// The word-wise flag scans against the byte loops they replaced, on
+/// every window of a drawn table — every start, aligned to a word or
+/// not, and every length from 0 to 40 that fits: whole words, a
+/// remainder, or both.
+#[test]
+fn word_scans_equal_the_byte_loops() {
+    let generate = |rng: &mut Rng| {
+        let rare = [2, 8, 64][rng.below(3) as usize];
+        (rare, rng.vec(0..48, |rng| entry(rng, rare)))
+    };
+    let path = concat!(module_path!(), "::word_scans_equal_the_byte_loops");
+    check(path, 64, generate, |_, entries| {
+        let slots: Vec<u32> = entries.iter().map(|e| e.slot).collect();
+        let flags: Vec<u8> = entries.iter().map(|e| e.flags).collect();
+        let table = MappingTable::from_entries(slots.clone(), flags.clone());
+        let n = entries.len();
+        for start in 0..=n {
+            for len in 0..=(n - start).min(40) {
+                let w = start..start + len;
+                let at = format!("window {w:?}");
+                let f = &flags[w.clone()];
+                assert_eq!(any_flag(f, MAP_BITS), byte_loops::any_aggregated(f), "{at}");
+                assert_eq!(
+                    all_flag(f, CANONICAL_FLAG),
+                    byte_loops::all_canonical(f),
+                    "{at}"
+                );
+                let range = LpnRange::new(Lpn(start as u64), len as u64);
+                assert_eq!(
+                    table.non_canonical_ppas(range).collect::<Vec<_>>(),
+                    byte_loops::non_canonical_ppas(&slots[w.clone()], f),
+                    "{at}"
+                );
+            }
         }
     });
 }

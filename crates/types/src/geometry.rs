@@ -354,6 +354,28 @@ impl Geometry {
         self.encode_ppa(chip, sb.index(), page, slice)
     }
 
+    /// Decoded address of the first slice of programming unit `unit` of
+    /// superblock `sb` — what [`Geometry::decode_ppa`] returns for
+    /// `superblock_slice(sb, unit * slices_per_unit())` — in two small
+    /// divisions: the unit's chip and its rank on that chip.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that the unit lies inside the superblock and `sb`
+    /// inside the array.
+    #[inline]
+    pub fn superblock_unit(&self, sb: SuperblockId, unit: u64) -> PpaParts {
+        let nchips = self.nchips() as u64;
+        debug_assert!(unit < self.units_per_block() as u64 * nchips);
+        debug_assert!(sb.index() < self.blocks_per_chip);
+        PpaParts {
+            chip: ChipId(unit % nchips),
+            block: sb.index(),
+            page: to_index(unit / nchips) * self.pages_per_unit(),
+            slice: 0,
+        }
+    }
+
     /// The superblock reserved for a zone. Zones bind one-to-one to normal
     /// superblocks, placed after the SLC region.
     #[inline]
@@ -439,6 +461,28 @@ mod tests {
             }
             let last = g.decode_ppa(Ppa(g.total_slices() - 1));
             assert_eq!(g.next_page(last).chip, ChipId(g.nchips() as u64));
+        }
+    }
+
+    /// `superblock_unit` is the decode of the unit's first slice, for
+    /// every unit of every superblock of the two presets and of the
+    /// evaluation geometry with 32 blocks a chip (the lifespan figure's).
+    #[test]
+    fn superblock_unit_equals_decoding_the_units_first_slice() {
+        let mut small = Geometry::consumer_1p5gb();
+        small.blocks_per_chip = 32;
+        for g in [Geometry::tiny(), Geometry::consumer_1p5gb(), small] {
+            let spu = g.slices_per_unit() as u64;
+            let units = g.slices_per_superblock() / spu;
+            for sb in (0..g.blocks_per_chip as u64).map(SuperblockId) {
+                for u in 0..units {
+                    assert_eq!(
+                        g.superblock_unit(sb, u),
+                        g.decode_ppa(g.superblock_slice(sb, u * spu)),
+                        "{g:?} superblock {sb} unit {u}"
+                    );
+                }
+            }
         }
     }
 

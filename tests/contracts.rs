@@ -5,7 +5,7 @@
 
 use conzone::types::{
     Completion, DeviceConfig, DeviceError, IoRequest, SimDuration, SimTime, StorageDevice, ZoneId,
-    ZonedDevice, HOST_OVERHEAD,
+    ZoneState, ZonedDevice, HOST_OVERHEAD,
 };
 use conzone::ConZone;
 
@@ -125,4 +125,54 @@ fn finish_cost_ignores_the_unwritten_remainder() {
         assert_eq!(done.latency(), overhead, "zone {z}");
         assert_eq!(dev.counters().flash_program_bytes(), programmed, "zone {z}");
     }
+}
+
+/// Durability point of a host flush: a flush completes once its last
+/// transfer has reached a chip's page register, and the cell programming
+/// (tPROG) runs on after it. A cut while that program still runs loses
+/// nothing.
+///
+/// Design choice, pinned here (EXPERIMENTS.md known deviation 8): the
+/// model assumes power-loss protection for the page register. One
+/// programming unit is written and flushed; power is cut 1 ns after the
+/// flush completed, when the unit's TLC program has most of its 937.5 µs
+/// left; after remount the unit reads back whole, nothing is reported
+/// lost, and the zone's write pointer still stands after it.
+#[test]
+fn a_flushed_unit_survives_a_cut_inside_its_program() {
+    let cfg = DeviceConfig::tiny_for_tests();
+    let zone = cfg.zone_size_bytes();
+    let unit = cfg.geometry.program_unit_bytes as u64;
+    let tprog = cfg.normal_cell.latency().program;
+    let mut dev = ConZone::new(cfg);
+    let payload: Vec<u8> = (0..unit).map(|i| (i % 251) as u8).collect();
+    let write = IoRequest::write_data(zone, payload.clone().into());
+    let t = dev.submit(SimTime::ZERO, &write).expect("write").finished;
+    let flushed = dev.flush(t).expect("flush");
+    let programmed = dev.counters().flash_program_bytes_tlc;
+    assert_eq!(programmed, unit, "the flush programmed the unit in place");
+
+    // The flush answered at the end of the transfer (plus the host
+    // overhead), well before tPROG could have ended.
+    let cut = flushed.finished + SimDuration::from_nanos(1);
+    assert!(cut < flushed.finished - HOST_OVERHEAD + tprog);
+    assert_eq!(dev.in_flight_slices(), 0, "nothing is buffered at the cut");
+    assert_eq!(dev.power_cut(cut).expect("cut"), 0);
+
+    let report = dev.remount(cut).expect("remount");
+    assert_eq!((report.lost_slices, report.lost.len()), (0, 0));
+    // The unit is canonical TLC data, not SLC: the replay rebuilds none
+    // of it.
+    assert_eq!(report.recovered_slices, 0);
+    let info = dev.zone_info(ZoneId(1)).expect("zone 1");
+    assert_eq!(info.write_pointer, unit);
+    assert_ne!(info.state, ZoneState::Empty);
+    let read = dev
+        .submit(report.finished, &IoRequest::read(zone, unit))
+        .expect("read after remount");
+    assert_eq!(
+        read.data.as_deref(),
+        Some(&payload[..]),
+        "the unit reads back whole"
+    );
 }
