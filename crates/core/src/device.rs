@@ -4,11 +4,10 @@
 
 use bytes::Bytes;
 use conzone_flash::FlashArray;
-use conzone_ftl::{L2pCache, MapBitmap, MappingTable, WriteBuffer};
+use conzone_ftl::{L2pCache, MappingTable, WriteBuffer};
 use conzone_types::{
-    to_index, Completion, Counters, DeviceConfig, DeviceError, IoKind, IoRequest, Lpn,
-    MapGranularity, Probe, SearchStrategy, SimTime, SpanKind, SpanRecorder, SpanSink,
-    StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice, HOST_OVERHEAD,
+    Completion, Counters, DeviceConfig, DeviceError, IoKind, IoRequest, Probe, SimTime, SpanKind,
+    SpanRecorder, SpanSink, StorageDevice, ZoneId, ZoneInfo, ZoneTable, ZonedDevice, HOST_OVERHEAD,
 };
 
 use crate::breakdown::TimeBreakdown;
@@ -49,7 +48,6 @@ pub struct ConZone {
     pub(crate) flash: FlashArray,
     pub(crate) table: MappingTable,
     pub(crate) cache: L2pCache,
-    pub(crate) bitmap: Option<MapBitmap>,
     /// Zone states and write pointers: the zoned interface's front door.
     pub(crate) zones: ZoneTable,
     /// What each zone has on the media, by zone index.
@@ -77,29 +75,20 @@ impl ConZone {
         let capacity = cfg.capacity_slices();
         let chunk = cfg.chunk_slices();
         let zone = cfg.zone_size_slices();
-        let bitmap = match cfg.search_strategy {
-            SearchStrategy::Bitmap => Some(MapBitmap::new(capacity)),
-            _ => None,
-        };
         let buffers = (0..cfg.write_buffers)
             .map(|_| WriteBuffer::new(cfg.geometry.slices_per_superpage(), cfg.data_backing))
             .collect();
-        let staged_cap =
-            cfg.geometry.slices_per_unit() + to_index(cfg.geometry.slices_per_superpage());
         ConZone {
             flash: FlashArray::new(&cfg),
             table: MappingTable::new(capacity, chunk, zone),
             cache: L2pCache::new(cfg.l2p_cache_entries(), chunk, zone),
-            bitmap,
             zones: ZoneTable::new(
                 cfg.zone_count(),
                 zone,
                 Some(cfg.max_open_zones),
                 cfg.conventional_zones,
             ),
-            media: (0..cfg.zone_count())
-                .map(|_| Zone::new(staged_cap))
-                .collect(),
+            media: vec![Zone::default(); cfg.zone_count()],
             buffers,
             slc: SlcRegion::new(&cfg.geometry),
             counters: Counters::new(),
@@ -192,14 +181,6 @@ impl ConZone {
     #[inline]
     pub(crate) fn unit_slices(&self) -> u64 {
         self.cfg.geometry.slices_per_unit() as u64
-    }
-
-    /// Records a page's aggregation level in the strategy bitmap, if one is
-    /// maintained.
-    pub(crate) fn note_bits(&mut self, lpn: Lpn, count: u64, granularity: MapGranularity) {
-        if let Some(bitmap) = &mut self.bitmap {
-            bitmap.set_range(lpn, count, granularity);
-        }
     }
 
     /// Wear and lifespan report (paper §I's lifespan motivation).

@@ -8,7 +8,7 @@
 
 use conzone_ftl::block_runs;
 use conzone_types::{
-    to_index, ChipId, DeviceError, DeviceEvent, Lpn, LpnRange, Ppa, SimTime, SpanKind, ZoneId,
+    to_index, ChipId, DeviceError, DeviceEvent, LpnRange, Ppa, SimTime, SpanKind, ZoneId,
     HOST_OVERHEAD,
 };
 
@@ -91,8 +91,7 @@ impl ConZone {
     }
 
     /// Re-programs live SLC slices at fresh SLC locations, updating the
-    /// mapping table in place (map bits preserved), the SLC owner map and
-    /// any zone staged-list references.
+    /// mapping table in place (map bits preserved) and the SLC owner map.
     fn migrate_slc_slices(
         &mut self,
         now: SimTime,
@@ -155,28 +154,12 @@ impl ConZone {
                     dev.table.relocate_extent(lpn, new, len as u64);
                     dev.slc.owner.remove_run(old, len);
                     dev.slc.owner.insert_run(new, lpn, len);
-                    dev.fix_staged_references(lpn, new, len as u64);
                     k += len;
                 }
             })?;
         }
         self.scratch.gc_lpns = lpns;
         Ok(finish)
-    }
-
-    /// Updates the zones' staged-slice records after GC moved the logical
-    /// run `[lpn, lpn + len)` to the physical run starting at `new_ppa`.
-    fn fix_staged_references(&mut self, lpn: Lpn, new_ppa: Ppa, len: u64) {
-        let zs = self.zones.zone_slices();
-        let (first, last) = (lpn.raw() / zs, (lpn.raw() + len - 1) / zs);
-        for zone in &mut self.media[to_index(first)..=to_index(last)] {
-            for s in &mut zone.staged {
-                let d = s.lpn.raw().wrapping_sub(lpn.raw());
-                if d < len {
-                    s.ppa = new_ppa.offset(d);
-                }
-            }
-        }
     }
 
     /// Invalidates the SLC-resident slices gathered in `scratch.ppas` and
@@ -236,7 +219,6 @@ impl ConZone {
         #[cfg(any(test, debug_assertions))]
         self.debug_assert_reset_walk(zone_id);
         self.drop_gathered_slc_slices()?;
-        self.media[zidx].staged.clear();
 
         // Directly erase the reserved normal blocks.
         let sb = self.cfg.geometry.zone_superblock(zone_id);
@@ -248,7 +230,6 @@ impl ConZone {
 
         self.table.unmap_zone(zone_id);
         self.cache.invalidate_zone(zone_base);
-        self.note_bits(zone_base, zs, conzone_types::MapGranularity::Page);
         self.zones.reset(zone_id);
         self.media[zidx].reset();
         self.counters.zone_resets += 1;

@@ -77,14 +77,6 @@ fn state_name(s: ZoneState) -> &'static str {
     }
 }
 
-fn cell_name(c: conzone_types::CellType) -> &'static str {
-    match c {
-        conzone_types::CellType::Slc => "slc",
-        conzone_types::CellType::Tlc => "tlc",
-        conzone_types::CellType::Qlc => "qlc",
-    }
-}
-
 impl ConZone {
     /// Captures the current per-zone / per-block state heatmap.
     pub fn heatmap_snapshot(&self) -> HeatmapSnapshot {
@@ -102,7 +94,7 @@ impl ConZone {
                     conventional: self.zones.is_conventional(zone),
                     wp_slices: self.zones.wp_slices(zone),
                     flushed_slices: z.flushed_slices,
-                    staged_slices: z.staged.len() as u64,
+                    staged_slices: z.staged,
                     mapped_slices: mapped,
                     utilization: if zs == 0 {
                         0.0
@@ -121,7 +113,7 @@ impl ConZone {
                 blocks.push(BlockHeat {
                     chip: chip as u64,
                     block: block as u64,
-                    cell: cell_name(b.cell()),
+                    cell: b.cell().name(),
                     cursor: b.cursor() as u64,
                     valid_slices: b.valid_count() as u64,
                     slices: b.slices() as u64,

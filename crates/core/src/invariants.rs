@@ -17,11 +17,14 @@
 //!    duplicate PPA means two logical pages alias one slice (a botched
 //!    relocate); an unmapped valid slice is leaked flash space (an
 //!    invalidate forgotten on the overwrite path).
-//! 2. **Zone write-pointer ordering.** Per zone, `staged.len() ≤
-//!    flushed_slices ≤ wp_slices ≤ zone_slices`; the staged run is the
-//!    contiguous tail of the durable prefix; any gap between `wp` and
-//!    `flushed` is exactly the data sitting in the zone's volatile buffer.
-//!    The zone table's open count is the number of open sequential zones.
+//! 2. **Zone write-pointer ordering.** Per zone, `staged ≤
+//!    flushed_slices ≤ wp_slices ≤ zone_slices`; each page of the staged
+//!    run (the last `staged` pages of the durable prefix) is mapped by the
+//!    table to an SLC slice the owner map gives back to it — a run GC
+//!    moved without the table, or a refused write left too long; any gap
+//!    between `wp` and `flushed` is exactly the data sitting in the zone's
+//!    volatile buffer. The zone table's open count is the number of open
+//!    sequential zones.
 //! 3. **SLC owner bijection.** The owner map covers exactly the valid
 //!    slices of the SLC region, and every entry agrees with the mapping
 //!    table. A dangling owner entry (pointing at an invalid slice) is the
@@ -57,8 +60,8 @@ pub(crate) enum InvariantKind {
     MappingCountMismatch,
     /// A zone's write-pointer ordering or buffer linkage is inconsistent.
     ZoneAccounting,
-    /// A zone's staged run is not the contiguous tail of its durable
-    /// prefix, or a staged reference disagrees with the table/owner.
+    /// A zone's staged run is longer than its durable prefix, or one of
+    /// its pages is not mapped to an SLC slice the owner map gives it.
     StagedRun,
     /// An SLC owner entry points outside the SLC region.
     OwnerOutsideSlc,
@@ -174,9 +177,9 @@ impl ConZone {
     /// that holds *mid-request* — GC runs nested inside the write path,
     /// where a buffer may have drained before `flushed_slices` advanced
     /// and a superseded mapping may await its `table.set` to the fresh
-    /// location. The L2P ↔ flash bijection and the buffer-linkage /
-    /// staged-run-shape equalities are quiescent-only; the SLC owner,
-    /// SLC partition and write-pointer ordering checks always apply.
+    /// location. The L2P ↔ flash bijection and the buffer-linkage
+    /// equality are quiescent-only; the SLC owner, SLC partition,
+    /// write-pointer ordering and staged-run checks always apply.
     #[cfg(debug_assertions)]
     fn check_invariants_during_io(&self) -> Vec<InvariantViolation> {
         self.check_invariants_inner(false)
@@ -226,7 +229,7 @@ impl ConZone {
     }
 
     /// Invariant 2: per-zone write-pointer ordering, buffer linkage and
-    /// staged-run contiguity. The buffer-linkage equality only holds
+    /// the staged run's pages. The buffer-linkage equality only holds
     /// between host requests (`quiescent`).
     fn check_zone_accounting(&self, out: &mut Vec<InvariantViolation>, quiescent: bool) {
         let zs = self.zones.zone_slices();
@@ -236,7 +239,7 @@ impl ConZone {
             let (state, wp) = (self.zones.state(id), self.zones.wp_slices(id));
             open += usize::from(state == ZoneState::Open && !self.zones.is_conventional(id));
             let flushed = zone.flushed_slices;
-            let staged = zone.staged.len() as u64;
+            let staged = zone.staged;
             if !(flushed <= wp && wp <= zs) {
                 violation(
                     out,
@@ -248,10 +251,7 @@ impl ConZone {
                 );
                 continue;
             }
-            // Mid-IO, freshly staged entries may precede the matching
-            // `flushed_slices` update, so the run-shape checks are
-            // quiescent-only.
-            if quiescent && staged > flushed {
+            if staged > flushed {
                 violation(
                     out,
                     InvariantKind::StagedRun,
@@ -293,49 +293,26 @@ impl ConZone {
                     format!("zone {zidx}: Empty with wp {wp}"),
                 );
             }
-            // The staged run is the contiguous tail of the durable prefix,
-            // and each reference agrees with the table and the owner map.
+            // Each page of the staged run, the tail of the durable prefix,
+            // is mapped to an SLC slice the owner map gives back to it.
             let base = zidx as u64 * zs;
-            let start = flushed.saturating_sub(staged);
-            for (i, s) in zone.staged.iter().enumerate() {
-                let expect_lpn = Lpn(base + start + i as u64);
-                if quiescent && s.lpn != expect_lpn {
-                    violation(
-                        out,
-                        InvariantKind::StagedRun,
-                        format!(
-                            "zone {zidx}: staged[{i}] holds {} but the contiguous run \
-                             expects {expect_lpn}",
-                            s.lpn
-                        ),
-                    );
-                    continue;
-                }
-                match self.table.get(s.lpn) {
-                    Some(e) if e.ppa == s.ppa => {}
+            for lpn in (base + flushed - staged..base + flushed).map(Lpn) {
+                match self.table.get(lpn) {
+                    Some(e) if self.slc.owner.get(e.ppa) == Some(lpn) => {}
                     Some(e) => violation(
                         out,
                         InvariantKind::StagedRun,
                         format!(
-                            "zone {zidx}: staged {} at {} but the table maps it to {}",
-                            s.lpn, s.ppa, e.ppa
+                            "zone {zidx}: staged {lpn} maps to {}, which the SLC owner map \
+                             does not give it",
+                            e.ppa
                         ),
                     ),
                     None => violation(
                         out,
                         InvariantKind::StagedRun,
-                        format!("zone {zidx}: staged {} at {} is unmapped", s.lpn, s.ppa),
+                        format!("zone {zidx}: staged {lpn} is unmapped"),
                     ),
-                }
-                if self.slc.owner.get(s.ppa) != Some(s.lpn) {
-                    violation(
-                        out,
-                        InvariantKind::StagedRun,
-                        format!(
-                            "zone {zidx}: staged {} at {} missing from the SLC owner map",
-                            s.lpn, s.ppa
-                        ),
-                    );
                 }
             }
         }
@@ -609,16 +586,27 @@ mod tests {
 
     #[test]
     fn staged_reference_corruption_is_detected() {
-        let mut dev = seeded();
-        let zidx = (0..dev.media.len())
-            .find(|&z| !dev.media[z].staged.is_empty())
-            .expect("seed leaves staged slices");
-        dev.media[zidx].staged[0].ppa = dev.media[zidx].staged[0].ppa.offset(1000);
-        let v = dev.check_invariants();
-        assert!(
-            kinds(&v).contains(&InvariantKind::StagedRun),
-            "expected staged-run violation, got {v:?}"
-        );
+        // The seed stages zone 0's remainder in SLC; each corruption is
+        // made on a fresh seed.
+        fn detected(what: &str, corrupt: impl FnOnce(&mut ConZone, Lpn)) {
+            let mut dev = seeded();
+            assert!(dev.media[0].staged > 1, "seed leaves a staged run");
+            let first = Lpn(dev.media[0].staged_start());
+            corrupt(&mut dev, first);
+            let v = dev.check_invariants();
+            assert!(
+                kinds(&v).contains(&InvariantKind::StagedRun),
+                "{what}: expected staged-run violation, got {v:?}"
+            );
+        }
+        detected("a staged page unmapped", |dev, lpn| dev.table.unmap(lpn));
+        detected("a staged page on another page's slice", |dev, lpn| {
+            let other = dev.table.get(lpn.offset(1)).expect("staged page mapped");
+            dev.table.relocate(lpn, other.ppa);
+        });
+        detected("a run longer than the durable prefix", |dev, _| {
+            dev.media[0].staged = dev.media[0].flushed_slices + 1;
+        });
     }
 
     #[test]

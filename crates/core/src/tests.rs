@@ -365,6 +365,53 @@ fn slc_gc_reclaims_space() {
     assert!(c.erases_slc > 0);
 }
 
+/// A staged remainder that SLC GC moves before its unit completes is
+/// combined from where the table says it now is: the combine reads the
+/// moved copy and drops it, and the zone reads back what was written.
+#[test]
+fn staged_run_moved_by_gc_combines_from_its_new_place() {
+    // Zones 0 and 1 are conventional: random overwrites of them keep
+    // every SLC superblock partly live, so GC comes to pick the one that
+    // holds the staged run.
+    let mut d = dev_with(|b| b.conventional_zones(2));
+    let zone_size = d.zone_size();
+    let unit = d.cfg.geometry.program_unit_bytes as u64;
+    // Zone 2's 8 KiB remainder is premature-flushed when zone 4 takes
+    // their shared buffer.
+    let (z2, start) = (2 * zone_size, Lpn(2 * zone_size / SLICE_BYTES));
+    let head = pattern(8192, 40);
+    let mut t = write_at(&mut d, SimTime::ZERO, z2, head.clone());
+    t = write_at(&mut d, t, 4 * zone_size, pattern(4096, 41));
+    assert_eq!(d.media[2].staged, 2, "remainder staged in SLC");
+    let staged_at = d.table.get(start).map(|e| e.ppa);
+    let mut x = 1u64;
+    let mut writes = 0;
+    while d.table.get(start).map(|e| e.ppa) == staged_at {
+        assert!(writes < 20_000, "GC never moved the staged run");
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let off = (x >> 33) % (2 * zone_size / 4096) * 4096;
+        t = write_at(&mut d, t, off, pattern(4096, writes as u8));
+        writes += 1;
+    }
+    assert!(d.counters().gc_migrated_slices > 0);
+    // Complete zone 2's unit: the staged run is combined into it.
+    let combines = d.counters().slc_combines;
+    let rest = pattern((unit - 8192) as usize, 42);
+    t = write_at(&mut d, t, z2 + 8192, rest.clone());
+    t = d.flush(t).expect("flush").finished;
+    assert_eq!(
+        d.counters().slc_combines,
+        combines + 1,
+        "staged run combined"
+    );
+    assert_eq!(d.media[2].staged, 0);
+    let (_, back) = read_at(&mut d, t, z2, unit);
+    assert_eq!(&back[..8192], &head[..]);
+    assert_eq!(&back[8192..], &rest[..]);
+}
+
 #[test]
 fn non_pow2_zone_uses_slc_patch() {
     let cfg = non_pow2_config();

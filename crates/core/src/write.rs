@@ -23,7 +23,6 @@ use conzone_types::{
 };
 
 use crate::device::ConZone;
-use crate::zone::StagedSlice;
 
 /// Wraps a flash-layer failure (an FTL logic violation) into a device error.
 pub(crate) fn internal(e: FlashError) -> DeviceError {
@@ -157,8 +156,9 @@ impl ConZone {
         } else {
             let from = self.zones.start_lpn(zone_id).offset(w0);
             self.unmap_and_drop(LpnRange::new(from, durable - w0))?;
-            self.media[zidx].staged.retain(|s| s.lpn < from);
-            self.media[zidx].flushed_slices = w0;
+            let zone = &mut self.media[zidx];
+            zone.staged = w0.saturating_sub(zone.staged_start());
+            zone.flushed_slices = w0;
             self.buffers[buf_idx].release();
             self.buffers[buf_idx].adopt(zone_id, w0);
         }
@@ -203,7 +203,7 @@ impl ConZone {
                 self.cache.invalidate_page(lpn);
             }
         }
-        match self.program_slc_batch(t, range, payload, false, None, false) {
+        match self.program_slc_batch(t, range, payload, false, false) {
             Ok(done) => t = done,
             Err(e) => {
                 // Refused: the previous versions are mapped again.
@@ -297,7 +297,7 @@ impl ConZone {
             self.media[zidx].flushed_slices,
             "buffer must continue the zone's durable prefix"
         );
-        let staged_len = self.media[zidx].staged.len() as u64;
+        let staged_len = self.media[zidx].staged;
         let run_start = self.media[zidx].staged_start();
         let run_end = self.buffers[buf_idx].end_offset();
         // Units are aligned to the zone. (A host flush inside the tail
@@ -328,12 +328,9 @@ impl ConZone {
             let mut staged_data: Option<Vec<u8>> = None;
             if staged_len > 0 {
                 // Path ③: read the staged fragments out of SLC (striped
-                // blocks of Fig. 3); they are invalidated once their unit
-                // is programmed.
-                self.scratch.ppas.clear();
-                self.scratch
-                    .ppas
-                    .extend(self.media[zidx].staged.iter().map(|s| s.ppa));
+                // blocks of Fig. 3), found from the table; they are
+                // invalidated once their unit is programmed.
+                self.gather_mapped(LpnRange::new(zone_base.offset(run_start), staged_len));
                 let read_start = t;
                 let out = self
                     .flash
@@ -400,18 +397,22 @@ impl ConZone {
                         // lands in the chip register; tPROG continues in
                         // the background.
                         finish = finish.max(out.buffer_free);
+                        // The staged fragments now live in the unit: their
+                        // SLC copies, gathered before the unit's entries
+                        // replace theirs, die.
+                        let combined = off < flushed;
+                        if combined {
+                            self.gather_mapped(LpnRange::new(
+                                zone_base.offset(run_start),
+                                staged_len,
+                            ));
+                        }
                         self.table
                             .set_extent(zone_base.offset(off), first_ppa, unit, true);
-                        self.note_bits(zone_base.offset(off), unit, MapGranularity::Page);
                         self.note_l2p_updates(unit);
-                        if off < flushed {
-                            // The staged fragments now live in the unit.
-                            self.scratch.ppas.clear();
-                            self.scratch
-                                .ppas
-                                .extend(self.media[zidx].staged.iter().map(|s| s.ppa));
+                        if combined {
                             self.drop_gathered_slc_slices()?;
-                            self.media[zidx].staged.clear();
+                            self.media[zidx].staged = 0;
                         }
                     }
                     Err(
@@ -432,7 +433,7 @@ impl ConZone {
                         let from = off.max(flushed);
                         let lpns = LpnRange::new(zone_base.offset(from), off + unit - from);
                         let data = payload.as_ref().map(|p| &p[at(from)..at(off + unit)]);
-                        match self.program_slc_batch(t, lpns, data, false, None, true) {
+                        match self.program_slc_batch(t, lpns, data, false, true) {
                             Ok(redo) => finish = finish.max(redo),
                             Err(e) => {
                                 // Refused: the units before this one are
@@ -446,7 +447,7 @@ impl ConZone {
                                 return Err(e);
                             }
                         }
-                        self.media[zidx].staged.clear();
+                        self.media[zidx].staged = 0;
                     }
                     Err(Some(e)) => return Err(internal(e)),
                 }
@@ -475,7 +476,7 @@ impl ConZone {
                 },
             );
             t = self
-                .program_slc_batch(t, lpns, pay.as_deref(), true, None, true)
+                .program_slc_batch(t, lpns, pay.as_deref(), true, true)
                 .inspect_err(|_| self.buffers[buf_idx].undrain_front(count, pay))?;
             self.counters.patch_slices += count;
             self.media[zidx].flushed_slices = run_end;
@@ -498,9 +499,10 @@ impl ConZone {
                 },
             );
             t = self
-                .program_slc_batch(t, lpns, pay.as_deref(), false, Some(zidx), true)
+                .program_slc_batch(t, lpns, pay.as_deref(), false, true)
                 .inspect_err(|_| self.buffers[buf_idx].undrain_front(count, pay))?;
             self.media[zidx].flushed_slices = start + count;
+            self.media[zidx].staged += count;
         }
 
         if drain {
@@ -511,28 +513,26 @@ impl ConZone {
 
     /// Partial-programs the logical run `lpns` into the SLC write stream,
     /// striping across chips. Each partial program lands a physical run;
-    /// the mapping table (`canonical` flag as given), the SLC owner map
-    /// and — for premature flushes — the zone's staged list are updated
-    /// once per such run.
+    /// the mapping table (`canonical` flag as given) and the SLC owner map
+    /// are updated once per such run.
     ///
     /// Without `gc`, a batch that would need garbage collection runs out
     /// of space instead. A batch that runs out of SLC space part-way is
-    /// refused whole: what it placed is taken back (see
-    /// [`ConZone::unplace_slc_batch`]), so the caller's data is still only
-    /// where it was before.
+    /// refused whole: what it placed is unmapped and its copies (wherever
+    /// GC has moved them since) become dead, unowned slices, as a failed
+    /// program leaves them, so the caller's data is still only where it
+    /// was before.
     pub(crate) fn program_slc_batch(
         &mut self,
         now: SimTime,
         lpns: LpnRange,
         payload: Option<&[u8]>,
         canonical: bool,
-        staged_zone: Option<usize>,
         gc: bool,
     ) -> Result<SimTime, DeviceError> {
         let mut t = now;
         let mut finish = t;
         let total = to_index(lpns.count);
-        let staged = staged_zone.map(|z| (z, self.media[z].staged.len()));
         let out_of_space = |at| DeviceError::NoFreeSpace {
             at,
             what: "slc secondary buffer superblocks".to_string(),
@@ -574,15 +574,6 @@ impl ConZone {
                 dev.slc
                     .owner
                     .insert_run(out.first, lpn, to_index(out.slices));
-                if let Some(z) = staged_zone {
-                    dev.media[z]
-                        .staged
-                        .extend((0..out.slices).map(|i| StagedSlice {
-                            lpn: lpn.offset(i),
-                            ppa: out.first.offset(i),
-                        }));
-                }
-                dev.note_bits(lpn, out.slices, MapGranularity::Page);
                 dev.note_l2p_updates(out.slices);
             });
             match round {
@@ -594,7 +585,7 @@ impl ConZone {
         match outcome {
             Ok(()) => Ok(self.maybe_flush_l2p_log(finish)),
             Err(e) => {
-                self.unplace_slc_batch(lpns, placed, staged)?;
+                self.unmap_and_drop(LpnRange::new(lpns.start, placed as u64))?;
                 Err(e)
             }
         }
@@ -610,6 +601,13 @@ impl ConZone {
         self.flash.block(unit.chip, unit.block).cursor() > at
     }
 
+    /// Gathers into `scratch.ppas` where the table maps the pages of
+    /// `range`, in logical order, skipping unmapped pages.
+    fn gather_mapped(&mut self, range: LpnRange) {
+        self.scratch.ppas.clear();
+        self.scratch.ppas.extend(self.table.ppas(range).flatten());
+    }
+
     /// Unmaps `range` and invalidates the slices it mapped, wherever they
     /// are (SLC copies leave the owner map too), as a failed program
     /// leaves them.
@@ -623,24 +621,6 @@ impl ConZone {
         }
         self.drop_gathered_slc_slices()?;
         self.table.unmap_extent(range.start, range.count);
-        Ok(())
-    }
-
-    /// Takes back the first `placed` slices of a refused SLC batch over
-    /// `lpns`: they are unmapped and their copies (wherever GC has moved
-    /// them since) become dead, unowned slices, as a failed program leaves
-    /// them; and a staged list `(zone, length)` is cut back to its length
-    /// before the batch.
-    fn unplace_slc_batch(
-        &mut self,
-        lpns: LpnRange,
-        placed: usize,
-        staged: Option<(usize, usize)>,
-    ) -> Result<(), DeviceError> {
-        self.unmap_and_drop(LpnRange::new(lpns.start, placed as u64))?;
-        if let Some((zone, len)) = staged {
-            self.media[zone].staged.truncate(len);
-        }
         Ok(())
     }
 
@@ -739,22 +719,17 @@ impl ConZone {
         for c in first..=last {
             if (c + 1) * chunk <= flushed {
                 let lpn = zone_base.offset(c * chunk);
-                if self.table.try_aggregate_chunk(lpn) {
-                    self.note_bits(zone_base.offset(c * chunk), chunk, MapGranularity::Chunk);
-                    if pinned {
-                        self.pin(now, lpn, MapGranularity::Chunk);
-                    }
+                if self.table.try_aggregate_chunk(lpn) && pinned {
+                    self.pin(now, lpn, MapGranularity::Chunk);
                 }
             }
         }
         if self.cfg.max_aggregation == MapGranularity::Zone
             && flushed == self.zones.zone_slices()
             && self.table.try_aggregate_zone(zone_base)
+            && pinned
         {
-            self.note_bits(zone_base, self.zones.zone_slices(), MapGranularity::Zone);
-            if pinned {
-                self.pin(now, zone_base, MapGranularity::Zone);
-            }
+            self.pin(now, zone_base, MapGranularity::Zone);
         }
     }
 

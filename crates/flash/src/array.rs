@@ -419,9 +419,13 @@ impl FlashArray {
     ///
     /// # Errors
     ///
+    /// * [`FlashError::OutOfGeometry`] for a program of zero slices, which
+    ///   would hold a chip for a transfer and a `tPROG` of nothing,
     /// * [`FlashError::PartialProgramOnMlc`] if the block is not SLC,
     /// * [`FlashError::BlockFull`] when fewer than `count` slices remain,
     /// * [`FlashError::DataLength`] for a mis-sized payload.
+    ///
+    /// Each leaves the array unchanged.
     pub fn program_slc(
         &mut self,
         now: SimTime,
@@ -430,6 +434,11 @@ impl FlashArray {
         count: usize,
         data: Option<&[u8]>,
     ) -> Result<ProgramOutcome, FlashError> {
+        if count == 0 {
+            return Err(FlashError::OutOfGeometry {
+                what: "SLC program of zero slices".to_string(),
+            });
+        }
         if self.cell_of_block(block) != CellType::Slc {
             return Err(FlashError::PartialProgramOnMlc {
                 requested: count,
@@ -1116,6 +1125,25 @@ mod tests {
         let busy = eight.finish - three.finish;
         assert!(busy >= SimDuration::from_micros(150), "{busy}");
         assert_eq!(a.stats().program_bytes_slc, 12 * 4096);
+    }
+
+    #[test]
+    fn zero_slice_slc_program_is_refused_unchanged() {
+        let mut a = array();
+        let first = a.program_slc(SimTime::ZERO, ChipId(1), 0, 3, None).unwrap();
+        let (stats, idle) = (a.stats(), a.all_idle_at());
+        let chips = a.geometry().nchips() as u64;
+        let free: Vec<SimTime> = (0..chips).map(|c| a.chip_free_at(ChipId(c))).collect();
+        assert!(matches!(
+            a.program_slc(first.finish, ChipId(1), 0, 0, None),
+            Err(FlashError::OutOfGeometry { .. })
+        ));
+        assert_eq!(a.block(ChipId(1), 0).cursor(), 3);
+        assert_eq!(a.stats(), stats);
+        assert_eq!(a.all_idle_at(), idle);
+        for (c, &at) in free.iter().enumerate() {
+            assert_eq!(a.chip_free_at(ChipId(c as u64)), at, "chip {c}");
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   canonical-placement rule that gates aggregation;
 //! * [`L2pCache`] — the limited volatile cache with LZA → LCA → LPA lookup,
 //!   LRU replacement and optional pinning of aggregated entries;
-//! * [`MapBitmap`] — the in-SRAM map-bit mirror of the Bitmap strategy;
+//! * [`MapBitmap`] — the in-SRAM map-bit mirror of the Bitmap strategy, as
+//!   a structure to size and time (no device keeps one: what a miss costs
+//!   under Bitmap is [`mapping_fetches`]);
 //! * [`mapping_fetches`] — the per-miss flash-fetch cost of each
 //!   [`SearchStrategy`](conzone_types::SearchStrategy);
 //! * [`LruCache`] — the pinned-LRU set of packed `u64` keys underlying the

@@ -24,21 +24,11 @@
 use std::fmt::{self, Write as _};
 use std::io::Write as _;
 
-use conzone_types::{
-    CellType, Counters, DeviceEvent, FaultKind, L2pOutcome, SpanRecord, TraceRecord,
-};
+use conzone_types::{Counters, DeviceEvent, FaultKind, L2pOutcome, SpanRecord, TraceRecord};
 
 use crate::json::{write_f64, write_u64, Json, ObjectWriter};
 use crate::stats::LatencySummary;
 use crate::trace::MetricsSample;
-
-fn cell_name(c: CellType) -> &'static str {
-    match c {
-        CellType::Slc => "slc",
-        CellType::Tlc => "tlc",
-        CellType::Qlc => "qlc",
-    }
-}
 
 fn outcome_name(o: L2pOutcome) -> &'static str {
     match o {
@@ -82,7 +72,7 @@ fn event_args<W: fmt::Write>(o: &mut ObjectWriter<'_, W>, event: &DeviceEvent) -
         DeviceEvent::L2pEviction { count } => o.u64("count", count),
         DeviceEvent::L2pLogFlush => Ok(()),
         DeviceEvent::Media { cell, bytes, .. } => {
-            o.str("cell", cell_name(cell))?;
+            o.str("cell", cell.name())?;
             o.u64("bytes", bytes)
         }
         DeviceEvent::FaultInjected { kind, chip, block } => {
@@ -638,7 +628,7 @@ mod tests {
                 DeviceEvent::L2pEviction { count } => vec![("count", Json::U64(count))],
                 DeviceEvent::L2pLogFlush => vec![],
                 DeviceEvent::Media { cell, bytes, .. } => vec![
-                    ("cell", Json::from(cell_name(cell))),
+                    ("cell", Json::from(cell.name())),
                     ("bytes", Json::U64(bytes)),
                 ],
                 DeviceEvent::ZoneReset { zone } => vec![("zone", Json::U64(zone.raw()))],

@@ -18,8 +18,8 @@ pub enum CellType {
 }
 
 impl CellType {
-    /// Short lowercase name, e.g. `"slc"`.
-    pub(crate) fn name(self) -> &'static str {
+    /// Short lowercase name, e.g. `"slc"`: what exports and reports print.
+    pub fn name(self) -> &'static str {
         match self {
             CellType::Slc => "slc",
             CellType::Tlc => "tlc",
