@@ -13,7 +13,6 @@ use conzone_types::{
 };
 
 use crate::device::ConZone;
-use crate::write::internal;
 
 impl ConZone {
     /// Runs one SLC garbage-collection pass: selects the victim with the
@@ -52,7 +51,7 @@ impl ConZone {
         let mut t = now;
         let mut outcome: Result<(), DeviceError> = Ok(());
         if !ppas.is_empty() {
-            match self.flash.read_slices(t, &ppas).map_err(internal) {
+            match self.flash.read_slices(t, &ppas).map_err(DeviceError::from) {
                 Ok(out) => match self.migrate_slc_slices(out.finish, &ppas, out.data.as_deref()) {
                     Ok(end) => {
                         t = end;
@@ -65,7 +64,7 @@ impl ConZone {
                         for &ppa in &ppas {
                             if self.slc.owner.get(ppa).is_none() {
                                 if let Err(e) = self.flash.invalidate_run(ppa, 1) {
-                                    outcome = Err(internal(e));
+                                    outcome = Err(e.into());
                                     break;
                                 }
                             }
@@ -172,7 +171,7 @@ impl ConZone {
         let mut outcome = Ok(());
         for (first, n) in block_runs(ppas.iter().copied().map(Some), spb) {
             if let Err(e) = self.flash.invalidate_run(first, n) {
-                outcome = Err(internal(e));
+                outcome = Err(e.into());
                 break;
             }
             self.slc.owner.remove_run(first, n);

@@ -453,7 +453,6 @@ mod read_reference {
         SpanKind, StorageDevice, ZoneId, HOST_OVERHEAD, SLICE_BYTES,
     };
 
-    use crate::write::internal;
     use crate::{ConZone, TimeBreakdown};
 
     /// The read path before it walked runs: every 4 KiB slice is resolved
@@ -547,7 +546,7 @@ mod read_reference {
         let mut finish = t_map;
         let mut flash_data: Option<Vec<u8>> = None;
         if !ppas.is_empty() {
-            let out = dev.flash.read_slices(t_map, &ppas).map_err(internal)?;
+            let out = dev.flash.read_slices(t_map, &ppas)?;
             finish = out.finish;
             flash_data = out.data;
             dev.breakdown.data_read += finish.saturating_since(t_map);

@@ -27,7 +27,6 @@ use conzone_types::{
 };
 
 use crate::device::ConZone;
-use crate::write::internal;
 
 /// Where one run of a read's slices comes from, in request order.
 #[derive(Debug, Clone, Copy)]
@@ -162,7 +161,7 @@ impl ConZone {
         let mut finish = t_map;
         let mut flash_data: Option<Vec<u8>> = None;
         if !ppas.is_empty() {
-            let out = self.flash.read_slices(t_map, &ppas).map_err(internal)?;
+            let out = self.flash.read_slices(t_map, &ppas)?;
             finish = out.finish;
             flash_data = out.data;
             self.charge(SpanKind::DataRead, t_map, finish);

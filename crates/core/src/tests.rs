@@ -1149,3 +1149,16 @@ fn a_flush_refused_for_space_keeps_its_data_in_the_buffer() {
     assert_eq!(read_at(&mut dev, t, offset, len).1, want);
     assert!(dev.check_invariants().is_empty());
 }
+
+/// A read of a slice the table maps but the media holds dead is an FTL
+/// logic error (`Internal`), not a request the device declines.
+#[test]
+fn a_read_of_a_dead_mapped_slice_is_an_internal_error() {
+    let mut d = dev();
+    let t = write_at(&mut d, SimTime::ZERO, 0, pattern(256 * 1024, 1));
+    let t = d.flush(t).expect("flush").finished;
+    let ppa = d.table.get(Lpn(0)).expect("mapped").ppa;
+    d.flash.invalidate_run(ppa, 1).expect("live slice");
+    let err = d.submit(t, &IoRequest::read(0, SLICE_BYTES)).unwrap_err();
+    assert!(matches!(err, DeviceError::Internal(_)), "{err:?}");
+}

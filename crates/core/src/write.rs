@@ -24,11 +24,6 @@ use conzone_types::{
 
 use crate::device::ConZone;
 
-/// Wraps a flash-layer failure (an FTL logic violation) into a device error.
-pub(crate) fn internal(e: FlashError) -> DeviceError {
-    DeviceError::Unsupported(format!("internal flash error: {e}"))
-}
-
 impl ConZone {
     /// Services one host write. Returns the completion time (before host
     /// overhead is added by the caller's caller — overhead is added here).
@@ -332,10 +327,7 @@ impl ConZone {
                 // invalidated once their unit is programmed.
                 self.gather_mapped(LpnRange::new(zone_base.offset(run_start), staged_len));
                 let read_start = t;
-                let out = self
-                    .flash
-                    .read_slices(t, &self.scratch.ppas)
-                    .map_err(internal)?;
+                let out = self.flash.read_slices(t, &self.scratch.ppas)?;
                 t = out.finish;
                 self.charge(SpanKind::CombineRead, read_start, t);
                 staged_data = out.data;
@@ -449,7 +441,7 @@ impl ConZone {
                         }
                         self.media[zidx].staged = 0;
                     }
-                    Err(Some(e)) => return Err(internal(e)),
+                    Err(Some(e)) => return Err(e.into()),
                 }
             }
             t = finish;
@@ -687,7 +679,7 @@ impl ConZone {
                 }
                 Err(e) => {
                     self.scratch.chip_order = order;
-                    return Err(internal(e));
+                    return Err(e.into());
                 }
             };
             any = true;

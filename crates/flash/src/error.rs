@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use conzone_types::Ppa;
+use conzone_types::{DeviceError, Ppa};
 
 /// Errors raised by the flash media model. These normally indicate a bug in
 /// the FTL above (programming rules violated) or a read of dead data.
@@ -108,6 +108,15 @@ impl fmt::Display for FlashError {
 }
 
 impl std::error::Error for FlashError {}
+
+/// A flash-layer failure reaching a device's caller is an FTL logic
+/// violation (the FTL asked the media for something its rules forbid, or
+/// read a slice it still maps after killing it), never a host error.
+impl From<FlashError> for DeviceError {
+    fn from(e: FlashError) -> DeviceError {
+        DeviceError::Internal(format!("flash: {e}"))
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,9 @@
 //! `randseed`. `[global]` sets defaults for subsequent sections. Unknown
 //! keys are rejected (better loud than silently different from fio).
 
-use crate::job::{AccessPattern, FioJob};
+use conzone_types::to_index;
+
+use crate::job::{AccessPattern, FioJob, NVME_QUEUE_LIMIT};
 
 /// Error from parsing a fio job file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,6 +118,13 @@ impl Section {
         };
         let size =
             |value: &str| parse_size(value).map_err(|message| ParseFioError { line, message });
+        let queue_count = |value: &str| match value.parse::<u64>().map_err(bad_num)? {
+            n if n > NVME_QUEUE_LIMIT => Err(ParseFioError {
+                line,
+                message: format!("bad {key}: {n} exceeds the NVMe limit of {NVME_QUEUE_LIMIT}"),
+            }),
+            n => Ok(to_index(n)),
+        };
         match key {
             "rw" | "readwrite" => self.rw = value.to_string(),
             "rwmixread" => self.rwmixread = value.parse().map_err(bad_num)?,
@@ -123,8 +132,8 @@ impl Section {
             "size" => self.size = size(value)?,
             "io_size" => self.io_size = Some(size(value)?),
             "offset" => self.offset = size(value)?,
-            "numjobs" => self.numjobs = value.parse().map_err(bad_num)?,
-            "iodepth" => self.iodepth = value.parse().map_err(bad_num)?,
+            "numjobs" => self.numjobs = queue_count(value)?,
+            "iodepth" => self.iodepth = queue_count(value)?,
             "rate_iops" => {
                 self.rate_iops = Some(value.parse().map_err(|e| ParseFioError {
                     line,
@@ -160,10 +169,20 @@ impl Section {
             }
         };
         let volume = self.io_size.unwrap_or(self.size);
+        let per_job = volume / self.numjobs.max(1) as u64;
+        if per_job < self.bs {
+            return Err(ParseFioError {
+                line,
+                message: format!(
+                    "{volume} bytes over {} jobs issue no {}-byte request",
+                    self.numjobs, self.bs
+                ),
+            });
+        }
         let mut job = FioJob::new(pattern, self.bs)
             .threads(self.numjobs)
             .region(self.offset, self.size)
-            .bytes_per_thread(volume / self.numjobs.max(1) as u64)
+            .bytes_per_thread(per_job)
             .queue_depth(self.iodepth)
             .seed(self.randseed);
         if let Some(iops) = self.rate_iops {
@@ -294,6 +313,14 @@ rate_iops=10000
         assert!(err.message.contains("bad size"));
         let err = parse_fio_jobs("[j]\nrw=write\nsize=99999999999g\n").unwrap_err();
         assert_eq!((err.line, err.message.contains("bad size")), (3, true));
+        let err = parse_fio_jobs("[j]\nrw=read\nnumjobs=65536\n").unwrap_err();
+        assert_eq!((err.line, err.message.contains("NVMe limit")), (3, true));
+        let err = parse_fio_jobs("[global]\niodepth=65536\n[j]\n").unwrap_err();
+        assert_eq!((err.line, err.message.contains("NVMe limit")), (2, true));
+        // 1 MiB over 65 535 jobs is 16 bytes each: not one 4 KiB request.
+        let text = "[fill]\nrw=write\n\n[j]\nrw=randread\nsize=1m\nbs=4k\nnumjobs=65535\n";
+        let err = parse_fio_jobs(text).unwrap_err();
+        assert_eq!((err.line, err.message.contains("issue no")), (4, true));
     }
 
     #[test]

@@ -33,6 +33,11 @@ impl AccessPattern {
     }
 }
 
+/// NVMe addresses queues and queue entries with 16-bit fields: at most
+/// 65 535 I/O queues of at most 65 535 entries each. The bound of every
+/// thread, tenant and queue-depth count a flag or a job file may ask for.
+pub const NVME_QUEUE_LIMIT: u64 = 65_535;
+
 /// One synchronous (queue-depth-1 per thread) I/O job.
 ///
 /// ```

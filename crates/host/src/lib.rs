@@ -54,8 +54,8 @@ mod parse_fuzz;
 pub use crash::{power_cycle_and_verify, CrashVerdict};
 pub use f2fs::{F2fsLite, F2fsStats, Temperature};
 pub use fio_file::{parse_fio_jobs, parse_size, NamedJob, ParseFioError};
-pub use job::{AccessPattern, FioJob};
+pub use job::{AccessPattern, FioJob, NVME_QUEUE_LIMIT};
 pub use qd::{run_tenants, MultiReport, QdOptions, TenantReport, TenantSpec};
 pub use runner::{run_job, run_job_sampled, run_job_until, HostError, JobReport};
-pub use trace::{replay_trace, MobileTraceBuilder, ParseTraceError, Trace};
+pub use trace::{replay_trace, ParseTraceError, Trace};
 pub use workloads::WorkloadPreset;

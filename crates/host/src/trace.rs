@@ -1,4 +1,5 @@
-//! Trace-driven workloads: parse, synthesise and replay I/O traces.
+//! Trace-driven workloads: parse, print and replay I/O traces. The
+//! synthetic ones come from [`WorkloadPreset`](crate::WorkloadPreset).
 //!
 //! The text format is one operation per line, blkparse-style:
 //!
@@ -11,16 +12,11 @@
 //!
 //! Comments (`#`) and blank lines are ignored. Replay issues each
 //! operation no earlier than its timestamp (open-loop), or back to back
-//! (closed-loop) when `respect_timestamps` is off.
+//! (closed-loop) when `open_loop` is off.
 
-use conzone_sim::SimRng;
-use conzone_types::{IoRequest, SimTime, ZonedDevice, SLICE_BYTES};
+use conzone_types::{IoRequest, SimTime, ZonedDevice};
 
 use crate::runner::{HostError, JobReport, Tally, ARRIVAL_HORIZON};
-
-/// Zipf skew of a mobile trace's reads (0.0 = uniform, ~1.0 = typical
-/// hot/cold).
-const READ_SKEW: f64 = 1.1;
 
 /// One trace operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,152 +173,6 @@ impl Trace {
     }
 }
 
-/// Builder for a synthetic mobile-like trace: bursts of sequential media
-/// writes, a stream of small synchronous metadata writes, and zipf-skewed
-/// random reads — the consumer access pattern the paper targets.
-#[derive(Debug, Clone)]
-pub struct MobileTraceBuilder {
-    zone_bytes: u64,
-    zones: u64,
-    seed: u64,
-    bursts: u64,
-    burst_bytes: u64,
-    metadata_every: u64,
-    reads: u64,
-}
-
-impl MobileTraceBuilder {
-    /// Targets a zoned device of `zones` zones of `zone_bytes` each.
-    pub fn new(zone_bytes: u64, zones: u64) -> MobileTraceBuilder {
-        MobileTraceBuilder {
-            zone_bytes,
-            zones,
-            seed: 0xb11e_7ace,
-            bursts: 4,
-            burst_bytes: 8 * 1024 * 1024,
-            metadata_every: 2 * 1024 * 1024,
-            reads: 2000,
-        }
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Number of media write bursts (e.g. photos).
-    pub fn bursts(mut self, n: u64) -> Self {
-        self.bursts = n;
-        self
-    }
-
-    /// Bytes per burst.
-    pub fn burst_bytes(mut self, bytes: u64) -> Self {
-        self.burst_bytes = bytes;
-        self
-    }
-
-    /// Number of 4 KiB random reads appended after the writes.
-    pub fn reads(mut self, n: u64) -> Self {
-        self.reads = n;
-        self
-    }
-
-    /// Builds the trace. Writes are strictly sequential per zone (media in
-    /// even zones, metadata in zone 1); reads are zipf-skewed over the
-    /// written media region.
-    pub fn build(self) -> Trace {
-        let mut rng = SimRng::new(self.seed);
-        let mut trace = Trace::new();
-        let chunk = 512 * 1024u64;
-        let mut t = 0u64;
-        let mut media_zone = 0u64;
-        let mut media_off = 0u64;
-        let mut meta_off = 0u64;
-        let mut written_media: Vec<(u64, u64)> = Vec::new(); // (offset, len)
-
-        let mut used_zones: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        used_zones.insert(0);
-        for _ in 0..self.bursts {
-            let mut streamed = 0;
-            while streamed < self.burst_bytes {
-                if media_off == self.zone_bytes {
-                    media_zone = (media_zone + 2) % (self.zones & !1).max(2);
-                    if !used_zones.insert(media_zone) {
-                        // Revisiting a zone: the host discards it first and
-                        // its old extents disappear from the read footprint.
-                        trace.push(TraceOp {
-                            at: SimTime::from_nanos(t),
-                            kind: TraceKind::Discard,
-                            offset: media_zone * self.zone_bytes,
-                            len: self.zone_bytes,
-                        });
-                        let lo = media_zone * self.zone_bytes;
-                        let hi = lo + self.zone_bytes;
-                        written_media.retain(|(off, _)| *off < lo || *off >= hi);
-                    }
-                    media_off = 0;
-                }
-                let offset = media_zone * self.zone_bytes + media_off;
-                trace.push(TraceOp {
-                    at: SimTime::from_nanos(t),
-                    kind: TraceKind::Write,
-                    offset,
-                    len: chunk,
-                });
-                written_media.push((offset, chunk));
-                media_off += chunk;
-                streamed += chunk;
-                t += 200_000; // 200 us between submissions
-                if streamed % self.metadata_every == 0 {
-                    trace.push(TraceOp {
-                        at: SimTime::from_nanos(t),
-                        kind: TraceKind::Write,
-                        offset: self.zone_bytes + meta_off,
-                        len: 16 * 1024,
-                    });
-                    meta_off += 16 * 1024;
-                    t += 100_000;
-                }
-            }
-            t += 5_000_000; // 5 ms between bursts
-        }
-
-        // Zipf-ish skewed reads over written media extents: rank sampled
-        // with probability ∝ rank^-skew via inversion on a harmonic CDF.
-        let n = written_media.len().max(1);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "Zipf skew: sampling is seeded and quantised to a rank; a last-bit \
-                      libm difference across platforms is accepted"
-        )]
-        let weights: Vec<f64> = (1..=n).map(|r| 1.0 / (r as f64).powf(READ_SKEW)).collect();
-        let total: f64 = weights.iter().sum();
-        for _ in 0..self.reads {
-            let mut x = rng.f64() * total;
-            let mut rank = 0;
-            for (i, w) in weights.iter().enumerate() {
-                if x < *w {
-                    rank = i;
-                    break;
-                }
-                x -= w;
-            }
-            let (base, len) = written_media[rank % written_media.len()];
-            let slice = rng.below(len / SLICE_BYTES) * SLICE_BYTES;
-            trace.push(TraceOp {
-                at: SimTime::from_nanos(t),
-                kind: TraceKind::Read,
-                offset: base + slice,
-                len: SLICE_BYTES,
-            });
-            t += 50_000;
-        }
-        trace
-    }
-}
-
 /// Replays a trace against a zoned device, honouring timestamps as
 /// earliest-issue times (`open_loop`) or issuing back to back.
 ///
@@ -411,21 +261,6 @@ mod tests {
         assert!(err.message.contains("unknown op"));
         let err = Trace::parse("zero W 0 4096\n").unwrap_err();
         assert!(err.message.contains("timestamp"));
-    }
-
-    #[test]
-    fn mobile_trace_replays_on_conzone() {
-        let mut dev = ConZone::new(DeviceConfig::tiny_for_tests());
-        let trace = MobileTraceBuilder::new(dev.zone_size(), dev.zone_count() as u64)
-            .bursts(2)
-            .burst_bytes(1024 * 1024)
-            .reads(200)
-            .build();
-        assert!(trace.len() > 0);
-        let report = replay_trace(&mut dev, &trace, SimTime::ZERO, false).unwrap();
-        assert_eq!(report.ops, trace.len() as u64);
-        assert!(report.bandwidth_mibs() > 0.0);
-        assert!(report.counters.host_read_ops >= 200);
     }
 
     /// An op timestamped past the arrival horizon is a bad job, not an

@@ -14,6 +14,10 @@ use crate::trace::{Trace, TraceKind, TraceOp};
 /// The available workload presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadPreset {
+    /// Mobile day: photo bursts walking the even zones, each racing
+    /// synchronous metadata commits to zone 1, then zipf-skewed reads of
+    /// the photos. `conzone gen-trace` builds it by default.
+    Mobile,
     /// Cold boot: a storm of small scattered reads (libraries, dex files,
     /// configuration) with a handful of log writes.
     Boot,
@@ -30,7 +34,8 @@ pub enum WorkloadPreset {
 
 impl WorkloadPreset {
     /// All presets.
-    pub const ALL: [WorkloadPreset; 4] = [
+    pub const ALL: [WorkloadPreset; 5] = [
+        WorkloadPreset::Mobile,
         WorkloadPreset::Boot,
         WorkloadPreset::AppInstall,
         WorkloadPreset::CameraBurst,
@@ -40,6 +45,7 @@ impl WorkloadPreset {
     /// Preset name as used on the CLI.
     pub fn name(self) -> &'static str {
         match self {
+            WorkloadPreset::Mobile => "mobile",
             WorkloadPreset::Boot => "boot",
             WorkloadPreset::AppInstall => "app-install",
             WorkloadPreset::CameraBurst => "camera-burst",
@@ -58,6 +64,20 @@ impl WorkloadPreset {
     pub fn build(self, zone_bytes: u64, zones: u64, seed: u64) -> Trace {
         let mut b = PresetBuilder::new(zone_bytes, zones, seed);
         match self {
+            WorkloadPreset::Mobile => {
+                // 8 photos of 8 MiB, each committing 16 KiB of metadata
+                // every 2 MiB; the walk goes on where the last photo ended.
+                let mut zone = 0;
+                for _photo in 0..8 {
+                    zone = b.stream_write(zone, 8 << 20, Some((2 << 20, 1)));
+                    b.advance(5_000_000);
+                }
+                // Then the gallery is browsed: 5000 zipf-skewed reads.
+                for _ in 0..5000 {
+                    b.zipf_read();
+                    b.advance(50_000);
+                }
+            }
             WorkloadPreset::Boot => {
                 // Pre-existing system image in zones 0..4.
                 b.fill_zone(0);
@@ -75,7 +95,7 @@ impl WorkloadPreset {
             }
             WorkloadPreset::AppInstall => {
                 // 96 MiB package download, sequential.
-                b.stream_write(0, 96 << 20, 512 * 1024);
+                b.stream_write(0, 96 << 20, None);
                 b.advance(10_000_000);
                 // Extraction: read package, write many small files.
                 for _ in 0..1500 {
@@ -89,7 +109,7 @@ impl WorkloadPreset {
                 // as the media zones, so every commit contends (§II-B).
                 let meta_zone = b.zones - 2;
                 for _photo in 0..16 {
-                    b.stream_write_continue(0, 8 << 20, 512 * 1024, 2 << 20, meta_zone);
+                    b.stream_write(0, 8 << 20, Some((2 << 20, meta_zone)));
                     b.advance(3_000_000);
                 }
             }
@@ -148,75 +168,57 @@ impl PresetBuilder {
         });
     }
 
-    /// Appends `len` bytes to `zone`'s cursor in `chunk`-sized writes.
-    fn stream_write(&mut self, zone: u64, len: u64, chunk: u64) {
-        self.stream_write_continue(zone, len, chunk, u64::MAX, 0);
+    /// The offset of `len` bytes at `zone`'s cursor, which moves past
+    /// them. A zone they do not fit is discarded first, and its extents
+    /// are no longer readable.
+    fn reserve(&mut self, zone: u64, len: u64) -> u64 {
+        let (zb, z) = (self.zone_bytes, to_index(zone));
+        if self.wp[z] + len > zb {
+            self.push(TraceKind::Discard, zone * zb, zb);
+            self.readable.retain(|(off, _)| off / zb != zone);
+            self.wp[z] = 0;
+        }
+        let offset = zone * zb + self.wp[z];
+        self.wp[z] += len;
+        offset
     }
 
-    /// Like [`stream_write`], but interleaves a small metadata write into
-    /// `meta_zone` every `meta_every` bytes (0 disables).
-    fn stream_write_continue(
-        &mut self,
-        mut zone: u64,
-        len: u64,
-        chunk: u64,
-        meta_every: u64,
-        meta_zone: u64,
-    ) {
+    /// Appends `len` bytes from `zone`'s cursor in writes of up to
+    /// 512 KiB, moving on to the next zone of the same parity when one
+    /// fills. With `meta = Some((every, meta_zone))`, a 16 KiB metadata
+    /// write to `meta_zone` follows every `every` bytes. Returns the zone
+    /// the stream ended in.
+    fn stream_write(&mut self, mut zone: u64, len: u64, meta: Option<(u64, u64)>) -> u64 {
         let mut streamed = 0;
         while streamed < len {
+            let chunk = (512 * 1024).min(len - streamed);
             if self.wp[to_index(zone)] + chunk > self.zone_bytes {
-                // Move to the next zone of the same parity.
                 zone = (zone + 2) % self.zones;
-                if self.wp[to_index(zone)] + chunk > self.zone_bytes {
-                    self.push(TraceKind::Discard, zone * self.zone_bytes, self.zone_bytes);
-                    let zb = self.zone_bytes;
-                    self.readable.retain(|(off, _)| off / zb != zone);
-                    self.wp[to_index(zone)] = 0;
-                }
             }
-            let offset = zone * self.zone_bytes + self.wp[to_index(zone)];
+            let offset = self.reserve(zone, chunk);
             self.push(TraceKind::Write, offset, chunk);
             self.readable.push((offset, chunk));
-            self.wp[to_index(zone)] += chunk;
             streamed += chunk;
             self.t += 150_000;
-            if meta_every != u64::MAX && streamed % meta_every == 0 {
-                self.log_write(meta_zone, 16 * 1024);
+            if let Some((every, meta_zone)) = meta {
+                if streamed % every == 0 {
+                    self.log_write(meta_zone, 16 * 1024);
+                }
             }
         }
+        zone
     }
 
     /// Fills a whole zone (pre-existing data for read-heavy presets).
     fn fill_zone(&mut self, zone: u64) {
         let len = self.zone_bytes - self.wp[to_index(zone)];
-        self.stream_write_at_zone(zone, len);
-    }
-
-    fn stream_write_at_zone(&mut self, zone: u64, len: u64) {
-        let mut streamed = 0;
-        while streamed < len {
-            let chunk = (512 * 1024).min(len - streamed);
-            let offset = zone * self.zone_bytes + self.wp[to_index(zone)];
-            self.push(TraceKind::Write, offset, chunk);
-            self.readable.push((offset, chunk));
-            self.wp[to_index(zone)] += chunk;
-            streamed += chunk;
-            self.t += 150_000;
-        }
+        self.stream_write(zone, len, None);
     }
 
     /// Appends a small write to a dedicated log zone.
     fn log_write(&mut self, zone: u64, len: u64) {
-        if self.wp[to_index(zone)] + len > self.zone_bytes {
-            self.push(TraceKind::Discard, zone * self.zone_bytes, self.zone_bytes);
-            let zb = self.zone_bytes;
-            self.readable.retain(|(off, _)| off / zb != zone);
-            self.wp[to_index(zone)] = 0;
-        }
-        let offset = zone * self.zone_bytes + self.wp[to_index(zone)];
+        let offset = self.reserve(zone, len);
         self.push(TraceKind::Write, offset, len);
-        self.wp[to_index(zone)] += len;
         self.t += 80_000;
     }
 
@@ -232,7 +234,9 @@ impl PresetBuilder {
         self.push(TraceKind::Read, base + start * SLICE_BYTES, n * SLICE_BYTES);
     }
 
-    /// A zipf-skewed 4 KiB read (hot head of the readable list).
+    /// A zipf-skewed 4 KiB read: of the `n` readable extents, oldest
+    /// first, the one at rank `⌊u³ · n⌋` for a uniform `u`. Only exact
+    /// IEEE-754 arithmetic, so every platform draws the same trace.
     fn zipf_read(&mut self) {
         if self.readable.is_empty() {
             return;
@@ -262,6 +266,13 @@ mod tests {
         ConZone::new(DeviceConfig::builder(g).build().unwrap())
     }
 
+    /// FNV-1a, to pin a whole trace text in one number.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn names_roundtrip() {
         for p in WorkloadPreset::ALL {
@@ -270,15 +281,41 @@ mod tests {
         assert_eq!(WorkloadPreset::from_name("bogus"), None);
     }
 
+    /// Every preset's text on the test geometry at seed 7, pinned: a
+    /// change to the shared builder must leave the presets as they were.
+    #[test]
+    fn preset_traces_are_pinned() {
+        let c = DeviceConfig::tiny_for_tests();
+        let (zb, zc) = (c.zone_size_bytes(), c.zone_count() as u64);
+        let pins = [
+            (WorkloadPreset::Mobile, 0x9c55_f6ae_7e6d_d2ee, 5216),
+            (WorkloadPreset::Boot, 0x5070_bc37_ee73_5da1, 6127),
+            (WorkloadPreset::AppInstall, 0xb265_46b1_e0b0_9f56, 3326),
+            (WorkloadPreset::CameraBurst, 0xba8c_699c_fcf4_d6ad, 446),
+            (WorkloadPreset::SocialScroll, 0x471e_2d9f_cf88_15e6, 8339),
+        ];
+        for (preset, hash, ops) in pins {
+            let trace = preset.build(zb, zc, 7);
+            let got = (fnv1a(&trace.to_text()), trace.len());
+            assert_eq!(got, (hash, ops), "{}: {:#018x}", preset.name(), got.0);
+        }
+    }
+
+    /// On 32 zones of 16 MiB and on 16 zones of 1 MiB, where the logs of
+    /// `boot` and `social-scroll` wrap and the media streams revisit zones.
     #[test]
     fn every_preset_replays_cleanly() {
-        for preset in WorkloadPreset::ALL {
-            let mut d = dev();
-            let trace = preset.build(d.zone_size(), d.zone_count() as u64, 7);
-            assert!(trace.len() > 0, "{}", preset.name());
-            let report = replay_trace(&mut d, &trace, SimTime::ZERO, false)
-                .unwrap_or_else(|e| panic!("{}: {e}", preset.name()));
-            assert_eq!(report.ops, trace.len() as u64, "{}", preset.name());
+        let tiny = || ConZone::new(DeviceConfig::tiny_for_tests());
+        for make in [dev, tiny] {
+            for preset in WorkloadPreset::ALL {
+                let mut d = make();
+                let trace = preset.build(d.zone_size(), d.zone_count() as u64, 7);
+                let name = format!("{} on {} zones", preset.name(), d.zone_count());
+                assert!(trace.len() > 0, "{name}");
+                let report = replay_trace(&mut d, &trace, SimTime::ZERO, false)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(report.ops, trace.len() as u64, "{name}");
+            }
         }
     }
 

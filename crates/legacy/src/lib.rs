@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use conzone_flash::{FlashArray, FlashError};
+use conzone_flash::FlashArray;
 use conzone_ftl::{block_runs, LruCache, MappingTable, OwnerMap};
 use conzone_types::{
     to_index, ChipId, Completion, Counters, DeviceConfig, DeviceError, DeviceEvent, FaultConfig,
@@ -48,10 +48,6 @@ mod reference;
 
 /// Fraction of normal superblocks held back as GC over-provisioning.
 const OVERPROVISION_DIVISOR: usize = 16; // ~6 %
-
-fn internal(e: FlashError) -> DeviceError {
-    DeviceError::Unsupported(format!("internal flash error: {e}"))
-}
 
 /// A buffered, not-yet-flushed run of slices: one host write (clipped at
 /// the programming-unit boundary it crossed), one run of GC-migrated
@@ -249,7 +245,7 @@ impl LegacyDevice {
     fn kill_mapped(&mut self, range: LpnRange) -> Result<(), DeviceError> {
         let spb = self.cfg.geometry.slices_per_block();
         for (first, n) in block_runs(self.table.ppas(range), spb) {
-            self.flash.invalidate_run(first, n).map_err(internal)?;
+            self.flash.invalidate_run(first, n)?;
             self.owner.remove_run(first, n);
         }
         Ok(())
@@ -340,10 +336,7 @@ impl LegacyDevice {
         self.pending_slices -= unit;
 
         let data = self.cfg.data_backing.then_some(&payload[..]);
-        let out = self
-            .flash
-            .program_unit(t, chip, sb.index(), data)
-            .map_err(internal)?;
+        let out = self.flash.program_unit(t, chip, sb.index(), data)?;
         self.unit_payload = payload;
         // Buffer frees after the transfer; tPROG runs in the background.
         t = out.buffer_free;
@@ -364,7 +357,7 @@ impl LegacyDevice {
                 Some(lpn) => self.remap_run(lpn, ppa, n)?,
                 // Flush padding: dead on arrival, or GC would later try to
                 // migrate an ownerless slice.
-                None => self.flash.invalidate_run(ppa, n).map_err(internal)?,
+                None => self.flash.invalidate_run(ppa, n)?,
             }
             ppa = ppa.offset(n as u64);
         }
@@ -453,7 +446,7 @@ impl LegacyDevice {
         if ppas.is_empty() {
             return Ok(now);
         }
-        let out = self.flash.read_slices(now, ppas).map_err(internal)?;
+        let out = self.flash.read_slices(now, ppas)?;
         let mut t = out.finish;
         let mut at = 0;
         while at < ppas.len() {
@@ -590,7 +583,7 @@ impl LegacyDevice {
         let mut finish = t_map;
         let mut flash_data: Option<Vec<u8>> = None;
         if !ppas.is_empty() {
-            let out = self.flash.read_slices(t_map, &ppas).map_err(internal)?;
+            let out = self.flash.read_slices(t_map, &ppas)?;
             finish = out.finish;
             flash_data = out.data;
         }
@@ -819,6 +812,23 @@ mod tests {
         assert_eq!(d.counters().flash_program_bytes(), 0);
         let r = d.submit(c.finished, &IoRequest::read(0, 8192)).unwrap();
         assert_eq!(r.data.unwrap(), patt(8192, 9));
+    }
+
+    /// A read of a slice the table maps but the media holds dead is an
+    /// FTL logic error (`Internal`), not a request the device declines.
+    #[test]
+    fn a_read_of_a_dead_mapped_slice_is_an_internal_error() {
+        let mut d = dev();
+        let mut t = SimTime::ZERO;
+        t = d
+            .submit(t, &IoRequest::write_data(0, patt(256 * 1024, 1)))
+            .unwrap()
+            .finished;
+        t = d.flush(t).unwrap().finished;
+        let ppa = d.table.get(Lpn(0)).expect("mapped").ppa;
+        d.flash.invalidate_run(ppa, 1).expect("live slice");
+        let err = d.submit(t, &IoRequest::read(0, SLICE_BYTES)).unwrap_err();
+        assert!(matches!(err, DeviceError::Internal(_)), "{err:?}");
     }
 }
 

@@ -16,7 +16,7 @@ use conzone_types::{
     LpnRange, Ppa, SimTime, StorageDevice, SuperblockId, HOST_OVERHEAD, SLICE_BYTES,
 };
 
-use crate::{internal, OVERPROVISION_DIVISOR};
+use crate::OVERPROVISION_DIVISOR;
 
 #[derive(Debug, Clone)]
 struct PendingSlice {
@@ -91,7 +91,7 @@ impl ReferenceLegacy {
         let range = LpnRange::covering_bytes(offset, len).expect("non-empty");
         for lpn in range.iter() {
             if let Some(entry) = self.table.get(lpn) {
-                self.flash.invalidate(entry.ppa).map_err(internal)?;
+                self.flash.invalidate(entry.ppa)?;
                 self.owner.remove(&entry.ppa.raw());
                 self.table.unmap(lpn);
                 self.cache.remove(lpn.raw());
@@ -178,14 +178,13 @@ impl ReferenceLegacy {
         };
         let out = self
             .flash
-            .program_unit(t, chip, sb.raw() as usize, payload.as_deref())
-            .map_err(internal)?;
+            .program_unit(t, chip, sb.raw() as usize, payload.as_deref())?;
         t = out.buffer_free;
         self.counters.full_flushes += 1;
         for (i, s) in slices.iter().enumerate() {
             let ppa = out.first.offset(i as u64);
             if s.lpn == Lpn(u64::MAX) {
-                self.flash.invalidate(ppa).map_err(internal)?;
+                self.flash.invalidate(ppa)?;
                 continue;
             }
             self.remap(s.lpn, ppa)?;
@@ -195,7 +194,7 @@ impl ReferenceLegacy {
 
     fn remap(&mut self, lpn: Lpn, ppa: Ppa) -> Result<(), DeviceError> {
         if let Some(old) = self.table.get(lpn) {
-            self.flash.invalidate(old.ppa).map_err(internal)?;
+            self.flash.invalidate(old.ppa)?;
             self.owner.remove(&old.ppa.raw());
         }
         self.table.set(lpn, ppa, false);
@@ -219,7 +218,7 @@ impl ReferenceLegacy {
         let queued = self.pending.len();
         let mut t = now;
         if !ppas.is_empty() {
-            let out = self.flash.read_slices(t, &ppas).map_err(internal)?;
+            let out = self.flash.read_slices(t, &ppas)?;
             t = out.finish;
             for (i, &ppa) in ppas.iter().enumerate() {
                 let lpn = *self
@@ -311,7 +310,7 @@ impl ReferenceLegacy {
         let mut finish = t_map;
         let mut flash_data: Option<Vec<u8>> = None;
         if !ppas.is_empty() {
-            let out = self.flash.read_slices(t_map, &ppas).map_err(internal)?;
+            let out = self.flash.read_slices(t_map, &ppas)?;
             finish = out.finish;
             flash_data = out.data;
         }

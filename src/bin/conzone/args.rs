@@ -1,7 +1,7 @@
 //! Parse: the usage text, the flag parser and every `--flag` → typed value
 //! conversion. Nothing here touches a device.
 
-use conzone::host::{parse_size, AccessPattern, QdOptions};
+use conzone::host::{parse_size, AccessPattern, QdOptions, NVME_QUEUE_LIMIT};
 use conzone::types::{
     to_index, DeviceConfig, FaultConfig, Geometry, MapGranularity, SearchStrategy, SimDuration,
 };
@@ -33,8 +33,8 @@ usage:
   conzone scenario  mixed        [--qd 8] [--region 8m] [--stats-json]
   conzone scenario  flash-cache  [--qd 16] [--region 8m] [--stats-json]
   conzone replay    <trace-file> [--device conzone|femu] [--open-loop]
-  conzone gen-trace [--preset boot|app-install|camera-burst|social-scroll]
-                    [--bursts 8] [--burst-bytes 8m] [--reads 5000] [--out trace.txt]
+  conzone gen-trace [--preset mobile|boot|app-install|camera-burst|social-scroll]
+                    [--config paper|tiny] [--seed N] [--out trace.txt]
 ";
 
 /// Parses "100ms", "1s", "50us", "7500ns" or plain nanoseconds.
@@ -58,10 +58,6 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
         .map(SimDuration::from_nanos)
         .ok_or_else(|| format!("bad duration '{s}': more than {} ns", u64::MAX))
 }
-
-/// NVMe addresses queues and queue entries with 16-bit fields: at most
-/// 65 535 I/O queues of at most 65 535 entries each.
-const NVME_QUEUE_LIMIT: u64 = 65_535;
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
 #[derive(Debug, Default, Clone)]

@@ -17,7 +17,7 @@ mod scenario;
 
 use std::process::ExitCode;
 
-use conzone::host::{replay_trace, MobileTraceBuilder, Trace, WorkloadPreset};
+use conzone::host::{replay_trace, Trace, WorkloadPreset};
 use conzone::types::{
     IoRequest, SimTime, StorageDevice, ZoneId, ZonedDevice, CHANNEL_BYTES_PER_SEC, MAPPING_MEDIA,
 };
@@ -152,31 +152,22 @@ fn cmd_zones(args: &Args) -> Result<(), String> {
 
 fn cmd_gen_trace(args: &Args) -> Result<(), String> {
     let cfg = build_config(args)?;
-    let trace = match args.get("preset") {
-        Some(name) => {
-            let preset = WorkloadPreset::from_name(name).ok_or_else(|| {
-                format!(
-                    "unknown --preset '{name}' (expected one of: {})",
-                    WorkloadPreset::ALL
-                        .iter()
-                        .map(|p| p.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            })?;
-            preset.build(
-                cfg.zone_size_bytes(),
-                cfg.zone_count() as u64,
-                args.num("seed", 7)?,
-            )
-        }
-        None => MobileTraceBuilder::new(cfg.zone_size_bytes(), cfg.zone_count() as u64)
-            .bursts(args.num("bursts", 8)?)
-            .burst_bytes(args.size("burst-bytes", 8 << 20)?)
-            .reads(args.num("reads", 5000)?)
-            .seed(args.num("seed", 7)?)
-            .build(),
-    };
+    let name = args.get("preset").unwrap_or(WorkloadPreset::Mobile.name());
+    let preset = WorkloadPreset::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown --preset '{name}' (expected one of: {})",
+            WorkloadPreset::ALL
+                .iter()
+                .map(|p| p.name())
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    })?;
+    let trace = preset.build(
+        cfg.zone_size_bytes(),
+        cfg.zone_count() as u64,
+        args.num("seed", 7)?,
+    );
     let text = trace.to_text();
     match args.get("out") {
         Some(path) => {
@@ -226,22 +217,29 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.txt");
         let path_str = path.to_str().unwrap();
-        let a = args(&[
-            "gen-trace",
-            "--config",
-            "tiny",
-            "--bursts",
-            "2",
-            "--burst-bytes",
-            "512k",
-            "--reads",
-            "50",
-            "--out",
-            path_str,
-        ]);
+        let a = args(&["gen-trace", "--config", "tiny", "--out", path_str]);
         cmd_gen_trace(&a).expect("gen ok");
         let a = args(&["replay", path_str, "--config", "tiny"]);
         cmd_replay(&a).expect("replay ok");
         std::fs::remove_file(path).ok();
+    }
+
+    /// Every command line in the README is in the CLI's vocabulary, so a
+    /// flag that leaves the usage text leaves the README too.
+    #[test]
+    fn readme_command_lines_parse() {
+        let readme = include_str!("../../../README.md").replace("\\\n", " ");
+        let lines: Vec<Vec<String>> = readme
+            .split("conzone -- ")
+            .skip(1)
+            .map(|rest| {
+                let line = rest.split(['\n', '>', '#']).next().unwrap_or_default();
+                line.split_whitespace().map(str::to_string).collect()
+            })
+            .collect();
+        assert!(lines.len() >= 10, "{} command lines", lines.len());
+        for argv in lines {
+            Args::parse(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        }
     }
 }

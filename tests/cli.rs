@@ -86,19 +86,7 @@ fn gen_trace_replay_roundtrip() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("e2e-trace.txt");
     let path = path.to_str().unwrap();
-    let (ok, stdout, stderr) = conzone(&[
-        "gen-trace",
-        "--config",
-        "tiny",
-        "--bursts",
-        "2",
-        "--burst-bytes",
-        "512k",
-        "--reads",
-        "100",
-        "--out",
-        path,
-    ]);
+    let (ok, stdout, stderr) = conzone(&["gen-trace", "--config", "tiny", "--out", path]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("wrote"), "{stdout}");
     let (ok, stdout, stderr) = conzone(&["replay", path, "--config", "tiny"]);
