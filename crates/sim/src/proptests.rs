@@ -2,7 +2,7 @@
 //! exact order statistics, resource reservation invariants, and event
 //! ordering.
 
-use conzone_check::{check, Rng};
+use conzone_check::{check, Rng, Simpler};
 
 use crate::{EventQueue, LatencyHistogram, Resource, SimRng};
 use conzone_types::{SimDuration, SimTime};
@@ -94,28 +94,53 @@ fn resource_reservations_never_overlap() {
     });
 }
 
-/// The event queue is a stable priority queue: pops come out sorted by
-/// time, FIFO within equal times.
+/// One step of an event-queue stream: schedule at a time, or pop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum QueueOp {
+    Push(u64),
+    Pop,
+}
+
+impl Simpler for QueueOp {}
+
+/// The event queue is a stable priority queue: under any interleaving of
+/// pushes and pops, every pop returns the earliest `(time, push order)`
+/// still queued, as a linear scan of a plain list finds it. Times come
+/// from a small range, so ties are common, and pushes follow pops, which
+/// is where a popped root is overwritten in place.
 #[test]
 fn event_queue_is_stable_sorted() {
     let path = concat!(module_path!(), "::event_queue_is_stable_sorted");
-    let generate = |rng: &mut Rng| ((), rng.vec(1..200, |rng| rng.below(50)));
-    check(path, 64, generate, |(), times| {
+    let op = |rng: &mut Rng| match rng.below(5) {
+        0..3 => QueueOp::Push(rng.below(8)),
+        _ => QueueOp::Pop,
+    };
+    let generate = |rng: &mut Rng| ((), rng.vec(1..200, op));
+    check(path, 64, generate, |(), ops| {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(t), i);
-        }
-        let mut last: Option<(u64, usize)> = None;
-        while let Some((t, i)) = q.pop() {
-            if let Some((lt, li)) = last {
-                assert!(t.as_nanos() >= lt, "time ordered");
-                if t.as_nanos() == lt {
-                    assert!(i > li, "FIFO at equal times");
+        let mut model: Vec<(u64, usize)> = Vec::new();
+        for (i, &op) in ops.iter().enumerate() {
+            match op {
+                QueueOp::Push(t) => {
+                    q.push(SimTime::from_nanos(t), i);
+                    model.push((t, i));
+                }
+                QueueOp::Pop => {
+                    let earliest = (0..model.len()).min_by_key(|&k| model[k]);
+                    let want = earliest.map(|k| model.remove(k));
+                    let got = q.pop().map(|(t, i)| (t.as_nanos(), i));
+                    assert_eq!(got, want, "pop at step {i}");
                 }
             }
-            assert_eq!(times[i], t.as_nanos());
-            last = Some((t.as_nanos(), i));
         }
+        // What is left drains in order, and then the queue is empty. The
+        // pops are counted: a queue that never empties must fail, not hang.
+        model.sort_unstable();
+        let want: Vec<_> = model.into_iter().map(Some).chain([None]).collect();
+        let rest: Vec<_> = (0..want.len())
+            .map(|_| q.pop().map(|(t, i)| (t.as_nanos(), i)))
+            .collect();
+        assert_eq!(rest, want, "drain");
     });
 }
 

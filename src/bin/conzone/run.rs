@@ -354,6 +354,9 @@ pub fn cmd_run(args: &Args) -> Result<(), String> {
     let power_cut = args.duration("power-cut-at")?;
     let qd = args.queue_count("qd", 1)?;
     let tenants = args.queue_count("tenants", 1)?;
+    if qd == 0 || tenants == 0 {
+        return Err("--qd and --tenants must be at least 1".to_string());
+    }
     // Any queue-pair flag puts the NVMe-like front end before the device.
     let queued = qd > 1
         || tenants > 1
@@ -367,9 +370,6 @@ pub fn cmd_run(args: &Args) -> Result<(), String> {
         }
         if power_cut.is_some() {
             return Err("--power-cut-at is not supported with --qd/--tenants".to_string());
-        }
-        if qd == 0 || tenants == 0 {
-            return Err("--qd and --tenants must be at least 1".to_string());
         }
         if obs.metrics.is_some() {
             return Err(
@@ -637,6 +637,12 @@ mod tests {
         assert!(cmd_run(&a).is_err());
         let a = cli("run --qd 2 --arbiter fifo");
         assert!(cmd_run(&a).is_err());
+        // A zero depth or tenant count is refused, alone or together.
+        for zero in ["--qd 0", "--tenants 0", "--qd 0 --tenants 2"] {
+            let a = cli(&format!("run --config tiny {zero}"));
+            let err = cmd_run(&a).expect_err(zero);
+            assert!(err.contains("at least 1"), "{zero}: {err}");
+        }
         assert!(parse_tenant_weights(&cli("run"), 3).unwrap() == vec![1, 1, 1]);
     }
 }
